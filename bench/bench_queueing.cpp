@@ -23,6 +23,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -114,6 +115,32 @@ mixTx(Rng &rng, const flash::FlashGeometry &g, const flash::FlashTiming &t,
     return tx;
 }
 
+/** Nearest-rank percentile: the ceil(p/100 * n)-th smallest of @p v,
+ *  rank clamped to [1, n]; 0 when empty. */
+Tick
+nearestRank(std::vector<Tick> v, double p)
+{
+    if (v.empty())
+        return 0;
+    std::sort(v.begin(), v.end());
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(p / 100.0 * static_cast<double>(v.size())));
+    return v[std::clamp<std::size_t>(rank, 1, v.size()) - 1];
+}
+
+/** Mean of @p v, truncated to a tick; 0 when empty. */
+Tick
+meanTicks(const std::vector<Tick> &v)
+{
+    if (v.empty())
+        return 0;
+    Tick sum = 0;
+    for (const Tick t : v)
+        sum += t;
+    return static_cast<Tick>(static_cast<double>(sum) /
+                             static_cast<double>(v.size()));
+}
+
 PolicyOutcome
 runPolicy(ssd::sched::SchedPolicyKind policy, bench::ObsOptions *obs)
 {
@@ -122,7 +149,6 @@ runPolicy(ssd::sched::SchedPolicyKind policy, bench::ObsOptions *obs)
     const flash::FlashTiming timing;
     ssd::sched::SchedConfig cfg;
     cfg.policy = policy;
-    cfg.latencySampling = true;
     ssd::sched::TransactionScheduler sch(geo, timing, cfg);
     if (obs && obs->traceWanted())
         sch.setTraceSink(&obs::TraceSink::enableGlobal());
@@ -132,10 +158,20 @@ runPolicy(ssd::sched::SchedPolicyKind policy, bench::ObsOptions *obs)
     Rng rng(0xBE7C0DE5);
     Tick base = 0;
     Tick horizon = 0;
+    // Completion latency (complete - readyAt) of every read and every
+    // ParaBit transaction, over all rounds.
+    std::vector<Tick> readLat;
+    std::vector<Tick> parabitLat;
     for (int round = 0; round < 10; ++round) {
         for (int i = 0; i < 48; ++i)
             sch.submit(mixTx(rng, geo, timing, base));
         horizon = std::max(horizon, sch.drain());
+        for (const ssd::sched::TxRecord &rec : sch.records()) {
+            if (rec.cls == TxClass::kRead)
+                readLat.push_back(rec.complete - rec.readyAt);
+            else if (rec.cls == TxClass::kParaBit)
+                parabitLat.push_back(rec.complete - rec.readyAt);
+        }
         base = horizon / 2;
         if (obs && obs->snapshotsWanted())
             obs->snapshots.record(horizon);
@@ -143,12 +179,10 @@ runPolicy(ssd::sched::SchedPolicyKind policy, bench::ObsOptions *obs)
 
     PolicyOutcome out;
     out.name = sch.policyName();
-    const SampleSeries &rd = sch.latencySeries(TxClass::kRead);
-    out.readP50Us = ticks::toUs(static_cast<Tick>(rd.percentile(50)));
-    out.readP99Us = ticks::toUs(static_cast<Tick>(rd.percentile(99)));
-    out.readMeanUs = ticks::toUs(static_cast<Tick>(rd.mean()));
-    const SampleSeries &pb = sch.latencySeries(TxClass::kParaBit);
-    out.parabitP99Us = ticks::toUs(static_cast<Tick>(pb.percentile(99)));
+    out.readP50Us = ticks::toUs(nearestRank(readLat, 50));
+    out.readP99Us = ticks::toUs(nearestRank(readLat, 99));
+    out.readMeanUs = ticks::toUs(meanTicks(readLat));
+    out.parabitP99Us = ticks::toUs(nearestRank(parabitLat, 99));
 
     const ssd::sched::SchedStats stats = sch.stats();
     out.suspends = stats.suspends;

@@ -1,29 +1,10 @@
 #include "common/stats.hpp"
 
-#include <cmath>
 #include <sstream>
 
 #include "common/invariant.hpp"
 
 namespace parabit {
-
-double
-SampleSeries::percentile(double p) const
-{
-    if (samples_.empty()) {
-        return 0.0;
-    }
-    std::vector<double> sorted(samples_);
-    std::sort(sorted.begin(), sorted.end());
-    // Nearest-rank: ceil(p/100 * n), clamped to [1, n].
-    const double n = static_cast<double>(sorted.size());
-    auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
-    if (rank < 1)
-        rank = 1;
-    if (rank > sorted.size())
-        rank = sorted.size();
-    return sorted[rank - 1];
-}
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),

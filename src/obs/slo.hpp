@@ -4,10 +4,8 @@
  * sketch plus a per-op-class tracker of windowed tail latencies,
  * violation counts and error-budget burn rate.
  *
- * The reservoir SampleSeries (common/stats.hpp) answers "what did the
- * whole run's distribution look like" with bounded memory but seeded
- * subsampling; an SLO needs the complement — exact tail *counts* over a
- * rolling window, with no randomness at all.  QuantileSketch is a
+ * An SLO needs exact tail *counts* over a rolling window, with no
+ * randomness at all.  QuantileSketch is a
  * DDSketch-style log-bucketed histogram: bucket i covers
  * (gamma^(i-1), gamma^i], so every quantile is answered with bounded
  * relative error (gamma - 1), the bucket array is fixed at

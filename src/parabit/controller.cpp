@@ -366,9 +366,7 @@ Controller::reallocatePair(std::optional<nvme::Lpn> x_lpn,
     // Emit the operand reads as one scheduler batch: co-plane reads
     // arbitrate against each other (and against co-pending traffic)
     // rather than being booked one call at a time.
-    const ssd::sched::TxGroup read_g = ssd_->submitOps(read_ops, at);
-    ssd_->drainTransactions();
-    const Tick reads_done = ssd_->groupCompletion(read_g, at);
+    const Tick reads_done = ssd_->scheduleOps(read_ops, at);
     if (x_out)
         *x_out = x_data;
     if (y_out)
@@ -385,9 +383,7 @@ Controller::reallocatePair(std::optional<nvme::Lpn> x_lpn,
                       functional ? &y_data : nullptr, prog_ops);
     stats.pagePrograms += 2;
     stats.reallocBytes += 2 * page;
-    const ssd::sched::TxGroup prog_g = ssd_->submitOps(prog_ops, reads_done);
-    ssd_->drainTransactions();
-    ready = ssd_->groupCompletion(prog_g, reads_done);
+    ready = ssd_->scheduleOps(prog_ops, reads_done);
     if (!pair)
         return std::nullopt;
     return pair->lsb;
@@ -749,11 +745,8 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
                 }
             }
             // The whole result write-back is one scheduler batch.
-            const ssd::sched::TxGroup wb =
-                ssd_->submitOps(ops, res.stats.end);
-            ssd_->drainTransactions();
-            res.stats.end = std::max(
-                res.stats.end, ssd_->groupCompletion(wb, res.stats.end));
+            res.stats.end = std::max(res.stats.end,
+                                     ssd_->scheduleOps(ops, res.stats.end));
         }
         res.pages = std::move(last.pages);
     }

@@ -10,35 +10,30 @@ ParaBitDevice::ParaBitDevice(const ssd::SsdConfig &cfg)
 {
 }
 
-Tick
-ParaBitDevice::scheduleBatch(const std::vector<ssd::PhysOp> &ops)
-{
-    const ssd::sched::TxGroup g = ssd_->submitOps(ops, now_);
-    ssd_->drainTransactions();
-    return ssd_->groupCompletion(g, now_);
-}
-
-void
+bool
 ParaBitDevice::writeData(nvme::Lpn start, const std::vector<BitVector> &pages)
 {
     std::vector<const BitVector *> ptrs;
     ptrs.reserve(pages.size());
     for (const auto &p : pages)
         ptrs.push_back(&p);
-    now_ = ssd_->writePages(start, ptrs, now_);
+    return ssd_->writePages(start, ptrs, now_);
 }
 
-void
+bool
 ParaBitDevice::writeDataLsbOnly(nvme::Lpn start,
                                 const std::vector<BitVector> &pages)
 {
     std::vector<ssd::PhysOp> ops;
+    bool ok = true;
     for (std::size_t i = 0; i < pages.size(); ++i)
-        ssd_->ftl().writeLsbOnly(start + i, &pages[i], ops);
-    now_ = scheduleBatch(ops);
+        if (!ssd_->ftl().writeLsbOnly(start + i, &pages[i], ops))
+            ok = false;
+    now_ = ssd_->scheduleOps(ops, now_);
+    return ok;
 }
 
-void
+bool
 ParaBitDevice::writeOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
                                 const std::vector<BitVector> &x_pages,
                                 const std::vector<BitVector> &y_pages)
@@ -46,49 +41,65 @@ ParaBitDevice::writeOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
     if (x_pages.size() != y_pages.size())
         fatal("writeOperandPair: operand sizes differ");
     std::vector<ssd::PhysOp> ops;
+    bool ok = true;
     for (std::size_t i = 0; i < x_pages.size(); ++i)
-        ssd_->ftl().writePair(x_start + i, y_start + i, &x_pages[i],
-                              &y_pages[i], ops);
-    now_ = scheduleBatch(ops);
+        if (!ssd_->ftl().writePair(x_start + i, y_start + i, &x_pages[i],
+                                   &y_pages[i], ops))
+            ok = false;
+    now_ = ssd_->scheduleOps(ops, now_);
+    return ok;
 }
 
-void
+bool
 ParaBitDevice::writeDataLsbOnlyInPlane(nvme::Lpn start,
                                        const std::vector<BitVector> &pages,
                                        std::uint32_t plane)
 {
     std::vector<ssd::PhysOp> ops;
+    bool ok = true;
     for (std::size_t i = 0; i < pages.size(); ++i)
-        ssd_->ftl().writeLsbOnly(start + i, &pages[i], ops, plane);
-    now_ = scheduleBatch(ops);
+        if (!ssd_->ftl().writeLsbOnly(start + i, &pages[i], ops, plane))
+            ok = false;
+    now_ = ssd_->scheduleOps(ops, now_);
+    return ok;
 }
 
-void
+bool
 ParaBitDevice::writeMeta(nvme::Lpn start, std::uint32_t pages)
 {
     std::vector<ssd::PhysOp> ops;
+    bool ok = true;
     for (std::uint32_t i = 0; i < pages; ++i)
-        ssd_->ftl().writePage(start + i, nullptr, ops);
-    now_ = scheduleBatch(ops);
+        if (!ssd_->ftl().writePage(start + i, nullptr, ops))
+            ok = false;
+    now_ = ssd_->scheduleOps(ops, now_);
+    return ok;
 }
 
-void
+bool
 ParaBitDevice::writeMetaLsbOnly(nvme::Lpn start, std::uint32_t pages)
 {
     std::vector<ssd::PhysOp> ops;
+    bool ok = true;
     for (std::uint32_t i = 0; i < pages; ++i)
-        ssd_->ftl().writeLsbOnly(start + i, nullptr, ops);
-    now_ = scheduleBatch(ops);
+        if (!ssd_->ftl().writeLsbOnly(start + i, nullptr, ops))
+            ok = false;
+    now_ = ssd_->scheduleOps(ops, now_);
+    return ok;
 }
 
-void
+bool
 ParaBitDevice::writeMetaOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
                                     std::uint32_t pages)
 {
     std::vector<ssd::PhysOp> ops;
+    bool ok = true;
     for (std::uint32_t i = 0; i < pages; ++i)
-        ssd_->ftl().writePair(x_start + i, y_start + i, nullptr, nullptr, ops);
-    now_ = scheduleBatch(ops);
+        if (!ssd_->ftl().writePair(x_start + i, y_start + i, nullptr,
+                                   nullptr, ops))
+            ok = false;
+    now_ = ssd_->scheduleOps(ops, now_);
+    return ok;
 }
 
 std::vector<BitVector>
@@ -142,7 +153,7 @@ ParaBitDevice::flush()
         return true;
     std::vector<ssd::PhysOp> ops;
     const bool ok = ssd_->ftl().checkpoint(ops);
-    now_ = scheduleBatch(ops);
+    now_ = ssd_->scheduleOps(ops, now_);
     return ok;
 }
 

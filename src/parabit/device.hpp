@@ -35,24 +35,28 @@ class ParaBitDevice
   public:
     explicit ParaBitDevice(const ssd::SsdConfig &cfg = ssd::SsdConfig::tiny());
 
-    /** @name Data placement. */
+    /** @name Data placement.
+     * Every write below attempts all its pages, advances the device
+     * clock past their traffic and returns whether every page was
+     * written (false when the FTL ran out of space or program retries).
+     */
     /// @{
 
     /** Normal host write of consecutive logical pages. */
-    void writeData(nvme::Lpn start, const std::vector<BitVector> &pages);
+    bool writeData(nvme::Lpn start, const std::vector<BitVector> &pages);
 
     /**
      * LSB-only placement (paper Section 5.5): MSB pages stay free so
      * chained ParaBit results can be dropped next to the operands.
      */
-    void writeDataLsbOnly(nvme::Lpn start, const std::vector<BitVector> &pages);
+    bool writeDataLsbOnly(nvme::Lpn start, const std::vector<BitVector> &pages);
 
     /**
      * LSB-only placement pinned to one plane, so that several operand
      * streams share bitlines — the layout location-free operations
      * need.  @p plane is a flat plane index (< geometry.planesTotal()).
      */
-    void writeDataLsbOnlyInPlane(nvme::Lpn start,
+    bool writeDataLsbOnlyInPlane(nvme::Lpn start,
                                  const std::vector<BitVector> &pages,
                                  std::uint32_t plane);
 
@@ -61,16 +65,16 @@ class ParaBitDevice
      * page i of @p y_pages share wordline i of the allocation.  This is
      * the paper's pre-computation allocation for the first operation.
      */
-    void writeOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
+    bool writeOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
                           const std::vector<BitVector> &x_pages,
                           const std::vector<BitVector> &y_pages);
 
     /**
      * Timing-only variants (no payloads) for device-scale experiments.
      */
-    void writeMeta(nvme::Lpn start, std::uint32_t pages);
-    void writeMetaLsbOnly(nvme::Lpn start, std::uint32_t pages);
-    void writeMetaOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
+    bool writeMeta(nvme::Lpn start, std::uint32_t pages);
+    bool writeMetaLsbOnly(nvme::Lpn start, std::uint32_t pages);
+    bool writeMetaOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
                               std::uint32_t pages);
 
     /** Read back logical pages (ECC-clean path). */
@@ -136,10 +140,6 @@ class ParaBitDevice
     Controller &controller() { return controller_; }
 
   private:
-    /** Emit @p ops as one scheduler batch at now() and arbitrate it.
-     *  @return the batch completion (now() when @p ops is empty). */
-    Tick scheduleBatch(const std::vector<ssd::PhysOp> &ops);
-
     std::unique_ptr<ssd::SsdDevice> ssd_;
     Controller controller_;
     Tick now_ = 0;

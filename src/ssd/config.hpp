@@ -182,7 +182,7 @@ struct HealthConfig
  *
  * Every subsystem registers a named audit suite with the device's
  * InvariantRegistry at construction (FTL mapping bijection and OOB
- * agreement, scheduler booking exclusivity and work conservation, RAIN
+ * agreement, scheduler queue accounting and work conservation, RAIN
  * stripe parity, media wear monotonicity).  The device runs all suites
  * every auditInterval transaction drains; a violation is dumped
  * through the obs/logging layer and treated as a panic (an audit

@@ -75,14 +75,14 @@ class FcfsPolicy final : public SchedulerPolicy
     const char *name() const override { return "fcfs"; }
 
     std::size_t
-    pick(const std::vector<PendingView> &views, Tick) const override
+    pick(const std::deque<QueueEntry> &queue, Tick) const override
     {
-        if (views.empty())
+        if (queue.empty())
         {
             return kNoPick;
         }
-        // Queue order is submission order; the head is views[0].
-        return views.front().ready ? 0 : kNoPick;
+        // Queue order is submission order; the head is queue.front().
+        return queue.front().ready ? 0 : kNoPick;
     }
 
     bool preempts(TxClass, TxClass) const override { return false; }
@@ -100,16 +100,16 @@ class OooDieFirstPolicy final : public SchedulerPolicy
     const char *name() const override { return "ooo_die_first"; }
 
     std::size_t
-    pick(const std::vector<PendingView> &views, Tick) const override
+    pick(const std::deque<QueueEntry> &queue, Tick) const override
     {
         std::size_t best = kNoPick;
-        for (std::size_t i = 0; i < views.size(); ++i)
+        for (std::size_t i = 0; i < queue.size(); ++i)
         {
-            if (!views[i].ready)
+            if (!queue[i].ready)
             {
                 continue;
             }
-            if (best == kNoPick || views[i].seq < views[best].seq)
+            if (best == kNoPick || queue[i].seq < queue[best].seq)
             {
                 best = i;
             }
@@ -148,29 +148,29 @@ class ReadPriorityPolicy final : public SchedulerPolicy
     const char *name() const override { return "read_priority"; }
 
     std::size_t
-    pick(const std::vector<PendingView> &views, Tick now) const override
+    pick(const std::deque<QueueEntry> &queue, Tick now) const override
     {
         std::size_t forced = kNoPick;
         std::size_t read = kNoPick;
         std::size_t any = kNoPick;
         std::size_t scrub = kNoPick;
-        for (std::size_t i = 0; i < views.size(); ++i)
+        for (std::size_t i = 0; i < queue.size(); ++i)
         {
-            const PendingView &v = views[i];
+            const QueueEntry &v = queue[i];
             if (!v.ready)
             {
                 continue;
             }
             if (v.isResume && now >= v.forceAt)
             {
-                if (forced == kNoPick || v.seq < views[forced].seq)
+                if (forced == kNoPick || v.seq < queue[forced].seq)
                 {
                     forced = i;
                 }
             }
             if (v.cls == TxClass::kRead)
             {
-                if (read == kNoPick || v.seq < views[read].seq)
+                if (read == kNoPick || v.seq < queue[read].seq)
                 {
                     read = i;
                 }
@@ -178,13 +178,13 @@ class ReadPriorityPolicy final : public SchedulerPolicy
             if (v.cls == TxClass::kScrub && !v.isResume &&
                 now < v.earliest + scrubMaxDeferred_)
             {
-                if (scrub == kNoPick || v.seq < views[scrub].seq)
+                if (scrub == kNoPick || v.seq < queue[scrub].seq)
                 {
                     scrub = i;
                 }
                 continue;
             }
-            if (any == kNoPick || v.seq < views[any].seq)
+            if (any == kNoPick || v.seq < queue[any].seq)
             {
                 any = i;
             }

@@ -7,7 +7,7 @@
  * which entry starts next? — plus whether an arriving entry preempts
  * the array operation currently running on that resource.
  *
- * Determinism: a policy sees only the queue snapshot and the current
+ * Determinism: a policy sees only the resource's queue and the current
  * tick, and ties always break toward the lowest submission sequence
  * number, so repeated runs pick identical schedules.
  */
@@ -17,8 +17,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <vector>
 
 #include "common/units.hpp"
 #include "ssd/sched/sched_config.hpp"
@@ -27,21 +27,24 @@
 namespace parabit::ssd::sched {
 
 /**
- * What a policy may know about one queued phase entry.  `ready` means
- * every earlier phase of the same transaction has finished and the
- * entry's earliest-start has been reached, i.e. it could start now.
+ * One queued phase entry of a resource.  `ready` means every earlier
+ * phase of the same transaction has finished and the entry's
+ * earliest-start has been reached, i.e. it could start now.
  */
-struct PendingView
+struct QueueEntry
 {
     /** Global submission sequence of the owning transaction. */
     std::uint64_t seq = 0;
     TxClass cls = TxClass::kRead;
-    PhaseKind kind = PhaseKind::kArray;
+    std::size_t txIdx = 0;    ///< owning transaction within the batch
+    std::size_t phaseIdx = 0; ///< phase of that transaction
     bool ready = false;
     /** Earliest tick the entry may start (phase chaining + readyAt). */
     Tick earliest = 0;
     /** The entry is the resumed remainder of a suspended operation. */
     bool isResume = false;
+    /** Array ticks still to execute (resume entries only). */
+    Tick resumeRemaining = 0;
     /** Tick at which a parked remainder must outrank reads (resume
      *  entries only; set at the operation's first suspension). */
     Tick forceAt = 0;
@@ -60,10 +63,10 @@ class SchedulerPolicy
     /**
      * Choose the index of the entry to start on an idle resource, or
      * kNoPick to leave the resource idle (e.g. FCFS waiting for a
-     * not-yet-ready head of line).  `views` lists the resource's queue
-     * in submission order.
+     * not-yet-ready head of line).  @p queue is the resource's queue in
+     * submission order.
      */
-    virtual std::size_t pick(const std::vector<PendingView> &views,
+    virtual std::size_t pick(const std::deque<QueueEntry> &queue,
                              Tick now) const = 0;
 
     /**

@@ -13,7 +13,6 @@
 #ifndef PARABIT_SSD_SCHED_SCHED_CONFIG_HPP_
 #define PARABIT_SSD_SCHED_SCHED_CONFIG_HPP_
 
-#include <cstddef>
 #include <cstdint>
 
 #include "common/units.hpp"
@@ -87,31 +86,6 @@ struct SchedConfig
      * oldest-first arbitration — the scrubber's anti-starvation bound.
      */
     Tick scrubMaxDeferredTicks = flash::kDefaultScrubMaxDeferred;
-
-    /**
-     * Record per-transaction completion latencies (per class) for
-     * percentile reporting.  Off by default: the sample vectors grow
-     * with every transaction, which device-lifetime endurance runs do
-     * not want.
-     */
-    bool latencySampling = false;
-
-    /**
-     * Bound the per-class latency sample vectors via reservoir sampling
-     * (SampleSeries cap).  0 (the default) keeps every sample — exact
-     * percentiles, unbounded growth; a nonzero cap keeps percentile
-     * estimates statistically sound at fixed memory for
-     * device-lifetime runs.  Only meaningful with latencySampling.
-     */
-    std::size_t latencySampleCap = 0;
-
-    /**
-     * Keep a full booking trace (every phase interval on every
-     * resource).  Enables the parabit-verify scheduler invariants and
-     * the golden regression assertions; off by default for the same
-     * growth reason as latencySampling.
-     */
-    bool traceEnabled = false;
 };
 
 } // namespace parabit::ssd::sched

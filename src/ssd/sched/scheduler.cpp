@@ -11,7 +11,6 @@ TransactionScheduler::TransactionScheduler(
     const flash::FlashGeometry &geometry, const flash::FlashTiming &timing,
     const SchedConfig &cfg)
     : geo_(geometry), timing_(timing), cfg_(cfg), policy_(makePolicy(cfg)),
-      latency_(kNumTxClasses, SampleSeries(cfg.latencySampleCap)),
       submitted_("sched.tx.submitted"),
       completedCount_("sched.tx.completed"),
       suspendCount_("sched.suspends"), batches_("sched.batch.groups"),
@@ -91,12 +90,7 @@ void
 TransactionScheduler::noteSpan(std::size_t res, TxState &st,
                                PhaseKind kind, Tick start, Tick end)
 {
-    const Resource &r = resources_[res];
     st.stages.phase[static_cast<std::size_t>(kind)] += end - start;
-    if (cfg_.traceEnabled)
-    {
-        trace_.push_back({st.id, r.onChannel, r.index, kind, start, end});
-    }
     if (sink_ != nullptr)
     {
         sink_->span(resourceTracks_[res], phaseKindName(kind), start, end,
@@ -179,7 +173,6 @@ TransactionScheduler::submit(const DeviceTransaction &tx)
         // group queries by now) so memory stays bounded.
         txs_.clear();
         completions_.clear();
-        trace_.clear();
         // Command tags refer to batch-local tx ids; stage aggregates in
         // cmdStages_ survive (a formula command spans several drains).
         cmdOf_.clear();
@@ -208,7 +201,9 @@ TransactionScheduler::submit(const DeviceTransaction &tx)
     for (std::size_t p = 0; p < added.phases.size(); ++p)
     {
         Resource &r = resources_[added.phases[p].resource];
-        QEntry e;
+        QueueEntry e;
+        e.seq = added.id;
+        e.cls = added.tx.cls;
         e.txIdx = txIdx;
         e.phaseIdx = p;
         r.q.push_back(e);
@@ -285,7 +280,7 @@ TransactionScheduler::markReady(std::size_t res, std::size_t txIdx,
                                 std::size_t phaseIdx, Tick earliest)
 {
     Resource &r = resources_[res];
-    for (QEntry &e : r.q)
+    for (QueueEntry &e : r.q)
     {
         if (e.txIdx == txIdx && e.phaseIdx == phaseIdx && !e.isResume)
         {
@@ -311,22 +306,7 @@ TransactionScheduler::dispatch(std::size_t res)
     {
         return;
     }
-    std::vector<PendingView> views;
-    views.reserve(r.q.size());
-    for (const QEntry &e : r.q)
-    {
-        const TxState &st = txs_[e.txIdx];
-        PendingView v;
-        v.seq = st.id;
-        v.cls = st.tx.cls;
-        v.kind = st.phases[e.phaseIdx].kind;
-        v.ready = e.ready;
-        v.earliest = e.earliest;
-        v.isResume = e.isResume;
-        v.forceAt = st.forceAt;
-        views.push_back(v);
-    }
-    const std::size_t pick = policy_->pick(views, eng_->now());
+    const std::size_t pick = policy_->pick(r.q, eng_->now());
     if (pick == kNoPick)
     {
         return;
@@ -343,7 +323,7 @@ void
 TransactionScheduler::startEntry(std::size_t res, std::size_t qIdx)
 {
     Resource &r = resources_[res];
-    const QEntry e = r.q[qIdx];
+    const QueueEntry e = r.q[qIdx];
     r.q.erase(r.q.begin() + static_cast<std::ptrdiff_t>(qIdx));
 
     const TxState &st = txs_[e.txIdx];
@@ -384,7 +364,12 @@ TransactionScheduler::onComplete(std::size_t res, std::uint64_t gen)
 
     TxState &st = txs_[run.txIdx];
     const Phase &ph = st.phases[run.phaseIdx];
-    r.tl.reserve(run.start, run.plannedEnd - run.start);
+    // run.start was computed from the resource's nextFree when it went
+    // busy, so any other start means this booking overlaps another.
+    const Tick booked = r.tl.reserve(run.start, run.plannedEnd - run.start);
+    PARABIT_CHECK(booked == run.start,
+                  "TransactionScheduler: a completed booking overlaps its "
+                  "resource's previous booking");
 
     if (run.isResume)
     {
@@ -434,9 +419,9 @@ TransactionScheduler::maybeSuspend(std::size_t res)
         return;
     }
     bool wanted = false;
-    for (const QEntry &e : r.q)
+    for (const QueueEntry &e : r.q)
     {
-        if (e.ready && policy_->preempts(txs_[e.txIdx].tx.cls, st.tx.cls))
+        if (e.ready && policy_->preempts(e.cls, st.tx.cls))
         {
             wanted = true;
             break;
@@ -451,7 +436,11 @@ TransactionScheduler::maybeSuspend(std::size_t res)
     // park the remainder as a resume entry.
     const Tick executed = now - run.payloadStart;
     const Tick remaining = run.plannedEnd - now;
-    r.tl.reserve(run.start, (now - run.start) + timing_.tSuspend);
+    const Tick booked =
+        r.tl.reserve(run.start, (now - run.start) + timing_.tSuspend);
+    PARABIT_CHECK(booked == run.start,
+                  "TransactionScheduler: a suspended booking overlaps its "
+                  "resource's previous booking");
     st.arrayExecuted += executed;
     if (st.suspends == 0)
     {
@@ -470,13 +459,16 @@ TransactionScheduler::maybeSuspend(std::size_t res)
     }
     noteSpan(res, st, PhaseKind::kSuspend, now, now + timing_.tSuspend);
 
-    QEntry e;
+    QueueEntry e;
+    e.seq = st.id;
+    e.cls = st.tx.cls;
     e.txIdx = run.txIdx;
     e.phaseIdx = run.phaseIdx;
     e.ready = true;
     e.earliest = now + timing_.tSuspend;
     e.isResume = true;
     e.resumeRemaining = remaining;
+    e.forceAt = st.forceAt;
     r.busy = false;
     r.q.push_back(e);
 
@@ -501,10 +493,6 @@ TransactionScheduler::finishTx(TxState &st, Tick end)
     // Tick is picoseconds; the registry histogram is bucketed in us.
     latencyHist_[cls].sample(static_cast<double>(end - st.tx.readyAt) /
                              1e6);
-    if (cfg_.latencySampling)
-    {
-        latency_[cls].sample(static_cast<double>(end - st.tx.readyAt));
-    }
 }
 
 StageTicks
@@ -568,12 +556,6 @@ TransactionScheduler::stats() const
     s.batchedJobs = batchedJobs_.value();
     s.maxQueueDepth = static_cast<std::size_t>(maxQueueDepth_.value());
     return s;
-}
-
-const SampleSeries &
-TransactionScheduler::latencySeries(TxClass c) const
-{
-    return latency_[static_cast<std::size_t>(c)];
 }
 
 std::vector<TxRecord>
@@ -647,51 +629,6 @@ TransactionScheduler::auditInvariants(InvariantReport &r) const
                        " before ready time " +
                        std::to_string(st.tx.readyAt));
     }
-
-    // sched.booking.exclusivity: per-resource bookings never overlap.
-    // The interval log only exists with cfg.traceEnabled; without it
-    // this leg simply contributes no checks.
-    std::vector<std::vector<TraceEntry>> byResource(resources_.size());
-    for (const TraceEntry &e : trace_) {
-        const std::size_t idx =
-            e.onChannel ? channelResource(e.resource)
-                        : geo_.channels + e.resource;
-        if (idx < byResource.size())
-            byResource[idx].push_back(e);
-    }
-    for (std::size_t i = 0; i < byResource.size(); ++i) {
-        auto &v = byResource[i];
-        std::sort(v.begin(), v.end(),
-                  [](const TraceEntry &a, const TraceEntry &b) {
-                      return a.start != b.start ? a.start < b.start
-                                                : a.end < b.end;
-                  });
-        for (std::size_t j = 1; j < v.size(); ++j) {
-            if (!r.check(v[j].start >= v[j - 1].end))
-                r.fail("sched.booking.exclusivity",
-                       std::string(v[j].onChannel ? "channel "
-                                                  : "die ") +
-                           std::to_string(v[j].resource),
-                       "tx " + std::to_string(v[j].txId) + " booked [" +
-                           std::to_string(v[j].start) + ", " +
-                           std::to_string(v[j].end) +
-                           ") overlapping tx " +
-                           std::to_string(v[j - 1].txId) + " [" +
-                           std::to_string(v[j - 1].start) + ", " +
-                           std::to_string(v[j - 1].end) + ")");
-        }
-    }
-}
-
-bool
-TransactionScheduler::debugCorruptTraceForAudit()
-{
-    if (trace_.empty())
-        return false;
-    TraceEntry dup = trace_.front();
-    dup.end = std::max(dup.end, dup.start + 1);
-    trace_.push_back(dup);
-    return true;
 }
 
 } // namespace parabit::ssd::sched

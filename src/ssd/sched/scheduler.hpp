@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "common/invariant.hpp"
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -49,17 +48,6 @@
 #include "ssd/timeline.hpp"
 
 namespace parabit::ssd::sched {
-
-/** One booked interval on one resource (traceEnabled only). */
-struct TraceEntry
-{
-    std::uint64_t txId = 0;
-    bool onChannel = false;
-    std::uint32_t resource = 0;
-    PhaseKind kind = PhaseKind::kArray;
-    Tick start = 0;
-    Tick end = 0;
-};
 
 /**
  * Where a transaction's (or a whole host command's) ticks went: booked
@@ -159,18 +147,11 @@ class TransactionScheduler
 
     /**
      * Emit every booked phase as a span on @p sink (one track per
-     * channel, one per plane-granular die), in addition to — and with
-     * the same intervals as — the TraceEntry record.  Pass nullptr to
-     * detach.  SsdDevice wires the global sink in automatically when
-     * tracing is enabled at construction time.
+     * channel, one per plane-granular die).  Pass nullptr to detach.
+     * SsdDevice wires the global sink in automatically when tracing is
+     * enabled at construction time.
      */
     void setTraceSink(obs::TraceSink *sink);
-
-    /** Completion-latency samples per class (latencySampling only). */
-    const SampleSeries &latencySeries(TxClass c) const;
-
-    /** Booking trace of the last batch (traceEnabled only). */
-    const std::vector<TraceEntry> &trace() const { return trace_; }
 
     /** Per-transaction records of the last drained batch. */
     std::vector<TxRecord> records() const;
@@ -206,19 +187,12 @@ class TransactionScheduler
      *    the last batch's completion map covers every transaction;
      *  - sched.work.conservation: every transaction's executed array
      *    time equals its planned array time (suspend-resume conserves
-     *    work) and it completed no earlier than it became ready;
-     *  - sched.booking.exclusivity: no two booked intervals overlap on
-     *    one channel or one plane-granular die resource (evaluated
-     *    from the booking trace, so it needs cfg.traceEnabled).
+     *    work) and it completed no earlier than it became ready.
+     *
+     * Booking exclusivity needs no audit: every booking is checked as
+     * it lands on its resource Timeline (PARABIT_CHECK).
      */
     void auditInvariants(InvariantReport &r) const;
-
-    /**
-     * Deliberately double-book the first traced interval so negative
-     * tests can prove the exclusivity audit fires.  No-op (returns
-     * false) when the booking trace is empty.  Test-only.
-     */
-    bool debugCorruptTraceForAudit();
     /// @}
 
   private:
@@ -244,16 +218,6 @@ class TransactionScheduler
         StageTicks stages; ///< where this transaction's ticks went
     };
 
-    struct QEntry
-    {
-        std::size_t txIdx = 0;
-        std::size_t phaseIdx = 0;
-        bool ready = false;
-        Tick earliest = 0;
-        bool isResume = false;
-        Tick resumeRemaining = 0;
-    };
-
     struct Running
     {
         std::size_t txIdx = 0;
@@ -268,7 +232,7 @@ class TransactionScheduler
     struct Resource
     {
         Timeline tl;
-        std::deque<QEntry> q;
+        std::deque<QueueEntry> q;
         bool busy = false;
         Running running;
         std::uint64_t gen = 0;
@@ -280,11 +244,10 @@ class TransactionScheduler
     std::size_t arrayResource(const flash::PhysPageAddr &a) const;
     std::string dieTrackName(std::uint32_t plane_ordinal) const;
 
-    /** Record one booked interval in the TraceEntry log (traceEnabled)
-     *  and on the attached TraceSink track (if any), accumulate it into
-     *  @p st's stage breakdown, and — when @p st belongs to an
-     *  attributed host command — emit a flow step binding the span to
-     *  the command's NVMe flow. */
+    /** Accumulate one booked interval into @p st's stage breakdown and
+     *  emit it on the attached TraceSink track (if any), plus — when
+     *  @p st belongs to an attributed host command — a flow step
+     *  binding the span to the command's NVMe flow. */
     void noteSpan(std::size_t res, TxState &st, PhaseKind kind,
                   Tick start, Tick end);
 
@@ -307,9 +270,7 @@ class TransactionScheduler
     std::vector<Resource> resources_; ///< channels first, then planes
     std::vector<TxState> txs_;        ///< current batch
     std::unordered_map<std::uint64_t, Tick> completions_;
-    std::vector<SampleSeries> latency_; ///< one per TxClass
     std::vector<obs::Hist> latencyHist_; ///< one per TxClass (us)
-    std::vector<TraceEntry> trace_;
 
     obs::TraceSink *sink_ = nullptr;
     std::vector<obs::TrackId> resourceTracks_; ///< parallel to resources_

@@ -490,17 +490,19 @@ SsdDevice::scheduleArrayJobs(const std::vector<ArrayJob> &jobs, Tick ready_at)
     return sched_.groupCompletion(g, ready_at);
 }
 
-Tick
+bool
 SsdDevice::writePages(Lpn start, const std::vector<const BitVector *> &data,
-                      Tick at)
+                      Tick &now)
 {
-    advanceClock(at);
+    advanceClock(now);
     std::vector<PhysOp> ops;
+    bool ok = true;
     for (std::size_t i = 0; i < data.size(); ++i)
-        ftl_.writePage(start + i, data[i], ops);
-    const Tick done = scheduleOps(ops, at);
-    pumpMedia(done);
-    return done;
+        if (!ftl_.writePage(start + i, data[i], ops))
+            ok = false;
+    now = scheduleOps(ops, now);
+    pumpMedia(now);
+    return ok;
 }
 
 Tick

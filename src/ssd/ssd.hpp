@@ -14,11 +14,11 @@
  * parallelism — deterministically; other policies reorder within the
  * bounds described in ssd/sched/policy.hpp.
  *
- * Two calling styles: the legacy scheduleOps/scheduleArrayJobs book and
- * drain in one call (one batch per call), while submitOps/
- * submitArrayJobs + drainTransactions let callers accumulate a batch
- * (e.g. every op of one host-command pump round) so non-FCFS policies
- * have something to arbitrate between.
+ * Synchronous callers book through scheduleOps/scheduleArrayJobs, which
+ * submit one batch and drain it in one call.  submitOps +
+ * drainTransactions exist for HostInterface's per-round batching: it
+ * queues every plain I/O of one pump round before a single drain, so
+ * non-FCFS policies have something to arbitrate between.
  */
 
 #ifndef PARABIT_SSD_SSD_HPP_
@@ -68,11 +68,14 @@ class SsdDevice
 
     /**
      * Write @p data.size() consecutive logical pages starting at
-     * @p start, submitted at @p at.  Null entries write metadata only.
-     * @return completion time.
+     * @p start, submitted at @p now.  Null entries write metadata only.
+     * Every page is attempted and its traffic booked; @p now advances
+     * to the completion time.
+     * @return whether every page was written (false when the FTL ran
+     * out of space or program retries).
      */
-    Tick writePages(Lpn start, const std::vector<const BitVector *> &data,
-                    Tick at);
+    bool writePages(Lpn start, const std::vector<const BitVector *> &data,
+                    Tick &now);
 
     /**
      * Read @p count consecutive logical pages starting at @p start.
@@ -93,7 +96,7 @@ class SsdDevice
     /** Book in-flash array jobs (ParaBit sequences). */
     Tick scheduleArrayJobs(const std::vector<ArrayJob> &jobs, Tick ready_at);
 
-    /** @name Batched transaction submission. */
+    /** @name Per-round batching (HostInterface). */
     /// @{
 
     /**
@@ -102,11 +105,6 @@ class SsdDevice
      * after drainTransactions().
      */
     sched::TxGroup submitOps(const std::vector<PhysOp> &ops, Tick ready_at);
-
-    /** Queue in-flash array jobs (applies multi-plane batching when
-     *  configured). */
-    sched::TxGroup submitArrayJobs(const std::vector<ArrayJob> &jobs,
-                                   Tick ready_at);
 
     /** Arbitrate and run every queued transaction to completion, then
      *  audit the registered invariant suites when the configured cadence
@@ -133,7 +131,7 @@ class SsdDevice
      * The device's invariant registry.  Suites registered at
      * construction: "ftl" (map bijection, OOB agreement, valid-count
      * accounting, LSB/MSB pairing), "sched" (queue drain/accounting,
-     * work conservation, booking exclusivity), "rain" (stripe parity,
+     * work conservation), "rain" (stripe parity,
      * only when RAIN is enabled), "media" (clock/wear monotonicity
      * and the patrol-cursor range) and "health" (budget/transition
      * consistency, only when the health machine is enabled).  Tools
@@ -242,6 +240,11 @@ class SsdDevice
     /// @}
 
   private:
+    /** Queue in-flash array jobs (applies multi-plane batching when
+     *  configured); scheduleArrayJobs drains them. */
+    sched::TxGroup submitArrayJobs(const std::vector<ArrayJob> &jobs,
+                                   Tick ready_at);
+
     sched::DeviceTransaction toTransaction(const PhysOp &op,
                                            Tick ready_at) const;
     sched::DeviceTransaction toTransaction(const ArrayJob &job,

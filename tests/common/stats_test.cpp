@@ -117,62 +117,5 @@ TEST(Histogram, ResetPreservesLayout)
     EXPECT_EQ(h.bucketCount(1), 1u);
 }
 
-TEST(SampleSeries, ExactBelowCap)
-{
-    SampleSeries s(8);
-    for (int i = 0; i < 8; ++i)
-        s.sample(i);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_EQ(s.stored(), 8u);
-    // Every sample kept: percentiles are exact.
-    EXPECT_DOUBLE_EQ(s.percentile(100), 7.0);
-    EXPECT_DOUBLE_EQ(s.percentile(50), 3.0);
-}
-
-TEST(SampleSeries, ReservoirCapsStorage)
-{
-    SampleSeries s(16);
-    for (int i = 0; i < 10000; ++i)
-        s.sample(i);
-    EXPECT_EQ(s.count(), 10000u);
-    EXPECT_EQ(s.stored(), 16u);
-    EXPECT_EQ(s.cap(), 16u);
-    // Scalar moments see every sample regardless of the reservoir.
-    EXPECT_DOUBLE_EQ(s.max(), 9999.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 4999.5);
-    // The reservoir holds a genuine subset of the stream.
-    for (double p : {10.0, 50.0, 90.0}) {
-        const double v = s.percentile(p);
-        EXPECT_GE(v, 0.0);
-        EXPECT_LE(v, 9999.0);
-    }
-}
-
-TEST(SampleSeries, ReservoirIsDeterministic)
-{
-    SampleSeries a(8), b(8);
-    for (int i = 0; i < 5000; ++i) {
-        a.sample(i * 0.5);
-        b.sample(i * 0.5);
-    }
-    for (double p : {1.0, 25.0, 50.0, 75.0, 99.0})
-        EXPECT_DOUBLE_EQ(a.percentile(p), b.percentile(p));
-    // reset() reseeds the reservoir stream: replays identically too.
-    a.reset();
-    for (int i = 0; i < 5000; ++i)
-        a.sample(i * 0.5);
-    for (double p : {1.0, 25.0, 50.0, 75.0, 99.0})
-        EXPECT_DOUBLE_EQ(a.percentile(p), b.percentile(p));
-}
-
-TEST(SampleSeries, ZeroCapKeepsEverything)
-{
-    SampleSeries s;
-    for (int i = 0; i < 1000; ++i)
-        s.sample(i);
-    EXPECT_EQ(s.stored(), 1000u);
-    EXPECT_DOUBLE_EQ(s.percentile(99), 989.0);
-}
-
 } // namespace
 } // namespace parabit

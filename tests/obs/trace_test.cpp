@@ -131,7 +131,8 @@ tracedWorkload()
     {
         ssd::SsdDevice dev(ssd::SsdConfig::tiny());
         const std::vector<const BitVector *> data(8, nullptr);
-        const Tick wrote = dev.writePages(0, data, 0);
+        Tick wrote = 0;
+        dev.writePages(0, data, wrote);
         dev.readPages(0, 8, nullptr, wrote);
         out = sink.toJson();
     }

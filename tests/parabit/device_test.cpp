@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "nvme/parser.hpp"
 #include "parabit/device.hpp"
@@ -100,6 +101,23 @@ TEST(ParaBitDevice, MetaModeComputesTimingWithoutData)
     EXPECT_TRUE(r.pages.empty()) << "no payloads in timing mode";
     EXPECT_GT(r.stats.senseOps, 0u);
     EXPECT_GT(r.stats.elapsed(), 0u);
+}
+
+TEST(ParaBitDevice, WriteFailureReachesTheCaller)
+{
+    // LSB-only placement spends a whole wordline per page, so the
+    // device cannot hold its full logical capacity that way: the call
+    // that runs out of space must say so, and so must a host write to
+    // the full device.
+    ParaBitDevice dev(ssd::SsdConfig::tiny());
+    const int lpns = static_cast<int>(dev.ssd().ftl().logicalPages());
+    const auto d = pages(dev.ssd().config(), lpns, 9);
+    LogSink prev = setLogSink([](LogLevel, const std::string &) {});
+    const bool placed = dev.writeDataLsbOnly(0, d);
+    const bool wrote = dev.writeData(0, {d[0]});
+    setLogSink(prev);
+    EXPECT_FALSE(placed);
+    EXPECT_FALSE(wrote);
 }
 
 TEST(ParaBitDevice, MismatchedPairSizesDie)

@@ -395,9 +395,7 @@ TEST(HostInterface, AbortWhileArrayPhaseBookedKeepsSchedInvariants)
     // already booked on the scheduler; the booking record must stay
     // consistent (the abort is host-side bookkeeping, not a revocation
     // of device work).
-    ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
-    cfg.sched.traceEnabled = true;
-    ParaBitDevice dev(cfg);
+    ParaBitDevice dev(ssd::SsdConfig::tiny());
     const auto d = pages(dev.ssd().config(), 4, 43);
     dev.writeData(0, d);
 

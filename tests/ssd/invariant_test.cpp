@@ -26,7 +26,6 @@ auditedConfig()
     cfg.media.scrubInterval = ticks::fromUs(2);
     cfg.media.scrubWordlinesPerPass = 64;
     cfg.rain.enabled = true;
-    cfg.sched.traceEnabled = true;
     cfg.health.enabled = true;
     return cfg;
 }
@@ -51,11 +50,12 @@ mixedWorkload(SsdDevice &dev, const std::vector<BitVector> &ref)
     std::vector<const BitVector *> batch;
     for (const BitVector &d : ref)
         batch.push_back(&d);
-    Tick t = dev.writePages(0, batch, 0);
+    Tick t = 0;
+    EXPECT_TRUE(dev.writePages(0, batch, t));
     // Overwrites invalidate pages; reads book sensing traffic; trim
     // drops a mapping — together the audits see every lifecycle edge.
-    t = dev.writePages(0, {batch.begin(), batch.begin() + ref.size() / 2},
-                       t);
+    EXPECT_TRUE(dev.writePages(
+        0, {batch.begin(), batch.begin() + ref.size() / 2}, t));
     t = dev.readPages(0, ref.size(), nullptr, t);
     dev.ftl().trim(ref.size() - 1);
     return t;
@@ -102,18 +102,6 @@ TEST(Invariants, FtlMapCorruptionFiresBijectionId)
     ASSERT_TRUE(dev.invariantRegistry().runSuite("ftl", r));
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(r.has("ftl.map.bijection")) << r.describe();
-}
-
-TEST(Invariants, SchedBookingCorruptionFiresExclusivityId)
-{
-    SsdConfig cfg = auditedConfig();
-    cfg.invariants.auditInterval = 0;
-    SsdDevice dev(cfg);
-    mixedWorkload(dev, seededPages(cfg, 16, 0x5C4E));
-    ASSERT_TRUE(dev.scheduler().debugCorruptTraceForAudit());
-    InvariantReport r;
-    ASSERT_TRUE(dev.invariantRegistry().runSuite("sched", r));
-    EXPECT_TRUE(r.has("sched.booking.exclusivity")) << r.describe();
 }
 
 TEST(Invariants, RainParityCorruptionFiresStripeXorId)
@@ -198,7 +186,8 @@ TEST(Invariants, CadenceAuditPanicsOnCorruptState)
             std::vector<const BitVector *> batch;
             for (const BitVector &d : ref)
                 batch.push_back(&d);
-            dev.writePages(0, batch, 0);
+            Tick t = 0;
+            dev.writePages(0, batch, t);
             dev.ftl().debugCorruptMapping(0);
             dev.readPages(0, 1, nullptr, ticks::fromUs(100));
         },

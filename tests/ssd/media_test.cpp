@@ -50,7 +50,7 @@ fillPages(SsdDevice &dev, Lpn count, Tick &now)
     }
     for (const BitVector &d : ref)
         batch.push_back(&d);
-    now = dev.writePages(0, batch, now);
+    EXPECT_TRUE(dev.writePages(0, batch, now));
     return ref;
 }
 

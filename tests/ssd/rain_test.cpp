@@ -47,7 +47,8 @@ writeAll(SsdDevice &dev, const std::vector<BitVector> &ref, Tick at)
     std::vector<const BitVector *> batch;
     for (const BitVector &d : ref)
         batch.push_back(&d);
-    return dev.writePages(0, batch, at);
+    EXPECT_TRUE(dev.writePages(0, batch, at));
+    return at;
 }
 
 /** Every mapped LPN's stripe must rebuild to exactly its payload. */
@@ -93,14 +94,15 @@ TEST(Rain, ParityStaysConsistentThroughOverwriteTrimAndGc)
             for (std::size_t i = 0; i < d.size(); ++i)
                 d.set(i, rng.chance(0.5));
             ref[static_cast<std::size_t>(l)] = d;
-            now = dev.writePages(l, {&ref[static_cast<std::size_t>(l)]},
-                                 now);
+            EXPECT_TRUE(
+                dev.writePages(l, {&ref[static_cast<std::size_t>(l)]}, now));
         }
     }
     for (Lpn l = 100; l < 110; ++l)
         ASSERT_TRUE(dev.ftl().trim(l));
     for (Lpn l = 100; l < 110; ++l)
-        now = dev.writePages(l, {&ref[static_cast<std::size_t>(l)]}, now);
+        EXPECT_TRUE(
+            dev.writePages(l, {&ref[static_cast<std::size_t>(l)]}, now));
 
     EXPECT_GT(dev.ftl().gcRuns(), 0u) << "churn should have forced GC";
     expectParityConsistent(dev, ref);

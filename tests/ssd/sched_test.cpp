@@ -13,8 +13,10 @@
 
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "ssd/sched/scheduler.hpp"
 #include "ssd/ssd.hpp"
+#include "trace_check.hpp"
 
 namespace parabit::ssd::sched {
 namespace {
@@ -310,33 +312,57 @@ TEST(SchedBookkeeping, GroupAndZeroPhaseEdges)
 TEST(SchedBookkeeping, LatencySamplingPerClass)
 {
     SchedConfig cfg;
-    cfg.latencySampling = true;
     TransactionScheduler s(flash::FlashGeometry::tiny(), testTiming(), cfg);
     s.submit(readTx(planeAddr(0, 0, 0), 0, 10, 0));
     s.submit(readTx(planeAddr(0, 0, 0), 0, 10, 0));
     s.submit(programTx(planeAddr(0, 0, 1), 0, 100));
     s.drain();
-    const SampleSeries &rd = s.latencySeries(TxClass::kRead);
-    EXPECT_EQ(rd.count(), 2u);
-    EXPECT_EQ(rd.percentile(50.0), 10.0);
-    EXPECT_EQ(rd.percentile(99.0), 20.0); // second read queues behind
-    EXPECT_EQ(s.latencySeries(TxClass::kProgram).count(), 1u);
-    EXPECT_EQ(s.latencySeries(TxClass::kErase).count(), 0u);
+    std::vector<Tick> reads;
+    int programs = 0;
+    int erases = 0;
+    for (const TxRecord &r : s.records()) {
+        if (r.cls == TxClass::kRead)
+            reads.push_back(r.complete - r.readyAt);
+        programs += r.cls == TxClass::kProgram ? 1 : 0;
+        erases += r.cls == TxClass::kErase ? 1 : 0;
+    }
+    // The second read queues behind the first on the shared plane.
+    EXPECT_EQ(reads, (std::vector<Tick>{10, 20}));
+    EXPECT_EQ(programs, 1);
+    EXPECT_EQ(erases, 0);
 }
 
 TEST(SchedTrace, PhaseOrderAndNonOverlapObservable)
 {
-    SchedConfig cfg;
-    cfg.traceEnabled = true;
-    TransactionScheduler s(flash::FlashGeometry::tiny(), testTiming(), cfg);
-    const auto id = s.submit(readTx(planeAddr(0, 0, 0), 0, 50, 30));
-    s.drain();
-    const auto &tr = s.trace();
-    ASSERT_EQ(tr.size(), 2u);
-    EXPECT_EQ(tr[0].txId, id);
-    EXPECT_EQ(tr[0].kind, PhaseKind::kArray);
-    EXPECT_EQ(tr[1].kind, PhaseKind::kXferOut);
-    EXPECT_LE(tr[0].end, tr[1].start);
+    // Default timing, not testTiming(): the trace renders ticks at
+    // nanosecond precision, where testTiming's picosecond suspend and
+    // resume transitions would collapse to zero-length spans.
+    const flash::FlashTiming t;
+    for (int p = 0; p < kNumSchedPolicies; ++p) {
+        SchedConfig cfg;
+        cfg.policy = static_cast<SchedPolicyKind>(p);
+        TransactionScheduler s(flash::FlashGeometry::tiny(), t, cfg);
+        obs::TraceSink sink;
+        s.setTraceSink(&sink);
+        // A read reaches the plane halfway through a program (read
+        // priority suspends the program for it); a read on another
+        // chip shares the channel.
+        s.submit(programTx(planeAddr(0, 0, 0), 0, t.tProgram));
+        s.submit(readTx(planeAddr(0, 0, 0), t.tProgram / 2, t.lsbReadTime(),
+                        t.transferTime(64)));
+        s.submit(readTx(planeAddr(0, 1, 0), 0, t.msbReadTime(),
+                        t.transferTime(64)));
+        s.drain();
+        const bool suspends = cfg.policy == SchedPolicyKind::kReadPriority;
+        EXPECT_EQ(s.stats().suspends, suspends ? 1u : 0u);
+
+        const tracecheck::CheckResult r = tracecheck::checkTrace(sink.toJson());
+        EXPECT_TRUE(r.ok()) << policyName(cfg.policy) << "\n"
+                            << tracecheck::toJson(r);
+        // Program array (split by suspend/resume when suspended), plus
+        // array and transfer-out of each read.
+        EXPECT_EQ(r.stats.spans, suspends ? 8u : 5u);
+    }
 }
 
 DeviceTransaction

@@ -212,12 +212,12 @@ Linter::checkTimelineBooking()
         return;
     // Any mention of the Timeline type outside the scheduler subsystem
     // is a booking bypass waiting to happen: the scheduler's trace and
-    // the sched.booking.exclusivity invariant only see reservations
-    // made through TransactionScheduler::submit.
+    // its per-booking exclusivity check only see reservations made
+    // through TransactionScheduler::submit.
     forEachWord("Timeline", "timeline-booking",
                 "direct Timeline use outside src/ssd/sched/; submit "
                 "work through the TransactionScheduler so arbitration, "
-                "tracing and the exclusivity invariant see it");
+                "tracing and the exclusivity check see it");
 }
 
 void

@@ -40,7 +40,7 @@
  *  - timeline-booking: the Timeline resource type is used only inside
  *    src/ssd/sched/ (and its own header) — everything else books
  *    device time through the TransactionScheduler, or a booking would
- *    bypass arbitration, the trace and the exclusivity invariant.
+ *    bypass arbitration, the trace and the exclusivity check.
  *    Tools are exempt (the verifier rebuilds bookings to check them).
  *  - metric-name: MetricsRegistry handles (obs::Counter / obs::Gauge /
  *    obs::Hist) constructed with a literal name must follow the

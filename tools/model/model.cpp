@@ -60,7 +60,6 @@ modelConfig(const ModelOptions &opts, const std::string &policy)
     // Patrol scrub armed but quiet on the tiny device.
     cfg.media.scrubInterval = ticks::fromUs(500); // lint:allow(naked-duration)
     cfg.sched.policy = policyFromName(policy);
-    cfg.sched.traceEnabled = true; // booking-exclusivity audit input
     // The checker audits explicitly after every action and reports
     // violations as findings; the device's own cadence would panic.
     cfg.invariants.auditInterval = 0;

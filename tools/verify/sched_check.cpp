@@ -1,17 +1,16 @@
 #include "sched_check.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "obs/trace.hpp"
 #include "ssd/config.hpp"
 #include "ssd/sched/scheduler.hpp"
 #include "ssd/timeline.hpp"
+#include "trace_check.hpp"
 
 namespace parabit::verify {
 namespace {
@@ -22,7 +21,7 @@ using ssd::sched::PhaseKind;
 using ssd::sched::SchedConfig;
 using ssd::sched::SchedPolicyKind;
 using ssd::sched::SchedStats;
-using ssd::sched::TraceEntry;
+using ssd::sched::StageTicks;
 using ssd::sched::TransactionScheduler;
 using ssd::sched::TxClass;
 using ssd::sched::TxRecord;
@@ -34,24 +33,16 @@ addFinding(Report &r, const std::string &subject, const std::string &message,
     r.findings.push_back({"scheduler", subject, message, expected, actual});
 }
 
-/** Phase kinds collapse to four pipeline stages; suspend/resume
- *  transitions are array-stage time. */
-int
-stageOf(PhaseKind k)
+/** Ordinal of @p a's plane, the scheduler's array-resource numbering. */
+std::size_t
+planeIndex(const flash::FlashGeometry &g, const flash::PhysPageAddr &a)
 {
-    switch (k) {
-      case PhaseKind::kCmd:
-        return 0;
-      case PhaseKind::kXferIn:
-        return 1;
-      case PhaseKind::kArray:
-      case PhaseKind::kSuspend:
-      case PhaseKind::kResume:
-        return 2;
-      case PhaseKind::kXferOut:
-        return 3;
-    }
-    return 3; // unreachable: -Wswitch covers additions
+    return ((static_cast<std::size_t>(a.channel) * g.chipsPerChannel +
+             a.chip) *
+                g.diesPerChip +
+            a.die) *
+               g.planesPerDie +
+           a.plane;
 }
 
 /**
@@ -72,7 +63,7 @@ class GreedyRef
     schedule(const DeviceTransaction &tx, bool cmd_on_channel)
     {
         Timeline &ch = chTls_.at(tx.addr.channel);
-        Timeline &die = plTls_.at(planeIndex(tx.addr));
+        Timeline &die = plTls_.at(planeIndex(geo_, tx.addr));
         Tick ready = tx.readyAt + tx.extraDelay;
         if (cmd_on_channel) {
             if (tx.cmdTicks > 0)
@@ -94,17 +85,6 @@ class GreedyRef
     Tick planeBooked(std::size_t p) const { return plTls_.at(p).bookedTicks(); }
 
   private:
-    std::size_t
-    planeIndex(const flash::PhysPageAddr &a) const
-    {
-        return ((static_cast<std::size_t>(a.channel) * geo_.chipsPerChannel +
-                 a.chip) *
-                    geo_.diesPerChip +
-                a.die) *
-                   geo_.planesPerDie +
-               a.plane;
-    }
-
     flash::FlashGeometry geo_;
     std::vector<Timeline> chTls_;
     std::vector<Timeline> plTls_;
@@ -147,76 +127,6 @@ randomTx(Rng &rng, const flash::FlashGeometry &g,
     return tx;
 }
 
-/** Per-transaction stage ordering over one batch's trace. */
-void
-checkPhaseOrder(const std::string &subject,
-                const std::vector<TraceEntry> &trace, Report &r)
-{
-    struct Bounds
-    {
-        Tick minStart[4] = {};
-        Tick maxEnd[4] = {};
-        bool present[4] = {};
-    };
-    std::map<std::uint64_t, Bounds> byTx;
-    for (const TraceEntry &e : trace) {
-        Bounds &b = byTx[e.txId];
-        const int s = stageOf(e.kind);
-        if (!b.present[s]) {
-            b.present[s] = true;
-            b.minStart[s] = e.start;
-            b.maxEnd[s] = e.end;
-        } else {
-            b.minStart[s] = std::min(b.minStart[s], e.start);
-            b.maxEnd[s] = std::max(b.maxEnd[s], e.end);
-        }
-    }
-    for (const auto &[id, b] : byTx) {
-        ++r.schedChecksRun;
-        for (int a = 0; a < 4; ++a) {
-            if (!b.present[a])
-                continue;
-            for (int c = a + 1; c < 4; ++c) {
-                if (!b.present[c])
-                    continue;
-                if (b.minStart[c] < b.maxEnd[a])
-                    addFinding(r, subject,
-                               "phase order violated for tx " +
-                                   std::to_string(id) + ": stage " +
-                                   std::to_string(c) +
-                                   " starts before stage " +
-                                   std::to_string(a) + " ends",
-                               "start >= " + std::to_string(b.maxEnd[a]),
-                               std::to_string(b.minStart[c]));
-            }
-        }
-    }
-}
-
-/** No two bookings overlap on any single resource within a batch. */
-void
-checkNoOverlap(const std::string &subject,
-               const std::vector<TraceEntry> &trace, Report &r)
-{
-    std::map<std::pair<bool, std::uint32_t>, std::vector<std::pair<Tick, Tick>>>
-        byRes;
-    for (const TraceEntry &e : trace)
-        byRes[{e.onChannel, e.resource}].push_back({e.start, e.end});
-    for (auto &[key, iv] : byRes) {
-        ++r.schedChecksRun;
-        std::sort(iv.begin(), iv.end());
-        for (std::size_t i = 1; i < iv.size(); ++i) {
-            if (iv[i].first < iv[i - 1].second)
-                addFinding(r, subject,
-                           std::string("overlapping bookings on ") +
-                               (key.first ? "channel " : "die resource ") +
-                               std::to_string(key.second),
-                           "start >= " + std::to_string(iv[i - 1].second),
-                           std::to_string(iv[i].first));
-        }
-    }
-}
-
 /** Suspend-resume conserves array work, batch records are complete. */
 void
 checkConservation(const std::string &subject,
@@ -240,6 +150,12 @@ checkConservation(const std::string &subject,
     }
 }
 
+Tick
+booked(const StageTicks &s, PhaseKind k)
+{
+    return s.phase[static_cast<std::size_t>(k)];
+}
+
 /**
  * One policy x command-model x geometry combination: several rounds of
  * a deterministic mixed batch, invariants checked after every drain.
@@ -247,37 +163,66 @@ checkConservation(const std::string &subject,
  */
 SchedStats
 checkCombo(const std::string &subject, const flash::FlashGeometry &geo,
-           SchedConfig cfg, std::uint64_t seed, Report &r)
+           const SchedConfig &cfg, std::uint64_t seed, Report &r)
 {
     const flash::FlashTiming timing;
-    cfg.traceEnabled = true;
     TransactionScheduler sch(geo, timing, cfg);
+    // Every booked phase becomes a span here; parabit-trace's checker
+    // then verifies per-resource exclusivity and per-transaction phase
+    // order over the whole sweep.
+    obs::TraceSink sink;
+    sch.setTraceSink(&sink);
+    const obs::TrackId host = sink.track("host", "verify");
     GreedyRef ref(geo);
     const bool fcfs = cfg.policy == SchedPolicyKind::kFcfs;
 
     Rng rng(seed);
-    // Traced busy time per resource, accumulated across all batches:
-    // must equal the Timeline busy counters at the end of the sweep.
-    std::map<std::pair<bool, std::uint32_t>, Tick> traced;
+    // Booked ticks per resource from the transactions' stage breakdowns,
+    // accumulated across all batches: must equal the Timeline busy
+    // counters at the end of the sweep.
+    std::vector<Tick> channelStaged(geo.channels, 0);
+    std::vector<Tick> planeStaged(geo.planesTotal(), 0);
+    std::uint64_t nextToken = 0;
 
     Tick base = 0;
     for (int round = 0; round < 4; ++round) {
+        std::vector<DeviceTransaction> txs;
         std::vector<std::uint64_t> ids;
         std::vector<Tick> want;
+        const std::uint64_t firstToken = nextToken;
         const std::size_t n = 24 + rng.below(16);
         for (std::size_t i = 0; i < n; ++i) {
             const DeviceTransaction tx = randomTx(rng, geo, timing, base);
+            // One attribution token per transaction keeps each stage
+            // breakdown apart.
+            sch.beginCommandAttribution(nextToken++);
             ids.push_back(sch.submit(tx));
+            sch.endCommandAttribution();
+            txs.push_back(tx);
             if (fcfs)
                 want.push_back(ref.schedule(tx, cfg.cmdOnChannel));
         }
         const Tick done = sch.drain();
 
-        checkPhaseOrder(subject, sch.trace(), r);
-        checkNoOverlap(subject, sch.trace(), r);
         checkConservation(subject, sch.records(), r);
-        for (const TraceEntry &e : sch.trace())
-            traced[{e.onChannel, e.resource}] += e.end - e.start;
+        for (std::size_t i = 0; i < txs.size(); ++i) {
+            // The token is also the flow id the scheduler stepped on
+            // every span it booked; the trace check wants it opened
+            // and closed.
+            const std::uint64_t token = firstToken + i;
+            sink.flowStart(host, obs::kNvmeFlowCat, obs::kNvmeFlowName,
+                           token, txs[i].readyAt);
+            sink.flowEnd(host, obs::kNvmeFlowCat, obs::kNvmeFlowName,
+                         token, sch.completionOf(ids[i]));
+            const StageTicks st = sch.takeCommandStages(token);
+            channelStaged[txs[i].addr.channel] +=
+                booked(st, PhaseKind::kCmd) + booked(st, PhaseKind::kXferIn) +
+                booked(st, PhaseKind::kXferOut);
+            planeStaged[planeIndex(geo, txs[i].addr)] +=
+                booked(st, PhaseKind::kArray) +
+                booked(st, PhaseKind::kSuspend) +
+                booked(st, PhaseKind::kResume);
+        }
 
         if (fcfs) {
             for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -295,6 +240,13 @@ checkCombo(const std::string &subject, const flash::FlashGeometry &geo,
         base = done / 2; // drift: later batches contend with earlier ones
     }
 
+    const tracecheck::CheckResult traced =
+        tracecheck::checkTrace(sink.toJson());
+    r.schedChecksRun += static_cast<int>(traced.stats.spans);
+    for (const tracecheck::Finding &f : traced.findings)
+        addFinding(r, subject, "booking trace: " + f.message,
+                   "no " + f.check + " finding", f.check);
+
     const SchedStats stats = sch.stats();
     ++r.schedChecksRun;
     if (stats.submitted != stats.completed)
@@ -302,25 +254,25 @@ checkCombo(const std::string &subject, const flash::FlashGeometry &geo,
                    std::to_string(stats.submitted) + " submitted",
                    std::to_string(stats.completed) + " completed");
 
-    // Busy accounting: every booked tick appears in the trace exactly
-    // once, per resource.
+    // Busy accounting: every booked tick belongs to exactly one phase of
+    // one transaction, per resource.
     for (std::uint32_t c = 0; c < geo.channels; ++c) {
         ++r.schedChecksRun;
-        const Tick t = traced.count({true, c}) ? traced.at({true, c}) : 0;
-        if (stats.channelBusy.at(c) != t)
+        if (stats.channelBusy.at(c) != channelStaged[c])
             addFinding(r, subject,
                        "channel " + std::to_string(c) +
-                           " busy ticks diverge from the booking trace",
-                       std::to_string(t), std::to_string(stats.channelBusy.at(c)));
+                           " busy ticks diverge from the booked stages",
+                       std::to_string(channelStaged[c]),
+                       std::to_string(stats.channelBusy.at(c)));
     }
     for (std::uint32_t p = 0; p < geo.planesTotal(); ++p) {
         ++r.schedChecksRun;
-        const Tick t = traced.count({false, p}) ? traced.at({false, p}) : 0;
-        if (stats.dieBusy.at(p) != t)
+        if (stats.dieBusy.at(p) != planeStaged[p])
             addFinding(r, subject,
                        "die resource " + std::to_string(p) +
-                           " busy ticks diverge from the booking trace",
-                       std::to_string(t), std::to_string(stats.dieBusy.at(p)));
+                           " busy ticks diverge from the booked stages",
+                       std::to_string(planeStaged[p]),
+                       std::to_string(stats.dieBusy.at(p)));
     }
 
     if (fcfs) {

@@ -9,14 +9,17 @@
  * SchedulerPolicy x command-issue model x geometry over a deterministic
  * mixed transaction trace and mechanically checks:
  *
- *  - canonical phase order per transaction: every command-issue booking
- *    ends before the data transfer in starts, which ends before the
- *    array phase starts, which ends before the transfer out starts
- *    (suspend/resume segments count as array-stage time);
+ *  - mutual exclusion and canonical phase order: every booked phase is
+ *    emitted as a span on a local obs::TraceSink, and parabit-trace's
+ *    checker (tools/trace) must find no two spans overlapping on any
+ *    die or channel track and each transaction's spans in cmd ->
+ *    xfer_in -> array (suspend/resume included) -> xfer_out order;
  *
- *  - mutual exclusion: no two traced bookings overlap on any die or
- *    channel resource, and each resource's busy-tick counter equals the
- *    sum of its traced booking durations;
+ *  - busy accounting: each resource's busy-tick counter equals the
+ *    booked phase ticks of the transactions that used it (StageTicks,
+ *    read back per transaction through the command-attribution
+ *    bracket: cmd/xfer phases on the channel, array/suspend/resume on
+ *    the plane);
  *
  *  - work conservation under suspend-resume: the array time actually
  *    executed equals the array time planned, for every transaction;
