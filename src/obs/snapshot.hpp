@@ -5,11 +5,8 @@
  *
  * The column set is frozen at the first record() — instruments
  * registered later are ignored, which keeps every row the same width.
- * Benches either record() at their own natural cadence (per round, per
- * workload) or let scheduleSampler() plant records on an EventEngine at
- * a fixed logical period; the helper is a template so this library
- * needs nothing from ssd/ — any engine with
- * `schedule(Tick, std::function<void()>)` works.
+ * Benches record() at their own natural cadence (per round, per
+ * workload), stamping each row with the logical time they pass in.
  */
 
 #ifndef PARABIT_OBS_SNAPSHOT_HPP_
@@ -55,23 +52,6 @@ class SnapshotSeries
     std::size_t counterCols_ = 0;
     std::vector<Row> rows_;
 };
-
-/**
- * Plant record() calls on @p eng every @p period ticks, from
- * @p period up to and including @p horizon.  The horizon is explicit —
- * a self-rescheduling sampler would keep an EventEngine::run() loop
- * alive forever.  @p series must outlive the engine run.
- */
-template <typename Engine>
-void
-scheduleSampler(Engine &eng, SnapshotSeries &series, Tick period,
-                Tick horizon)
-{
-    if (period == 0)
-        return;
-    for (Tick t = period; t <= horizon; t += period)
-        eng.schedule(t, [&series, t] { series.record(t); });
-}
 
 } // namespace parabit::obs
 

@@ -19,7 +19,6 @@ enum CmdStage : std::size_t
     kStageTotal = 0, ///< submission -> terminal completion
     kStageSqWait,    ///< submission -> device fetch
     kStageQueue,     ///< scheduler-queue wait (contention)
-    kStageCmd,
     kStageXferIn,
     kStageArray,
     kStageXferOut,
@@ -28,8 +27,7 @@ enum CmdStage : std::size_t
 };
 
 const char *const kStageNames[kNumCmdStages] = {
-    "total",   "sq_wait", "queue",    "cmd",
-    "xfer_in", "array",   "xfer_out", "suspend",
+    "total", "sq_wait", "queue", "xfer_in", "array", "xfer_out", "suspend",
 };
 
 } // namespace
@@ -172,7 +170,6 @@ HostInterface::recordStages(OpClass cls, Tick submitted_at, Tick started,
         return st->phase[static_cast<std::size_t>(k)];
     };
     stageHist_[base + kStageQueue].sample(ticks::toUs(st->queueWait));
-    stageHist_[base + kStageCmd].sample(ticks::toUs(booked(PK::kCmd)));
     stageHist_[base + kStageXferIn].sample(ticks::toUs(booked(PK::kXferIn)));
     stageHist_[base + kStageArray].sample(ticks::toUs(booked(PK::kArray)));
     stageHist_[base + kStageXferOut].sample(

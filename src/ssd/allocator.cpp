@@ -28,6 +28,15 @@ planeIndex(const flash::FlashGeometry &g, const PlaneCoord &c)
     return idx;
 }
 
+flash::PhysPageAddr
+planeAddr(const flash::FlashGeometry &g, PlaneIndex idx, std::uint32_t block,
+          std::uint32_t wordline, bool msb)
+{
+    const PlaneCoord c = planeCoord(g, idx);
+    return flash::PhysPageAddr{c.channel, c.chip, c.die, c.plane,
+                               block, wordline, msb};
+}
+
 Allocator::Allocator(const flash::FlashGeometry &geom)
     : geom_(geom), planes_(geom.planesTotal())
 {
@@ -153,16 +162,8 @@ Allocator::ensureBlock(PlaneState &ps, Cursor &cur)
 flash::PhysPageAddr
 Allocator::makeAddr(PlaneIndex plane, const Cursor &cur, bool msb) const
 {
-    const PlaneCoord c = planeCoord(geom_, plane);
-    flash::PhysPageAddr a;
-    a.channel = c.channel;
-    a.chip = c.chip;
-    a.die = c.die;
-    a.plane = c.plane;
-    a.block = static_cast<std::uint32_t>(cur.block);
-    a.wordline = cur.wordline;
-    a.msb = msb;
-    return a;
+    return planeAddr(geom_, plane, static_cast<std::uint32_t>(cur.block),
+                     cur.wordline, msb);
 }
 
 std::optional<flash::PhysPageAddr>

@@ -42,6 +42,12 @@ struct PlaneCoord
 PlaneCoord planeCoord(const flash::FlashGeometry &g, PlaneIndex idx);
 PlaneIndex planeIndex(const flash::FlashGeometry &g, const PlaneCoord &c);
 
+/** Address of page (@p block, @p wordline, @p msb) of flat plane
+ *  @p idx; the defaults give the plane's first page. */
+flash::PhysPageAddr planeAddr(const flash::FlashGeometry &g, PlaneIndex idx,
+                              std::uint32_t block = 0,
+                              std::uint32_t wordline = 0, bool msb = false);
+
 /** A co-located LSB/MSB page pair on one wordline. */
 struct PagePair
 {

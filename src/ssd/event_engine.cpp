@@ -23,8 +23,6 @@ EventEngine::processExecuted()
 void
 EventEngine::schedule(Tick when, Callback cb)
 {
-    if (halted_)
-        return;
     if (when < now_)
         panic("EventEngine::schedule: event in the past");
     queue_.push(Event{when, nextSeq_++, std::move(cb)});
@@ -33,7 +31,7 @@ EventEngine::schedule(Tick when, Callback cb)
 bool
 EventEngine::runOne()
 {
-    if (halted_ || queue_.empty())
+    if (queue_.empty())
         return false;
     Event ev;
     {
@@ -58,27 +56,6 @@ EventEngine::run()
     while (runOne()) {
     }
     return now_;
-}
-
-Tick
-EventEngine::runUntil(Tick t)
-{
-    if (halted_)
-        return now_; // a halted engine's clock is frozen
-    while (!queue_.empty() && queue_.top().when <= t && runOne()) {
-    }
-    if (now_ < t && !halted_)
-        now_ = t;
-    return now_;
-}
-
-void
-EventEngine::halt()
-{
-    halted_ = true;
-    // priority_queue has no clear(); swap with an empty one.
-    std::priority_queue<Event, std::vector<Event>, Later> empty;
-    queue_.swap(empty);
 }
 
 } // namespace parabit::ssd

@@ -31,38 +31,11 @@ class EventEngine
     /** Schedule @p cb at absolute time @p when (>= now). */
     void schedule(Tick when, Callback cb);
 
-    /** Schedule @p cb @p delay after now. */
-    void scheduleAfter(Tick delay, Callback cb)
-    {
-        schedule(now_ + delay, std::move(cb));
-    }
-
     /** Execute the earliest event.  @return false if none pending. */
     bool runOne();
 
     /** Run until the queue drains; @return the final time. */
     Tick run();
-
-    /**
-     * Run every event with when <= @p t, then advance now() to exactly
-     * @p t (events scheduled later stay queued).  @return the new now().
-     * A @p t in the past is a no-op (time never rewinds), and a halted
-     * engine's clock stays frozen at the halt time.
-     */
-    Tick runUntil(Tick t);
-
-    /**
-     * Power-cut semantics: drop every pending event and drain no
-     * further ones — runOne()/run()/runUntil() execute nothing and
-     * schedule() is silently ignored after this call.
-     */
-    void halt();
-
-    /** Whether halt() was called. */
-    bool halted() const { return halted_; }
-
-    /** Pending event count. */
-    std::size_t pending() const { return queue_.size(); }
 
     /** Events executed across every engine in this process (engines
      *  are per-drain throwaways); bench_simspeed's events/sec
@@ -86,7 +59,6 @@ class EventEngine
     };
 
     Tick now_ = 0;
-    bool halted_ = false;
     std::uint64_t nextSeq_ = 0;
     std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };

@@ -11,10 +11,6 @@
 
 namespace parabit::ssd {
 
-namespace {
-
-} // namespace
-
 Ftl::Ftl(const SsdConfig &cfg, std::vector<flash::Chip> &chips)
     : cfg_(cfg), chips_(&chips), alloc_(cfg.geometry),
       scrambler_(cfg.seed ^ 0x5C4A3B2E1D0FULL)
@@ -70,17 +66,6 @@ Ftl::lpnAt(const flash::PhysPageAddr &a) const
 {
     auto it = reverse_.find(flash::linearPageIndex(cfg_.geometry, a));
     return it == reverse_.end() ? kNoLpn : it->second;
-}
-
-void
-Ftl::unmapPhys(const flash::PhysPageAddr &a)
-{
-    const std::uint64_t lin = flash::linearPageIndex(cfg_.geometry, a);
-    auto it = reverse_.find(lin);
-    if (it == reverse_.end())
-        return;
-    map_.erase(it->second);
-    reverse_.erase(it);
 }
 
 bool
@@ -150,13 +135,8 @@ Ftl::programPhys(const flash::PhysPageAddr &a, const BitVector *data,
 bool
 Ftl::planeAlive(PlaneIndex plane)
 {
-    const PlaneCoord pc = planeCoord(cfg_.geometry, plane);
-    flash::PhysPageAddr probe;
-    probe.channel = pc.channel;
-    probe.chip = pc.chip;
-    probe.die = pc.die;
-    probe.plane = pc.plane;
-    return chipAt(probe).planeOperational(pc.die, pc.plane);
+    const flash::PhysPageAddr a = planeAddr(cfg_.geometry, plane);
+    return chipAt(a).planeOperational(a.die, a.plane);
 }
 
 PlaneIndex
@@ -172,16 +152,14 @@ Ftl::pickAlivePlane()
 }
 
 void
-Ftl::mapLpn(Lpn lpn, const flash::PhysPageAddr &a, std::vector<PhysOp> &ops)
+Ftl::mapLpn(Lpn lpn, const flash::PhysPageAddr &a)
 {
-    // Invalidate any previous mapping of this LPN.
     auto old = map_.find(lpn);
     if (old != map_.end()) {
         const flash::PhysPageAddr o = old->second;
         invalidatePhys(o);
         reverse_.erase(flash::linearPageIndex(cfg_.geometry, o));
     }
-    (void)ops;
     map_[lpn] = a;
     reverse_[flash::linearPageIndex(cfg_.geometry, a)] = lpn;
 }
@@ -194,14 +172,8 @@ Ftl::collectGarbage(PlaneIndex plane, std::vector<PhysOp> &ops)
     inGc_ = true;
     ++gcRuns_;
 
-    const PlaneCoord pc = planeCoord(cfg_.geometry, plane);
-    flash::PhysPageAddr probe;
-    probe.channel = pc.channel;
-    probe.chip = pc.chip;
-    probe.die = pc.die;
-    probe.plane = pc.plane;
-    flash::Chip &chip = chipAt(probe);
-    flash::Plane &pl = chip.plane(pc.die, pc.plane);
+    const flash::PhysPageAddr base = planeAddr(cfg_.geometry, plane);
+    const flash::Plane &pl = chipAt(base).plane(base.die, base.plane);
 
     // Greedy victim selection: the touched, non-active block with the
     // fewest valid pages (untouched blocks are still free).
@@ -220,115 +192,22 @@ Ftl::collectGarbage(PlaneIndex plane, std::vector<PhysOp> &ops)
             victim = b;
         }
     }
-    if (victim < 0) {
-        inGc_ = false;
-        return;
-    }
-
-    // Relocate valid pages, then erase.
-    flash::Block &blk = pl.block(static_cast<std::uint32_t>(victim));
-    for (std::uint32_t wl = 0; wl < cfg_.geometry.wordlinesPerBlock; ++wl) {
-        for (int m = 0; m < 2; ++m) {
-            const bool msb = m == 1;
-            if (blk.pageState(wl, msb) != flash::PageState::kValid)
-                continue;
-            flash::PhysPageAddr src = probe;
-            src.block = static_cast<std::uint32_t>(victim);
-            src.wordline = wl;
-            src.msb = msb;
-            const std::uint64_t lin =
-                flash::linearPageIndex(cfg_.geometry, src);
-            auto rit = reverse_.find(lin);
-            const Lpn lpn = rit != reverse_.end() ? rit->second : kNoLpn;
-
-            // Read the victim page.
-            if (powerBoundary(false) != PowerCut::kNone) {
-                inGc_ = false;
-                return; // power cut: the victim keeps its valid pages
-            }
-            BitVector data = chip.readPage(chipAddr(src));
-            ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
-
-            // Program it to a fresh page in the same plane.  A program
-            // failure retires the destination block, so retrying simply
-            // walks to the next pooled block.  When the plane runs out
-            // of relocation targets (full, or its blocks fault-retired)
-            // or power is cut, abort this GC: the victim keeps its
-            // remaining valid pages and is simply never erased —
-            // degraded, not corrupted.
-            auto dst = alloc_.nextPage(plane);
-            while (dst && !powerLost_ &&
-                   !programPhys(*dst, cfg_.storeData ? &data : nullptr, true,
-                                ops, lpn, OobTag::kGcRelocated,
-                                lpn != kNoLpn &&
-                                    scrambledLpns_.count(lpn) > 0)) {
-                ++programRetries_;
-                dst = alloc_.nextPage(plane);
-            }
-            if (!dst || powerLost_) {
-                if (!powerLost_)
-                    logWarn("Ftl::collectGarbage: no space to relocate in "
-                            "plane " +
-                            std::to_string(plane) + "; aborting GC");
-                inGc_ = false;
-                return;
-            }
-            ++gcWrites_;
-
-            invalidatePhys(src);
-            if (rit != reverse_.end()) {
-                reverse_.erase(rit);
-                map_[lpn] = *dst;
-                reverse_[flash::linearPageIndex(cfg_.geometry, *dst)] = lpn;
-            }
-        }
-    }
-    // Journal the erase ahead of issuing it: after a checkpoint this
-    // block would otherwise be outside the bounded recovery scan even
-    // though it may be reused for fresh data.
-    flash::PhysPageAddr eaddr = probe;
-    eaddr.block = static_cast<std::uint32_t>(victim);
-    if (!journalAppend(
-            JournalRecord{JournalRecord::Kind::kErase, 0, 0,
-                          linearBlockId(plane,
-                                        static_cast<std::uint32_t>(victim))},
-            ops) ||
-        powerBoundary(false) != PowerCut::kNone) {
-        inGc_ = false;
-        return; // power cut: the victim stays unerased (all invalid)
-    }
-    ops.push_back(PhysOp{PhysOp::Kind::kBlockErase, eaddr, true});
-    if (chip.eraseBlock(pc.die, pc.plane,
-                        static_cast<std::uint32_t>(victim))) {
-        ++erases_;
-        alloc_.noteErased(plane, static_cast<std::uint32_t>(victim));
-    } else {
-        ++eraseFailures_;
-        alloc_.retireBlock(plane, static_cast<std::uint32_t>(victim));
-        if (health_)
-            health_->noteRetiredBlock();
-        journalAppend(
-            JournalRecord{JournalRecord::Kind::kRetire, 0, 0,
-                          linearBlockId(plane,
-                                        static_cast<std::uint32_t>(victim))},
-            ops);
-        logWarn("Ftl: erase failure, retired block " +
-                std::to_string(victim) + " of plane " +
-                std::to_string(plane));
-    }
+    // A victim that cannot be emptied (plane full, or its blocks
+    // fault-retired) keeps its remaining valid pages and is never
+    // erased: degraded, not corrupted.
+    if (victim >= 0 &&
+        !evacuateBlock(plane, static_cast<std::uint32_t>(victim), ops) &&
+        !powerLost_)
+        logWarn("Ftl::collectGarbage: no space to relocate in plane " +
+                std::to_string(plane) + "; aborting GC");
     inGc_ = false;
 }
 
 std::uint32_t
 Ftl::eraseSpread(PlaneIndex plane)
 {
-    const PlaneCoord pc = planeCoord(cfg_.geometry, plane);
-    flash::PhysPageAddr probe;
-    probe.channel = pc.channel;
-    probe.chip = pc.chip;
-    probe.die = pc.die;
-    probe.plane = pc.plane;
-    flash::Plane &pl = chipAt(probe).plane(pc.die, pc.plane);
+    const flash::PhysPageAddr base = planeAddr(cfg_.geometry, plane);
+    const flash::Plane &pl = chipAt(base).plane(base.die, base.plane);
     std::uint32_t lo = UINT32_MAX, hi = 0;
     for (std::uint32_t b = 0; b < cfg_.geometry.blocksPerPlane; ++b) {
         const flash::Block *blk = pl.blockIfExists(b);
@@ -345,14 +224,8 @@ Ftl::maybeWearLevel(PlaneIndex plane, std::vector<PhysOp> &ops)
     if (cfg_.wearLevelThreshold == 0 || inGc_)
         return;
 
-    const PlaneCoord pc = planeCoord(cfg_.geometry, plane);
-    flash::PhysPageAddr probe;
-    probe.channel = pc.channel;
-    probe.chip = pc.chip;
-    probe.die = pc.die;
-    probe.plane = pc.plane;
-    flash::Chip &chip = chipAt(probe);
-    flash::Plane &pl = chip.plane(pc.die, pc.plane);
+    const flash::PhysPageAddr base = planeAddr(cfg_.geometry, plane);
+    const flash::Plane &pl = chipAt(base).plane(base.die, base.plane);
 
     // Find the coldest block holding static (fully valid) data and the
     // overall wear range.
@@ -380,47 +253,45 @@ Ftl::maybeWearLevel(PlaneIndex plane, std::vector<PhysOp> &ops)
 
     // Migrate the cold block's valid pages onto a pooled (well-worn,
     // thanks to FIFO recycling) free block, then recycle the cold one.
+    // Out of relocation targets, the cold block must NOT be erased: its
+    // unmigrated pages are still the only copy.
     inGc_ = true; // reuse the recursion guard: migration must not nest
     ++wearMoves_;
-    bool migrated_all = true;
-    flash::Block &blk = pl.block(static_cast<std::uint32_t>(coldest));
-    for (std::uint32_t wl = 0;
-         migrated_all && wl < cfg_.geometry.wordlinesPerBlock; ++wl) {
-        for (int m = 0; m < 2; ++m) {
-            const bool msb = m == 1;
+    if (!evacuateBlock(plane, static_cast<std::uint32_t>(coldest), ops) &&
+        !powerLost_)
+        logWarn("Ftl: wear-level migration ran out of space in plane " +
+                std::to_string(plane) + "; cold block kept");
+    inGc_ = false;
+}
+
+bool
+Ftl::evacuateBlock(PlaneIndex plane, std::uint32_t block,
+                   std::vector<PhysOp> &ops)
+{
+    const flash::PhysPageAddr base = planeAddr(cfg_.geometry, plane, block);
+    flash::Chip &chip = chipAt(base);
+    const flash::Block &blk = chip.plane(base.die, base.plane).block(block);
+    for (std::uint32_t wl = 0; wl < cfg_.geometry.wordlinesPerBlock; ++wl) {
+        for (const bool msb : {false, true}) {
             if (blk.pageState(wl, msb) != flash::PageState::kValid)
                 continue;
-            flash::PhysPageAddr src = probe;
-            src.block = static_cast<std::uint32_t>(coldest);
+            flash::PhysPageAddr src = base;
             src.wordline = wl;
             src.msb = msb;
-            const std::uint64_t lin =
-                flash::linearPageIndex(cfg_.geometry, src);
-            auto rit = reverse_.find(lin);
+            auto rit =
+                reverse_.find(flash::linearPageIndex(cfg_.geometry, src));
             const Lpn lpn = rit != reverse_.end() ? rit->second : kNoLpn;
 
-            if (powerBoundary(false) != PowerCut::kNone) {
-                migrated_all = false; // power cut: keep the cold block
-                break;
-            }
+            if (powerBoundary(false) != PowerCut::kNone)
+                return false;
             BitVector data = chip.readPage(chipAddr(src));
             ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
-            auto dst = alloc_.nextPage(plane);
-            while (dst && !powerLost_ &&
-                   !programPhys(*dst, cfg_.storeData ? &data : nullptr, true,
-                                ops, lpn, OobTag::kGcRelocated,
-                                lpn != kNoLpn &&
-                                    scrambledLpns_.count(lpn) > 0)) {
-                ++programRetries_;
-                dst = alloc_.nextPage(plane);
-            }
-            if (!dst || powerLost_) {
-                // Out of relocation targets (or power cut): the cold
-                // block must NOT be erased — its unmigrated pages are
-                // still the only copy.
-                migrated_all = false;
-                break;
-            }
+            const auto dst = programNextInPlane(
+                plane, Shape::kPage, cfg_.storeData ? &data : nullptr, true,
+                ops, lpn, OobTag::kGcRelocated,
+                lpn != kNoLpn && scrambledLpns_.count(lpn) > 0);
+            if (!dst)
+                return false;
             ++gcWrites_;
             invalidatePhys(src);
             if (rit != reverse_.end()) {
@@ -430,78 +301,129 @@ Ftl::maybeWearLevel(PlaneIndex plane, std::vector<PhysOp> &ops)
             }
         }
     }
-    if (!migrated_all) {
-        if (!powerLost_)
-            logWarn("Ftl: wear-level migration ran out of space in plane " +
-                    std::to_string(plane) + "; cold block kept");
-        inGc_ = false;
-        return;
-    }
-    flash::PhysPageAddr eaddr = probe;
-    eaddr.block = static_cast<std::uint32_t>(coldest);
-    if (!journalAppend(
-            JournalRecord{JournalRecord::Kind::kErase, 0, 0,
-                          linearBlockId(plane,
-                                        static_cast<std::uint32_t>(coldest))},
-            ops) ||
-        powerBoundary(false) != PowerCut::kNone) {
-        inGc_ = false;
-        return; // power cut: the cold block stays unerased (all invalid)
-    }
-    ops.push_back(PhysOp{PhysOp::Kind::kBlockErase, eaddr, true});
-    if (chip.eraseBlock(pc.die, pc.plane,
-                        static_cast<std::uint32_t>(coldest))) {
+    // Journal the erase ahead of issuing it: after a checkpoint this
+    // block would otherwise be outside the bounded recovery scan even
+    // though it may be reused for fresh data.  A cut here leaves the
+    // block unerased, holding only invalid pages.
+    const JournalRecord erase{JournalRecord::Kind::kErase, 0, 0,
+                              linearBlockId(plane, block)};
+    if (!journalAppend(erase, ops) || powerBoundary(false) != PowerCut::kNone)
+        return true;
+    ops.push_back(PhysOp{PhysOp::Kind::kBlockErase, base, true});
+    if (chip.eraseBlock(base.die, base.plane, block)) {
         ++erases_;
-        alloc_.noteErased(plane, static_cast<std::uint32_t>(coldest));
-    } else {
-        ++eraseFailures_;
-        alloc_.retireBlock(plane, static_cast<std::uint32_t>(coldest));
-        if (health_)
-            health_->noteRetiredBlock();
-        journalAppend(
-            JournalRecord{JournalRecord::Kind::kRetire, 0, 0,
-                          linearBlockId(plane,
-                                        static_cast<std::uint32_t>(coldest))},
-            ops);
-        logWarn("Ftl: erase failure, retired block " +
-                std::to_string(coldest) + " of plane " +
-                std::to_string(plane));
+        alloc_.noteErased(plane, block);
+        return true;
     }
-    inGc_ = false;
+    ++eraseFailures_;
+    alloc_.retireBlock(plane, block);
+    if (health_)
+        health_->noteRetiredBlock();
+    journalAppend(JournalRecord{JournalRecord::Kind::kRetire, 0, 0,
+                                linearBlockId(plane, block)},
+                  ops);
+    logWarn("Ftl: erase failure, retired block " + std::to_string(block) +
+            " of plane " + std::to_string(plane));
+    return true;
 }
 
 std::optional<flash::PhysPageAddr>
-Ftl::allocateOrGc(PlaneIndex plane, bool lsb_only, std::vector<PhysOp> &ops)
+Ftl::allocate(PlaneIndex plane, Shape shape)
+{
+    switch (shape) {
+      case Shape::kPage: return alloc_.nextPage(plane);
+      case Shape::kLsbOnly: return alloc_.nextLsbOnly(plane);
+      case Shape::kPair: {
+        const auto pair = alloc_.nextPair(plane);
+        if (!pair)
+            return std::nullopt;
+        return pair->lsb;
+      }
+    }
+    return std::nullopt;
+}
+
+std::optional<flash::PhysPageAddr>
+Ftl::allocateOrGc(PlaneIndex plane, Shape shape, bool level_wear,
+                  std::vector<PhysOp> &ops)
 {
     if (alloc_.freeBlocks(plane) < gcThresholdBlocks_) {
         collectGarbage(plane, ops);
-        maybeWearLevel(plane, ops);
+        if (level_wear)
+            maybeWearLevel(plane, ops);
     }
-    auto a = lsb_only ? alloc_.nextLsbOnly(plane) : alloc_.nextPage(plane);
+    auto a = allocate(plane, shape);
     if (!a) {
         collectGarbage(plane, ops);
-        a = lsb_only ? alloc_.nextLsbOnly(plane) : alloc_.nextPage(plane);
+        a = allocate(plane, shape);
     }
     return a;
 }
 
-std::optional<PagePair>
-Ftl::allocatePairOrGc(PlaneIndex plane, std::vector<PhysOp> &ops)
+std::optional<flash::PhysPageAddr>
+Ftl::programNextInPlane(PlaneIndex plane, Shape shape, const BitVector *data,
+                        bool for_gc, std::vector<PhysOp> &ops, Lpn lpn,
+                        OobTag tag, bool scrambled)
 {
-    if (alloc_.freeBlocks(plane) < gcThresholdBlocks_)
-        collectGarbage(plane, ops);
-    auto p = alloc_.nextPair(plane);
-    if (!p) {
-        collectGarbage(plane, ops);
-        p = alloc_.nextPair(plane);
+    // A failed program retires the block under the cursor, so the next
+    // allocation walks on to a fresh one; the plane's pages bound it.
+    auto a = allocate(plane, shape);
+    while (a && !powerLost_ &&
+           !programPhys(*a, data, for_gc, ops, lpn, tag, scrambled)) {
+        ++programRetries_;
+        a = allocate(plane, shape);
     }
-    return p;
+    if (powerLost_)
+        return std::nullopt;
+    return a;
+}
+
+std::optional<flash::PhysPageAddr>
+Ftl::place(const Placement &p, std::vector<PhysOp> &ops)
+{
+    for (int attempt = 0; attempt < kMaxProgramRetries; ++attempt) {
+        if (powerLost_)
+            break; // cut: the placement is never acknowledged
+        const PlaneIndex plane = p.plane ? *p.plane : pickAlivePlane();
+        const auto a = allocateOrGc(plane, p.shape, p.levelWear, ops);
+        if (!a) {
+            if (p.stopWhenFull)
+                break;
+            // Plane full even after GC (e.g. fault-retired blocks); a
+            // striped next attempt moves to another plane.
+            if (p.countRetries)
+                ++programRetries_;
+            continue;
+        }
+        bool ok = programPhys(*a, p.data, p.forGc, ops, p.lpn, p.tag,
+                              p.scrambled);
+        if (ok && p.shape == Shape::kPair) {
+            flash::PhysPageAddr msb = *a;
+            msb.msb = true;
+            ok = programPhys(msb, p.msbData, p.forGc, ops, p.msbLpn, p.tag,
+                             p.scrambled);
+            // The block was retired (or the program torn by a power
+            // cut); the LSB half just written goes with it — mark it
+            // garbage so GC never relocates it.  Neither LPN's mapping
+            // has moved (copy-then-remap), so a cut here fully rolls
+            // the pair placement back.
+            if (!ok)
+                invalidatePhys(*a);
+        }
+        if (ok)
+            return a;
+        if (p.countRetries)
+            ++programRetries_;
+    }
+    return std::nullopt;
 }
 
 bool
 Ftl::writePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
 {
     PROFILE_SCOPE(obs::Subsystem::kFtl);
+    // Only the host path bounds the LPN: the ParaBit placements also
+    // take the controller's scratch LPNs (see ROADMAP).
     if (lpn >= logicalPages_)
         fatal("Ftl::writePage: LPN beyond logical capacity");
     BitVector whitened;
@@ -512,35 +434,25 @@ Ftl::writePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
         scrambler_.apply(whitened, lpn);
         payload = &whitened;
     }
-    for (int attempt = 0; attempt < kMaxProgramRetries; ++attempt) {
-        if (powerLost_)
-            break; // cut: the write is never acknowledged
-        const PlaneIndex plane = pickAlivePlane();
-        const auto a = allocateOrGc(plane, false, ops);
-        if (!a) {
-            // Plane full even after GC (e.g. fault-retired blocks);
-            // the next attempt strides to another plane.
-            ++programRetries_;
-            continue;
-        }
-        if (!programPhys(*a, payload, false, ops, lpn, OobTag::kHostData,
-                         scramble)) {
-            ++programRetries_;
-            continue;
-        }
-        if (scramble)
-            scrambledLpns_.insert(lpn);
-        else
-            scrambledLpns_.erase(lpn);
-        ++hostWrites_;
-        mapLpn(lpn, *a, ops);
-        maybeCheckpoint(ops);
-        return true;
+    const auto a = place({.tag = OobTag::kHostData,
+                          .scrambled = scramble,
+                          .lpn = lpn,
+                          .data = payload},
+                         ops);
+    if (!a) {
+        if (!powerLost_)
+            logWarn("Ftl::writePage: program retries exhausted for LPN " +
+                    std::to_string(lpn));
+        return false;
     }
-    if (!powerLost_)
-        logWarn("Ftl::writePage: program retries exhausted for LPN " +
-                std::to_string(lpn));
-    return false;
+    if (scramble)
+        scrambledLpns_.insert(lpn);
+    else
+        scrambledLpns_.erase(lpn);
+    ++hostWrites_;
+    mapLpn(lpn, *a);
+    maybeCheckpoint(ops);
+    return true;
 }
 
 BitVector
@@ -618,43 +530,33 @@ Ftl::writePair(Lpn lpn_x, Lpn lpn_y, const BitVector *data_x,
 {
     if (plane && !planeAlive(*plane))
         return std::nullopt;
-    for (int attempt = 0; attempt < kMaxProgramRetries; ++attempt) {
-        if (powerLost_)
-            break;
-        const PlaneIndex p = plane ? *plane : pickAlivePlane();
-        const auto pair = allocatePairOrGc(p, ops);
-        if (!pair) {
-            ++programRetries_;
-            continue;
-        }
-        if (!programPhys(pair->lsb, data_x, false, ops, lpn_x,
-                         OobTag::kParabitPair)) {
-            ++programRetries_;
-            continue;
-        }
-        if (!programPhys(pair->msb, data_y, false, ops, lpn_y,
-                         OobTag::kParabitPair)) {
-            // The block was retired (or the program torn by a power
-            // cut); the LSB half just written goes with it — mark it
-            // garbage so GC never relocates it.  Until both halves are
-            // durable neither LPN's mapping moves (copy-then-remap), so
-            // a cut here fully rolls the pair placement back.
-            invalidatePhys(pair->lsb);
-            ++programRetries_;
-            continue;
-        }
-        parabitWrites_ += 2;
-        // ParaBit operands are stored raw (scrambling off, Sec 4.3.2).
-        scrambledLpns_.erase(lpn_x);
-        scrambledLpns_.erase(lpn_y);
-        mapLpn(lpn_x, pair->lsb, ops);
-        mapLpn(lpn_y, pair->msb, ops);
-        maybeCheckpoint(ops);
-        return *pair;
+    const auto lsb = place({.shape = Shape::kPair,
+                            .plane = plane,
+                            .tag = OobTag::kParabitPair,
+                            .lpn = lpn_x,
+                            .data = data_x,
+                            .msbLpn = lpn_y,
+                            .msbData = data_y,
+                            // No wear levelling for pairs: running it
+                            // here would move when levelling runs, and
+                            // every tick after (see ROADMAP).
+                            .levelWear = false},
+                           ops);
+    if (!lsb) {
+        if (!powerLost_)
+            logWarn("Ftl::writePair: program retries exhausted");
+        return std::nullopt;
     }
-    if (!powerLost_)
-        logWarn("Ftl::writePair: program retries exhausted");
-    return std::nullopt;
+    PagePair pair{*lsb, *lsb};
+    pair.msb.msb = true;
+    parabitWrites_ += 2;
+    // ParaBit operands are stored raw (scrambling off, Sec 4.3.2).
+    scrambledLpns_.erase(lpn_x);
+    scrambledLpns_.erase(lpn_y);
+    mapLpn(lpn_x, pair.lsb);
+    mapLpn(lpn_y, pair.msb);
+    maybeCheckpoint(ops);
+    return pair;
 }
 
 std::optional<flash::PhysPageAddr>
@@ -663,29 +565,22 @@ Ftl::writeLsbOnly(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops,
 {
     if (plane && !planeAlive(*plane))
         return std::nullopt;
-    for (int attempt = 0; attempt < kMaxProgramRetries; ++attempt) {
-        if (powerLost_)
-            break;
-        const PlaneIndex p = plane ? *plane : pickAlivePlane();
-        const auto a = allocateOrGc(p, true, ops);
-        if (!a) {
-            ++programRetries_;
-            continue;
-        }
-        if (!programPhys(*a, data, false, ops, lpn,
-                         OobTag::kParabitLsbOnly)) {
-            ++programRetries_;
-            continue;
-        }
-        ++parabitWrites_;
-        scrambledLpns_.erase(lpn);
-        mapLpn(lpn, *a, ops);
-        maybeCheckpoint(ops);
-        return *a;
+    const auto a = place({.shape = Shape::kLsbOnly,
+                          .plane = plane,
+                          .tag = OobTag::kParabitLsbOnly,
+                          .lpn = lpn,
+                          .data = data},
+                         ops);
+    if (!a) {
+        if (!powerLost_)
+            logWarn("Ftl::writeLsbOnly: program retries exhausted");
+        return std::nullopt;
     }
-    if (!powerLost_)
-        logWarn("Ftl::writeLsbOnly: program retries exhausted");
-    return std::nullopt;
+    ++parabitWrites_;
+    scrambledLpns_.erase(lpn);
+    mapLpn(lpn, *a);
+    maybeCheckpoint(ops);
+    return a;
 }
 
 bool
@@ -719,23 +614,15 @@ Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
             const PlaneIndex p = planeIndex(
                 cfg_.geometry, PlaneCoord{lsb_addr.channel, lsb_addr.chip,
                                           lsb_addr.die, lsb_addr.plane});
-            // Suppress GC while placing the copy: a GC run here could
-            // relocate the very LSB we are protecting out from under
-            // the caller's placement decision.
-            const bool was_in_gc = inGc_;
-            inGc_ = true;
-            auto a = alloc_.nextLsbOnly(p);
-            while (a && !powerLost_ &&
-                   !programPhys(*a, cfg_.storeData ? &copy : nullptr, false,
-                                ops, lsb_lpn, OobTag::kPairBackup,
-                                scrambledLpns_.count(lsb_lpn) > 0)) {
-                ++programRetries_;
-                a = alloc_.nextLsbOnly(p);
-            }
-            inGc_ = was_in_gc;
-            if (!a || powerLost_)
+            // No GC while placing the copy: a GC run here could relocate
+            // the very LSB we are protecting out from under the
+            // caller's placement decision.
+            backup = programNextInPlane(
+                p, Shape::kLsbOnly, cfg_.storeData ? &copy : nullptr, false,
+                ops, lsb_lpn, OobTag::kPairBackup,
+                scrambledLpns_.count(lsb_lpn) > 0);
+            if (!backup)
                 return false; // cannot protect the LSB: refuse the drop
-            backup = *a;
             ++parabitWrites_; // protocol overhead traffic
         }
     }
@@ -770,7 +657,7 @@ Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
     }
     ++parabitWrites_;
     scrambledLpns_.erase(lpn);
-    mapLpn(lpn, msb, ops);
+    mapLpn(lpn, msb);
     maybeCheckpoint(ops);
     return true;
 }
@@ -783,30 +670,24 @@ Ftl::refreshOnePage(const flash::PhysPageAddr &src, Lpn lpn, OobTag tag,
         return false;
     BitVector data = chipAt(src).readPage(chipAddr(src));
     ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
-    const bool scr = scrambledLpns_.count(lpn) > 0;
-    for (int attempt = 0; attempt < kMaxProgramRetries; ++attempt) {
-        if (powerLost_)
-            break;
-        const PlaneIndex p = pickAlivePlane();
-        const auto a = allocateOrGc(p, lsb_only, ops);
-        if (!a) {
-            ++programRetries_;
-            continue;
-        }
-        if (!programPhys(*a, cfg_.storeData ? &data : nullptr, true, ops,
-                         lpn, tag, scr)) {
-            ++programRetries_;
-            continue;
-        }
-        ++refreshWrites_;
-        mapLpn(lpn, *a, ops);
-        maybeCheckpoint(ops);
-        return true;
+    const auto a = place({.shape = lsb_only ? Shape::kLsbOnly : Shape::kPage,
+                          .tag = tag,
+                          .forGc = true,
+                          .scrambled = scrambledLpns_.count(lpn) > 0,
+                          .lpn = lpn,
+                          .data = cfg_.storeData ? &data : nullptr},
+                         ops);
+    if (!a) {
+        if (!powerLost_)
+            logWarn("Ftl::refreshOnePage: program retries exhausted for "
+                    "LPN " +
+                    std::to_string(lpn));
+        return false;
     }
-    if (!powerLost_)
-        logWarn("Ftl::refreshOnePage: program retries exhausted for LPN " +
-                std::to_string(lpn));
-    return false;
+    ++refreshWrites_;
+    mapLpn(lpn, *a);
+    maybeCheckpoint(ops);
+    return true;
 }
 
 bool
@@ -878,33 +759,24 @@ Ftl::refreshWordline(const flash::PhysPageAddr &wl, std::vector<PhysOp> &ops)
 bool
 Ftl::relocatePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
 {
-    auto it = map_.find(lpn);
-    if (it == map_.end())
+    if (map_.count(lpn) == 0)
         return false;
-    const bool scr = scrambledLpns_.count(lpn) > 0;
-    for (int attempt = 0; attempt < kMaxProgramRetries; ++attempt) {
-        if (powerLost_)
-            break;
-        const PlaneIndex p = pickAlivePlane();
-        const auto a = allocateOrGc(p, false, ops);
-        if (!a) {
-            ++programRetries_;
-            continue;
-        }
-        if (!programPhys(*a, data, true, ops, lpn, OobTag::kGcRelocated,
-                         scr)) {
-            ++programRetries_;
-            continue;
-        }
-        ++refreshWrites_;
-        mapLpn(lpn, *a, ops);
-        maybeCheckpoint(ops);
-        return true;
+    const auto a = place({.tag = OobTag::kGcRelocated,
+                          .forGc = true,
+                          .scrambled = scrambledLpns_.count(lpn) > 0,
+                          .lpn = lpn,
+                          .data = data},
+                         ops);
+    if (!a) {
+        if (!powerLost_)
+            logWarn("Ftl::relocatePage: program retries exhausted for LPN " +
+                    std::to_string(lpn));
+        return false;
     }
-    if (!powerLost_)
-        logWarn("Ftl::relocatePage: program retries exhausted for LPN " +
-                std::to_string(lpn));
-    return false;
+    ++refreshWrites_;
+    mapLpn(lpn, *a);
+    maybeCheckpoint(ops);
+    return true;
 }
 
 void

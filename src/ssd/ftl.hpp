@@ -306,25 +306,85 @@ class Ftl
     Allocator &allocator() { return alloc_; }
 
   private:
+    /** Page shapes the allocator hands out (see allocator.hpp). */
+    enum class Shape : std::uint8_t
+    {
+        kPage,    ///< next page in interleaved order
+        kLsbOnly, ///< next LSB page, its MSB left free
+        kPair,    ///< a fresh wordline's LSB and MSB, programmed together
+    };
+
+    /** One request to place(); fields left out take the defaults. */
+    struct Placement
+    {
+        Shape shape = Shape::kPage;
+        /** Fixed plane; nullopt takes the next alive plane per attempt. */
+        std::optional<PlaneIndex> plane = std::nullopt;
+        OobTag tag = OobTag::kHostData;
+        bool forGc = false;
+        bool scrambled = false;
+        Lpn lpn = kNoLpn;
+        const BitVector *data = nullptr;
+        /** kPair only: the page programmed into the wordline's MSB. */
+        Lpn msbLpn = kNoLpn;
+        const BitVector *msbData = nullptr;
+        /** Run static wear levelling beside threshold GC. */
+        bool levelWear = true;
+        /** Charge programRetries_ for every failed attempt. */
+        bool countRetries = true;
+        /** A plane without space ends the placement instead of the next
+         *  attempt trying another plane. */
+        bool stopWhenFull = false;
+    };
+
+    /**
+     * The one placement loop: up to kMaxProgramRetries attempts, each
+     * picking the plane, allocating @p p's shape (GC first if needed)
+     * and programming it with @p p's tag and flags.  A failed program
+     * retires its block, so the next attempt lands on a fresh one; for a
+     * pair whose MSB program fails, the LSB just written is invalidated.
+     * Stops when power is lost.  Mapping, write counters and logging
+     * stay with the caller.  @return the placed page (for kPair the LSB;
+     * the MSB shares its wordline), or nullopt.
+     */
+    std::optional<flash::PhysPageAddr> place(const Placement &p,
+                                             std::vector<PhysOp> &ops);
+    /** Allocate @p shape in @p plane (kPair: the pair's LSB); no GC. */
+    std::optional<flash::PhysPageAddr> allocate(PlaneIndex plane,
+                                                Shape shape);
+    /** allocate(), running GC (and wear levelling if @p level_wear)
+     *  first when the plane is short of free blocks, and GC again when
+     *  it is full.  nullopt when the plane has no space even after GC
+     *  (full, or its blocks were retired by faults). */
+    std::optional<flash::PhysPageAddr>
+    allocateOrGc(PlaneIndex plane, Shape shape, bool level_wear,
+                 std::vector<PhysOp> &ops);
+    /** Program the next @p shape page of @p plane, walking past the
+     *  blocks failed programs retire; no GC.  nullopt when the plane
+     *  runs out of pages or power is cut. */
+    std::optional<flash::PhysPageAddr>
+    programNextInPlane(PlaneIndex plane, Shape shape, const BitVector *data,
+                       bool for_gc, std::vector<PhysOp> &ops, Lpn lpn,
+                       OobTag tag, bool scrambled);
+    /** Move every valid page of @p block to fresh pages of the same
+     *  plane, journal kErase, then erase the block (retiring it if the
+     *  erase fails).  @return false when a page could not be moved (no
+     *  space, or power cut): the block then keeps its remaining valid
+     *  pages and is not erased.  Shared by GC and wear levelling. */
+    bool evacuateBlock(PlaneIndex plane, std::uint32_t block,
+                       std::vector<PhysOp> &ops);
+
     flash::ChipPageAddr chipAddr(const flash::PhysPageAddr &a) const;
-    void unmapPhys(const flash::PhysPageAddr &a);
     /** Invalidate the physical page at @p a, folding it out of RAIN
      *  parity first (invalidate drops the payload the XOR needs).  The
      *  only invalidation gateway, as programPhys is for programs. */
     void invalidatePhys(const flash::PhysPageAddr &a);
-    /** Relocate one page to @p plane with @p tag (refreshWordline's
-     *  per-page path); retries across retired blocks like GC. */
+    /** Read the page at @p src and re-place it with @p tag
+     *  (refreshWordline's per-page path). */
     bool refreshOnePage(const flash::PhysPageAddr &src, Lpn lpn, OobTag tag,
                         bool lsb_only, std::vector<PhysOp> &ops);
-    void mapLpn(Lpn lpn, const flash::PhysPageAddr &a,
-                std::vector<PhysOp> &ops);
-    /** Allocate in @p plane, running GC first if needed.  nullopt when
-     *  the plane has no space even after GC (full, or its blocks were
-     *  retired by faults) — callers retry elsewhere or fail typed. */
-    std::optional<flash::PhysPageAddr>
-    allocateOrGc(PlaneIndex plane, bool lsb_only, std::vector<PhysOp> &ops);
-    std::optional<PagePair> allocatePairOrGc(PlaneIndex plane,
-                                             std::vector<PhysOp> &ops);
+    /** Point @p lpn at @p a, invalidating its previous page. */
+    void mapLpn(Lpn lpn, const flash::PhysPageAddr &a);
     void collectGarbage(PlaneIndex plane, std::vector<PhysOp> &ops);
     void maybeWearLevel(PlaneIndex plane, std::vector<PhysOp> &ops);
     /** Program @p a (attempt is charged to @p ops either way) with OOB

@@ -63,25 +63,25 @@ Ftl::restorePlpEntries(RecoveryReport &rep, std::vector<PhysOp> &ops)
         prev = e.lpn;
         if (map_.count(e.lpn) > 0)
             continue; // the flash copy survived: the dump is redundant
-        bool placed = false;
-        for (int attempt = 0; attempt < kMaxProgramRetries && !placed;
-             ++attempt) {
-            const auto a = allocateOrGc(pickAlivePlane(), false, ops);
-            if (!a)
-                break;
-            if (!programPhys(*a, e.data ? &*e.data : nullptr, false, ops,
-                             e.lpn, OobTag::kHostData, e.scrambled))
-                continue;
-            mapLpn(e.lpn, *a, ops);
-            if (e.scrambled)
-                scrambledLpns_.insert(e.lpn);
-            placed = true;
-        }
-        if (placed)
-            ++rep.plpRestored;
-        else
+        const auto a = place({.tag = OobTag::kHostData,
+                              .scrambled = e.scrambled,
+                              .lpn = e.lpn,
+                              .data = e.data ? &*e.data : nullptr,
+                              // Deliberately unlike the write paths:
+                              // restore gives up at the first plane
+                              // without space and charges no retries.
+                              .countRetries = false,
+                              .stopWhenFull = true},
+                             ops);
+        if (!a) {
             logWarn("Ftl::restorePlpEntries: could not re-place LPN " +
                     std::to_string(e.lpn) + " from the PLP dump");
+            continue;
+        }
+        mapLpn(e.lpn, *a);
+        if (e.scrambled)
+            scrambledLpns_.insert(e.lpn);
+        ++rep.plpRestored;
     }
     durable_.plpFlush.clear();
 }
@@ -112,18 +112,11 @@ Ftl::logAddr(int half, std::uint32_t idx) const
         blocks_per_half * cfg_.geometry.wordlinesPerBlock;
     const PlaneIndex p = idx / pages_per_plane;
     const std::uint32_t rem = idx % pages_per_plane;
-    const PlaneCoord c = planeCoord(cfg_.geometry, p);
-    flash::PhysPageAddr a;
-    a.channel = c.channel;
-    a.chip = c.chip;
-    a.die = c.die;
-    a.plane = c.plane;
-    a.block = cfg_.geometry.blocksPerPlane - r +
-              static_cast<std::uint32_t>(half) * blocks_per_half +
-              rem / cfg_.geometry.wordlinesPerBlock;
-    a.wordline = rem % cfg_.geometry.wordlinesPerBlock;
-    a.msb = false;
-    return a;
+    return planeAddr(cfg_.geometry, p,
+                     cfg_.geometry.blocksPerPlane - r +
+                         static_cast<std::uint32_t>(half) * blocks_per_half +
+                         rem / cfg_.geometry.wordlinesPerBlock,
+                     rem % cfg_.geometry.wordlinesPerBlock);
 }
 
 bool
@@ -132,27 +125,21 @@ Ftl::eraseHalf(int half, std::vector<PhysOp> &ops)
     const std::uint32_t r = cfg_.recovery.reservedBlocksPerPlane;
     const std::uint32_t blocks_per_half = r / 2;
     for (PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {
-        const PlaneCoord c = planeCoord(cfg_.geometry, p);
         for (std::uint32_t i = 0; i < blocks_per_half; ++i) {
             const std::uint32_t b = cfg_.geometry.blocksPerPlane - r +
                                     static_cast<std::uint32_t>(half) *
                                         blocks_per_half +
                                     i;
-            flash::PhysPageAddr a;
-            a.channel = c.channel;
-            a.chip = c.chip;
-            a.die = c.die;
-            a.plane = c.plane;
-            a.block = b;
+            const flash::PhysPageAddr a = planeAddr(cfg_.geometry, p, b);
             flash::Chip &chip = chipAt(a);
             const flash::Block *blk =
-                chip.plane(c.die, c.plane).blockIfExists(b);
+                chip.plane(a.die, a.plane).blockIfExists(b);
             if (!blk || blk->freePages() == cfg_.geometry.pagesPerBlock())
                 continue; // nothing programmed: nothing to erase
             if (powerBoundary(false) != PowerCut::kNone)
                 return false;
             ops.push_back(PhysOp{PhysOp::Kind::kBlockErase, a, false});
-            if (chip.eraseBlock(c.die, c.plane, b))
+            if (chip.eraseBlock(a.die, a.plane, b))
                 ++logErases_;
             else
                 logWarn("Ftl::eraseHalf: erase failure in the reserved "
@@ -380,15 +367,9 @@ Ftl::recover(std::vector<PhysOp> &ops)
             static_cast<std::uint32_t>(id % cfg_.geometry.blocksPerPlane);
         if (b >= data_blocks)
             continue; // never scan the log region for data
-        const PlaneCoord c = planeCoord(cfg_.geometry, p);
-        flash::PhysPageAddr probe;
-        probe.channel = c.channel;
-        probe.chip = c.chip;
-        probe.die = c.die;
-        probe.plane = c.plane;
-        probe.block = b;
+        const flash::PhysPageAddr probe = planeAddr(cfg_.geometry, p, b);
         const flash::Block *blk =
-            chipAt(probe).plane(c.die, c.plane).blockIfExists(b);
+            chipAt(probe).plane(probe.die, probe.plane).blockIfExists(b);
         if (!blk)
             continue;
         ++rep.blocksScanned;
@@ -475,14 +456,8 @@ Ftl::recover(std::vector<PhysOp> &ops)
             static_cast<std::uint32_t>(id % cfg_.geometry.blocksPerPlane);
         if (b >= data_blocks)
             continue;
-        const PlaneCoord c = planeCoord(cfg_.geometry, p);
-        flash::PhysPageAddr probe;
-        probe.channel = c.channel;
-        probe.chip = c.chip;
-        probe.die = c.die;
-        probe.plane = c.plane;
-        probe.block = b;
-        flash::Plane &pl = chipAt(probe).plane(c.die, c.plane);
+        const flash::PhysPageAddr probe = planeAddr(cfg_.geometry, p, b);
+        flash::Plane &pl = chipAt(probe).plane(probe.die, probe.plane);
         flash::Block *blk = pl.blockIfExists(b) ? &pl.block(b) : nullptr;
         if (!blk)
             continue;
@@ -519,13 +494,8 @@ Ftl::rebuildAllocator()
     const std::uint32_t data_blocks =
         cfg_.geometry.blocksPerPlane - reserved;
     for (PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {
-        const PlaneCoord c = planeCoord(cfg_.geometry, p);
-        flash::PhysPageAddr probe;
-        probe.channel = c.channel;
-        probe.chip = c.chip;
-        probe.die = c.die;
-        probe.plane = c.plane;
-        flash::Plane &pl = chipAt(probe).plane(c.die, c.plane);
+        const flash::PhysPageAddr probe = planeAddr(cfg_.geometry, p);
+        const flash::Plane &pl = chipAt(probe).plane(probe.die, probe.plane);
         std::vector<std::uint32_t> free;
         for (std::uint32_t b = 0; b < data_blocks; ++b) {
             const flash::Block *blk = pl.blockIfExists(b);

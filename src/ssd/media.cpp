@@ -57,13 +57,7 @@ MediaScrubber::scanOne(ScrubPassStats &s, std::vector<PhysOp> &ops)
     ++s.wordlinesScanned;
     ++scanned_;
 
-    flash::PhysPageAddr a;
-    a.channel = c.channel;
-    a.chip = c.chip;
-    a.die = c.die;
-    a.plane = c.plane;
-    a.block = block_;
-    a.wordline = wl_;
+    flash::PhysPageAddr a = planeAddr(g, plane_, block_, wl_);
 
     if (!chip.planeOperational(c.die, c.plane)) {
         repairWordline(a, s, ops);

@@ -43,8 +43,6 @@ phaseKindName(PhaseKind k)
 {
     switch (k)
     {
-    case PhaseKind::kCmd:
-        return "cmd";
     case PhaseKind::kXferIn:
         return "xfer_in";
     case PhaseKind::kArray:

@@ -4,10 +4,10 @@
  *
  * The scheduler replaces the monolithic greedy Timeline booking with
  * per-die / per-channel queues arbitrated by a pluggable policy.  The
- * default configuration (FCFS, no channel command modelling, no
- * batching) is tick-identical to the historical greedy path, so
- * existing latency results are the regression anchor; every other knob
- * is opt-in.
+ * default configuration (FCFS, no batching) is tick-identical to the
+ * historical greedy path, so existing latency results are the
+ * regression anchor; every other knob is opt-in.  Command issue is
+ * always a die-side delay (DeviceTransaction::cmdTicks).
  */
 
 #ifndef PARABIT_SSD_SCHED_SCHED_CONFIG_HPP_
@@ -43,18 +43,6 @@ const char *policyName(SchedPolicyKind k);
 struct SchedConfig
 {
     SchedPolicyKind policy = SchedPolicyKind::kFcfs;
-
-    /**
-     * Model the command/address cycles of every flash command as
-     * channel time (tCmdOverhead booked on the channel before the
-     * first data/array phase).  The legacy model charged the command
-     * overhead as a die-side delay only, so kPageRead/kBlockErase
-     * command issue consumed no channel bandwidth while kPageProgram
-     * implicitly delayed its channel transfer; this flag makes command
-     * issue consistent across all op kinds and policies.  Off by
-     * default for seed compatibility.
-     */
-    bool cmdOnChannel = false;
 
     /**
      * Coalesce consecutive same-die ParaBit array jobs into one

@@ -128,14 +128,10 @@ TransactionScheduler::buildPhases(TxState &st) const
     const DeviceTransaction &tx = st.tx;
     const std::size_t ch = channelResource(tx.addr.channel);
     const std::size_t die = arrayResource(tx.addr);
-    // Canonical phase order across every class: cmd, xfer-in, array,
+    // Canonical phase order across every class: xfer-in, array,
     // xfer-out (zero-duration phases are elided).  Reads have no
     // xfer-in, programs/erases no xfer-out, so this reproduces the
     // class-specific legacy reserve() sequences exactly.
-    if (cfg_.cmdOnChannel && tx.cmdTicks > 0)
-    {
-        st.phases.push_back({PhaseKind::kCmd, ch, tx.cmdTicks});
-    }
     if (tx.xferInTicks > 0)
     {
         st.phases.push_back({PhaseKind::kXferIn, ch, tx.xferInTicks});
@@ -153,14 +149,9 @@ TransactionScheduler::buildPhases(TxState &st) const
 Tick
 TransactionScheduler::firstEarliest(const TxState &st) const
 {
-    // The command overhead is a die-side delay unless modelled as a
-    // channel phase; batch followers add their leader-alignment delay.
-    Tick delay = st.tx.extraDelay;
-    if (!cfg_.cmdOnChannel)
-    {
-        delay += st.tx.cmdTicks;
-    }
-    return st.tx.readyAt + delay;
+    // The command overhead is a die-side delay; batch followers add
+    // their leader-alignment delay.
+    return st.tx.readyAt + st.tx.extraDelay + st.tx.cmdTicks;
 }
 
 std::uint64_t

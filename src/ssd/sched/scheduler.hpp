@@ -61,9 +61,9 @@ struct StageTicks
     /** Sum over phases of (booking start - phase earliest): time lost
      *  to arbitration and resource contention. */
     Tick queueWait = 0;
-    /** Booked ticks per PhaseKind (cmd, xfer_in, array, xfer_out,
-     *  suspend, resume), indexed by the enum. */
-    std::array<Tick, 6> phase{};
+    /** Booked ticks per PhaseKind (xfer_in, array, xfer_out, suspend,
+     *  resume), indexed by the enum. */
+    std::array<Tick, kNumPhaseKinds> phase{};
     /** Device transactions aggregated in. */
     std::uint64_t txCount = 0;
 

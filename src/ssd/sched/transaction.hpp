@@ -6,14 +6,14 @@
  * (host/FTL flash operations) and ArrayJob (ParaBit sensing sequences)
  * — into one phase-decomposed form:
  *
- *   [cmd] -> [channel xfer-in] -> [die/plane array] -> [channel xfer-out]
+ *   [channel xfer-in] -> [die/plane array] -> [channel xfer-out]
  *
- * Absent phases have zero duration.  The command phase is a die-side
- * delay by default (legacy model) or a channel booking when
- * SchedConfig::cmdOnChannel is set.  The scheduler queues each phase on
- * its resource (one array queue per plane — the granularity the device
- * exploits for plane-level parallelism — and one queue per channel) and
- * a SchedulerPolicy arbitrates.
+ * Absent phases have zero duration.  The command/address overhead is a
+ * die-side delay before the first phase; it books no resource.  The
+ * scheduler queues each phase on its resource (one array queue per
+ * plane — the granularity the device exploits for plane-level
+ * parallelism — and one queue per channel) and a SchedulerPolicy
+ * arbitrates.
  */
 
 #ifndef PARABIT_SSD_SCHED_TRANSACTION_HPP_
@@ -43,13 +43,14 @@ const char *txClassName(TxClass c);
 /** Booking phases as they appear in the trace. */
 enum class PhaseKind : std::uint8_t
 {
-    kCmd = 0,  ///< command/address cycles (channel, when modelled)
-    kXferIn,   ///< channel transfer toward the die
-    kArray,    ///< die/plane array time (sense, program, erase)
-    kXferOut,  ///< channel transfer toward the controller
-    kSuspend,  ///< suspend-transition overhead on the die
-    kResume,   ///< resume-transition overhead on the die
+    kXferIn = 0, ///< channel transfer toward the die
+    kArray,      ///< die/plane array time (sense, program, erase)
+    kXferOut,    ///< channel transfer toward the controller
+    kSuspend,    ///< suspend-transition overhead on the die
+    kResume,     ///< resume-transition overhead on the die
 };
+
+inline constexpr int kNumPhaseKinds = 5;
 
 const char *phaseKindName(PhaseKind k);
 
@@ -61,7 +62,8 @@ struct DeviceTransaction
     flash::PhysPageAddr addr{};
     /** Earliest start (submission time). */
     Tick readyAt = 0;
-    /** Command/address overhead (die delay or channel booking). */
+    /** Command/address overhead, a die-side delay before the first
+     *  phase. */
     Tick cmdTicks = 0;
     /** Extra die-side delay before the first phase; used by multi-plane
      *  batch followers that ride a leader's shared command issue. */

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for periodic registry snapshots: frozen column sets,
- * CSV/JSON rendering, and the EventEngine-driven sampler.
+ * Unit tests for periodic registry snapshots: frozen column sets and
+ * CSV/JSON rendering.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/snapshot.hpp"
-#include "ssd/event_engine.hpp"
 
 namespace parabit::obs {
 namespace {
@@ -111,36 +110,6 @@ TEST(Snapshot, SameStreamRendersByteIdenticalCsv)
     }
     ASSERT_FALSE(first.empty());
     EXPECT_EQ(first, second);
-}
-
-TEST(Snapshot, SamplerRecordsOnTheLogicalClock)
-{
-    RegistryScope scope;
-    Counter c("snap.engine");
-    SnapshotSeries series;
-    ssd::EventEngine eng;
-    // Simulated work: bump the counter at t=150 and t=450.
-    eng.schedule(150, [&c] { ++c; });
-    eng.schedule(450, [&c] { ++c; });
-    scheduleSampler(eng, series, /*period=*/100, /*horizon=*/500);
-    eng.run();
-    ASSERT_EQ(series.size(), 5u); // t = 100, 200, 300, 400, 500
-    const std::string csv = series.toCsv();
-    EXPECT_NE(csv.find("100,0"), std::string::npos);
-    EXPECT_NE(csv.find("200,1"), std::string::npos);
-    EXPECT_NE(csv.find("400,1"), std::string::npos);
-    EXPECT_NE(csv.find("500,2"), std::string::npos);
-}
-
-TEST(Snapshot, ZeroPeriodSchedulesNothing)
-{
-    RegistryScope scope;
-    SnapshotSeries series;
-    ssd::EventEngine eng;
-    scheduleSampler(eng, series, 0, 1000);
-    EXPECT_EQ(eng.pending(), 0u);
-    eng.run();
-    EXPECT_EQ(series.size(), 0u);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include "common/rng.hpp"
 #include "ssd/ftl.hpp"
+#include "ssd/ssd.hpp"
 
 namespace parabit::ssd {
 namespace {
@@ -231,6 +232,137 @@ TEST(Ftl, LpnBeyondCapacityDies)
     std::vector<PhysOp> ops;
     EXPECT_DEATH(f.ftl->writePage(f.ftl->logicalPages(), nullptr, ops),
                  "beyond");
+}
+
+/**
+ * The placement contract under retry exhaustion.  Each test writes its
+ * LPNs, then makes every program on the device fail and calls one
+ * placement entry point.  The call must report failure after exactly
+ * kMaxProgramRetries attempts per placement (one retry charged each),
+ * and the LPNs keep their old mapping and payload.
+ */
+class PlacementExhaustion : public ::testing::Test
+{
+  protected:
+    PlacementExhaustion() : dev_(SsdConfig::tiny()) {}
+
+    /** Write a seeded payload to @p lpn; returns the payload. */
+    BitVector
+    writeOld(Lpn lpn)
+    {
+        Rng rng(0x9E57 + lpn);
+        BitVector d(dev_.geometry().pageBits());
+        for (std::size_t i = 0; i < d.size(); ++i)
+            d.set(i, rng.chance(0.5));
+        std::vector<PhysOp> ops;
+        EXPECT_TRUE(ftl().writePage(lpn, &d, ops));
+        return d;
+    }
+
+    /** Arm a program failure on every attempt, on every plane; snapshot
+     *  the retry counter. */
+    void
+    failEveryProgram()
+    {
+        for (PlaneIndex p = 0; p < dev_.geometry().planesTotal(); ++p) {
+            FaultSpec s;
+            s.cls = FaultClass::kProgramFailure;
+            s.plane = p;
+            s.failPeriod = 1;
+            dev_.injectFault(s);
+        }
+        retriesBefore_ = ftl().programRetries();
+    }
+
+    /** Retries charged since failEveryProgram(). */
+    std::uint64_t
+    retriesCharged()
+    {
+        return ftl().programRetries() - retriesBefore_;
+    }
+
+    void
+    expectIntact(Lpn lpn, const BitVector &old,
+                 const flash::PhysPageAddr &where)
+    {
+        EXPECT_EQ(ftl().lookup(lpn), where) << "lpn " << lpn;
+        std::vector<PhysOp> ops;
+        EXPECT_EQ(ftl().readPage(lpn, ops), old) << "lpn " << lpn;
+    }
+
+    Ftl &ftl() { return dev_.ftl(); }
+
+    SsdDevice dev_;
+    std::uint64_t retriesBefore_ = 0;
+};
+
+TEST_F(PlacementExhaustion, WritePage)
+{
+    const BitVector old = writeOld(40);
+    const flash::PhysPageAddr where = *ftl().lookup(40);
+    failEveryProgram();
+    const BitVector fresh(dev_.geometry().pageBits(), true);
+    std::vector<PhysOp> ops;
+    EXPECT_FALSE(ftl().writePage(40, &fresh, ops));
+    EXPECT_EQ(retriesCharged(),
+              static_cast<std::uint64_t>(Ftl::kMaxProgramRetries));
+    expectIntact(40, old, where);
+}
+
+TEST_F(PlacementExhaustion, WritePair)
+{
+    const BitVector old_x = writeOld(41);
+    const BitVector old_y = writeOld(42);
+    const flash::PhysPageAddr where_x = *ftl().lookup(41);
+    const flash::PhysPageAddr where_y = *ftl().lookup(42);
+    failEveryProgram();
+    const BitVector fresh(dev_.geometry().pageBits(), true);
+    std::vector<PhysOp> ops;
+    EXPECT_FALSE(ftl().writePair(41, 42, &fresh, &fresh, ops).has_value());
+    // One pair is one placement: a failed attempt costs one retry.
+    EXPECT_EQ(retriesCharged(),
+              static_cast<std::uint64_t>(Ftl::kMaxProgramRetries));
+    expectIntact(41, old_x, where_x);
+    expectIntact(42, old_y, where_y);
+}
+
+TEST_F(PlacementExhaustion, WriteLsbOnly)
+{
+    const BitVector old = writeOld(43);
+    const flash::PhysPageAddr where = *ftl().lookup(43);
+    failEveryProgram();
+    const BitVector fresh(dev_.geometry().pageBits(), true);
+    std::vector<PhysOp> ops;
+    EXPECT_FALSE(ftl().writeLsbOnly(43, &fresh, ops).has_value());
+    EXPECT_EQ(retriesCharged(),
+              static_cast<std::uint64_t>(Ftl::kMaxProgramRetries));
+    expectIntact(43, old, where);
+}
+
+TEST_F(PlacementExhaustion, RelocatePage)
+{
+    const BitVector old = writeOld(44);
+    const flash::PhysPageAddr where = *ftl().lookup(44);
+    failEveryProgram();
+    std::vector<PhysOp> ops;
+    EXPECT_FALSE(ftl().relocatePage(44, &old, ops));
+    EXPECT_EQ(retriesCharged(),
+              static_cast<std::uint64_t>(Ftl::kMaxProgramRetries));
+    expectIntact(44, old, where);
+}
+
+TEST_F(PlacementExhaustion, RefreshWordline)
+{
+    // The first write of a fresh device lands alone on its wordline, so
+    // the refresh relocates exactly one page.
+    const BitVector old = writeOld(45);
+    const flash::PhysPageAddr where = *ftl().lookup(45);
+    failEveryProgram();
+    std::vector<PhysOp> ops;
+    EXPECT_FALSE(ftl().refreshWordline(where, ops));
+    EXPECT_EQ(retriesCharged(),
+              static_cast<std::uint64_t>(Ftl::kMaxProgramRetries));
+    expectIntact(45, old, where);
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Transaction-scheduler behaviour: policy semantics (FCFS head-of-line
  * vs out-of-order independence vs read priority), suspend-resume
- * arithmetic and its bounds, multi-plane batching, channel command
- * modelling, and batch bookkeeping edges.
+ * arithmetic and its bounds, multi-plane batching, and batch
+ * bookkeeping edges.
  *
  * Durations are hand-picked round numbers set directly on the
  * DeviceTransaction, so every expected tick below is derivable by eye.
@@ -233,55 +233,6 @@ TEST(SchedBatching, DifferentDiesDoNotCoalesce)
     jobs.push_back(j1);
     dev.scheduleArrayJobs(jobs, 0);
     EXPECT_EQ(dev.scheduler().stats().batches, 0u);
-}
-
-TEST(SchedCmdOnChannel, CommandIssueBooksChannelTimeForEveryKind)
-{
-    // Legacy model: the command byte of kPageRead/kBlockErase consumes
-    // no channel time.  With cmdOnChannel every kind books tCmdOverhead
-    // on the channel; isolated-op completion times are unchanged.
-    SsdConfig base = SsdConfig::tiny();
-    base.storeData = false;
-    SsdConfig withCmd = base;
-    withCmd.sched.cmdOnChannel = true;
-
-    SsdDevice legacy(base);
-    SsdDevice modeled(withCmd);
-    const flash::FlashTiming &t = base.timing;
-
-    std::vector<PhysOp> ops(3);
-    ops[0].kind = PhysOp::Kind::kPageRead;
-    ops[0].addr = planeAddr(0, 0, 0);
-    ops[1].kind = PhysOp::Kind::kPageProgram;
-    ops[1].addr = planeAddr(0, 0, 1);
-    ops[2].kind = PhysOp::Kind::kBlockErase;
-    ops[2].addr = planeAddr(0, 1, 0);
-
-    // Spread the ops out so they do not contend; completion of each op
-    // is then the intrinsic latency in both models.
-    Tick tl = 0, tm = 0;
-    for (const PhysOp &op : ops) {
-        const Tick at = std::max(tl, tm) + t.tErase;
-        tl = legacy.scheduleOps({op}, at);
-        tm = modeled.scheduleOps({op}, at);
-        EXPECT_EQ(tl, tm);
-    }
-
-    const SchedStats sl = legacy.scheduler().stats();
-    const SchedStats sm = modeled.scheduler().stats();
-    Tick chLegacy = 0, chModeled = 0;
-    for (std::size_t c = 0; c < sl.channelBusy.size(); ++c) {
-        chLegacy += sl.channelBusy[c];
-        chModeled += sm.channelBusy[c];
-    }
-    // Three commands' worth of extra channel occupancy, die time equal.
-    EXPECT_EQ(chModeled, chLegacy + 3 * t.tCmdOverhead);
-    Tick dieLegacy = 0, dieModeled = 0;
-    for (std::size_t p = 0; p < sl.dieBusy.size(); ++p) {
-        dieLegacy += sl.dieBusy[p];
-        dieModeled += sm.dieBusy[p];
-    }
-    EXPECT_EQ(dieModeled, dieLegacy);
 }
 
 TEST(SchedBookkeeping, GroupAndZeroPhaseEdges)

@@ -32,9 +32,8 @@ TEST(TraceCheck, AcceptsSinkOutput)
     const TrackId ch = sink.track("channels", "channel 0");
     const TrackId die = sink.track("dies", "ch0 chip0 die0 plane0");
     const TrackId host = sink.track("host", "queue 0");
-    // One transaction through its phases: cmd + xfer_in on the channel,
-    // array on the die, xfer_out back on the channel.
-    sink.span(ch, "cmd", 0, 1000000, {{"tx", "1", false}});
+    // One transaction through its phases: xfer_in on the channel, array
+    // on the die, xfer_out back on the channel.
     sink.span(ch, "xfer_in", 1000000, 3000000, {{"tx", "1", false}});
     sink.span(die, "array", 3000000, 9000000, {{"tx", "1", false}});
     sink.span(ch, "xfer_out", 9000000, 10000000, {{"tx", "1", false}});
@@ -43,7 +42,7 @@ TEST(TraceCheck, AcceptsSinkOutput)
 
     const CheckResult r = checkTrace(sink.toJson());
     EXPECT_TRUE(r.ok()) << toJson(r);
-    EXPECT_EQ(r.stats.spans, 4u);
+    EXPECT_EQ(r.stats.spans, 3u);
     EXPECT_EQ(r.stats.asyncPairs, 1u);
     EXPECT_EQ(r.stats.tracks, 3u);
     EXPECT_EQ(r.stats.processes, 3u);
@@ -67,7 +66,7 @@ TEST(TraceCheck, RejectsOverlapOnResourceTrack)
     TraceSink sink;
     const TrackId ch = sink.track("channels", "channel 0");
     sink.span(ch, "xfer_out", 0, 5000000);
-    sink.span(ch, "cmd", 2000000, 3000000); // starts inside xfer_out
+    sink.span(ch, "xfer_in", 2000000, 3000000); // starts inside xfer_out
     const CheckResult r = checkTrace(sink.toJson());
     EXPECT_TRUE(hasFinding(r, "track-exclusivity"));
 }
@@ -150,7 +149,7 @@ TEST(TraceCheck, AcceptsLinkedFlow)
     const TrackId host = sink.track("host", "queue 0");
     const TrackId ch = sink.track("channels", "channel 0");
     const TrackId die = sink.track("dies", "d0");
-    sink.span(ch, "cmd", 1000000, 2000000, {{"tx", "3", false}});
+    sink.span(ch, "xfer_in", 1000000, 2000000, {{"tx", "3", false}});
     sink.span(die, "array", 2000000, 6000000, {{"tx", "3", false}});
     sink.span(ch, "xfer_out", 6000000, 7000000, {{"tx", "3", false}});
     sink.flowStart(host, obs::kNvmeFlowCat, obs::kNvmeFlowName, 11, 0);
@@ -189,7 +188,7 @@ TEST(TraceCheck, RejectsFlowStepOutsideWindow)
     TraceSink sink;
     const TrackId host = sink.track("host", "queue 0");
     const TrackId ch = sink.track("channels", "channel 0");
-    sink.span(ch, "cmd", 9000000, 10000000, {{"tx", "6", false}});
+    sink.span(ch, "xfer_in", 9000000, 10000000, {{"tx", "6", false}});
     sink.flowStart(host, obs::kNvmeFlowCat, obs::kNvmeFlowName, 6, 0);
     // Step at the span start, but after the flow already finished.
     sink.flowStep(ch, obs::kNvmeFlowCat, obs::kNvmeFlowName, 6, 9000000);
@@ -203,7 +202,7 @@ TEST(TraceCheck, RejectsFlowStepOffSpanStart)
     TraceSink sink;
     const TrackId host = sink.track("host", "queue 0");
     const TrackId ch = sink.track("channels", "channel 0");
-    sink.span(ch, "cmd", 1000000, 3000000, {{"tx", "8", false}});
+    sink.span(ch, "xfer_in", 1000000, 3000000, {{"tx", "8", false}});
     sink.flowStart(host, obs::kNvmeFlowCat, obs::kNvmeFlowName, 8, 0);
     // Step in the middle of the span, not at its start: the binding
     // the attribution protocol promises is broken.

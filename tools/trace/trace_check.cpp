@@ -313,14 +313,12 @@ struct Span
 int
 stageOf(const std::string &phase)
 {
-    if (phase == "cmd")
-        return 0;
     if (phase == "xfer_in")
-        return 1;
+        return 0;
     if (phase == "resume" || phase == "array" || phase == "suspend")
-        return 2;
+        return 1;
     if (phase == "xfer_out")
-        return 3;
+        return 2;
     return -1;
 }
 
@@ -485,7 +483,8 @@ class TraceChecker
                 add("json", at + ": async event without cat/id/name/ts");
                 return;
             }
-            AsyncPair &p = asyncs_[pid + ":" + cat + ":" + id];
+            AsyncPair &p =
+                asyncs_[std::to_string(pid) + ":" + cat + ":" + id];
             if (ph == "b") {
                 ++p.begins;
                 p.beginTs = ts;
@@ -623,8 +622,8 @@ class TraceChecker
                         "tx " + std::to_string(tx) + ": phase \"" +
                             phases[i].name + "\" after \"" +
                             phases[i - 1].name +
-                            "\" violates cmd -> xfer_in -> array -> "
-                            "xfer_out order");
+                            "\" violates xfer_in -> array -> xfer_out "
+                            "order");
                     break;
                 }
             }

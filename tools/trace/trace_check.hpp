@@ -20,8 +20,8 @@
  *  - span-nesting: "X" spans on every other track nest or are disjoint
  *    (no partial overlap), the shape Chrome's span model assumes.
  *  - phase-order: spans of one device transaction (args.tx) follow the
- *    scheduler's phase machine — cmd, then xfer_in, then the array
- *    portion (with optional suspend/resume cycles), then xfer_out —
+ *    scheduler's phase machine — xfer_in, then the array portion
+ *    (with optional suspend/resume cycles), then xfer_out —
  *    and only known phase names appear on resource tracks.
  *  - flow-linkage: every flow (events "s"/"t"/"f", matched globally by
  *    cat + id) has exactly one start and one finish with a consistent

@@ -60,17 +60,11 @@ class GreedyRef
     }
 
     Tick
-    schedule(const DeviceTransaction &tx, bool cmd_on_channel)
+    schedule(const DeviceTransaction &tx)
     {
         Timeline &ch = chTls_.at(tx.addr.channel);
         Timeline &die = plTls_.at(planeIndex(geo_, tx.addr));
-        Tick ready = tx.readyAt + tx.extraDelay;
-        if (cmd_on_channel) {
-            if (tx.cmdTicks > 0)
-                ready = ch.reserve(ready, tx.cmdTicks) + tx.cmdTicks;
-        } else {
-            ready += tx.cmdTicks;
-        }
+        Tick ready = tx.readyAt + tx.extraDelay + tx.cmdTicks;
         if (tx.xferInTicks > 0)
             ready = ch.reserve(ready, tx.xferInTicks) + tx.xferInTicks;
         if (tx.arrayTicks > 0)
@@ -157,7 +151,7 @@ booked(const StageTicks &s, PhaseKind k)
 }
 
 /**
- * One policy x command-model x geometry combination: several rounds of
+ * One policy x geometry combination: several rounds of
  * a deterministic mixed batch, invariants checked after every drain.
  * @return the scheduler's final stats (for the sweep-level checks).
  */
@@ -200,7 +194,7 @@ checkCombo(const std::string &subject, const flash::FlashGeometry &geo,
             sch.endCommandAttribution();
             txs.push_back(tx);
             if (fcfs)
-                want.push_back(ref.schedule(tx, cfg.cmdOnChannel));
+                want.push_back(ref.schedule(tx));
         }
         const Tick done = sch.drain();
 
@@ -216,7 +210,7 @@ checkCombo(const std::string &subject, const flash::FlashGeometry &geo,
                          token, sch.completionOf(ids[i]));
             const StageTicks st = sch.takeCommandStages(token);
             channelStaged[txs[i].addr.channel] +=
-                booked(st, PhaseKind::kCmd) + booked(st, PhaseKind::kXferIn) +
+                booked(st, PhaseKind::kXferIn) +
                 booked(st, PhaseKind::kXferOut);
             planeStaged[planeIndex(geo, txs[i].addr)] +=
                 booked(st, PhaseKind::kArray) +
@@ -321,19 +315,15 @@ checkScheduler(Report &r)
     std::uint64_t seed = 0x5CED0001;
     for (const Geo &g : {tiny, skewed}) {
         for (int p = 0; p < ssd::sched::kNumSchedPolicies; ++p) {
-            for (const bool cmdOnChannel : {false, true}) {
-                SchedConfig cfg;
-                cfg.policy = static_cast<SchedPolicyKind>(p);
-                cfg.cmdOnChannel = cmdOnChannel;
-                const std::string subject =
-                    std::string(ssd::sched::policyName(cfg.policy)) +
-                    (cmdOnChannel ? "/cmd-on-channel/" : "/cmd-as-delay/") +
-                    g.name;
-                const SchedStats stats =
-                    checkCombo(subject, g.geometry, cfg, seed++, r);
-                if (cfg.policy == SchedPolicyKind::kReadPriority)
-                    readPrioritySuspends += stats.suspends;
-            }
+            SchedConfig cfg;
+            cfg.policy = static_cast<SchedPolicyKind>(p);
+            const std::string subject =
+                std::string(ssd::sched::policyName(cfg.policy)) + "/" +
+                g.name;
+            const SchedStats stats =
+                checkCombo(subject, g.geometry, cfg, seed++, r);
+            if (cfg.policy == SchedPolicyKind::kReadPriority)
+                readPrioritySuspends += stats.suspends;
         }
     }
 
