@@ -106,9 +106,9 @@ BM_EventEngineThroughput(benchmark::State &state)
     for (auto _ : state) {
         ssd::EventEngine e;
         int acc = 0;
-        for (int i = 0; i < 1000; ++i)
-            e.schedule(static_cast<Tick>(i * 7 % 997), [&acc] { ++acc; });
-        e.run();
+        for (std::uint64_t i = 0; i < 1000; ++i)
+            e.schedule(static_cast<Tick>(i * 7 % 997), 0, 0, i);
+        e.run([&acc](const ssd::EventEngine::Event &) { ++acc; });
         benchmark::DoNotOptimize(acc);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -18,8 +18,22 @@
  * JSON (the committed BENCH_simspeed.json) and exits nonzero when it
  * falls below min-ratio x baseline — the CI perf-regression gate.  The
  * default ratio is deliberately loose (0.2): CI machines vary widely,
- * and the gate exists to catch order-of-magnitude slips (an
- * accidentally quadratic queue scan), not 10% noise.
+ * and the gate exists to catch order-of-magnitude slips, not 10% noise.
+ *
+ * A placement-scaling sweep then times one timing-only
+ * writeMetaOperandPair at paper geometry (SsdConfig::paperSsd()) with
+ * 1K, 16K and 64K pages, each on a fresh device, and reports the best
+ * of three in thread CPU ns per page, so preemption on a shared machine
+ * does not count.  Each is one scheduler batch of two programs per
+ * page, so a drain whose cost grows faster than its batch (an
+ * accidentally quadratic queue scan) shows as a rising per-page cost.
+ * The run exits nonzero when the 64K cost per page exceeds
+ * kMaxPlacementScaling x the 1K cost.  The 64K batch's transaction
+ * records (tens of MB) outgrow the caches the 1K batch fits in, so the
+ * ratio also reflects the cache hierarchy; on a 4-core Xeon a linear
+ * drain measures 0.78-1.08 and a quadratic one 12-17.  The sweep runs
+ * unprofiled, untraced and outside the metrics registry, after the
+ * mix's artefacts are written.
  *
  * Observability: --metrics-out/--trace-out/--snapshots-out (see
  * bench/common/obs_args.hpp).  The trace produced here carries the
@@ -31,9 +45,11 @@
  * back into simulated state.
  */
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -47,6 +63,7 @@
 #include "bench/common/obs_args.hpp"
 #include "bench/common/report.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
@@ -66,6 +83,15 @@ constexpr std::uint16_t kDepth = 32;
 constexpr int kWarmupRounds = 4;
 constexpr int kDefaultRounds = 768;
 constexpr std::uint64_t kPageSeed = 0x51335BEE;
+/** Pages per placement in the scaling sweep (first and last are the
+ *  gate's pair). */
+constexpr std::array<std::uint32_t, 3> kPlacementPages = {1024, 16384,
+                                                          65536};
+/** Timings per sweep point; the fastest counts, so one slow run on a
+ *  shared machine cannot trip the scaling gate. */
+constexpr int kPlacementRepeats = 3;
+/** Largest allowed 64K-over-1K cost per page of the sweep. */
+constexpr double kMaxPlacementScaling = 1.5;
 
 std::vector<BitVector>
 pages(const ssd::SsdConfig &cfg, int n, std::uint64_t seed)
@@ -166,6 +192,54 @@ run(int rounds, bench::ObsOptions &obs)
     return out;
 }
 
+/** One point of the placement-scaling sweep. */
+struct PlacementPoint
+{
+    std::uint32_t pages = 0;
+    double cpuSec = 0;
+    double nsPerPage = 0;
+    bool ok = false; ///< every page placed
+};
+
+/** CPU time this thread has used, in seconds. */
+double
+threadCpuSec()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
+}
+
+/** Best of kPlacementRepeats timings of one timing-only
+ *  writeMetaOperandPair of @p pages pages at paper geometry, each on a
+ *  fresh device (construction not timed). */
+PlacementPoint
+timePlacement(std::uint32_t pages)
+{
+    PlacementPoint p;
+    p.pages = pages;
+    p.ok = true;
+    for (int i = 0; i < kPlacementRepeats; ++i) {
+        ParaBitDevice dev(ssd::SsdConfig::paperSsd());
+        const double t0 = threadCpuSec();
+        p.ok = dev.writeMetaOperandPair(0, pages, pages) && p.ok;
+        const double s = threadCpuSec() - t0;
+        if (i == 0 || s < p.cpuSec)
+            p.cpuSec = s;
+    }
+    p.nsPerPage = 1e9 * p.cpuSec / pages;
+    return p;
+}
+
+/** Cost per page of the largest placement over the smallest. */
+double
+placementScaling(const std::vector<PlacementPoint> &pts)
+{
+    return pts.front().nsPerPage > 0
+               ? pts.back().nsPerPage / pts.front().nsPerPage
+               : 0.0;
+}
+
 std::size_t
 peakRssBytes()
 {
@@ -195,7 +269,8 @@ jsonNumber(const std::string &text, const std::string &key)
 
 void
 writeJson(const std::string &path, int rounds, const RunOut &r,
-          double events_per_sec, double cmds_per_sec, std::size_t rss)
+          double events_per_sec, double cmds_per_sec, std::size_t rss,
+          const std::vector<PlacementPoint> &placement)
 {
     std::ofstream os(path);
     if (!os) {
@@ -222,7 +297,16 @@ writeJson(const std::string &path, int rounds, const RunOut &r,
            << "\": {\"seconds\": " << r.prof.seconds[s] << ", \"share\": "
            << (total > 0 ? r.prof.seconds[s] / total : 0.0) << "}";
     }
-    os << "}\n}\n";
+    os << "},\n"
+       << "  \"placement_scaling\": {\"call\": \"writeMetaOperandPair\", "
+          "\"config\": \"paperSsd\", \"points\": [";
+    for (std::size_t i = 0; i < placement.size(); ++i) {
+        os << (i ? ", " : "") << "{\"pages\": " << placement[i].pages
+           << ", \"cpu_seconds\": " << placement[i].cpuSec
+           << ", \"ns_per_page\": " << placement[i].nsPerPage << "}";
+    }
+    os << "], \"largest_over_smallest\": " << placementScaling(placement)
+       << "}\n}\n";
 }
 
 } // namespace
@@ -268,7 +352,17 @@ main(int argc, char **argv)
         r.wallSec > 0 ? static_cast<double>(r.events) / r.wallSec : 0.0;
     const double cmds_per_sec =
         r.wallSec > 0 ? static_cast<double>(r.commands) / r.wallSec : 0.0;
+    // Before the sweep, whose paper-geometry batches would dominate it.
     const std::size_t rss = peakRssBytes();
+    // Write the mix's artefacts, then switch observability off: the
+    // sweep's devices would write the mix's channel/die trace tracks
+    // and registry slots.
+    const bool obs_ok = obs.finish();
+    obs::TraceSink::disableGlobal();
+    obs::MetricsRegistry::global().setEnabled(false);
+    std::vector<PlacementPoint> placement;
+    for (const std::uint32_t pages : kPlacementPages)
+        placement.push_back(timePlacement(pages));
 
     bench::section("throughput");
     std::printf("  rounds                          %12d\n", rounds);
@@ -296,10 +390,34 @@ main(int argc, char **argv)
                 "\"other\" is everything outside a PROFILE_SCOPE (host "
                 "loop, NVMe encode/decode, bitvector math)");
 
+    bench::section("placement scaling (paperSsd, writeMetaOperandPair)");
+    for (const PlacementPoint &p : placement) {
+        std::printf("  %6u pages  %10.4f s cpu  %8.0f ns/page%s\n", p.pages,
+                    p.cpuSec, p.nsPerPage, p.ok ? "" : "  (placement failed)");
+    }
+    const double scaling = placementScaling(placement);
+    const std::string ratio_label =
+        std::to_string(placement.back().pages) + " / " +
+        std::to_string(placement.front().pages) + " pages per-page cost";
+    std::printf("  %-32s%12.2f\n", ratio_label.c_str(), scaling);
+    std::printf("  maximum allowed                 %12.2f\n",
+                kMaxPlacementScaling);
+
     if (!json_path.empty())
-        writeJson(json_path, rounds, r, events_per_sec, cmds_per_sec, rss);
+        writeJson(json_path, rounds, r, events_per_sec, cmds_per_sec, rss,
+                  placement);
 
     int rc = 0;
+    for (const PlacementPoint &p : placement) {
+        if (!p.ok) {
+            std::printf("  FAILED: placement of %u pages\n", p.pages);
+            rc = 1;
+        }
+    }
+    if (scaling > kMaxPlacementScaling) {
+        std::printf("  REGRESSION: per-page cost grows with the batch\n");
+        rc = 1;
+    }
     if (!baseline_path.empty()) {
         std::ifstream in(baseline_path);
         std::stringstream ss;
@@ -326,5 +444,5 @@ main(int argc, char **argv)
         }
     }
 
-    return obs.finish() && rc == 0 ? 0 : (rc ? rc : 2);
+    return obs_ok && rc == 0 ? 0 : (rc ? rc : 2);
 }

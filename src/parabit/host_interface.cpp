@@ -374,7 +374,7 @@ HostInterface::pump()
 
     // Drain the scheduler and complete every deferred command.  Must
     // run before anything that opens a new scheduler batch (formula
-    // execution, Flush) — the batch's completion map is discarded at
+    // execution, Flush) — the batch's completions are discarded at
     // the next submit.
     const auto flushDeferred = [&] {
         if (deferred.empty())

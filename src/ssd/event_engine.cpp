@@ -1,5 +1,7 @@
 #include "ssd/event_engine.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "obs/profiler.hpp"
 
@@ -8,9 +10,15 @@ namespace parabit::ssd {
 namespace {
 
 /** Events executed by every engine this process ever ran; the
- *  denominator of bench_simspeed's events/sec.  Engines are created
- *  per drain, so the counter lives outside any instance. */
+ *  denominator of bench_simspeed's events/sec. */
 std::uint64_t g_executed = 0;
+
+/** Heap order: the earliest (when, seq) on top. */
+bool
+later(const EventEngine::Event &a, const EventEngine::Event &b)
+{
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+}
 
 } // namespace
 
@@ -21,41 +29,38 @@ EventEngine::processExecuted()
 }
 
 void
-EventEngine::schedule(Tick when, Callback cb)
+EventEngine::schedule(Tick when, std::uint8_t kind, std::uint32_t resource,
+                      std::uint64_t index)
 {
     if (when < now_)
         panic("EventEngine::schedule: event in the past");
-    queue_.push(Event{when, nextSeq_++, std::move(cb)});
+    heap_.push_back(Event{when, nextSeq_++, index, resource, kind});
+    std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
 bool
-EventEngine::runOne()
+EventEngine::pop(Event &ev)
 {
-    if (queue_.empty())
+    if (heap_.empty())
         return false;
-    Event ev;
-    {
-        // Engine self-time is the queue discipline only; the callback
-        // runs outside the scope so its time lands on the subsystem
-        // that scheduled it (or the enclosing scope).
-        PROFILE_SCOPE(obs::Subsystem::kEngine);
-        // priority_queue::top() is const; move out via const_cast as
-        // the element is popped immediately after (standard idiom).
-        ev = std::move(const_cast<Event &>(queue_.top()));
-        queue_.pop();
-        now_ = ev.when;
-        ++g_executed;
-    }
-    ev.cb();
+    // Engine self-time is the queue discipline only; the handler runs
+    // outside the scope so its time lands on the subsystem that owns
+    // the event (or the enclosing scope).
+    PROFILE_SCOPE(obs::Subsystem::kEngine);
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    ev = heap_.back();
+    heap_.pop_back();
+    now_ = ev.when;
+    ++g_executed;
     return true;
 }
 
-Tick
-EventEngine::run()
+void
+EventEngine::reset()
 {
-    while (runOne()) {
-    }
-    return now_;
+    heap_.clear();
+    now_ = 0;
+    nextSeq_ = 0;
 }
 
 } // namespace parabit::ssd

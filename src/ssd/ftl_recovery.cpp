@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -48,15 +49,19 @@ Ftl::restorePlpEntries(RecoveryReport &rep, std::vector<PhysOp> &ops)
 {
     if (durable_.plpFlush.empty())
         return;
+    // Restore from a moved-out copy: a restored LSB with a free MSB
+    // re-enters plpBuffer_, and a cut during a later program dumps that
+    // buffer into durable_.plpFlush.
+    std::vector<PlpEntry> dump = std::exchange(durable_.plpFlush, {});
     // Newest copy of each LPN wins (an LPN rewritten while still
     // buffered leaves a stale entry behind).
-    std::sort(durable_.plpFlush.begin(), durable_.plpFlush.end(),
+    std::sort(dump.begin(), dump.end(),
               [](const PlpEntry &x, const PlpEntry &y) {
                   return x.lpn != y.lpn ? x.lpn < y.lpn : x.seq > y.seq;
               });
     bool first = true;
     Lpn prev = kNoLpn;
-    for (PlpEntry &e : durable_.plpFlush) {
+    for (PlpEntry &e : dump) {
         if (!first && e.lpn == prev)
             continue;
         first = false;
@@ -74,8 +79,11 @@ Ftl::restorePlpEntries(RecoveryReport &rep, std::vector<PhysOp> &ops)
                               .stopWhenFull = true},
                              ops);
         if (!a) {
-            logWarn("Ftl::restorePlpEntries: could not re-place LPN " +
-                    std::to_string(e.lpn) + " from the PLP dump");
+            if (powerLost_) // cut mid-restore: the next recovery retries
+                durable_.plpFlush.push_back(std::move(e));
+            else
+                logWarn("Ftl::restorePlpEntries: could not re-place LPN " +
+                        std::to_string(e.lpn) + " from the PLP dump");
             continue;
         }
         mapLpn(e.lpn, *a);
@@ -83,7 +91,6 @@ Ftl::restorePlpEntries(RecoveryReport &rep, std::vector<PhysOp> &ops)
             scrambledLpns_.insert(e.lpn);
         ++rep.plpRestored;
     }
-    durable_.plpFlush.clear();
 }
 
 std::uint64_t

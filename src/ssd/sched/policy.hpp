@@ -30,6 +30,12 @@ namespace parabit::ssd::sched {
  * One queued phase entry of a resource.  `ready` means every earlier
  * phase of the same transaction has finished and the entry's
  * earliest-start has been reached, i.e. it could start now.
+ *
+ * A started entry stays in the queue as a tombstone (`started`, no
+ * longer `ready`) until every entry ahead of it has started too, so the
+ * scheduler can find a queued entry by its position.  Policies skip
+ * tombstones as they skip any entry that is not ready; the queue's
+ * front is never one.
  */
 struct QueueEntry
 {
@@ -39,6 +45,7 @@ struct QueueEntry
     std::size_t txIdx = 0;    ///< owning transaction within the batch
     std::size_t phaseIdx = 0; ///< phase of that transaction
     bool ready = false;
+    bool started = false;
     /** Earliest tick the entry may start (phase chaining + readyAt). */
     Tick earliest = 0;
     /** The entry is the resumed remainder of a suspended operation. */
@@ -64,7 +71,7 @@ class SchedulerPolicy
      * Choose the index of the entry to start on an idle resource, or
      * kNoPick to leave the resource idle (e.g. FCFS waiting for a
      * not-yet-ready head of line).  @p queue is the resource's queue in
-     * submission order.
+     * submission order, tombstones included.
      */
     virtual std::size_t pick(const std::deque<QueueEntry> &queue,
                              Tick now) const = 0;

@@ -7,6 +7,40 @@
 
 namespace parabit::ssd::sched {
 
+namespace {
+
+/** EventEngine::Event::kind values of the scheduler's events. */
+enum EventKind : std::uint8_t
+{
+    /** A transaction's first phase reaches its earliest start;
+     *  index = the transaction's position in the batch. */
+    kFirstPhaseReady = 0,
+    /** A booking reaches its planned end; index = the booking's
+     *  generation on the resource (stale once it was suspended). */
+    kBookingEnd,
+};
+
+/** Booked ticks of @p tx's phase of kind @p k. */
+Tick
+phaseTicks(const DeviceTransaction &tx, PhaseKind k)
+{
+    switch (k)
+    {
+    case PhaseKind::kXferIn:
+        return tx.xferInTicks;
+    case PhaseKind::kArray:
+        return tx.arrayTicks;
+    case PhaseKind::kXferOut:
+        return tx.xferOutTicks;
+    case PhaseKind::kSuspend:
+    case PhaseKind::kResume:
+        break;
+    }
+    panic("TransactionScheduler: not a transaction phase");
+}
+
+} // namespace
+
 TransactionScheduler::TransactionScheduler(
     const flash::FlashGeometry &geometry, const flash::FlashTiming &timing,
     const SchedConfig &cfg)
@@ -96,14 +130,13 @@ TransactionScheduler::noteSpan(std::size_t res, TxState &st,
         sink_->span(resourceTracks_[res], phaseKindName(kind), start, end,
                     {{"tx", std::to_string(st.id), false},
                      {"class", txClassName(st.tx.cls), true}});
-        const auto it = cmdOf_.find(st.id);
-        if (it != cmdOf_.end())
+        if (st.cmd)
         {
             // The step lands exactly on the span's start ts, which is
             // what binds the command's flow to this span in Perfetto
             // (and what the flow-linkage check verifies).
             sink_->flowStep(resourceTracks_[res], obs::kNvmeFlowCat,
-                            obs::kNvmeFlowName, it->second, start);
+                            obs::kNvmeFlowName, *st.cmd, start);
         }
     }
 }
@@ -126,23 +159,26 @@ void
 TransactionScheduler::buildPhases(TxState &st) const
 {
     const DeviceTransaction &tx = st.tx;
-    const std::size_t ch = channelResource(tx.addr.channel);
-    const std::size_t die = arrayResource(tx.addr);
+    const auto ch = static_cast<std::uint32_t>(channelResource(tx.addr.channel));
+    const auto die = static_cast<std::uint32_t>(arrayResource(tx.addr));
+    const auto add = [&st](PhaseKind kind, std::uint32_t res) {
+        st.phases[st.numPhases++] = Phase{res, 0, kind};
+    };
     // Canonical phase order across every class: xfer-in, array,
     // xfer-out (zero-duration phases are elided).  Reads have no
     // xfer-in, programs/erases no xfer-out, so this reproduces the
     // class-specific legacy reserve() sequences exactly.
     if (tx.xferInTicks > 0)
     {
-        st.phases.push_back({PhaseKind::kXferIn, ch, tx.xferInTicks});
+        add(PhaseKind::kXferIn, ch);
     }
     if (tx.arrayTicks > 0)
     {
-        st.phases.push_back({PhaseKind::kArray, die, tx.arrayTicks});
+        add(PhaseKind::kArray, die);
     }
     if (tx.xferOutTicks > 0)
     {
-        st.phases.push_back({PhaseKind::kXferOut, ch, tx.xferOutTicks});
+        add(PhaseKind::kXferOut, ch);
     }
 }
 
@@ -157,50 +193,47 @@ TransactionScheduler::firstEarliest(const TxState &st) const
 std::uint64_t
 TransactionScheduler::submit(const DeviceTransaction &tx)
 {
+    PROFILE_SCOPE(obs::Subsystem::kSched);
     if (!batchOpen_)
     {
         // First submit after a drain: discard the previous batch's
-        // records and completion map (callers must have flushed any
-        // group queries by now) so memory stays bounded.
-        txs_.clear();
-        completions_.clear();
-        // Command tags refer to batch-local tx ids; stage aggregates in
+        // records and completions (callers must have flushed any group
+        // queries by now) so memory stays bounded.  Stage aggregates in
         // cmdStages_ survive (a formula command spans several drains).
-        cmdOf_.clear();
+        txs_.clear();
         batchOpen_ = true;
     }
-    TxState st;
+    const std::size_t txIdx = txs_.size();
+    TxState &st = txs_.emplace_back();
     st.tx = tx;
     st.id = nextId_++;
-    if (curCmd_)
-    {
-        cmdOf_[st.id] = *curCmd_;
-    }
+    st.cmd = curCmd_;
     buildPhases(st);
     ++submitted_;
 
-    const std::size_t txIdx = txs_.size();
-    txs_.push_back(std::move(st));
-    TxState &added = txs_.back();
-    if (added.phases.empty())
+    if (st.numPhases == 0)
     {
         // Pure delay (all phase durations zero): completes without
         // touching any resource.
-        finishTx(added, firstEarliest(added));
-        return added.id;
+        finishTx(st, firstEarliest(st));
+        return st.id;
     }
-    for (std::size_t p = 0; p < added.phases.size(); ++p)
+    for (std::uint8_t p = 0; p < st.numPhases; ++p)
     {
-        Resource &r = resources_[added.phases[p].resource];
+        Phase &ph = st.phases[p];
+        Resource &r = resources_[ph.resource];
+        // Between drains a queue holds no tombstones, so its size is
+        // its live depth.
+        ph.slot = r.base + static_cast<std::uint32_t>(r.q.size());
         QueueEntry e;
-        e.seq = added.id;
-        e.cls = added.tx.cls;
+        e.seq = st.id;
+        e.cls = st.tx.cls;
         e.txIdx = txIdx;
         e.phaseIdx = p;
         r.q.push_back(e);
         maxQueueDepth_.noteMax(static_cast<double>(r.q.size()));
     }
-    return added.id;
+    return st.id;
 }
 
 Tick
@@ -209,14 +242,6 @@ TransactionScheduler::drain()
     PROFILE_SCOPE(obs::Subsystem::kSched);
     batchOpen_ = false;
     bool anyPending = false;
-    for (const TxState &st : txs_)
-    {
-        if (!st.done)
-        {
-            anyPending = true;
-            break;
-        }
-    }
     Tick batchMax = 0;
     for (const TxState &st : txs_)
     {
@@ -224,28 +249,27 @@ TransactionScheduler::drain()
         {
             batchMax = std::max(batchMax, st.complete);
         }
+        else
+        {
+            anyPending = true;
+        }
     }
     if (!anyPending)
     {
         return batchMax;
     }
 
-    EventEngine eng;
-    eng_ = &eng;
+    eng_.reset();
     for (std::size_t i = 0; i < txs_.size(); ++i)
     {
-        TxState &st = txs_[i];
-        if (st.done || st.phases.empty())
+        const TxState &st = txs_[i];
+        if (!st.done)
         {
-            continue;
+            eng_.schedule(firstEarliest(st), kFirstPhaseReady,
+                          st.phases[0].resource, i);
         }
-        const std::size_t res = st.phases[0].resource;
-        const Tick earliest = firstEarliest(st);
-        eng.schedule(earliest,
-                     [this, res, i, earliest] { markReady(res, i, 0, earliest); });
     }
-    eng.run();
-    eng_ = nullptr;
+    eng_.run([this](const EventEngine::Event &ev) { onEvent(ev); });
 
     for (const TxState &st : txs_)
     {
@@ -255,33 +279,53 @@ TransactionScheduler::drain()
                   "(policy left a transaction unserved)");
         }
         batchMax = std::max(batchMax, st.complete);
-    }
-    for (Resource &r : resources_)
-    {
-        if (!r.q.empty() || r.busy)
+        // Only the resources this batch queued on can hold residue.
+        for (std::uint8_t p = 0; p < st.numPhases; ++p)
         {
-            panic("TransactionScheduler::drain: residual queue state");
+            const Resource &r = resources_[st.phases[p].resource];
+            if (!r.q.empty() || r.busy)
+            {
+                panic("TransactionScheduler::drain: residual queue state");
+            }
         }
     }
     return batchMax;
 }
 
 void
-TransactionScheduler::markReady(std::size_t res, std::size_t txIdx,
-                                std::size_t phaseIdx, Tick earliest)
+TransactionScheduler::onEvent(const EventEngine::Event &ev)
 {
-    Resource &r = resources_[res];
-    for (QueueEntry &e : r.q)
+    switch (static_cast<EventKind>(ev.kind))
     {
-        if (e.txIdx == txIdx && e.phaseIdx == phaseIdx && !e.isResume)
-        {
-            e.ready = true;
-            e.earliest = earliest;
-            dispatch(res);
-            return;
-        }
+    case kFirstPhaseReady:
+        markReady(ev.index, 0, ev.when);
+        return;
+    case kBookingEnd:
+        onComplete(ev.resource, ev.index);
+        return;
     }
-    panic("TransactionScheduler::markReady: phase entry not queued");
+    panic("TransactionScheduler: unknown event kind");
+}
+
+void
+TransactionScheduler::markReady(std::size_t txIdx, std::size_t phaseIdx,
+                                Tick earliest)
+{
+    const Phase &ph = txs_[txIdx].phases[phaseIdx];
+    Resource &r = resources_[ph.resource];
+    // The slot handle indexes the queue; the entry must still be the
+    // phase's own, unstarted one.
+    const std::size_t at = ph.slot - r.base;
+    if (ph.slot < r.base || at >= r.q.size() || r.q[at].txIdx != txIdx ||
+        r.q[at].phaseIdx != phaseIdx || r.q[at].isResume ||
+        r.q[at].started)
+    {
+        panic("TransactionScheduler::markReady: phase entry not queued");
+    }
+    QueueEntry &e = r.q[at];
+    e.ready = true;
+    e.earliest = earliest;
+    dispatch(ph.resource);
 }
 
 void
@@ -297,7 +341,7 @@ TransactionScheduler::dispatch(std::size_t res)
     {
         return;
     }
-    const std::size_t pick = policy_->pick(r.q, eng_->now());
+    const std::size_t pick = policy_->pick(r.q, eng_.now());
     if (pick == kNoPick)
     {
         return;
@@ -315,11 +359,24 @@ TransactionScheduler::startEntry(std::size_t res, std::size_t qIdx)
 {
     Resource &r = resources_[res];
     const QueueEntry e = r.q[qIdx];
-    r.q.erase(r.q.begin() + static_cast<std::ptrdiff_t>(qIdx));
+    // Leave a tombstone so the entries behind keep their slots; pop the
+    // tombstones that reach the front.
+    r.q[qIdx].ready = false;
+    r.q[qIdx].started = true;
+    while (!r.q.empty() && r.q.front().started)
+    {
+        r.q.pop_front();
+        ++r.base;
+    }
+    if (r.q.empty())
+    {
+        r.base = 0; // no live handle points into an empty queue
+    }
 
     const TxState &st = txs_[e.txIdx];
     const Tick payload =
-        e.isResume ? e.resumeRemaining : st.phases[e.phaseIdx].duration;
+        e.isResume ? e.resumeRemaining
+                   : phaseTicks(st.tx, st.phases[e.phaseIdx].kind);
     const Tick overhead = e.isResume ? timing_.tResume : 0;
 
     Running run;
@@ -338,8 +395,8 @@ TransactionScheduler::startEntry(std::size_t res, std::size_t qIdx)
     r.busy = true;
     r.running = run;
 
-    const std::uint64_t gen = run.gen;
-    eng_->schedule(run.plannedEnd, [this, res, gen] { onComplete(res, gen); });
+    eng_.schedule(run.plannedEnd, kBookingEnd,
+                  static_cast<std::uint32_t>(res), run.gen);
 }
 
 void
@@ -372,11 +429,10 @@ TransactionScheduler::onComplete(std::size_t res, std::uint64_t gen)
         st.arrayExecuted += run.plannedEnd - run.payloadStart;
     }
 
-    st.nextPhase = run.phaseIdx + 1;
-    if (st.nextPhase < st.phases.size())
+    const std::size_t next = run.phaseIdx + 1;
+    if (next < st.numPhases)
     {
-        const std::size_t nextRes = st.phases[st.nextPhase].resource;
-        markReady(nextRes, run.txIdx, st.nextPhase, run.plannedEnd);
+        markReady(run.txIdx, next, run.plannedEnd);
     }
     else
     {
@@ -392,7 +448,7 @@ TransactionScheduler::maybeSuspend(std::size_t res)
     const Running run = r.running;
     TxState &st = txs_[run.txIdx];
     const Phase &ph = st.phases[run.phaseIdx];
-    const Tick now = eng_->now();
+    const Tick now = eng_.now();
 
     if (ph.kind != PhaseKind::kArray || !st.tx.suspendable())
     {
@@ -471,12 +527,10 @@ TransactionScheduler::finishTx(TxState &st, Tick end)
 {
     st.done = true;
     st.complete = end;
-    completions_[st.id] = end;
     ++completedCount_;
-    const auto cmd = cmdOf_.find(st.id);
-    if (cmd != cmdOf_.end())
+    if (st.cmd)
     {
-        StageTicks &agg = cmdStages_[cmd->second];
+        StageTicks &agg = cmdStages_[*st.cmd];
         agg.add(st.stages);
         ++agg.txCount;
     }
@@ -502,13 +556,15 @@ TransactionScheduler::takeCommandStages(std::uint64_t token)
 Tick
 TransactionScheduler::completionOf(std::uint64_t id) const
 {
-    auto it = completions_.find(id);
-    if (it == completions_.end())
+    // A batch's ids are contiguous, so the id indexes txs_ (an id below
+    // the batch wraps past its end).
+    const std::uint64_t at = txs_.empty() ? 0 : id - txs_.front().id;
+    if (at >= txs_.size() || !txs_[at].done)
     {
         panic("TransactionScheduler::completionOf: unknown transaction "
               "(batch already discarded? drain before querying)");
     }
-    return it->second;
+    return txs_[at].complete;
 }
 
 Tick
@@ -587,18 +643,13 @@ TransactionScheduler::auditInvariants(InvariantReport &r) const
                    "a booking is still marked running after the drain");
     }
 
-    // sched.queue.accounting: lifetime submit/complete balance plus
-    // full completion coverage of the last batch.
+    // sched.queue.accounting: lifetime submit/complete balance (each
+    // transaction of the last batch finishing is sched.work.conservation).
     if (!r.check(submitted_.value() == completedCount_.value()))
         r.fail("sched.queue.accounting", "lifetime counters",
                "submitted " + std::to_string(submitted_.value()) +
                    " != completed " +
                    std::to_string(completedCount_.value()));
-    if (!r.check(completions_.size() == txs_.size()))
-        r.fail("sched.queue.accounting", "last batch",
-               std::to_string(txs_.size()) + " transactions but " +
-                   std::to_string(completions_.size()) +
-                   " completion entries");
 
     // sched.work.conservation: suspend-resume never loses or invents
     // array work, and nothing completes before it was ready.

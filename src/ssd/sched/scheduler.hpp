@@ -4,11 +4,15 @@
  * DeviceTransactions, driven by the deterministic EventEngine.
  *
  * Usage is submit-then-drain: callers submit any number of transactions
- * (each gets a monotonically increasing id) and then drain(), which
- * replays the whole batch through a fresh event engine.  Resource
- * Timelines persist across drains, so consecutive batches see the
- * device exactly as the legacy greedy path did; the engine only orders
- * events — every booking is computed from logical times
+ * (each gets a monotonically increasing id, so one batch's ids are
+ * contiguous) and then drain(), which runs the batch through the
+ * scheduler's one event engine, reset for each drain.  A drain costs
+ * O(transactions in the batch): completions are read by id - first id
+ * of the batch, a queued phase keeps a handle to its queue slot, and
+ * the end-of-drain check visits only the resources the batch queued on.
+ * Resource Timelines persist across drains, so consecutive batches see
+ * the device exactly as the legacy greedy path did; the engine only
+ * orders events — every booking is computed from logical times
  * (max(phase-chain earliest, resource nextFree)), never from the
  * engine clock.
  *
@@ -118,7 +122,7 @@ class TransactionScheduler
     /**
      * Queue @p tx for the next drain().  @return its id.  The first
      * submit after a drain starts a new batch and discards the previous
-     * batch's completion map and records.
+     * batch's completions and records.
      */
     std::uint64_t submit(const DeviceTransaction &tx);
 
@@ -129,7 +133,8 @@ class TransactionScheduler
      */
     Tick drain();
 
-    /** Completion tick of @p id from the last drained batch. */
+    /** Completion tick of @p id from the last drained batch.  Panics
+     *  if @p id is not a finished transaction of that batch. */
     Tick completionOf(std::uint64_t id) const;
 
     /** Latest completion over @p g, or @p fallback when @p g is empty. */
@@ -183,8 +188,7 @@ class TransactionScheduler
      *
      *  - sched.queue.drained: no residual queue entries or running
      *    bookings survive a drain;
-     *  - sched.queue.accounting: lifetime submitted == completed and
-     *    the last batch's completion map covers every transaction;
+     *  - sched.queue.accounting: lifetime submitted == completed;
      *  - sched.work.conservation: every transaction's executed array
      *    time equals its planned array time (suspend-resume conserves
      *    work) and it completed no earlier than it became ready.
@@ -196,25 +200,32 @@ class TransactionScheduler
     /// @}
 
   private:
-    /** One phase booking request against a specific resource. */
+    /** One phase booking request against a specific resource; its
+     *  duration is the transaction's ticks for that kind. */
     struct Phase
     {
+        std::uint32_t resource = 0; ///< index into resources_
+        /** Handle of the phase's queue entry: its position in the
+         *  resource queue counted from Resource::base. */
+        std::uint32_t slot = 0;
         PhaseKind kind = PhaseKind::kArray;
-        std::size_t resource = 0; ///< index into resources_
-        Tick duration = 0;
     };
 
     struct TxState
     {
         DeviceTransaction tx;
         std::uint64_t id = 0;
-        std::vector<Phase> phases;
-        std::size_t nextPhase = 0;
+        /** Attribution token of the host command that submitted it. */
+        std::optional<std::uint64_t> cmd;
+        /** In canonical order (xfer-in, array, xfer-out), zero-duration
+         *  phases elided: the first numPhases entries are used. */
+        std::array<Phase, 3> phases{};
+        std::uint8_t numPhases = 0;
+        bool done = false;
+        int suspends = 0;
         Tick complete = 0;
         Tick arrayExecuted = 0;
-        int suspends = 0;
         Tick forceAt = 0; ///< set at first suspension
-        bool done = false;
         StageTicks stages; ///< where this transaction's ticks went
     };
 
@@ -232,7 +243,13 @@ class TransactionScheduler
     struct Resource
     {
         Timeline tl;
+        /** Queued phase entries in arrival order.  A started entry stays
+         *  in place as a tombstone (policy.hpp) until it reaches the
+         *  front, so every entry behind it keeps its slot. */
         std::deque<QueueEntry> q;
+        /** Slot of q.front(): entries popped since the queue was last
+         *  empty. */
+        std::uint32_t base = 0;
         bool busy = false;
         Running running;
         std::uint64_t gen = 0;
@@ -254,8 +271,8 @@ class TransactionScheduler
     void buildPhases(TxState &st) const;
     Tick firstEarliest(const TxState &st) const;
 
-    void markReady(std::size_t res, std::size_t txIdx, std::size_t phaseIdx,
-                   Tick earliest);
+    void onEvent(const EventEngine::Event &ev);
+    void markReady(std::size_t txIdx, std::size_t phaseIdx, Tick earliest);
     void dispatch(std::size_t res);
     void startEntry(std::size_t res, std::size_t qIdx);
     void onComplete(std::size_t res, std::uint64_t gen);
@@ -268,20 +285,19 @@ class TransactionScheduler
     std::unique_ptr<SchedulerPolicy> policy_;
 
     std::vector<Resource> resources_; ///< channels first, then planes
-    std::vector<TxState> txs_;        ///< current batch
-    std::unordered_map<std::uint64_t, Tick> completions_;
+    /** Current batch in submission order; txs_[i].id is the batch's
+     *  first id + i. */
+    std::vector<TxState> txs_;
     std::vector<obs::Hist> latencyHist_; ///< one per TxClass (us)
 
     obs::TraceSink *sink_ = nullptr;
     std::vector<obs::TrackId> resourceTracks_; ///< parallel to resources_
 
-    EventEngine *eng_ = nullptr; ///< valid only inside drain()
+    EventEngine eng_; ///< reset at the start of every drain
     std::uint64_t nextId_ = 0;
     bool batchOpen_ = false;
 
     std::optional<std::uint64_t> curCmd_; ///< open attribution bracket
-    /** tx id -> command token, for the current batch. */
-    std::unordered_map<std::uint64_t, std::uint64_t> cmdOf_;
     /** command token -> aggregated stages (until takeCommandStages). */
     std::unordered_map<std::uint64_t, StageTicks> cmdStages_;
 

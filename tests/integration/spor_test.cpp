@@ -229,5 +229,70 @@ TEST(SporSweep, DoubleCrash)
     }
 }
 
+// A second power cut inside recovery, while the PLP dump of the first
+// cut is being restored: the dump must stay durable, so the next
+// recovery still brings back every acknowledged page.
+TEST(SporSweep, CutDuringPlpRestore)
+{
+    int restores_cut = 0;
+    for (std::uint32_t onset = 0; onset < 48; ++onset) {
+        SCOPED_TRACE(::testing::Message() << "onset=" << onset);
+        SsdDevice dev(soakCfg(0)); // no checkpoints, no scrambling
+        Ftl &ftl = dev.ftl();
+        const std::size_t bits = dev.geometry().pageBits();
+
+        // First cut mid-program: the torn wordline takes its buffered
+        // LSB with it, so restore has that page to re-place.
+        FaultSpec cut;
+        cut.cls = FaultClass::kPowerLoss;
+        cut.onset = onset;
+        cut.cutMidProgram = true;
+        dev.injectFault(cut);
+        Oracle oracle;
+        std::uint64_t version = 0;
+        for (Lpn lpn = 0; lpn < kHotLpns && !ftl.powerLost(); ++lpn) {
+            const BitVector d = pattern(bits, lpn, ++version);
+            std::vector<PhysOp> ops;
+            if (ftl.writePage(lpn, &d, ops))
+                oracle[lpn] = d;
+        }
+        ASSERT_TRUE(ftl.powerLost());
+        std::vector<Lpn> dumped;
+        for (const PlpEntry &e : ftl.durableLog().plpFlush)
+            dumped.push_back(e.lpn);
+
+        // Second cut at recovery's first PhysOp boundary, which is
+        // restore's first re-placement when there is one.
+        FaultSpec again;
+        again.cls = FaultClass::kPowerLoss;
+        again.onset = 0;
+        again.cutMidProgram = (onset % 2) == 1;
+        dev.injectFault(again);
+        dev.powerCycle();
+        ASSERT_TRUE(ftl.powerLost()) << "the second cut never fired";
+
+        const RecoveryReport rep = dev.powerCycle();
+        EXPECT_TRUE(rep.recovered);
+        restores_cut += rep.plpRestored > 0 ? 1 : 0;
+        // Each LPN was written once, so a dumped entry's payload is
+        // the oracle's.
+        for (const Lpn lpn : dumped) {
+            ASSERT_TRUE(oracle.count(lpn) > 0) << "LPN " << lpn;
+            ASSERT_TRUE(ftl.lookup(lpn).has_value())
+                << "dumped LPN " << lpn << " lost";
+            std::vector<PhysOp> ops;
+            EXPECT_EQ(ftl.readPage(lpn, ops), *oracle[lpn])
+                << "dumped LPN " << lpn << " corrupted";
+        }
+        for (const auto &[lpn, want] : oracle) {
+            std::vector<PhysOp> ops;
+            EXPECT_EQ(ftl.readPage(lpn, ops), *want)
+                << "acked LPN " << lpn << " corrupted";
+        }
+    }
+    // The sweep must include cuts that land inside a restore.
+    EXPECT_GT(restores_cut, 0);
+}
+
 } // namespace
 } // namespace parabit::ssd

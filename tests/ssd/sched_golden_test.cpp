@@ -268,6 +268,58 @@ TEST(SchedGolden, SkewedGeometryTickIdentical)
     runGoldenTrace(cfg);
 }
 
+TEST(SchedGolden, SmallBatchesAfterALargeOneStayTickIdentical)
+{
+    // The shape of a bulk placement followed by per-page ParaBit work:
+    // one batch of thousands of transactions, then one-op batches that
+    // start while its bookings still occupy the device.  Every
+    // completion of every batch, and each resource's busy ticks, must
+    // match the greedy replica.
+    SsdConfig cfg = SsdConfig::paperSsd();
+    cfg.storeData = false;
+    SsdDevice dev(cfg);
+    GreedyReference ref(cfg);
+    Rng rng(0xB16BA7C4);
+
+    const auto big = randomOps(rng, cfg.geometry, 4096);
+    const sched::TxGroup g = dev.submitOps(big, 0);
+    ASSERT_EQ(g.size(), big.size());
+    const Tick big_end = dev.drainTransactions();
+    Tick ref_end = 0;
+    for (std::size_t i = 0; i < big.size(); ++i) {
+        // Greedy booking is per op in order, so one op at a time books
+        // exactly what the whole batch does.
+        const Tick want = ref.scheduleOps({big[i]}, 0);
+        ASSERT_EQ(dev.scheduler().completionOf(g.lo + i), want)
+            << "op " << i << " of the large batch";
+        ref_end = std::max(ref_end, want);
+    }
+    ASSERT_EQ(big_end, ref_end);
+
+    for (int batch = 0; batch < 96; ++batch) {
+        const Tick at = rng.below(big_end);
+        Tick dev_done = 0;
+        Tick ref_done = 0;
+        if (batch % 2 == 0) {
+            const auto ops = randomOps(rng, cfg.geometry, 1);
+            dev_done = dev.scheduleOps(ops, at);
+            ref_done = ref.scheduleOps(ops, at);
+        } else {
+            const auto jobs = randomJobs(rng, cfg.geometry, 1);
+            dev_done = dev.scheduleArrayJobs(jobs, at);
+            ref_done = ref.scheduleArrayJobs(jobs, at);
+        }
+        ASSERT_EQ(dev_done, ref_done) << "one-op batch " << batch;
+    }
+
+    const sched::SchedStats s = dev.scheduler().stats();
+    for (std::uint32_t c = 0; c < cfg.geometry.channels; ++c)
+        EXPECT_EQ(s.channelBusy.at(c), ref.channelBooked(c)) << "channel " << c;
+    for (std::uint32_t p = 0; p < cfg.geometry.planesTotal(); ++p)
+        EXPECT_EQ(s.dieBusy.at(p), ref.planeBooked(p)) << "plane " << p;
+    EXPECT_EQ(s.submitted, s.completed);
+}
+
 TEST(SchedGolden, RepeatedRunsAreDeterministic)
 {
     // Same trace, two fresh devices: identical final clocks and busy

@@ -92,6 +92,32 @@ TEST(SchedPolicy, OutOfOrderProceedsPastBlockedHead)
     EXPECT_EQ(s.completionOf(id0), 180u);
 }
 
+TEST(SchedPolicy, OutOfOrderStartsFromTheMiddleOfAQueue)
+{
+    SchedConfig cfg;
+    cfg.policy = SchedPolicyKind::kOutOfOrderDieFirst;
+    TransactionScheduler s(flash::FlashGeometry::tiny(), testTiming(), cfg);
+    // Four reads on four planes of channel 0; their transfers queue on
+    // the channel in submission order.  tx0's transfer heads the queue
+    // but is not ready before 150.
+    const auto id0 = s.submit(readTx(planeAddr(0, 0, 0), 100, 50, 30));
+    const auto id1 = s.submit(readTx(planeAddr(0, 1, 0), 0, 10, 30));
+    const auto id2 = s.submit(readTx(planeAddr(0, 0, 1), 0, 20, 30));
+    const auto id3 = s.submit(readTx(planeAddr(0, 1, 1), 0, 300, 30));
+    s.drain();
+    // tx1's transfer starts at 10 from behind the blocked head.  tx2's
+    // becomes ready at 20 with tx1's started entry still ahead of it
+    // and runs once the channel frees (40-70).
+    EXPECT_EQ(s.completionOf(id1), 40u);
+    EXPECT_EQ(s.completionOf(id2), 70u);
+    // The head runs 150-180; tx3's transfer becomes ready at 300, after
+    // every entry ahead of it has left the queue.
+    EXPECT_EQ(s.completionOf(id0), 180u);
+    EXPECT_EQ(s.completionOf(id3), 330u);
+    EXPECT_EQ(s.stats().channelBusy.at(0), 120u);
+    EXPECT_EQ(s.stats().maxQueueDepth, 4u);
+}
+
 TEST(SchedPolicy, OutOfOrderNeverSuspends)
 {
     SchedConfig cfg;
@@ -258,6 +284,23 @@ TEST(SchedBookkeeping, GroupAndZeroPhaseEdges)
         EXPECT_EQ(b, 0u);
     EXPECT_EQ(st.submitted, 1u);
     EXPECT_EQ(st.completed, 1u);
+}
+
+TEST(SchedBookkeeping, CompletionOfOutsideTheDrainedBatchDies)
+{
+    SchedConfig cfg;
+    TransactionScheduler s(flash::FlashGeometry::tiny(), testTiming(), cfg);
+    const auto old = s.submit(readTx(planeAddr(0, 0, 0), 0, 10, 0));
+    s.drain();
+    EXPECT_EQ(s.completionOf(old), 10u);
+    // The next submit discards the drained batch; the new transaction
+    // queues behind the old booking on the same plane.
+    const auto cur = s.submit(readTx(planeAddr(0, 0, 0), 0, 10, 0));
+    EXPECT_DEATH(s.completionOf(cur), "unknown transaction"); // undrained
+    s.drain();
+    EXPECT_EQ(s.completionOf(cur), 20u);
+    EXPECT_DEATH(s.completionOf(old), "unknown transaction");
+    EXPECT_DEATH(s.completionOf(cur + 1), "unknown transaction");
 }
 
 TEST(SchedBookkeeping, LatencySamplingPerClass)
