@@ -14,11 +14,14 @@
  *   bench_simspeed [--json FILE] [--check BASELINE] [--min-ratio F]
  *                  [--rounds N]
  *
- * `--check` compares this run's events_per_sec against the baseline
- * JSON (the committed BENCH_simspeed.json) and exits nonzero when it
- * falls below min-ratio x baseline — the CI perf-regression gate.  The
- * default ratio is deliberately loose (0.2): CI machines vary widely,
- * and the gate exists to catch order-of-magnitude slips, not 10% noise.
+ * `--check` compares this run's retired commands per second
+ * (sim_ops_per_sec) against the baseline JSON (the committed
+ * BENCH_simspeed.json) and exits nonzero when it falls below
+ * min-ratio x baseline — the CI perf-regression gate.  Commands, not
+ * engine events, are the unit of work, so a design that needs fewer
+ * events per command does not look slower.  The default ratio is
+ * deliberately loose (0.2): CI machines vary widely, and the gate
+ * exists to catch order-of-magnitude slips, not 10% noise.
  *
  * A placement-scaling sweep then times one timing-only
  * writeMetaOperandPair at paper geometry (SsdConfig::paperSsd()) with
@@ -422,15 +425,15 @@ main(int argc, char **argv)
         std::ifstream in(baseline_path);
         std::stringstream ss;
         ss << in.rdbuf();
-        const double base = jsonNumber(ss.str(), "events_per_sec");
+        const double base = jsonNumber(ss.str(), "sim_ops_per_sec");
         bench::section("regression gate");
         if (!in || base <= 0) {
             std::printf("  cannot read baseline %s\n",
                         baseline_path.c_str());
             rc = 1;
         } else {
-            const double ratio = base > 0 ? events_per_sec / base : 0.0;
-            std::printf("  baseline events/sec             %12.0f\n", base);
+            const double ratio = cmds_per_sec / base;
+            std::printf("  baseline simulated ops/sec      %12.0f\n", base);
             std::printf("  this run / baseline             %12.2f\n",
                         ratio);
             std::printf("  minimum allowed ratio           %12.2f\n",

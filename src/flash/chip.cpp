@@ -66,8 +66,11 @@ Chip::readPage(const ChipPageAddr &a)
     // stressing the block neighbors like any other sensing.  The read
     // itself stays ECC-clean (paper Section 5.8).
     chargeNeighborDisturb(a, a.msb ? 2 : 1);
-    const BitVector *d = blk.pageData(a.wordline, a.msb);
-    return d ? *d : BitVector(geom_.pageBits(), true);
+    if (const BitVector *d = blk.pageData(a.wordline, a.msb))
+        return *d;
+    // A timing-only array carries no payload at all; in a functional one
+    // a page whose payload a torn wordline dropped reads as all-ones.
+    return blk.storesData() ? BitVector(geom_.pageBits(), true) : BitVector();
 }
 
 bool

@@ -146,7 +146,9 @@ class Chip
     /**
      * Read a valid page through the normal (ECC-protected) path.  The
      * returned data is error-free per paper Section 5.8 (ECC corrects
-     * normal reads).  Pages without stored payload read as all-ones.
+     * normal reads).  A timing-only array (store_data = false) returns
+     * an empty vector; a functional page without stored payload (torn
+     * wordline) reads as all-ones.
      */
     BitVector readPage(const ChipPageAddr &a);
 

@@ -46,6 +46,15 @@ Ftl::chipAt(const flash::PhysPageAddr &a)
     return (*chips_).at(idx);
 }
 
+const flash::Block *
+Ftl::blockAt(const flash::PhysPageAddr &a) const
+{
+    const std::size_t idx =
+        static_cast<std::size_t>(a.channel) * cfg_.geometry.chipsPerChannel +
+        a.chip;
+    return (*chips_).at(idx).plane(a.die, a.plane).blockIfExists(a.block);
+}
+
 flash::ChipPageAddr
 Ftl::chipAddr(const flash::PhysPageAddr &a) const
 {
@@ -61,11 +70,18 @@ Ftl::invalidatePhys(const flash::PhysPageAddr &a)
                                                               a.msb);
 }
 
-Lpn
-Ftl::lpnAt(const flash::PhysPageAddr &a) const
+std::optional<Lpn>
+Ftl::ownerOf(const flash::PhysPageAddr &a) const
 {
-    auto it = reverse_.find(flash::linearPageIndex(cfg_.geometry, a));
-    return it == reverse_.end() ? kNoLpn : it->second;
+    const flash::Block *blk = blockAt(a);
+    if (!blk || blk->pageState(a.wordline, a.msb) != flash::PageState::kValid)
+        return std::nullopt;
+    const flash::PageOob *oob = blk->pageOob(a.wordline, a.msb);
+    const Lpn lpn = oob ? oob->lpn : kNoLpn;
+    const LpnTable::Entry *e = table_.find(lpn);
+    if (!e || !(e->addr == a))
+        return std::nullopt;
+    return lpn;
 }
 
 bool
@@ -152,16 +168,11 @@ Ftl::pickAlivePlane()
 }
 
 void
-Ftl::mapLpn(Lpn lpn, const flash::PhysPageAddr &a)
+Ftl::mapLpn(Lpn lpn, const flash::PhysPageAddr &a, bool scrambled)
 {
-    auto old = map_.find(lpn);
-    if (old != map_.end()) {
-        const flash::PhysPageAddr o = old->second;
-        invalidatePhys(o);
-        reverse_.erase(flash::linearPageIndex(cfg_.geometry, o));
-    }
-    map_[lpn] = a;
-    reverse_[flash::linearPageIndex(cfg_.geometry, a)] = lpn;
+    const LpnTable::Entry old = table_.assign(lpn, a, scrambled);
+    if (old.mapped)
+        invalidatePhys(old.addr);
 }
 
 void
@@ -278,9 +289,10 @@ Ftl::evacuateBlock(PlaneIndex plane, std::uint32_t block,
             flash::PhysPageAddr src = base;
             src.wordline = wl;
             src.msb = msb;
-            auto rit =
-                reverse_.find(flash::linearPageIndex(cfg_.geometry, src));
-            const Lpn lpn = rit != reverse_.end() ? rit->second : kNoLpn;
+            // Unmapped valid pages (pair backups mid-protocol) move too.
+            const std::optional<Lpn> owner = ownerOf(src);
+            const Lpn lpn = owner.value_or(kNoLpn);
+            const bool scrambled = owner && isScrambled(lpn);
 
             if (powerBoundary(false) != PowerCut::kNone)
                 return false;
@@ -288,17 +300,14 @@ Ftl::evacuateBlock(PlaneIndex plane, std::uint32_t block,
             ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
             const auto dst = programNextInPlane(
                 plane, Shape::kPage, cfg_.storeData ? &data : nullptr, true,
-                ops, lpn, OobTag::kGcRelocated,
-                lpn != kNoLpn && scrambledLpns_.count(lpn) > 0);
+                ops, lpn, OobTag::kGcRelocated, scrambled);
             if (!dst)
                 return false;
             ++gcWrites_;
-            invalidatePhys(src);
-            if (rit != reverse_.end()) {
-                reverse_.erase(rit);
-                map_[lpn] = *dst;
-                reverse_[flash::linearPageIndex(cfg_.geometry, *dst)] = lpn;
-            }
+            if (owner)
+                mapLpn(lpn, *dst, scrambled); // invalidates src
+            else
+                invalidatePhys(src);
         }
     }
     // Journal the erase ahead of issuing it: after a checkpoint this
@@ -445,12 +454,8 @@ Ftl::writePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
                     std::to_string(lpn));
         return false;
     }
-    if (scramble)
-        scrambledLpns_.insert(lpn);
-    else
-        scrambledLpns_.erase(lpn);
     ++hostWrites_;
-    mapLpn(lpn, *a);
+    mapLpn(lpn, *a, scramble);
     maybeCheckpoint(ops);
     return true;
 }
@@ -459,15 +464,14 @@ BitVector
 Ftl::readPage(Lpn lpn, std::vector<PhysOp> &ops)
 {
     PROFILE_SCOPE(obs::Subsystem::kFtl);
-    auto it = map_.find(lpn);
-    if (it == map_.end())
+    const LpnTable::Entry *e = table_.find(lpn);
+    if (!e)
         fatal("Ftl::readPage: unmapped LPN");
-    const flash::PhysPageAddr &a = it->second;
     if (powerBoundary(false) != PowerCut::kNone)
         return BitVector(cfg_.geometry.pageBits(), false); // power is down
-    ops.push_back(PhysOp{PhysOp::Kind::kPageRead, a, false});
-    BitVector page = chipAt(a).readPage(chipAddr(a));
-    if (cfg_.scrambleHostData && scrambledLpns_.count(lpn))
+    ops.push_back(PhysOp{PhysOp::Kind::kPageRead, e->addr, false});
+    BitVector page = chipAt(e->addr).readPage(chipAddr(e->addr));
+    if (cfg_.scrambleHostData && e->scrambled)
         scrambler_.apply(page, lpn);
     return page;
 }
@@ -475,30 +479,29 @@ Ftl::readPage(Lpn lpn, std::vector<PhysOp> &ops)
 std::optional<flash::PhysPageAddr>
 Ftl::lookup(Lpn lpn) const
 {
-    auto it = map_.find(lpn);
-    if (it == map_.end())
+    const LpnTable::Entry *e = table_.find(lpn);
+    if (!e)
         return std::nullopt;
-    return it->second;
+    return e->addr;
 }
 
 bool
 Ftl::pageAccessible(Lpn lpn)
 {
-    auto it = map_.find(lpn);
-    if (it == map_.end())
-        return false;
-    const flash::PhysPageAddr &a = it->second;
-    return chipAt(a).planeOperational(a.die, a.plane);
+    const LpnTable::Entry *e = table_.find(lpn);
+    return e && chipAt(e->addr).planeOperational(e->addr.die, e->addr.plane);
 }
 
 bool
 Ftl::trim(Lpn lpn, std::vector<PhysOp> *ops)
 {
+    PROFILE_SCOPE(obs::Subsystem::kFtl);
     if (powerLost_)
         return false;
-    auto it = map_.find(lpn);
-    if (it == map_.end())
+    const LpnTable::Entry *e = table_.find(lpn);
+    if (!e)
         return true;
+    const flash::PhysPageAddr a = e->addr;
     // Write-ahead: the trim record must be durable before the mapping
     // is dropped, otherwise recovery would resurrect the page (its OOB
     // entry is still the newest mapping on flash).
@@ -507,11 +510,8 @@ Ftl::trim(Lpn lpn, std::vector<PhysOp> *ops)
     if (!journalAppend(JournalRecord{JournalRecord::Kind::kTrim, 0, lpn, 0},
                        o))
         return false; // cut before the record flushed: trim not acked
-    const flash::PhysPageAddr a = it->second;
     invalidatePhys(a);
-    reverse_.erase(flash::linearPageIndex(cfg_.geometry, a));
-    map_.erase(it);
-    scrambledLpns_.erase(lpn);
+    table_.erase(lpn);
     // A buffered unpaired-LSB copy of this LPN must die with the trim,
     // or a later capacitor flush would resurrect the trimmed page.
     for (auto pit = plpBuffer_.begin(); pit != plpBuffer_.end();) {
@@ -528,6 +528,7 @@ Ftl::writePair(Lpn lpn_x, Lpn lpn_y, const BitVector *data_x,
                const BitVector *data_y, std::vector<PhysOp> &ops,
                std::optional<PlaneIndex> plane)
 {
+    PROFILE_SCOPE(obs::Subsystem::kFtl);
     if (plane && !planeAlive(*plane))
         return std::nullopt;
     const auto lsb = place({.shape = Shape::kPair,
@@ -551,10 +552,8 @@ Ftl::writePair(Lpn lpn_x, Lpn lpn_y, const BitVector *data_x,
     pair.msb.msb = true;
     parabitWrites_ += 2;
     // ParaBit operands are stored raw (scrambling off, Sec 4.3.2).
-    scrambledLpns_.erase(lpn_x);
-    scrambledLpns_.erase(lpn_y);
-    mapLpn(lpn_x, pair.lsb);
-    mapLpn(lpn_y, pair.msb);
+    mapLpn(lpn_x, pair.lsb, false);
+    mapLpn(lpn_y, pair.msb, false);
     maybeCheckpoint(ops);
     return pair;
 }
@@ -563,6 +562,7 @@ std::optional<flash::PhysPageAddr>
 Ftl::writeLsbOnly(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops,
                   std::optional<PlaneIndex> plane)
 {
+    PROFILE_SCOPE(obs::Subsystem::kFtl);
     if (plane && !planeAlive(*plane))
         return std::nullopt;
     const auto a = place({.shape = Shape::kLsbOnly,
@@ -577,8 +577,7 @@ Ftl::writeLsbOnly(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops,
         return std::nullopt;
     }
     ++parabitWrites_;
-    scrambledLpns_.erase(lpn);
-    mapLpn(lpn, *a);
+    mapLpn(lpn, *a, false);
     maybeCheckpoint(ops);
     return a;
 }
@@ -587,6 +586,7 @@ bool
 Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
                       const BitVector *data, std::vector<PhysOp> &ops)
 {
+    PROFILE_SCOPE(obs::Subsystem::kFtl);
     flash::PhysPageAddr msb = lsb_addr;
     msb.msb = true;
     flash::Chip &chip = chipAt(msb);
@@ -603,10 +603,8 @@ Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
     std::optional<flash::PhysPageAddr> backup;
     Lpn lsb_lpn = kNoLpn;
     if (recoveryEnabled()) {
-        auto rit = reverse_.find(flash::linearPageIndex(cfg_.geometry,
-                                                        lsb_addr));
-        if (rit != reverse_.end()) {
-            lsb_lpn = rit->second;
+        if (const std::optional<Lpn> owner = ownerOf(lsb_addr)) {
+            lsb_lpn = *owner;
             if (powerBoundary(false) != PowerCut::kNone)
                 return false;
             BitVector copy = chip.readPage(chipAddr(lsb_addr));
@@ -619,8 +617,7 @@ Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
             // caller's placement decision.
             backup = programNextInPlane(
                 p, Shape::kLsbOnly, cfg_.storeData ? &copy : nullptr, false,
-                ops, lsb_lpn, OobTag::kPairBackup,
-                scrambledLpns_.count(lsb_lpn) > 0);
+                ops, lsb_lpn, OobTag::kPairBackup, isScrambled(lsb_lpn));
             if (!backup)
                 return false; // cannot protect the LSB: refuse the drop
             ++parabitWrites_; // protocol overhead traffic
@@ -656,8 +653,7 @@ Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
             ops);
     }
     ++parabitWrites_;
-    scrambledLpns_.erase(lpn);
-    mapLpn(lpn, msb);
+    mapLpn(lpn, msb, false);
     maybeCheckpoint(ops);
     return true;
 }
@@ -670,10 +666,11 @@ Ftl::refreshOnePage(const flash::PhysPageAddr &src, Lpn lpn, OobTag tag,
         return false;
     BitVector data = chipAt(src).readPage(chipAddr(src));
     ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
+    const bool scrambled = isScrambled(lpn);
     const auto a = place({.shape = lsb_only ? Shape::kLsbOnly : Shape::kPage,
                           .tag = tag,
                           .forGc = true,
-                          .scrambled = scrambledLpns_.count(lpn) > 0,
+                          .scrambled = scrambled,
                           .lpn = lpn,
                           .data = cfg_.storeData ? &data : nullptr},
                          ops);
@@ -685,7 +682,7 @@ Ftl::refreshOnePage(const flash::PhysPageAddr &src, Lpn lpn, OobTag tag,
         return false;
     }
     ++refreshWrites_;
-    mapLpn(lpn, *a);
+    mapLpn(lpn, *a, scrambled);
     maybeCheckpoint(ops);
     return true;
 }
@@ -693,6 +690,7 @@ Ftl::refreshOnePage(const flash::PhysPageAddr &src, Lpn lpn, OobTag tag,
 bool
 Ftl::refreshWordline(const flash::PhysPageAddr &wl, std::vector<PhysOp> &ops)
 {
+    PROFILE_SCOPE(obs::Subsystem::kFtl);
     if (powerLost_)
         return false;
     flash::PhysPageAddr lsb = wl;
@@ -759,11 +757,14 @@ Ftl::refreshWordline(const flash::PhysPageAddr &wl, std::vector<PhysOp> &ops)
 bool
 Ftl::relocatePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
 {
-    if (map_.count(lpn) == 0)
+    PROFILE_SCOPE(obs::Subsystem::kFtl);
+    const LpnTable::Entry *e = table_.find(lpn);
+    if (!e)
         return false;
+    const bool scrambled = e->scrambled;
     const auto a = place({.tag = OobTag::kGcRelocated,
                           .forGc = true,
-                          .scrambled = scrambledLpns_.count(lpn) > 0,
+                          .scrambled = scrambled,
                           .lpn = lpn,
                           .data = data},
                          ops);
@@ -774,7 +775,7 @@ Ftl::relocatePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
         return false;
     }
     ++refreshWrites_;
-    mapLpn(lpn, *a);
+    mapLpn(lpn, *a, scrambled);
     maybeCheckpoint(ops);
     return true;
 }
@@ -784,62 +785,40 @@ Ftl::auditInvariants(InvariantReport &r) const
 {
     const flash::FlashGeometry &g = cfg_.geometry;
 
-    // ftl.map.bijection: map_ and reverse_ are exact inverses.  Equal
-    // sizes plus every forward entry round-tripping implies the reverse
-    // map holds nothing else.
-    if (!r.check(map_.size() == reverse_.size()))
-        r.fail("ftl.map.bijection", "table sizes",
-               "map has " + std::to_string(map_.size()) +
-                   " entries, reverse has " +
-                   std::to_string(reverse_.size()));
-    for (const auto &[lpn, addr] : map_) {
-        const std::uint64_t lin = flash::linearPageIndex(g, addr);
-        const auto rit = reverse_.find(lin);
-        if (!r.check(rit != reverse_.end() && rit->second == lpn)) {
-            r.fail("ftl.map.bijection", "lpn " + std::to_string(lpn),
-                   "maps to linear page " + std::to_string(lin) +
-                       ", whose reverse entry is " +
-                       (rit == reverse_.end()
-                            ? std::string("missing")
-                            : "lpn " + std::to_string(rit->second)));
-            continue; // the OOB checks below would only cascade
+    // ftl.map.bijection: every mapped LPN's page reads back as that LPN
+    // (valid, its OOB names the LPN).  The table maps each LPN once, so
+    // no page can then back two LPNs.
+    table_.forEach([&](Lpn lpn, const LpnTable::Entry &e) {
+        const std::string subj = "lpn " + std::to_string(lpn);
+        const std::optional<Lpn> owner = ownerOf(e.addr);
+        if (!r.check(owner == lpn)) {
+            r.fail("ftl.map.bijection", subj,
+                   "maps to linear page " +
+                       std::to_string(flash::linearPageIndex(g, e.addr)) +
+                       ", which reads back as " +
+                       (owner ? "lpn " + std::to_string(*owner)
+                              : std::string("no lpn")));
+            return; // the OOB checks below would only cascade
         }
 
-        // ftl.map.oob: the mapped page is valid on flash and its OOB
-        // metadata agrees with the tables.
-        const flash::Chip &chip =
-            (*chips_)[static_cast<std::size_t>(addr.channel) *
-                          g.chipsPerChannel +
-                      addr.chip];
-        const flash::Block *blk =
-            chip.plane(addr.die, addr.plane).blockIfExists(addr.block);
-        const std::string subj = "lpn " + std::to_string(lpn);
-        if (!r.check(blk != nullptr &&
-                     blk->pageState(addr.wordline, addr.msb) ==
-                         flash::PageState::kValid)) {
-            r.fail("ftl.map.oob", subj,
-                   "mapped physical page is not valid on flash");
-            continue;
-        }
-        const flash::PageOob *oob = blk->pageOob(addr.wordline, addr.msb);
-        if (!r.check(oob != nullptr && oob->lpn == lpn)) {
-            r.fail("ftl.map.oob", subj,
-                   std::string("OOB ") +
-                       (oob ? "lpn " + std::to_string(oob->lpn)
-                            : "metadata missing") +
-                       " does not name the mapped lpn");
-            continue;
+        // ftl.map.oob: the mapped page's OOB metadata agrees with the
+        // table.
+        const flash::PageOob *oob =
+            blockAt(e.addr)->pageOob(e.addr.wordline, e.addr.msb);
+        if (!r.check(oob != nullptr)) {
+            r.fail("ftl.map.oob", subj, "OOB metadata missing");
+            return;
         }
         if (!r.check(oob->seq < seq_))
             r.fail("ftl.map.oob", subj,
                    "OOB seq " + std::to_string(oob->seq) +
                        " >= next sequence " + std::to_string(seq_));
-        if (!r.check(oob->scrambled == (scrambledLpns_.count(lpn) > 0)))
+        if (!r.check(oob->scrambled == e.scrambled))
             r.fail("ftl.map.oob", subj,
                    std::string("OOB scrambled flag ") +
                        (oob->scrambled ? "set" : "clear") +
-                       " disagrees with the scrambled-LPN table");
-    }
+                       " disagrees with the table");
+    });
 
     // One walk over every materialised block: valid-count accounting
     // and the MLC program-order pairing invariant.
@@ -883,15 +862,16 @@ Ftl::auditInvariants(InvariantReport &r) const
 }
 
 bool
-Ftl::debugCorruptMapping(Lpn lpn)
+Ftl::debugCorruptMapping(Lpn lpn, std::optional<flash::PhysPageAddr> to)
 {
-    const auto it = map_.find(lpn);
-    if (it == map_.end())
+    const LpnTable::Entry *e = table_.find(lpn);
+    if (!e)
         return false;
-    // Reroute the forward entry one wordline over; reverse_ still holds
-    // the old linear index, so the bijection audit must fire.
-    it->second.wordline =
-        (it->second.wordline + 1) % cfg_.geometry.wordlinesPerBlock;
+    flash::PhysPageAddr a = e->addr;
+    a.wordline = (a.wordline + 1) % cfg_.geometry.wordlinesPerBlock;
+    // Flash is untouched: the page there does not read back as lpn (or
+    // is not valid), so the bijection audit must fire.
+    table_.assign(lpn, to.value_or(a), e->scrambled);
     return true;
 }
 

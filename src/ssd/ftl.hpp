@@ -19,9 +19,13 @@
  * program carries OOB metadata (LPN, sequence number, tag), mapping
  * deletions are write-ahead journaled to a reserved SLC log region,
  * periodic checkpoints bound the recovery scan, and powerCycle()
- * rebuilds map/reverse/allocator state after a kPowerLoss fault cut
+ * rebuilds the page map and allocator after a kPowerLoss fault cut
  * execution at an arbitrary PhysOp boundary.  See DESIGN.md "Crash
  * consistency".
+ *
+ * The page map is one LPN-ordered table (ssd/lpn_table.hpp).  There is
+ * no reverse map: the LPN a physical page holds is read off the page's
+ * OOB metadata and confirmed against the table (lpnAt()).
  */
 
 #ifndef PARABIT_SSD_FTL_HPP_
@@ -30,7 +34,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -40,6 +43,7 @@
 #include "ssd/allocator.hpp"
 #include "ssd/config.hpp"
 #include "ssd/fault_injector.hpp"
+#include "ssd/lpn_table.hpp"
 #include "ssd/recovery.hpp"
 #include "ssd/scrambler.hpp"
 
@@ -157,8 +161,13 @@ class Ftl
      *  then charges its error budget (ssd/health.hpp). */
     void setHealth(DeviceHealth *health) { health_ = health; }
 
-    /** LPN mapped to physical page @p a, or kNoLpn. */
-    Lpn lpnAt(const flash::PhysPageAddr &a) const;
+    /** LPN mapped to physical page @p a, or kNoLpn: the LPN the page's
+     *  OOB names, when the page is valid and that LPN's entry points
+     *  back at @p a. */
+    Lpn lpnAt(const flash::PhysPageAddr &a) const
+    {
+        return ownerOf(a).value_or(kNoLpn);
+    }
 
     /**
      * Refresh-relocate the wordline of @p wl (patrol scrubber, elevated
@@ -208,11 +217,11 @@ class Ftl
     bool checkpoint(std::vector<PhysOp> &ops);
 
     /**
-     * Power restoration after a cut: rebuild map_/reverse_/scrambled
-     * state by checkpoint load + journal replay + OOB scan with
-     * sequence-number arbitration (torn wordlines discarded), rebuild
-     * the allocator from physical block occupancy, and take a fresh
-     * checkpoint.  With recovery disabled the mapping is simply lost
+     * Power restoration after a cut: rebuild the page map (with each
+     * LPN's scrambled flag) by checkpoint load + journal replay + OOB
+     * scan with sequence-number arbitration (torn wordlines discarded),
+     * rebuild the allocator from physical block occupancy, and take a
+     * fresh checkpoint.  With recovery disabled the mapping is simply lost
      * (the device stays usable for new writes).  @p ops receives the
      * scan/replay reads for the timing layer.
      */
@@ -277,10 +286,11 @@ class Ftl
      * Audit the FTL's structural invariants against the chip array,
      * appending violations to @p r:
      *
-     *  - ftl.map.bijection: map_ and reverse_ are exact inverses;
-     *  - ftl.map.oob: every mapped page is valid on flash and its OOB
-     *    metadata (LPN, sequence bound, scrambled flag) agrees with the
-     *    mapping tables;
+     *  - ftl.map.bijection: every mapped LPN's page is valid and reads
+     *    back as that LPN through lpnAt() (its OOB names the LPN);
+     *  - ftl.map.oob: every mapped page's OOB metadata is present, its
+     *    sequence number is below the next one, and its scrambled flag
+     *    agrees with the table;
      *  - ftl.blocks.valid_count: every block's incremental valid-page
      *    counter equals a recount of its page states;
      *  - ftl.pair.lsb_msb: no wordline has a programmed MSB page over a
@@ -292,12 +302,15 @@ class Ftl
     void auditInvariants(InvariantReport &r) const;
 
     /**
-     * Deliberately corrupt the mapping of @p lpn — the physical address
-     * is rerouted without updating reverse_ — so negative tests and the
-     * parabit-model counterexample path can prove the audit fires.
-     * @return false when @p lpn is unmapped.  Test-only.
+     * Deliberately corrupt the mapping of @p lpn — its table entry is
+     * rerouted to @p to (default: one wordline over) without touching
+     * flash, so the page there does not read back as @p lpn — so
+     * negative tests and the parabit-model counterexample path can
+     * prove the audit fires.  @return false when @p lpn is unmapped.
+     * Test-only.
      */
-    bool debugCorruptMapping(Lpn lpn);
+    bool debugCorruptMapping(
+        Lpn lpn, std::optional<flash::PhysPageAddr> to = std::nullopt);
     /// @}
 
     /** Direct chip access for the controller layer. */
@@ -375,6 +388,8 @@ class Ftl
                        std::vector<PhysOp> &ops);
 
     flash::ChipPageAddr chipAddr(const flash::PhysPageAddr &a) const;
+    /** The block holding @p a, or nullptr if it was never touched. */
+    const flash::Block *blockAt(const flash::PhysPageAddr &a) const;
     /** Invalidate the physical page at @p a, folding it out of RAIN
      *  parity first (invalidate drops the payload the XOR needs).  The
      *  only invalidation gateway, as programPhys is for programs. */
@@ -383,8 +398,19 @@ class Ftl
      *  (refreshWordline's per-page path). */
     bool refreshOnePage(const flash::PhysPageAddr &src, Lpn lpn, OobTag tag,
                         bool lsb_only, std::vector<PhysOp> &ops);
-    /** Point @p lpn at @p a, invalidating its previous page. */
-    void mapLpn(Lpn lpn, const flash::PhysPageAddr &a);
+    /** Point @p lpn at @p a with @p scrambled, invalidating its
+     *  previous page. */
+    void mapLpn(Lpn lpn, const flash::PhysPageAddr &a, bool scrambled);
+    /** The LPN whose entry points at valid page @p a, named by the
+     *  page's OOB (a page programmed without OOB names kNoLpn, which
+     *  the wrapped scratch cursor can map); nullopt when none does. */
+    std::optional<Lpn> ownerOf(const flash::PhysPageAddr &a) const;
+    /** Whether @p lpn is mapped with whitened bits. */
+    bool isScrambled(Lpn lpn) const
+    {
+        const LpnTable::Entry *e = table_.find(lpn);
+        return e && e->scrambled;
+    }
     void collectGarbage(PlaneIndex plane, std::vector<PhysOp> &ops);
     void maybeWearLevel(PlaneIndex plane, std::vector<PhysOp> &ops);
     /** Program @p a (attempt is charged to @p ops either way) with OOB
@@ -433,12 +459,10 @@ class Ftl
     Allocator alloc_;
     Scrambler scrambler_;
     std::uint64_t logicalPages_;
-    std::unordered_map<Lpn, flash::PhysPageAddr> map_;
-    /** Reverse map: linear physical page index -> LPN (for GC). */
-    std::unordered_map<std::uint64_t, Lpn> reverse_;
-    /** LPNs whose stored bits are whitened (host path with scrambling);
-     *  ParaBit placements store raw data and clear membership. */
-    std::unordered_set<Lpn> scrambledLpns_;
+    /** The page map.  Host writes set each entry's scrambled flag,
+     *  ParaBit placements (raw data) clear it, and GC, refresh and
+     *  relocation keep it. */
+    LpnTable table_;
 
     /** @name Registered instruments (obs/metrics.hpp); value() feeds
      *  the accessor API, the registry feeds snapshots and dumps. */

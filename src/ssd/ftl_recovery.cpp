@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "common/logging.hpp"
+#include "obs/profiler.hpp"
 
 namespace parabit::ssd {
 
@@ -66,7 +67,7 @@ Ftl::restorePlpEntries(RecoveryReport &rep, std::vector<PhysOp> &ops)
             continue;
         first = false;
         prev = e.lpn;
-        if (map_.count(e.lpn) > 0)
+        if (table_.find(e.lpn))
             continue; // the flash copy survived: the dump is redundant
         const auto a = place({.tag = OobTag::kHostData,
                               .scrambled = e.scrambled,
@@ -86,9 +87,7 @@ Ftl::restorePlpEntries(RecoveryReport &rep, std::vector<PhysOp> &ops)
                         std::to_string(e.lpn) + " from the PLP dump");
             continue;
         }
-        mapLpn(e.lpn, *a);
-        if (e.scrambled)
-            scrambledLpns_.insert(e.lpn);
+        mapLpn(e.lpn, *a, e.scrambled);
         ++rep.plpRestored;
     }
 }
@@ -208,21 +207,19 @@ Ftl::journalAppend(JournalRecord r, std::vector<PhysOp> &ops)
 bool
 Ftl::checkpoint(std::vector<PhysOp> &ops)
 {
+    PROFILE_SCOPE(obs::Subsystem::kFtl);
     if (!recoveryEnabled() || powerLost_ || inCheckpoint_)
         return false;
     inCheckpoint_ = true;
 
     CheckpointImage img;
     img.seq = seq_;
-    img.map.reserve(map_.size());
-    for (const auto &[lpn, a] : map_)
+    img.map.reserve(table_.size());
+    // The table walks in LPN order, so the image needs no sort.
+    table_.forEach([&](Lpn lpn, const LpnTable::Entry &e) {
         img.map.push_back(CheckpointImage::Entry{
-            lpn, flash::linearPageIndex(cfg_.geometry, a),
-            scrambledLpns_.count(lpn) > 0});
-    // Deterministic image (unordered_map iteration order is not).
-    std::sort(img.map.begin(), img.map.end(),
-              [](const CheckpointImage::Entry &x,
-                 const CheckpointImage::Entry &y) { return x.lpn < y.lpn; });
+            lpn, flash::linearPageIndex(cfg_.geometry, e.addr), e.scrambled});
+    });
     for (PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {
         for (std::uint32_t b : alloc_.poolBlocks(p))
             img.scanBlocks.push_back(linearBlockId(p, b));
@@ -290,9 +287,7 @@ Ftl::recover(std::vector<PhysOp> &ops)
 {
     RecoveryReport rep;
     rep.recovered = true;
-    map_.clear();
-    reverse_.clear();
-    scrambledLpns_.clear();
+    table_.clear();
     inGc_ = false;
     inCheckpoint_ = false;
 
@@ -444,14 +439,11 @@ Ftl::recover(std::vector<PhysOp> &ops)
             const flash::PageOob *oob = blk->pageOob(a.wordline, a.msb);
             if (!oob || oob->lpn != lpn)
                 continue;
-            map_[lpn] = a;
-            reverse_[cand.phys] = lpn;
-            if (oob->scrambled)
-                scrambledLpns_.insert(lpn);
+            table_.assign(lpn, a, oob->scrambled);
             break;
         }
     }
-    rep.mappingsRebuilt = map_.size();
+    rep.mappingsRebuilt = table_.size();
 
     // Phase 4: valid pages that lost arbitration (stale copies, torn
     // survivors, released backups) are marked invalid so GC reclaims
@@ -477,9 +469,7 @@ Ftl::recover(std::vector<PhysOp> &ops)
                 flash::PhysPageAddr a = probe;
                 a.wordline = wl;
                 a.msb = msb;
-                const std::uint64_t lin =
-                    flash::linearPageIndex(cfg_.geometry, a);
-                if (reverse_.count(lin))
+                if (ownerOf(a))
                     continue; // arbitration winner: stays valid
                 blk->invalidate(wl, msb);
                 ++rep.staleInvalidated;
@@ -519,6 +509,7 @@ Ftl::rebuildAllocator()
 RecoveryReport
 Ftl::powerCycle(std::vector<PhysOp> &ops)
 {
+    PROFILE_SCOPE(obs::Subsystem::kFtl);
     // A clean restart (no prior cut) still loses controller RAM: dump
     // the unpaired-LSB buffer as if the plug had been pulled now.
     if (recoveryEnabled() && !powerLost_)
@@ -527,9 +518,7 @@ Ftl::powerCycle(std::vector<PhysOp> &ops)
     if (!recoveryEnabled()) {
         // No SPOR subsystem: the volatile mapping is simply gone.  The
         // device stays usable for new writes (motivating test case).
-        map_.clear();
-        reverse_.clear();
-        scrambledLpns_.clear();
+        table_.clear();
         inGc_ = false;
         rebuildAllocator();
         RecoveryReport rep;

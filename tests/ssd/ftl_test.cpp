@@ -219,6 +219,37 @@ TEST(Ftl, GcOpsAreFlaggedForTiming)
     EXPECT_TRUE(saw_erase);
 }
 
+TEST(Ftl, TimingOnlyReadCarriesNoPayload)
+{
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.storeData = false;
+    std::vector<flash::Chip> chips;
+    for (std::uint32_t i = 0; i < cfg.geometry.chips(); ++i)
+        chips.emplace_back(cfg.geometry, cfg.storeData, cfg.errors, i);
+    Ftl ftl(cfg, chips);
+    std::vector<PhysOp> ops;
+    ASSERT_TRUE(ftl.writePage(3, nullptr, ops));
+    std::vector<PhysOp> rops;
+    EXPECT_TRUE(ftl.readPage(3, rops).empty());
+    ASSERT_EQ(rops.size(), 1u);
+    EXPECT_EQ(rops[0].kind, PhysOp::Kind::kPageRead);
+    EXPECT_EQ(rops[0].addr, ftl.lookup(3));
+}
+
+TEST(Ftl, TornPageReadsAsOnesInAFunctionalArray)
+{
+    FtlFixture f;
+    Rng rng(4);
+    std::vector<PhysOp> ops;
+    const BitVector d = f.randomPage(rng);
+    f.ftl->writePage(3, &d, ops);
+    const flash::PhysPageAddr a = *f.ftl->lookup(3);
+    f.ftl->chipAt(a).markTornWordline(
+        {a.die, a.plane, a.block, a.wordline, a.msb});
+    EXPECT_EQ(f.ftl->readPage(3, ops),
+              BitVector(f.cfg.geometry.pageBits(), true));
+}
+
 TEST(Ftl, UnmappedReadDies)
 {
     FtlFixture f;

@@ -104,6 +104,26 @@ TEST(Invariants, FtlMapCorruptionFiresBijectionId)
     EXPECT_TRUE(r.has("ftl.map.bijection")) << r.describe();
 }
 
+TEST(Invariants, MappingOntoAnInvalidatedCopyFiresBijectionId)
+{
+    // The stale page still names the LPN in its OOB; only its page
+    // state tells it from the live copy.
+    SsdConfig cfg = auditedConfig();
+    cfg.invariants.auditInterval = 0;
+    SsdDevice dev(cfg);
+    const auto ref = seededPages(cfg, 2, 0x01DC);
+    std::vector<PhysOp> ops;
+    ASSERT_TRUE(dev.ftl().writePage(4, &ref[0], ops));
+    const auto stale = dev.ftl().lookup(4);
+    ASSERT_TRUE(dev.ftl().writePage(4, &ref[1], ops));
+    ASSERT_TRUE(stale);
+    ASSERT_NE(dev.ftl().lookup(4), stale);
+    ASSERT_TRUE(dev.ftl().debugCorruptMapping(4, *stale));
+    InvariantReport r;
+    ASSERT_TRUE(dev.invariantRegistry().runSuite("ftl", r));
+    EXPECT_TRUE(r.has("ftl.map.bijection")) << r.describe();
+}
+
 TEST(Invariants, RainParityCorruptionFiresStripeXorId)
 {
     SsdConfig cfg = auditedConfig();
