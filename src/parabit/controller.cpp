@@ -52,12 +52,12 @@ Controller::Controller(ssd::SsdDevice &ssd)
 }
 
 void
-Controller::noteOps(Mode mode, flash::BitwiseOp op, std::uint64_t n)
+Controller::noteOp(Mode mode, flash::BitwiseOp op)
 {
     const std::size_t idx =
         static_cast<std::size_t>(mode) * flash::kNumBitwiseOps +
         static_cast<std::size_t>(op);
-    opCounters_[idx] += n;
+    ++opCounters_[idx];
 }
 
 void
@@ -95,7 +95,8 @@ chipAddr(const flash::PhysPageAddr &a)
     return flash::ChipPageAddr{a.die, a.plane, a.block, a.wordline, a.msb};
 }
 
-/** Host-CPU reference computation for the fallback path. */
+/** Host-CPU reference computation for the fallback path.  A unary op
+ *  (NOT) reads its one operand, @p y. */
 BitVector
 cpuBitwise(flash::BitwiseOp op, const BitVector &x, const BitVector &y)
 {
@@ -107,7 +108,7 @@ cpuBitwise(flash::BitwiseOp op, const BitVector &x, const BitVector &y)
       case flash::BitwiseOp::kNand: return ~(x & y);
       case flash::BitwiseOp::kNor: return ~(x | y);
       case flash::BitwiseOp::kNotLsb:
-      case flash::BitwiseOp::kNotMsb: return ~x;
+      case flash::BitwiseOp::kNotMsb: return ~y;
     }
     return {};
 }
@@ -116,6 +117,27 @@ bool
 oddParity(const BitVector &v)
 {
     return (v.popcount() & 1) != 0;
+}
+
+/** Result parity of @p op, predicted from its operand payloads; nullopt
+ *  for the ops whose parity the operands' parities do not decide. */
+std::optional<bool>
+predictedParity(flash::BitwiseOp op, const BitVector &x, const BitVector &y)
+{
+    // Inverting a page flips its parity iff the page has an odd width.
+    const bool odd_width = (y.size() & 1) != 0;
+    switch (op) {
+      case flash::BitwiseOp::kXor: return oddParity(x) != oddParity(y);
+      case flash::BitwiseOp::kXnor:
+        return (oddParity(x) != oddParity(y)) != odd_width;
+      case flash::BitwiseOp::kNotLsb:
+      case flash::BitwiseOp::kNotMsb: return oddParity(y) != odd_width;
+      case flash::BitwiseOp::kAnd:
+      case flash::BitwiseOp::kOr:
+      case flash::BitwiseOp::kNand:
+      case flash::BitwiseOp::kNor: return std::nullopt;
+    }
+    return std::nullopt;
 }
 
 } // namespace
@@ -145,8 +167,8 @@ Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
     b.maskTail();
 
     std::vector<ssd::PhysOp> ops;
-    const nvme::Lpn sx = scratchLpn_--;
-    const nvme::Lpn sy = scratchLpn_--;
+    const nvme::Lpn sx = claimScratch();
+    const nvme::Lpn sy = claimScratch();
     const auto pair = ftl.writePair(sx, sy, &a, &b, ops, p);
     stats.pagePrograms += 2;
     ready = ssd_->scheduleOps(ops, ready);
@@ -234,22 +256,8 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
     // Consistent faults (stuck bitlines) make every redundant run agree
     // on the same wrong answer; the known-answer self-test screens them
     // out before any voting is trusted.
-    if (!planeComputeTrusted(req.loc, ready, stats)) {
-        if (policy_.hostFallback && req.fallback) {
-            if (auto fb = req.fallback(ready)) {
-                ++stats.hostFallbacks;
-                out.data = std::move(*fb);
-                out.done = ready;
-                return out;
-            }
-            out.status = ExecStatus::kDataLoss;
-            out.done = ready;
-            return out;
-        }
-        out.status = ExecStatus::kUncorrectable;
-        out.done = ready;
-        return out;
-    }
+    if (!planeComputeTrusted(req.loc, ready, stats))
+        return fallBack(req.fallback, ready, stats, ExecStatus::kDataLoss);
 
     auto run = [&] {
         int errors = 0;
@@ -319,77 +327,96 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
     }
 
     const Tick sensed = book(executions, accepted.has_value());
-    if (accepted) {
-        out.data = std::move(*accepted);
-        out.done = sensed;
-        return out;
-    }
+    if (!accepted) // ladder exhausted
+        return fallBack(req.fallback, sensed, stats, ExecStatus::kDataLoss);
+    out.data = std::move(*accepted);
+    out.done = sensed;
+    return out;
+}
 
-    // Ladder exhausted: degrade to the host path or report.
-    ready = sensed;
-    if (policy_.hostFallback && req.fallback) {
-        if (auto fb = req.fallback(ready)) {
-            ++stats.hostFallbacks;
-            out.data = std::move(*fb);
-            out.done = ready;
-            return out;
-        }
-        out.status = ExecStatus::kDataLoss;
-        out.done = ready;
-        return out;
+Controller::SenseOutcome
+Controller::fallBack(const Fallback &fallback, Tick ready, ExecStats &stats,
+                     ExecStatus if_unreachable)
+{
+    SenseOutcome out;
+    if (!policy_.enabled || !policy_.hostFallback || !fallback) {
+        out.status = ExecStatus::kUncorrectable;
+    } else if (auto fb = fallback(ready)) {
+        ++stats.hostFallbacks;
+        out.data = std::move(*fb);
+    } else {
+        out.status = if_unreachable;
     }
-    out.status = ExecStatus::kUncorrectable;
     out.done = ready;
     return out;
 }
 
 std::optional<flash::PhysPageAddr>
-Controller::reallocatePair(std::optional<nvme::Lpn> x_lpn,
-                           const BitVector *x_buf, nvme::Lpn y_lpn,
-                           bool read_x, Tick at, ExecStats &stats,
-                           Tick &ready, BitVector *x_out, BitVector *y_out)
+Controller::reallocate(bool unary, std::optional<nvme::Lpn> x_lpn,
+                       const BitVector *x_buf, nvme::Lpn y_lpn, Tick &ready,
+                       ExecStats &stats, BitVector &x_out, BitVector &y_out)
 {
     ssd::Ftl &ftl = ssd_->ftl();
     const Bytes page = ssd_->geometry().pageBytes;
+    const bool functional = ssd_->config().storeData;
 
-    // Phase 1: read the operands that live in flash.
-    std::vector<ssd::PhysOp> read_ops;
-    BitVector x_data, y_data;
-    if (x_lpn && read_x) {
-        x_data = ftl.readPage(*x_lpn, read_ops);
+    // Read the operands that live in flash as one scheduler batch:
+    // co-plane reads arbitrate against each other (and against
+    // co-pending traffic) rather than being booked one call at a time.
+    std::vector<ssd::PhysOp> ops;
+    if (x_lpn) {
+        x_out = ftl.readPage(*x_lpn, ops);
         ++stats.pageReads;
     } else if (x_buf) {
-        x_data = *x_buf;
+        x_out = *x_buf;
     }
-    y_data = ftl.readPage(y_lpn, read_ops);
+    y_out = ftl.readPage(y_lpn, ops);
     ++stats.pageReads;
-    // Emit the operand reads as one scheduler batch: co-plane reads
-    // arbitrate against each other (and against co-pending traffic)
-    // rather than being booked one call at a time.
-    const Tick reads_done = ssd_->scheduleOps(read_ops, at);
-    if (x_out)
-        *x_out = x_data;
-    if (y_out)
-        *y_out = y_data;
+    ready = ssd_->scheduleOps(ops, ready);
 
-    // Phase 2: program both pages onto one fresh wordline.  The pair
-    // claims two scratch LPNs so the FTL tracks the copies.
-    std::vector<ssd::PhysOp> prog_ops;
-    const nvme::Lpn sx = scratchLpn_--;
-    const nvme::Lpn sy = scratchLpn_--;
-    const bool functional = ssd_->config().storeData;
-    const auto pair =
-        ftl.writePair(sx, sy, functional ? &x_data : nullptr,
-                      functional ? &y_data : nullptr, prog_ops);
-    stats.pagePrograms += 2;
-    stats.reallocBytes += 2 * page;
-    ready = ssd_->scheduleOps(prog_ops, reads_done);
-    if (!pair)
-        return std::nullopt;
-    return pair->lsb;
+    // Program the copies once the reads complete, each under a scratch
+    // LPN so the FTL tracks it.
+    ops.clear();
+    std::optional<flash::PhysPageAddr> sense_at;
+    if (unary) {
+        sense_at = ftl.writeLsbOnly(claimScratch(),
+                                    functional ? &y_out : nullptr, ops);
+        ++stats.pagePrograms;
+        stats.reallocBytes += page;
+    } else {
+        const nvme::Lpn sx = claimScratch();
+        const nvme::Lpn sy = claimScratch();
+        if (const auto pair =
+                ftl.writePair(sx, sy, functional ? &x_out : nullptr,
+                              functional ? &y_out : nullptr, ops))
+            sense_at = pair->lsb;
+        stats.pagePrograms += 2;
+        stats.reallocBytes += 2 * page;
+    }
+    ready = ssd_->scheduleOps(ops, ready);
+    return sense_at;
 }
 
-Controller::PageOpOutcome
+std::optional<flash::PhysPageAddr>
+Controller::stageIntoPlane(nvme::Lpn x_lpn, const flash::PhysPageAddr &y,
+                           Tick &ready, ExecStats &stats)
+{
+    ssd::Ftl &ftl = ssd_->ftl();
+    std::vector<ssd::PhysOp> ops;
+    const BitVector staged = ftl.readPage(x_lpn, ops);
+    ++stats.pageReads;
+    const ssd::PlaneIndex target = ssd::planeIndex(
+        ssd_->geometry(), {y.channel, y.chip, y.die, y.plane});
+    const auto copy = ftl.writeLsbOnly(
+        claimScratch(), ssd_->config().storeData ? &staged : nullptr, ops,
+        target);
+    ++stats.pagePrograms;
+    stats.reallocBytes += ssd_->geometry().pageBytes;
+    ready = ssd_->scheduleOps(ops, ready);
+    return copy;
+}
+
+Controller::SenseOutcome
 Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
                           const BitVector *x_buf, nvme::Lpn y_lpn, Mode mode,
                           Tick at, Bytes result_xfer, ExecStats &stats)
@@ -397,40 +424,38 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
     ssd::Ftl &ftl = ssd_->ftl();
     const Bytes page = ssd_->geometry().pageBytes;
     const bool functional = ssd_->config().storeData;
+    // A unary op (NOT) has no X: it senses its operand's own wordline and
+    // counts once its flavour is known, below.
+    const bool unary = flash::isUnary(op);
+    if (!unary)
+        noteOp(mode, op);
 
     auto y_addr = ftl.lookup(y_lpn);
     if (!y_addr)
         fatal("ParaBit: second operand LPN is unmapped");
-
     std::optional<flash::PhysPageAddr> x_addr =
         x_lpn ? ftl.lookup(*x_lpn) : std::nullopt;
     if (x_lpn && !x_addr)
         fatal("ParaBit: first operand LPN is unmapped");
 
-    PageOpOutcome out;
-    out.senseLoc = *y_addr;
-    Tick ready = at;
-
     // A dead plane takes its resident operands with it — unless the
     // device carries RAIN parity, which rebuilds the page on a live
     // plane; only when that fails too is the data genuinely gone.
-    if (!ftl.pageAccessible(y_lpn) && ssd_->repairPage(y_lpn, at)) {
+    if (!ftl.pageAccessible(y_lpn) && ssd_->repairPage(y_lpn, at))
         y_addr = ftl.lookup(y_lpn);
-        out.senseLoc = *y_addr;
-    }
     if (x_lpn && !ftl.pageAccessible(*x_lpn) && ssd_->repairPage(*x_lpn, at))
         x_addr = ftl.lookup(*x_lpn);
     if (!ftl.pageAccessible(y_lpn) ||
-        (x_lpn && !ftl.pageAccessible(*x_lpn))) {
-        out.status = ExecStatus::kDataLoss;
-        out.done = at;
-        return out;
-    }
+        (x_lpn && !ftl.pageAccessible(*x_lpn)))
+        return {std::nullopt, at, ExecStatus::kDataLoss};
 
-    // Host-side fallback: conventional ECC-protected reads of both
+    Tick ready = at;
+    SenseRequest req;
+    req.resultXfer = result_xfer;
+    // Host-side fallback: conventional ECC-protected reads of the
     // operands plus CPU bitwise compute — bit-exact by construction.
-    auto host_fallback = [this, &ftl, &stats, x_lpn, x_buf, y_lpn, op,
-                          functional](Tick &rdy) -> std::optional<BitVector> {
+    req.fallback = [this, &ftl, &stats, x_lpn, x_buf, y_lpn, op, unary,
+                    functional](Tick &rdy) -> std::optional<BitVector> {
         if (!functional)
             return std::nullopt;
         std::vector<ssd::PhysOp> ops;
@@ -440,83 +465,45 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
         } else if (x_lpn && ftl.pageAccessible(*x_lpn)) {
             x = ftl.readPage(*x_lpn, ops);
             ++stats.pageReads;
-        } else {
+        } else if (!unary) {
             return std::nullopt;
         }
         if (!ftl.pageAccessible(y_lpn))
             return std::nullopt;
-        BitVector y = ftl.readPage(y_lpn, ops);
+        const BitVector y = ftl.readPage(y_lpn, ops);
         ++stats.pageReads;
         rdy = ssd_->scheduleOps(ops, rdy);
         return cpuBitwise(op, x, y);
     };
 
-    // Graceful degradation when operands cannot be staged/paired for
-    // in-flash execution at all.
-    auto degrade = [&](Tick rdy) {
-        PageOpOutcome o;
-        o.senseLoc = *y_addr;
-        if (policy_.enabled && policy_.hostFallback) {
-            if (auto fb = host_fallback(rdy)) {
-                ++stats.hostFallbacks;
-                o.result = std::move(*fb);
-                o.done = rdy;
-                return o;
-            }
-        }
-        o.status = ExecStatus::kUncorrectable;
-        o.done = rdy;
-        return o;
-    };
-
     // ----- Location-free: sense across wordlines, no reallocation. ----
-    if (mode == Mode::kLocationFree) {
+    if (mode == Mode::kLocationFree && !unary) {
         if (!x_lpn) {
             // Chain continuation: the running result is re-loaded from
             // the controller buffer through the data-load path while Y
             // is sensed from its cells (paper Section 4.2) — no flash
             // program, no staging.
-            const flash::MicroProgram &prog = flash::locationFreeProgram(
-                op, flash::LocFreeVariant::kLsbLsb);
-            SenseRequest req;
             req.loc = *y_addr;
-            req.senseCount = prog.senseCount();
+            req.senseCount =
+                flash::locationFreeProgram(op, flash::LocFreeVariant::kLsbLsb)
+                    .senseCount();
             req.xferIn = page;
-            req.resultXfer = result_xfer;
             if (functional && x_buf != nullptr)
                 req.execute = [this, op, x_buf, loc = *y_addr](int *e) {
                     return ssd_->chipAt(loc.channel, loc.chip)
                         .opBufferedOperand(op, *x_buf, chipAddr(loc), e);
                 };
-            req.fallback = host_fallback;
-            SenseOutcome so = runSense(req, ready, stats);
-            out.result = std::move(so.data);
-            out.status = so.status;
-            out.done = so.done;
-            return out;
+            return runSense(req, ready, stats);
         }
-        // Stage a timing-only chain result or a cross-plane operand
-        // into the plane of Y first; rare under a sane layout.
+        // Placement failure (here and below) leaves the operands intact,
+        // so it degrades to the host path or reports kUncorrectable.
+        // Stage a cross-plane operand into the plane of Y first; rare
+        // under a sane layout.
         if (!x_addr || !x_addr->sameBitlines(*y_addr)) {
-            std::vector<ssd::PhysOp> ops;
-            const nvme::Lpn sx = scratchLpn_--;
-            BitVector staged;
-            if (x_addr) {
-                staged = ftl.readPage(*x_lpn, ops);
-                ++stats.pageReads;
-            } else if (x_buf) {
-                staged = *x_buf;
-            }
-            const ssd::PlaneIndex target = ssd::planeIndex(
-                ssd_->geometry(), {y_addr->channel, y_addr->chip, y_addr->die,
-                                   y_addr->plane});
-            x_addr = ftl.writeLsbOnly(sx, functional ? &staged : nullptr,
-                                      ops, target);
-            ++stats.pagePrograms;
-            stats.reallocBytes += page;
-            ready = ssd_->scheduleOps(ops, ready);
+            x_addr = stageIntoPlane(*x_lpn, *y_addr, ready, stats);
             if (!x_addr)
-                return degrade(ready); // could not stage into Y's plane
+                return fallBack(req.fallback, ready, stats,
+                                ExecStatus::kUncorrectable);
         }
 
         // Pick the program variant from the physical placement; the
@@ -530,62 +517,56 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
         } else if (!m.msb && !n.msb) {
             variant = flash::LocFreeVariant::kLsbLsb;
         } else {
-            // Both MSB: use the LSB-LSB shape with MSB-read semantics is
-            // not defined; stage X into an LSB page instead.
-            std::vector<ssd::PhysOp> ops;
-            const nvme::Lpn sx = scratchLpn_--;
-            BitVector staged = functional ? ftl.readPage(*x_lpn, ops)
-                                          : BitVector();
-            ++stats.pageReads;
-            const ssd::PlaneIndex target = ssd::planeIndex(
-                ssd_->geometry(), {n.channel, n.chip, n.die, n.plane});
-            const auto staged_m =
-                ftl.writeLsbOnly(sx, functional ? &staged : nullptr, ops,
-                                 target);
-            ++stats.pagePrograms;
-            stats.reallocBytes += page;
-            ready = ssd_->scheduleOps(ops, ready);
-            if (!staged_m)
-                return degrade(ready);
-            m = *staged_m;
+            // Both MSB: no variant reads two MSB pages, so stage X into
+            // an LSB page.  The staged copy is still sensed as LSB-LSB
+            // against Y's MSB page, which returns wrong pages (ROADMAP
+            // item 2); the fix belongs in this branch.
+            const auto staged = stageIntoPlane(*x_lpn, n, ready, stats);
+            if (!staged)
+                return fallBack(req.fallback, ready, stats,
+                                ExecStatus::kUncorrectable);
+            m = *staged;
             variant = flash::LocFreeVariant::kLsbLsb;
         }
-
-        const flash::MicroProgram &prog = flash::locationFreeProgram(
-            op, variant);
-        SenseRequest req;
         req.loc = n;
-        req.senseCount = prog.senseCount();
-        req.resultXfer = result_xfer;
+        req.senseCount = flash::locationFreeProgram(op, variant).senseCount();
         if (functional)
             req.execute = [this, op, m, n, variant](int *e) {
                 return ssd_->chipAt(m.channel, m.chip)
                     .opLocationFree(op, chipAddr(m), chipAddr(n), e,
                                     variant);
             };
-        req.fallback = host_fallback;
-        SenseOutcome so = runSense(req, ready, stats);
-        out.result = std::move(so.data);
-        out.status = so.status;
-        out.senseLoc = n;
-        out.done = so.done;
-        return out;
+        return runSense(req, ready, stats);
     }
 
-    // ----- Co-located modes. ------------------------------------------
-    flash::PhysPageAddr wl_addr{};
-    bool need_realloc = true;
+    // ----- Co-located sensing of one wordline. -------------------------
+    flash::PhysPageAddr wl = *y_addr;
     BitVector x_known, y_known; ///< operand payloads read along the way
-
-    if (mode == Mode::kPreAllocated) {
-        if (x_addr && x_addr->sameWordline(*y_addr)) {
-            // Ideal pre-allocation: operands already share the MLCs.
-            wl_addr = *y_addr;
-            need_realloc = false;
-        } else if (!y_addr->msb) {
+    if (unary) {
+        // ReAlloc still moves the operand to a fresh LSB-only page (the
+        // paper charges NOT the reallocation).
+        if (mode == Mode::kReAllocate) {
+            const auto copy = reallocate(true, std::nullopt, nullptr, y_lpn,
+                                         ready, stats, x_known, y_known);
+            // NOT never needed the move for correctness: a copy that
+            // cannot be placed leaves it sensing the original in place.
+            if (copy)
+                wl = *copy;
+        }
+        op = wl.msb ? flash::BitwiseOp::kNotMsb : flash::BitwiseOp::kNotLsb;
+        noteOp(mode, op);
+    } else if (mode != Mode::kPreAllocated || !x_addr ||
+               !x_addr->sameWordline(*y_addr)) {
+        // Unless pre-allocation already put the operands on one
+        // wordline, pair them: X is read from pair_x when set, else
+        // taken from pair_x_buf.
+        std::optional<nvme::Lpn> pair_x = x_lpn;
+        const BitVector *pair_x_buf = x_buf;
+        BitVector x_data;
+        bool dropped = false;
+        if (mode == Mode::kPreAllocated && !y_addr->msb) {
             // Chain continuation: drop X (buffer or flash) into the free
             // MSB of Y's wordline — a single program.
-            BitVector x_data;
             std::vector<ssd::PhysOp> ops;
             if (x_buf) {
                 x_data = *x_buf;
@@ -593,74 +574,51 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
                 x_data = ftl.readPage(*x_lpn, ops);
                 ++stats.pageReads;
             }
-            const nvme::Lpn sx = scratchLpn_--;
-            if (ftl.writeIntoFreeMsb(sx, *y_addr,
-                                     functional ? &x_data : nullptr, ops)) {
+            dropped = ftl.writeIntoFreeMsb(claimScratch(), *y_addr,
+                                           functional ? &x_data : nullptr,
+                                           ops);
+            if (dropped) {
                 ++stats.pagePrograms;
                 stats.reallocBytes += page;
-                ready = ssd_->scheduleOps(ops, ready);
-                wl_addr = *y_addr;
-                need_realloc = false;
-            } else if (!ops.empty()) {
-                // The read happened but the MSB was taken (or its block
-                // just got retired); fall through to full reallocation
-                // without re-reading.
-                ready = ssd_->scheduleOps(ops, ready);
-                const auto re = reallocatePair(
-                    x_lpn, functional ? &x_data : nullptr, y_lpn, false,
-                    ready, stats, ready, &x_known, &y_known);
-                if (!re)
-                    return degrade(ready);
-                wl_addr = *re;
-                need_realloc = false;
             }
+            if (!ops.empty()) {
+                // If the MSB was taken (or its block just got retired),
+                // the full reallocation below reuses the X read here.
+                ready = ssd_->scheduleOps(ops, ready);
+                pair_x = std::nullopt;
+                pair_x_buf = &x_data;
+            }
+        }
+        if (!dropped) {
+            // ParaBit-ReAlloc (and the PreAllocated fallback): re-pair
+            // the operands on a fresh wordline.  A binary op has no
+            // in-place sensing to fall back on.
+            const auto pair = reallocate(false, pair_x, pair_x_buf, y_lpn,
+                                         ready, stats, x_known, y_known);
+            if (!pair)
+                return fallBack(req.fallback, ready, stats,
+                                ExecStatus::kUncorrectable);
+            wl = *pair;
         }
     }
 
-    if (need_realloc) {
-        // ParaBit-ReAlloc (and PreAllocated fallback): read both
-        // operands, re-pair them on a fresh wordline.
-        const auto re =
-            reallocatePair(x_lpn, x_buf, y_lpn, x_lpn.has_value(), at, stats,
-                           ready, &x_known, &y_known);
-        if (!re)
-            return degrade(ready);
-        wl_addr = *re;
-    }
-
-    const bool have_operands =
-        functional && !x_known.empty() && !y_known.empty();
-    const flash::MicroProgram &prog = flash::coLocatedProgram(op);
-    SenseRequest req;
-    req.loc = wl_addr;
-    req.senseCount = prog.senseCount();
-    req.resultXfer = result_xfer;
+    req.loc = wl;
+    req.senseCount = flash::coLocatedProgram(op).senseCount();
     if (functional)
-        req.execute = [this, op, wl_addr](int *e) {
-            return ssd_->chipAt(wl_addr.channel, wl_addr.chip)
-                .opCoLocated(op, chipAddr(wl_addr), e);
+        req.execute = [this, op, wl](int *e) {
+            return ssd_->chipAt(wl.channel, wl.chip)
+                .opCoLocated(op, chipAddr(wl), e);
         };
-    if (have_operands) {
-        // Operand payloads are in hand: the XOR/XNOR parities are
-        // predictable, and the fallback is a free exact recompute.
-        if (op == flash::BitwiseOp::kXor)
-            req.expectedParity = oddParity(x_known) != oddParity(y_known);
-        else if (op == flash::BitwiseOp::kXnor)
-            req.expectedParity = (oddParity(x_known) != oddParity(y_known)) !=
-                                 ((x_known.size() & 1) != 0);
+    if (functional && !y_known.empty() && (unary || !x_known.empty())) {
+        // Operand payloads are in hand: the parity is predictable for
+        // XOR, XNOR and NOT, and the fallback is a free exact recompute.
+        req.expectedParity = predictedParity(op, x_known, y_known);
         req.fallback = [op, x_known,
                         y_known](Tick &) -> std::optional<BitVector> {
             return cpuBitwise(op, x_known, y_known);
         };
-    } else {
-        req.fallback = host_fallback;
     }
-    SenseOutcome so = runSense(req, ready, stats);
-    out.result = std::move(so.data);
-    out.status = so.status;
-    out.senseLoc = wl_addr;
-    out.done = so.done;
-    return out;
+    return runSense(req, ready, stats);
 }
 
 ExecResult
@@ -691,7 +649,10 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
 
         // Resolve the first operand: logical pages or an earlier
         // batch's result (kept in the controller buffer, paper Fig 12).
+        // A unary op has none.
+        const bool unary = flash::isUnary(b.intraOp);
         const bool x_from_result =
+            !unary &&
             b.firstOperand.kind == nvme::OperandRef::Kind::kBatchResult;
         const std::vector<BitVector> *x_pages = nullptr;
         Tick ready = at;
@@ -711,20 +672,18 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
             if (x_from_result) {
                 if (functional)
                     x_buf = &x_pages->at(p);
-            } else {
+            } else if (!unary) {
                 x_lpn = sub.first.lpn;
             }
-            PageOpOutcome o = executePageOp(b.intraOp, x_lpn, x_buf,
-                                            sub.second.lpn, mode, ready, xfer,
-                                            res.stats);
+            SenseOutcome o = executePageOp(b.intraOp, x_lpn, x_buf,
+                                           sub.second.lpn, mode, ready, xfer,
+                                           res.stats);
             bo.done = std::max(bo.done, o.done);
             res.status = std::max(res.status, o.status);
             if (functional)
-                bo.pages.push_back(o.result ? std::move(*o.result)
-                                            : BitVector());
+                bo.pages.push_back(o.data ? std::move(*o.data) : BitVector());
         }
         res.stats.end = std::max(res.stats.end, bo.done);
-        noteOps(mode, b.intraOp, b.subOps.size());
     }
 
     if (!batches.empty()) {
@@ -769,97 +728,13 @@ Controller::executeOp(flash::BitwiseOp op, nvme::Lpn x, nvme::Lpn y,
 }
 
 ExecResult
-Controller::executeNot(bool msb_page, nvme::Lpn x, std::uint32_t pages,
-                       Mode mode, Tick at, bool transfer_results)
+Controller::executeNot(nvme::Lpn x, std::uint32_t pages, Mode mode, Tick at,
+                       bool transfer_results)
 {
-    // NOT is unary: the operand's own wordline is sensed with the
-    // inverted-initialisation sequence; no co-location is ever needed.
-    // In ReAlloc mode the paper still charges the reallocation cost, so
-    // we move the page to a fresh wordline first.
-    ExecResult res;
-    res.stats.start = at;
-    res.stats.end = at;
-    ssd::Ftl &ftl = ssd_->ftl();
-    const Bytes page = ssd_->geometry().pageBytes;
-    const bool functional = ssd_->config().storeData;
-    const flash::BitwiseOp op =
-        msb_page ? flash::BitwiseOp::kNotMsb : flash::BitwiseOp::kNotLsb;
-    const flash::MicroProgram &prog = flash::coLocatedProgram(op);
-
-    const std::uint64_t retired_before = ftl.retiredBlocks();
-    for (std::uint32_t p = 0; p < pages; ++p) {
-        auto addr = ftl.lookup(x + p);
-        if (!addr)
-            fatal("ParaBit NOT: operand LPN unmapped");
-        if (!ftl.pageAccessible(x + p) && ssd_->repairPage(x + p, at))
-            addr = ftl.lookup(x + p); // repaired copy lives elsewhere
-        if (!ftl.pageAccessible(x + p)) {
-            // The operand's plane died and parity (if any) could not
-            // rebuild it: nothing left to invert.
-            res.status = std::max(res.status, ExecStatus::kDataLoss);
-            if (functional)
-                res.pages.emplace_back();
-            continue;
-        }
-        Tick ready = at;
-        BitVector data; ///< payload, when a reallocation read it
-        bool have_data = false;
-        if (mode == Mode::kReAllocate) {
-            std::vector<ssd::PhysOp> ops;
-            data = ftl.readPage(x + p, ops);
-            have_data = functional;
-            ++res.stats.pageReads;
-            const nvme::Lpn sx = scratchLpn_--;
-            const auto moved =
-                ftl.writeLsbOnly(sx, functional ? &data : nullptr, ops);
-            ++res.stats.pagePrograms;
-            res.stats.reallocBytes += page;
-            ready = ssd_->scheduleOps(ops, ready);
-            // If the copy could not be placed, sense the original in
-            // place — NOT never needed the move for correctness.
-            if (moved)
-                addr = *moved;
-        }
-        const Bytes xfer = transfer_results ? page : 0;
-        SenseRequest req;
-        req.loc = *addr;
-        req.senseCount = prog.senseCount();
-        req.resultXfer = xfer;
-        if (functional)
-            req.execute = [this, op, loc = *addr](int *e) {
-                return ssd_->chipAt(loc.channel, loc.chip)
-                    .opCoLocated(op, chipAddr(loc), e);
-            };
-        if (have_data) {
-            // parity(~x) = parity(x) ^ (bits & 1); the payload is in
-            // hand, so the fallback is a free exact recompute.
-            req.expectedParity =
-                oddParity(data) != ((data.size() & 1) != 0);
-            req.fallback = [data](Tick &) -> std::optional<BitVector> {
-                return ~data;
-            };
-        } else {
-            req.fallback = [this, &ftl, &res, lpn = x + p, functional](
-                               Tick &rdy) -> std::optional<BitVector> {
-                if (!functional || !ftl.pageAccessible(lpn))
-                    return std::nullopt;
-                std::vector<ssd::PhysOp> ops;
-                BitVector v = ftl.readPage(lpn, ops);
-                ++res.stats.pageReads;
-                rdy = ssd_->scheduleOps(ops, rdy);
-                return ~v;
-            };
-        }
-        SenseOutcome so = runSense(req, ready, res.stats);
-        res.status = std::max(res.status, so.status);
-        if (functional)
-            res.pages.push_back(so.data ? std::move(*so.data) : BitVector());
-        res.stats.end = std::max(res.stats.end, so.done);
-    }
-    res.stats.retiredBlocks += ftl.retiredBlocks() - retired_before;
-    noteOps(mode, op, pages);
-    noteExec(res.stats);
-    return res;
+    // The unary page op: either NOT names it, and each page senses with
+    // the flavour of the page it reads.
+    return executeOp(flash::BitwiseOp::kNotLsb, x, x, pages, mode, at,
+                     transfer_results);
 }
 
 } // namespace parabit::core

@@ -4,6 +4,12 @@
  * Operands ReAllocation and Parallel Read, operating on the batch lists
  * produced by CMD Parse.
  *
+ * Every op runs one per-page pipeline (executePageOp): resolve the
+ * operands, reallocate or stage them, sense, and on failure fall back
+ * to ECC-clean host reads.  NOT is its unary case: it has no first
+ * operand and senses its operand's own wordline, with the NOT-LSB or
+ * NOT-MSB sequence chosen from the page it reads.
+ *
  * Three execution modes mirror the paper's evaluated schemes:
  *
  *  - kPreAllocated ("ParaBit"): operands were placed for computation in
@@ -13,8 +19,9 @@
  *    operand's wordline when possible (one program), else re-paired.
  *
  *  - kReAllocate ("ParaBit-ReAlloc"): operands start wherever the FTL
- *    put them; every operation first reads both operand pages and
- *    re-programs them as a co-located pair, then senses.
+ *    put them; every operation first reads its operand pages and
+ *    re-programs them onto a fresh wordline (a co-located pair, or an
+ *    LSB-only page for NOT), then senses.
  *
  *  - kLocationFree ("ParaBit-LocFree"): operands only need to share a
  *    plane (bitlines); the extended latch circuit computes across
@@ -76,8 +83,8 @@ const char *execStatusName(ExecStatus s);
  * controller).  The ladder:
  *
  *  1. one execution, checked cheaply — a parity prediction when the
- *     operand payloads are in hand (XOR/XNOR make parities checkable),
- *     plus a duplicate execution compared bit-for-bit;
+ *     operand payloads are in hand (XOR, XNOR and NOT make parities
+ *     checkable), plus a duplicate execution compared bit-for-bit;
  *  2. 3-vote majority (flash::majorityVote), accepted only when every
  *     bitline's vote margin reaches minMargin;
  *  3. 5-vote majority, same acceptance;
@@ -176,7 +183,8 @@ class Controller
     /**
      * Execute a batch list (from nvme::CmdParser) in @p mode, submitted
      * at @p at.  Batches with kBatchResult operands consume earlier
-     * batches' results.
+     * batches' results.  A batch of a unary op (NOT) reads only its
+     * second operand.
      *
      * @param transfer_results stream final result to the host
      * @param result_lpn if set, the final result is also written back
@@ -192,9 +200,10 @@ class Controller
                          std::uint32_t pages, Mode mode, Tick at,
                          bool transfer_results = true);
 
-    /** Unary NOT over one operand range. */
-    ExecResult executeNot(bool msb_page, nvme::Lpn x, std::uint32_t pages,
-                          Mode mode, Tick at, bool transfer_results = true);
+    /** Unary NOT over one operand range; each page senses with the NOT
+     *  sequence of the page it reads (LSB or MSB). */
+    ExecResult executeNot(nvme::Lpn x, std::uint32_t pages, Mode mode,
+                          Tick at, bool transfer_results = true);
 
     ssd::SsdDevice &ssd() { return *ssd_; }
 
@@ -209,8 +218,9 @@ class Controller
     void invalidatePlaneTrust() { planeTrust_.clear(); }
 
     /** Reset controller state after a power cycle: self-test verdicts
-     *  are volatile, and the scratch-LPN cursor restarts (its pages are
-     *  internal copies, safe to reuse after SPOR rebuilt the map). */
+     *  are volatile, and the scratch-LPN cursor (claimScratch) restarts
+     *  (its pages are internal copies, safe to reuse after SPOR rebuilt
+     *  the map). */
     void
     onPowerCycle()
     {
@@ -219,13 +229,9 @@ class Controller
     }
 
   private:
-    struct PageOpOutcome
-    {
-        std::optional<BitVector> result;
-        flash::PhysPageAddr senseLoc; ///< wordline that was sensed
-        Tick done;
-        ExecStatus status = ExecStatus::kOk;
-    };
+    /** Host-side recompute; books its own timing; nullopt = the operands
+     *  are unreachable. */
+    using Fallback = std::function<std::optional<BitVector>(Tick &)>;
 
     /** One sensing site, wrapped for the reliability ladder. */
     struct SenseRequest
@@ -236,14 +242,14 @@ class Controller
         Bytes resultXfer = 0;    ///< result bytes out (once, on success)
         /** One fresh execution; arg receives injected bit errors. */
         std::function<BitVector(int *)> execute;
-        /** Host-side recompute; books its own timing; nullopt = the
-         *  operands are unreachable. */
-        std::function<std::optional<BitVector>(Tick &)> fallback;
+        Fallback fallback;
         /** Predicted result parity when the operand payloads are known
          *  (XOR/XNOR/NOT). */
         std::optional<bool> expectedParity;
     };
 
+    /** Result of one page op: its data (functional runs), completion
+     *  tick and status. */
     struct SenseOutcome
     {
         std::optional<BitVector> data;
@@ -256,38 +262,62 @@ class Controller
     SenseOutcome runSense(const SenseRequest &req, Tick ready,
                           ExecStats &stats);
 
+    /**
+     * Degrade to the host path: with the policy's host fallback on, run
+     * @p fallback from @p ready; @p if_unreachable is the status when it
+     * finds no operands to read.  kUncorrectable when the fallback is
+     * off.
+     */
+    SenseOutcome fallBack(const Fallback &fallback, Tick ready,
+                          ExecStats &stats, ExecStatus if_unreachable);
+
     /** Known-answer self-test verdict for @p loc's plane (cached). */
     bool planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
                              ExecStats &stats);
 
     /**
-     * Execute one page-pair operation.  @p prev_result, when set, is the
-     * in-buffer result of the previous chain step (its data, if
-     * functional).  @p prev_loc is where that result physically lives if
-     * it was programmed.
+     * Execute one page op of @p op, every op and mode: resolve the
+     * operands, reallocate or stage them, sense, fall back.  X comes
+     * from @p x_lpn, or from @p x_buf (the previous chain step's
+     * in-buffer result, functional runs only); a unary op has neither.
+     * Counts the op on the per-mode/per-op instruments.
      */
-    PageOpOutcome executePageOp(flash::BitwiseOp op,
-                                std::optional<nvme::Lpn> x_lpn,
-                                const BitVector *x_buf, nvme::Lpn y_lpn,
-                                Mode mode, Tick at, Bytes result_xfer,
-                                ExecStats &stats);
+    SenseOutcome executePageOp(flash::BitwiseOp op,
+                               std::optional<nvme::Lpn> x_lpn,
+                               const BitVector *x_buf, nvme::Lpn y_lpn,
+                               Mode mode, Tick at, Bytes result_xfer,
+                               ExecStats &stats);
 
     /**
-     * Operands ReAllocation: pair (x, y) onto one wordline.  @return
-     * nullopt when the pair could not be placed (program retries
-     * exhausted).  @p x_out / @p y_out, when non-null, receive the
-     * operand payloads read along the way (for parity prediction and a
-     * free host fallback).
+     * Operands ReAllocation: read the operands that live in flash (one
+     * drain), then, once the reads complete, program copies onto one
+     * fresh wordline (a second drain): X and Y as an LSB/MSB pair, or a
+     * unary op's Y alone on an LSB-only page.  X is read from @p x_lpn
+     * when set, else taken from @p x_buf.  @p x_out / @p y_out receive
+     * the operand payloads (for parity prediction and a free host
+     * fallback).  @return where to sense; nullopt when the copies could
+     * not be placed (program retries exhausted).
      */
     std::optional<flash::PhysPageAddr>
-    reallocatePair(std::optional<nvme::Lpn> x_lpn, const BitVector *x_buf,
-                   nvme::Lpn y_lpn, bool read_x, Tick at, ExecStats &stats,
-                   Tick &ready, BitVector *x_out = nullptr,
-                   BitVector *y_out = nullptr);
+    reallocate(bool unary, std::optional<nvme::Lpn> x_lpn,
+               const BitVector *x_buf, nvme::Lpn y_lpn, Tick &ready,
+               ExecStats &stats, BitVector &x_out, BitVector &y_out);
 
-    /** Count @p n executed page ops of (@p mode, @p op) on the
-     *  registered per-mode/per-op instruments. */
-    void noteOps(Mode mode, flash::BitwiseOp op, std::uint64_t n);
+    /**
+     * LocFree staging: read @p x_lpn from flash and program it onto an
+     * LSB-only page in the plane of @p y, in one drain.  @return the
+     * staged page; nullopt when it could not be placed.
+     */
+    std::optional<flash::PhysPageAddr>
+    stageIntoPlane(nvme::Lpn x_lpn, const flash::PhysPageAddr &y,
+                   Tick &ready, ExecStats &stats);
+
+    /** Next internal LPN for a controller-made copy. */
+    nvme::Lpn claimScratch() { return scratchLpn_--; }
+
+    /** Count one page op of (@p mode, @p op) on the registered
+     *  per-mode/per-op instruments. */
+    void noteOp(Mode mode, flash::BitwiseOp op);
 
     /** Fold one finished execution into the registered ladder/traffic
      *  counters and emit its formula span on the global TraceSink. */

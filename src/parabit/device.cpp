@@ -122,10 +122,10 @@ ParaBitDevice::bitwise(flash::BitwiseOp op, nvme::Lpn x, nvme::Lpn y,
 
 ExecResult
 ParaBitDevice::bitwiseNot(nvme::Lpn x, std::uint32_t pages, Mode mode,
-                          bool msb_page, bool transfer_results)
+                          bool transfer_results)
 {
-    ExecResult r = controller_.executeNot(msb_page, x, pages, mode, now_,
-                                          transfer_results);
+    ExecResult r =
+        controller_.executeNot(x, pages, mode, now_, transfer_results);
     now_ = r.stats.end;
     return r;
 }

@@ -89,9 +89,9 @@ class ParaBitDevice
                        std::uint32_t pages, Mode mode,
                        bool transfer_results = true);
 
-    /** Bulk unary NOT over one operand range. */
+    /** Bulk unary NOT over one operand range; the NOT-LSB or NOT-MSB
+     *  sequence follows each page's placement. */
     ExecResult bitwiseNot(nvme::Lpn x, std::uint32_t pages, Mode mode,
-                          bool msb_page = false,
                           bool transfer_results = true);
 
     /**

@@ -4,10 +4,10 @@
  *
  * The scheduler replaces the monolithic greedy Timeline booking with
  * per-die / per-channel queues arbitrated by a pluggable policy.  The
- * default configuration (FCFS, no batching) is tick-identical to the
- * historical greedy path, so existing latency results are the
- * regression anchor; every other knob is opt-in.  Command issue is
- * always a die-side delay (DeviceTransaction::cmdTicks).
+ * default configuration (FCFS) is tick-identical to the historical
+ * greedy path, so existing latency results are the regression anchor;
+ * every other knob is opt-in.  Command issue is always a die-side
+ * delay (DeviceTransaction::cmdTicks).
  */
 
 #ifndef PARABIT_SSD_SCHED_SCHED_CONFIG_HPP_
@@ -43,14 +43,6 @@ const char *policyName(SchedPolicyKind k);
 struct SchedConfig
 {
     SchedPolicyKind policy = SchedPolicyKind::kFcfs;
-
-    /**
-     * Coalesce consecutive same-die ParaBit array jobs into one
-     * multi-plane activation: the group shares a single command issue
-     * and its planes sense in lockstep (every member's array time is
-     * padded to the longest member's).  Off by default.
-     */
-    bool multiPlaneBatch = false;
 
     /**
      * Read-priority policy: how many times one program/erase may be

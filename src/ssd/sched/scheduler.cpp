@@ -47,9 +47,7 @@ TransactionScheduler::TransactionScheduler(
     : geo_(geometry), timing_(timing), cfg_(cfg), policy_(makePolicy(cfg)),
       submitted_("sched.tx.submitted"),
       completedCount_("sched.tx.completed"),
-      suspendCount_("sched.suspends"), batches_("sched.batch.groups"),
-      batchedJobs_("sched.batch.jobs"),
-      maxQueueDepth_("sched.queue.max_depth")
+      suspendCount_("sched.suspends"), maxQueueDepth_("sched.queue.max_depth")
 {
     latencyHist_.reserve(kNumTxClasses);
     for (int c = 0; c < kNumTxClasses; ++c) {
@@ -185,9 +183,8 @@ TransactionScheduler::buildPhases(TxState &st) const
 Tick
 TransactionScheduler::firstEarliest(const TxState &st) const
 {
-    // The command overhead is a die-side delay; batch followers add
-    // their leader-alignment delay.
-    return st.tx.readyAt + st.tx.extraDelay + st.tx.cmdTicks;
+    // The command overhead is a die-side delay.
+    return st.tx.readyAt + st.tx.cmdTicks;
 }
 
 std::uint64_t
@@ -599,8 +596,6 @@ TransactionScheduler::stats() const
     s.submitted = submitted_.value();
     s.completed = completedCount_.value();
     s.suspends = suspendCount_.value();
-    s.batches = batches_.value();
-    s.batchedJobs = batchedJobs_.value();
     s.maxQueueDepth = static_cast<std::size_t>(maxQueueDepth_.value());
     return s;
 }

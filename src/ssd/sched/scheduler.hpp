@@ -103,8 +103,6 @@ struct SchedStats
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
     std::uint64_t suspends = 0;
-    std::uint64_t batches = 0;     ///< multi-plane groups formed
-    std::uint64_t batchedJobs = 0; ///< jobs riding in those groups
     std::size_t maxQueueDepth = 0;
 };
 
@@ -139,14 +137,6 @@ class TransactionScheduler
 
     /** Latest completion over @p g, or @p fallback when @p g is empty. */
     Tick groupCompletion(const TxGroup &g, Tick fallback) const;
-
-    /** Account a multi-plane batch of @p jobs coalesced jobs. */
-    void
-    noteBatch(std::size_t jobs)
-    {
-        ++batches_;
-        batchedJobs_ += jobs;
-    }
 
     SchedStats stats() const;
 
@@ -304,8 +294,6 @@ class TransactionScheduler
     obs::Counter submitted_;
     obs::Counter completedCount_;
     obs::Counter suspendCount_;
-    obs::Counter batches_;
-    obs::Counter batchedJobs_;
     obs::Gauge maxQueueDepth_;
 };
 

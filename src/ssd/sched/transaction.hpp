@@ -65,9 +65,6 @@ struct DeviceTransaction
     /** Command/address overhead, a die-side delay before the first
      *  phase. */
     Tick cmdTicks = 0;
-    /** Extra die-side delay before the first phase; used by multi-plane
-     *  batch followers that ride a leader's shared command issue. */
-    Tick extraDelay = 0;
     Tick xferInTicks = 0;
     Tick arrayTicks = 0;
     Tick xferOutTicks = 0;

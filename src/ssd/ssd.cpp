@@ -415,12 +415,14 @@ SsdDevice::toTransaction(const ArrayJob &job, Tick ready_at) const
     return tx;
 }
 
+template <typename Item>
 sched::TxGroup
-SsdDevice::submitOps(const std::vector<PhysOp> &ops, Tick ready_at)
+SsdDevice::submitEach(const std::vector<Item> &items, Tick ready_at)
 {
     sched::TxGroup g;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const std::uint64_t id = sched_.submit(toTransaction(ops[i], ready_at));
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        const std::uint64_t id =
+            sched_.submit(toTransaction(items[i], ready_at));
         if (i == 0)
             g.lo = id;
         g.hi = id + 1;
@@ -429,49 +431,9 @@ SsdDevice::submitOps(const std::vector<PhysOp> &ops, Tick ready_at)
 }
 
 sched::TxGroup
-SsdDevice::submitArrayJobs(const std::vector<ArrayJob> &jobs, Tick ready_at)
+SsdDevice::submitOps(const std::vector<PhysOp> &ops, Tick ready_at)
 {
-    sched::TxGroup g;
-    std::size_t i = 0;
-    while (i < jobs.size()) {
-        // Multi-plane batching: a run of consecutive jobs on distinct
-        // planes of one die shares a single command issue and senses in
-        // lockstep (every member pays the slowest member's array time).
-        std::size_t run = 1;
-        if (cfg_.sched.multiPlaneBatch) {
-            const flash::PhysPageAddr &a = jobs[i].loc;
-            while (i + run < jobs.size()) {
-                const flash::PhysPageAddr &b = jobs[i + run].loc;
-                if (b.channel != a.channel || b.chip != a.chip ||
-                    b.die != a.die)
-                    break;
-                ++run;
-            }
-        }
-        int maxSro = 0;
-        for (std::size_t j = 0; j < run; ++j)
-            maxSro = std::max(maxSro, jobs[i + j].sroCount);
-        for (std::size_t j = 0; j < run; ++j) {
-            sched::DeviceTransaction tx = toTransaction(jobs[i + j], ready_at);
-            if (run > 1) {
-                tx.arrayTicks = cfg_.timing.senseTime(maxSro);
-                if (j > 0) {
-                    // Followers ride the leader's command issue: no
-                    // channel booking of their own, same start offset.
-                    tx.extraDelay = tx.cmdTicks;
-                    tx.cmdTicks = 0;
-                }
-            }
-            const std::uint64_t id = sched_.submit(tx);
-            if (g.empty())
-                g.lo = id;
-            g.hi = id + 1;
-        }
-        if (run > 1)
-            sched_.noteBatch(run);
-        i += run;
-    }
-    return g;
+    return submitEach(ops, ready_at);
 }
 
 Tick
@@ -485,7 +447,7 @@ SsdDevice::scheduleOps(const std::vector<PhysOp> &ops, Tick ready_at)
 Tick
 SsdDevice::scheduleArrayJobs(const std::vector<ArrayJob> &jobs, Tick ready_at)
 {
-    const sched::TxGroup g = submitArrayJobs(jobs, ready_at);
+    const sched::TxGroup g = submitEach(jobs, ready_at);
     drainTransactions();
     return sched_.groupCompletion(g, ready_at);
 }

@@ -240,10 +240,10 @@ class SsdDevice
     /// @}
 
   private:
-    /** Queue in-flash array jobs (applies multi-plane batching when
-     *  configured); scheduleArrayJobs drains them. */
-    sched::TxGroup submitArrayJobs(const std::vector<ArrayJob> &jobs,
-                                   Tick ready_at);
+    /** Queue one transaction per PhysOp or ArrayJob of @p items, in
+     *  order; @return their id range. */
+    template <typename Item>
+    sched::TxGroup submitEach(const std::vector<Item> &items, Tick ready_at);
 
     sched::DeviceTransaction toTransaction(const PhysOp &op,
                                            Tick ready_at) const;

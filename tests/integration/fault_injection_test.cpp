@@ -153,6 +153,16 @@ TEST(FaultInjection, StuckBitlinesFailSelfTestAndFallBackToHost)
     EXPECT_GT(stats.selfTests, 0u);
     EXPECT_GT(stats.hostFallbacks, 0u)
         << "untrusted planes must route to the host fallback";
+
+    // NOT in place (no reallocation read to recompute from): the host
+    // path reads the operand itself.
+    const ExecResult r = rig.dev.bitwiseNot(0, kPages, Mode::kPreAllocated);
+    ASSERT_EQ(r.status, ExecStatus::kOk);
+    ASSERT_EQ(r.pages.size(), kPages);
+    for (std::uint32_t p = 0; p < kPages; ++p)
+        EXPECT_EQ(r.pages[p], ~rig.x[p]) << "page " << p;
+    EXPECT_GE(r.stats.hostFallbacks, 1u);
+    EXPECT_GE(r.stats.pageReads, 1u) << "the fallback reads the operand";
 }
 
 TEST(FaultInjection, ProgramFailuresRetireBlocksWithoutCorruption)

@@ -8,9 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "nvme/parser.hpp"
+#include "obs/metrics.hpp"
 #include "parabit/device.hpp"
+#include "ssd/fault_injector.hpp"
 
 namespace parabit::core {
 namespace {
@@ -101,27 +108,264 @@ INSTANTIATE_TEST_SUITE_P(
         return n;
     });
 
+/** Enables the global metrics registry for a scope, then wipes it. */
+class RegistryScope
+{
+  public:
+    RegistryScope() { obs::MetricsRegistry::global().setEnabled(true); }
+
+    ~RegistryScope()
+    {
+        obs::MetricsRegistry::global().setEnabled(false);
+        obs::MetricsRegistry::global().clear();
+    }
+};
+
+std::uint64_t
+registryCount(const std::string &name)
+{
+    const auto &c = obs::MetricsRegistry::global().counters();
+    const auto it = c.find(name);
+    return it == c.end() ? 0 : it->second;
+}
+
 TEST(Controller, NotOpAllModes)
 {
-    for (Mode mode :
-         {Mode::kPreAllocated, Mode::kReAllocate, Mode::kLocationFree}) {
-        ParaBitDevice dev(ssd::SsdConfig::tiny());
-        Rng rng(55);
-        const auto xs = randomPages(dev.ssd().config(), 2, rng);
-        dev.writeDataLsbOnly(0, xs);
-        const ExecResult r = dev.bitwiseNot(0, 2, mode, /*msb_page=*/false);
-        ASSERT_EQ(r.pages.size(), 2u);
-        for (int p = 0; p < 2; ++p)
-            EXPECT_EQ(r.pages[static_cast<std::size_t>(p)], ~xs[static_cast<std::size_t>(p)])
-                << modeName(mode);
-        if (mode == Mode::kReAllocate) {
-            EXPECT_GT(r.stats.reallocBytes, 0u)
-                << "the paper charges NOT a reallocation in ReAlloc mode";
-        } else {
-            EXPECT_EQ(r.stats.reallocBytes, 0u);
+    // NOT senses its operand's own page, so its sequence follows the
+    // placement: an operand on an MSB page needs NOT-MSB, and ReAlloc's
+    // LSB-only copy needs NOT-LSB whatever the original was.
+    for (const bool msb : {false, true}) {
+        for (Mode mode :
+             {Mode::kPreAllocated, Mode::kReAllocate, Mode::kLocationFree}) {
+            RegistryScope scope;
+            ParaBitDevice dev(ssd::SsdConfig::tiny());
+            Rng rng(55);
+            const auto xs = randomPages(dev.ssd().config(), 2, rng);
+            if (msb)
+                dev.writeOperandPair(100, 0,
+                                     randomPages(dev.ssd().config(), 2, rng),
+                                     xs);
+            else
+                dev.writeDataLsbOnly(0, xs);
+            ASSERT_EQ(dev.ssd().ftl().lookup(0)->msb, msb);
+            const ExecResult r = dev.bitwiseNot(0, 2, mode);
+            const std::string where =
+                std::string(modeName(mode)) + (msb ? " MSB" : " LSB");
+            ASSERT_EQ(r.status, ExecStatus::kOk) << where;
+            ASSERT_EQ(r.pages.size(), 2u) << where;
+            for (std::size_t p = 0; p < 2; ++p)
+                EXPECT_EQ(r.pages[p], ~xs[p]) << where << " page " << p;
+            if (mode == Mode::kReAllocate) {
+                EXPECT_GT(r.stats.reallocBytes, 0u)
+                    << "the paper charges NOT a reallocation in ReAlloc mode";
+            } else {
+                EXPECT_EQ(r.stats.reallocBytes, 0u) << where;
+            }
+            const bool ran_msb = msb && mode != Mode::kReAllocate;
+            const std::string ops =
+                std::string("parabit.ops.") + modeName(mode) + ".";
+            EXPECT_EQ(registryCount(ops + "NOT-MSB"), ran_msb ? 2u : 0u)
+                << where;
+            EXPECT_EQ(registryCount(ops + "NOT-LSB"), ran_msb ? 0u : 2u)
+                << where;
         }
     }
 }
+
+TEST(Controller, ReAllocNotReadsProgramsThenSenses)
+{
+    // The copy's program takes the data its read returned, so it waits
+    // for the read: one page costs read + program + sense, each with its
+    // command and one page transfer.
+    ParaBitDevice dev(ssd::SsdConfig::tiny());
+    Rng rng(56);
+    dev.writeDataLsbOnly(0, randomPages(dev.ssd().config(), 1, rng));
+    const ExecResult r = dev.bitwiseNot(0, 1, Mode::kReAllocate);
+    const flash::FlashTiming &t = dev.ssd().config().timing;
+    const Tick xfer = t.transferTime(dev.ssd().geometry().pageBytes);
+    EXPECT_EQ(r.stats.elapsed(),
+              3 * t.tCmdOverhead + t.lsbReadTime() + t.tProgram +
+                  t.senseTime(flash::coLocatedProgram(
+                                  flash::BitwiseOp::kNotLsb)
+                                  .senseCount()) +
+                  3 * xfer);
+    EXPECT_EQ(r.stats.elapsed(), ticks::fromNs(690840));
+}
+
+TEST(Controller, ReAllocNotSensesInPlaceWhenTheCopyCannotBePlaced)
+{
+    // NOT never needed the move: with every program failing, the copy
+    // cannot be placed and the original page is sensed where it is.
+    for (const bool msb : {false, true}) {
+        ParaBitDevice dev(ssd::SsdConfig::tiny());
+        Rng rng(57);
+        const auto xs = randomPages(dev.ssd().config(), 1, rng);
+        if (msb)
+            dev.writeOperandPair(100, 0,
+                                 randomPages(dev.ssd().config(), 1, rng), xs);
+        else
+            dev.writeDataLsbOnly(0, xs);
+        for (ssd::PlaneIndex p = 0; p < dev.ssd().geometry().planesTotal();
+             ++p) {
+            ssd::FaultSpec s;
+            s.cls = ssd::FaultClass::kProgramFailure;
+            s.plane = p;
+            s.failPeriod = 1;
+            dev.ssd().injectFault(s);
+        }
+        LogSink prev = setLogSink([](LogLevel, const std::string &) {});
+        const ExecResult r = dev.bitwiseNot(0, 1, Mode::kReAllocate);
+        setLogSink(prev);
+        ASSERT_EQ(r.status, ExecStatus::kOk) << (msb ? "MSB" : "LSB");
+        ASSERT_EQ(r.pages.size(), 1u);
+        EXPECT_EQ(r.pages[0], ~xs[0]) << (msb ? "MSB" : "LSB");
+        EXPECT_GT(dev.ssd().ftl().programFailures(), 0u);
+    }
+}
+
+/** Operand layouts the page-op paths branch on. */
+enum class Placement : std::uint8_t
+{
+    kPair,         ///< X/Y share a wordline (X LSB, Y MSB)
+    kLsbSamePlane, ///< every operand LSB-only in plane 0
+    kMsbSamePlane, ///< every operand on an MSB page in plane 0
+    kCrossPlane,   ///< every operand LSB-only, each in its own plane
+    kPlainWrite,   ///< host writes
+};
+
+constexpr nvme::Lpn kX = 0, kY = 100, kZ = 200; ///< operands (Z: chains)
+constexpr nvme::Lpn kFiller = 500;              ///< pair partners
+constexpr std::uint32_t kOperandPages = 2;
+
+/** Place X, Y and Z per @p pl through the FTL, with payloads only on a
+ *  functional device, so both kinds of device make the same calls. */
+void
+placeOperands(ParaBitDevice &dev, Placement pl)
+{
+    ssd::Ftl &ftl = dev.ssd().ftl();
+    const bool functional = dev.ssd().config().storeData;
+    Rng rng(77);
+    std::vector<ssd::PhysOp> ops;
+    std::vector<BitVector> keep; // payloads outlive the FTL calls below
+    const auto data = [&]() -> const BitVector * {
+        if (!functional)
+            return nullptr;
+        keep.push_back(randomPages(dev.ssd().config(), 1, rng)[0]);
+        return &keep.back();
+    };
+    keep.reserve(2 * 3 * kOperandPages);
+    const std::vector<nvme::Lpn> operands = {kX, kY, kZ};
+    for (std::size_t k = 0; k < operands.size(); ++k) {
+        const auto plane = static_cast<ssd::PlaneIndex>(k);
+        for (std::uint32_t p = 0; p < kOperandPages; ++p) {
+            const nvme::Lpn lpn = operands[k] + p;
+            const nvme::Lpn filler = kFiller + 100 * k + p;
+            const BitVector *a = data();
+            const BitVector *b = data();
+            bool ok = true;
+            switch (pl) {
+              case Placement::kPair:
+                if (lpn < kY) // Y rides on X's wordline
+                    ok = ftl.writePair(lpn, kY + p, a, b, ops).has_value();
+                else if (lpn >= kZ)
+                    ok = ftl.writePair(lpn, filler, a, b, ops).has_value();
+                break;
+              case Placement::kLsbSamePlane:
+                ok = ftl.writeLsbOnly(lpn, a, ops, 0).has_value();
+                break;
+              case Placement::kMsbSamePlane:
+                ok = ftl.writePair(filler, lpn, a, b, ops, 0).has_value();
+                break;
+              case Placement::kCrossPlane:
+                ok = ftl.writeLsbOnly(lpn, a, ops, plane).has_value();
+                break;
+              case Placement::kPlainWrite:
+                ok = ftl.writePage(lpn, a, ops);
+                break;
+            }
+            ASSERT_TRUE(ok) << "LPN " << lpn;
+        }
+    }
+    dev.ssd().scheduleOps(ops, 0);
+}
+
+class FunctionalVsTimingTest
+    : public ::testing::TestWithParam<std::tuple<Placement, Mode>>
+{
+};
+
+TEST_P(FunctionalVsTimingTest, BookTheSameTicks)
+{
+    // Payloads must never change what is booked: a timing-only device
+    // runs the same reads, programs and senses at the same ticks.
+    const auto [pl, mode] = GetParam();
+    using Run = std::function<ExecResult(ParaBitDevice &)>;
+    std::vector<std::pair<std::string, Run>> runs;
+    for (const auto op :
+         {flash::BitwiseOp::kAnd, flash::BitwiseOp::kOr,
+          flash::BitwiseOp::kXor, flash::BitwiseOp::kXnor,
+          flash::BitwiseOp::kNand, flash::BitwiseOp::kNor}) {
+        runs.emplace_back(std::string(flash::opName(op)),
+                          [op, mode = mode](ParaBitDevice &d) {
+                              return d.bitwise(op, kX, kY, kOperandPages,
+                                               mode);
+                          });
+        runs.emplace_back(std::string(flash::opName(op)) + " chain",
+                          [op, mode = mode](ParaBitDevice &d) {
+                              return d.bitwiseChain(op, {kX, kY, kZ},
+                                                    kOperandPages, mode);
+                          });
+    }
+    runs.emplace_back("NOT", [mode = mode](ParaBitDevice &d) {
+        return d.bitwiseNot(kY, kOperandPages, mode);
+    });
+
+    for (const auto &[what, run] : runs) {
+        ssd::SsdConfig timing_cfg = ssd::SsdConfig::tiny();
+        timing_cfg.storeData = false;
+        ParaBitDevice functional(ssd::SsdConfig::tiny());
+        ParaBitDevice timing(timing_cfg);
+        placeOperands(functional, pl);
+        placeOperands(timing, pl);
+        const ExecResult f = run(functional);
+        const ExecResult t = run(timing);
+        EXPECT_EQ(f.status, ExecStatus::kOk) << what;
+        EXPECT_EQ(f.stats.end, t.stats.end) << what;
+        EXPECT_EQ(f.stats.senseOps, t.stats.senseOps) << what;
+        EXPECT_EQ(f.stats.pageReads, t.stats.pageReads) << what;
+        EXPECT_EQ(f.stats.pagePrograms, t.stats.pagePrograms) << what;
+        const auto fs = functional.ssd().scheduler().stats();
+        const auto ts = timing.ssd().scheduler().stats();
+        EXPECT_EQ(fs.submitted, ts.submitted) << what;
+        EXPECT_EQ(fs.channelBusy, ts.channelBusy) << what;
+        EXPECT_EQ(fs.dieBusy, ts.dieBusy) << what;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPlacementsAllModes, FunctionalVsTimingTest,
+    ::testing::Combine(
+        ::testing::Values(Placement::kPair, Placement::kLsbSamePlane,
+                          Placement::kMsbSamePlane, Placement::kCrossPlane,
+                          Placement::kPlainWrite),
+        ::testing::Values(Mode::kPreAllocated, Mode::kReAllocate,
+                          Mode::kLocationFree)),
+    [](const auto &info) {
+        std::string n;
+        switch (std::get<0>(info.param)) {
+          case Placement::kPair: n = "Pair"; break;
+          case Placement::kLsbSamePlane: n = "LsbSamePlane"; break;
+          case Placement::kMsbSamePlane: n = "MsbSamePlane"; break;
+          case Placement::kCrossPlane: n = "CrossPlane"; break;
+          case Placement::kPlainWrite: n = "PlainWrite"; break;
+        }
+        switch (std::get<1>(info.param)) {
+          case Mode::kPreAllocated: n += "_Pre"; break;
+          case Mode::kReAllocate: n += "_ReAlloc"; break;
+          case Mode::kLocationFree: n += "_LocFree"; break;
+        }
+        return n;
+    });
 
 TEST(Controller, PreAllocatedPairNeedsNoRealloc)
 {

@@ -2,8 +2,7 @@
  * @file
  * Transaction-scheduler behaviour: policy semantics (FCFS head-of-line
  * vs out-of-order independence vs read priority), suspend-resume
- * arithmetic and its bounds, multi-plane batching, and batch
- * bookkeeping edges.
+ * arithmetic and its bounds, and batch bookkeeping edges.
  *
  * Durations are hand-picked round numbers set directly on the
  * DeviceTransaction, so every expected tick below is derivable by eye.
@@ -15,7 +14,6 @@
 
 #include "obs/trace.hpp"
 #include "ssd/sched/scheduler.hpp"
-#include "ssd/ssd.hpp"
 #include "trace_check.hpp"
 
 namespace parabit::ssd::sched {
@@ -211,54 +209,6 @@ TEST(SchedReadPriority, ReducesReadLatencyUnderParaBitInterference)
     EXPECT_LT(rp, fcfs);
     EXPECT_EQ(rp, 32u);   // suspend at 100, read 107-132
     EXPECT_EQ(fcfs, 925u); // waits for the program to finish
-}
-
-TEST(SchedBatching, CoalescesSameDieArrayJobs)
-{
-    SsdConfig cfg = SsdConfig::tiny();
-    cfg.storeData = false;
-    cfg.sched.multiPlaneBatch = true;
-    SsdDevice dev(cfg);
-    const flash::FlashTiming &t = cfg.timing;
-
-    std::vector<ArrayJob> jobs;
-    ArrayJob j0;
-    j0.loc = planeAddr(0, 0, 0);
-    j0.sroCount = 2;
-    ArrayJob j1;
-    j1.loc = planeAddr(0, 0, 1); // other plane, same die
-    j1.sroCount = 4;
-    jobs.push_back(j0);
-    jobs.push_back(j1);
-    const Tick done = dev.scheduleArrayJobs(jobs, 0);
-    // Lockstep: both planes sense for the longest member (4 SROs),
-    // sharing one command issue.
-    EXPECT_EQ(done, t.tCmdOverhead + t.senseTime(4));
-    const SchedStats s = dev.scheduler().stats();
-    EXPECT_EQ(s.batches, 1u);
-    EXPECT_EQ(s.batchedJobs, 2u);
-    // Both planes booked the padded array time.
-    EXPECT_EQ(s.dieBusy.at(0), t.senseTime(4));
-    EXPECT_EQ(s.dieBusy.at(1), t.senseTime(4));
-}
-
-TEST(SchedBatching, DifferentDiesDoNotCoalesce)
-{
-    SsdConfig cfg = SsdConfig::tiny();
-    cfg.storeData = false;
-    cfg.sched.multiPlaneBatch = true;
-    SsdDevice dev(cfg);
-    std::vector<ArrayJob> jobs;
-    ArrayJob j0;
-    j0.loc = planeAddr(0, 0, 0);
-    j0.sroCount = 2;
-    ArrayJob j1;
-    j1.loc = planeAddr(0, 1, 0); // different chip
-    j1.sroCount = 4;
-    jobs.push_back(j0);
-    jobs.push_back(j1);
-    dev.scheduleArrayJobs(jobs, 0);
-    EXPECT_EQ(dev.scheduler().stats().batches, 0u);
 }
 
 TEST(SchedBookkeeping, GroupAndZeroPhaseEdges)

@@ -64,7 +64,7 @@ class GreedyRef
     {
         Timeline &ch = chTls_.at(tx.addr.channel);
         Timeline &die = plTls_.at(planeIndex(geo_, tx.addr));
-        Tick ready = tx.readyAt + tx.extraDelay + tx.cmdTicks;
+        Tick ready = tx.readyAt + tx.cmdTicks;
         if (tx.xferInTicks > 0)
             ready = ch.reserve(ready, tx.xferInTicks) + tx.xferInTicks;
         if (tx.arrayTicks > 0)
