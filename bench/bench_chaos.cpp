@@ -8,8 +8,11 @@
  * recovery) and reports how the device degraded and came back: health
  * transitions taken, deepest state reached, commands shed / timed out /
  * requeued / write-rejected, quiet rounds until the machine returned to
- * healthy, and — the hard acceptance bar — commands lost (a cid handed
- * to the host that never reached a terminal completion; must be zero).
+ * healthy, and — the hard acceptance bar — commands lost (must be
+ * zero): cids handed to the host that never reached a terminal
+ * completion, plus completions missing from the count every attempt
+ * owes (reaped completions must equal accepted commands plus
+ * requeues).
  *
  * `--json FILE` writes the machine-readable report (the CI trajectory
  * file `BENCH_degradation.json`).  `--trace-out FILE` re-runs one seed
@@ -17,6 +20,7 @@
  * per-command async spans land in the trace.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -79,7 +83,7 @@ seededPages(const ssd::SsdConfig &cfg, int n, std::uint64_t seed)
 struct RunOut
 {
     double submitted = 0;    ///< cids handed to the host
-    double lost = 0;         ///< cids never reaching a completion (bar: 0)
+    double lost = 0;         ///< missing cids + missing completions (bar: 0)
     double sheds = 0;        ///< admission-shed completions
     double timeouts = 0;     ///< watchdog aborts
     double requeues = 0;     ///< bounded-retry resubmissions
@@ -113,12 +117,14 @@ run(std::uint64_t seed, std::uint64_t audit_interval)
     Rng rng(seed ^ 0xC4A05ull);
     std::set<std::uint16_t> submitted[kQueues];
     std::set<std::uint16_t> reaped[kQueues];
+    double completions = 0;
 
     const auto drainAll = [&] {
         host.pump();
-        for (std::uint16_t q = 0; q < kQueues; ++q)
-            while (const auto c = host.reap(q))
+        for (std::uint16_t q = 0; q < kQueues; ++q) {
+            for (; const auto c = host.reap(q); ++completions)
                 reaped[q].insert(c->cid);
+        }
     };
     const auto submitSome = [&](int n) {
         for (int i = 0; i < n; ++i) {
@@ -189,6 +195,8 @@ run(std::uint64_t seed, std::uint64_t audit_interval)
     out.sheds = static_cast<double>(host.sheds());
     out.timeouts = static_cast<double>(host.timeouts());
     out.requeues = static_cast<double>(host.requeues());
+    // Each attempt posts exactly one completion.
+    out.lost += std::max(0.0, out.submitted + out.requeues - completions);
     out.writeRejects = static_cast<double>(host.writeRejects());
     out.transitions = static_cast<double>(health->transitions().size());
     out.maxState = static_cast<double>(

@@ -38,15 +38,11 @@ QueuePair::submit(NvmeCommand cmd, Tick now)
     return cid;
 }
 
-std::optional<std::uint16_t>
+std::uint16_t
 QueuePair::reject(Tick now, std::uint16_t status)
 {
-    const std::uint16_t next = static_cast<std::uint16_t>((cqTail_ + 1) %
-                                                          depth_);
-    if (next == cqHead_)
-        return std::nullopt; // CQ full: caller must retry after reaping
     const std::uint16_t cid = nextCid_++;
-    complete(cid, now, now, status);
+    place(Completion{cid, status, false, now, now});
     return cid;
 }
 
@@ -67,39 +63,42 @@ QueuePair::fetch()
     return f;
 }
 
-bool
+void
 QueuePair::complete(std::uint16_t cid, Tick submitted_at, Tick now,
                     std::uint16_t status)
 {
+    place(Completion{cid, status, false, submitted_at, now});
+}
+
+void
+QueuePair::place(Completion c)
+{
     const std::uint16_t next = static_cast<std::uint16_t>((cqTail_ + 1) %
                                                           depth_);
-    if (next == cqHead_)
-        return false;
-    Completion c;
-    c.cid = cid;
-    c.status = status;
+    if (next == cqHead_) {
+        held_.push_back(c);
+        return;
+    }
     c.phase = cqPhase_;
-    c.submittedAt = submitted_at;
-    c.completedAt = now;
     cq_[cqTail_] = c;
     cqTail_ = next;
     if (cqTail_ == 0)
         cqPhase_ = !cqPhase_; // phase tag flips on CQ wrap
-    return true;
 }
 
 std::optional<Completion>
 QueuePair::reap()
 {
-    const Completion &c = cq_[cqHead_];
-    if (cqHead_ == cqTail_ && c.phase != reapPhase_)
+    const Completion out = cq_[cqHead_];
+    if (out.phase != reapPhase_)
         return std::nullopt; // nothing fresh at the head
-    if (c.phase != reapPhase_)
-        return std::nullopt;
-    Completion out = c;
     cqHead_ = static_cast<std::uint16_t>((cqHead_ + 1) % depth_);
     if (cqHead_ == 0)
         reapPhase_ = !reapPhase_;
+    if (!held_.empty()) {
+        place(held_.front());
+        held_.pop_front();
+    }
     return out;
 }
 

@@ -16,6 +16,7 @@
 #define PARABIT_NVME_QUEUE_HPP_
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -73,6 +74,12 @@ struct Completion
  * The model keeps the NVMe invariants that matter behaviourally: fixed
  * depth, head/tail doorbells, full/empty detection (one slot reserved),
  * FIFO order, and the completion phase tag that flips on each CQ wrap.
+ *
+ * A completion never drops.  One that finds the CQ full is held, in
+ * order, and reap() posts the oldest held completion into the slot it
+ * frees, so the host reaps every completion in posting order.  Holding
+ * moves no tick: the entry's completion time is stamped when it is
+ * posted, not when a slot frees.
  */
 class QueuePair
 {
@@ -96,9 +103,9 @@ class QueuePair
      * allocate a fresh cid and post an immediate zero-latency completion
      * with @p status (admission shed, write-protected, ...).  The host
      * still reaps a terminal completion for the command — rejection is
-     * loud, never a silent drop.  nullopt if the CQ is full.
+     * loud, never a silent drop.  @return the refused command's cid.
      */
-    std::optional<std::uint16_t> reject(Tick now, std::uint16_t status);
+    std::uint16_t reject(Tick now, std::uint16_t status);
 
     /** Entries currently waiting in the SQ. */
     std::uint16_t sqOccupancy() const;
@@ -119,8 +126,9 @@ class QueuePair
     };
     std::optional<Fetched> fetch();
 
-    /** Post a completion for @p cid. @return false if the CQ is full. */
-    bool complete(std::uint16_t cid, Tick submitted_at, Tick now,
+    /** Post a completion for @p cid; a full CQ holds it (see class
+     *  comment). */
+    void complete(std::uint16_t cid, Tick submitted_at, Tick now,
                   std::uint16_t status = 0);
     /// @}
 
@@ -132,6 +140,10 @@ class QueuePair
         Tick submittedAt;
     };
 
+    /** Write @p c into the CQ slot at the tail, or hold it while the CQ
+     *  is full. */
+    void place(Completion c);
+
     std::uint16_t qid_;
     std::uint16_t depth_;
     std::vector<SqSlot> sq_;
@@ -141,6 +153,9 @@ class QueuePair
     bool cqPhase_ = true; ///< device's current phase tag
     bool reapPhase_ = true; ///< phase the host expects next
     std::uint16_t nextCid_ = 0;
+    /** Completions waiting for a CQ slot, oldest first; non-empty only
+     *  while the CQ is full. */
+    std::deque<Completion> held_;
 };
 
 } // namespace parabit::nvme

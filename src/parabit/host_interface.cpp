@@ -30,6 +30,40 @@ const char *const kStageNames[kNumCmdStages] = {
     "total", "sq_wait", "queue", "xfer_in", "array", "xfer_out", "suspend",
 };
 
+/** Map a controller execution status onto the NVMe completion field. */
+std::uint16_t
+toNvmeStatus(ExecStatus s)
+{
+    switch (s) {
+      case ExecStatus::kOk: return nvme::kSuccess;
+      case ExecStatus::kUncorrectable: return nvme::kInternalError;
+      case ExecStatus::kDataLoss: return nvme::kUnrecoveredReadError;
+    }
+    return nvme::kInternalError;
+}
+
+OpClass
+opClassOf(nvme::Opcode op)
+{
+    switch (op) {
+      case nvme::Opcode::kFlush: return OpClass::kFlush;
+      case nvme::Opcode::kWrite: return OpClass::kWrite;
+      case nvme::Opcode::kRead: return OpClass::kRead;
+    }
+    return OpClass::kRead;
+}
+
+/** A whole-page read or write of @p lpn. */
+nvme::NvmeCommand
+pageCommand(nvme::Opcode op, nvme::Lpn lpn, std::uint64_t sectors_per_page)
+{
+    nvme::NvmeCommand c;
+    c.setOpcode(op);
+    c.setSlba(lpn * sectors_per_page);
+    c.setNlb(static_cast<std::uint16_t>(sectors_per_page - 1));
+    return c;
+}
+
 } // namespace
 
 const char *
@@ -69,123 +103,6 @@ HostInterface::HostInterface(ParaBitDevice &dev, std::uint16_t num_queues,
     }
 }
 
-namespace {
-
-/** Map a controller execution status onto the NVMe completion field. */
-std::uint16_t
-toNvmeStatus(ExecStatus s)
-{
-    switch (s) {
-      case ExecStatus::kOk: return nvme::kSuccess;
-      case ExecStatus::kUncorrectable: return nvme::kInternalError;
-      case ExecStatus::kDataLoss: return nvme::kUnrecoveredReadError;
-    }
-    return nvme::kInternalError;
-}
-
-/** Host-visible command name for trace spans. */
-const char *
-cmdName(nvme::Opcode op)
-{
-    switch (op) {
-      case nvme::Opcode::kFlush: return "flush";
-      case nvme::Opcode::kWrite: return "write";
-      case nvme::Opcode::kRead: return "read";
-    }
-    return "?";
-}
-
-OpClass
-opClassOf(nvme::Opcode op)
-{
-    switch (op) {
-      case nvme::Opcode::kFlush: return OpClass::kFlush;
-      case nvme::Opcode::kWrite: return OpClass::kWrite;
-      case nvme::Opcode::kRead: return OpClass::kRead;
-    }
-    return OpClass::kRead;
-}
-
-} // namespace
-
-bool
-HostInterface::attributionOn() const
-{
-    return obs::MetricsRegistry::global().enabled() ||
-           obs::TraceSink::global() != nullptr;
-}
-
-std::optional<std::uint64_t>
-HostInterface::beginAttribution()
-{
-    if (!attributionOn())
-        return std::nullopt;
-    const std::uint64_t token = nextCmdToken_++;
-    dev_->ssd().scheduler().beginCommandAttribution(token);
-    return token;
-}
-
-void
-HostInterface::endAttribution(const std::optional<std::uint64_t> &token)
-{
-    if (token)
-        dev_->ssd().scheduler().endCommandAttribution();
-}
-
-void
-HostInterface::noteFlowStart(std::uint16_t qid, std::uint64_t token, Tick at)
-{
-    obs::TraceSink *sink = obs::TraceSink::global();
-    if (sink == nullptr)
-        return;
-    const obs::TrackId t =
-        sink->track("host", "queue " + std::to_string(qid));
-    sink->flowStart(t, obs::kNvmeFlowCat, obs::kNvmeFlowName, token, at);
-}
-
-void
-HostInterface::noteFlowEnd(std::uint16_t qid, std::uint64_t token, Tick at)
-{
-    obs::TraceSink *sink = obs::TraceSink::global();
-    if (sink == nullptr)
-        return;
-    const obs::TrackId t =
-        sink->track("host", "queue " + std::to_string(qid));
-    sink->flowEnd(t, obs::kNvmeFlowCat, obs::kNvmeFlowName, token, at);
-}
-
-void
-HostInterface::recordStages(OpClass cls, Tick submitted_at, Tick started,
-                            Tick done, const ssd::sched::StageTicks *st)
-{
-    const std::size_t base =
-        static_cast<std::size_t>(cls) * kNumCmdStages;
-    stageHist_[base + kStageTotal].sample(ticks::toUs(done - submitted_at));
-    stageHist_[base + kStageSqWait].sample(
-        ticks::toUs(started - submitted_at));
-    if (st == nullptr)
-        return;
-    using PK = ssd::sched::PhaseKind;
-    const auto booked = [&](PK k) {
-        return st->phase[static_cast<std::size_t>(k)];
-    };
-    stageHist_[base + kStageQueue].sample(ticks::toUs(st->queueWait));
-    stageHist_[base + kStageXferIn].sample(ticks::toUs(booked(PK::kXferIn)));
-    stageHist_[base + kStageArray].sample(ticks::toUs(booked(PK::kArray)));
-    stageHist_[base + kStageXferOut].sample(
-        ticks::toUs(booked(PK::kXferOut)));
-    stageHist_[base + kStageSuspend].sample(
-        ticks::toUs(booked(PK::kSuspend) + booked(PK::kResume)));
-}
-
-void
-HostInterface::noteSlo(OpClass cls, Tick latency, Tick at)
-{
-    const auto &t = slo_[static_cast<std::size_t>(cls)];
-    if (t)
-        t->record(latency, at);
-}
-
 void
 HostInterface::setSlo(OpClass cls, const obs::SloConfig &cfg)
 {
@@ -217,76 +134,68 @@ HostInterface::noteCmdSpan(std::uint16_t qid, const char *name, Tick start,
     sink->asyncEnd(t, "nvme", name, id, std::max(end, start));
 }
 
-Tick
-HostInterface::requeueDelay(std::uint32_t attempt)
-{
-    if (retry_.backoffBase == 0)
-        return 0;
-    // Exponential backoff with the shift clamped well below the Tick
-    // width; the jitter draw keeps a storm's retries from re-converging
-    // on one instant while staying a pure function of the seed.
-    const std::uint32_t shift = std::min(attempt - 1, 20u);
-    return (retry_.backoffBase << shift) +
-           jitterRng_.below(retry_.backoffBase);
-}
-
-bool
-HostInterface::shedIfOverloaded(std::uint16_t qid, std::size_t cmds,
-                                std::optional<std::uint16_t> &cid)
+std::optional<std::uint16_t>
+HostInterface::enqueue(std::uint16_t qid, OpClass cls,
+                       std::span<const nvme::NvmeCommand> cmds)
 {
     nvme::QueuePair &qp = qps_.at(qid);
+    const std::size_t occupied = qp.sqOccupancy() + cmds.size();
     if (ssd::DeviceHealth *health = dev_->ssd().health()) {
-        const ssd::HealthConfig &hc = dev_->ssd().config().health;
-        if (static_cast<double>(qp.sqOccupancy() + cmds) >=
-            hc.queuePressureFraction * static_cast<double>(qp.depth()))
+        if (static_cast<double>(occupied) >=
+            dev_->ssd().config().health.queuePressureFraction *
+                static_cast<double>(qp.depth()))
             health->noteQueuePressure();
     }
-    if (admissionLimit_ == 0 || qp.sqOccupancy() + cmds <= admissionLimit_)
-        return false;
-    cid = qp.reject(dev_->now(), nvme::kAdmissionShed);
-    if (cid) {
+    const Tick now = dev_->now();
+    if (admissionLimit_ != 0 && occupied > admissionLimit_) {
+        const std::uint16_t cid = qp.reject(now, nvme::kAdmissionShed);
         ++sheds_;
-        noteCmdSpan(qid, "shed", dev_->now(), dev_->now(),
-                    nvme::kAdmissionShed);
+        noteCmdSpan(qid, "shed", now, now, nvme::kAdmissionShed);
+        return cid;
     }
-    return true;
+    if (occupied >= qp.depth())
+        return std::nullopt; // all or nothing; one slot stays reserved
+    return push(qid, cls, cmds, now);
+}
+
+std::uint16_t
+HostInterface::push(std::uint16_t qid, OpClass cls,
+                    std::span<const nvme::NvmeCommand> cmds, Tick at)
+{
+    std::uint16_t last = 0;
+    for (const nvme::NvmeCommand &c : cmds) {
+        const auto cid = qps_[qid].submit(c, at);
+        if (!cid)
+            panic("HostInterface: submission ring overflow");
+        last = *cid;
+    }
+    if (cls == OpClass::kFormula)
+        tickets_[qid].push_back(FormulaTicket{last, cmds.size()});
+    return last;
 }
 
 std::optional<std::uint16_t>
 HostInterface::submitRead(std::uint16_t qid, nvme::Lpn lpn)
 {
-    std::optional<std::uint16_t> shed;
-    if (shedIfOverloaded(qid, 1, shed))
-        return shed;
-    nvme::NvmeCommand c;
-    c.setOpcode(nvme::Opcode::kRead);
-    c.setSlba(lpn * parser_.sectorsPerPage());
-    c.setNlb(static_cast<std::uint16_t>(parser_.sectorsPerPage() - 1));
-    return qps_.at(qid).submit(c, dev_->now());
+    const nvme::NvmeCommand c =
+        pageCommand(nvme::Opcode::kRead, lpn, parser_.sectorsPerPage());
+    return enqueue(qid, OpClass::kRead, {&c, 1});
 }
 
 std::optional<std::uint16_t>
 HostInterface::submitWrite(std::uint16_t qid, nvme::Lpn lpn)
 {
-    std::optional<std::uint16_t> shed;
-    if (shedIfOverloaded(qid, 1, shed))
-        return shed;
-    nvme::NvmeCommand c;
-    c.setOpcode(nvme::Opcode::kWrite);
-    c.setSlba(lpn * parser_.sectorsPerPage());
-    c.setNlb(static_cast<std::uint16_t>(parser_.sectorsPerPage() - 1));
-    return qps_.at(qid).submit(c, dev_->now());
+    const nvme::NvmeCommand c =
+        pageCommand(nvme::Opcode::kWrite, lpn, parser_.sectorsPerPage());
+    return enqueue(qid, OpClass::kWrite, {&c, 1});
 }
 
 std::optional<std::uint16_t>
 HostInterface::submitFlush(std::uint16_t qid)
 {
-    std::optional<std::uint16_t> shed;
-    if (shedIfOverloaded(qid, 1, shed))
-        return shed;
     nvme::NvmeCommand c;
     c.setOpcode(nvme::Opcode::kFlush);
-    return qps_.at(qid).submit(c, dev_->now());
+    return enqueue(qid, OpClass::kFlush, {&c, 1});
 }
 
 std::optional<std::uint16_t>
@@ -295,23 +204,7 @@ HostInterface::submitFormula(std::uint16_t qid, const nvme::Formula &formula)
     const auto cmds = parser_.encode(formula);
     if (cmds.empty())
         return std::nullopt;
-    std::optional<std::uint16_t> shed;
-    if (shedIfOverloaded(qid, cmds.size(), shed))
-        return shed;
-    nvme::QueuePair &qp = qps_.at(qid);
-    if (qp.sqOccupancy() + cmds.size() >= qp.depth())
-        return std::nullopt; // all-or-nothing submission
-    std::uint16_t last_cid = 0;
-    const Tick now = dev_->now();
-    for (const auto &c : cmds) {
-        const auto cid = qp.submit(c, now);
-        if (!cid)
-            panic("HostInterface: ring filled mid-formula");
-        last_cid = *cid;
-    }
-    tickets_.at(qid).push_back(
-        FormulaTicket{qid, last_cid, cmds.size()});
-    return last_cid;
+    return enqueue(qid, OpClass::kFormula, cmds);
 }
 
 std::optional<QueuedCompletion>
@@ -337,295 +230,263 @@ HostInterface::reap(std::uint16_t qid)
     return out;
 }
 
+template <class Run>
+void
+HostInterface::attributed(InFlight &f, Run &&run)
+{
+    if (obs::MetricsRegistry::global().enabled() ||
+        obs::TraceSink::global() != nullptr) {
+        f.token = nextCmdToken_++;
+        dev_->ssd().scheduler().beginCommandAttribution(*f.token);
+    }
+    run();
+    if (f.token)
+        dev_->ssd().scheduler().endCommandAttribution();
+}
+
+void
+HostInterface::post(const InFlight &f, Tick at, std::uint16_t status)
+{
+    qps_[f.qid].complete(f.cid, f.submittedAt, at, status);
+    noteCmdSpan(f.qid, opClassName(f.cls), f.submittedAt, at, status);
+    // A refusal never entered service, so it is no latency sample; the
+    // watchdog's abort of one is.
+    const auto &slo = slo_[static_cast<std::size_t>(f.cls)];
+    if (slo && (!f.refused || status == nvme::kCommandAborted))
+        slo->record(at - f.submittedAt, at);
+    ssd::DeviceHealth *health = dev_->ssd().health();
+    if (health && status == nvme::kUnrecoveredReadError)
+        health->noteUncorrectable();
+}
+
+void
+HostInterface::retire(const InFlight &f, Tick done,
+                      std::span<const nvme::NvmeCommand> cmds)
+{
+    // Stage attribution: obs.latency.<class>.* and the flow that links
+    // the command's span to the device spans that served it.  A plain
+    // command that booked no transactions (a Flush never does) has only
+    // its total and SQ wait.  Flow events carry explicit timestamps, so
+    // emitting the start here rather than at submission is harmless.
+    if (f.token) {
+        const ssd::sched::StageTicks st =
+            dev_->ssd().scheduler().takeCommandStages(*f.token);
+        const auto sample = [&](CmdStage stage, Tick t) {
+            stageHist_[static_cast<std::size_t>(f.cls) * kNumCmdStages +
+                       stage]
+                .sample(ticks::toUs(t));
+        };
+        sample(kStageTotal, done - f.submittedAt);
+        sample(kStageSqWait, f.started - f.submittedAt);
+        if (f.cls == OpClass::kFormula || !f.group.empty()) {
+            using PK = ssd::sched::PhaseKind;
+            const auto booked = [&st](PK k) {
+                return st.phase[static_cast<std::size_t>(k)];
+            };
+            sample(kStageQueue, st.queueWait);
+            sample(kStageXferIn, booked(PK::kXferIn));
+            sample(kStageArray, booked(PK::kArray));
+            sample(kStageXferOut, booked(PK::kXferOut));
+            sample(kStageSuspend, booked(PK::kSuspend) + booked(PK::kResume));
+            if (obs::TraceSink *sink = obs::TraceSink::global()) {
+                const obs::TrackId t = sink->track(
+                    "host", "queue " + std::to_string(f.qid));
+                sink->flowStart(t, obs::kNvmeFlowCat, obs::kNvmeFlowName,
+                                *f.token, f.submittedAt);
+                sink->flowEnd(t, obs::kNvmeFlowCat, obs::kNvmeFlowName,
+                              *f.token, done);
+            }
+        }
+    }
+
+    // The host watchdog judges every completion by when it lands.
+    auto &attempts = attempts_[f.qid];
+    std::uint32_t attempt = 0;
+    if (const auto it = attempts.find(f.cid); it != attempts.end()) {
+        attempt = it->second;
+        attempts.erase(it);
+    }
+    const Tick deadline = f.submittedAt + retry_.commandTimeout;
+    if (retry_.commandTimeout == 0 || attempt >= retry_.maxRequeues ||
+        done <= deadline) {
+        post(f, done, f.status);
+        return;
+    }
+    // Abort at the deadline and re-submit @p cmds after the backoff:
+    // backoffBase * 2^attempt, the shift clamped well below the Tick
+    // width, plus a seeded jitter draw so a storm's retries do not
+    // re-converge on one instant.
+    ++timeouts_;
+    post(f, deadline, nvme::kCommandAborted);
+    Tick backoff = 0;
+    if (retry_.backoffBase > 0)
+        backoff = (retry_.backoffBase << std::min(attempt, 20u)) +
+                  jitterRng_.below(retry_.backoffBase);
+    attempts.emplace(push(f.qid, f.cls, cmds, done + backoff), attempt + 1);
+    ++requeues_;
+}
+
 std::size_t
 HostInterface::pump()
 {
-    struct Pending
-    {
-        std::uint16_t qid;
-        nvme::QueuePair::Fetched f;
+    ssd::DeviceHealth *health = dev_->ssd().health();
+    std::size_t retired = 0;
+
+    // The health gate, asked as each command executes: a degraded
+    // device sheds formulas (deferrable work the host can route
+    // elsewhere), a read-only one refuses writes with a status the host
+    // can tell apart from an execution failure, and a failed one
+    // vouches for nothing.  A Flush always runs.  @return true when
+    // @p f is refused; its status and counter are set.
+    const auto refuse = [&](InFlight &f) {
+        if (health == nullptr || f.cls == OpClass::kFlush)
+            return false;
+        f.refused = !(f.cls == OpClass::kRead    ? health->admitRead()
+                      : f.cls == OpClass::kWrite ? health->admitWrite()
+                                                 : health->admitFormula());
+        if (!f.refused)
+            return false;
+        if (!health->admitRead()) {
+            f.status = nvme::kInternalError;
+        } else if (f.cls == OpClass::kWrite) {
+            f.status = nvme::kWriteProtected;
+            ++writeRejects_;
+        } else {
+            f.status = nvme::kAdmissionShed;
+            ++sheds_;
+        }
+        return true;
     };
 
-    // Plain reads/writes are not executed inline: their FTL ops are
-    // submitted to the device's transaction scheduler as they are
-    // fetched (in arbitration order) and the batch is drained at the
-    // next boundary — a formula execution, a Flush, or the end of the
-    // round.  Under FCFS this is tick-identical to inline execution
+    // Plain reads, writes and Flushes are not retired inline: their FTL
+    // ops are submitted to the device's transaction scheduler as they
+    // are fetched (in arbitration order) and the batch is drained at
+    // the next boundary — a formula execution, a Flush, or the end of
+    // the round.  Under FCFS this is tick-identical to inline execution
     // (the device clock does not advance while commands accumulate and
     // per-resource booking order equals submission order); under the
     // reordering policies it is what gives the arbiter a window of
     // co-pending host transactions to work with.
-    struct DeferredPlain
-    {
-        std::uint16_t qid;
-        nvme::QueuePair::Fetched f;
-        ssd::sched::TxGroup group;
-        std::uint16_t status;
-        Tick submittedNow; ///< device clock at submission (fallback)
-        /** Attribution token bracketing this command's scheduler
-         *  submissions (set only while metrics/tracing are on). */
-        std::optional<std::uint64_t> token;
-    };
-    std::vector<DeferredPlain> deferred;
-
-    std::size_t retired = 0;
-    bool more = true;
-    ssd::DeviceHealth *health = dev_->ssd().health();
-
-    // Drain the scheduler and complete every deferred command.  Must
-    // run before anything that opens a new scheduler batch (formula
-    // execution, Flush) — the batch's completions are discarded at
-    // the next submit.
-    const auto flushDeferred = [&] {
-        if (deferred.empty())
+    std::vector<InFlight> batch;
+    // Must run before anything that opens a new scheduler batch: the
+    // batch's completions are discarded at the next submit.
+    const auto drain = [&] {
+        if (batch.empty())
             return;
         dev_->ssd().drainTransactions();
-        for (DeferredPlain &d : deferred) {
-            const Tick done =
-                dev_->ssd().groupCompletion(d.group, d.submittedNow);
-            const OpClass cls = opClassOf(d.f.cmd.opcode());
-            if (d.token) {
-                const ssd::sched::StageTicks stages =
-                    dev_->ssd().scheduler().takeCommandStages(*d.token);
-                // Flush never touches the scheduler: only total and
-                // SQ-wait are meaningful for it.  The flow start is
-                // emitted here rather than at submission — buffered
-                // events carry explicit timestamps, so ordering in the
-                // buffer is irrelevant.
-                recordStages(cls, d.f.submittedAt, d.submittedNow, done,
-                             d.group.empty() ? nullptr : &stages);
-                if (!d.group.empty()) {
-                    noteFlowStart(d.qid, *d.token, d.f.submittedAt);
-                    noteFlowEnd(d.qid, *d.token, done);
-                }
-            }
-            auto &attempts = attempts_.at(d.qid);
-            std::uint32_t attempt = 0;
-            if (const auto it = attempts.find(d.f.cid);
-                it != attempts.end()) {
-                attempt = it->second;
-                attempts.erase(it);
-            }
-            const Tick deadline = d.f.submittedAt + retry_.commandTimeout;
-            if (retry_.commandTimeout > 0 && attempt < retry_.maxRequeues &&
-                done > deadline) {
-                ++timeouts_;
-                qps_[d.qid].complete(d.f.cid, d.f.submittedAt, deadline,
-                                     nvme::kCommandAborted);
-                noteCmdSpan(d.qid, cmdName(d.f.cmd.opcode()),
-                            d.f.submittedAt, deadline,
-                            nvme::kCommandAborted);
-                noteSlo(cls, deadline - d.f.submittedAt, deadline);
-                const auto cid = qps_[d.qid].submit(
-                    d.f.cmd, done + requeueDelay(attempt + 1));
-                if (!cid)
-                    panic("HostInterface: ring full on requeue");
-                attempts.emplace(*cid, attempt + 1);
-                ++requeues_;
-                more = true;
-                ++retired;
-                continue;
-            }
-            qps_[d.qid].complete(d.f.cid, d.f.submittedAt, done, d.status);
-            noteCmdSpan(d.qid, cmdName(d.f.cmd.opcode()), d.f.submittedAt,
-                        done, d.status);
-            noteSlo(cls, done - d.f.submittedAt, done);
-            if (health && d.status == nvme::kUnrecoveredReadError)
-                health->noteUncorrectable();
-            ++retired;
-        }
-        deferred.clear();
+        for (const InFlight &f : batch)
+            retire(f, dev_->ssd().groupCompletion(f.group, f.started),
+                   {&f.cmd, 1});
+        retired += batch.size();
+        batch.clear();
     };
 
-    while (more) {
-        more = false;
-
+    // Rounds run until every SQ is empty: a requeued attempt goes back
+    // into its SQ and is served by the next round.
+    do {
         // Round-robin fetch: one command per queue per turn until all
         // SQs drain, preserving NVMe's per-queue FIFO order.
-        std::vector<Pending> order;
-        bool any = true;
-        while (any) {
+        std::vector<InFlight> fetched;
+        for (bool any = true; any;) {
             any = false;
             for (std::uint16_t q = 0; q < queues(); ++q) {
-                if (auto f = qps_[q].fetch()) {
-                    order.push_back(Pending{q, std::move(*f)});
+                if (const auto c = qps_[q].fetch()) {
+                    fetched.push_back(InFlight{.qid = q,
+                                               .cid = c->cid,
+                                               .cmd = c->cmd,
+                                               .submittedAt = c->submittedAt});
                     any = true;
                 }
             }
         }
 
-        // Execute in arbitration order.  ParaBit command groups are
-        // re-assembled per queue using the formula tickets.
+        // Execute in arbitration order.  A formula's commands are
+        // re-assembled per queue using its ticket; the whole group then
+        // runs as one command.  A backed-off requeue carries a
+        // submission time past the device clock: never execute (or
+        // complete) a command earlier than it was submitted.
         std::vector<std::vector<nvme::NvmeCommand>> groups(queues());
-        for (auto &p : order) {
-            const auto op = p.f.cmd.opcode();
-            auto &ticketq = tickets_.at(p.qid);
-            const bool in_formula =
-                !ticketq.empty() &&
-                (p.f.cmd.hasPartner() || p.f.cmd.operandTag() ||
-                 !groups[p.qid].empty());
-            if (in_formula) {
-                groups[p.qid].push_back(p.f.cmd);
-                if (groups[p.qid].size() == ticketq.front().cmdCount) {
-                    // Formula complete: parse and execute.
-                    const FormulaTicket t = ticketq.front();
-                    ticketq.pop_front();
-                    std::vector<nvme::NvmeCommand> group =
-                        std::move(groups[p.qid]);
-                    groups[p.qid].clear();
-                    const auto batches = parser_.parse(group);
-                    flushDeferred();
-                    if (health && !health->admitFormula()) {
-                        // A degraded device sheds computation before it
-                        // executes — formulas are deferrable work the
-                        // host can route elsewhere; plain I/O keeps
-                        // flowing.  A failed device cannot vouch for
-                        // anything and reports an internal error.
-                        const std::uint16_t status =
-                            health->admitRead() ? nvme::kAdmissionShed
-                                                : nvme::kInternalError;
-                        if (status == nvme::kAdmissionShed)
-                            ++sheds_;
-                        const Tick at =
-                            std::max(dev_->now(), p.f.submittedAt);
-                        qps_[p.qid].complete(t.finalCid, p.f.submittedAt,
-                                             at, status);
-                        noteCmdSpan(p.qid, "formula", p.f.submittedAt, at,
-                                    status);
-                        ++retired;
-                        continue;
-                    }
-                    const Tick started =
-                        std::max(dev_->now(), p.f.submittedAt);
-                    const auto token = beginAttribution();
-                    ExecResult r = dev_->controller().executeBatches(
-                        batches, mode_, started);
-                    endAttribution(token);
-                    if (token) {
-                        const ssd::sched::StageTicks stages =
-                            dev_->ssd().scheduler().takeCommandStages(
-                                *token);
-                        recordStages(OpClass::kFormula, p.f.submittedAt,
-                                     started, r.stats.end, &stages);
-                        noteFlowStart(p.qid, *token, p.f.submittedAt);
-                        noteFlowEnd(p.qid, *token, r.stats.end);
-                    }
-                    const Tick deadline =
-                        p.f.submittedAt + retry_.commandTimeout;
-                    if (retry_.commandTimeout > 0 &&
-                        t.attempts < retry_.maxRequeues &&
-                        r.stats.end > deadline) {
-                        // The host's watchdog fires before the device
-                        // would finish: abort at the deadline and
-                        // re-issue the whole formula after the backoff,
-                        // until the retry budget runs out.
-                        ++timeouts_;
-                        qps_[p.qid].complete(t.finalCid, p.f.submittedAt,
-                                             deadline,
-                                             nvme::kCommandAborted);
-                        noteCmdSpan(p.qid, "formula", p.f.submittedAt,
-                                    deadline, nvme::kCommandAborted);
-                        noteSlo(OpClass::kFormula,
-                                deadline - p.f.submittedAt, deadline);
-                        const Tick at =
-                            r.stats.end + requeueDelay(t.attempts + 1);
-                        std::uint16_t last = 0;
-                        for (const auto &c : group) {
-                            const auto cid = qps_[p.qid].submit(c, at);
-                            if (!cid)
-                                panic("HostInterface: ring full on requeue");
-                            last = *cid;
-                        }
-                        tickets_.at(p.qid).push_back(FormulaTicket{
-                            p.qid, last, group.size(), t.attempts + 1});
-                        ++requeues_;
-                        more = true;
-                        ++retired;
-                        continue;
-                    }
-                    const std::uint16_t status = toNvmeStatus(r.status);
-                    QueuedCompletion qc;
-                    qc.qid = p.qid;
-                    qc.cid = t.finalCid;
-                    qc.status = status;
-                    qc.pages = std::move(r.pages);
-                    results_.at(p.qid).push_back(std::move(qc));
-                    qps_[p.qid].complete(t.finalCid, p.f.submittedAt,
-                                         r.stats.end, status);
-                    noteCmdSpan(p.qid, "formula", p.f.submittedAt,
-                                r.stats.end, status);
-                    noteSlo(OpClass::kFormula,
-                            r.stats.end - p.f.submittedAt, r.stats.end);
-                    ++retired;
+        for (InFlight &f : fetched) {
+            auto &ticketq = tickets_[f.qid];
+            auto &group = groups[f.qid];
+            if (!ticketq.empty() && (f.cmd.hasPartner() ||
+                                     f.cmd.operandTag() || !group.empty())) {
+                group.push_back(f.cmd);
+                if (group.size() < ticketq.front().cmdCount)
+                    continue;
+                f.cls = OpClass::kFormula;
+                f.cid = ticketq.front().finalCid;
+                ticketq.pop_front();
+                const std::vector<nvme::NvmeCommand> cmds =
+                    std::exchange(group, {});
+                const auto batches = parser_.parse(cmds);
+                drain();
+                f.started = std::max(dev_->now(), f.submittedAt);
+                Tick done = f.started;
+                if (!refuse(f)) {
+                    ExecResult r;
+                    attributed(f, [&] {
+                        r = dev_->controller().executeBatches(batches, mode_,
+                                                              f.started);
+                    });
+                    f.status = toNvmeStatus(r.status);
+                    done = r.stats.end;
+                    // The pages wait for the host's reap, which drops
+                    // them unless the completion under this cid is OK.
+                    if (!r.pages.empty())
+                        results_[f.qid].push_back(
+                            {.cid = f.cid, .pages = std::move(r.pages)});
                 }
+                retire(f, done, cmds);
+                ++retired;
                 continue;
             }
 
-            // Plain I/O path.  Reads gate on page accessibility — a
-            // dead plane surfaces as a media error, not silent data.
-            // A backed-off requeue carries a submission time past the
-            // device clock; never execute (or complete) it earlier than
-            // it was submitted.
-            const nvme::Lpn lpn = p.f.cmd.slba() / parser_.sectorsPerPage();
-            const Tick ready = std::max(dev_->now(), p.f.submittedAt);
-            if (op == nvme::Opcode::kFlush) {
+            f.cls = opClassOf(f.cmd.opcode());
+            f.started = std::max(dev_->now(), f.submittedAt);
+            if (f.cls == OpClass::kFlush) {
                 // Flush = force a checkpoint: every write completed
                 // before this command survives a subsequent power cut
-                // without journal/OOB replay.  Complete the pending
-                // batch first — the checkpoint orders after it.
-                flushDeferred();
-                std::uint16_t status = nvme::kSuccess;
+                // without journal/OOB replay.  Retire the pending batch
+                // first — the checkpoint orders after it — then drain
+                // the Flush as its own empty batch, completing at the
+                // device clock after the checkpoint.
+                drain();
                 if (!dev_->flush())
-                    status = nvme::kInternalError;
-                DeferredPlain d{p.qid, std::move(p.f), {}, status,
-                                std::max(dev_->now(), ready)};
-                if (attributionOn())
-                    d.token = nextCmdToken_++;
-                deferred.push_back(std::move(d));
-                flushDeferred(); // empty group: completes at dev_->now()
+                    f.status = nvme::kInternalError;
+                f.started = std::max(dev_->now(), f.started);
+                attributed(f, [] {}); // books nothing: total and SQ wait
+                batch.push_back(f);
+                drain();
                 continue;
             }
-            DeferredPlain d{p.qid, std::move(p.f), {}, nvme::kSuccess,
-                            ready};
-            if (op == nvme::Opcode::kRead) {
-                if (health && !health->admitRead()) {
-                    // Failed device: nothing it returns can be vouched
-                    // for.  The completion still posts — reject loudly.
-                    d.status = nvme::kInternalError;
-                } else if (!dev_->ssd().ftl().pageAccessible(lpn)) {
-                    d.status = nvme::kUnrecoveredReadError;
-                } else {
-                    std::vector<ssd::PhysOp> ops;
-                    dev_->ssd().ftl().readPage(lpn, ops);
-                    d.token = beginAttribution();
-                    d.group = dev_->ssd().submitOps(ops, ready);
-                    endAttribution(d.token);
-                }
-            } else if (health && !health->admitWrite()) {
-                // Read-only device: refuse new data it might not be
-                // able to keep, with a status the host can tell apart
-                // from an execution failure.
-                d.status = health->state() == ssd::HealthState::kFailed
-                               ? nvme::kInternalError
-                               : nvme::kWriteProtected;
-                if (d.status == nvme::kWriteProtected)
-                    ++writeRejects_;
-            } else {
-                if (health)
-                    health->noteAdmittedWrite();
+            const nvme::Lpn lpn = f.cmd.slba() / parser_.sectorsPerPage();
+            // A read gates on page accessibility: a dead plane surfaces
+            // as a media error, not silent data.
+            if (!refuse(f) && f.cls == OpClass::kRead &&
+                !dev_->ssd().ftl().pageAccessible(lpn))
+                f.status = nvme::kUnrecoveredReadError;
+            if (f.status == nvme::kSuccess) {
                 std::vector<ssd::PhysOp> ops;
-                const bool wrote =
-                    dev_->ssd().ftl().writePage(lpn, nullptr, ops);
-                d.token = beginAttribution();
-                d.group = dev_->ssd().submitOps(ops, ready);
-                endAttribution(d.token);
-                if (!wrote)
-                    d.status = nvme::kInternalError;
+                if (f.cls == OpClass::kRead) {
+                    dev_->ssd().ftl().readPage(lpn, ops);
+                } else {
+                    if (health)
+                        health->noteAdmittedWrite();
+                    if (!dev_->ssd().ftl().writePage(lpn, nullptr, ops))
+                        f.status = nvme::kInternalError;
+                }
+                attributed(f, [&] {
+                    f.group = dev_->ssd().submitOps(ops, f.started);
+                });
             }
-            deferred.push_back(std::move(d));
+            batch.push_back(f);
         }
-        flushDeferred();
-    }
+        drain();
+    } while (std::any_of(qps_.begin(), qps_.end(),
+                         [](const nvme::QueuePair &qp) {
+                             return qp.sqOccupancy() > 0;
+                         }));
     return retired;
 }
 

@@ -12,6 +12,14 @@
  * posts to the completion queue.  Plain reads and writes share the same
  * queues, so mixed I/O + computation workloads exhibit realistic
  * queueing interference.
+ *
+ * Every command takes one path whatever its class.  The four submit
+ * calls share one admission check.  Each fetched read, write or Flush,
+ * and each formula's whole command group, becomes one in-flight record.
+ * One routine retires it: stage attribution, then either the host
+ * watchdog's abort-and-requeue or the completion.  Posting a completion
+ * writes the CQ entry, the trace span, the SLO sample and the device
+ * health feed, in that one place.
  */
 
 #ifndef PARABIT_PARABIT_HOST_INTERFACE_HPP_
@@ -22,6 +30,8 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -31,10 +41,7 @@
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "parabit/device.hpp"
-
-namespace parabit::ssd::sched {
-struct StageTicks;
-}
+#include "ssd/sched/transaction.hpp"
 
 namespace parabit::core {
 
@@ -80,8 +87,11 @@ struct QueuedCompletion
  * latency, so a degraded device still makes forward progress and no
  * command ever vanishes without a terminal completion.
  *
- * Defaults (timeout 0 = watchdog off, one requeue, no backoff) are
- * byte-identical to the historical one-shot-requeue behaviour;
+ * The watchdog is a host timer: it judges every completion the device
+ * posts, refusals by the device's health gate included, by when it
+ * lands, whatever its status.
+ *
+ * Defaults: timeout 0 (watchdog off), one requeue, no backoff.
  * flash::kDefaultRequeueBackoff is the suggested backoffBase for
  * experiments that enable backoff.
  */
@@ -166,17 +176,6 @@ class HostInterface
         retry_ = p;
         jitterRng_ = Rng(p.jitterSeed);
     }
-    const RetryPolicy &retryPolicy() const { return retry_; }
-
-    /** Sugar: enable the watchdog at threshold @p t keeping the other
-     *  RetryPolicy fields at their historical defaults. */
-    void setCommandTimeout(Tick t)
-    {
-        RetryPolicy p = retry_;
-        p.commandTimeout = t;
-        setRetryPolicy(p);
-    }
-    Tick commandTimeout() const { return retry_.commandTimeout; }
 
     /**
      * Admission controller: cap the per-queue submission backlog at
@@ -195,11 +194,13 @@ class HostInterface
 
     /**
      * Track @p cfg for @p cls completions under the "obs.slo.<class>"
-     * metric prefix.  Windows advance on the *simulated* clock; served
-     * completions (successes, media errors, watchdog aborts) are
-     * recorded, admission-refused ones (kAdmissionShed and a degraded
-     * device's formula gate) are not — refusing work must not improve
-     * or poison the latency objective.
+     * metric prefix.  Windows advance on the *simulated* clock.  Served
+     * completions are recorded: successes, device errors and watchdog
+     * aborts.  Admission refusals are not, for any class: the admission
+     * limit's kAdmissionShed and every health-gate refusal (a shed
+     * formula, a read-only device's kWriteProtected, a failed device's
+     * kInternalError).  Refusing work must not improve or poison the
+     * latency objective.
      */
     void setSlo(OpClass cls, const obs::SloConfig &cfg);
 
@@ -217,67 +218,88 @@ class HostInterface
     std::uint64_t timeouts() const { return timeouts_.value(); }
     std::uint64_t requeues() const { return requeues_.value(); }
     /** Commands refused by the admission controller or a degraded
-     *  device's formula gate (nvme::kAdmissionShed completions). */
+     *  device's formula gate (nvme::kAdmissionShed), one per refusal:
+     *  a refused attempt the watchdog aborts still counts. */
     std::uint64_t sheds() const { return sheds_.value(); }
-    /** Writes refused by a read-only device (nvme::kWriteProtected). */
+    /** Writes refused by a read-only device (nvme::kWriteProtected),
+     *  one per refusal, as sheds() counts. */
     std::uint64_t writeRejects() const { return writeRejects_.value(); }
     /// @}
 
   private:
+    /** One fetched command on its way to its completion: a read, a
+     *  write, a Flush, or a formula's whole command group. */
+    struct InFlight
+    {
+        std::uint16_t qid = 0;
+        std::uint16_t cid = 0; ///< the cid that completes
+        OpClass cls = OpClass::kRead;
+        std::uint16_t status = nvme::kSuccess;
+        /** Refused by the device's health gate: it completes, but is no
+         *  SLO sample. */
+        bool refused = false;
+        nvme::NvmeCommand cmd; ///< the fetched command
+        Tick submittedAt = 0;
+        /** Device clock when execution began; a command that booked no
+         *  transactions completes here. */
+        Tick started = 0;
+        ssd::sched::TxGroup group{}; ///< plain I/O's scheduler transactions
+        /** Attribution token of the command's scheduler submissions
+         *  (only while metrics or tracing are on). */
+        std::optional<std::uint64_t> token{};
+    };
+    // A round's fetch list and batch move records without per-command
+    // constructor or destructor work.
+    static_assert(std::is_trivially_copyable_v<InFlight>);
+
+    /** A formula's command group in its SQ; it completes as one
+     *  command under its final cid. */
+    struct FormulaTicket
+    {
+        std::uint16_t finalCid;
+        std::size_t cmdCount;
+    };
+
+    /**
+     * The one way into an SQ for the submit calls: feed queue pressure
+     * to the health machine, shed over the admission limit (the caller
+     * gets the cid of an immediate nvme::kAdmissionShed completion; a
+     * shed formula costs one completion for its whole group), and queue
+     * all of @p cmds or none.  @return the last command's cid, or
+     * nullopt when the ring cannot hold them all.
+     */
+    std::optional<std::uint16_t>
+    enqueue(std::uint16_t qid, OpClass cls,
+            std::span<const nvme::NvmeCommand> cmds);
+
+    /** Push @p cmds into @p qid's SQ stamped @p at (the ring has room)
+     *  and register a formula group's ticket.  @return the last cid. */
+    std::uint16_t push(std::uint16_t qid, OpClass cls,
+                       std::span<const nvme::NvmeCommand> cmds, Tick at);
+
+    /** Run @p run inside @p f's attribution bracket (DESIGN §5.8.1):
+     *  scheduler submissions made by @p run are charged to f's token.
+     *  With metrics and tracing off no token is allocated. */
+    template <class Run> void attributed(InFlight &f, Run &&run);
+
+    /**
+     * The device has served @p f by @p done: record its stages, then
+     * either let the watchdog abort it at its deadline and re-submit
+     * @p cmds (the command itself, or a formula's whole group), or post
+     * its completion.
+     */
+    void retire(const InFlight &f, Tick done,
+                std::span<const nvme::NvmeCommand> cmds);
+
+    /** Complete @p f at @p at with @p status: CQ entry, trace span,
+     *  SLO sample and health feed. */
+    void post(const InFlight &f, Tick at, std::uint16_t status);
+
     /** Emit an async host-command span (submit -> completion) on this
      *  queue's trace track when the global sink is enabled.  Async
      *  events because in-flight commands of one queue overlap. */
     void noteCmdSpan(std::uint16_t qid, const char *name, Tick start,
                      Tick end, std::uint16_t status);
-
-    /** @name Command-lifecycle attribution (see DESIGN "Observability").
-     * When metrics or tracing are on, each executed command gets a
-     * token bracketing its scheduler submissions; the per-stage ticks
-     * the scheduler aggregates under that token feed the obs.latency.*
-     * histograms, and flow events stitch the command's async span to
-     * the device spans that served it.  With both off, no token is
-     * allocated and the hot path costs one branch.
-     */
-    /// @{
-    bool attributionOn() const;
-    /** Open an attribution bracket; nullopt when attribution is off. */
-    std::optional<std::uint64_t> beginAttribution();
-    void endAttribution(const std::optional<std::uint64_t> &token);
-    void noteFlowStart(std::uint16_t qid, std::uint64_t token, Tick at);
-    void noteFlowEnd(std::uint16_t qid, std::uint64_t token, Tick at);
-    /** Sample the obs.latency.<class>.* histograms for one command:
-     *  total (submit -> completion), sq_wait (submit -> fetch), and —
-     *  when @p st is non-null — the scheduler-side stage breakdown. */
-    void recordStages(OpClass cls, Tick submitted_at, Tick started,
-                      Tick done, const ssd::sched::StageTicks *st);
-    /** Record a served completion into @p cls's SLO tracker, if any. */
-    void noteSlo(OpClass cls, Tick latency, Tick at);
-    /// @}
-
-    /** Backoff before re-submission number @p attempt (1-based):
-     *  backoffBase * 2^(attempt-1) plus seeded jitter; 0 when the
-     *  policy has no backoff. */
-    Tick requeueDelay(std::uint32_t attempt);
-
-    /**
-     * Admission-control gate shared by the submit paths: feeds queue
-     * pressure into the health machine and, over the configured limit,
-     * sheds the submission (@p cmds ring entries) with an immediate
-     * nvme::kAdmissionShed completion.  @return true when the caller
-     * must not submit; @p cid then holds the shed completion's cid to
-     * be reaped (nullopt only if the CQ itself was full — the caller
-     * reports ring-full, never losing a command silently).
-     */
-    bool shedIfOverloaded(std::uint16_t qid, std::size_t cmds,
-                          std::optional<std::uint16_t> &cid);
-
-    struct FormulaTicket
-    {
-        std::uint16_t qid;
-        std::uint16_t finalCid;
-        std::size_t cmdCount;
-        std::uint32_t attempts = 0; ///< aborted re-submissions so far
-    };
 
     ParaBitDevice *dev_;
     nvme::CmdParser parser_;
@@ -294,8 +316,9 @@ class HostInterface
     obs::Counter requeues_{"host.requeues"};
     obs::Counter sheds_{"host.sheds"};
     obs::Counter writeRejects_{"host.write_rejects"};
-    /** Re-submitted plain commands (per queue): cid -> aborted attempts
-     *  consumed; a cid absent from the map is on its first attempt. */
+    /** Re-submitted commands and formulas (per queue): final cid ->
+     *  aborted attempts consumed; a cid absent from the map is on its
+     *  first attempt. */
     std::vector<std::unordered_map<std::uint16_t, std::uint32_t>> attempts_;
     std::uint64_t nextCmdSpanId_ = 0; ///< async trace span ids
     std::uint64_t nextCmdToken_ = 0;  ///< attribution tokens / flow ids

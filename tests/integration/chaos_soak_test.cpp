@@ -13,7 +13,9 @@
  *
  *  - zero lost or hung commands: every submission that yielded a cid is
  *    reaped with a terminal status (success, aborted, shed,
- *    write-protected, or a device error);
+ *    write-protected, or a device error), and every attempt delivers
+ *    its one completion: completions reaped equal accepted commands
+ *    plus requeues;
  *  - health transitions are monotone-sensible: one step at a time,
  *    never while power is lost, and the storm drives the device at
  *    least to degraded;
@@ -105,16 +107,19 @@ runChaosSeed(std::uint64_t seed)
     // A retried command completes more than once (each aborted attempt
     // plus the final one), so the lost/hung-command contract is set
     // inclusion: every cid a submit call handed out must eventually be
-    // reaped with some terminal status.
+    // reaped with some terminal status.  Completions are counted too:
+    // each attempt posts exactly one.
     Rng rng(seed ^ 0xC4A05ull);
     std::array<std::set<std::uint16_t>, kQueues> submitted;
     std::array<std::set<std::uint16_t>, kQueues> reaped;
+    std::size_t completions = 0;
 
     const auto drainAll = [&] {
         host.pump();
-        for (std::uint16_t q = 0; q < kQueues; ++q)
-            while (const auto c = host.reap(q))
+        for (std::uint16_t q = 0; q < kQueues; ++q) {
+            for (; const auto c = host.reap(q); ++completions)
                 reaped[q].insert(c->cid);
+        }
     };
     const auto submitSome = [&](int n) {
         for (int i = 0; i < n; ++i) {
@@ -194,6 +199,12 @@ runChaosSeed(std::uint64_t seed)
 
     // Robustness contract: nothing submitted ever vanished or hung.
     drainAll();
+    std::size_t accepted = 0;
+    for (const auto &cids : submitted)
+        accepted += cids.size();
+    EXPECT_EQ(completions, accepted + host.requeues())
+        << "every attempt posts exactly one completion; a full CQ must "
+           "hold, not drop";
     for (std::uint16_t q = 0; q < kQueues; ++q) {
         std::vector<std::uint16_t> lost;
         for (const std::uint16_t cid : submitted[q])

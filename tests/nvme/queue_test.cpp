@@ -1,7 +1,8 @@
 /**
  * @file
  * NVMe queue-pair ring tests: FIFO order, full/empty detection with the
- * reserved slot, wraparound, and completion phase-tag behaviour.
+ * reserved slot, wraparound, completion phase-tag behaviour, and the
+ * hold that keeps a full CQ from dropping completions.
  */
 
 #include <gtest/gtest.h>
@@ -70,7 +71,7 @@ TEST(QueuePair, CompletionRoundTripWithLatency)
     ASSERT_TRUE(cid);
     auto f = qp.fetch();
     ASSERT_TRUE(f);
-    ASSERT_TRUE(qp.complete(f->cid, f->submittedAt, 350));
+    qp.complete(f->cid, f->submittedAt, 350);
     auto c = qp.reap();
     ASSERT_TRUE(c);
     EXPECT_EQ(c->cid, *cid);
@@ -88,8 +89,7 @@ TEST(QueuePair, WraparoundManyTimes)
         auto f = qp.fetch();
         ASSERT_TRUE(f);
         EXPECT_EQ(f->cmd.slba(), static_cast<std::uint64_t>(round));
-        ASSERT_TRUE(qp.complete(f->cid, f->submittedAt,
-                                static_cast<Tick>(round + 1)));
+        qp.complete(f->cid, f->submittedAt, static_cast<Tick>(round + 1));
         auto c = qp.reap();
         ASSERT_TRUE(c) << "phase tag must track CQ wraps, round " << round;
         EXPECT_EQ(c->cid, *cid);
@@ -104,13 +104,43 @@ TEST(QueuePair, MultipleInFlightCompletions)
         cids.push_back(*qp.submit(readCmd(static_cast<std::uint64_t>(i)), 0));
     for (int i = 0; i < 5; ++i) {
         auto f = qp.fetch();
-        ASSERT_TRUE(qp.complete(f->cid, f->submittedAt, 10));
+        qp.complete(f->cid, f->submittedAt, 10);
     }
     for (int i = 0; i < 5; ++i) {
         auto c = qp.reap();
         ASSERT_TRUE(c);
         EXPECT_EQ(c->cid, cids[static_cast<std::size_t>(i)]);
     }
+}
+
+TEST(QueuePair, FullCqHoldsCompletionsInOrder)
+{
+    QueuePair qp(1, 4); // 3 usable CQ slots
+    std::vector<std::uint16_t> cids;
+    const auto completeOne = [&](int i) {
+        const auto cid = qp.submit(readCmd(static_cast<std::uint64_t>(i)), 0);
+        ASSERT_TRUE(cid);
+        cids.push_back(*cid);
+        const auto f = qp.fetch();
+        ASSERT_TRUE(f);
+        qp.complete(f->cid, f->submittedAt, static_cast<Tick>(10 + i));
+    };
+    // Completions 3 and 4 find the CQ full and wait for a slot; the
+    // sixth arrives after one reap freed a slot the hold refilled.
+    for (int i = 0; i < 5; ++i)
+        completeOne(i);
+    const auto first = qp.reap();
+    ASSERT_TRUE(first);
+    EXPECT_EQ(first->cid, cids[0]);
+    completeOne(5);
+    for (std::size_t i = 1; i < 6; ++i) {
+        const auto c = qp.reap();
+        ASSERT_TRUE(c) << "completion " << i << " was dropped";
+        EXPECT_EQ(c->cid, cids[i]);
+        EXPECT_EQ(c->completedAt, static_cast<Tick>(10 + i))
+            << "holding a completion moves no tick";
+    }
+    EXPECT_FALSE(qp.reap().has_value()) << "no ghost completions";
 }
 
 TEST(QueuePair, TinyDepthDies)

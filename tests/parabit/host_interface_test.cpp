@@ -268,7 +268,8 @@ TEST(HostInterface, TimeoutAbortsThenRequeuedAttemptCompletes)
     dev.writeData(0, d);
 
     HostInterface host(dev, 1, 8);
-    host.setCommandTimeout(1); // 1 ps: the first attempt always times out
+    // 1 ps: the first attempt always times out.
+    host.setRetryPolicy(RetryPolicy{.commandTimeout = 1});
     ASSERT_TRUE(host.submitRead(0, 0));
     EXPECT_EQ(host.pump(), 2u) << "abort plus the requeued attempt";
 
@@ -292,7 +293,7 @@ TEST(HostInterface, FormulaTimeoutRequeuesWholeGroup)
     dev.writeData(10, y);
 
     HostInterface host(dev, 1, 16, Mode::kReAllocate);
-    host.setCommandTimeout(1);
+    host.setRetryPolicy(RetryPolicy{.commandTimeout = 1});
     nvme::Formula f;
     f.terms.push_back(nvme::Formula::Term{nvme::OperandRef::logical(0, 1),
                                           nvme::OperandRef::logical(10, 1),
@@ -400,7 +401,7 @@ TEST(HostInterface, AbortWhileArrayPhaseBookedKeepsSchedInvariants)
     dev.writeData(0, d);
 
     HostInterface host(dev, 1, 16);
-    host.setCommandTimeout(1);
+    host.setRetryPolicy(RetryPolicy{.commandTimeout = 1});
     for (nvme::Lpn l = 0; l < 4; ++l)
         ASSERT_TRUE(host.submitRead(0, l));
     ASSERT_TRUE(host.submitWrite(0, 1));
@@ -413,6 +414,29 @@ TEST(HostInterface, AbortWhileArrayPhaseBookedKeepsSchedInvariants)
     InvariantReport r;
     ASSERT_TRUE(dev.ssd().invariantRegistry().runSuite("sched", r));
     EXPECT_TRUE(r.ok()) << r.describe();
+}
+
+TEST(HostInterface, FullCompletionQueueHoldsEveryAttempt)
+{
+    // Every attempt of a retried command posts a completion, and the
+    // pump retires them all before the host reaps: nine completions
+    // through a CQ with three slots.
+    ParaBitDevice dev(ssd::SsdConfig::tiny());
+    dev.writeData(0, pages(dev.ssd().config(), 3, 44));
+    HostInterface host(dev, 1, 4); // 3 CQ slots
+    host.setRetryPolicy(RetryPolicy{.commandTimeout = 1, .maxRequeues = 2});
+    for (nvme::Lpn l = 0; l < 3; ++l)
+        ASSERT_TRUE(host.submitRead(0, l));
+    EXPECT_EQ(host.pump(), 9u);
+
+    std::vector<std::uint16_t> statuses;
+    while (const auto c = host.reap(0))
+        statuses.push_back(c->status);
+    ASSERT_EQ(statuses.size(), 9u) << "a full CQ holds, never drops";
+    for (std::size_t i = 0; i < 6; ++i)
+        EXPECT_EQ(statuses[i], nvme::kCommandAborted) << "completion " << i;
+    for (std::size_t i = 6; i < 9; ++i)
+        EXPECT_EQ(statuses[i], nvme::kSuccess) << "completion " << i;
 }
 
 TEST(HostInterface, QueueDepthAddsLatency)

@@ -262,18 +262,25 @@ TEST(HostHealthPolicy, ReadOnlyDeviceRejectsWritesWithDistinctStatus)
     ASSERT_EQ(h->state(), ssd::HealthState::kReadOnly);
 
     HostInterface host(dev, 1, 8);
+    // No served write could meet a zero target; a refused one is no
+    // sample, however late the device gets to it.
+    host.setSlo(OpClass::kWrite, obs::SloConfig{.target = 0});
     ASSERT_TRUE(host.submitWrite(0, 1));
     ASSERT_TRUE(host.submitRead(0, 0));
+    dev.readData(0, 1); // the device clock runs ahead of the submissions
     EXPECT_EQ(host.pump(), 2u);
 
     const auto w = host.reap(0);
     ASSERT_TRUE(w);
     EXPECT_EQ(w->status, nvme::kWriteProtected);
+    EXPECT_GT(w->latency, Tick{0});
     const auto r = host.reap(0);
     ASSERT_TRUE(r);
     EXPECT_TRUE(r->ok()) << "reads keep flowing in read-only";
     EXPECT_EQ(host.writeRejects(), 1u);
     EXPECT_EQ(h->admittedWritesSinceEntry(), 0u);
+    EXPECT_EQ(host.slo(OpClass::kWrite)->violations(), 0u)
+        << "an admission refusal is never an SLO sample";
 }
 
 TEST(HostHealthPolicy, DegradedDeviceShedsFormulasButServesIo)
@@ -313,6 +320,71 @@ TEST(HostHealthPolicy, DegradedDeviceShedsFormulasButServesIo)
     ASSERT_TRUE(c2);
     EXPECT_TRUE(c2->ok()) << "plain writes still admitted while degraded";
     EXPECT_EQ(host.sheds(), 1u);
+
+    // The watchdog is a host timer: a refusal that lands past the
+    // deadline is aborted there like any late completion, and the
+    // requeued formula is refused again.  Each refusal is a shed.
+    host.setRetryPolicy(RetryPolicy{.commandTimeout = 1});
+    ASSERT_TRUE(host.submitFormula(0, f));
+    ASSERT_TRUE(dev.writeData(30, {x})); // the device clock runs ahead
+    ASSERT_EQ(h->state(), ssd::HealthState::kDegraded);
+    host.pump();
+    const auto c3 = host.reap(0);
+    ASSERT_TRUE(c3);
+    EXPECT_EQ(c3->status, nvme::kCommandAborted);
+    EXPECT_EQ(c3->latency, Tick{1}) << "aborted at the deadline";
+    const auto c4 = host.reap(0);
+    ASSERT_TRUE(c4);
+    EXPECT_EQ(c4->status, nvme::kAdmissionShed);
+    EXPECT_FALSE(host.reap(0).has_value());
+    EXPECT_EQ(host.sheds(), 3u);
+}
+
+TEST(HostHealthPolicy, MediaErrorsChargeTheBudgetForEveryClass)
+{
+    // A read and a formula whose operand sits on a dead plane both
+    // complete kUnrecoveredReadError, and each charges the budget.
+    for (const OpClass cls : {OpClass::kRead, OpClass::kFormula}) {
+        SCOPED_TRACE(opClassName(cls));
+        ParaBitDevice dev(healthyTinyConfig());
+        const ssd::SsdConfig &cfg = dev.ssd().config();
+        Rng rng(11);
+        std::vector<BitVector> data;
+        for (int p = 0; p < 2; ++p) {
+            BitVector v(cfg.geometry.pageBits());
+            for (std::size_t i = 0; i < v.size(); ++i)
+                v.set(i, rng.chance(0.5));
+            data.push_back(std::move(v));
+        }
+        dev.writeData(0, data);
+        const auto victim = dev.ssd().ftl().lookup(1);
+        ASSERT_TRUE(victim.has_value());
+        ssd::FaultSpec dead;
+        dead.cls = ssd::FaultClass::kDeadPlane;
+        dead.plane = ssd::planeIndex(
+            dev.ssd().geometry(),
+            {victim->channel, victim->chip, victim->die, victim->plane});
+        dev.ssd().injectFault(dead);
+        ssd::DeviceHealth *h = dev.ssd().health();
+        ASSERT_NE(h, nullptr);
+        ASSERT_EQ(h->pressure(), 0.0);
+
+        HostInterface host(dev, 1, 8, Mode::kReAllocate);
+        if (cls == OpClass::kRead) {
+            ASSERT_TRUE(host.submitRead(0, 1));
+        } else {
+            nvme::Formula f;
+            f.terms.push_back(nvme::Formula::Term{
+                nvme::OperandRef::logical(0, 1),
+                nvme::OperandRef::logical(1, 1), flash::BitwiseOp::kXor});
+            ASSERT_TRUE(host.submitFormula(0, f));
+        }
+        host.pump();
+        const auto c = host.reap(0);
+        ASSERT_TRUE(c);
+        EXPECT_EQ(c->status, nvme::kUnrecoveredReadError);
+        EXPECT_EQ(h->pressure(), cfg.health.weightUncorrectable);
+    }
 }
 
 TEST(HostHealthPolicy, AdmissionLimitShedsFastWithImmediateCompletion)
