@@ -1,16 +1,18 @@
 /**
  * @file
- * Google-benchmark microbenchmarks of the simulator's hot paths: the
- * vectorized latch-array execution (bits computed per second through the
- * full circuit model), FTL write/GC throughput, and the event-engine
- * scheduling rate.  These measure the *simulator's* host performance,
- * complementing the figure benches that report *simulated* device time.
+ * Google-benchmark microbenchmarks of the simulator's hot paths: ParaBit
+ * page ops as the simulator runs them (Chip::opCoLocated and
+ * opLocationFree on a functional chip with 8 KiB pages: the latch
+ * kernel plus the result page, bytes per second of one page), FTL
+ * write/GC throughput, and the event-engine scheduling rate.  These
+ * measure the *simulator's* host performance, complementing the figure
+ * benches that report *simulated* device time.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
-#include "flash/latch_array.hpp"
+#include "flash/chip.hpp"
 #include "parabit/device.hpp"
 #include "ssd/event_engine.hpp"
 
@@ -29,21 +31,45 @@ randomBits(std::size_t n, std::uint64_t seed)
     return v;
 }
 
+/** Functional chip with 8 KiB pages, ideal sensing, random data on the
+ *  pages the latch benchmarks sense. */
+flash::Chip
+latchChip()
+{
+    flash::FlashGeometry g = flash::FlashGeometry::tiny();
+    g.pageBytes = 8 * bytes::kKiB;
+    flash::Chip chip(g, true);
+    std::uint64_t seed = 1;
+    for (const flash::ChipPageAddr &a :
+         {flash::ChipPageAddr{0, 0, 0, 0, false},
+          flash::ChipPageAddr{0, 0, 0, 0, true},
+          flash::ChipPageAddr{0, 0, 1, 0, false},
+          flash::ChipPageAddr{0, 0, 2, 0, true}}) {
+        const BitVector d = randomBits(g.pageBits(), seed++);
+        chip.programPage(a, &d);
+    }
+    return chip;
+}
+
+void
+setPageBytes(benchmark::State &state, const flash::Chip &chip)
+{
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(
+                                chip.geometry().pageBytes));
+}
+
 void
 BM_LatchArrayCoLocated(benchmark::State &state)
 {
     const auto op = static_cast<flash::BitwiseOp>(state.range(0));
-    const std::size_t bits = 8 * 1024 * 8; // one 8 KB page
-    const BitVector x = randomBits(bits, 1);
-    const BitVector y = randomBits(bits, 2);
-    flash::LatchArray la(bits);
+    flash::Chip chip = latchChip();
     for (auto _ : state) {
-        la.execute(flash::coLocatedProgram(op),
-                   flash::WordlineData{&x, &y});
-        benchmark::DoNotOptimize(la.out().words().data());
+        BitVector out = chip.opCoLocated(op, {0, 0, 0, 0, false});
+        benchmark::DoNotOptimize(out.words().data());
+        benchmark::ClobberMemory();
     }
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(bits / 8));
+    setPageBytes(state, chip);
 }
 BENCHMARK(BM_LatchArrayCoLocated)
     ->Arg(static_cast<int>(flash::BitwiseOp::kAnd))
@@ -53,16 +79,15 @@ BENCHMARK(BM_LatchArrayCoLocated)
 void
 BM_LatchArrayLocationFree(benchmark::State &state)
 {
-    const std::size_t bits = 8 * 1024 * 8;
-    const BitVector m = randomBits(bits, 3);
-    const BitVector n = randomBits(bits, 4);
+    flash::Chip chip = latchChip();
     for (auto _ : state) {
-        BitVector out =
-            flash::executeLocationFree(flash::BitwiseOp::kXor, m, n);
+        BitVector out = chip.opLocationFree(flash::BitwiseOp::kXor,
+                                            {0, 0, 2, 0, true},
+                                            {0, 0, 1, 0, false});
         benchmark::DoNotOptimize(out.words().data());
+        benchmark::ClobberMemory();
     }
-    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(bits / 8));
+    setPageBytes(state, chip);
 }
 BENCHMARK(BM_LatchArrayLocationFree);
 

@@ -1,7 +1,5 @@
 #include "flash/chip.hpp"
 
-#include <cassert>
-
 #include "common/logging.hpp"
 #include "flash/latch_array.hpp"
 #include "obs/profiler.hpp"
@@ -147,6 +145,7 @@ Chip::runOp(const MicroProgram &prog, const ChipPageAddr &sense_addr,
             const WordlineData &wl_n, std::uint32_t pe_cycles,
             int *bit_errors, double wear_mult)
 {
+    PROFILE_SCOPE(obs::Subsystem::kFlashArray);
     const Plane &pl = plane(sense_addr.die, sense_addr.plane);
     if (pl.dead())
         panic("Chip::runOp: operation issued to a dead plane "
@@ -155,30 +154,33 @@ Chip::runOp(const MicroProgram &prog, const ChipPageAddr &sense_addr,
     const double mult =
         (faults_.rberMultiplier ? faults_.rberMultiplier(sense_addr) : 1.0) *
         wear_mult;
-    const bool noisy_rber = errorModel_.enabled() && mult > 0.0;
     const std::size_t width = geom_.pageBits();
 
-    LatchArray la(width);
-    if (!noisy_rber && !pl.hasStuckBitlines()) {
-        la.execute(prog, self, wl_m, wl_n);
-        if (bit_errors)
-            *bit_errors = 0;
-        return la.out();
+    // Draw every sensing's flips up front, in program order, so the RNG
+    // stream is the one the sensings consume one after another.
+    SenseNoise noise;
+    noise.stuck = pl.stuckBitlines();
+    if (errorModel_.enabled() && mult > 0.0) {
+        for (const MicroStep &st : prog.steps) {
+            if (st.kind != MicroStep::Kind::kSense)
+                continue;
+            errorModel_.drawFlips(width, pe_cycles, rng_, mult, noise.flips);
+            noise.flipsEnd.push_back(
+                static_cast<std::uint32_t>(noise.flips.size()));
+        }
     }
 
-    SenseNoiseHook noise = [&](BitVector &so, int) {
-        if (noisy_rber)
-            errorModel_.inject(so, pe_cycles, rng_, mult);
-        pl.applyStuckBits(so);
-    };
-    la.execute(prog, self, wl_m, wl_n, noise);
-    BitVector noisy = la.out();
+    BitVector out(width);
+    executeProgram(prog, self, wl_m, wl_n, out, noise);
     if (bit_errors) {
-        LatchArray clean(width);
-        clean.execute(prog, self, wl_m, wl_n);
-        *bit_errors = static_cast<int>((noisy ^ clean.out()).popcount());
+        *bit_errors = 0;
+        if (!noise.empty()) {
+            BitVector clean(width);
+            executeProgram(prog, self, wl_m, wl_n, clean);
+            *bit_errors = static_cast<int>((clean ^= out).popcount());
+        }
     }
-    return noisy;
+    return out;
 }
 
 BitVector
@@ -223,8 +225,9 @@ Chip::opBufferedOperand(BitwiseOp op, const BitVector &m_buffer,
     Block &bn = blockAt(n);
     const WordlineData wn = bn.wordlineData(n.wordline);
     // The buffer plays the LSB page of a virtual wordline; only N's
-    // sensings can err, but the shared noise hook is close enough at
-    // the rates involved (the buffer path has no sense amplifier).
+    // sensings can err, but drawing noise for every sensing is close
+    // enough at the rates involved (the buffer path has no sense
+    // amplifier).
     const WordlineData wm{&m_buffer, nullptr};
     const MicroProgram &prog =
         locationFreeProgram(op, LocFreeVariant::kLsbLsb);

@@ -33,32 +33,31 @@ ErrorModel::wearMultiplier(std::uint64_t disturb, double age_hours) const
 }
 
 int
-ErrorModel::inject(BitVector &so, std::uint32_t pe_cycles, Rng &rng,
-                   double rate_multiplier) const
+ErrorModel::drawFlips(std::size_t width, std::uint32_t pe_cycles, Rng &rng,
+                      double rate_multiplier,
+                      std::vector<std::uint32_t> &flips) const
 {
     const double p = rberPerSense(pe_cycles) * rate_multiplier;
-    if (p <= 0.0 || so.empty())
+    if (p <= 0.0 || width == 0)
         return 0;
 
     // Draw the flip count from Poisson(n*p) by inversion; lambda is far
     // below 1 for all configurations of interest so this loop is short.
-    const double lambda = p * static_cast<double>(so.size());
+    const double lambda = p * static_cast<double>(width);
     const double floor_p = std::exp(-lambda);
     double acc = floor_p;
     double term = floor_p;
     const double u = rng.uniform();
-    int flips = 0;
-    while (u > acc && flips < 1000) {
-        ++flips;
-        term *= lambda / flips;
+    int count = 0;
+    while (u > acc && count < 1000) {
+        ++count;
+        term *= lambda / count;
         acc += term;
     }
 
-    for (int i = 0; i < flips; ++i) {
-        const auto pos = static_cast<std::size_t>(rng.below(so.size()));
-        so.set(pos, !so.get(pos));
-    }
-    return flips;
+    for (int i = 0; i < count; ++i)
+        flips.push_back(static_cast<std::uint32_t>(rng.below(width)));
+    return count;
 }
 
 } // namespace parabit::flash

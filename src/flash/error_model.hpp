@@ -21,9 +21,10 @@
 #ifndef PARABIT_FLASH_ERROR_MODEL_HPP_
 #define PARABIT_FLASH_ERROR_MODEL_HPP_
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
-#include "common/bitvector.hpp"
 #include "common/rng.hpp"
 
 namespace parabit::flash {
@@ -116,16 +117,20 @@ class ErrorModel
     }
 
     /**
-     * Flip bits of @p so with the per-sensing probability at
-     * @p pe_cycles.  The number of flips is drawn once (Poisson) and
-     * positions are uniform, which is statistically equivalent to
-     * independent per-bit draws at these tiny rates but runs in O(flips).
+     * Draw the bitlines one sensing of a @p width-bit page flips at
+     * @p pe_cycles and append them to @p flips, in draw order.  The
+     * number of flips is drawn once (Poisson, one uniform) and each
+     * position is uniform (one below(width) per flip), which is
+     * statistically equivalent to independent per-bit draws at these
+     * tiny rates but runs in O(flips).  A position drawn twice flips
+     * its bitline back.  Nothing is drawn when the rate is 0.
      * @param rate_multiplier scales the per-sensing rate (elevated-RBER
-     *        fault regions; 1.0 = nominal).
-     * @return the number of bits flipped.
+     *        fault regions, wear; 1.0 = nominal).
+     * @return the number of flips drawn.
      */
-    int inject(BitVector &so, std::uint32_t pe_cycles, Rng &rng,
-               double rate_multiplier = 1.0) const;
+    int drawFlips(std::size_t width, std::uint32_t pe_cycles, Rng &rng,
+                  double rate_multiplier,
+                  std::vector<std::uint32_t> &flips) const;
 
     bool enabled() const { return cfg_.rberAtRef() > 0.0; }
     const ErrorModelConfig &config() const { return cfg_; }

@@ -23,8 +23,8 @@
  * This class is the *symbolic* model: every node carries a StateVec, the
  * value the node takes for each of the four possible states of the MLC
  * cell being sensed.  It exists to verify the paper's control sequences
- * (Tables 2-5, Figs 5/6) literally.  The vectorized per-bitline model used
- * to move real data is LatchArray (latch_array.hpp).
+ * (Tables 2-5, Figs 5/6) literally.  The page-wide model used to move
+ * real data is executeProgram() (latch_array.hpp).
  */
 
 #ifndef PARABIT_FLASH_LATCH_CIRCUIT_HPP_

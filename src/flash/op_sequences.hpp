@@ -14,9 +14,10 @@
  *    RANDOM capability plus the M6/M7 inverter extension.
  *
  * The same program drives three consumers: the symbolic LatchCircuit (to
- * verify the paper's tables bit-for-bit), the vectorized LatchArray (to
- * move real page data through the circuit, including error injection),
- * and the timing/energy models (which only need the step counts).
+ * verify the paper's tables bit-for-bit), the page-wide latch kernel
+ * executeProgram() (to move real page data through the circuit,
+ * including sensing errors), and the timing/energy models (which only
+ * need the step counts).
  */
 
 #ifndef PARABIT_FLASH_OP_SEQUENCES_HPP_

@@ -16,20 +16,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/bitvector.hpp"
 #include "flash/block.hpp"
 #include "flash/geometry.hpp"
 
 namespace parabit::flash {
-
-/** A bitline whose sense amplifier is stuck at a fixed value. */
-struct StuckBitline
-{
-    std::size_t bitline = 0;
-    bool value = false;
-
-    bool operator==(const StuckBitline &) const = default;
-};
 
 /** One plane; see file comment. */
 class Plane
@@ -79,16 +69,9 @@ class Plane
             addStuckBitline(s.bitline, s.value);
     }
 
-    bool hasStuckBitlines() const { return !stuck_.empty(); }
+    /** Stuck bitlines in the order they were added (the latch kernel
+     *  pins them in this order, so a later entry wins). */
     const std::vector<StuckBitline> &stuckBitlines() const { return stuck_; }
-
-    /** Force stuck bitlines onto a freshly sensed SO vector. */
-    void
-    applyStuckBits(BitVector &so) const
-    {
-        for (const StuckBitline &s : stuck_)
-            so.set(s.bitline, s.value);
-    }
     /// @}
 
   private:

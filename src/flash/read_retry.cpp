@@ -121,10 +121,10 @@ opCoLocatedVoted(Chip &chip, BitwiseOp op, const ChipPageAddr &a, int votes)
     // for error accounting re-run once against an ideal twin is not
     // available here; use the op recomputed from the stored pages.
     Block &blk = chip.plane(a.die, a.plane).block(a.block);
-    const WordlineData wl = blk.wordlineData(a.wordline);
-    LatchArray la(chip.geometry().pageBits());
-    la.execute(coLocatedProgram(op), wl);
-    return vote(std::move(runs), la.out());
+    BitVector clean(chip.geometry().pageBits());
+    executeProgram(coLocatedProgram(op), blk.wordlineData(a.wordline), {}, {},
+                   clean);
+    return vote(std::move(runs), clean);
 }
 
 VotedResult
@@ -139,10 +139,11 @@ opLocationFreeVoted(Chip &chip, BitwiseOp op, const ChipPageAddr &m,
         runs.push_back(chip.opLocationFree(op, m, n, nullptr, variant));
     Block &bm = chip.plane(m.die, m.plane).block(m.block);
     Block &bn = chip.plane(n.die, n.plane).block(n.block);
-    LatchArray la(chip.geometry().pageBits());
-    la.execute(locationFreeProgram(op, variant), {},
-               bm.wordlineData(m.wordline), bn.wordlineData(n.wordline));
-    return vote(std::move(runs), la.out());
+    BitVector clean(chip.geometry().pageBits());
+    executeProgram(locationFreeProgram(op, variant), {},
+                   bm.wordlineData(m.wordline), bn.wordlineData(n.wordline),
+                   clean);
+    return vote(std::move(runs), clean);
 }
 
 int

@@ -613,9 +613,9 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
         // Operand payloads are in hand: the parity is predictable for
         // XOR, XNOR and NOT, and the fallback is a free exact recompute.
         req.expectedParity = predictedParity(op, x_known, y_known);
-        req.fallback = [op, x_known,
-                        y_known](Tick &) -> std::optional<BitVector> {
-            return cpuBitwise(op, x_known, y_known);
+        req.fallback = [op, x = std::move(x_known), y = std::move(y_known)](
+                           Tick &) -> std::optional<BitVector> {
+            return cpuBitwise(op, x, y);
         };
     }
     return runSense(req, ready, stats);

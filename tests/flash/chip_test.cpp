@@ -1,10 +1,14 @@
 /**
  * @file
  * Chip-level functional tests: program/read round trips, both ParaBit
- * op entry points on stored data, plane isolation, erase counting.
+ * op entry points on stored data, plane isolation, erase counting, and
+ * a seeded golden of noisy sensing with stuck bitlines.
  */
 
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "flash/chip.hpp"
@@ -152,6 +156,133 @@ TEST(Chip, ErrorInjectionReportsBitErrors)
     int errors = 0;
     chip.opCoLocated(BitwiseOp::kXor, {0, 0, 0, 0, false}, &errors);
     EXPECT_GT(errors, 0);
+}
+
+/** FNV-1a over a page's bytes: a stable fingerprint of a result. */
+std::uint64_t
+pageHash(const BitVector &v)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint64_t w : v.words()) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (w >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+struct OpRecord
+{
+    std::uint64_t hash;
+    int bitErrors;
+
+    bool operator==(const OpRecord &) const = default;
+};
+
+/**
+ * Result fingerprints and surviving bit errors of the op sequence in
+ * SeededNoisyOpsMatchRecordedGolden.  Any change to how a sensing draws
+ * its flips, where it applies them, or how stuck bitlines pin SO moves
+ * these numbers.
+ */
+constexpr OpRecord kNoisyGolden[] = {
+    {0xd723abce2f636109ull, 2},
+    {0x05b1d18e387709c7ull, 5},
+    {0xd8c04869ffbceb4aull, 1},
+    {0x86501a445705295dull, 12},
+    {0x61ea7a23a4d3d03dull, 0},
+    {0xed160e18709cb38cull, 11},
+    {0xccbbdf4e69a9eb36ull, 1},
+    {0xacf65b8801bc99b9ull, 12},
+    {0x8428df0e927e964aull, 8},
+    {0xf008d5ca3e854a22ull, 11},
+    {0xe722123998e59486ull, 15},
+    {0x8f9f6ea7d1eac7b6ull, 12},
+    {0xe2851fd6df17a8cdull, 7},
+    {0xefad990f51793c47ull, 14},
+    {0x78a08d426943c16dull, 1},
+    {0x8b5521e9a934f76cull, 2},
+    {0x605eda774587607eull, 2},
+    {0xfacde2f0ebd6b419ull, 1},
+    {0x65fd5f0b8160f78eull, 2},
+    {0xfb7f6486bded54daull, 0},
+    {0xffd8818805b47086ull, 6},
+    {0x6481d12280a0db84ull, 8},
+    {0xd63564eb12c50eebull, 20},
+    {0x1f0564e8e2163d94ull, 7},
+    {0xccbe22fd289730d7ull, 1},
+    {0x5fac5cf62ef649abull, 9},
+    {0xca7fb97d3ba27ed2ull, 12},
+    {0xf4f612f2ea8c79aaull, 6},
+};
+
+TEST(Chip, SeededNoisyOpsMatchRecordedGolden)
+{
+    // 4100-byte pages: 32800 bitlines end in the middle of a 64-bit word
+    // and in the middle of a 4096-bitline block.
+    FlashGeometry g = tinyGeom();
+    g.pageBytes = 4100;
+    ASSERT_EQ(g.pageBits(), 32800u);
+    // The calibrated error model; block 1 is an elevated-RBER region so
+    // that most of its sensings flip a few bitlines.
+    Chip chip(g, true, ErrorModelConfig{}, 2024);
+    ChipFaultHooks hooks;
+    hooks.rberMultiplier = [](const ChipPageAddr &a) {
+        return a.block == 1 ? 300.0 : 1.0;
+    };
+    chip.setFaultHooks(std::move(hooks));
+    chip.plane(0, 0).addStuckBitline(77, true);
+    chip.plane(0, 0).addStuckBitline(32790, false); // partial last block
+
+    Rng rng(7);
+    for (std::uint32_t plane : {0u, 1u}) {
+        for (std::uint32_t block : {0u, 1u}) {
+            for (std::uint32_t wl = 0; wl < 4; ++wl) {
+                for (bool msb : {false, true}) {
+                    const BitVector d = randomPage(g, rng);
+                    chip.programPage({0, plane, block, wl, msb}, &d);
+                }
+            }
+        }
+    }
+    const BitVector buffer = randomPage(g, rng);
+
+    const BitwiseOp binary[] = {BitwiseOp::kAnd,  BitwiseOp::kOr,
+                                BitwiseOp::kXnor, BitwiseOp::kNand,
+                                BitwiseOp::kNor,  BitwiseOp::kXor};
+    std::vector<OpRecord> got;
+    int e = -1;
+    // Reads e only after the op that wrote it has returned.
+    auto record = [&got, &e](const BitVector &out) {
+        got.push_back({pageHash(out), e});
+        e = -1;
+    };
+    for (int i = 0; i < kNumBitwiseOps; ++i) {
+        const auto op = static_cast<BitwiseOp>(i);
+        const std::uint32_t block = static_cast<std::uint32_t>(i) % 2;
+        const std::uint32_t wl = static_cast<std::uint32_t>(i) % 4;
+        record(chip.opCoLocated(op, {0, 0, block, wl, false}, &e));
+    }
+    for (const BitwiseOp op : binary)
+        record(chip.opLocationFree(op, {0, 0, 0, 1, true}, {0, 0, 1, 2, false},
+                                   &e, LocFreeVariant::kMsbLsb));
+    for (const BitwiseOp op : binary)
+        record(chip.opLocationFree(op, {0, 0, 1, 3, false},
+                                   {0, 0, 0, 2, false}, &e,
+                                   LocFreeVariant::kLsbLsb));
+    for (const BitwiseOp op : binary)
+        record(chip.opBufferedOperand(op, buffer, {0, 0, 1, 0, false}, &e));
+    // Plane 1 has no stuck bitlines: noise alone.
+    record(chip.opCoLocated(BitwiseOp::kXor, {0, 1, 1, 1, false}, &e));
+    record(chip.opLocationFree(BitwiseOp::kAnd, {0, 1, 0, 3, true},
+                               {0, 1, 1, 0, false}, &e));
+
+    ASSERT_EQ(got.size(), std::size(kNoisyGolden));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].hash, kNoisyGolden[i].hash) << "op " << i;
+        EXPECT_EQ(got[i].bitErrors, kNoisyGolden[i].bitErrors) << "op " << i;
+    }
 }
 
 } // namespace

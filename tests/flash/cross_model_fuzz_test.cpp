@@ -1,7 +1,7 @@
 /**
  * @file
  * Cross-model fuzzing: the three latch-circuit interpreters (symbolic
- * StateVec, scalar single-bitline, vectorized LatchArray) implement the
+ * StateVec, scalar single-bitline, page-wide latch kernel) implement the
  * same algebra and must agree on randomly generated control programs,
  * not just the curated ParaBit sequences.
  */
@@ -65,10 +65,10 @@ TEST(CrossModelFuzz, SymbolicScalarAndArrayAgree)
             lsb.set(i, mlcLsb(st));
             msb.set(i, mlcMsb(st));
         }
-        LatchArray la(n);
-        la.execute(prog, WordlineData{&lsb, &msb});
+        BitVector out(n);
+        executeProgram(prog, WordlineData{&lsb, &msb}, {}, {}, out);
         for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(la.out().get(i), symbolic.at(static_cast<int>(i % 4)))
+            EXPECT_EQ(out.get(i), symbolic.at(static_cast<int>(i % 4)))
                 << "trial " << trial << " bitline " << i;
         }
     }

@@ -5,9 +5,11 @@
  */
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/bitvector.hpp"
 #include "flash/error_model.hpp"
 
 namespace parabit::flash {
@@ -19,9 +21,10 @@ TEST(ErrorModel, IdealInjectsNothing)
     EXPECT_FALSE(em.enabled());
     EXPECT_EQ(em.rberPerSense(5000), 0.0);
     Rng rng(1);
-    BitVector so(65536, true);
-    EXPECT_EQ(em.inject(so, 5000, rng), 0);
-    EXPECT_EQ(so.popcount(), so.size());
+    std::vector<std::uint32_t> flips;
+    EXPECT_EQ(em.drawFlips(65536, 5000, rng, 1.0, flips), 0);
+    EXPECT_TRUE(flips.empty());
+    EXPECT_EQ(rng.next(), Rng(1).next()); // no RNG draw either
 }
 
 TEST(ErrorModel, AnchorMatchesPaperFig17)
@@ -50,10 +53,10 @@ TEST(ErrorModel, InjectionMeanMatchesRate)
     Rng rng(42);
     const int trials = 4000;
     std::int64_t flips = 0;
-    for (int t = 0; t < trials; ++t) {
-        BitVector so(65536, false);
-        flips += em.inject(so, 5000, rng);
-    }
+    std::vector<std::uint32_t> drawn;
+    for (int t = 0; t < trials; ++t)
+        flips += em.drawFlips(65536, 5000, rng, 1.0, drawn);
+    EXPECT_EQ(drawn.size(), static_cast<std::size_t>(flips));
     // Expected flips per injection: 65536 * rber(5000)
     // = 0.945 / (0.404 * 7) = 0.334.
     const double mean = static_cast<double>(flips) / trials;
@@ -68,9 +71,14 @@ TEST(ErrorModel, InjectionActuallyFlipsBits)
     cfg.refPeCycles = 100;
     ErrorModel em(cfg);
     Rng rng(7);
-    BitVector so(10000, false);
-    const int flips = em.inject(so, 100, rng);
+    std::vector<std::uint32_t> drawn;
+    const int flips = em.drawFlips(10000, 100, rng, 1.0, drawn);
     EXPECT_GT(flips, 0);
+    BitVector so(10000, false);
+    for (const std::uint32_t pos : drawn) {
+        ASSERT_LT(pos, so.size());
+        so.set(pos, !so.get(pos));
+    }
     // Colliding flip positions toggle a bit back, so the surviving
     // count is bounded by (and shares parity with) the flip count.
     EXPECT_LE(so.popcount(), static_cast<std::size_t>(flips));
@@ -84,10 +92,9 @@ TEST(ErrorModel, MoreCyclingMeansMoreErrors)
     Rng rng(11);
     auto total = [&](std::uint32_t pe) {
         std::int64_t sum = 0;
-        for (int t = 0; t < 3000; ++t) {
-            BitVector so(65536, false);
-            sum += em.inject(so, pe, rng);
-        }
+        std::vector<std::uint32_t> drawn;
+        for (int t = 0; t < 3000; ++t)
+            sum += em.drawFlips(65536, pe, rng, 1.0, drawn);
         return sum;
     };
     EXPECT_LT(total(500), total(5000));

@@ -1,11 +1,14 @@
 /**
  * @file
- * Vectorized latch-array tests: whole-page execution must agree with the
- * host golden functions on random data, for every op in both modes, and
- * the noise hook must inject exactly where sensing happens.
+ * Page-wide latch kernel tests: whole-page execution must agree with the
+ * host golden functions on random data, for every op in both modes and
+ * at widths that end inside a word and inside a block, and sensing noise
+ * must land exactly on the sensing and bitline it names.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/rng.hpp"
 #include "flash/latch_array.hpp"
@@ -84,6 +87,36 @@ TEST_P(LatchArrayOpTest, CompanionDataDoesNotLeakIntoResult)
     EXPECT_EQ(r1, r3) << opName(op);
 }
 
+TEST_P(LatchArrayOpTest, KernelMatchesGoldenAcrossBlockEdges)
+{
+    // Widths ending inside the first word, one bit short of a word, one
+    // bit short of a 64-word block, exactly one block, inside the third
+    // block, and a whole 8 KiB page.
+    const BitwiseOp op = GetParam();
+    Rng rng(4000 + static_cast<std::uint64_t>(op));
+    for (const std::size_t n : {1u, 63u, 4095u, 4096u, 8262u, 65536u}) {
+        const BitVector x = randomBits(n, rng);
+        const BitVector y = randomBits(n, rng);
+        EXPECT_EQ(executeCoLocated(op, x, y), golden(op, x, y))
+            << opName(op) << " width " << n;
+
+        const BitVector junk1 = randomBits(n, rng);
+        const BitVector junk2 = randomBits(n, rng);
+        const BitVector expect = golden(op, y, x); // N is the LSB role
+        for (auto variant :
+             {LocFreeVariant::kMsbLsb, LocFreeVariant::kLsbLsb}) {
+            EXPECT_EQ(executeLocationFree(op, x, y, nullptr, nullptr, {},
+                                          variant),
+                      expect)
+                << opName(op) << " width " << n << " null companions";
+            EXPECT_EQ(executeLocationFree(op, x, y, &junk1, &junk2, {},
+                                          variant),
+                      expect)
+                << opName(op) << " width " << n << " random companions";
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllOps, LatchArrayOpTest,
     ::testing::Values(BitwiseOp::kAnd, BitwiseOp::kOr, BitwiseOp::kXnor,
@@ -97,18 +130,48 @@ INSTANTIATE_TEST_SUITE_P(
         return n;
     });
 
-TEST(LatchArray, NoiseHookSeesEverySensing)
+TEST(LatchArray, EverySensingReceivesItsNoise)
 {
-    const BitVector x(64, true), y(64, false);
-    int senses = 0;
-    SenseNoiseHook hook = [&](BitVector &, int idx) {
-        ++senses;
-        EXPECT_EQ(idx, senses);
-    };
-    LatchArray la(64);
-    la.execute(coLocatedProgram(BitwiseOp::kXor), WordlineData{&x, &y}, {},
-               {}, hook);
-    EXPECT_EQ(senses, coLocatedProgram(BitwiseOp::kXor).senseCount());
+    // Sensing k flips the even bitlines only.  Flipping SO on a bitline
+    // during sensing k is the same as toggling that step's M7 inversion,
+    // so the even bitlines must read the toggled program's result and
+    // the odd ones the clean result.
+    const MicroProgram &prog = coLocatedProgram(BitwiseOp::kXor);
+    const int senses = prog.senseCount();
+    ASSERT_GT(senses, 1);
+    Rng rng(99);
+    const std::size_t n = 4200; // two blocks, the second partial
+    const BitVector x = randomBits(n, rng);
+    const BitVector y = randomBits(n, rng);
+    const WordlineData wl{&x, &y};
+    BitVector clean(n);
+    executeProgram(prog, wl, {}, {}, clean);
+
+    int sense = 0;
+    for (std::size_t step = 0; step < prog.steps.size(); ++step) {
+        if (prog.steps[step].kind != MicroStep::Kind::kSense)
+            continue;
+        SenseNoise noise;
+        for (int k = 0; k < senses; ++k) {
+            if (k == sense)
+                for (std::uint32_t bl = 0; bl < n; bl += 2)
+                    noise.flips.push_back(bl);
+            noise.flipsEnd.push_back(
+                static_cast<std::uint32_t>(noise.flips.size()));
+        }
+        BitVector noisy(n);
+        executeProgram(prog, wl, {}, {}, noisy, noise);
+
+        MicroProgram toggled = prog;
+        toggled.steps[step].soInverted = !toggled.steps[step].soInverted;
+        BitVector inverted(n);
+        executeProgram(toggled, wl, {}, {}, inverted);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(noisy.get(i), (i % 2 == 0 ? inverted : clean).get(i))
+                << "sense " << sense << " bitline " << i;
+        ++sense;
+    }
+    EXPECT_EQ(sense, senses);
 }
 
 TEST(LatchArray, InjectedSoFlipCorruptsExactlyThatBitline)
@@ -117,35 +180,63 @@ TEST(LatchArray, InjectedSoFlipCorruptsExactlyThatBitline)
     // may differ from golden.
     const std::size_t n = 64;
     const BitVector x(n, true), y(n, true); // all cells in state E
-    SenseNoiseHook hook = [](BitVector &so, int) {
-        so.set(5, !so.get(5));
-    };
-    const BitVector noisy = executeCoLocated(BitwiseOp::kAnd, x, y, hook);
+    SenseNoise noise;
+    noise.flips = {5};
+    noise.flipsEnd = {1};
+    const BitVector noisy = executeCoLocated(BitwiseOp::kAnd, x, y, noise);
     const BitVector clean = executeCoLocated(BitwiseOp::kAnd, x, y);
     const BitVector diff = noisy ^ clean;
     EXPECT_EQ(diff.popcount(), 1u);
     EXPECT_TRUE(diff.get(5));
 }
 
-TEST(LatchArray, WidthMismatchAssertsInDebug)
+TEST(LatchArray, LastStuckEntryOfABitlineWins)
 {
-    LatchArray la(32);
-    EXPECT_EQ(la.width(), 32u);
-    EXPECT_EQ(la.out().size(), 32u);
+    Rng rng(5);
+    const std::size_t n = 4200;
+    const BitVector x = randomBits(n, rng);
+    const BitVector y = randomBits(n, rng);
+    for (const bool last : {false, true}) {
+        const std::vector<StuckBitline> both = {{4150, !last}, {4150, last}};
+        const std::vector<StuckBitline> one = {{4150, last}};
+        SenseNoise a, b;
+        a.stuck = both;
+        b.stuck = one;
+        const BitVector ra = executeCoLocated(BitwiseOp::kXor, x, y, a);
+        EXPECT_EQ(ra, executeCoLocated(BitwiseOp::kXor, x, y, b));
+        // Every other bitline is untouched.
+        BitVector diff = ra ^ executeCoLocated(BitwiseOp::kXor, x, y);
+        diff.set(4150, false);
+        EXPECT_EQ(diff.popcount(), 0u);
+    }
+}
+
+TEST(LatchArray, WidthMismatchDiesInEveryBuild)
+{
+    const BitVector x(4096, true), y(4095, true);
+    EXPECT_DEATH(executeCoLocated(BitwiseOp::kAnd, x, y), "width");
+    BitVector out(4096);
+    EXPECT_DEATH(executeProgram(locationFreeProgram(BitwiseOp::kXor), {},
+                                WordlineData{&x, nullptr},
+                                WordlineData{&y, nullptr}, out),
+                 "width");
 }
 
 TEST(LatchArray, ChainedExecutionsReuseCircuit)
 {
-    // Run two different programs back-to-back on one array; the second
-    // result must be independent of the first (init resets state).
+    // Run two different programs back-to-back into one result page; the
+    // second result must be independent of the first (every word of the
+    // page is rewritten, nothing accumulates).
     Rng rng(77);
     const std::size_t n = 128;
     const BitVector x = randomBits(n, rng);
     const BitVector y = randomBits(n, rng);
-    LatchArray la(n);
-    la.execute(coLocatedProgram(BitwiseOp::kXor), WordlineData{&x, &y});
-    la.execute(coLocatedProgram(BitwiseOp::kAnd), WordlineData{&x, &y});
-    EXPECT_EQ(la.out(), golden(BitwiseOp::kAnd, x, y));
+    BitVector out(n);
+    executeProgram(coLocatedProgram(BitwiseOp::kXor), WordlineData{&x, &y},
+                   {}, {}, out);
+    executeProgram(coLocatedProgram(BitwiseOp::kAnd), WordlineData{&x, &y},
+                   {}, {}, out);
+    EXPECT_EQ(out, golden(BitwiseOp::kAnd, x, y));
 }
 
 } // namespace
