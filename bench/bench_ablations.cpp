@@ -108,8 +108,9 @@ votingAblation()
                                      (g.wordlinesPerBlock / 2);
             if (wl == 0)
                 chip.eraseBlock(0, 0, 0);
-            chip.programPage({0, 0, 0, 2 * wl, true}, &m);
-            chip.programPage({0, 0, 0, 2 * wl + 1, false}, &n);
+            chip.programPage({0, 0, 0, 2 * wl, true}, flash::makePayload(m));
+            chip.programPage({0, 0, 0, 2 * wl + 1, false},
+                             flash::makePayload(n));
             total += flash::opLocationFreeVoted(chip, BitwiseOp::kXor,
                                                 {0, 0, 0, 2 * wl, true},
                                                 {0, 0, 0, 2 * wl + 1, false},

@@ -105,8 +105,9 @@ sampleWordlines(std::uint32_t pe, int trials, std::uint64_t seed,
         const std::uint32_t wl_m = 2 * slot;
         const std::uint32_t wl_n = 2 * slot + 1;
         ++slot;
-        chip.programPage({0, 0, 0, wl_m, true}, &m);  // operand M in MSB
-        chip.programPage({0, 0, 0, wl_n, false}, &n); // operand N in LSB
+        // operand M in MSB, operand N in LSB
+        chip.programPage({0, 0, 0, wl_m, true}, flash::makePayload(m));
+        chip.programPage({0, 0, 0, wl_n, false}, flash::makePayload(n));
         for (int r = 0; r < stress_reads; ++r) {
             (void)chip.readPage({0, 0, 0, wl_m, true});
             (void)chip.readPage({0, 0, 0, wl_n, false});

@@ -3,13 +3,16 @@
  * Google-benchmark microbenchmarks of the simulator's hot paths: ParaBit
  * page ops as the simulator runs them (Chip::opCoLocated and
  * opLocationFree on a functional chip with 8 KiB pages: the latch
- * kernel plus the result page, bytes per second of one page), FTL
- * write/GC throughput, and the event-engine scheduling rate.  These
+ * kernel plus the result page, bytes per second of one page), one
+ * ReAlloc page op end to end on 8 KiB pages, FTL write/GC throughput,
+ * and the event-engine scheduling rate.  These
  * measure the *simulator's* host performance, complementing the figure
  * benches that report *simulated* device time.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "common/rng.hpp"
 #include "flash/chip.hpp"
@@ -45,8 +48,8 @@ latchChip()
           flash::ChipPageAddr{0, 0, 0, 0, true},
           flash::ChipPageAddr{0, 0, 1, 0, false},
           flash::ChipPageAddr{0, 0, 2, 0, true}}) {
-        const BitVector d = randomBits(g.pageBits(), seed++);
-        chip.programPage(a, &d);
+        chip.programPage(a,
+                         flash::makePayload(randomBits(g.pageBits(), seed++)));
     }
     return chip;
 }
@@ -107,21 +110,49 @@ BM_FtlWritePath(benchmark::State &state)
 }
 BENCHMARK(BM_FtlWritePath);
 
+/**
+ * One ParaBit-ReAlloc AND of an 8 KiB page pair through the whole stack
+ * (controller, FTL, scheduler, chip), result page included.  Each op
+ * leaves its two scratch copies mapped until the controller releases
+ * them (ROADMAP item 1), so the device is rebuilt, untimed, long before
+ * the copies could fill it; an op that fails ends the run with an
+ * error instead of timing a failing device.
+ */
 void
 BM_ParaBitOpEndToEnd(benchmark::State &state)
 {
+    constexpr int kOpsPerDevice = 200; // the device fills after ~450
     ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
-    core::ParaBitDevice dev(cfg);
+    cfg.geometry.pageBytes = 8 * bytes::kKiB;
     const std::size_t bits = cfg.geometry.pageBits();
-    std::vector<BitVector> x{randomBits(bits, 5)}, y{randomBits(bits, 6)};
-    dev.writeData(0, x);
-    dev.writeData(100, y);
+    const std::vector<BitVector> x{randomBits(bits, 5)};
+    const std::vector<BitVector> y{randomBits(bits, 6)};
+    std::unique_ptr<core::ParaBitDevice> dev;
+    int ops = kOpsPerDevice;
     for (auto _ : state) {
-        auto r = dev.bitwise(flash::BitwiseOp::kAnd, 0, 100, 1,
-                             core::Mode::kReAllocate);
-        benchmark::DoNotOptimize(r.stats.senseOps);
+        if (ops == kOpsPerDevice) {
+            state.PauseTiming();
+            dev = std::make_unique<core::ParaBitDevice>(cfg);
+            const bool placed = dev->writeData(0, x) && dev->writeData(100, y);
+            ops = 0;
+            state.ResumeTiming();
+            if (!placed) {
+                state.SkipWithError("operand placement failed");
+                break;
+            }
+        }
+        ++ops;
+        const core::ExecResult r = dev->bitwise(
+            flash::BitwiseOp::kAnd, 0, 100, 1, core::Mode::kReAllocate);
+        if (r.status != core::ExecStatus::kOk) {
+            state.SkipWithError("ReAlloc op did not complete OK");
+            break;
+        }
+        benchmark::DoNotOptimize(r.pages.data());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(cfg.geometry.pageBytes));
 }
 BENCHMARK(BM_ParaBitOpEndToEnd);
 

@@ -123,7 +123,7 @@ run(std::uint64_t seed, std::uint64_t audit_interval)
                 oracle[lpn] = d;
         } else if (oracle.count(lpn) != 0 && ftl.pageAccessible(lpn)) {
             ++out.hostOps;
-            const BitVector got = ftl.readPage(lpn, ops);
+            const BitVector got = *ftl.readPage(lpn, ops);
             // A cut on this read's op boundary returns power-down
             // zeros; only live reads count against the oracle.
             if (!ftl.powerLost() && got != oracle[lpn])
@@ -151,7 +151,7 @@ run(std::uint64_t seed, std::uint64_t audit_interval)
                 oracle[lpn] = d;
         } else if (oracle.count(lpn) != 0 && ftl.pageAccessible(lpn)) {
             ++out.hostOps;
-            if (ftl.readPage(lpn, ops) != oracle[lpn])
+            if (*ftl.readPage(lpn, ops) != oracle[lpn])
                 ++out.mismatches;
         }
         out.hostPhysOps += static_cast<double>(ops.size());
@@ -178,7 +178,7 @@ run(std::uint64_t seed, std::uint64_t audit_interval)
             continue;
         }
         std::vector<ssd::PhysOp> ops;
-        if (ftl.readPage(lpn, ops) != want)
+        if (*ftl.readPage(lpn, ops) != want)
             ++out.mismatches;
     }
 

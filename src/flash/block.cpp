@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "common/invariant.hpp"
 #include "common/logging.hpp"
 
 namespace parabit::flash {
@@ -33,19 +34,20 @@ Block::pageState(std::uint32_t i, bool msb) const
 }
 
 void
-Block::program(std::uint32_t i, bool msb, const BitVector *data,
+Block::program(std::uint32_t i, bool msb, const Payload &data,
                const PageOob *oob)
 {
     auto &w = wl(i);
     PageState &st = msb ? w.msbState : w.lsbState;
     if (st != PageState::kFree)
         panic("Block::program: page not free (program-before-erase)");
+    if (storeData_ && data) {
+        PARABIT_CHECK(data->size() == pageBits_,
+                      "Block::program: payload width differs from the page");
+        (msb ? w.msbData : w.lsbData) = data;
+    }
     st = PageState::kValid;
     ++validPages_;
-    if (storeData_ && data) {
-        assert(data->size() == pageBits_);
-        (msb ? w.msbData : w.lsbData) = *data;
-    }
     if (oob)
         (msb ? w.msbOob : w.lsbOob) = *oob;
 }
@@ -80,12 +82,11 @@ Block::erase()
     ++eraseCount_;
 }
 
-const BitVector *
+const Payload &
 Block::pageData(std::uint32_t i, bool msb) const
 {
     const auto &w = wl(i);
-    const auto &d = msb ? w.msbData : w.lsbData;
-    return d ? &*d : nullptr;
+    return msb ? w.msbData : w.lsbData;
 }
 
 const PageOob *
@@ -139,8 +140,7 @@ WordlineData
 Block::wordlineData(std::uint32_t i) const
 {
     const auto &w = wl(i);
-    return WordlineData{w.lsbData ? &*w.lsbData : nullptr,
-                        w.msbData ? &*w.msbData : nullptr};
+    return WordlineData{w.lsbData.get(), w.msbData.get()};
 }
 
 std::uint32_t

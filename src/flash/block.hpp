@@ -8,12 +8,18 @@
  * models.  Page payloads are optional: a block built with
  * store_data = false keeps full state/timing behaviour while holding no
  * bits, which is what the large-scale experiments use.
+ *
+ * A stored page is a Payload: immutable bits shared by reference with
+ * every copy of the page (reads, ReAlloc pairs, LocFree staging, GC and
+ * refresh moves, pair backups, PLP entries).  Invalidate, erase and a
+ * torn wordline drop only this block's reference.
  */
 
 #ifndef PARABIT_FLASH_BLOCK_HPP_
 #define PARABIT_FLASH_BLOCK_HPP_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -22,6 +28,20 @@
 #include "flash/latch_array.hpp"
 
 namespace parabit::flash {
+
+/**
+ * A programmed page's bits, immutable and shared by every holder; null
+ * means no bits (timing-only arrays, a torn page, or a page programmed
+ * without bits).
+ */
+using Payload = std::shared_ptr<const BitVector>;
+
+/** Wrap @p bits as a payload; moving them in copies nothing. */
+inline Payload
+makePayload(BitVector bits)
+{
+    return std::make_shared<const BitVector>(std::move(bits));
+}
 
 /** Lifecycle state of one logical page. */
 enum class PageState : std::uint8_t { kFree = 0, kValid, kInvalid };
@@ -63,11 +83,13 @@ class Block
     PageState pageState(std::uint32_t wl, bool msb) const;
 
     /**
-     * Program one logical page (must currently be free).  @p data may be
-     * null in timing-only mode or when the payload is irrelevant; @p oob
-     * attaches spare-area metadata to the page (may be null).
+     * Program one logical page (must currently be free) by keeping a
+     * reference to @p data.  @p data may be null in timing-only mode or
+     * when the payload is irrelevant; a functional block checks its
+     * width against the page in every build.  @p oob attaches
+     * spare-area metadata to the page (may be null).
      */
-    void program(std::uint32_t wl, bool msb, const BitVector *data,
+    void program(std::uint32_t wl, bool msb, const Payload &data,
                  const PageOob *oob = nullptr);
 
     /** Mark a valid page invalid (FTL overwrite / trim). */
@@ -76,8 +98,8 @@ class Block
     /** Erase the whole block: all pages free, erase count +1. */
     void erase();
 
-    /** Stored payload, or nullptr if absent. */
-    const BitVector *pageData(std::uint32_t wl, bool msb) const;
+    /** Stored payload, null if absent. */
+    const Payload &pageData(std::uint32_t wl, bool msb) const;
 
     /** Spare-area metadata attached at program time, or nullptr. */
     const PageOob *pageOob(std::uint32_t wl, bool msb) const;
@@ -127,8 +149,8 @@ class Block
   private:
     struct Wordline
     {
-        std::optional<BitVector> lsbData;
-        std::optional<BitVector> msbData;
+        Payload lsbData;
+        Payload msbData;
         std::optional<PageOob> lsbOob;
         std::optional<PageOob> msbOob;
         PageState lsbState = PageState::kFree;

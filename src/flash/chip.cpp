@@ -39,7 +39,7 @@ Chip::blockAt(const ChipPageAddr &a)
 }
 
 bool
-Chip::programPage(const ChipPageAddr &a, const BitVector *data,
+Chip::programPage(const ChipPageAddr &a, const Payload &data,
                   const PageOob *oob)
 {
     PROFILE_SCOPE(obs::Subsystem::kFlashArray);
@@ -53,7 +53,7 @@ Chip::programPage(const ChipPageAddr &a, const BitVector *data,
     return true;
 }
 
-BitVector
+Payload
 Chip::readPage(const ChipPageAddr &a)
 {
     PROFILE_SCOPE(obs::Subsystem::kFlashArray);
@@ -64,11 +64,16 @@ Chip::readPage(const ChipPageAddr &a)
     // stressing the block neighbors like any other sensing.  The read
     // itself stays ECC-clean (paper Section 5.8).
     chargeNeighborDisturb(a, a.msb ? 2 : 1);
-    if (const BitVector *d = blk.pageData(a.wordline, a.msb))
-        return *d;
+    if (const Payload &d = blk.pageData(a.wordline, a.msb))
+        return d;
     // A timing-only array carries no payload at all; in a functional one
-    // a page whose payload a torn wordline dropped reads as all-ones.
-    return blk.storesData() ? BitVector(geom_.pageBits(), true) : BitVector();
+    // a page without bits (torn, or programmed without) reads as
+    // all-ones.
+    if (!blk.storesData())
+        return nullptr;
+    if (!erasedPage_)
+        erasedPage_ = makePayload(BitVector(geom_.pageBits(), true));
+    return erasedPage_;
 }
 
 bool

@@ -134,23 +134,25 @@ class Chip
     /// @{
 
     /**
-     * Program a free page.  @p data may be null in timing-only mode;
-     * @p oob attaches spare-area metadata (may be null).
+     * Program a free page; the page keeps a reference to @p data, which
+     * may be null in timing-only mode.  @p oob attaches spare-area
+     * metadata (may be null).
      * @return false on a program failure (injected fault or dead
      *         plane); the page stays free and the caller (FTL) must
      *         retire the block and remap.
      */
-    bool programPage(const ChipPageAddr &a, const BitVector *data,
+    bool programPage(const ChipPageAddr &a, const Payload &data,
                      const PageOob *oob = nullptr);
 
     /**
-     * Read a valid page through the normal (ECC-protected) path.  The
-     * returned data is error-free per paper Section 5.8 (ECC corrects
-     * normal reads).  A timing-only array (store_data = false) returns
-     * an empty vector; a functional page without stored payload (torn
-     * wordline) reads as all-ones.
+     * Read a valid page through the normal (ECC-protected) path: the
+     * page's own payload, shared, not copied.  The data is error-free
+     * per paper Section 5.8 (ECC corrects normal reads).  A timing-only
+     * array (store_data = false) returns null; a functional page
+     * without stored payload (torn wordline, or programmed without
+     * bits) reads as the chip's one all-ones payload.
      */
-    BitVector readPage(const ChipPageAddr &a);
+    Payload readPage(const ChipPageAddr &a);
 
     /**
      * Erase a block.  @return false on an erase failure (injected fault
@@ -240,6 +242,9 @@ class Chip
     ChipFaultHooks faults_;
     std::vector<Plane> planes_; ///< dies x planes, row-major
     Tick now_ = 0; ///< simulated-time cursor (see setNow)
+    /** What a functional page without stored bits reads as (all-ones,
+     *  the erased level); built on first use. */
+    Payload erasedPage_;
 };
 
 } // namespace parabit::flash

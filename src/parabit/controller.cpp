@@ -96,17 +96,17 @@ chipAddr(const flash::PhysPageAddr &a)
 }
 
 /** Host-CPU reference computation for the fallback path.  A unary op
- *  (NOT) reads its one operand, @p y. */
+ *  (NOT) reads its one operand, @p y, and passes a null @p x. */
 BitVector
-cpuBitwise(flash::BitwiseOp op, const BitVector &x, const BitVector &y)
+cpuBitwise(flash::BitwiseOp op, const BitVector *x, const BitVector &y)
 {
     switch (op) {
-      case flash::BitwiseOp::kAnd: return x & y;
-      case flash::BitwiseOp::kOr: return x | y;
-      case flash::BitwiseOp::kXor: return x ^ y;
-      case flash::BitwiseOp::kXnor: return ~(x ^ y);
-      case flash::BitwiseOp::kNand: return ~(x & y);
-      case flash::BitwiseOp::kNor: return ~(x | y);
+      case flash::BitwiseOp::kAnd: return *x & y;
+      case flash::BitwiseOp::kOr: return *x | y;
+      case flash::BitwiseOp::kXor: return *x ^ y;
+      case flash::BitwiseOp::kXnor: return ~(*x ^ y);
+      case flash::BitwiseOp::kNand: return ~(*x & y);
+      case flash::BitwiseOp::kNor: return ~(*x | y);
       case flash::BitwiseOp::kNotLsb:
       case flash::BitwiseOp::kNotMsb: return ~y;
     }
@@ -120,16 +120,17 @@ oddParity(const BitVector &v)
 }
 
 /** Result parity of @p op, predicted from its operand payloads; nullopt
- *  for the ops whose parity the operands' parities do not decide. */
+ *  for the ops whose parity the operands' parities do not decide.  A
+ *  unary op passes a null @p x. */
 std::optional<bool>
-predictedParity(flash::BitwiseOp op, const BitVector &x, const BitVector &y)
+predictedParity(flash::BitwiseOp op, const BitVector *x, const BitVector &y)
 {
     // Inverting a page flips its parity iff the page has an odd width.
     const bool odd_width = (y.size() & 1) != 0;
     switch (op) {
-      case flash::BitwiseOp::kXor: return oddParity(x) != oddParity(y);
+      case flash::BitwiseOp::kXor: return oddParity(*x) != oddParity(y);
       case flash::BitwiseOp::kXnor:
-        return (oddParity(x) != oddParity(y)) != odd_width;
+        return (oddParity(*x) != oddParity(y)) != odd_width;
       case flash::BitwiseOp::kNotLsb:
       case flash::BitwiseOp::kNotMsb: return oddParity(y) != odd_width;
       case flash::BitwiseOp::kAnd:
@@ -169,7 +170,9 @@ Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
     std::vector<ssd::PhysOp> ops;
     const nvme::Lpn sx = claimScratch();
     const nvme::Lpn sy = claimScratch();
-    const auto pair = ftl.writePair(sx, sy, &a, &b, ops, p);
+    const flash::Payload pa = flash::makePayload(std::move(a));
+    const flash::Payload pb = flash::makePayload(std::move(b));
+    const auto pair = ftl.writePair(sx, sy, pa, pb, ops, p);
     stats.pagePrograms += 2;
     ready = ssd_->scheduleOps(ops, ready);
     if (!pair) {
@@ -201,7 +204,7 @@ Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
     ready = ssd_->scheduleArrayJobs(
         {ssd::ArrayJob{pair->lsb, sense_total, 0, 0}}, ready);
 
-    const BitVector ex = a ^ b;
+    const BitVector ex = *pa ^ *pb;
     const bool ok = vx == ex && vn == ~ex;
     if (!ok) {
         ++stats.detections;
@@ -353,42 +356,36 @@ Controller::fallBack(const Fallback &fallback, Tick ready, ExecStats &stats,
 
 std::optional<flash::PhysPageAddr>
 Controller::reallocate(bool unary, std::optional<nvme::Lpn> x_lpn,
-                       const BitVector *x_buf, nvme::Lpn y_lpn, Tick &ready,
-                       ExecStats &stats, BitVector &x_out, BitVector &y_out)
+                       nvme::Lpn y_lpn, Tick &ready, ExecStats &stats,
+                       flash::Payload &x, flash::Payload &y)
 {
     ssd::Ftl &ftl = ssd_->ftl();
     const Bytes page = ssd_->geometry().pageBytes;
-    const bool functional = ssd_->config().storeData;
 
     // Read the operands that live in flash as one scheduler batch:
     // co-plane reads arbitrate against each other (and against
     // co-pending traffic) rather than being booked one call at a time.
     std::vector<ssd::PhysOp> ops;
     if (x_lpn) {
-        x_out = ftl.readPage(*x_lpn, ops);
+        x = ftl.readPage(*x_lpn, ops);
         ++stats.pageReads;
-    } else if (x_buf) {
-        x_out = *x_buf;
     }
-    y_out = ftl.readPage(y_lpn, ops);
+    y = ftl.readPage(y_lpn, ops);
     ++stats.pageReads;
     ready = ssd_->scheduleOps(ops, ready);
 
     // Program the copies once the reads complete, each under a scratch
-    // LPN so the FTL tracks it.
+    // LPN so the FTL tracks it.  A copy shares its operand's payload.
     ops.clear();
     std::optional<flash::PhysPageAddr> sense_at;
     if (unary) {
-        sense_at = ftl.writeLsbOnly(claimScratch(),
-                                    functional ? &y_out : nullptr, ops);
+        sense_at = ftl.writeLsbOnly(claimScratch(), y, ops);
         ++stats.pagePrograms;
         stats.reallocBytes += page;
     } else {
         const nvme::Lpn sx = claimScratch();
         const nvme::Lpn sy = claimScratch();
-        if (const auto pair =
-                ftl.writePair(sx, sy, functional ? &x_out : nullptr,
-                              functional ? &y_out : nullptr, ops))
+        if (const auto pair = ftl.writePair(sx, sy, x, y, ops))
             sense_at = pair->lsb;
         stats.pagePrograms += 2;
         stats.reallocBytes += 2 * page;
@@ -403,13 +400,12 @@ Controller::stageIntoPlane(nvme::Lpn x_lpn, const flash::PhysPageAddr &y,
 {
     ssd::Ftl &ftl = ssd_->ftl();
     std::vector<ssd::PhysOp> ops;
-    const BitVector staged = ftl.readPage(x_lpn, ops);
+    const flash::Payload staged = ftl.readPage(x_lpn, ops);
     ++stats.pageReads;
     const ssd::PlaneIndex target = ssd::planeIndex(
         ssd_->geometry(), {y.channel, y.chip, y.die, y.plane});
-    const auto copy = ftl.writeLsbOnly(
-        claimScratch(), ssd_->config().storeData ? &staged : nullptr, ops,
-        target);
+    const auto copy =
+        ftl.writeLsbOnly(claimScratch(), staged, ops, target);
     ++stats.pagePrograms;
     stats.reallocBytes += ssd_->geometry().pageBytes;
     ready = ssd_->scheduleOps(ops, ready);
@@ -459,21 +455,21 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
         if (!functional)
             return std::nullopt;
         std::vector<ssd::PhysOp> ops;
-        BitVector x;
-        if (x_buf) {
-            x = *x_buf;
-        } else if (x_lpn && ftl.pageAccessible(*x_lpn)) {
-            x = ftl.readPage(*x_lpn, ops);
+        const BitVector *x = x_buf;
+        flash::Payload x_read;
+        if (!x && x_lpn && ftl.pageAccessible(*x_lpn)) {
+            x_read = ftl.readPage(*x_lpn, ops);
+            x = x_read.get();
             ++stats.pageReads;
-        } else if (!unary) {
-            return std::nullopt;
         }
+        if (!x && !unary)
+            return std::nullopt;
         if (!ftl.pageAccessible(y_lpn))
             return std::nullopt;
-        const BitVector y = ftl.readPage(y_lpn, ops);
+        const flash::Payload y = ftl.readPage(y_lpn, ops);
         ++stats.pageReads;
         rdy = ssd_->scheduleOps(ops, rdy);
-        return cpuBitwise(op, x, y);
+        return cpuBitwise(op, x, *y);
     };
 
     // ----- Location-free: sense across wordlines, no reallocation. ----
@@ -541,13 +537,13 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
 
     // ----- Co-located sensing of one wordline. -------------------------
     flash::PhysPageAddr wl = *y_addr;
-    BitVector x_known, y_known; ///< operand payloads read along the way
+    flash::Payload x_known, y_known; ///< operand payloads met on the way
     if (unary) {
         // ReAlloc still moves the operand to a fresh LSB-only page (the
         // paper charges NOT the reallocation).
         if (mode == Mode::kReAllocate) {
-            const auto copy = reallocate(true, std::nullopt, nullptr, y_lpn,
-                                         ready, stats, x_known, y_known);
+            const auto copy = reallocate(true, std::nullopt, y_lpn, ready,
+                                         stats, x_known, y_known);
             // NOT never needed the move for correctness: a copy that
             // cannot be placed leaves it sensing the original in place.
             if (copy)
@@ -559,24 +555,21 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
                !x_addr->sameWordline(*y_addr)) {
         // Unless pre-allocation already put the operands on one
         // wordline, pair them: X is read from pair_x when set, else
-        // taken from pair_x_buf.
+        // x_known holds it.  A buffered X becomes a payload once, here.
         std::optional<nvme::Lpn> pair_x = x_lpn;
-        const BitVector *pair_x_buf = x_buf;
-        BitVector x_data;
+        if (x_buf)
+            x_known = flash::makePayload(*x_buf);
         bool dropped = false;
         if (mode == Mode::kPreAllocated && !y_addr->msb) {
             // Chain continuation: drop X (buffer or flash) into the free
             // MSB of Y's wordline — a single program.
             std::vector<ssd::PhysOp> ops;
-            if (x_buf) {
-                x_data = *x_buf;
-            } else if (x_addr) {
-                x_data = ftl.readPage(*x_lpn, ops);
+            if (pair_x) {
+                x_known = ftl.readPage(*pair_x, ops);
                 ++stats.pageReads;
             }
-            dropped = ftl.writeIntoFreeMsb(claimScratch(), *y_addr,
-                                           functional ? &x_data : nullptr,
-                                           ops);
+            dropped =
+                ftl.writeIntoFreeMsb(claimScratch(), *y_addr, x_known, ops);
             if (dropped) {
                 ++stats.pagePrograms;
                 stats.reallocBytes += page;
@@ -586,15 +579,14 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
                 // the full reallocation below reuses the X read here.
                 ready = ssd_->scheduleOps(ops, ready);
                 pair_x = std::nullopt;
-                pair_x_buf = &x_data;
             }
         }
         if (!dropped) {
             // ParaBit-ReAlloc (and the PreAllocated fallback): re-pair
             // the operands on a fresh wordline.  A binary op has no
             // in-place sensing to fall back on.
-            const auto pair = reallocate(false, pair_x, pair_x_buf, y_lpn,
-                                         ready, stats, x_known, y_known);
+            const auto pair = reallocate(false, pair_x, y_lpn, ready, stats,
+                                         x_known, y_known);
             if (!pair)
                 return fallBack(req.fallback, ready, stats,
                                 ExecStatus::kUncorrectable);
@@ -609,13 +601,16 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
             return ssd_->chipAt(wl.channel, wl.chip)
                 .opCoLocated(op, chipAddr(wl), e);
         };
-    if (functional && !y_known.empty() && (unary || !x_known.empty())) {
-        // Operand payloads are in hand: the parity is predictable for
-        // XOR, XNOR and NOT, and the fallback is a free exact recompute.
-        req.expectedParity = predictedParity(op, x_known, y_known);
+    if (functional && y_known && (unary || x_known)) {
+        // Operand payloads are in hand: the fallback is a free exact
+        // recompute, and the ladder (the only reader of the parity) can
+        // predict it for XOR, XNOR and NOT.
+        if (policy_.enabled)
+            req.expectedParity =
+                predictedParity(op, x_known.get(), *y_known);
         req.fallback = [op, x = std::move(x_known), y = std::move(y_known)](
                            Tick &) -> std::optional<BitVector> {
-            return cpuBitwise(op, x, y);
+            return cpuBitwise(op, x.get(), *y);
         };
     }
     return runSense(req, ready, stats);

@@ -292,16 +292,17 @@ class Controller
      * Operands ReAllocation: read the operands that live in flash (one
      * drain), then, once the reads complete, program copies onto one
      * fresh wordline (a second drain): X and Y as an LSB/MSB pair, or a
-     * unary op's Y alone on an LSB-only page.  X is read from @p x_lpn
-     * when set, else taken from @p x_buf.  @p x_out / @p y_out receive
-     * the operand payloads (for parity prediction and a free host
-     * fallback).  @return where to sense; nullopt when the copies could
-     * not be placed (program retries exhausted).
+     * unary op's Y alone on an LSB-only page.  X is read into @p x
+     * from @p x_lpn when set, else @p x already holds it; @p y receives
+     * Y.  The copies share these payloads, which the caller keeps for
+     * parity prediction and a free host fallback.  @return where to
+     * sense; nullopt when the copies could not be placed (program
+     * retries exhausted).
      */
     std::optional<flash::PhysPageAddr>
-    reallocate(bool unary, std::optional<nvme::Lpn> x_lpn,
-               const BitVector *x_buf, nvme::Lpn y_lpn, Tick &ready,
-               ExecStats &stats, BitVector &x_out, BitVector &y_out);
+    reallocate(bool unary, std::optional<nvme::Lpn> x_lpn, nvme::Lpn y_lpn,
+               Tick &ready, ExecStats &stats, flash::Payload &x,
+               flash::Payload &y);
 
     /**
      * LocFree staging: read @p x_lpn from flash and program it onto an

@@ -27,7 +27,8 @@ ParaBitDevice::writeDataLsbOnly(nvme::Lpn start,
     std::vector<ssd::PhysOp> ops;
     bool ok = true;
     for (std::size_t i = 0; i < pages.size(); ++i)
-        if (!ssd_->ftl().writeLsbOnly(start + i, &pages[i], ops))
+        if (!ssd_->ftl().writeLsbOnly(start + i,
+                                      flash::makePayload(pages[i]), ops))
             ok = false;
     now_ = ssd_->scheduleOps(ops, now_);
     return ok;
@@ -43,8 +44,9 @@ ParaBitDevice::writeOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
     std::vector<ssd::PhysOp> ops;
     bool ok = true;
     for (std::size_t i = 0; i < x_pages.size(); ++i)
-        if (!ssd_->ftl().writePair(x_start + i, y_start + i, &x_pages[i],
-                                   &y_pages[i], ops))
+        if (!ssd_->ftl().writePair(x_start + i, y_start + i,
+                                   flash::makePayload(x_pages[i]),
+                                   flash::makePayload(y_pages[i]), ops))
             ok = false;
     now_ = ssd_->scheduleOps(ops, now_);
     return ok;
@@ -58,7 +60,9 @@ ParaBitDevice::writeDataLsbOnlyInPlane(nvme::Lpn start,
     std::vector<ssd::PhysOp> ops;
     bool ok = true;
     for (std::size_t i = 0; i < pages.size(); ++i)
-        if (!ssd_->ftl().writeLsbOnly(start + i, &pages[i], ops, plane))
+        if (!ssd_->ftl().writeLsbOnly(start + i,
+                                      flash::makePayload(pages[i]), ops,
+                                      plane))
             ok = false;
     now_ = ssd_->scheduleOps(ops, now_);
     return ok;

@@ -85,7 +85,7 @@ Ftl::ownerOf(const flash::PhysPageAddr &a) const
 }
 
 bool
-Ftl::programPhys(const flash::PhysPageAddr &a, const BitVector *data,
+Ftl::programPhys(const flash::PhysPageAddr &a, const flash::Payload &data,
                  bool for_gc, std::vector<PhysOp> &ops, Lpn lpn, OobTag tag,
                  bool scrambled)
 {
@@ -133,13 +133,7 @@ Ftl::programPhys(const flash::PhysPageAddr &a, const BitVector *data,
             flash::PhysPageAddr msb = a;
             msb.msb = true;
             if (chipAt(a).pageState(chipAddr(msb)) == flash::PageState::kFree) {
-                PlpEntry e;
-                e.lpn = lpn;
-                e.seq = oob.seq;
-                e.scrambled = scrambled;
-                if (data)
-                    e.data = *data;
-                plpBuffer_[key] = std::move(e);
+                plpBuffer_[key] = PlpEntry{lpn, oob.seq, data, scrambled};
             }
         }
     }
@@ -296,11 +290,11 @@ Ftl::evacuateBlock(PlaneIndex plane, std::uint32_t block,
 
             if (powerBoundary(false) != PowerCut::kNone)
                 return false;
-            BitVector data = chip.readPage(chipAddr(src));
+            const flash::Payload data = chip.readPage(chipAddr(src));
             ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
-            const auto dst = programNextInPlane(
-                plane, Shape::kPage, cfg_.storeData ? &data : nullptr, true,
-                ops, lpn, OobTag::kGcRelocated, scrambled);
+            const auto dst =
+                programNextInPlane(plane, Shape::kPage, data, true, ops, lpn,
+                                   OobTag::kGcRelocated, scrambled);
             if (!dst)
                 return false;
             ++gcWrites_;
@@ -370,9 +364,10 @@ Ftl::allocateOrGc(PlaneIndex plane, Shape shape, bool level_wear,
 }
 
 std::optional<flash::PhysPageAddr>
-Ftl::programNextInPlane(PlaneIndex plane, Shape shape, const BitVector *data,
-                        bool for_gc, std::vector<PhysOp> &ops, Lpn lpn,
-                        OobTag tag, bool scrambled)
+Ftl::programNextInPlane(PlaneIndex plane, Shape shape,
+                        const flash::Payload &data, bool for_gc,
+                        std::vector<PhysOp> &ops, Lpn lpn, OobTag tag,
+                        bool scrambled)
 {
     // A failed program retires the block under the cursor, so the next
     // allocation walks on to a fresh one; the plane's pages bound it.
@@ -435,18 +430,17 @@ Ftl::writePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
     // take the controller's scratch LPNs (see ROADMAP).
     if (lpn >= logicalPages_)
         fatal("Ftl::writePage: LPN beyond logical capacity");
-    BitVector whitened;
-    const BitVector *payload = data;
+    // The host's bytes enter flash here, as one new payload.
     const bool scramble = cfg_.scrambleHostData && data;
-    if (scramble) {
-        whitened = *data;
-        scrambler_.apply(whitened, lpn);
-        payload = &whitened;
-    }
+    flash::Payload payload;
+    if (scramble)
+        payload = flash::makePayload(scrambler_.scrambled(*data, lpn));
+    else if (data)
+        payload = flash::makePayload(*data);
     const auto a = place({.tag = OobTag::kHostData,
                           .scrambled = scramble,
                           .lpn = lpn,
-                          .data = payload},
+                          .data = std::move(payload)},
                          ops);
     if (!a) {
         if (!powerLost_)
@@ -460,19 +454,20 @@ Ftl::writePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
     return true;
 }
 
-BitVector
+flash::Payload
 Ftl::readPage(Lpn lpn, std::vector<PhysOp> &ops)
 {
     PROFILE_SCOPE(obs::Subsystem::kFtl);
     const LpnTable::Entry *e = table_.find(lpn);
     if (!e)
         fatal("Ftl::readPage: unmapped LPN");
-    if (powerBoundary(false) != PowerCut::kNone)
-        return BitVector(cfg_.geometry.pageBits(), false); // power is down
+    if (powerBoundary(false) != PowerCut::kNone) // power is down
+        return flash::makePayload(BitVector(cfg_.geometry.pageBits(), false));
     ops.push_back(PhysOp{PhysOp::Kind::kPageRead, e->addr, false});
-    BitVector page = chipAt(e->addr).readPage(chipAddr(e->addr));
-    if (cfg_.scrambleHostData && e->scrambled)
-        scrambler_.apply(page, lpn);
+    flash::Payload page = chipAt(e->addr).readPage(chipAddr(e->addr));
+    // Whitened bits stay in flash; the reader gets a descrambled copy.
+    if (cfg_.scrambleHostData && e->scrambled && page)
+        return flash::makePayload(scrambler_.scrambled(*page, lpn));
     return page;
 }
 
@@ -524,8 +519,8 @@ Ftl::trim(Lpn lpn, std::vector<PhysOp> *ops)
 }
 
 std::optional<PagePair>
-Ftl::writePair(Lpn lpn_x, Lpn lpn_y, const BitVector *data_x,
-               const BitVector *data_y, std::vector<PhysOp> &ops,
+Ftl::writePair(Lpn lpn_x, Lpn lpn_y, const flash::Payload &data_x,
+               const flash::Payload &data_y, std::vector<PhysOp> &ops,
                std::optional<PlaneIndex> plane)
 {
     PROFILE_SCOPE(obs::Subsystem::kFtl);
@@ -559,8 +554,8 @@ Ftl::writePair(Lpn lpn_x, Lpn lpn_y, const BitVector *data_x,
 }
 
 std::optional<flash::PhysPageAddr>
-Ftl::writeLsbOnly(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops,
-                  std::optional<PlaneIndex> plane)
+Ftl::writeLsbOnly(Lpn lpn, const flash::Payload &data,
+                  std::vector<PhysOp> &ops, std::optional<PlaneIndex> plane)
 {
     PROFILE_SCOPE(obs::Subsystem::kFtl);
     if (plane && !planeAlive(*plane))
@@ -584,7 +579,7 @@ Ftl::writeLsbOnly(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops,
 
 bool
 Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
-                      const BitVector *data, std::vector<PhysOp> &ops)
+                      const flash::Payload &data, std::vector<PhysOp> &ops)
 {
     PROFILE_SCOPE(obs::Subsystem::kFtl);
     flash::PhysPageAddr msb = lsb_addr;
@@ -607,7 +602,7 @@ Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
             lsb_lpn = *owner;
             if (powerBoundary(false) != PowerCut::kNone)
                 return false;
-            BitVector copy = chip.readPage(chipAddr(lsb_addr));
+            const flash::Payload copy = chip.readPage(chipAddr(lsb_addr));
             ops.push_back(PhysOp{PhysOp::Kind::kPageRead, lsb_addr, false});
             const PlaneIndex p = planeIndex(
                 cfg_.geometry, PlaneCoord{lsb_addr.channel, lsb_addr.chip,
@@ -615,9 +610,9 @@ Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
             // No GC while placing the copy: a GC run here could relocate
             // the very LSB we are protecting out from under the
             // caller's placement decision.
-            backup = programNextInPlane(
-                p, Shape::kLsbOnly, cfg_.storeData ? &copy : nullptr, false,
-                ops, lsb_lpn, OobTag::kPairBackup, isScrambled(lsb_lpn));
+            backup = programNextInPlane(p, Shape::kLsbOnly, copy, false, ops,
+                                        lsb_lpn, OobTag::kPairBackup,
+                                        isScrambled(lsb_lpn));
             if (!backup)
                 return false; // cannot protect the LSB: refuse the drop
             ++parabitWrites_; // protocol overhead traffic
@@ -664,7 +659,7 @@ Ftl::refreshOnePage(const flash::PhysPageAddr &src, Lpn lpn, OobTag tag,
 {
     if (powerBoundary(false) != PowerCut::kNone)
         return false;
-    BitVector data = chipAt(src).readPage(chipAddr(src));
+    flash::Payload data = chipAt(src).readPage(chipAddr(src));
     ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
     const bool scrambled = isScrambled(lpn);
     const auto a = place({.shape = lsb_only ? Shape::kLsbOnly : Shape::kPage,
@@ -672,7 +667,7 @@ Ftl::refreshOnePage(const flash::PhysPageAddr &src, Lpn lpn, OobTag tag,
                           .forGc = true,
                           .scrambled = scrambled,
                           .lpn = lpn,
-                          .data = cfg_.storeData ? &data : nullptr},
+                          .data = std::move(data)},
                          ops);
     if (!a) {
         if (!powerLost_)
@@ -723,13 +718,11 @@ Ftl::refreshWordline(const flash::PhysPageAddr &wl, std::vector<PhysOp> &ops)
         is_parabit(tag_of(lsb)) && is_parabit(tag_of(msb))) {
         if (powerBoundary(false) != PowerCut::kNone)
             return false;
-        BitVector dx = chip.readPage(chipAddr(lsb));
+        const flash::Payload dx = chip.readPage(chipAddr(lsb));
         ops.push_back(PhysOp{PhysOp::Kind::kPageRead, lsb, true});
-        BitVector dy = chip.readPage(chipAddr(msb));
+        const flash::Payload dy = chip.readPage(chipAddr(msb));
         ops.push_back(PhysOp{PhysOp::Kind::kPageRead, msb, true});
-        const auto pair =
-            writePair(lsb_lpn, msb_lpn, cfg_.storeData ? &dx : nullptr,
-                      cfg_.storeData ? &dy : nullptr, ops);
+        const auto pair = writePair(lsb_lpn, msb_lpn, dx, dy, ops);
         return pair.has_value();
     }
 
@@ -755,7 +748,8 @@ Ftl::refreshWordline(const flash::PhysPageAddr &wl, std::vector<PhysOp> &ops)
 }
 
 bool
-Ftl::relocatePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
+Ftl::relocatePage(Lpn lpn, const flash::Payload &data,
+                  std::vector<PhysOp> &ops)
 {
     PROFILE_SCOPE(obs::Subsystem::kFtl);
     const LpnTable::Entry *e = table_.find(lpn);

@@ -90,15 +90,19 @@ class Ftl
     /// @{
 
     /**
-     * Write one logical page (data may be null in timing mode); striped
-     * placement, interleaved density.  GC may piggyback.  A program
-     * failure retires the block and retries on a fresh one; @return
-     * false only when the bounded retries are exhausted.
+     * Write one logical page of host bytes (data may be null in timing
+     * mode): they are copied (whitened when scrambling is on) into the
+     * page's payload.  Striped placement, interleaved density.  GC may
+     * piggyback.  A program failure retires the block and retries on a
+     * fresh one; @return false only when the bounded retries are
+     * exhausted.
      */
     bool writePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops);
 
-    /** Read a mapped logical page (ECC-clean). */
-    BitVector readPage(Lpn lpn, std::vector<PhysOp> &ops);
+    /** Read a mapped logical page (ECC-clean): the stored payload,
+     *  shared, or a descrambled copy when the LPN is scrambled; null in
+     *  timing-only mode. */
+    flash::Payload readPage(Lpn lpn, std::vector<PhysOp> &ops);
 
     /** Current physical location of @p lpn, if mapped. */
     std::optional<flash::PhysPageAddr> lookup(Lpn lpn) const;
@@ -128,14 +132,15 @@ class Ftl
      * the requested plane is dead or program retries were exhausted.
      */
     std::optional<PagePair>
-    writePair(Lpn lpn_x, Lpn lpn_y, const BitVector *data_x,
-              const BitVector *data_y, std::vector<PhysOp> &ops,
+    writePair(Lpn lpn_x, Lpn lpn_y, const flash::Payload &data_x,
+              const flash::Payload &data_y, std::vector<PhysOp> &ops,
               std::optional<PlaneIndex> plane = std::nullopt);
 
     /** LSB-only placement of @p lpn in @p plane (or striped); nullopt
      *  under the same failure conditions as writePair(). */
     std::optional<flash::PhysPageAddr>
-    writeLsbOnly(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops,
+    writeLsbOnly(Lpn lpn, const flash::Payload &data,
+                 std::vector<PhysOp> &ops,
                  std::optional<PlaneIndex> plane = std::nullopt);
 
     /**
@@ -143,7 +148,8 @@ class Ftl
      * @p lsb_addr.  Fails (returns false) if that MSB is not free.
      */
     bool writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
-                          const BitVector *data, std::vector<PhysOp> &ops);
+                          const flash::Payload &data,
+                          std::vector<PhysOp> &ops);
     /// @}
 
     /** @name Media management (patrol scrub / RAIN); see ssd/media.hpp. */
@@ -186,7 +192,7 @@ class Ftl
      * page) on a fresh page of an operational plane and remap; the old
      * copy is invalidated.  @p data may be null in timing mode.
      */
-    bool relocatePage(Lpn lpn, const BitVector *data,
+    bool relocatePage(Lpn lpn, const flash::Payload &data,
                       std::vector<PhysOp> &ops);
 
     /** Pages re-placed by refresh/repair relocation. */
@@ -337,10 +343,10 @@ class Ftl
         bool forGc = false;
         bool scrambled = false;
         Lpn lpn = kNoLpn;
-        const BitVector *data = nullptr;
+        flash::Payload data;
         /** kPair only: the page programmed into the wordline's MSB. */
         Lpn msbLpn = kNoLpn;
-        const BitVector *msbData = nullptr;
+        flash::Payload msbData;
         /** Run static wear levelling beside threshold GC. */
         bool levelWear = true;
         /** Charge programRetries_ for every failed attempt. */
@@ -376,9 +382,10 @@ class Ftl
      *  blocks failed programs retire; no GC.  nullopt when the plane
      *  runs out of pages or power is cut. */
     std::optional<flash::PhysPageAddr>
-    programNextInPlane(PlaneIndex plane, Shape shape, const BitVector *data,
-                       bool for_gc, std::vector<PhysOp> &ops, Lpn lpn,
-                       OobTag tag, bool scrambled);
+    programNextInPlane(PlaneIndex plane, Shape shape,
+                       const flash::Payload &data, bool for_gc,
+                       std::vector<PhysOp> &ops, Lpn lpn, OobTag tag,
+                       bool scrambled);
     /** Move every valid page of @p block to fresh pages of the same
      *  plane, journal kErase, then erase the block (retiring it if the
      *  erase fails).  @return false when a page could not be moved (no
@@ -417,9 +424,10 @@ class Ftl
      *  {@p lpn, fresh seq, @p tag, @p scrambled}; on an injected
      *  program failure the block is retired and false returned; on a
      *  mid-program power cut the wordline is torn and false returned. */
-    bool programPhys(const flash::PhysPageAddr &a, const BitVector *data,
-                     bool for_gc, std::vector<PhysOp> &ops, Lpn lpn,
-                     OobTag tag, bool scrambled = false);
+    bool programPhys(const flash::PhysPageAddr &a,
+                     const flash::Payload &data, bool for_gc,
+                     std::vector<PhysOp> &ops, Lpn lpn, OobTag tag,
+                     bool scrambled = false);
     bool planeAlive(PlaneIndex plane);
     /** Next striped plane that is still operational (fatal if none). */
     PlaneIndex pickAlivePlane();

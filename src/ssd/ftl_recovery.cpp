@@ -72,7 +72,7 @@ Ftl::restorePlpEntries(RecoveryReport &rep, std::vector<PhysOp> &ops)
         const auto a = place({.tag = OobTag::kHostData,
                               .scrambled = e.scrambled,
                               .lpn = e.lpn,
-                              .data = e.data ? &*e.data : nullptr,
+                              .data = e.data,
                               // Deliberately unlike the write paths:
                               // restore gives up at the first plane
                               // without space and charges no retries.

@@ -124,7 +124,9 @@ MediaScrubber::repairWordline(flash::PhysPageAddr a, ScrubPassStats &s,
                 health_->noteUncorrectable();
             continue;
         }
-        if (ftl_->relocatePage(lpn, data ? &*data : nullptr, ops)) {
+        if (ftl_->relocatePage(
+                lpn, data ? flash::makePayload(std::move(*data)) : nullptr,
+                ops)) {
             ++s.repairs;
             ++repairs_;
             if (health_)

@@ -42,7 +42,7 @@ RainController::payloadAt(const flash::PhysPageAddr &a) const
         static_cast<std::size_t>(a.channel) * geom_.chipsPerChannel + a.chip;
     const flash::Plane &pl = (*chips_)[idx].plane(a.die, a.plane);
     const flash::Block *blk = pl.blockIfExists(a.block);
-    return blk ? blk->pageData(a.wordline, a.msb) : nullptr;
+    return blk ? blk->pageData(a.wordline, a.msb).get() : nullptr;
 }
 
 bool
@@ -162,12 +162,12 @@ RainController::computeParityFromFlash(
                     for (a.wordline = 0;
                          a.wordline < geom_.wordlinesPerBlock;
                          ++a.wordline) {
-                        if (const BitVector *lsb =
+                        if (const flash::Payload &lsb =
                                 blk->pageData(a.wordline, false)) {
                             a.msb = false;
                             xor_into(stripeKey(a), *lsb);
                         }
-                        if (const BitVector *msb =
+                        if (const flash::Payload &msb =
                                 blk->pageData(a.wordline, true)) {
                             a.msb = true;
                             xor_into(stripeKey(a), *msb);

@@ -19,8 +19,8 @@
 #include <optional>
 #include <vector>
 
-#include "common/bitvector.hpp"
 #include "common/units.hpp"
+#include "flash/block.hpp"
 
 namespace parabit::ssd {
 
@@ -104,8 +104,9 @@ struct PlpEntry
     /** OOB sequence number of the original program (stale-entry
      *  arbitration when an LPN was rewritten while still buffered). */
     std::uint64_t seq = 0;
-    /** Payload exactly as programmed (absent in timing-only mode). */
-    std::optional<BitVector> data;
+    /** The programmed page's payload, shared (null in timing-only
+     *  mode). */
+    flash::Payload data;
     bool scrambled = false;
 };
 

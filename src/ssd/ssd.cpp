@@ -227,7 +227,8 @@ SsdDevice::repairPage(Lpn lpn, Tick at)
     if (!data && cfg_.storeData)
         return false;
     std::vector<PhysOp> ops;
-    if (!ftl_.relocatePage(lpn, data ? &*data : nullptr, ops))
+    if (!ftl_.relocatePage(
+            lpn, data ? flash::makePayload(std::move(*data)) : nullptr, ops))
         return false;
     if (health_ && data)
         health_->noteRebuild();
@@ -474,9 +475,10 @@ SsdDevice::readPages(Lpn start, std::size_t count, std::vector<BitVector> *out,
     advanceClock(at);
     std::vector<PhysOp> ops;
     for (std::size_t i = 0; i < count; ++i) {
-        BitVector page = ftl_.readPage(start + i, ops);
+        const flash::Payload page = ftl_.readPage(start + i, ops);
+        // The host gets its own bytes; flash keeps the payload.
         if (out)
-            out->push_back(std::move(page));
+            out->push_back(page ? *page : BitVector());
     }
     const Tick done = scheduleOps(ops, at);
     pumpMedia(done);

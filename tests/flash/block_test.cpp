@@ -28,7 +28,7 @@ TEST(Block, ProgramStoresDataAndChangesState)
 {
     Block b(4, 16, true);
     const BitVector d = BitVector::fromString("1010101010101010");
-    b.program(1, false, &d);
+    b.program(1, false, makePayload(d));
     EXPECT_EQ(b.pageState(1, false), PageState::kValid);
     EXPECT_EQ(b.pageState(1, true), PageState::kFree);
     ASSERT_NE(b.pageData(1, false), nullptr);
@@ -41,7 +41,7 @@ TEST(Block, TimingOnlyModeKeepsNoPayload)
 {
     Block b(4, 16, false);
     const BitVector d(16, true);
-    b.program(0, false, &d);
+    b.program(0, false, makePayload(d));
     EXPECT_EQ(b.pageState(0, false), PageState::kValid);
     EXPECT_EQ(b.pageData(0, false), nullptr);
 }
@@ -67,9 +67,9 @@ TEST(Block, EraseResetsEverythingAndCounts)
 {
     Block b(4, 16, true);
     const BitVector d(16, true);
-    b.program(0, false, &d);
-    b.program(0, true, &d);
-    b.program(1, false, &d);
+    b.program(0, false, makePayload(d));
+    b.program(0, true, makePayload(d));
+    b.program(1, false, makePayload(d));
     b.invalidate(1, false);
     b.erase();
     EXPECT_EQ(b.eraseCount(), 1u);
@@ -118,12 +118,12 @@ TEST(Block, MarkTornDropsBothPayloadsOfTheWordline)
     Block b(4, 8, true);
     const BitVector lsb = BitVector::fromString("11110000");
     const PageOob oob{3, 50, 1, false};
-    b.program(1, false, &lsb, &oob);
+    b.program(1, false, makePayload(lsb), &oob);
 
     // Power cut mid-MSB-program: the shared cells corrupt the paired
     // LSB too, so both payloads are gone while states/OOB remain for
     // recovery to inspect (and then discard the wordline).
-    b.program(1, true, &lsb, &oob);
+    b.program(1, true, makePayload(lsb), &oob);
     b.markTorn(1);
     EXPECT_TRUE(b.torn(1));
     EXPECT_FALSE(b.torn(0));
@@ -143,8 +143,8 @@ TEST(Block, WordlineDataExposesBothPages)
     Block b(2, 8, true);
     const BitVector lsb = BitVector::fromString("11110000");
     const BitVector msb = BitVector::fromString("10101010");
-    b.program(0, false, &lsb);
-    b.program(0, true, &msb);
+    b.program(0, false, makePayload(lsb));
+    b.program(0, true, makePayload(msb));
     const WordlineData wd = b.wordlineData(0);
     ASSERT_NE(wd.lsb, nullptr);
     ASSERT_NE(wd.msb, nullptr);

@@ -38,9 +38,9 @@ TEST(Chip, ProgramReadRoundTrip)
     Rng rng(1);
     const BitVector d = randomPage(g, rng);
     const ChipPageAddr a{0, 1, 2, 3, false};
-    chip.programPage(a, &d);
+    chip.programPage(a, makePayload(d));
     EXPECT_EQ(chip.pageState(a), PageState::kValid);
-    EXPECT_EQ(chip.readPage(a), d);
+    EXPECT_EQ(*chip.readPage(a), d);
 }
 
 TEST(Chip, UnwrittenPageReadsAllOnes)
@@ -48,7 +48,7 @@ TEST(Chip, UnwrittenPageReadsAllOnes)
     const FlashGeometry g = tinyGeom();
     Chip chip(g, true);
     const ChipPageAddr a{0, 0, 0, 0, true};
-    const BitVector v = chip.readPage(a);
+    const BitVector v = *chip.readPage(a);
     EXPECT_EQ(v.popcount(), v.size()); // erased
 }
 
@@ -61,8 +61,8 @@ TEST(Chip, OpCoLocatedComputesOverWordline)
     const BitVector y = randomPage(g, rng);
     const ChipPageAddr lsb{0, 0, 1, 4, false};
     const ChipPageAddr msb{0, 0, 1, 4, true};
-    chip.programPage(lsb, &x);
-    chip.programPage(msb, &y);
+    chip.programPage(lsb, makePayload(x));
+    chip.programPage(msb, makePayload(y));
 
     int errors = -1;
     const BitVector out = chip.opCoLocated(BitwiseOp::kXor, lsb, &errors);
@@ -80,8 +80,8 @@ TEST(Chip, OpLocationFreeAcrossWordlines)
     // M in the MSB page of WL 2, N in the LSB page of WL 5, same plane.
     const ChipPageAddr ma{0, 1, 0, 2, true};
     const ChipPageAddr na{0, 1, 3, 5, false};
-    chip.programPage(ma, &m);
-    chip.programPage(na, &n);
+    chip.programPage(ma, makePayload(m));
+    chip.programPage(na, makePayload(n));
     const BitVector out =
         chip.opLocationFree(BitwiseOp::kAnd, ma, na);
     EXPECT_EQ(out, m & n);
@@ -96,8 +96,8 @@ TEST(Chip, OpLocationFreeLsbLsbVariant)
     const BitVector n = randomPage(g, rng);
     const ChipPageAddr ma{0, 0, 2, 0, false};
     const ChipPageAddr na{0, 0, 4, 1, false};
-    chip.programPage(ma, &m);
-    chip.programPage(na, &n);
+    chip.programPage(ma, makePayload(m));
+    chip.programPage(na, makePayload(n));
     const BitVector out = chip.opLocationFree(
         BitwiseOp::kXor, ma, na, nullptr, LocFreeVariant::kLsbLsb);
     EXPECT_EQ(out, m ^ n);
@@ -133,10 +133,10 @@ TEST(Chip, PlanesAreIsolated)
     Rng rng(5);
     const BitVector d0 = randomPage(g, rng);
     const BitVector d1 = randomPage(g, rng);
-    chip.programPage({0, 0, 0, 0, false}, &d0);
-    chip.programPage({0, 1, 0, 0, false}, &d1);
-    EXPECT_EQ(chip.readPage({0, 0, 0, 0, false}), d0);
-    EXPECT_EQ(chip.readPage({0, 1, 0, 0, false}), d1);
+    chip.programPage({0, 0, 0, 0, false}, makePayload(d0));
+    chip.programPage({0, 1, 0, 0, false}, makePayload(d1));
+    EXPECT_EQ(*chip.readPage({0, 0, 0, 0, false}), d0);
+    EXPECT_EQ(*chip.readPage({0, 1, 0, 0, false}), d1);
 }
 
 TEST(Chip, ErrorInjectionReportsBitErrors)
@@ -151,8 +151,8 @@ TEST(Chip, ErrorInjectionReportsBitErrors)
     Chip chip(g, true, ec, 99);
     const BitVector x(g.pageBits(), true);
     const BitVector y(g.pageBits(), true);
-    chip.programPage({0, 0, 0, 0, false}, &x);
-    chip.programPage({0, 0, 0, 0, true}, &y);
+    chip.programPage({0, 0, 0, 0, false}, makePayload(x));
+    chip.programPage({0, 0, 0, 0, true}, makePayload(y));
     int errors = 0;
     chip.opCoLocated(BitwiseOp::kXor, {0, 0, 0, 0, false}, &errors);
     EXPECT_GT(errors, 0);
@@ -240,8 +240,8 @@ TEST(Chip, SeededNoisyOpsMatchRecordedGolden)
         for (std::uint32_t block : {0u, 1u}) {
             for (std::uint32_t wl = 0; wl < 4; ++wl) {
                 for (bool msb : {false, true}) {
-                    const BitVector d = randomPage(g, rng);
-                    chip.programPage({0, plane, block, wl, msb}, &d);
+                    chip.programPage({0, plane, block, wl, msb},
+                                     makePayload(randomPage(g, rng)));
                 }
             }
         }

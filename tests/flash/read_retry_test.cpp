@@ -117,8 +117,8 @@ struct NoisyChipFixture
             x.set(i, rng.chance(0.5));
             y.set(i, rng.chance(0.5));
         }
-        chip->programPage({0, 0, 0, 0, false}, &x);
-        chip->programPage({0, 0, 0, 0, true}, &y);
+        chip->programPage({0, 0, 0, 0, false}, makePayload(x));
+        chip->programPage({0, 0, 0, 0, true}, makePayload(y));
     }
 
     std::unique_ptr<Chip> chip;
@@ -170,8 +170,8 @@ TEST(ReadRetry, LocationFreeVotingWorks)
         m.set(i, rng.chance(0.5));
         n.set(i, rng.chance(0.5));
     }
-    chip.programPage({0, 0, 0, 0, true}, &m);
-    chip.programPage({0, 0, 1, 0, false}, &n);
+    chip.programPage({0, 0, 0, 0, true}, makePayload(m));
+    chip.programPage({0, 0, 1, 0, false}, makePayload(n));
     std::int64_t single = 0, voted = 0;
     for (int t = 0; t < 40; ++t) {
         single += opLocationFreeVoted(chip, BitwiseOp::kXor,

@@ -63,8 +63,8 @@ TEST(Determinism, ErrorModelPatternRepeatsAcrossIdenticalChips)
         y.set(i, rng.chance(0.5));
     }
     for (flash::Chip *chip : {a.get(), b.get(), c.get()}) {
-        chip->programPage({0, 0, 0, 0, false}, &x);
-        chip->programPage({0, 0, 0, 0, true}, &y);
+        chip->programPage({0, 0, 0, 0, false}, flash::makePayload(x));
+        chip->programPage({0, 0, 0, 0, true}, flash::makePayload(y));
     }
 
     // The injected-error pattern is part of the deterministic contract:

@@ -75,7 +75,7 @@ expectReadsBack(SsdDevice &dev, Lpn lpn, const BitVector &want, Tick now)
             << "uncorrectable after rebuild: lpn " << lpn;
     }
     std::vector<PhysOp> ops;
-    EXPECT_EQ(ftl.readPage(lpn, ops), want) << "lpn " << lpn;
+    EXPECT_EQ(*ftl.readPage(lpn, ops), want) << "lpn " << lpn;
 }
 
 void
@@ -117,7 +117,7 @@ runSeed(std::uint64_t seed)
                 oracle[lpn] = d;
         } else if (oracle.count(lpn) != 0 && ftl.pageAccessible(lpn)) {
             std::vector<PhysOp> ops;
-            const BitVector got = ftl.readPage(lpn, ops);
+            const BitVector got = *ftl.readPage(lpn, ops);
             // A cut can land on this very read's op boundary; the
             // device then returns power-down zeros, not data.
             if (!ftl.powerLost()) {
@@ -158,7 +158,7 @@ runSeed(std::uint64_t seed)
     const BitVector d = pattern(bits, 1, ++version);
     std::vector<PhysOp> ops;
     ASSERT_TRUE(ftl.writePage(1, &d, ops));
-    EXPECT_EQ(ftl.readPage(1, ops), d);
+    EXPECT_EQ(*ftl.readPage(1, ops), d);
 }
 
 // 64 seeds split into four shards so ctest can run them in parallel

@@ -103,7 +103,9 @@ runSeed(std::uint64_t seed)
             const BitVector dx = pattern(bits, x, ++version);
             const BitVector dy = pattern(bits, y, ++version);
             std::vector<PhysOp> ops;
-            if (ftl.writePair(x, y, &dx, &dy, ops).has_value()) {
+            if (ftl.writePair(x, y, flash::makePayload(dx),
+                              flash::makePayload(dy), ops)
+                    .has_value()) {
                 oracle[x] = dx;
                 oracle[y] = dy;
             }
@@ -117,11 +119,11 @@ runSeed(std::uint64_t seed)
             const BitVector ds = pattern(bits, src, ++version);
             const BitVector dr = pattern(bits, res, ++version);
             std::vector<PhysOp> ops;
-            const auto lsb = ftl.writeLsbOnly(src, &ds, ops);
+            const auto lsb = ftl.writeLsbOnly(src, flash::makePayload(ds), ops);
             if (!lsb.has_value())
                 continue;
             oracle[src] = ds;
-            if (ftl.writeIntoFreeMsb(res, *lsb, &dr, ops))
+            if (ftl.writeIntoFreeMsb(res, *lsb, flash::makePayload(dr), ops))
                 oracle[res] = dr;
         }
     }
@@ -145,7 +147,7 @@ runSeed(std::uint64_t seed)
         EXPECT_FALSE(dev.chipAt(at->channel, at->chip).wordlineTorn(ca))
             << "LPN " << lpn << " mapped to a torn wordline";
         std::vector<PhysOp> ops;
-        EXPECT_EQ(ftl.readPage(lpn, ops), *want)
+        EXPECT_EQ(*ftl.readPage(lpn, ops), *want)
             << "acked LPN " << lpn << " corrupted";
     }
 
@@ -153,7 +155,7 @@ runSeed(std::uint64_t seed)
     const BitVector d = pattern(bits, 1, ++version);
     std::vector<PhysOp> ops;
     ASSERT_TRUE(ftl.writePage(1, &d, ops));
-    EXPECT_EQ(ftl.readPage(1, ops), d);
+    EXPECT_EQ(*ftl.readPage(1, ops), d);
 }
 
 // 64 seeded cut points split into four shards so ctest can run them in
@@ -222,7 +224,7 @@ TEST(SporSweep, DoubleCrash)
                 ASSERT_TRUE(ftl.lookup(lpn).has_value())
                     << "round " << round << " LPN " << lpn;
                 std::vector<PhysOp> ops;
-                EXPECT_EQ(ftl.readPage(lpn, ops), *want)
+                EXPECT_EQ(*ftl.readPage(lpn, ops), *want)
                     << "round " << round << " LPN " << lpn;
             }
         }
@@ -281,12 +283,12 @@ TEST(SporSweep, CutDuringPlpRestore)
             ASSERT_TRUE(ftl.lookup(lpn).has_value())
                 << "dumped LPN " << lpn << " lost";
             std::vector<PhysOp> ops;
-            EXPECT_EQ(ftl.readPage(lpn, ops), *oracle[lpn])
+            EXPECT_EQ(*ftl.readPage(lpn, ops), *oracle[lpn])
                 << "dumped LPN " << lpn << " corrupted";
         }
         for (const auto &[lpn, want] : oracle) {
             std::vector<PhysOp> ops;
-            EXPECT_EQ(ftl.readPage(lpn, ops), *want)
+            EXPECT_EQ(*ftl.readPage(lpn, ops), *want)
                 << "acked LPN " << lpn << " corrupted";
         }
     }

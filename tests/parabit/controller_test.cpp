@@ -246,22 +246,19 @@ placeOperands(ParaBitDevice &dev, Placement pl)
     const bool functional = dev.ssd().config().storeData;
     Rng rng(77);
     std::vector<ssd::PhysOp> ops;
-    std::vector<BitVector> keep; // payloads outlive the FTL calls below
-    const auto data = [&]() -> const BitVector * {
+    const auto data = [&]() -> flash::Payload {
         if (!functional)
             return nullptr;
-        keep.push_back(randomPages(dev.ssd().config(), 1, rng)[0]);
-        return &keep.back();
+        return flash::makePayload(randomPages(dev.ssd().config(), 1, rng)[0]);
     };
-    keep.reserve(2 * 3 * kOperandPages);
     const std::vector<nvme::Lpn> operands = {kX, kY, kZ};
     for (std::size_t k = 0; k < operands.size(); ++k) {
         const auto plane = static_cast<ssd::PlaneIndex>(k);
         for (std::uint32_t p = 0; p < kOperandPages; ++p) {
             const nvme::Lpn lpn = operands[k] + p;
             const nvme::Lpn filler = kFiller + 100 * k + p;
-            const BitVector *a = data();
-            const BitVector *b = data();
+            const flash::Payload a = data();
+            const flash::Payload b = data();
             bool ok = true;
             switch (pl) {
               case Placement::kPair:
@@ -280,7 +277,7 @@ placeOperands(ParaBitDevice &dev, Placement pl)
                 ok = ftl.writeLsbOnly(lpn, a, ops, plane).has_value();
                 break;
               case Placement::kPlainWrite:
-                ok = ftl.writePage(lpn, a, ops);
+                ok = ftl.writePage(lpn, a.get(), ops);
                 break;
             }
             ASSERT_TRUE(ok) << "LPN " << lpn;
@@ -396,6 +393,99 @@ TEST(Controller, ReAllocateAlwaysPaysTwoProgramsPerPage)
     EXPECT_EQ(r.stats.pageReads, 2u * pages);
     EXPECT_EQ(r.stats.reallocBytes,
               2u * pages * dev.ssd().config().geometry.pageBytes);
+}
+
+/** The block holding @p a. */
+const flash::Block &
+blockOf(ssd::SsdDevice &ssd, const flash::PhysPageAddr &a)
+{
+    return ssd.chipAt(a.channel, a.chip)
+        .plane(a.die, a.plane)
+        .block(a.block);
+}
+
+/** Every valid page of @p ssd whose stored payload is the object at
+ *  @p bits (the same payload, not merely equal bits). */
+std::vector<flash::PhysPageAddr>
+pagesSharing(ssd::SsdDevice &ssd, const BitVector *bits)
+{
+    const flash::FlashGeometry &g = ssd.geometry();
+    std::vector<flash::PhysPageAddr> out;
+    for (ssd::PlaneIndex p = 0; p < g.planesTotal(); ++p) {
+        flash::PhysPageAddr a = ssd::planeAddr(g, p);
+        const flash::Plane &pl =
+            ssd.chipAt(a.channel, a.chip).plane(a.die, a.plane);
+        for (a.block = 0; a.block < g.blocksPerPlane; ++a.block) {
+            const flash::Block *blk = pl.blockIfExists(a.block);
+            for (a.wordline = 0; blk && a.wordline < g.wordlinesPerBlock;
+                 ++a.wordline) {
+                for (const bool msb : {false, true}) {
+                    a.msb = msb;
+                    if (blk->pageState(a.wordline, msb) ==
+                            flash::PageState::kValid &&
+                        blk->pageData(a.wordline, msb).get() == bits)
+                        out.push_back(a);
+                }
+            }
+        }
+    }
+    return out;
+}
+
+TEST(Controller, ReAllocPairSharesTheOperandPayloads)
+{
+    ParaBitDevice dev(ssd::SsdConfig::tiny());
+    ssd::SsdDevice &ssd = dev.ssd();
+    Rng rng(9);
+    const auto x = randomPages(ssd.config(), 1, rng);
+    const auto y = randomPages(ssd.config(), 1, rng);
+    ASSERT_TRUE(dev.writeData(0, x));
+    ASSERT_TRUE(dev.writeData(100, y));
+    const flash::PhysPageAddr x_at = *ssd.ftl().lookup(0);
+    const flash::PhysPageAddr y_at = *ssd.ftl().lookup(100);
+    const BitVector *x_bits =
+        blockOf(ssd, x_at).pageData(x_at.wordline, x_at.msb).get();
+    const BitVector *y_bits =
+        blockOf(ssd, y_at).pageData(y_at.wordline, y_at.msb).get();
+
+    const ExecResult r =
+        dev.bitwise(flash::BitwiseOp::kAnd, 0, 100, 1, Mode::kReAllocate);
+    ASSERT_EQ(r.status, ExecStatus::kOk);
+    ASSERT_EQ(r.pages.at(0), goldenOp(flash::BitwiseOp::kAnd, x[0], y[0]));
+
+    // The pair copy of X is a second page holding X's payload itself;
+    // the MSB of its wordline holds Y's.
+    std::vector<flash::PhysPageAddr> copies = pagesSharing(ssd, x_bits);
+    ASSERT_EQ(copies.size(), 2u);
+    const flash::PhysPageAddr copy =
+        copies[0] == x_at ? copies[1] : copies[0];
+    ASSERT_FALSE(copy == x_at);
+    EXPECT_FALSE(copy.msb);
+    const flash::Block &pair_blk = blockOf(ssd, copy);
+    const flash::PageOob *oob = pair_blk.pageOob(copy.wordline, false);
+    ASSERT_NE(oob, nullptr);
+    EXPECT_EQ(static_cast<ssd::OobTag>(oob->tag), ssd::OobTag::kParabitPair);
+    EXPECT_EQ(pair_blk.pageData(copy.wordline, true).get(), y_bits);
+    const ssd::Lpn copy_lpn = oob->lpn;
+
+    // Overwrite X and churn until GC erases X's old block: the copy
+    // keeps X's bits (GC may move the copy too, sharing them again).
+    ASSERT_TRUE(dev.writeData(0, randomPages(ssd.config(), 1, rng)));
+    const std::uint32_t erases_before =
+        ssd.chipAt(x_at.channel, x_at.chip)
+            .blockEraseCount(x_at.die, x_at.plane, x_at.block);
+    const auto filler = randomPages(ssd.config(), 1, rng);
+    bool erased = false;
+    for (int round = 0; round < 400 && !erased; ++round) {
+        for (nvme::Lpn l = 200; l < 216; ++l)
+            ASSERT_TRUE(dev.writeData(l, filler));
+        erased = ssd.chipAt(x_at.channel, x_at.chip)
+                     .blockEraseCount(x_at.die, x_at.plane, x_at.block) >
+                 erases_before;
+    }
+    ASSERT_TRUE(erased) << "GC never erased the operand's old block";
+    std::vector<ssd::PhysOp> ops;
+    EXPECT_EQ(*ssd.ftl().readPage(copy_lpn, ops), x[0]);
 }
 
 TEST(Controller, LocationFreeNeedsNoProgramsWhenSamePlane)

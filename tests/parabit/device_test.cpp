@@ -128,6 +128,16 @@ TEST(ParaBitDevice, MismatchedPairSizesDie)
     EXPECT_DEATH(dev.writeOperandPair(0, 100, x, y), "sizes differ");
 }
 
+TEST(ParaBitDevice, WrongWidthPageDiesOnWriteInEveryBuild)
+{
+    // A page narrower than the device's must not enter flash: it would
+    // read back short and fail only later, inside a sensing.
+    ParaBitDevice dev(ssd::SsdConfig::tiny());
+    ASSERT_EQ(dev.ssd().geometry().pageBits(), 512u);
+    const std::vector<BitVector> short_page{BitVector(448, true)};
+    EXPECT_DEATH(dev.writeData(0, short_page), "payload width");
+}
+
 TEST(ParaBitDevice, UnmappedOperandDies)
 {
     ParaBitDevice dev(ssd::SsdConfig::tiny());

@@ -422,7 +422,7 @@ TEST(SsdDeviceFaults, ProgramFailureRetiresBlockAndRemaps)
     EXPECT_GT(dev.ftl().retiredBlocks(), 0u);
     // Data stays readable after the retirement storm.
     std::vector<PhysOp> ops;
-    EXPECT_EQ(dev.ftl().readPage(0, ops), d);
+    EXPECT_EQ(*dev.ftl().readPage(0, ops), d);
 }
 
 } // namespace

@@ -56,7 +56,7 @@ TEST(Ftl, WriteReadRoundTrip)
     ASSERT_EQ(ops.size(), 1u);
     EXPECT_EQ(ops[0].kind, PhysOp::Kind::kPageProgram);
     std::vector<PhysOp> rops;
-    EXPECT_EQ(f.ftl->readPage(7, rops), d);
+    EXPECT_EQ(*f.ftl->readPage(7, rops), d);
     ASSERT_EQ(rops.size(), 1u);
     EXPECT_EQ(rops[0].kind, PhysOp::Kind::kPageRead);
 }
@@ -74,7 +74,7 @@ TEST(Ftl, OverwriteInvalidatesOldPage)
     const auto fresh = f.ftl->lookup(3);
     ASSERT_TRUE(old && fresh);
     EXPECT_NE(*old, *fresh);
-    EXPECT_EQ(f.ftl->readPage(3, ops), d2);
+    EXPECT_EQ(*f.ftl->readPage(3, ops), d2);
 }
 
 TEST(Ftl, TrimUnmaps)
@@ -106,13 +106,14 @@ TEST(Ftl, WritePairCoLocatesOperands)
     std::vector<PhysOp> ops;
     const BitVector x = f.randomPage(rng);
     const BitVector y = f.randomPage(rng);
-    const auto pair = f.ftl->writePair(10, 11, &x, &y, ops);
+    const auto pair = f.ftl->writePair(10, 11, flash::makePayload(x),
+                                       flash::makePayload(y), ops);
     ASSERT_TRUE(pair.has_value());
     EXPECT_TRUE(pair->lsb.sameWordline(pair->msb));
     EXPECT_EQ(*f.ftl->lookup(10), pair->lsb);
     EXPECT_EQ(*f.ftl->lookup(11), pair->msb);
-    EXPECT_EQ(f.ftl->readPage(10, ops), x);
-    EXPECT_EQ(f.ftl->readPage(11, ops), y);
+    EXPECT_EQ(*f.ftl->readPage(10, ops), x);
+    EXPECT_EQ(*f.ftl->readPage(11, ops), y);
     EXPECT_EQ(f.ftl->parabitPagesWritten(), 2u);
 }
 
@@ -139,10 +140,10 @@ TEST(Ftl, WriteIntoFreeMsbSucceedsOnceThenFails)
     const BitVector d = f.randomPage(rng);
     const auto lsb = f.ftl->writeLsbOnly(30, nullptr, ops);
     ASSERT_TRUE(lsb.has_value());
-    EXPECT_TRUE(f.ftl->writeIntoFreeMsb(31, *lsb, &d, ops));
-    EXPECT_EQ(f.ftl->readPage(31, ops), d);
+    EXPECT_TRUE(f.ftl->writeIntoFreeMsb(31, *lsb, flash::makePayload(d), ops));
+    EXPECT_EQ(*f.ftl->readPage(31, ops), d);
     // The MSB is now occupied: a second drop must be refused.
-    EXPECT_FALSE(f.ftl->writeIntoFreeMsb(32, *lsb, &d, ops));
+    EXPECT_FALSE(f.ftl->writeIntoFreeMsb(32, *lsb, flash::makePayload(d), ops));
 }
 
 TEST(Ftl, GarbageCollectionPreservesLiveData)
@@ -163,7 +164,7 @@ TEST(Ftl, GarbageCollectionPreservesLiveData)
     EXPECT_GT(f.ftl->gcRuns(), 0u) << "working set should have forced GC";
     for (std::uint64_t l = 0; l < live; ++l) {
         std::vector<PhysOp> r;
-        EXPECT_EQ(f.ftl->readPage(l, r), latest[l]) << "lpn " << l;
+        EXPECT_EQ(*f.ftl->readPage(l, r), latest[l]) << "lpn " << l;
     }
 }
 
@@ -230,7 +231,7 @@ TEST(Ftl, TimingOnlyReadCarriesNoPayload)
     std::vector<PhysOp> ops;
     ASSERT_TRUE(ftl.writePage(3, nullptr, ops));
     std::vector<PhysOp> rops;
-    EXPECT_TRUE(ftl.readPage(3, rops).empty());
+    EXPECT_EQ(ftl.readPage(3, rops), nullptr);
     ASSERT_EQ(rops.size(), 1u);
     EXPECT_EQ(rops[0].kind, PhysOp::Kind::kPageRead);
     EXPECT_EQ(rops[0].addr, ftl.lookup(3));
@@ -246,7 +247,7 @@ TEST(Ftl, TornPageReadsAsOnesInAFunctionalArray)
     const flash::PhysPageAddr a = *f.ftl->lookup(3);
     f.ftl->chipAt(a).markTornWordline(
         {a.die, a.plane, a.block, a.wordline, a.msb});
-    EXPECT_EQ(f.ftl->readPage(3, ops),
+    EXPECT_EQ(*f.ftl->readPage(3, ops),
               BitVector(f.cfg.geometry.pageBits(), true));
 }
 
@@ -318,7 +319,7 @@ class PlacementExhaustion : public ::testing::Test
     {
         EXPECT_EQ(ftl().lookup(lpn), where) << "lpn " << lpn;
         std::vector<PhysOp> ops;
-        EXPECT_EQ(ftl().readPage(lpn, ops), old) << "lpn " << lpn;
+        EXPECT_EQ(*ftl().readPage(lpn, ops), old) << "lpn " << lpn;
     }
 
     Ftl &ftl() { return dev_.ftl(); }
@@ -349,7 +350,9 @@ TEST_F(PlacementExhaustion, WritePair)
     failEveryProgram();
     const BitVector fresh(dev_.geometry().pageBits(), true);
     std::vector<PhysOp> ops;
-    EXPECT_FALSE(ftl().writePair(41, 42, &fresh, &fresh, ops).has_value());
+    EXPECT_FALSE(ftl().writePair(41, 42, flash::makePayload(fresh),
+                                 flash::makePayload(fresh), ops)
+                     .has_value());
     // One pair is one placement: a failed attempt costs one retry.
     EXPECT_EQ(retriesCharged(),
               static_cast<std::uint64_t>(Ftl::kMaxProgramRetries));
@@ -364,7 +367,8 @@ TEST_F(PlacementExhaustion, WriteLsbOnly)
     failEveryProgram();
     const BitVector fresh(dev_.geometry().pageBits(), true);
     std::vector<PhysOp> ops;
-    EXPECT_FALSE(ftl().writeLsbOnly(43, &fresh, ops).has_value());
+    EXPECT_FALSE(
+        ftl().writeLsbOnly(43, flash::makePayload(fresh), ops).has_value());
     EXPECT_EQ(retriesCharged(),
               static_cast<std::uint64_t>(Ftl::kMaxProgramRetries));
     expectIntact(43, old, where);
@@ -376,7 +380,7 @@ TEST_F(PlacementExhaustion, RelocatePage)
     const flash::PhysPageAddr where = *ftl().lookup(44);
     failEveryProgram();
     std::vector<PhysOp> ops;
-    EXPECT_FALSE(ftl().relocatePage(44, &old, ops));
+    EXPECT_FALSE(ftl().relocatePage(44, flash::makePayload(old), ops));
     EXPECT_EQ(retriesCharged(),
               static_cast<std::uint64_t>(Ftl::kMaxProgramRetries));
     expectIntact(44, old, where);

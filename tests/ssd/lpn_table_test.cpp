@@ -168,8 +168,9 @@ TEST(FtlMap, LpnsPastCapacityMapLookUpAndIterateLast)
     const Lpn past = ftl.logicalPages();
     const Lpn wrapped = ~0ull - 1; // the scratch cursor after wrapping
     const BitVector d = r.randomPage(rng);
-    const auto at_wrapped = ftl.writeLsbOnly(wrapped, &d, ops);
-    const auto at_past = ftl.writeLsbOnly(past, &d, ops);
+    const auto at_wrapped =
+        ftl.writeLsbOnly(wrapped, flash::makePayload(d), ops);
+    const auto at_past = ftl.writeLsbOnly(past, flash::makePayload(d), ops);
     ASSERT_TRUE(at_wrapped && at_past);
     EXPECT_EQ(ftl.lookup(past), at_past);
     EXPECT_EQ(ftl.lookup(wrapped), at_wrapped);
@@ -191,15 +192,15 @@ TEST(FtlMap, RemapKeepsTheScrambledFlag)
     const BitVector host = r.randomPage(rng);
     ASSERT_TRUE(ftl.writePage(5, &host, ops));
     const BitVector raw = r.randomPage(rng);
-    ASSERT_TRUE(ftl.writeLsbOnly(6, &raw, ops));
+    ASSERT_TRUE(ftl.writeLsbOnly(6, flash::makePayload(raw), ops));
 
     // Relocation (a RAIN rebuild) re-places the stored, whitened bits.
     const auto old5 = ftl.lookup(5);
     ASSERT_TRUE(old5);
-    const BitVector stored = ftl.chipAt(*old5).readPage(
+    const flash::Payload stored = ftl.chipAt(*old5).readPage(
         {old5->die, old5->plane, old5->block, old5->wordline, old5->msb});
-    ASSERT_NE(stored, host);
-    ASSERT_TRUE(ftl.relocatePage(5, &stored, ops));
+    ASSERT_NE(*stored, host);
+    ASSERT_TRUE(ftl.relocatePage(5, stored, ops));
     ASSERT_NE(ftl.lookup(5), old5);
     // Refresh moves both pages of a wordline as GC-style copies.
     const auto at6 = ftl.lookup(6);
@@ -207,8 +208,8 @@ TEST(FtlMap, RemapKeepsTheScrambledFlag)
     ASSERT_TRUE(ftl.refreshWordline(*at6, ops));
     ASSERT_NE(ftl.lookup(6), at6);
 
-    EXPECT_EQ(ftl.readPage(5, ops), host);
-    EXPECT_EQ(ftl.readPage(6, ops), raw);
+    EXPECT_EQ(*ftl.readPage(5, ops), host);
+    EXPECT_EQ(*ftl.readPage(6, ops), raw);
     const auto &img = r.freshImage();
     ASSERT_EQ(img.size(), 2u);
     EXPECT_TRUE(img[0].scrambled);
@@ -288,13 +289,14 @@ TEST(FtlMap, MatchesAnOrderedReferenceUnderGcAndWearLevelling)
             if (x == y)
                 continue;
             const BitVector dy = r.randomPage(rng);
-            const auto pair = ftl.writePair(x, y, &d, &dy, ops);
+            const auto pair = ftl.writePair(x, y, flash::makePayload(d),
+                                            flash::makePayload(dy), ops);
             ASSERT_TRUE(pair);
             placed(x, pair->lsb, false, d);
             placed(y, pair->msb, false, dy);
         } else if (u < 0.80) {
             const Lpn l = pick(all);
-            const auto a = ftl.writeLsbOnly(l, &d, ops);
+            const auto a = ftl.writeLsbOnly(l, flash::makePayload(d), ops);
             ASSERT_TRUE(a);
             placed(l, *a, false, d);
             lsbOnly.emplace_back(l, *a);
@@ -306,7 +308,7 @@ TEST(FtlMap, MatchesAnOrderedReferenceUnderGcAndWearLevelling)
             const Lpn l = pick(parabit);
             if (l == owner || ftl.lookup(owner) != at)
                 continue;
-            if (ftl.writeIntoFreeMsb(l, at, &d, ops)) {
+            if (ftl.writeIntoFreeMsb(l, at, flash::makePayload(d), ops)) {
                 flash::PhysPageAddr msb = at;
                 msb.msb = true;
                 placed(l, msb, false, d);
@@ -318,9 +320,9 @@ TEST(FtlMap, MatchesAnOrderedReferenceUnderGcAndWearLevelling)
             std::advance(it, static_cast<long>(rng.below(ref.size())));
             const Lpn l = it->first;
             const auto at = *ftl.lookup(l);
-            const BitVector stored = ftl.chipAt(at).readPage(
+            const flash::Payload stored = ftl.chipAt(at).readPage(
                 {at.die, at.plane, at.block, at.wordline, at.msb});
-            ASSERT_TRUE(ftl.relocatePage(l, &stored, ops));
+            ASSERT_TRUE(ftl.relocatePage(l, stored, ops));
         }
 
         // Pages the step moved behind the reference's back (GC, wear
@@ -357,7 +359,7 @@ TEST(FtlMap, MatchesAnOrderedReferenceUnderGcAndWearLevelling)
         });
 
         for (const auto &[lpn, want] : payload) {
-            ASSERT_EQ(ftl.readPage(lpn, ops), want)
+            ASSERT_EQ(*ftl.readPage(lpn, ops), want)
                 << "step " << step << " lpn " << lpn;
         }
 

@@ -152,8 +152,8 @@ TEST(MediaWear, ReadsChargeNeighborsAndGrowPrediction)
     ec.retentionPerHour = 0.5;
     flash::Chip chip(g, true, ec, 1);
     const BitVector d(g.pageBits(), false);
-    ASSERT_TRUE(chip.programPage({0, 0, 0, 0, false}, &d));
-    ASSERT_TRUE(chip.programPage({0, 0, 0, 1, false}, &d));
+    ASSERT_TRUE(chip.programPage({0, 0, 0, 0, false}, flash::makePayload(d)));
+    ASSERT_TRUE(chip.programPage({0, 0, 0, 1, false}, flash::makePayload(d)));
 
     const double base = chip.predictedRber({0, 0, 0, 0, false});
     ASSERT_GT(base, 0.0);
@@ -176,8 +176,8 @@ TEST(MediaWear, MsbReadChargesTwoSenses)
     const flash::FlashGeometry g = flash::FlashGeometry::tiny();
     flash::Chip chip(g, true, flash::ErrorModelConfig::ideal(), 1);
     const BitVector d(g.pageBits(), false);
-    ASSERT_TRUE(chip.programPage({0, 0, 0, 1, false}, &d));
-    ASSERT_TRUE(chip.programPage({0, 0, 0, 1, true}, &d));
+    ASSERT_TRUE(chip.programPage({0, 0, 0, 1, false}, flash::makePayload(d)));
+    ASSERT_TRUE(chip.programPage({0, 0, 0, 1, true}, flash::makePayload(d)));
     (void)chip.readPage({0, 0, 0, 1, true});
     EXPECT_EQ(chip.wordlineDisturb({0, 0, 0, 0, false}), 2u);
     EXPECT_EQ(chip.wordlineDisturb({0, 0, 0, 2, false}), 2u);
@@ -188,7 +188,7 @@ TEST(MediaWear, EraseResetsDisturb)
     const flash::FlashGeometry g = flash::FlashGeometry::tiny();
     flash::Chip chip(g, true, flash::ErrorModelConfig::ideal(), 1);
     const BitVector d(g.pageBits(), false);
-    ASSERT_TRUE(chip.programPage({0, 0, 0, 1, false}, &d));
+    ASSERT_TRUE(chip.programPage({0, 0, 0, 1, false}, flash::makePayload(d)));
     (void)chip.readPage({0, 0, 0, 1, false});
     ASSERT_GT(chip.wordlineDisturb({0, 0, 0, 0, false}), 0u);
     ASSERT_TRUE(chip.eraseBlock(0, 0, 0));
@@ -291,8 +291,8 @@ TEST(MediaFtl, RefreshWordlineMovesPagesAndResetsCounters)
     EXPECT_EQ(chip.pageState(old_ca), flash::PageState::kInvalid);
 
     ops.clear();
-    EXPECT_EQ(ftl.readPage(0, ops), ref[0]);
-    EXPECT_EQ(ftl.readPage(8, ops), ref[8]);
+    EXPECT_EQ(*ftl.readPage(0, ops), ref[0]);
+    EXPECT_EQ(*ftl.readPage(8, ops), ref[8]);
 }
 
 TEST(MediaFtl, RefreshKeepsParabitPairCoLocated)
@@ -304,7 +304,8 @@ TEST(MediaFtl, RefreshKeepsParabitPairCoLocated)
     const BitVector x(cfg.geometry.pageBits(), false);
     const BitVector y(cfg.geometry.pageBits(), true);
     std::vector<PhysOp> ops;
-    const auto pair = ftl.writePair(100, 101, &x, &y, ops);
+    const auto pair = ftl.writePair(100, 101, flash::makePayload(x),
+                                    flash::makePayload(y), ops);
     ASSERT_TRUE(pair.has_value());
 
     ops.clear();
@@ -319,8 +320,8 @@ TEST(MediaFtl, RefreshKeepsParabitPairCoLocated)
     EXPECT_FALSE(a->msb);
     EXPECT_TRUE(b->msb);
     ops.clear();
-    EXPECT_EQ(ftl.readPage(100, ops), x);
-    EXPECT_EQ(ftl.readPage(101, ops), y);
+    EXPECT_EQ(*ftl.readPage(100, ops), x);
+    EXPECT_EQ(*ftl.readPage(101, ops), y);
 }
 
 TEST(RetryLadder, MatchesHandComputedThresholds)

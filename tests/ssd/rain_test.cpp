@@ -62,7 +62,7 @@ expectParityConsistent(SsdDevice &dev, const std::vector<BitVector> &ref)
         const auto rebuilt = dev.rain()->rebuildPage(*a);
         ASSERT_TRUE(rebuilt.has_value()) << "lpn " << l;
         ops.clear();
-        EXPECT_EQ(*rebuilt, dev.ftl().readPage(l, ops)) << "lpn " << l;
+        EXPECT_EQ(*rebuilt, *dev.ftl().readPage(l, ops)) << "lpn " << l;
     }
 }
 

@@ -178,7 +178,7 @@ TEST(Recovery, MappingSurvivesPowerCutViaFullOobScan)
     for (const auto &[lpn, d] : acked) {
         ASSERT_TRUE(dev.ftl().lookup(lpn).has_value()) << "LPN " << lpn;
         std::vector<PhysOp> ops;
-        EXPECT_EQ(dev.ftl().readPage(lpn, ops), d) << "LPN " << lpn;
+        EXPECT_EQ(*dev.ftl().readPage(lpn, ops), d) << "LPN " << lpn;
     }
 
     // The sequence stream continues past everything recovered.
@@ -210,7 +210,7 @@ TEST(Recovery, ScrambledPagesRecoverBitExact)
     for (const auto &[lpn, d] : acked) {
         ASSERT_TRUE(dev.ftl().lookup(lpn).has_value()) << "LPN " << lpn;
         std::vector<PhysOp> ops;
-        EXPECT_EQ(dev.ftl().readPage(lpn, ops), d) << "LPN " << lpn;
+        EXPECT_EQ(*dev.ftl().readPage(lpn, ops), d) << "LPN " << lpn;
     }
 }
 
@@ -247,7 +247,7 @@ TEST(Recovery, TornMsbWordlineDetectedAndPairedLsbRestoredFromPlp)
     for (const auto &[lpn, data] : acked) {
         ASSERT_TRUE(dev.ftl().lookup(lpn).has_value()) << "LPN " << lpn;
         std::vector<PhysOp> r;
-        EXPECT_EQ(dev.ftl().readPage(lpn, r), data) << "LPN " << lpn;
+        EXPECT_EQ(*dev.ftl().readPage(lpn, r), data) << "LPN " << lpn;
         if (!(*dev.ftl().lookup(lpn) == at[lpn]))
             ++moved;
     }
@@ -288,7 +288,7 @@ TEST(Recovery, TrimmedLpnStaysUnmappedThroughGcAndPowerCut)
     for (const auto &[lpn, d] : acked) {
         ASSERT_TRUE(dev.ftl().lookup(lpn).has_value()) << "LPN " << lpn;
         std::vector<PhysOp> r;
-        EXPECT_EQ(dev.ftl().readPage(lpn, r), d) << "LPN " << lpn;
+        EXPECT_EQ(*dev.ftl().readPage(lpn, r), d) << "LPN " << lpn;
     }
 }
 
@@ -314,7 +314,7 @@ TEST(Recovery, CheckpointBoundsTheRecoveryScan)
         for (const auto &[lpn, d] : acked) {
             EXPECT_TRUE(dev.ftl().lookup(lpn).has_value()) << "LPN " << lpn;
             std::vector<PhysOp> r;
-            EXPECT_EQ(dev.ftl().readPage(lpn, r), d) << "LPN " << lpn;
+            EXPECT_EQ(*dev.ftl().readPage(lpn, r), d) << "LPN " << lpn;
         }
         return rep;
     };
@@ -335,12 +335,13 @@ TEST(Recovery, ChainedMsbDropBackupProtectsTheSourceOperand)
     const BitVector da = pattern(bits, 40);
     const BitVector db = pattern(bits, 41);
     std::vector<PhysOp> ops;
-    const auto lsb = dev.ftl().writeLsbOnly(40, &da, ops);
+    const auto lsb = dev.ftl().writeLsbOnly(40, flash::makePayload(da), ops);
     ASSERT_TRUE(lsb.has_value());
     // Boundaries: read gate, backup program, then the MSB drop — which
     // tears the wordline holding the acknowledged source operand.
     dev.injectFault(powerCut(/*onset=*/2, /*mid=*/true));
-    EXPECT_FALSE(dev.ftl().writeIntoFreeMsb(41, *lsb, &db, ops));
+    EXPECT_FALSE(
+        dev.ftl().writeIntoFreeMsb(41, *lsb, flash::makePayload(db), ops));
     EXPECT_TRUE(dev.ftl().powerLost());
 
     const RecoveryReport rep = dev.powerCycle();
@@ -349,9 +350,51 @@ TEST(Recovery, ChainedMsbDropBackupProtectsTheSourceOperand)
     ASSERT_TRUE(dev.ftl().lookup(40).has_value());
     EXPECT_FALSE(*dev.ftl().lookup(40) == *lsb);
     std::vector<PhysOp> r;
-    EXPECT_EQ(dev.ftl().readPage(40, r), da);
+    EXPECT_EQ(*dev.ftl().readPage(40, r), da);
     // ...and the unacknowledged drop is fully rolled back.
     EXPECT_FALSE(dev.ftl().lookup(41).has_value());
+}
+
+TEST(Recovery, TornWordlineDropsOnlyItsOwnReferenceToASharedPayload)
+{
+    // Two LSB-only pages share one payload; a cut mid-program of the
+    // first page's MSB tears that wordline and no other holder's bits.
+    SsdDevice dev(recCfg());
+    const std::size_t bits = dev.geometry().pageBits();
+    const BitVector da = pattern(bits, 40);
+    std::vector<PhysOp> ops;
+    std::optional<flash::PhysPageAddr> torn, other;
+    {
+        const flash::Payload shared = flash::makePayload(da);
+        torn = dev.ftl().writeLsbOnly(40, shared, ops);
+        other = dev.ftl().writeLsbOnly(50, shared, ops);
+    }
+    ASSERT_TRUE(torn && other);
+    const auto stored = [&](const flash::PhysPageAddr &a) {
+        return dev.chipAt(a.channel, a.chip)
+            .plane(a.die, a.plane)
+            .block(a.block)
+            .pageData(a.wordline, a.msb)
+            .get();
+    };
+    const BitVector *shared_bits = stored(*other);
+    ASSERT_EQ(stored(*torn), shared_bits);
+
+    // Boundaries: read gate, backup program, then the MSB drop.
+    dev.injectFault(powerCut(/*onset=*/2, /*mid=*/true));
+    EXPECT_FALSE(dev.ftl().writeIntoFreeMsb(
+        41, *torn, flash::makePayload(pattern(bits, 41)), ops));
+    ASSERT_TRUE(dev.chipAt(torn->channel, torn->chip)
+                    .wordlineTorn({torn->die, torn->plane, torn->block,
+                                   torn->wordline, false}));
+    EXPECT_EQ(stored(*torn), nullptr);
+    ASSERT_EQ(stored(*other), shared_bits);
+    EXPECT_EQ(*stored(*other), da);
+
+    dev.powerCycle();
+    std::vector<PhysOp> r;
+    EXPECT_EQ(*dev.ftl().readPage(50, r), da);
+    EXPECT_EQ(*dev.ftl().readPage(40, r), da); // via the pair backup
 }
 
 TEST(Recovery, CompletedMsbDropSurvivesALaterCut)
@@ -361,9 +404,10 @@ TEST(Recovery, CompletedMsbDropSurvivesALaterCut)
     const BitVector da = pattern(bits, 40);
     const BitVector db = pattern(bits, 41);
     std::vector<PhysOp> ops;
-    const auto lsb = dev.ftl().writeLsbOnly(40, &da, ops);
+    const auto lsb = dev.ftl().writeLsbOnly(40, flash::makePayload(da), ops);
     ASSERT_TRUE(lsb.has_value());
-    ASSERT_TRUE(dev.ftl().writeIntoFreeMsb(41, *lsb, &db, ops));
+    ASSERT_TRUE(
+        dev.ftl().writeIntoFreeMsb(41, *lsb, flash::makePayload(db), ops));
     dev.injectFault(powerCut(/*onset=*/0, /*mid=*/false));
     std::map<Lpn, BitVector> sink;
     writeUntilCut(dev, 100, sink);
@@ -374,8 +418,8 @@ TEST(Recovery, CompletedMsbDropSurvivesALaterCut)
     ASSERT_TRUE(dev.ftl().lookup(41).has_value());
     EXPECT_TRUE(dev.ftl().lookup(41)->msb);
     std::vector<PhysOp> r;
-    EXPECT_EQ(dev.ftl().readPage(40, r), da);
-    EXPECT_EQ(dev.ftl().readPage(41, r), db);
+    EXPECT_EQ(*dev.ftl().readPage(40, r), da);
+    EXPECT_EQ(*dev.ftl().readPage(41, r), db);
 }
 
 TEST(Recovery, DisabledRecoveryLosesMappingButDeviceStaysUsable)
@@ -397,7 +441,7 @@ TEST(Recovery, DisabledRecoveryLosesMappingButDeviceStaysUsable)
     const BitVector d2 = pattern(bits, 8);
     ASSERT_TRUE(dev.ftl().writePage(8, &d2, ops)); // but writes work
     std::vector<PhysOp> r;
-    EXPECT_EQ(dev.ftl().readPage(8, r), d2);
+    EXPECT_EQ(*dev.ftl().readPage(8, r), d2);
 }
 
 TEST(Recovery, CleanPowerCycleRecoversWithoutACut)
@@ -416,7 +460,7 @@ TEST(Recovery, CleanPowerCycleRecoversWithoutACut)
     for (const auto &[lpn, d] : acked) {
         ASSERT_TRUE(dev.ftl().lookup(lpn).has_value()) << "LPN " << lpn;
         std::vector<PhysOp> r;
-        EXPECT_EQ(dev.ftl().readPage(lpn, r), d) << "LPN " << lpn;
+        EXPECT_EQ(*dev.ftl().readPage(lpn, r), d) << "LPN " << lpn;
     }
 }
 

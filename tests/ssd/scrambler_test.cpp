@@ -83,10 +83,63 @@ TEST(Scrambler, HostWritesAreStoredWhitened)
     const auto addr = dev.ssd().ftl().lookup(0);
     ASSERT_TRUE(addr);
     const BitVector raw =
-        dev.ssd().chipAt(addr->channel, addr->chip)
-            .readPage({addr->die, addr->plane, addr->block, addr->wordline,
-                       addr->msb});
+        *dev.ssd().chipAt(addr->channel, addr->chip)
+             .readPage({addr->die, addr->plane, addr->block, addr->wordline,
+                        addr->msb});
     EXPECT_NE(raw, d) << "stored bits must be whitened";
+}
+
+TEST(Scrambler, ReadsLeaveTheStoredPayloadWhitenedAcrossAGcMove)
+{
+    SsdConfig cfg = SsdConfig::tiny();
+    cfg.scrambleHostData = true;
+    core::ParaBitDevice dev(cfg);
+    Ftl &ftl = dev.ssd().ftl();
+    const BitVector d = randomPage(cfg.geometry.pageBits(), 11);
+    ASSERT_TRUE(dev.writeData(0, {d}));
+    const auto stored = [&] {
+        const flash::PhysPageAddr a = *ftl.lookup(0);
+        return dev.ssd()
+            .chipAt(a.channel, a.chip)
+            .plane(a.die, a.plane)
+            .block(a.block)
+            .pageData(a.wordline, a.msb)
+            .get();
+    };
+    const BitVector *first = stored();
+    ASSERT_NE(first, nullptr);
+    const BitVector whitened = *first;
+    ASSERT_NE(whitened, d);
+    std::vector<PhysOp> ops;
+    EXPECT_EQ(*ftl.readPage(0, ops), d);
+    EXPECT_EQ(*stored(), whitened) << "a read must not descramble in place";
+
+    // Leave LPN 0 the only valid page of its block, then add pages that
+    // stay valid until GC picks that block, the cheapest victim, and
+    // moves LPN 0: the copy shares the whitened payload, and reads
+    // still return the host's bits.
+    const flash::PhysPageAddr before = *ftl.lookup(0);
+    const auto in_first_block = [&](Lpn l) {
+        const flash::PhysPageAddr a = *ftl.lookup(l);
+        return a.channel == before.channel && a.chip == before.chip &&
+               a.die == before.die && a.plane == before.plane &&
+               a.block == before.block;
+    };
+    const std::vector<BitVector> filler{
+        randomPage(cfg.geometry.pageBits(), 12)};
+    Lpn next = 1;
+    for (; next < 200; ++next)
+        ASSERT_TRUE(dev.writeData(next, filler));
+    for (Lpn l = 1; l < next; ++l)
+        if (in_first_block(l))
+            ASSERT_TRUE(ftl.trim(l));
+    while (*ftl.lookup(0) == before && next < ftl.logicalPages())
+        ASSERT_TRUE(dev.writeData(next++, filler));
+    ASSERT_FALSE(*ftl.lookup(0) == before) << "GC never moved LPN 0";
+    EXPECT_GT(ftl.gcPagesWritten(), 0u);
+    EXPECT_EQ(stored(), first);
+    EXPECT_EQ(*stored(), whitened);
+    EXPECT_EQ(*ftl.readPage(0, ops), d);
 }
 
 TEST(Scrambler, ParaBitPlacementBypassesScrambling)
@@ -102,9 +155,9 @@ TEST(Scrambler, ParaBitPlacementBypassesScrambling)
     const auto addr = dev.ssd().ftl().lookup(0);
     ASSERT_TRUE(addr);
     const BitVector raw =
-        dev.ssd().chipAt(addr->channel, addr->chip)
-            .readPage({addr->die, addr->plane, addr->block, addr->wordline,
-                       false});
+        *dev.ssd().chipAt(addr->channel, addr->chip)
+             .readPage({addr->die, addr->plane, addr->block, addr->wordline,
+                        false});
     EXPECT_EQ(raw, x) << "operands must be stored raw";
 
     const auto r = dev.bitwise(flash::BitwiseOp::kAnd, 0, 100, 1,

@@ -103,7 +103,7 @@ TEST(WearLeveling, DataSurvivesMigration)
 
     for (std::uint64_t l = 0; l < cold_pages; ++l) {
         std::vector<PhysOp> r;
-        ASSERT_EQ(ftl.readPage(100 + l, r), cold[l]) << "cold page " << l;
+        ASSERT_EQ(*ftl.readPage(100 + l, r), cold[l]) << "cold page " << l;
     }
 }
 

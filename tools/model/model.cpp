@@ -153,7 +153,7 @@ runPath(const ModelOptions &opts, const std::vector<Action> &alphabet,
                 continue;
             }
             std::vector<ssd::PhysOp> ops;
-            if (!(ftl.readPage(lpn, ops) == val))
+            if (!(*ftl.readPage(lpn, ops) == val))
                 fail(step, "durability", "lpn " + std::to_string(lpn),
                      std::string("acked value changed ") + when);
             t = dev.scheduleOps(ops, t);
@@ -183,9 +183,9 @@ runPath(const ModelOptions &opts, const std::vector<Action> &alphabet,
             const bool mapped = ftl.lookup(a.lpn).has_value();
             std::string got = "unmapped";
             if (mapped) {
-                const BitVector page = ftl.readPage(a.lpn, ops);
+                const flash::Payload page = ftl.readPage(a.lpn, ops);
                 t = dev.scheduleOps(ops, t);
-                got = digest(page);
+                got = digest(*page);
                 const auto it = oracle.find(a.lpn);
                 if (!weak.count(a.lpn)) {
                     if (it == oracle.end())
@@ -193,7 +193,7 @@ runPath(const ModelOptions &opts, const std::vector<Action> &alphabet,
                              "lpn " + std::to_string(a.lpn),
                              "read hit a mapping the oracle says was "
                              "never acked (or was trimmed)");
-                    else if (!(page == it->second))
+                    else if (!(*page == it->second))
                         fail(step, "linearizability",
                              "lpn " + std::to_string(a.lpn),
                              "read returned a value other than the last "
