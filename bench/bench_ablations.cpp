@@ -107,14 +107,13 @@ votingAblation()
             const std::uint32_t wl = static_cast<std::uint32_t>(t) %
                                      (g.wordlinesPerBlock / 2);
             if (wl == 0)
-                chip.eraseBlock(0, 0, 0);
-            chip.programPage({0, 0, 0, 2 * wl, true}, flash::makePayload(m));
-            chip.programPage({0, 0, 0, 2 * wl + 1, false},
-                             flash::makePayload(n));
-            total += flash::opLocationFreeVoted(chip, BitwiseOp::kXor,
-                                                {0, 0, 0, 2 * wl, true},
-                                                {0, 0, 0, 2 * wl + 1, false},
-                                                votes)
+                chip.eraseBlock({});
+            const flash::PhysPageAddr m_at{0, 0, 0, 0, 0, 2 * wl, true};
+            const flash::PhysPageAddr n_at{0, 0, 0, 0, 0, 2 * wl + 1, false};
+            chip.programPage(m_at, flash::makePayload(m));
+            chip.programPage(n_at, flash::makePayload(n));
+            total += flash::opLocationFreeVoted(chip, BitwiseOp::kXor, m_at,
+                                                n_at, votes)
                          .totalBitErrors;
         }
         std::printf("%-8d %18.4f %14d\n", votes, total / trials, votes);

@@ -163,7 +163,7 @@ run(std::uint64_t seed, std::uint64_t audit_interval)
         dev.ssd().injectFault(f);
     ssd::FaultSpec hot;
     hot.cls = ssd::FaultClass::kProgramFailure;
-    hot.plane = static_cast<ssd::PlaneIndex>(
+    hot.plane = static_cast<flash::PlaneIndex>(
         rng.below(cfg.geometry.planesTotal()));
     hot.failPeriod = 1;
     dev.ssd().injectFault(hot);

@@ -168,7 +168,7 @@ struct Rig
     void
     faultAllPlanes(ssd::FaultClass cls, double rber_mult = 4.0)
     {
-        for (ssd::PlaneIndex p = 0;
+        for (flash::PlaneIndex p = 0;
              p < dev.ssd().geometry().planesTotal(); ++p) {
             ssd::FaultSpec s;
             s.cls = cls;
@@ -275,9 +275,7 @@ perFaultClass()
         const auto yaddr = r.dev.ssd().ftl().lookup(100);
         ssd::FaultSpec s;
         s.cls = ssd::FaultClass::kDeadPlane;
-        s.plane = ssd::planeIndex(r.dev.ssd().geometry(),
-                                  {yaddr->channel, yaddr->chip,
-                                   yaddr->die, yaddr->plane});
+        s.plane = flash::planeIndex(r.dev.ssd().geometry(), *yaddr);
         r.dev.ssd().injectFault(s);
         r.dev.controller().invalidatePlaneTrust();
         report("dead plane", r.sweep(), r.dev.ssd().ftl().retiredBlocks());

@@ -76,7 +76,7 @@ sampleWordlines(std::uint32_t pe, int trials, std::uint64_t seed,
     // cannot overflow the picosecond tick.
     if (age_hours > 0.0) {
         ChipFaultHooks hooks;
-        hooks.retentionMultiplier = [age_hours](const ChipPageAddr &) {
+        hooks.retentionMultiplier = [age_hours](const PhysPageAddr &) {
             return age_hours * 3600.0;
         };
         chip.setFaultHooks(hooks);
@@ -86,7 +86,7 @@ sampleWordlines(std::uint32_t pe, int trials, std::uint64_t seed,
     // Age block 0 to the requested P/E count (one below: the per-batch
     // refresh erase below brings it to exactly pe).
     for (std::uint32_t e = 0; e + 1 < pe; ++e)
-        chip.eraseBlock(0, 0, 0);
+        chip.eraseBlock({});
 
     // 32 operand pairs fit per erase cycle, so the P/E drift across the
     // whole experiment is trials/32 cycles — negligible against pe.
@@ -94,7 +94,7 @@ sampleWordlines(std::uint32_t pe, int trials, std::uint64_t seed,
     std::uint32_t slot = pairs_per_cycle; // force an initial erase
     for (int t = 0; t < trials; ++t) {
         if (slot == pairs_per_cycle) {
-            chip.eraseBlock(0, 0, 0);
+            chip.eraseBlock({});
             slot = 0;
         }
         BitVector m(g.pageBits()), n(g.pageBits());
@@ -106,19 +106,19 @@ sampleWordlines(std::uint32_t pe, int trials, std::uint64_t seed,
         const std::uint32_t wl_n = 2 * slot + 1;
         ++slot;
         // operand M in MSB, operand N in LSB
-        chip.programPage({0, 0, 0, wl_m, true}, flash::makePayload(m));
-        chip.programPage({0, 0, 0, wl_n, false}, flash::makePayload(n));
+        chip.programPage({0, 0, 0, 0, 0, wl_m, true}, flash::makePayload(m));
+        chip.programPage({0, 0, 0, 0, 0, wl_n, false}, flash::makePayload(n));
         for (int r = 0; r < stress_reads; ++r) {
-            (void)chip.readPage({0, 0, 0, wl_m, true});
-            (void)chip.readPage({0, 0, 0, wl_n, false});
+            (void)chip.readPage({0, 0, 0, 0, 0, wl_m, true});
+            (void)chip.readPage({0, 0, 0, 0, 0, wl_n, false});
         }
         if (age_hours > 0.0) {
             clk += ticks::fromSec(1.0);
             chip.setNow(clk);
         }
         int errors = 0;
-        chip.opLocationFree(BitwiseOp::kXor, {0, 0, 0, wl_m, true},
-                            {0, 0, 0, wl_n, false}, &errors);
+        chip.opLocationFree(BitwiseOp::kXor, {0, 0, 0, 0, 0, wl_m, true},
+                            {0, 0, 0, 0, 0, wl_n, false}, &errors);
         stat.sample(errors);
     }
     return WlErrors{stat.mean(), stat.max()};

@@ -43,11 +43,11 @@ latchChip()
     g.pageBytes = 8 * bytes::kKiB;
     flash::Chip chip(g, true);
     std::uint64_t seed = 1;
-    for (const flash::ChipPageAddr &a :
-         {flash::ChipPageAddr{0, 0, 0, 0, false},
-          flash::ChipPageAddr{0, 0, 0, 0, true},
-          flash::ChipPageAddr{0, 0, 1, 0, false},
-          flash::ChipPageAddr{0, 0, 2, 0, true}}) {
+    for (const flash::PhysPageAddr &a :
+         {flash::PhysPageAddr{0, 0, 0, 0, 0, 0, false},
+          flash::PhysPageAddr{0, 0, 0, 0, 0, 0, true},
+          flash::PhysPageAddr{0, 0, 0, 0, 1, 0, false},
+          flash::PhysPageAddr{0, 0, 0, 0, 2, 0, true}}) {
         chip.programPage(a,
                          flash::makePayload(randomBits(g.pageBits(), seed++)));
     }
@@ -68,7 +68,7 @@ BM_LatchArrayCoLocated(benchmark::State &state)
     const auto op = static_cast<flash::BitwiseOp>(state.range(0));
     flash::Chip chip = latchChip();
     for (auto _ : state) {
-        BitVector out = chip.opCoLocated(op, {0, 0, 0, 0, false});
+        BitVector out = chip.opCoLocated(op, {0, 0, 0, 0, 0, 0, false});
         benchmark::DoNotOptimize(out.words().data());
         benchmark::ClobberMemory();
     }
@@ -85,8 +85,8 @@ BM_LatchArrayLocationFree(benchmark::State &state)
     flash::Chip chip = latchChip();
     for (auto _ : state) {
         BitVector out = chip.opLocationFree(flash::BitwiseOp::kXor,
-                                            {0, 0, 2, 0, true},
-                                            {0, 0, 1, 0, false});
+                                            {0, 0, 0, 0, 2, 0, true},
+                                            {0, 0, 0, 0, 1, 0, false});
         benchmark::DoNotOptimize(out.words().data());
         benchmark::ClobberMemory();
     }

@@ -33,13 +33,13 @@ Chip::plane(std::uint32_t die, std::uint32_t plane_idx) const
 }
 
 Block &
-Chip::blockAt(const ChipPageAddr &a)
+Chip::blockAt(const PhysPageAddr &a)
 {
     return plane(a.die, a.plane).block(a.block);
 }
 
 bool
-Chip::programPage(const ChipPageAddr &a, const Payload &data,
+Chip::programPage(const PhysPageAddr &a, const Payload &data,
                   const PageOob *oob)
 {
     PROFILE_SCOPE(obs::Subsystem::kFlashArray);
@@ -54,7 +54,7 @@ Chip::programPage(const ChipPageAddr &a, const Payload &data,
 }
 
 Payload
-Chip::readPage(const ChipPageAddr &a)
+Chip::readPage(const PhysPageAddr &a)
 {
     PROFILE_SCOPE(obs::Subsystem::kFlashArray);
     Block &blk = blockAt(a);
@@ -77,21 +77,19 @@ Chip::readPage(const ChipPageAddr &a)
 }
 
 bool
-Chip::eraseBlock(std::uint32_t die, std::uint32_t plane_idx,
-                 std::uint32_t block)
+Chip::eraseBlock(const PhysPageAddr &a)
 {
     PROFILE_SCOPE(obs::Subsystem::kFlashArray);
-    if (plane(die, plane_idx).dead())
+    if (plane(a.die, a.plane).dead())
         return false;
-    if (faults_.eraseFails &&
-        faults_.eraseFails(ChipPageAddr{die, plane_idx, block, 0, false}))
+    if (faults_.eraseFails && faults_.eraseFails(a))
         return false;
-    plane(die, plane_idx).block(block).erase();
+    blockAt(a).erase();
     return true;
 }
 
 void
-Chip::chargeNeighborDisturb(const ChipPageAddr &a, int senses)
+Chip::chargeNeighborDisturb(const PhysPageAddr &a, int senses)
 {
     if (senses <= 0)
         return;
@@ -109,7 +107,7 @@ Chip::chargeNeighborDisturb(const ChipPageAddr &a, int senses)
 }
 
 double
-Chip::wearMultiplierAt(const ChipPageAddr &a)
+Chip::wearMultiplierAt(const PhysPageAddr &a)
 {
     if (!errorModel_.wearTrackingEnabled())
         return 1.0;
@@ -119,13 +117,13 @@ Chip::wearMultiplierAt(const ChipPageAddr &a)
 }
 
 std::uint64_t
-Chip::wordlineDisturb(const ChipPageAddr &a)
+Chip::wordlineDisturb(const PhysPageAddr &a)
 {
     return blockAt(a).disturbCount(a.wordline);
 }
 
 double
-Chip::wordlineAgeHours(const ChipPageAddr &a)
+Chip::wordlineAgeHours(const PhysPageAddr &a)
 {
     const Tick pt = blockAt(a).programTick(a.wordline);
     const Tick age = now_ > pt ? now_ - pt : 0;
@@ -136,7 +134,7 @@ Chip::wordlineAgeHours(const ChipPageAddr &a)
 }
 
 double
-Chip::predictedRber(const ChipPageAddr &a)
+Chip::predictedRber(const PhysPageAddr &a)
 {
     const double base = errorModel_.rberPerSense(blockAt(a).eraseCount());
     const double fault =
@@ -145,7 +143,7 @@ Chip::predictedRber(const ChipPageAddr &a)
 }
 
 BitVector
-Chip::runOp(const MicroProgram &prog, const ChipPageAddr &sense_addr,
+Chip::runOp(const MicroProgram &prog, const PhysPageAddr &sense_addr,
             const WordlineData &self, const WordlineData &wl_m,
             const WordlineData &wl_n, std::uint32_t pe_cycles,
             int *bit_errors, double wear_mult)
@@ -189,7 +187,7 @@ Chip::runOp(const MicroProgram &prog, const ChipPageAddr &sense_addr,
 }
 
 BitVector
-Chip::opCoLocated(BitwiseOp op, const ChipPageAddr &a, int *bit_errors)
+Chip::opCoLocated(BitwiseOp op, const PhysPageAddr &a, int *bit_errors)
 {
     Block &blk = blockAt(a);
     const WordlineData wl = blk.wordlineData(a.wordline);
@@ -202,11 +200,11 @@ Chip::opCoLocated(BitwiseOp op, const ChipPageAddr &a, int *bit_errors)
 }
 
 BitVector
-Chip::opLocationFree(BitwiseOp op, const ChipPageAddr &m,
-                     const ChipPageAddr &n, int *bit_errors,
+Chip::opLocationFree(BitwiseOp op, const PhysPageAddr &m,
+                     const PhysPageAddr &n, int *bit_errors,
                      LocFreeVariant variant)
 {
-    if (m.die != n.die || m.plane != n.plane)
+    if (!m.sameBitlines(n))
         panic("Chip::opLocationFree: operands must share a plane (bitlines)");
     Block &bm = blockAt(m);
     Block &bn = blockAt(n);
@@ -225,7 +223,7 @@ Chip::opLocationFree(BitwiseOp op, const ChipPageAddr &m,
 
 BitVector
 Chip::opBufferedOperand(BitwiseOp op, const BitVector &m_buffer,
-                        const ChipPageAddr &n, int *bit_errors)
+                        const PhysPageAddr &n, int *bit_errors)
 {
     Block &bn = blockAt(n);
     const WordlineData wn = bn.wordlineData(n.wordline);
@@ -242,34 +240,33 @@ Chip::opBufferedOperand(BitwiseOp op, const BitVector &m_buffer,
 }
 
 PageState
-Chip::pageState(const ChipPageAddr &a)
+Chip::pageState(const PhysPageAddr &a)
 {
     return blockAt(a).pageState(a.wordline, a.msb);
 }
 
 const PageOob *
-Chip::pageOob(const ChipPageAddr &a)
+Chip::pageOob(const PhysPageAddr &a)
 {
     return blockAt(a).pageOob(a.wordline, a.msb);
 }
 
 void
-Chip::markTornWordline(const ChipPageAddr &a)
+Chip::markTornWordline(const PhysPageAddr &a)
 {
     blockAt(a).markTorn(a.wordline);
 }
 
 bool
-Chip::wordlineTorn(const ChipPageAddr &a)
+Chip::wordlineTorn(const PhysPageAddr &a)
 {
     return blockAt(a).torn(a.wordline);
 }
 
 std::uint32_t
-Chip::blockEraseCount(std::uint32_t die, std::uint32_t plane_idx,
-                      std::uint32_t block)
+Chip::blockEraseCount(const PhysPageAddr &a)
 {
-    return plane(die, plane_idx).block(block).eraseCount();
+    return blockAt(a).eraseCount();
 }
 
 } // namespace parabit::flash

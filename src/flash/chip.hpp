@@ -26,18 +26,6 @@
 
 namespace parabit::flash {
 
-/** Page address within one chip. */
-struct ChipPageAddr
-{
-    std::uint32_t die = 0;
-    std::uint32_t plane = 0;
-    std::uint32_t block = 0;
-    std::uint32_t wordline = 0;
-    bool msb = false;
-
-    bool operator==(const ChipPageAddr &) const = default;
-};
-
 /**
  * Fault hooks a reliability layer (ssd::FaultInjector) can install on a
  * chip.  All hooks are optional; an empty hook means "no fault".  The
@@ -49,20 +37,24 @@ struct ChipFaultHooks
 {
     /** Multiplier applied to the RBER of every sensing of this page's
      *  wordline (elevated-RBER regions). */
-    std::function<double(const ChipPageAddr &)> rberMultiplier;
+    std::function<double(const PhysPageAddr &)> rberMultiplier;
     /** Whether this page program fails (consumed from the schedule). */
-    std::function<bool(const ChipPageAddr &)> programFails;
+    std::function<bool(const PhysPageAddr &)> programFails;
     /** Whether this block erase fails (consumed from the schedule). */
-    std::function<bool(const ChipPageAddr &)> eraseFails;
+    std::function<bool(const PhysPageAddr &)> eraseFails;
     /** Multiplier on the disturb units a sensing charges to this page's
      *  neighbors (kReadDisturbHot regions accumulate stress faster). */
-    std::function<double(const ChipPageAddr &)> disturbMultiplier;
+    std::function<double(const PhysPageAddr &)> disturbMultiplier;
     /** Multiplier on the retention age of this page's wordline
      *  (kRetentionLoss regions leak charge faster). */
-    std::function<double(const ChipPageAddr &)> retentionMultiplier;
+    std::function<double(const PhysPageAddr &)> retentionMultiplier;
 };
 
-/** One flash chip; see file comment. */
+/**
+ * One flash chip; see file comment.  Addresses are device-wide
+ * PhysPageAddrs: the chip reads their die, plane, block, wordline and
+ * page fields and hands the whole address to its fault hooks.
+ */
 class Chip
 {
   public:
@@ -107,11 +99,11 @@ class Chip
     Tick now() const { return now_; }
 
     /** Accumulated disturb units of @p a's wordline. */
-    std::uint64_t wordlineDisturb(const ChipPageAddr &a);
+    std::uint64_t wordlineDisturb(const PhysPageAddr &a);
 
     /** Hours since @p a's wordline was last programmed, scaled by any
      *  injected retention-loss acceleration. */
-    double wordlineAgeHours(const ChipPageAddr &a);
+    double wordlineAgeHours(const PhysPageAddr &a);
 
     /**
      * Predicted raw per-sensing RBER of @p a's wordline: the P/E-count
@@ -119,7 +111,7 @@ class Chip
      * injected elevated-RBER multiplier.  This is what the patrol
      * scrubber compares against its refresh threshold.
      */
-    double predictedRber(const ChipPageAddr &a);
+    double predictedRber(const PhysPageAddr &a);
     /// @}
 
     /** Whether the plane holding @p die/@p plane_idx accepts operations
@@ -141,7 +133,7 @@ class Chip
      *         plane); the page stays free and the caller (FTL) must
      *         retire the block and remap.
      */
-    bool programPage(const ChipPageAddr &a, const Payload &data,
+    bool programPage(const PhysPageAddr &a, const Payload &data,
                      const PageOob *oob = nullptr);
 
     /**
@@ -152,15 +144,14 @@ class Chip
      * without stored payload (torn wordline, or programmed without
      * bits) reads as the chip's one all-ones payload.
      */
-    Payload readPage(const ChipPageAddr &a);
+    Payload readPage(const PhysPageAddr &a);
 
     /**
-     * Erase a block.  @return false on an erase failure (injected fault
-     * or dead plane); the block keeps its contents and the caller must
-     * retire it.
+     * Erase the block holding @p a (its wordline and page are ignored).
+     * @return false on an erase failure (injected fault or dead plane);
+     * the block keeps its contents and the caller must retire it.
      */
-    bool eraseBlock(std::uint32_t die, std::uint32_t plane_idx,
-                    std::uint32_t block);
+    bool eraseBlock(const PhysPageAddr &a);
 
     /**
      * Execute a co-located ParaBit operation on the wordline of @p a:
@@ -170,7 +161,7 @@ class Chip
      * @param bit_errors if non-null, receives the number of injected SO
      *        flips that survived into the output.
      */
-    BitVector opCoLocated(BitwiseOp op, const ChipPageAddr &a,
+    BitVector opCoLocated(BitwiseOp op, const PhysPageAddr &a,
                           int *bit_errors = nullptr);
 
     /**
@@ -180,8 +171,8 @@ class Chip
      * Both must share the chip/die/plane (same bitlines); violating that
      * is a caller bug.
      */
-    BitVector opLocationFree(BitwiseOp op, const ChipPageAddr &m,
-                             const ChipPageAddr &n, int *bit_errors = nullptr,
+    BitVector opLocationFree(BitwiseOp op, const PhysPageAddr &m,
+                             const PhysPageAddr &n, int *bit_errors = nullptr,
                              LocFreeVariant variant = LocFreeVariant::kMsbLsb);
 
     /**
@@ -193,28 +184,28 @@ class Chip
      * M's page.
      */
     BitVector opBufferedOperand(BitwiseOp op, const BitVector &m_buffer,
-                                const ChipPageAddr &n,
+                                const PhysPageAddr &n,
                                 int *bit_errors = nullptr);
     /// @}
 
-    PageState pageState(const ChipPageAddr &a);
-    std::uint32_t blockEraseCount(std::uint32_t die, std::uint32_t plane_idx,
-                                  std::uint32_t block);
+    PageState pageState(const PhysPageAddr &a);
+    /** P/E count of the block holding @p a. */
+    std::uint32_t blockEraseCount(const PhysPageAddr &a);
 
     /** Spare-area metadata of the page at @p a, or nullptr. */
-    const PageOob *pageOob(const ChipPageAddr &a);
+    const PageOob *pageOob(const PhysPageAddr &a);
 
     /** Mark the wordline of @p a torn by an interrupted program
      *  (sudden power loss mid-tPROG); see Block::markTorn. */
-    void markTornWordline(const ChipPageAddr &a);
+    void markTornWordline(const PhysPageAddr &a);
 
     /** Whether the wordline of @p a carries a torn-program mark. */
-    bool wordlineTorn(const ChipPageAddr &a);
+    bool wordlineTorn(const PhysPageAddr &a);
 
     const ErrorModel &errorModel() const { return errorModel_; }
 
   private:
-    Block &blockAt(const ChipPageAddr &a);
+    Block &blockAt(const PhysPageAddr &a);
 
     /**
      * Execute @p prog with the error model and any plane-level faults
@@ -223,18 +214,18 @@ class Chip
      * carry an elevated-RBER fault).  @p wear_mult is the caller's
      * disturb/retention multiplier for the sensed wordline(s).
      */
-    BitVector runOp(const MicroProgram &prog, const ChipPageAddr &sense_addr,
+    BitVector runOp(const MicroProgram &prog, const PhysPageAddr &sense_addr,
                     const WordlineData &self, const WordlineData &wl_m,
                     const WordlineData &wl_n, std::uint32_t pe_cycles,
                     int *bit_errors, double wear_mult = 1.0);
 
     /** Charge @p senses disturb units (scaled by any injected hot-spot
      *  multiplier) to the block neighbors of @p a's wordline. */
-    void chargeNeighborDisturb(const ChipPageAddr &a, int senses);
+    void chargeNeighborDisturb(const PhysPageAddr &a, int senses);
 
     /** Disturb/retention multiplier of @p a's wordline (1.0 while wear
      *  tracking is disabled in the error model). */
-    double wearMultiplierAt(const ChipPageAddr &a);
+    double wearMultiplierAt(const PhysPageAddr &a);
 
     FlashGeometry geom_;
     ErrorModel errorModel_;

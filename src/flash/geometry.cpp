@@ -5,10 +5,7 @@ namespace parabit::flash {
 std::uint64_t
 linearPageIndex(const FlashGeometry &g, const PhysPageAddr &a)
 {
-    std::uint64_t idx = a.channel;
-    idx = idx * g.chipsPerChannel + a.chip;
-    idx = idx * g.diesPerChip + a.die;
-    idx = idx * g.planesPerDie + a.plane;
+    std::uint64_t idx = planeIndex(g, a);
     idx = idx * g.blocksPerPlane + a.block;
     idx = idx * g.wordlinesPerBlock + a.wordline;
     idx = idx * 2 + (a.msb ? 1 : 0);
@@ -18,21 +15,14 @@ linearPageIndex(const FlashGeometry &g, const PhysPageAddr &a)
 PhysPageAddr
 pageFromLinear(const FlashGeometry &g, std::uint64_t index)
 {
-    PhysPageAddr a;
-    a.msb = (index % 2) != 0;
+    const bool msb = (index % 2) != 0;
     index /= 2;
-    a.wordline = static_cast<std::uint32_t>(index % g.wordlinesPerBlock);
+    const auto wordline =
+        static_cast<std::uint32_t>(index % g.wordlinesPerBlock);
     index /= g.wordlinesPerBlock;
-    a.block = static_cast<std::uint32_t>(index % g.blocksPerPlane);
+    const auto block = static_cast<std::uint32_t>(index % g.blocksPerPlane);
     index /= g.blocksPerPlane;
-    a.plane = static_cast<std::uint32_t>(index % g.planesPerDie);
-    index /= g.planesPerDie;
-    a.die = static_cast<std::uint32_t>(index % g.diesPerChip);
-    index /= g.diesPerChip;
-    a.chip = static_cast<std::uint32_t>(index % g.chipsPerChannel);
-    index /= g.chipsPerChannel;
-    a.channel = static_cast<std::uint32_t>(index);
-    return a;
+    return planeAddr(g, static_cast<PlaneIndex>(index), block, wordline, msb);
 }
 
 } // namespace parabit::flash

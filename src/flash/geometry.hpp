@@ -134,11 +134,81 @@ struct PhysPageAddr
     }
 };
 
+/**
+ * @name Linearisation.
+ *
+ * The one channel-major order of the device's resources: channel, then
+ * chip within the channel, die, plane, block, wordline and page.  The
+ * chip array, the per-plane allocator and scheduler state, the fault
+ * schedule and every map keyed by physical position index in this
+ * order, so each converts through these helpers.
+ */
+/// @{
+
+/** Flat plane index across the whole device. */
+using PlaneIndex = std::uint32_t;
+
+/** The geometric coordinates of one plane. */
+struct PlaneCoord
+{
+    std::uint32_t channel, chip, die, plane;
+};
+
+/** Flat index of the chip holding @p a: the position of the chip in a
+ *  device's chip array. */
+inline std::uint32_t
+chipIndex(const FlashGeometry &g, const PhysPageAddr &a)
+{
+    return a.channel * g.chipsPerChannel + a.chip;
+}
+
+inline PlaneIndex
+planeIndex(const FlashGeometry &g, const PlaneCoord &c)
+{
+    return ((c.channel * g.chipsPerChannel + c.chip) * g.diesPerChip +
+            c.die) *
+               g.planesPerDie +
+           c.plane;
+}
+
+/** Flat index of the plane holding @p a. */
+inline PlaneIndex
+planeIndex(const FlashGeometry &g, const PhysPageAddr &a)
+{
+    return planeIndex(g, PlaneCoord{a.channel, a.chip, a.die, a.plane});
+}
+
+/** Inverse of planeIndex(). */
+inline PlaneCoord
+planeCoord(const FlashGeometry &g, PlaneIndex idx)
+{
+    PlaneCoord c;
+    c.plane = idx % g.planesPerDie;
+    idx /= g.planesPerDie;
+    c.die = idx % g.diesPerChip;
+    idx /= g.diesPerChip;
+    c.chip = idx % g.chipsPerChannel;
+    c.channel = idx / g.chipsPerChannel;
+    return c;
+}
+
+/** Address of page (@p block, @p wordline, @p msb) of flat plane
+ *  @p idx; the defaults give the plane's first page. */
+inline PhysPageAddr
+planeAddr(const FlashGeometry &g, PlaneIndex idx, std::uint32_t block = 0,
+          std::uint32_t wordline = 0, bool msb = false)
+{
+    const PlaneCoord c = planeCoord(g, idx);
+    return PhysPageAddr{c.channel, c.chip, c.die, c.plane,
+                        block,     wordline, msb};
+}
+
 /** Linearise @p a to a unique page index within @p g (for map keys). */
 std::uint64_t linearPageIndex(const FlashGeometry &g, const PhysPageAddr &a);
 
 /** Inverse of linearPageIndex(). */
 PhysPageAddr pageFromLinear(const FlashGeometry &g, std::uint64_t index);
+/// @}
 
 } // namespace parabit::flash
 

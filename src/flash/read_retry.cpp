@@ -109,7 +109,7 @@ vote(std::vector<BitVector> runs, const BitVector &clean)
 } // namespace
 
 VotedResult
-opCoLocatedVoted(Chip &chip, BitwiseOp op, const ChipPageAddr &a, int votes)
+opCoLocatedVoted(Chip &chip, BitwiseOp op, const PhysPageAddr &a, int votes)
 {
     if (votes < 1 || votes % 2 == 0)
         panic("opCoLocatedVoted: vote count must be odd and positive");
@@ -128,8 +128,8 @@ opCoLocatedVoted(Chip &chip, BitwiseOp op, const ChipPageAddr &a, int votes)
 }
 
 VotedResult
-opLocationFreeVoted(Chip &chip, BitwiseOp op, const ChipPageAddr &m,
-                    const ChipPageAddr &n, int votes, LocFreeVariant variant)
+opLocationFreeVoted(Chip &chip, BitwiseOp op, const PhysPageAddr &m,
+                    const PhysPageAddr &n, int votes, LocFreeVariant variant)
 {
     if (votes < 1 || votes % 2 == 0)
         panic("opLocationFreeVoted: vote count must be odd and positive");

@@ -34,12 +34,12 @@ struct VotedResult
  * Execute a co-located operation @p votes times (odd) on @p chip and
  * majority-vote the outputs per bitline.
  */
-VotedResult opCoLocatedVoted(Chip &chip, BitwiseOp op, const ChipPageAddr &a,
+VotedResult opCoLocatedVoted(Chip &chip, BitwiseOp op, const PhysPageAddr &a,
                              int votes);
 
 /** Location-free counterpart of opCoLocatedVoted(). */
 VotedResult opLocationFreeVoted(Chip &chip, BitwiseOp op,
-                                const ChipPageAddr &m, const ChipPageAddr &n,
+                                const PhysPageAddr &m, const PhysPageAddr &n,
                                 int votes,
                                 LocFreeVariant variant =
                                     LocFreeVariant::kMsbLsb);

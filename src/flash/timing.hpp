@@ -60,11 +60,12 @@ struct FlashTiming
 };
 
 /**
- * Default backoff between detect-and-escalate retry rungs
- * (core::ReliabilityPolicy): four SRO slots, enough for a transient
- * read-disturb condition to decay before re-sensing.
+ * Backoff between the reliability ladder's top-rung retries
+ * (core::ReliabilityPolicy; retry k waits k times this): four SRO
+ * slots, enough for a transient read-disturb condition to decay before
+ * re-sensing.
  */
-inline constexpr Tick kDefaultRetryBackoff = ticks::fromUs(100);
+inline constexpr Tick kRetryBackoff = ticks::fromUs(100);
 
 /**
  * Default cap on how long one suspended program/erase may sit parked

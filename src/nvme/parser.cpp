@@ -25,6 +25,41 @@ Formula::chain(flash::BitwiseOp op, const std::vector<Lpn> &operands,
     return f;
 }
 
+namespace {
+
+/**
+ * Append the chain batches of paper Fig 12 to @p batches: the extra op
+ * of each pair batch (both operands logical) but the last combines the
+ * running result with the next pair batch's result.  @p pair_ids lists
+ * the pair batches in order.  The one construction behind both parse()
+ * and buildBatches().
+ */
+void
+appendChainBatches(std::vector<Batch> &batches,
+                   const std::vector<std::uint32_t> &pair_ids)
+{
+    std::uint32_t prev = pair_ids.empty() ? 0 : pair_ids[0];
+    for (std::size_t k = 0; k + 1 < pair_ids.size(); ++k) {
+        const std::optional<flash::BitwiseOp> chain =
+            batches[pair_ids[k]].extraOp;
+        if (!chain)
+            continue;
+        Batch nb;
+        nb.id = static_cast<std::uint32_t>(batches.size());
+        nb.intraOp = *chain;
+        nb.order = static_cast<std::uint8_t>(nb.id);
+        nb.firstOperand =
+            OperandRef::resultOf(prev, batches[prev].firstOperand.pages);
+        const std::uint32_t next = pair_ids[k + 1];
+        nb.secondOperand =
+            OperandRef::resultOf(next, batches[next].firstOperand.pages);
+        prev = nb.id;
+        batches.push_back(nb);
+    }
+}
+
+} // namespace
+
 CmdParser::CmdParser(Bytes page_bytes)
     : sectorsPerPage_(page_bytes / kSectorBytes)
 {
@@ -106,8 +141,7 @@ std::vector<Batch>
 CmdParser::parse(const std::vector<NvmeCommand> &cmds) const
 {
     std::vector<Batch> batches;
-    std::vector<std::optional<flash::BitwiseOp>> chain_ops;
-    std::vector<std::size_t> pair_batch_ids;
+    std::vector<std::uint32_t> pair_ids;
 
     std::size_t i = 0;
     while (i < cmds.size()) {
@@ -140,7 +174,6 @@ CmdParser::parse(const std::vector<NvmeCommand> &cmds) const
                 if (!more)
                     break;
             }
-            chain_ops.push_back(std::nullopt);
             batches.push_back(std::move(b));
             continue;
         }
@@ -182,33 +215,10 @@ CmdParser::parse(const std::vector<NvmeCommand> &cmds) const
             if (!more_subs)
                 break;
         }
-        chain_ops.push_back(b.extraOp);
-        pair_batch_ids.push_back(batches.size());
+        pair_ids.push_back(b.id);
         batches.push_back(std::move(b));
     }
-
-    // Synthesise the chained batches (Fig 12): each pair batch's extra
-    // op combines the running result with the next pair batch's result.
-    std::uint32_t prev = pair_batch_ids.empty()
-                             ? 0
-                             : static_cast<std::uint32_t>(pair_batch_ids[0]);
-    for (std::size_t k = 0; k + 1 < pair_batch_ids.size(); ++k) {
-        const std::size_t id = pair_batch_ids[k];
-        if (!chain_ops[id])
-            continue;
-        Batch nb;
-        nb.id = static_cast<std::uint32_t>(batches.size());
-        nb.intraOp = *chain_ops[id];
-        nb.order = static_cast<std::uint8_t>(nb.id);
-        nb.firstOperand =
-            OperandRef::resultOf(prev, batches[prev].firstOperand.pages);
-        const std::size_t next_id = pair_batch_ids[k + 1];
-        nb.secondOperand = OperandRef::resultOf(
-            static_cast<std::uint32_t>(next_id),
-            batches[next_id].firstOperand.pages);
-        prev = nb.id;
-        batches.push_back(nb);
-    }
+    appendChainBatches(batches, pair_ids);
     return batches;
 }
 
@@ -216,23 +226,33 @@ std::vector<Batch>
 CmdParser::buildBatches(const Formula &formula) const
 {
     std::vector<Batch> batches;
-    for (const auto &term : formula.terms) {
+    std::vector<std::uint32_t> pair_ids;
+    for (std::size_t t = 0; t < formula.terms.size(); ++t) {
+        const Formula::Term &term = formula.terms[t];
+        const bool pair = term.first.kind == OperandRef::Kind::kLogicalPages;
         Batch b;
         b.id = static_cast<std::uint32_t>(batches.size());
         b.intraOp = term.op;
         b.order = static_cast<std::uint8_t>(b.id);
+        // Like encode(): only a pair term carries its chain op.
+        if (pair && t < formula.chainOps.size())
+            b.extraOp = formula.chainOps[t];
         b.firstOperand = term.first;
         b.secondOperand = term.second;
         const std::uint32_t pages =
             std::max(term.first.pages, term.second.pages);
         for (std::uint32_t p = 0; p < pages; ++p) {
             SubOperation sub;
-            sub.first = DeviceCmd{term.first.lpn + p, false, 0, 0};
+            if (pair)
+                sub.first = DeviceCmd{term.first.lpn + p, false, 0, 0};
             sub.second = DeviceCmd{term.second.lpn + p, true, 0, 0};
             b.subOps.push_back(sub);
         }
+        if (pair)
+            pair_ids.push_back(b.id);
         batches.push_back(std::move(b));
     }
+    appendChainBatches(batches, pair_ids);
     return batches;
 }
 

@@ -42,8 +42,10 @@ class CmdParser
 
     /**
      * Direct construction of the batch list from a formula, bypassing
-     * the wire format (used by the controller's in-process API; encode +
-     * parse is round-trip tested against this).
+     * the wire format (used by the controller's in-process API).  It
+     * returns what parse(encode(@p formula)) returns, Fig 12's chain
+     * batches included, for a formula whose fold terms each consume the
+     * batch before them (as Formula::chain builds them).
      */
     std::vector<Batch> buildBatches(const Formula &formula) const;
 

@@ -9,6 +9,7 @@ statusName(std::uint16_t status)
 {
     switch (status) {
       case kSuccess: return "success";
+      case kInvalidField: return "invalid-field";
       case kInternalError: return "internal-error";
       case kCommandAborted: return "command-aborted";
       case kWriteProtected: return "write-protected";

@@ -34,6 +34,9 @@ namespace parabit::nvme {
 enum Status : std::uint16_t
 {
     kSuccess = 0x0000,
+    /** Generic-command-status: invalid field in command (a formula
+     *  whose batches the device cannot run in flash). */
+    kInvalidField = 0x0002,
     /** Generic-command-status: internal device error (the reliability
      *  ladder could not produce a result it vouches for). */
     kInternalError = 0x0006,

@@ -30,6 +30,7 @@ execStatusName(ExecStatus s)
       case ExecStatus::kOk: return "ok";
       case ExecStatus::kUncorrectable: return "uncorrectable";
       case ExecStatus::kDataLoss: return "data-loss";
+      case ExecStatus::kInvalidBatch: return "invalid-batch";
     }
     return "?";
 }
@@ -89,11 +90,13 @@ Controller::noteExec(const ExecStats &stats)
 
 namespace {
 
-flash::ChipPageAddr
-chipAddr(const flash::PhysPageAddr &a)
-{
-    return flash::ChipPageAddr{a.die, a.plane, a.block, a.wordline, a.msb};
-}
+/** @name The reliability ladder's fixed shape (see ReliabilityPolicy). */
+/// @{
+constexpr int kMaxVotes = 5; ///< top rung (odd)
+/** Minimum per-bitline vote margin for a voted rung to pass. */
+constexpr int kMinVoteMargin = 3;
+constexpr int kMaxRetries = 2; ///< top-rung repeats before the fallback
+/// @}
 
 /** Host-CPU reference computation for the fallback path.  A unary op
  *  (NOT) reads its one operand, @p y, and passes a null @p x. */
@@ -147,8 +150,7 @@ bool
 Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
                                 ExecStats &stats)
 {
-    const ssd::PlaneIndex p = ssd::planeIndex(
-        ssd_->geometry(), {loc.channel, loc.chip, loc.die, loc.plane});
+    const flash::PlaneIndex p = flash::planeIndex(ssd_->geometry(), loc);
     auto it = planeTrust_.find(p);
     if (it != planeTrust_.end())
         return it->second;
@@ -185,14 +187,13 @@ Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
     // expected 0 and an expected 1, so a stuck column must show in one
     // of them no matter which value it is pinned to.  Each is 3-vote
     // majority so random sensing errors don't condemn a healthy plane.
-    const flash::ChipPageAddr ca = chipAddr(pair->lsb);
     flash::Chip &chip = ssd_->chipAt(pair->lsb.channel, pair->lsb.chip);
     int sense_total = 0;
     auto voted = [&](flash::BitwiseOp op) {
         std::vector<BitVector> runs;
         for (int k = 0; k < 3; ++k) {
             int e = 0;
-            runs.push_back(chip.opCoLocated(op, ca, &e));
+            runs.push_back(chip.opCoLocated(op, pair->lsb, &e));
             stats.bitErrors += static_cast<std::uint64_t>(e);
         }
         sense_total += 3 * flash::coLocatedProgram(op).senseCount();
@@ -201,8 +202,8 @@ Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
     const BitVector vx = voted(flash::BitwiseOp::kXor);
     const BitVector vn = voted(flash::BitwiseOp::kXnor);
     stats.senseOps += static_cast<std::uint64_t>(sense_total);
-    ready = ssd_->scheduleArrayJobs(
-        {ssd::ArrayJob{pair->lsb, sense_total, 0, 0}}, ready);
+    ready = ssd_->scheduleOps(
+        {ssd::PhysOp::paraBitSense(pair->lsb, sense_total, 0, 0)}, ready);
 
     const BitVector ex = *pa ^ *pb;
     const bool ok = vx == ex && vn == ~ex;
@@ -227,9 +228,9 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
         stats.senseOps +=
             static_cast<std::uint64_t>(req.senseCount) * executions;
         const Bytes rx = xfer_result ? req.resultXfer : 0;
-        const Tick done = ssd_->scheduleArrayJobs(
-            {ssd::ArrayJob{req.loc, req.senseCount * executions,
-                           req.xferIn * executions, rx}},
+        const Tick done = ssd_->scheduleOps(
+            {ssd::PhysOp::paraBitSense(req.loc, req.senseCount * executions,
+                                       req.xferIn * executions, rx)},
             ready);
         stats.resultBytes += rx;
         return done;
@@ -275,9 +276,7 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
         return oddParity(v) == *req.expectedParity;
     };
 
-    const int max_votes =
-        policy_.maxVotes % 2 == 0 ? policy_.maxVotes - 1 : policy_.maxVotes;
-    int rung = std::clamp(policy_.initialVotes, 1, std::max(1, max_votes));
+    int rung = std::clamp(policy_.initialVotes, 1, kMaxVotes);
     if (rung % 2 == 0)
         ++rung;
     std::vector<BitVector> runs;
@@ -305,7 +304,7 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
             }
         } else {
             candidate = flash::majorityVote(runs);
-            pass = flash::lowMarginCount(runs, policy_.minMargin) == 0 &&
+            pass = flash::lowMarginCount(runs, kMinVoteMargin) == 0 &&
                    parity_ok(candidate);
         }
         if (pass) {
@@ -313,17 +312,17 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
             break;
         }
         ++stats.detections;
-        if (rung < max_votes) {
+        if (rung < kMaxVotes) {
             // Escalate; earlier runs stay in the ballot.
-            rung = std::min(rung + 2, max_votes);
+            rung = std::min(rung + 2, kMaxVotes);
             ++stats.voteEscalations;
             continue;
         }
-        if (retries < policy_.maxRetries) {
+        if (retries < kMaxRetries) {
             ++retries;
             ++stats.retries;
             runs.clear();
-            ready += policy_.retryBackoff * static_cast<Tick>(retries);
+            ready += flash::kRetryBackoff * static_cast<Tick>(retries);
             continue;
         }
         break;
@@ -342,7 +341,7 @@ Controller::fallBack(const Fallback &fallback, Tick ready, ExecStats &stats,
                      ExecStatus if_unreachable)
 {
     SenseOutcome out;
-    if (!policy_.enabled || !policy_.hostFallback || !fallback) {
+    if (!policy_.enabled || !fallback) {
         out.status = ExecStatus::kUncorrectable;
     } else if (auto fb = fallback(ready)) {
         ++stats.hostFallbacks;
@@ -402,8 +401,7 @@ Controller::stageIntoPlane(nvme::Lpn x_lpn, const flash::PhysPageAddr &y,
     std::vector<ssd::PhysOp> ops;
     const flash::Payload staged = ftl.readPage(x_lpn, ops);
     ++stats.pageReads;
-    const ssd::PlaneIndex target = ssd::planeIndex(
-        ssd_->geometry(), {y.channel, y.chip, y.die, y.plane});
+    const flash::PlaneIndex target = flash::planeIndex(ssd_->geometry(), y);
     const auto copy =
         ftl.writeLsbOnly(claimScratch(), staged, ops, target);
     ++stats.pagePrograms;
@@ -487,7 +485,7 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
             if (functional && x_buf != nullptr)
                 req.execute = [this, op, x_buf, loc = *y_addr](int *e) {
                     return ssd_->chipAt(loc.channel, loc.chip)
-                        .opBufferedOperand(op, *x_buf, chipAddr(loc), e);
+                        .opBufferedOperand(op, *x_buf, loc, e);
                 };
             return runSense(req, ready, stats);
         }
@@ -529,8 +527,7 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
         if (functional)
             req.execute = [this, op, m, n, variant](int *e) {
                 return ssd_->chipAt(m.channel, m.chip)
-                    .opLocationFree(op, chipAddr(m), chipAddr(n), e,
-                                    variant);
+                    .opLocationFree(op, m, n, e, variant);
             };
         return runSense(req, ready, stats);
     }
@@ -598,8 +595,7 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
     req.senseCount = flash::coLocatedProgram(op).senseCount();
     if (functional)
         req.execute = [this, op, wl](int *e) {
-            return ssd_->chipAt(wl.channel, wl.chip)
-                .opCoLocated(op, chipAddr(wl), e);
+            return ssd_->chipAt(wl.channel, wl.chip).opCoLocated(op, wl, e);
         };
     if (functional && y_known && (unary || x_known)) {
         // Operand payloads are in hand: the fallback is a free exact
@@ -656,8 +652,11 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
             x_pages = &prev.pages;
             ready = std::max(ready, prev.done);
         }
-        if (b.secondOperand.kind == nvme::OperandRef::Kind::kBatchResult)
-            fatal("ParaBit: second operand must be a logical range");
+        if (b.secondOperand.kind == nvme::OperandRef::Kind::kBatchResult) {
+            // Sensing needs Y in cells; a result is only in the buffer.
+            res.status = ExecStatus::kInvalidBatch;
+            break;
+        }
 
         BatchOut &bo = outs[bi];
         for (std::size_t p = 0; p < b.subOps.size(); ++p) {
@@ -681,7 +680,7 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
         res.stats.end = std::max(res.stats.end, bo.done);
     }
 
-    if (!batches.empty()) {
+    if (!batches.empty() && res.status != ExecStatus::kInvalidBatch) {
         BatchOut &last = outs.back();
         if (result_lpn) {
             std::vector<ssd::PhysOp> ops;

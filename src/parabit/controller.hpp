@@ -73,6 +73,10 @@ enum class ExecStatus : std::uint8_t
     kUncorrectable,
     /** An operand page is gone (its plane died); no path to the data. */
     kDataLoss,
+    /** A batch the device cannot run: its second operand is an earlier
+     *  batch's result (a Fig 12 chain batch).  The formula stops there
+     *  and returns no pages. */
+    kInvalidBatch,
 };
 
 const char *execStatusName(ExecStatus s);
@@ -86,10 +90,9 @@ const char *execStatusName(ExecStatus s);
  *     operand payloads are in hand (XOR, XNOR and NOT make parities
  *     checkable), plus a duplicate execution compared bit-for-bit;
  *  2. 3-vote majority (flash::majorityVote), accepted only when every
- *     bitline's vote margin reaches minMargin;
+ *     bitline's vote margin (|ones - zeros|) reaches 3;
  *  3. 5-vote majority, same acceptance;
- *  4. up to maxRetries repeats of the top rung, each delayed by
- *     retryBackoff;
+ *  4. up to two repeats of the top rung, repeat k delayed by k x 100 us;
  *  5. host-side fallback: conventional ECC-protected page reads plus
  *     CPU bitwise compute — always bit-exact, never fast.
  *
@@ -104,13 +107,6 @@ struct ReliabilityPolicy
     /** Rung the ladder starts at (1, 3 or 5; benches pin 3/5 to
      *  measure a fixed-redundancy configuration). */
     int initialVotes = 1;
-    int maxVotes = 5;
-    /** Minimum per-bitline vote margin (|ones - zeros|) for a voted
-     *  rung to be accepted. */
-    int minMargin = 3;
-    int maxRetries = 2;
-    Tick retryBackoff = flash::kDefaultRetryBackoff;
-    bool hostFallback = true;
 };
 
 /** Instrumentation of one executed formula/op. */
@@ -328,7 +324,7 @@ class Controller
     nvme::Lpn scratchLpn_; ///< internal LPNs for reallocated copies
     ReliabilityPolicy policy_;
     /** Per-plane self-test verdicts (flat plane index -> trusted). */
-    std::unordered_map<ssd::PlaneIndex, bool> planeTrust_;
+    std::unordered_map<flash::PlaneIndex, bool> planeTrust_;
 
     /** @name Registered instruments (obs/metrics.hpp). */
     /// @{

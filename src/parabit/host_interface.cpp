@@ -13,6 +13,10 @@ namespace parabit::core {
 
 namespace {
 
+/** SQ occupancy fraction at or above which a submission charges the
+ *  health machine's queue-pressure signal (sustained queue depth). */
+constexpr double kQueuePressureFraction = 0.75;
+
 /** Stage axis of the obs.latency.<class>.<stage> histogram family. */
 enum CmdStage : std::size_t
 {
@@ -38,6 +42,7 @@ toNvmeStatus(ExecStatus s)
       case ExecStatus::kOk: return nvme::kSuccess;
       case ExecStatus::kUncorrectable: return nvme::kInternalError;
       case ExecStatus::kDataLoss: return nvme::kUnrecoveredReadError;
+      case ExecStatus::kInvalidBatch: return nvme::kInvalidField;
     }
     return nvme::kInternalError;
 }
@@ -142,8 +147,7 @@ HostInterface::enqueue(std::uint16_t qid, OpClass cls,
     const std::size_t occupied = qp.sqOccupancy() + cmds.size();
     if (ssd::DeviceHealth *health = dev_->ssd().health()) {
         if (static_cast<double>(occupied) >=
-            dev_->ssd().config().health.queuePressureFraction *
-                static_cast<double>(qp.depth()))
+            kQueuePressureFraction * static_cast<double>(qp.depth()))
             health->noteQueuePressure();
     }
     const Tick now = dev_->now();

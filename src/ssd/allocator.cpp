@@ -4,39 +4,6 @@
 
 namespace parabit::ssd {
 
-PlaneCoord
-planeCoord(const flash::FlashGeometry &g, PlaneIndex idx)
-{
-    PlaneCoord c;
-    c.plane = idx % g.planesPerDie;
-    idx /= g.planesPerDie;
-    c.die = idx % g.diesPerChip;
-    idx /= g.diesPerChip;
-    c.chip = idx % g.chipsPerChannel;
-    idx /= g.chipsPerChannel;
-    c.channel = idx;
-    return c;
-}
-
-PlaneIndex
-planeIndex(const flash::FlashGeometry &g, const PlaneCoord &c)
-{
-    PlaneIndex idx = c.channel;
-    idx = idx * g.chipsPerChannel + c.chip;
-    idx = idx * g.diesPerChip + c.die;
-    idx = idx * g.planesPerDie + c.plane;
-    return idx;
-}
-
-flash::PhysPageAddr
-planeAddr(const flash::FlashGeometry &g, PlaneIndex idx, std::uint32_t block,
-          std::uint32_t wordline, bool msb)
-{
-    const PlaneCoord c = planeCoord(g, idx);
-    return flash::PhysPageAddr{c.channel, c.chip, c.die, c.plane,
-                               block, wordline, msb};
-}
-
 Allocator::Allocator(const flash::FlashGeometry &geom)
     : geom_(geom), planes_(geom.planesTotal())
 {
@@ -45,29 +12,30 @@ Allocator::Allocator(const flash::FlashGeometry &geom)
             ps.freePool.push_back(b);
 }
 
-PlaneIndex
+flash::PlaneIndex
 Allocator::nextPlane()
 {
     // Channel-first striping: consecutive allocations land on different
     // channels, then different chips, maximising bus-level parallelism.
     // The flat index is channel-major, so striding by planesPerChannel
     // and wrapping with an offset visits channels round-robin.
-    const PlaneIndex count = planeCount();
-    const PlaneIndex planes_per_channel = count / geom_.channels;
-    const PlaneIndex step = rrCursor_++;
-    const PlaneIndex channel = step % geom_.channels;
-    const PlaneIndex within = (step / geom_.channels) % planes_per_channel;
+    const flash::PlaneIndex count = planeCount();
+    const flash::PlaneIndex planes_per_channel = count / geom_.channels;
+    const flash::PlaneIndex step = rrCursor_++;
+    const flash::PlaneIndex channel = step % geom_.channels;
+    const flash::PlaneIndex within =
+        (step / geom_.channels) % planes_per_channel;
     return channel * planes_per_channel + within;
 }
 
 std::uint32_t
-Allocator::freeBlocks(PlaneIndex plane) const
+Allocator::freeBlocks(flash::PlaneIndex plane) const
 {
     return static_cast<std::uint32_t>(planes_.at(plane).freePool.size());
 }
 
 void
-Allocator::noteErased(PlaneIndex plane, std::uint32_t block)
+Allocator::noteErased(flash::PlaneIndex plane, std::uint32_t block)
 {
     if (isRetired(plane, block) || isReserved(plane, block))
         return;
@@ -75,7 +43,7 @@ Allocator::noteErased(PlaneIndex plane, std::uint32_t block)
 }
 
 void
-Allocator::retireBlock(PlaneIndex plane, std::uint32_t block)
+Allocator::retireBlock(flash::PlaneIndex plane, std::uint32_t block)
 {
     PlaneState &ps = planes_.at(plane);
     if (ps.retired.empty())
@@ -93,14 +61,14 @@ Allocator::retireBlock(PlaneIndex plane, std::uint32_t block)
 }
 
 bool
-Allocator::isRetired(PlaneIndex plane, std::uint32_t block) const
+Allocator::isRetired(flash::PlaneIndex plane, std::uint32_t block) const
 {
     const PlaneState &ps = planes_.at(plane);
     return !ps.retired.empty() && ps.retired.at(block);
 }
 
 void
-Allocator::reserveBlock(PlaneIndex plane, std::uint32_t block)
+Allocator::reserveBlock(flash::PlaneIndex plane, std::uint32_t block)
 {
     PlaneState &ps = planes_.at(plane);
     if (ps.reserved.empty())
@@ -117,14 +85,14 @@ Allocator::reserveBlock(PlaneIndex plane, std::uint32_t block)
 }
 
 bool
-Allocator::isReserved(PlaneIndex plane, std::uint32_t block) const
+Allocator::isReserved(flash::PlaneIndex plane, std::uint32_t block) const
 {
     const PlaneState &ps = planes_.at(plane);
     return !ps.reserved.empty() && ps.reserved.at(block);
 }
 
 void
-Allocator::rebuild(PlaneIndex plane,
+Allocator::rebuild(flash::PlaneIndex plane,
                    const std::vector<std::uint32_t> &free_blocks)
 {
     PlaneState &ps = planes_.at(plane);
@@ -137,7 +105,7 @@ Allocator::rebuild(PlaneIndex plane,
 }
 
 std::vector<std::uint32_t>
-Allocator::poolBlocks(PlaneIndex plane) const
+Allocator::poolBlocks(flash::PlaneIndex plane) const
 {
     const PlaneState &ps = planes_.at(plane);
     return {ps.freePool.begin(), ps.freePool.end()};
@@ -160,14 +128,14 @@ Allocator::ensureBlock(PlaneState &ps, Cursor &cur)
 }
 
 flash::PhysPageAddr
-Allocator::makeAddr(PlaneIndex plane, const Cursor &cur, bool msb) const
+Allocator::makeAddr(flash::PlaneIndex plane, const Cursor &cur, bool msb) const
 {
     return planeAddr(geom_, plane, static_cast<std::uint32_t>(cur.block),
                      cur.wordline, msb);
 }
 
 std::optional<flash::PhysPageAddr>
-Allocator::nextPage(PlaneIndex plane)
+Allocator::nextPage(flash::PlaneIndex plane)
 {
     PlaneState &ps = planes_.at(plane);
     Cursor &cur = ps.interleaved;
@@ -184,7 +152,7 @@ Allocator::nextPage(PlaneIndex plane)
 }
 
 std::optional<PagePair>
-Allocator::nextPair(PlaneIndex plane)
+Allocator::nextPair(flash::PlaneIndex plane)
 {
     PlaneState &ps = planes_.at(plane);
     Cursor &cur = ps.interleaved;
@@ -203,7 +171,7 @@ Allocator::nextPair(PlaneIndex plane)
 }
 
 std::optional<flash::PhysPageAddr>
-Allocator::nextLsbOnly(PlaneIndex plane)
+Allocator::nextLsbOnly(flash::PlaneIndex plane)
 {
     PlaneState &ps = planes_.at(plane);
     Cursor &cur = ps.lsbOnly;
@@ -215,7 +183,7 @@ Allocator::nextLsbOnly(PlaneIndex plane)
 }
 
 bool
-Allocator::isActiveBlock(PlaneIndex plane, std::uint32_t block) const
+Allocator::isActiveBlock(flash::PlaneIndex plane, std::uint32_t block) const
 {
     const PlaneState &ps = planes_.at(plane);
     return (ps.interleaved.block >= 0 &&

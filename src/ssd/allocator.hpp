@@ -30,24 +30,6 @@
 
 namespace parabit::ssd {
 
-/** Flat plane index across the whole device. */
-using PlaneIndex = std::uint32_t;
-
-/** Decompose a flat plane index into the geometric coordinates. */
-struct PlaneCoord
-{
-    std::uint32_t channel, chip, die, plane;
-};
-
-PlaneCoord planeCoord(const flash::FlashGeometry &g, PlaneIndex idx);
-PlaneIndex planeIndex(const flash::FlashGeometry &g, const PlaneCoord &c);
-
-/** Address of page (@p block, @p wordline, @p msb) of flat plane
- *  @p idx; the defaults give the plane's first page. */
-flash::PhysPageAddr planeAddr(const flash::FlashGeometry &g, PlaneIndex idx,
-                              std::uint32_t block = 0,
-                              std::uint32_t wordline = 0, bool msb = false);
-
 /** A co-located LSB/MSB page pair on one wordline. */
 struct PagePair
 {
@@ -67,13 +49,13 @@ class Allocator
     }
 
     /** Next plane in the channel-first striping order (advances). */
-    PlaneIndex nextPlane();
+    flash::PlaneIndex nextPlane();
 
     /** Free blocks currently pooled in @p plane. */
-    std::uint32_t freeBlocks(PlaneIndex plane) const;
+    std::uint32_t freeBlocks(flash::PlaneIndex plane) const;
 
     /** Return an erased block to @p plane's pool (no-op if retired). */
-    void noteErased(PlaneIndex plane, std::uint32_t block);
+    void noteErased(flash::PlaneIndex plane, std::uint32_t block);
 
     /**
      * Permanently remove @p block from circulation (bad-block
@@ -81,9 +63,9 @@ class Allocator
      * the free pool, any write cursor parked on it is abandoned, and
      * noteErased() will never re-pool it.
      */
-    void retireBlock(PlaneIndex plane, std::uint32_t block);
+    void retireBlock(flash::PlaneIndex plane, std::uint32_t block);
 
-    bool isRetired(PlaneIndex plane, std::uint32_t block) const;
+    bool isRetired(flash::PlaneIndex plane, std::uint32_t block) const;
 
     /** Blocks retired across the whole device. */
     std::uint64_t retiredBlocks() const { return retiredCount_; }
@@ -94,9 +76,9 @@ class Allocator
      * healthy and not counted in retiredBlocks(); like retirement it
      * leaves the pool, abandons cursors, and is never re-pooled.
      */
-    void reserveBlock(PlaneIndex plane, std::uint32_t block);
+    void reserveBlock(flash::PlaneIndex plane, std::uint32_t block);
 
-    bool isReserved(PlaneIndex plane, std::uint32_t block) const;
+    bool isReserved(flash::PlaneIndex plane, std::uint32_t block) const;
 
     /**
      * Reset @p plane's pool and cursors from a physically derived free
@@ -105,29 +87,29 @@ class Allocator
      * retired/reserved blocks are skipped.  Cursors restart empty, so
      * partially written blocks are left for GC to reclaim.
      */
-    void rebuild(PlaneIndex plane,
+    void rebuild(flash::PlaneIndex plane,
                  const std::vector<std::uint32_t> &free_blocks);
 
     /** Snapshot of @p plane's pooled free blocks, in pool order. */
-    std::vector<std::uint32_t> poolBlocks(PlaneIndex plane) const;
+    std::vector<std::uint32_t> poolBlocks(flash::PlaneIndex plane) const;
 
     /**
      * Allocate the next page in @p plane in interleaved order.
      * @return nullopt when the plane has no free blocks left.
      */
-    std::optional<flash::PhysPageAddr> nextPage(PlaneIndex plane);
+    std::optional<flash::PhysPageAddr> nextPage(flash::PlaneIndex plane);
 
     /** Allocate a fresh co-located pair in @p plane. */
-    std::optional<PagePair> nextPair(PlaneIndex plane);
+    std::optional<PagePair> nextPair(flash::PlaneIndex plane);
 
     /** Allocate the next LSB page in @p plane, leaving its MSB free. */
-    std::optional<flash::PhysPageAddr> nextLsbOnly(PlaneIndex plane);
+    std::optional<flash::PhysPageAddr> nextLsbOnly(flash::PlaneIndex plane);
 
     /**
      * Blocks currently tied up in write cursors (not in the free pool,
      * not yet full).  GC must not victimise these.
      */
-    bool isActiveBlock(PlaneIndex plane, std::uint32_t block) const;
+    bool isActiveBlock(flash::PlaneIndex plane, std::uint32_t block) const;
 
   private:
     struct Cursor
@@ -147,12 +129,12 @@ class Allocator
     };
 
     bool ensureBlock(PlaneState &ps, Cursor &cur);
-    flash::PhysPageAddr makeAddr(PlaneIndex plane, const Cursor &cur,
+    flash::PhysPageAddr makeAddr(flash::PlaneIndex plane, const Cursor &cur,
                                  bool msb) const;
 
     flash::FlashGeometry geom_;
     std::vector<PlaneState> planes_;
-    PlaneIndex rrCursor_ = 0;
+    flash::PlaneIndex rrCursor_ = 0;
     std::uint64_t retiredCount_ = 0;
 };
 

@@ -159,18 +159,9 @@ struct HealthConfig
     /** Minimum simulated time in a state before de-escalation. */
     Tick minDwell = flash::kDefaultHealthMinDwell;
 
-    /** @name Signal weights (pressure charged per event). */
-    /// @{
-    double weightUncorrectable = 4.0; ///< per uncorrectable page
-    double weightRebuild = 1.0;       ///< per RAIN page rebuild
-    double weightRetiredBlock = 2.0;  ///< per bad-block retirement
-    double weightRefresh = 0.25;      ///< per scrub refresh relocation
-    double weightQueuePressure = 0.5; ///< per near-full SQ submission
-    /// @}
-
-    /** SQ occupancy fraction above which a submission charges
-     *  weightQueuePressure (sustained-queue-depth signal). */
-    double queuePressureFraction = 0.75;
+    /** Pressure charged per bad-block retirement (the other signal
+     *  weights are DeviceHealth constants). */
+    double weightRetiredBlock = 2.0;
 
     /** Degraded-state throttle: background scrub batches shrink to
      *  scrubWordlinesPerPass / this (min 1); must be >= 1. */
@@ -221,15 +212,6 @@ struct SsdConfig
     /** Whether flash pages carry payloads (functional mode) or only
      *  state (timing mode for device-scale experiments). */
     bool storeData = true;
-
-    /** Fraction of blocks held back as over-provisioning. */
-    double overProvisioning = 0.07;
-
-    /**
-     * GC trigger: a plane starts garbage collection when its free-block
-     * count drops below this fraction of blocksPerPlane.
-     */
-    double gcFreeBlockThreshold = 0.05;
 
     /**
      * Static wear leveling: when the erase-count spread within a plane

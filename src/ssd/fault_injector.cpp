@@ -77,7 +77,7 @@ FaultInjector::randomSchedule(const flash::FlashGeometry &geom,
         // kPowerLoss is excluded from random media-fault schedules: a
         // power cut ends the run, so SPOR harnesses arm it explicitly.
         s.cls = static_cast<FaultClass>(rng.below(6));
-        s.plane = static_cast<PlaneIndex>(rng.below(geom.planesTotal()));
+        s.plane = static_cast<flash::PlaneIndex>(rng.below(geom.planesTotal()));
         if (rng.chance(0.5))
             s.block = static_cast<std::uint32_t>(
                 rng.below(geom.blocksPerPlane));
@@ -107,25 +107,28 @@ FaultInjector::stormSchedule(const flash::FlashGeometry &geom,
         sizeof(kStormClasses) / sizeof(kStormClasses[0]);
 
     Rng rng(seed);
-    const std::uint32_t chips = geom.channels * geom.chipsPerChannel;
     const std::uint32_t planes_per_chip =
         geom.diesPerChip * geom.planesPerDie;
     std::vector<FaultSpec> out;
     out.reserve(static_cast<std::size_t>(cfg.bursts) * cfg.faultsPerBurst);
     for (std::uint32_t b = 0; b < cfg.bursts; ++b) {
         // Each burst concentrates on one focus chip — correlated damage.
-        const std::uint32_t focus =
-            static_cast<std::uint32_t>(rng.below(chips));
+        const auto focus = static_cast<std::uint32_t>(rng.below(geom.chips()));
         for (std::uint32_t i = 0; i < cfg.faultsPerBurst; ++i) {
             FaultSpec s;
             s.cls = kStormClasses[rng.below(kStormClassCount)];
-            if (rng.chance(cfg.localityBias))
-                s.plane = static_cast<PlaneIndex>(
-                    static_cast<std::uint64_t>(focus) * planes_per_chip +
-                    rng.below(planes_per_chip));
-            else
-                s.plane =
-                    static_cast<PlaneIndex>(rng.below(geom.planesTotal()));
+            if (rng.chance(cfg.localityBias)) {
+                const auto on_chip =
+                    static_cast<std::uint32_t>(rng.below(planes_per_chip));
+                s.plane = planeIndex(
+                    geom, flash::PlaneCoord{focus / geom.chipsPerChannel,
+                                            focus % geom.chipsPerChannel,
+                                            on_chip / geom.planesPerDie,
+                                            on_chip % geom.planesPerDie});
+            } else {
+                s.plane = static_cast<flash::PlaneIndex>(
+                    rng.below(geom.planesTotal()));
+            }
             if (rng.chance(0.5))
                 s.block = static_cast<std::uint32_t>(
                     rng.below(geom.blocksPerPlane));
@@ -163,16 +166,10 @@ FaultInjector::clearTransient()
     return removed;
 }
 
-PlaneIndex
-FaultInjector::planeOf(const flash::PhysPageAddr &a) const
-{
-    return planeIndex(geom_, PlaneCoord{a.channel, a.chip, a.die, a.plane});
-}
-
 bool
 FaultInjector::matches(const Active &f, const flash::PhysPageAddr &a) const
 {
-    if (f.spec.plane != planeOf(a))
+    if (f.spec.plane != planeIndex(geom_, a))
         return false;
     return !f.spec.block || *f.spec.block == a.block;
 }
@@ -208,25 +205,26 @@ FaultInjector::retentionMultiplier(const flash::PhysPageAddr &a) const
 }
 
 bool
-FaultInjector::planeDead(PlaneIndex p) const
+FaultInjector::planeDead(flash::PlaneIndex p) const
 {
-    const std::uint32_t planes_per_chip =
-        geom_.diesPerChip * geom_.planesPerDie;
+    const flash::PhysPageAddr at = planeAddr(geom_, p);
     for (const Active &f : active_) {
         if (f.spec.cls == FaultClass::kDeadPlane && f.spec.plane == p)
             return true;
-        if (f.spec.cls == FaultClass::kDeadChip &&
-            f.spec.plane / planes_per_chip == p / planes_per_chip)
+        const flash::PhysPageAddr f_at = planeAddr(geom_, f.spec.plane);
+        const bool same_chip =
+            chipIndex(geom_, f_at) == chipIndex(geom_, at);
+        if (f.spec.cls == FaultClass::kDeadChip && same_chip)
             return true;
-        if (f.spec.cls == FaultClass::kDieFail &&
-            f.spec.plane / geom_.planesPerDie == p / geom_.planesPerDie)
+        if (f.spec.cls == FaultClass::kDieFail && same_chip &&
+            f_at.die == at.die)
             return true;
     }
     return false;
 }
 
 std::vector<flash::StuckBitline>
-FaultInjector::stuckBitlines(PlaneIndex p) const
+FaultInjector::stuckBitlines(flash::PlaneIndex p) const
 {
     std::vector<flash::StuckBitline> out;
     for (const Active &f : active_)

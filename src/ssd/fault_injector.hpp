@@ -101,7 +101,7 @@ struct FaultSpec
 {
     FaultClass cls = FaultClass::kElevatedRber;
     /** Target plane (flat index); for kDeadChip, any plane of the chip. */
-    PlaneIndex plane = 0;
+    flash::PlaneIndex plane = 0;
     /** Restrict kElevatedRber / kProgramFailure / kEraseFailure to one
      *  block of the plane (nullopt = whole plane). */
     std::optional<std::uint32_t> block;
@@ -207,10 +207,10 @@ class FaultInjector
      *  (kRetentionLoss charge-leak acceleration). */
     double retentionMultiplier(const flash::PhysPageAddr &a) const;
 
-    bool planeDead(PlaneIndex p) const;
+    bool planeDead(flash::PlaneIndex p) const;
 
     /** Stuck columns of plane @p p (empty if none). */
-    std::vector<flash::StuckBitline> stuckBitlines(PlaneIndex p) const;
+    std::vector<flash::StuckBitline> stuckBitlines(flash::PlaneIndex p) const;
 
     /** Consume one program attempt at @p a from the schedule.
      *  @return true if that attempt fails. */
@@ -269,7 +269,6 @@ class FaultInjector
     };
 
     bool matches(const Active &f, const flash::PhysPageAddr &a) const;
-    PlaneIndex planeOf(const flash::PhysPageAddr &a) const;
 
     flash::FlashGeometry geom_;
     std::uint64_t seed_;

@@ -11,6 +11,17 @@
 
 namespace parabit::ssd {
 
+namespace {
+
+/** Fraction of blocks held back as over-provisioning. */
+constexpr double kOverProvisioning = 0.07;
+
+/** GC trigger: a plane starts garbage collection when its free-block
+ *  count drops below this fraction of blocksPerPlane (and below 2). */
+constexpr double kGcFreeBlockFraction = 0.05;
+
+} // namespace
+
 Ftl::Ftl(const SsdConfig &cfg, std::vector<flash::Chip> &chips)
     : cfg_(cfg), chips_(&chips), alloc_(cfg.geometry),
       scrambler_(cfg.seed ^ 0x5C4A3B2E1D0FULL)
@@ -23,42 +34,33 @@ Ftl::Ftl(const SsdConfig &cfg, std::vector<flash::Chip> &chips)
                   "and leave room for data blocks");
         // The top r blocks of every plane become the SLC checkpoint +
         // journal region, split into two ping-pong halves.
-        for (PlaneIndex p = 0; p < alloc_.planeCount(); ++p)
+        for (flash::PlaneIndex p = 0; p < alloc_.planeCount(); ++p)
             for (std::uint32_t i = 0; i < r; ++i)
                 alloc_.reserveBlock(p, cfg_.geometry.blocksPerPlane - 1 - i);
         usable_blocks -= r;
     }
-    const double usable = (1.0 - cfg_.overProvisioning) * usable_blocks /
+    const double usable = (1.0 - kOverProvisioning) * usable_blocks /
                           cfg_.geometry.blocksPerPlane;
     logicalPages_ = static_cast<std::uint64_t>(
         std::floor(static_cast<double>(cfg_.geometry.totalPages()) * usable));
     gcThresholdBlocks_ = std::max<std::uint32_t>(
-        2, static_cast<std::uint32_t>(cfg_.gcFreeBlockThreshold *
+        2, static_cast<std::uint32_t>(kGcFreeBlockFraction *
                                       cfg_.geometry.blocksPerPlane));
 }
 
 flash::Chip &
 Ftl::chipAt(const flash::PhysPageAddr &a)
 {
-    const std::size_t idx =
-        static_cast<std::size_t>(a.channel) * cfg_.geometry.chipsPerChannel +
-        a.chip;
-    return (*chips_).at(idx);
+    return (*chips_).at(chipIndex(cfg_.geometry, a));
 }
 
 const flash::Block *
 Ftl::blockAt(const flash::PhysPageAddr &a) const
 {
-    const std::size_t idx =
-        static_cast<std::size_t>(a.channel) * cfg_.geometry.chipsPerChannel +
-        a.chip;
-    return (*chips_).at(idx).plane(a.die, a.plane).blockIfExists(a.block);
-}
-
-flash::ChipPageAddr
-Ftl::chipAddr(const flash::PhysPageAddr &a) const
-{
-    return flash::ChipPageAddr{a.die, a.plane, a.block, a.wordline, a.msb};
+    return (*chips_)
+        .at(chipIndex(cfg_.geometry, a))
+        .plane(a.die, a.plane)
+        .blockIfExists(a.block);
 }
 
 void
@@ -86,21 +88,18 @@ Ftl::ownerOf(const flash::PhysPageAddr &a) const
 
 bool
 Ftl::programPhys(const flash::PhysPageAddr &a, const flash::Payload &data,
-                 bool for_gc, std::vector<PhysOp> &ops, Lpn lpn, OobTag tag,
-                 bool scrambled)
+                 std::vector<PhysOp> &ops, Lpn lpn, OobTag tag, bool scrambled)
 {
     const PowerCut cut = powerBoundary(true);
     if (cut == PowerCut::kBeforeOp)
         return false; // power was cut before tPROG started
     // The attempt costs program time whether or not it sticks.
-    ops.push_back(PhysOp{PhysOp::Kind::kPageProgram, a, for_gc});
+    ops.push_back(PhysOp{PhysOp::Kind::kPageProgram, a});
     const flash::PageOob oob{lpn, seq_++, static_cast<std::uint8_t>(tag),
                              scrambled};
-    if (!chipAt(a).programPage(chipAddr(a), data,
-                               lpn == kNoLpn ? nullptr : &oob)) {
+    if (!chipAt(a).programPage(a, data, lpn == kNoLpn ? nullptr : &oob)) {
         ++programFailures_;
-        const PlaneIndex p = planeIndex(
-            cfg_.geometry, PlaneCoord{a.channel, a.chip, a.die, a.plane});
+        const flash::PlaneIndex p = planeIndex(cfg_.geometry, a);
         alloc_.retireBlock(p, a.block);
         if (health_)
             health_->noteRetiredBlock();
@@ -114,7 +113,7 @@ Ftl::programPhys(const flash::PhysPageAddr &a, const flash::Payload &data,
     if (cut == PowerCut::kMidProgram) {
         // tPROG was interrupted: the shared-wordline cells are left in
         // indeterminate states, corrupting the paired page as well.
-        chipAt(a).markTornWordline(chipAddr(a));
+        chipAt(a).markTornWordline(a);
         return false;
     }
     ++programsSinceCkpt_;
@@ -132,7 +131,7 @@ Ftl::programPhys(const flash::PhysPageAddr &a, const flash::Payload &data,
         } else if (tag == OobTag::kHostData || tag == OobTag::kGcRelocated) {
             flash::PhysPageAddr msb = a;
             msb.msb = true;
-            if (chipAt(a).pageState(chipAddr(msb)) == flash::PageState::kFree) {
+            if (chipAt(a).pageState(msb) == flash::PageState::kFree) {
                 plpBuffer_[key] = PlpEntry{lpn, oob.seq, data, scrambled};
             }
         }
@@ -143,17 +142,17 @@ Ftl::programPhys(const flash::PhysPageAddr &a, const flash::Payload &data,
 }
 
 bool
-Ftl::planeAlive(PlaneIndex plane)
+Ftl::planeAlive(flash::PlaneIndex plane)
 {
     const flash::PhysPageAddr a = planeAddr(cfg_.geometry, plane);
     return chipAt(a).planeOperational(a.die, a.plane);
 }
 
-PlaneIndex
+flash::PlaneIndex
 Ftl::pickAlivePlane()
 {
     for (std::uint32_t i = 0; i < alloc_.planeCount(); ++i) {
-        const PlaneIndex p = alloc_.nextPlane();
+        const flash::PlaneIndex p = alloc_.nextPlane();
         if (planeAlive(p))
             return p;
     }
@@ -170,7 +169,7 @@ Ftl::mapLpn(Lpn lpn, const flash::PhysPageAddr &a, bool scrambled)
 }
 
 void
-Ftl::collectGarbage(PlaneIndex plane, std::vector<PhysOp> &ops)
+Ftl::collectGarbage(flash::PlaneIndex plane, std::vector<PhysOp> &ops)
 {
     if (inGc_)
         return; // GC relocations must not recurse
@@ -209,7 +208,7 @@ Ftl::collectGarbage(PlaneIndex plane, std::vector<PhysOp> &ops)
 }
 
 std::uint32_t
-Ftl::eraseSpread(PlaneIndex plane)
+Ftl::eraseSpread(flash::PlaneIndex plane)
 {
     const flash::PhysPageAddr base = planeAddr(cfg_.geometry, plane);
     const flash::Plane &pl = chipAt(base).plane(base.die, base.plane);
@@ -224,7 +223,7 @@ Ftl::eraseSpread(PlaneIndex plane)
 }
 
 void
-Ftl::maybeWearLevel(PlaneIndex plane, std::vector<PhysOp> &ops)
+Ftl::maybeWearLevel(flash::PlaneIndex plane, std::vector<PhysOp> &ops)
 {
     if (cfg_.wearLevelThreshold == 0 || inGc_)
         return;
@@ -270,7 +269,7 @@ Ftl::maybeWearLevel(PlaneIndex plane, std::vector<PhysOp> &ops)
 }
 
 bool
-Ftl::evacuateBlock(PlaneIndex plane, std::uint32_t block,
+Ftl::evacuateBlock(flash::PlaneIndex plane, std::uint32_t block,
                    std::vector<PhysOp> &ops)
 {
     const flash::PhysPageAddr base = planeAddr(cfg_.geometry, plane, block);
@@ -290,10 +289,10 @@ Ftl::evacuateBlock(PlaneIndex plane, std::uint32_t block,
 
             if (powerBoundary(false) != PowerCut::kNone)
                 return false;
-            const flash::Payload data = chip.readPage(chipAddr(src));
-            ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
+            const flash::Payload data = chip.readPage(src);
+            ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src});
             const auto dst =
-                programNextInPlane(plane, Shape::kPage, data, true, ops, lpn,
+                programNextInPlane(plane, Shape::kPage, data, ops, lpn,
                                    OobTag::kGcRelocated, scrambled);
             if (!dst)
                 return false;
@@ -312,8 +311,8 @@ Ftl::evacuateBlock(PlaneIndex plane, std::uint32_t block,
                               linearBlockId(plane, block)};
     if (!journalAppend(erase, ops) || powerBoundary(false) != PowerCut::kNone)
         return true;
-    ops.push_back(PhysOp{PhysOp::Kind::kBlockErase, base, true});
-    if (chip.eraseBlock(base.die, base.plane, block)) {
+    ops.push_back(PhysOp{PhysOp::Kind::kBlockErase, base});
+    if (chip.eraseBlock(base)) {
         ++erases_;
         alloc_.noteErased(plane, block);
         return true;
@@ -331,7 +330,7 @@ Ftl::evacuateBlock(PlaneIndex plane, std::uint32_t block,
 }
 
 std::optional<flash::PhysPageAddr>
-Ftl::allocate(PlaneIndex plane, Shape shape)
+Ftl::allocate(flash::PlaneIndex plane, Shape shape)
 {
     switch (shape) {
       case Shape::kPage: return alloc_.nextPage(plane);
@@ -347,7 +346,7 @@ Ftl::allocate(PlaneIndex plane, Shape shape)
 }
 
 std::optional<flash::PhysPageAddr>
-Ftl::allocateOrGc(PlaneIndex plane, Shape shape, bool level_wear,
+Ftl::allocateOrGc(flash::PlaneIndex plane, Shape shape, bool level_wear,
                   std::vector<PhysOp> &ops)
 {
     if (alloc_.freeBlocks(plane) < gcThresholdBlocks_) {
@@ -364,16 +363,15 @@ Ftl::allocateOrGc(PlaneIndex plane, Shape shape, bool level_wear,
 }
 
 std::optional<flash::PhysPageAddr>
-Ftl::programNextInPlane(PlaneIndex plane, Shape shape,
-                        const flash::Payload &data, bool for_gc,
-                        std::vector<PhysOp> &ops, Lpn lpn, OobTag tag,
-                        bool scrambled)
+Ftl::programNextInPlane(flash::PlaneIndex plane, Shape shape,
+                        const flash::Payload &data, std::vector<PhysOp> &ops,
+                        Lpn lpn, OobTag tag, bool scrambled)
 {
     // A failed program retires the block under the cursor, so the next
     // allocation walks on to a fresh one; the plane's pages bound it.
     auto a = allocate(plane, shape);
     while (a && !powerLost_ &&
-           !programPhys(*a, data, for_gc, ops, lpn, tag, scrambled)) {
+           !programPhys(*a, data, ops, lpn, tag, scrambled)) {
         ++programRetries_;
         a = allocate(plane, shape);
     }
@@ -388,7 +386,7 @@ Ftl::place(const Placement &p, std::vector<PhysOp> &ops)
     for (int attempt = 0; attempt < kMaxProgramRetries; ++attempt) {
         if (powerLost_)
             break; // cut: the placement is never acknowledged
-        const PlaneIndex plane = p.plane ? *p.plane : pickAlivePlane();
+        const flash::PlaneIndex plane = p.plane ? *p.plane : pickAlivePlane();
         const auto a = allocateOrGc(plane, p.shape, p.levelWear, ops);
         if (!a) {
             if (p.stopWhenFull)
@@ -399,12 +397,12 @@ Ftl::place(const Placement &p, std::vector<PhysOp> &ops)
                 ++programRetries_;
             continue;
         }
-        bool ok = programPhys(*a, p.data, p.forGc, ops, p.lpn, p.tag,
+        bool ok = programPhys(*a, p.data, ops, p.lpn, p.tag,
                               p.scrambled);
         if (ok && p.shape == Shape::kPair) {
             flash::PhysPageAddr msb = *a;
             msb.msb = true;
-            ok = programPhys(msb, p.msbData, p.forGc, ops, p.msbLpn, p.tag,
+            ok = programPhys(msb, p.msbData, ops, p.msbLpn, p.tag,
                              p.scrambled);
             // The block was retired (or the program torn by a power
             // cut); the LSB half just written goes with it — mark it
@@ -463,8 +461,8 @@ Ftl::readPage(Lpn lpn, std::vector<PhysOp> &ops)
         fatal("Ftl::readPage: unmapped LPN");
     if (powerBoundary(false) != PowerCut::kNone) // power is down
         return flash::makePayload(BitVector(cfg_.geometry.pageBits(), false));
-    ops.push_back(PhysOp{PhysOp::Kind::kPageRead, e->addr, false});
-    flash::Payload page = chipAt(e->addr).readPage(chipAddr(e->addr));
+    ops.push_back(PhysOp{PhysOp::Kind::kPageRead, e->addr});
+    flash::Payload page = chipAt(e->addr).readPage(e->addr);
     // Whitened bits stay in flash; the reader gets a descrambled copy.
     if (cfg_.scrambleHostData && e->scrambled && page)
         return flash::makePayload(scrambler_.scrambled(*page, lpn));
@@ -521,7 +519,7 @@ Ftl::trim(Lpn lpn, std::vector<PhysOp> *ops)
 std::optional<PagePair>
 Ftl::writePair(Lpn lpn_x, Lpn lpn_y, const flash::Payload &data_x,
                const flash::Payload &data_y, std::vector<PhysOp> &ops,
-               std::optional<PlaneIndex> plane)
+               std::optional<flash::PlaneIndex> plane)
 {
     PROFILE_SCOPE(obs::Subsystem::kFtl);
     if (plane && !planeAlive(*plane))
@@ -555,7 +553,8 @@ Ftl::writePair(Lpn lpn_x, Lpn lpn_y, const flash::Payload &data_x,
 
 std::optional<flash::PhysPageAddr>
 Ftl::writeLsbOnly(Lpn lpn, const flash::Payload &data,
-                  std::vector<PhysOp> &ops, std::optional<PlaneIndex> plane)
+                  std::vector<PhysOp> &ops,
+                  std::optional<flash::PlaneIndex> plane)
 {
     PROFILE_SCOPE(obs::Subsystem::kFtl);
     if (plane && !planeAlive(*plane))
@@ -585,7 +584,7 @@ Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
     flash::PhysPageAddr msb = lsb_addr;
     msb.msb = true;
     flash::Chip &chip = chipAt(msb);
-    if (chip.pageState(chipAddr(msb)) != flash::PageState::kFree)
+    if (chip.pageState(msb) != flash::PageState::kFree)
         return false;
 
     // Crash hazard: a power cut mid-tPROG of this MSB tears the
@@ -602,15 +601,13 @@ Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
             lsb_lpn = *owner;
             if (powerBoundary(false) != PowerCut::kNone)
                 return false;
-            const flash::Payload copy = chip.readPage(chipAddr(lsb_addr));
-            ops.push_back(PhysOp{PhysOp::Kind::kPageRead, lsb_addr, false});
-            const PlaneIndex p = planeIndex(
-                cfg_.geometry, PlaneCoord{lsb_addr.channel, lsb_addr.chip,
-                                          lsb_addr.die, lsb_addr.plane});
+            const flash::Payload copy = chip.readPage(lsb_addr);
+            ops.push_back(PhysOp{PhysOp::Kind::kPageRead, lsb_addr});
+            const flash::PlaneIndex p = planeIndex(cfg_.geometry, lsb_addr);
             // No GC while placing the copy: a GC run here could relocate
             // the very LSB we are protecting out from under the
             // caller's placement decision.
-            backup = programNextInPlane(p, Shape::kLsbOnly, copy, false, ops,
+            backup = programNextInPlane(p, Shape::kLsbOnly, copy, ops,
                                         lsb_lpn, OobTag::kPairBackup,
                                         isScrambled(lsb_lpn));
             if (!backup)
@@ -619,7 +616,7 @@ Ftl::writeIntoFreeMsb(Lpn lpn, const flash::PhysPageAddr &lsb_addr,
         }
     }
 
-    if (!programPhys(msb, data, false, ops, lpn, OobTag::kParabitChainMsb)) {
+    if (!programPhys(msb, data, ops, lpn, OobTag::kParabitChainMsb)) {
         // Block retired or power cut; roll the protocol back.
         if (backup && !powerLost_)
             invalidatePhys(*backup);
@@ -659,12 +656,11 @@ Ftl::refreshOnePage(const flash::PhysPageAddr &src, Lpn lpn, OobTag tag,
 {
     if (powerBoundary(false) != PowerCut::kNone)
         return false;
-    flash::Payload data = chipAt(src).readPage(chipAddr(src));
-    ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src, true});
+    flash::Payload data = chipAt(src).readPage(src);
+    ops.push_back(PhysOp{PhysOp::Kind::kPageRead, src});
     const bool scrambled = isScrambled(lpn);
     const auto a = place({.shape = lsb_only ? Shape::kLsbOnly : Shape::kPage,
                           .tag = tag,
-                          .forGc = true,
                           .scrambled = scrambled,
                           .lpn = lpn,
                           .data = std::move(data)},
@@ -694,14 +690,14 @@ Ftl::refreshWordline(const flash::PhysPageAddr &wl, std::vector<PhysOp> &ops)
     msb.msb = true;
     flash::Chip &chip = chipAt(wl);
     const bool lsb_valid =
-        chip.pageState(chipAddr(lsb)) == flash::PageState::kValid;
+        chip.pageState(lsb) == flash::PageState::kValid;
     const bool msb_valid =
-        chip.pageState(chipAddr(msb)) == flash::PageState::kValid;
+        chip.pageState(msb) == flash::PageState::kValid;
     const Lpn lsb_lpn = lsb_valid ? lpnAt(lsb) : kNoLpn;
     const Lpn msb_lpn = msb_valid ? lpnAt(msb) : kNoLpn;
 
     auto tag_of = [&](const flash::PhysPageAddr &a) {
-        const flash::PageOob *oob = chip.pageOob(chipAddr(a));
+        const flash::PageOob *oob = chip.pageOob(a);
         return oob ? static_cast<OobTag>(oob->tag) : OobTag::kNone;
     };
     auto is_parabit = [](OobTag t) {
@@ -718,10 +714,10 @@ Ftl::refreshWordline(const flash::PhysPageAddr &wl, std::vector<PhysOp> &ops)
         is_parabit(tag_of(lsb)) && is_parabit(tag_of(msb))) {
         if (powerBoundary(false) != PowerCut::kNone)
             return false;
-        const flash::Payload dx = chip.readPage(chipAddr(lsb));
-        ops.push_back(PhysOp{PhysOp::Kind::kPageRead, lsb, true});
-        const flash::Payload dy = chip.readPage(chipAddr(msb));
-        ops.push_back(PhysOp{PhysOp::Kind::kPageRead, msb, true});
+        const flash::Payload dx = chip.readPage(lsb);
+        ops.push_back(PhysOp{PhysOp::Kind::kPageRead, lsb});
+        const flash::Payload dy = chip.readPage(msb);
+        ops.push_back(PhysOp{PhysOp::Kind::kPageRead, msb});
         const auto pair = writePair(lsb_lpn, msb_lpn, dx, dy, ops);
         return pair.has_value();
     }
@@ -757,7 +753,6 @@ Ftl::relocatePage(Lpn lpn, const flash::Payload &data,
         return false;
     const bool scrambled = e->scrambled;
     const auto a = place({.tag = OobTag::kGcRelocated,
-                          .forGc = true,
                           .scrambled = scrambled,
                           .lpn = lpn,
                           .data = data},
@@ -816,13 +811,10 @@ Ftl::auditInvariants(InvariantReport &r) const
 
     // One walk over every materialised block: valid-count accounting
     // and the MLC program-order pairing invariant.
-    for (PlaneIndex p = 0; p < g.planesTotal(); ++p) {
-        const PlaneCoord c = planeCoord(g, p);
-        const flash::Chip &chip =
-            (*chips_)[static_cast<std::size_t>(c.channel) *
-                          g.chipsPerChannel +
-                      c.chip];
-        const flash::Plane &pl = chip.plane(c.die, c.plane);
+    for (flash::PlaneIndex p = 0; p < g.planesTotal(); ++p) {
+        const flash::PhysPageAddr at = planeAddr(g, p);
+        const flash::Plane &pl =
+            (*chips_)[chipIndex(g, at)].plane(at.die, at.plane);
         for (std::uint32_t b = 0; b < g.blocksPerPlane; ++b) {
             const flash::Block *blk = pl.blockIfExists(b);
             if (!blk)

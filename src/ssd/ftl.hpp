@@ -52,7 +52,7 @@ namespace parabit::ssd {
 class RainController;
 class DeviceHealth;
 
-/** One physical flash operation, for the timing layer. */
+/** One physical flash operation: the one unit the timing layer books. */
 struct PhysOp
 {
     enum class Kind : std::uint8_t
@@ -61,11 +61,30 @@ struct PhysOp
         kPageProgram, ///< page in + program
         kBlockErase,  ///< erase (addr.block significant)
         kScrubRead,   ///< patrol-scrub scan sense (low-priority, no xfer)
+        /** ParaBit sensing sequence on the latches of addr's plane:
+         *  optional buffer load-in (chained operands re-loaded from the
+         *  controller buffer, paper Section 4.2), senseCount sensings,
+         *  optional result transfer out. */
+        kParaBitSense,
     };
 
-    Kind kind;
+    Kind kind = Kind::kPageRead;
     flash::PhysPageAddr addr;
-    bool forGc = false; ///< true when induced by garbage collection
+    /** kParaBitSense only: sensings to book on the plane, and the bytes
+     *  moved over the channel before and after them. */
+    std::uint32_t senseCount = 0;
+    std::uint32_t xferInBytes = 0;
+    std::uint32_t xferOutBytes = 0;
+
+    static PhysOp
+    paraBitSense(const flash::PhysPageAddr &loc, int senses, Bytes xfer_in,
+                 Bytes xfer_out)
+    {
+        return PhysOp{Kind::kParaBitSense, loc,
+                      static_cast<std::uint32_t>(senses),
+                      static_cast<std::uint32_t>(xfer_in),
+                      static_cast<std::uint32_t>(xfer_out)};
+    }
 };
 
 /** Page-mapping FTL; see file comment. */
@@ -79,7 +98,7 @@ class Ftl
 
     /**
      * @param cfg device configuration
-     * @param chips chip array, indexed channel * chipsPerChannel + chip
+     * @param chips chip array, indexed by flash::chipIndex()
      */
     Ftl(const SsdConfig &cfg, std::vector<flash::Chip> &chips);
 
@@ -134,14 +153,14 @@ class Ftl
     std::optional<PagePair>
     writePair(Lpn lpn_x, Lpn lpn_y, const flash::Payload &data_x,
               const flash::Payload &data_y, std::vector<PhysOp> &ops,
-              std::optional<PlaneIndex> plane = std::nullopt);
+              std::optional<flash::PlaneIndex> plane = std::nullopt);
 
     /** LSB-only placement of @p lpn in @p plane (or striped); nullopt
      *  under the same failure conditions as writePair(). */
     std::optional<flash::PhysPageAddr>
     writeLsbOnly(Lpn lpn, const flash::Payload &data,
                  std::vector<PhysOp> &ops,
-                 std::optional<PlaneIndex> plane = std::nullopt);
+                 std::optional<flash::PlaneIndex> plane = std::nullopt);
 
     /**
      * Write @p lpn into the free MSB page of the wordline holding
@@ -274,7 +293,7 @@ class Ftl
     /// @}
 
     /** Max-min block erase-count spread in @p plane (wear skew). */
-    std::uint32_t eraseSpread(PlaneIndex plane);
+    std::uint32_t eraseSpread(flash::PlaneIndex plane);
     double
     writeAmplification() const
     {
@@ -338,9 +357,8 @@ class Ftl
     {
         Shape shape = Shape::kPage;
         /** Fixed plane; nullopt takes the next alive plane per attempt. */
-        std::optional<PlaneIndex> plane = std::nullopt;
+        std::optional<flash::PlaneIndex> plane = std::nullopt;
         OobTag tag = OobTag::kHostData;
-        bool forGc = false;
         bool scrambled = false;
         Lpn lpn = kNoLpn;
         flash::Payload data;
@@ -369,32 +387,30 @@ class Ftl
     std::optional<flash::PhysPageAddr> place(const Placement &p,
                                              std::vector<PhysOp> &ops);
     /** Allocate @p shape in @p plane (kPair: the pair's LSB); no GC. */
-    std::optional<flash::PhysPageAddr> allocate(PlaneIndex plane,
+    std::optional<flash::PhysPageAddr> allocate(flash::PlaneIndex plane,
                                                 Shape shape);
     /** allocate(), running GC (and wear levelling if @p level_wear)
      *  first when the plane is short of free blocks, and GC again when
      *  it is full.  nullopt when the plane has no space even after GC
      *  (full, or its blocks were retired by faults). */
     std::optional<flash::PhysPageAddr>
-    allocateOrGc(PlaneIndex plane, Shape shape, bool level_wear,
+    allocateOrGc(flash::PlaneIndex plane, Shape shape, bool level_wear,
                  std::vector<PhysOp> &ops);
     /** Program the next @p shape page of @p plane, walking past the
      *  blocks failed programs retire; no GC.  nullopt when the plane
      *  runs out of pages or power is cut. */
     std::optional<flash::PhysPageAddr>
-    programNextInPlane(PlaneIndex plane, Shape shape,
-                       const flash::Payload &data, bool for_gc,
-                       std::vector<PhysOp> &ops, Lpn lpn, OobTag tag,
-                       bool scrambled);
+    programNextInPlane(flash::PlaneIndex plane, Shape shape,
+                       const flash::Payload &data, std::vector<PhysOp> &ops,
+                       Lpn lpn, OobTag tag, bool scrambled);
     /** Move every valid page of @p block to fresh pages of the same
      *  plane, journal kErase, then erase the block (retiring it if the
      *  erase fails).  @return false when a page could not be moved (no
      *  space, or power cut): the block then keeps its remaining valid
      *  pages and is not erased.  Shared by GC and wear levelling. */
-    bool evacuateBlock(PlaneIndex plane, std::uint32_t block,
+    bool evacuateBlock(flash::PlaneIndex plane, std::uint32_t block,
                        std::vector<PhysOp> &ops);
 
-    flash::ChipPageAddr chipAddr(const flash::PhysPageAddr &a) const;
     /** The block holding @p a, or nullptr if it was never touched. */
     const flash::Block *blockAt(const flash::PhysPageAddr &a) const;
     /** Invalidate the physical page at @p a, folding it out of RAIN
@@ -418,19 +434,18 @@ class Ftl
         const LpnTable::Entry *e = table_.find(lpn);
         return e && e->scrambled;
     }
-    void collectGarbage(PlaneIndex plane, std::vector<PhysOp> &ops);
-    void maybeWearLevel(PlaneIndex plane, std::vector<PhysOp> &ops);
+    void collectGarbage(flash::PlaneIndex plane, std::vector<PhysOp> &ops);
+    void maybeWearLevel(flash::PlaneIndex plane, std::vector<PhysOp> &ops);
     /** Program @p a (attempt is charged to @p ops either way) with OOB
      *  {@p lpn, fresh seq, @p tag, @p scrambled}; on an injected
      *  program failure the block is retired and false returned; on a
      *  mid-program power cut the wordline is torn and false returned. */
     bool programPhys(const flash::PhysPageAddr &a,
-                     const flash::Payload &data, bool for_gc,
-                     std::vector<PhysOp> &ops, Lpn lpn, OobTag tag,
-                     bool scrambled = false);
-    bool planeAlive(PlaneIndex plane);
+                     const flash::Payload &data, std::vector<PhysOp> &ops,
+                     Lpn lpn, OobTag tag, bool scrambled = false);
+    bool planeAlive(flash::PlaneIndex plane);
     /** Next striped plane that is still operational (fatal if none). */
-    PlaneIndex pickAlivePlane();
+    flash::PlaneIndex pickAlivePlane();
 
     /** @name Crash-consistency internals (ftl_recovery.cpp). */
     /// @{
@@ -448,7 +463,8 @@ class Ftl
     flash::PhysPageAddr logAddr(int half, std::uint32_t idx) const;
     /** SLC log pages per ping-pong half, device-wide. */
     std::uint32_t halfPages() const;
-    std::uint64_t linearBlockId(PlaneIndex plane, std::uint32_t block) const;
+    std::uint64_t linearBlockId(flash::PlaneIndex plane,
+                                std::uint32_t block) const;
     void maybeCheckpoint(std::vector<PhysOp> &ops);
     RecoveryReport recover(std::vector<PhysOp> &ops);
     /** Re-pool fully-free blocks per plane from physical occupancy. */

@@ -93,7 +93,7 @@ Ftl::restorePlpEntries(RecoveryReport &rep, std::vector<PhysOp> &ops)
 }
 
 std::uint64_t
-Ftl::linearBlockId(PlaneIndex plane, std::uint32_t block) const
+Ftl::linearBlockId(flash::PlaneIndex plane, std::uint32_t block) const
 {
     return static_cast<std::uint64_t>(plane) * cfg_.geometry.blocksPerPlane +
            block;
@@ -116,7 +116,7 @@ Ftl::logAddr(int half, std::uint32_t idx) const
     const std::uint32_t blocks_per_half = r / 2;
     const std::uint32_t pages_per_plane =
         blocks_per_half * cfg_.geometry.wordlinesPerBlock;
-    const PlaneIndex p = idx / pages_per_plane;
+    const flash::PlaneIndex p = idx / pages_per_plane;
     const std::uint32_t rem = idx % pages_per_plane;
     return planeAddr(cfg_.geometry, p,
                      cfg_.geometry.blocksPerPlane - r +
@@ -130,7 +130,7 @@ Ftl::eraseHalf(int half, std::vector<PhysOp> &ops)
 {
     const std::uint32_t r = cfg_.recovery.reservedBlocksPerPlane;
     const std::uint32_t blocks_per_half = r / 2;
-    for (PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {
+    for (flash::PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {
         for (std::uint32_t i = 0; i < blocks_per_half; ++i) {
             const std::uint32_t b = cfg_.geometry.blocksPerPlane - r +
                                     static_cast<std::uint32_t>(half) *
@@ -144,8 +144,8 @@ Ftl::eraseHalf(int half, std::vector<PhysOp> &ops)
                 continue; // nothing programmed: nothing to erase
             if (powerBoundary(false) != PowerCut::kNone)
                 return false;
-            ops.push_back(PhysOp{PhysOp::Kind::kBlockErase, a, false});
-            if (chip.eraseBlock(a.die, a.plane, b))
+            ops.push_back(PhysOp{PhysOp::Kind::kBlockErase, a});
+            if (chip.eraseBlock(a))
                 ++logErases_;
             else
                 logWarn("Ftl::eraseHalf: erase failure in the reserved "
@@ -175,13 +175,13 @@ Ftl::logProgram(std::vector<PhysOp> &ops, bool allow_rotate)
         const flash::PhysPageAddr a = logAddr(logHalf_, logHead_++);
         if (powerBoundary(true) != PowerCut::kNone)
             return false; // the record never became durable
-        ops.push_back(PhysOp{PhysOp::Kind::kPageProgram, a, false});
-        if (chipAt(a).pageState(chipAddr(a)) != flash::PageState::kFree)
+        ops.push_back(PhysOp{PhysOp::Kind::kPageProgram, a});
+        if (chipAt(a).pageState(a) != flash::PageState::kFree)
             continue; // residue of a failed erase: skip the page
         const flash::PageOob oob{kNoLpn, seq_++,
                                  static_cast<std::uint8_t>(OobTag::kLog),
                                  false};
-        if (!chipAt(a).programPage(chipAddr(a), nullptr, &oob))
+        if (!chipAt(a).programPage(a, nullptr, &oob))
             continue; // injected program failure: skip the bad page
         return true;
     }
@@ -220,7 +220,7 @@ Ftl::checkpoint(std::vector<PhysOp> &ops)
         img.map.push_back(CheckpointImage::Entry{
             lpn, flash::linearPageIndex(cfg_.geometry, e.addr), e.scrambled});
     });
-    for (PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {
+    for (flash::PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {
         for (std::uint32_t b : alloc_.poolBlocks(p))
             img.scanBlocks.push_back(linearBlockId(p, b));
         for (std::uint32_t b = 0; b < cfg_.geometry.blocksPerPlane; ++b) {
@@ -337,7 +337,7 @@ Ftl::recover(std::vector<PhysOp> &ops)
               case JournalRecord::Kind::kRetire:
                 scan_set.insert(r.value);
                 alloc_.retireBlock(
-                    static_cast<PlaneIndex>(r.value /
+                    static_cast<flash::PlaneIndex>(r.value /
                                             cfg_.geometry.blocksPerPlane),
                     static_cast<std::uint32_t>(r.value %
                                                cfg_.geometry.blocksPerPlane));
@@ -352,9 +352,9 @@ Ftl::recover(std::vector<PhysOp> &ops)
         for (std::uint64_t i = 0; i < log_reads; ++i)
             ops.push_back(PhysOp{
                 PhysOp::Kind::kPageRead,
-                logAddr(logHalf_, static_cast<std::uint32_t>(i)), false});
+                logAddr(logHalf_, static_cast<std::uint32_t>(i))});
     } else {
-        for (PlaneIndex p = 0; p < alloc_.planeCount(); ++p)
+        for (flash::PlaneIndex p = 0; p < alloc_.planeCount(); ++p)
             for (std::uint32_t b = 0; b < data_blocks; ++b)
                 scan_set.insert(linearBlockId(p, b));
     }
@@ -363,8 +363,8 @@ Ftl::recover(std::vector<PhysOp> &ops)
     std::vector<std::uint64_t> scan_list(scan_set.begin(), scan_set.end());
     std::sort(scan_list.begin(), scan_list.end());
     for (std::uint64_t id : scan_list) {
-        const PlaneIndex p =
-            static_cast<PlaneIndex>(id / cfg_.geometry.blocksPerPlane);
+        const flash::PlaneIndex p =
+            static_cast<flash::PlaneIndex>(id / cfg_.geometry.blocksPerPlane);
         const std::uint32_t b =
             static_cast<std::uint32_t>(id % cfg_.geometry.blocksPerPlane);
         if (b >= data_blocks)
@@ -388,7 +388,7 @@ Ftl::recover(std::vector<PhysOp> &ops)
                 flash::PhysPageAddr a = probe;
                 a.wordline = wl;
                 a.msb = msb;
-                ops.push_back(PhysOp{PhysOp::Kind::kPageRead, a, true});
+                ops.push_back(PhysOp{PhysOp::Kind::kPageRead, a});
                 if (torn || blk->pageState(wl, msb) != flash::PageState::kValid)
                     continue;
                 const flash::PageOob *oob = blk->pageOob(wl, msb);
@@ -449,8 +449,8 @@ Ftl::recover(std::vector<PhysOp> &ops)
     // survivors, released backups) are marked invalid so GC reclaims
     // them and they can never resurface.
     for (std::uint64_t id : scan_list) {
-        const PlaneIndex p =
-            static_cast<PlaneIndex>(id / cfg_.geometry.blocksPerPlane);
+        const flash::PlaneIndex p =
+            static_cast<flash::PlaneIndex>(id / cfg_.geometry.blocksPerPlane);
         const std::uint32_t b =
             static_cast<std::uint32_t>(id % cfg_.geometry.blocksPerPlane);
         if (b >= data_blocks)
@@ -490,7 +490,7 @@ Ftl::rebuildAllocator()
         cfg_.recovery.enabled ? cfg_.recovery.reservedBlocksPerPlane : 0;
     const std::uint32_t data_blocks =
         cfg_.geometry.blocksPerPlane - reserved;
-    for (PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {
+    for (flash::PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {
         const flash::PhysPageAddr probe = planeAddr(cfg_.geometry, p);
         const flash::Plane &pl = chipAt(probe).plane(probe.die, probe.plane);
         std::vector<std::uint32_t> free;

@@ -84,13 +84,22 @@ class DeviceHealth
 
     Tick now() const { return now_; }
 
-    /** @name Signal feeds (each charges its configured weight). */
+    /** @name Signal weights (pressure charged per event). */
     /// @{
-    void noteUncorrectable() { charge(cfg_.weightUncorrectable); }
-    void noteRebuild() { charge(cfg_.weightRebuild); }
+    static constexpr double kWeightUncorrectable = 4.0; ///< per page
+    static constexpr double kWeightRebuild = 1.0; ///< per RAIN page rebuild
+    static constexpr double kWeightRefresh = 0.25; ///< per scrub refresh
+    /** Per submission that leaves its SQ nearly full. */
+    static constexpr double kWeightQueuePressure = 0.5;
+    /// @}
+
+    /** @name Signal feeds (each charges its weight). */
+    /// @{
+    void noteUncorrectable() { charge(kWeightUncorrectable); }
+    void noteRebuild() { charge(kWeightRebuild); }
     void noteRetiredBlock() { charge(cfg_.weightRetiredBlock); }
-    void noteRefresh() { charge(cfg_.weightRefresh); }
-    void noteQueuePressure() { charge(cfg_.weightQueuePressure); }
+    void noteRefresh() { charge(kWeightRefresh); }
+    void noteQueuePressure() { charge(kWeightQueuePressure); }
     /// @}
 
     /** Record one host write the policy admitted (read-only entry

@@ -47,19 +47,15 @@ MediaScrubber::scanOne(ScrubPassStats &s, std::vector<PhysOp> &ops)
     if (ftl_->allocator().isReserved(plane_, block_) ||
         ftl_->allocator().isActiveBlock(plane_, block_))
         return;
-    const PlaneCoord c = planeCoord(g, plane_);
-    flash::Chip &chip =
-        (*chips_)[static_cast<std::size_t>(c.channel) * g.chipsPerChannel +
-                  c.chip];
-    const flash::Block *blk = chip.plane(c.die, c.plane).blockIfExists(block_);
+    flash::PhysPageAddr a = planeAddr(g, plane_, block_, wl_);
+    flash::Chip &chip = (*chips_)[chipIndex(g, a)];
+    const flash::Block *blk = chip.plane(a.die, a.plane).blockIfExists(block_);
     if (!blk)
         return; // never-programmed block: nothing to patrol
     ++s.wordlinesScanned;
     ++scanned_;
 
-    flash::PhysPageAddr a = planeAddr(g, plane_, block_, wl_);
-
-    if (!chip.planeOperational(c.die, c.plane)) {
+    if (!chip.planeOperational(a.die, a.plane)) {
         repairWordline(a, s, ops);
         return;
     }
@@ -69,28 +65,26 @@ MediaScrubber::scanOne(ScrubPassStats &s, std::vector<PhysOp> &ops)
     // free); the booked kScrubRead runs in the background class.
     bool any_valid = false;
     for (const bool msb : {false, true}) {
-        const flash::ChipPageAddr ca{c.die, c.plane, block_, wl_, msb};
-        if (chip.pageState(ca) != flash::PageState::kValid)
+        a.msb = msb;
+        if (chip.pageState(a) != flash::PageState::kValid)
             continue;
         any_valid = true;
-        (void)chip.readPage(ca);
-        a.msb = msb;
-        ops.push_back(PhysOp{PhysOp::Kind::kScrubRead, a, true});
+        (void)chip.readPage(a);
+        ops.push_back(PhysOp{PhysOp::Kind::kScrubRead, a});
         ++s.scrubReads;
         ++reads_;
     }
     if (!any_valid)
         return;
 
-    const flash::ChipPageAddr ca{c.die, c.plane, block_, wl_, false};
-    const double rber = chip.predictedRber(ca);
-    const std::uint64_t disturb = chip.wordlineDisturb(ca);
+    a.msb = false;
+    const double rber = chip.predictedRber(a);
+    const std::uint64_t disturb = chip.wordlineDisturb(a);
     const bool over_rber = rber >= cfg_.media.refreshRberThreshold;
     const bool over_disturb = cfg_.media.refreshDisturbThreshold > 0 &&
                               disturb >= cfg_.media.refreshDisturbThreshold;
     if (!over_rber && !over_disturb)
         return;
-    a.msb = false;
     if (ftl_->refreshWordline(a, ops)) {
         ++s.refreshes;
         ++refreshes_;

@@ -132,7 +132,7 @@ class MediaScrubber
     DeviceHealth *health_ = nullptr;
 
     /** Persistent patrol cursor (flat plane, block, wordline). */
-    PlaneIndex plane_ = 0;
+    flash::PlaneIndex plane_ = 0;
     std::uint32_t block_ = 0;
     std::uint32_t wl_ = 0;
     Tick nextPassAt_ = 0;

@@ -38,9 +38,8 @@ RainController::parityAddr(const flash::PhysPageAddr &a) const
 const BitVector *
 RainController::payloadAt(const flash::PhysPageAddr &a) const
 {
-    const std::size_t idx =
-        static_cast<std::size_t>(a.channel) * geom_.chipsPerChannel + a.chip;
-    const flash::Plane &pl = (*chips_)[idx].plane(a.die, a.plane);
+    const flash::Plane &pl =
+        (*chips_)[chipIndex(geom_, a)].plane(a.die, a.plane);
     const flash::Block *blk = pl.blockIfExists(a.block);
     return blk ? blk->pageData(a.wordline, a.msb).get() : nullptr;
 }
@@ -48,9 +47,7 @@ RainController::payloadAt(const flash::PhysPageAddr &a) const
 bool
 RainController::planeAlive(const flash::PhysPageAddr &a) const
 {
-    const std::size_t idx =
-        static_cast<std::size_t>(a.channel) * geom_.chipsPerChannel + a.chip;
-    return (*chips_)[idx].planeOperational(a.die, a.plane);
+    return (*chips_)[chipIndex(geom_, a)].planeOperational(a.die, a.plane);
 }
 
 void
@@ -77,8 +74,7 @@ RainController::onProgram(const flash::PhysPageAddr &a,
         // parity die and has no functional side effect.  A degraded
         // device defers destage (the buffer is battery-backed) to keep
         // the channels free for foreground I/O.
-        ops.push_back(PhysOp{PhysOp::Kind::kPageProgram, parityAddr(a),
-                             true});
+        ops.push_back(PhysOp{PhysOp::Kind::kPageProgram, parityAddr(a)});
         ++destages_;
     }
 }
@@ -146,33 +142,25 @@ RainController::computeParityFromFlash(
             it = out.emplace(key, BitVector(geom_.pageBits(), false)).first;
         it->second ^= v;
     };
-    for (std::size_t i = 0; i < chips_->size(); ++i) {
-        flash::PhysPageAddr a;
-        a.channel = static_cast<std::uint32_t>(i / geom_.chipsPerChannel);
-        a.chip = static_cast<std::uint32_t>(i % geom_.chipsPerChannel);
-        for (a.die = 0; a.die < geom_.diesPerChip; ++a.die) {
-            for (a.plane = 0; a.plane < geom_.planesPerDie; ++a.plane) {
-                const flash::Plane &pl =
-                    (*chips_)[i].plane(a.die, a.plane);
-                for (a.block = 0; a.block < geom_.blocksPerPlane;
-                     ++a.block) {
-                    const flash::Block *blk = pl.blockIfExists(a.block);
-                    if (!blk)
-                        continue;
-                    for (a.wordline = 0;
-                         a.wordline < geom_.wordlinesPerBlock;
-                         ++a.wordline) {
-                        if (const flash::Payload &lsb =
-                                blk->pageData(a.wordline, false)) {
-                            a.msb = false;
-                            xor_into(stripeKey(a), *lsb);
-                        }
-                        if (const flash::Payload &msb =
-                                blk->pageData(a.wordline, true)) {
-                            a.msb = true;
-                            xor_into(stripeKey(a), *msb);
-                        }
-                    }
+    for (flash::PlaneIndex p = 0; p < geom_.planesTotal(); ++p) {
+        flash::PhysPageAddr a = planeAddr(geom_, p);
+        const flash::Plane &pl =
+            (*chips_)[chipIndex(geom_, a)].plane(a.die, a.plane);
+        for (a.block = 0; a.block < geom_.blocksPerPlane; ++a.block) {
+            const flash::Block *blk = pl.blockIfExists(a.block);
+            if (!blk)
+                continue;
+            for (a.wordline = 0; a.wordline < geom_.wordlinesPerBlock;
+                 ++a.wordline) {
+                if (const flash::Payload &lsb =
+                        blk->pageData(a.wordline, false)) {
+                    a.msb = false;
+                    xor_into(stripeKey(a), *lsb);
+                }
+                if (const flash::Payload &msb =
+                        blk->pageData(a.wordline, true)) {
+                    a.msb = true;
+                    xor_into(stripeKey(a), *msb);
                 }
             }
         }
@@ -196,17 +184,13 @@ RainController::auditParity(InvariantReport &r) const
     std::vector<bool> degraded(
         static_cast<std::size_t>(geom_.channels) * geom_.planesPerDie,
         false);
-    for (std::uint32_t ch = 0; ch < geom_.channels; ++ch)
-        for (std::uint32_t chip = 0; chip < geom_.chipsPerChannel; ++chip)
-            for (std::uint32_t die = 0; die < geom_.diesPerChip; ++die)
-                for (std::uint32_t pl = 0; pl < geom_.planesPerDie; ++pl)
-                    if (!(*chips_)[static_cast<std::size_t>(ch) *
-                                       geom_.chipsPerChannel +
-                                   chip]
-                             .planeOperational(die, pl))
-                        degraded[static_cast<std::size_t>(ch) *
-                                     geom_.planesPerDie +
-                                 pl] = true;
+    for (flash::PlaneIndex p = 0; p < geom_.planesTotal(); ++p) {
+        const flash::PhysPageAddr a = planeAddr(geom_, p);
+        if (!planeAlive(a))
+            degraded[static_cast<std::size_t>(a.channel) *
+                         geom_.planesPerDie +
+                     a.plane] = true;
+    }
     const std::uint64_t stripesPerPlane =
         2ull * geom_.blocksPerPlane * geom_.wordlinesPerBlock;
     auto stripeDegraded = [&](std::uint64_t key) {

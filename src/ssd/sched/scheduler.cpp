@@ -80,17 +80,11 @@ TransactionScheduler::channelResource(std::uint32_t channel) const
 std::string
 TransactionScheduler::dieTrackName(std::uint32_t plane_ordinal) const
 {
-    // Inverse of the arrayResource() linearisation, so the track name
-    // carries the full physical coordinate of the plane.
-    const std::uint32_t plane = plane_ordinal % geo_.planesPerDie;
-    std::uint32_t rest = plane_ordinal / geo_.planesPerDie;
-    const std::uint32_t die = rest % geo_.diesPerChip;
-    rest /= geo_.diesPerChip;
-    const std::uint32_t chip = rest % geo_.chipsPerChannel;
-    const std::uint32_t channel = rest / geo_.chipsPerChannel;
-    return "ch" + std::to_string(channel) + " chip" +
-           std::to_string(chip) + " die" + std::to_string(die) + " plane" +
-           std::to_string(plane);
+    // The plane's full physical coordinate, in arrayResource() order.
+    const flash::PlaneCoord c = flash::planeCoord(geo_, plane_ordinal);
+    return "ch" + std::to_string(c.channel) + " chip" +
+           std::to_string(c.chip) + " die" + std::to_string(c.die) +
+           " plane" + std::to_string(c.plane);
 }
 
 void
@@ -142,15 +136,8 @@ TransactionScheduler::noteSpan(std::size_t res, TxState &st,
 std::size_t
 TransactionScheduler::arrayResource(const flash::PhysPageAddr &a) const
 {
-    // Same linearisation as the legacy per-plane Timelines.
-    const std::size_t idx =
-        ((static_cast<std::size_t>(a.channel) * geo_.chipsPerChannel +
-          a.chip) *
-             geo_.diesPerChip +
-         a.die) *
-            geo_.planesPerDie +
-        a.plane;
-    return static_cast<std::size_t>(geo_.channels) + idx;
+    return static_cast<std::size_t>(geo_.channels) +
+           flash::planeIndex(geo_, a);
 }
 
 void

@@ -2,9 +2,8 @@
  * @file
  * DeviceTransaction: the unit of work the transaction scheduler books.
  *
- * A transaction unifies the two historical timing inputs — PhysOp
- * (host/FTL flash operations) and ArrayJob (ParaBit sensing sequences)
- * — into one phase-decomposed form:
+ * Every PhysOp — host/FTL flash operations and ParaBit sensing
+ * sequences alike — becomes one transaction in a phase-decomposed form:
  *
  *   [channel xfer-in] -> [die/plane array] -> [channel xfer-out]
  *
@@ -32,7 +31,7 @@ enum class TxClass : std::uint8_t
     kRead = 0, ///< host/FTL page read (kPageRead)
     kProgram,  ///< page program (kPageProgram)
     kErase,    ///< block erase (kBlockErase)
-    kParaBit,  ///< in-flash bitwise sensing sequence (ArrayJob)
+    kParaBit,  ///< in-flash bitwise sensing sequence (kParaBitSense)
     kScrub,    ///< background patrol-scrub scan read (kScrubRead)
 };
 

@@ -69,58 +69,49 @@ void
 SsdDevice::auditMedia(InvariantReport &r)
 {
     const flash::FlashGeometry &g = cfg_.geometry;
-    for (std::size_t ci = 0; ci < chips_.size(); ++ci) {
-        const flash::Chip &chip = chips_[ci];
+    for (flash::PlaneIndex p = 0; p < g.planesTotal(); ++p) {
+        const flash::PhysPageAddr at = planeAddr(g, p);
+        const flash::Chip &chip = chips_[chipIndex(g, at)];
         const Tick now = chip.now();
-        for (std::uint32_t die = 0; die < g.diesPerChip; ++die) {
-            for (std::uint32_t pl = 0; pl < g.planesPerDie; ++pl) {
-                const flash::Plane &plane = chip.plane(die, pl);
-                for (std::uint32_t b = 0; b < g.blocksPerPlane; ++b) {
-                    const flash::Block *blk = plane.blockIfExists(b);
-                    if (!blk)
-                        continue;
-                    const std::uint64_t key =
-                        ((static_cast<std::uint64_t>(ci) * g.diesPerChip +
-                          die) *
-                             g.planesPerDie +
-                         pl) *
-                            g.blocksPerPlane +
-                        b;
-                    WearSnapshot &seen = wearSeen_[key];
-                    const bool erased = blk->eraseCount() > seen.erases;
-                    if (!r.check(blk->eraseCount() >= seen.erases))
-                        r.fail("media.wear.monotonic",
-                               "block " + std::to_string(key),
-                               "erase count went backwards: " +
-                                   std::to_string(blk->eraseCount()) +
-                                   " after " + std::to_string(seen.erases));
-                    seen.erases = blk->eraseCount();
-                    seen.disturb.resize(g.wordlinesPerBlock, 0);
-                    for (std::uint32_t wl = 0; wl < g.wordlinesPerBlock;
-                         ++wl) {
-                        const Tick programmed = blk->programTick(wl);
-                        if (!r.check(programmed <= now))
-                            r.fail("media.clock.monotonic",
-                                   "block " + std::to_string(key) +
-                                       " wordline " + std::to_string(wl),
-                                   "programmed at tick " +
-                                       std::to_string(programmed) +
-                                       ", after the chip clock " +
-                                       std::to_string(now));
-                        const std::uint64_t d = blk->disturbCount(wl);
-                        // erase() legitimately resets disturb charge;
-                        // otherwise it only ever accumulates.
-                        if (!r.check(erased || d >= seen.disturb[wl]))
-                            r.fail("media.wear.monotonic",
-                                   "block " + std::to_string(key) +
-                                       " wordline " + std::to_string(wl),
-                                   "disturb charge shrank without an "
-                                   "erase: " +
-                                       std::to_string(d) + " after " +
-                                       std::to_string(seen.disturb[wl]));
-                        seen.disturb[wl] = d;
-                    }
-                }
+        const flash::Plane &plane = chip.plane(at.die, at.plane);
+        for (std::uint32_t b = 0; b < g.blocksPerPlane; ++b) {
+            const flash::Block *blk = plane.blockIfExists(b);
+            if (!blk)
+                continue;
+            const std::uint64_t key =
+                static_cast<std::uint64_t>(p) * g.blocksPerPlane + b;
+            WearSnapshot &seen = wearSeen_[key];
+            const bool erased = blk->eraseCount() > seen.erases;
+            if (!r.check(blk->eraseCount() >= seen.erases))
+                r.fail("media.wear.monotonic",
+                       "block " + std::to_string(key),
+                       "erase count went backwards: " +
+                           std::to_string(blk->eraseCount()) +
+                           " after " + std::to_string(seen.erases));
+            seen.erases = blk->eraseCount();
+            seen.disturb.resize(g.wordlinesPerBlock, 0);
+            for (std::uint32_t wl = 0; wl < g.wordlinesPerBlock; ++wl) {
+                const Tick programmed = blk->programTick(wl);
+                if (!r.check(programmed <= now))
+                    r.fail("media.clock.monotonic",
+                           "block " + std::to_string(key) +
+                               " wordline " + std::to_string(wl),
+                           "programmed at tick " +
+                               std::to_string(programmed) +
+                               ", after the chip clock " +
+                               std::to_string(now));
+                const std::uint64_t d = blk->disturbCount(wl);
+                // erase() legitimately resets disturb charge;
+                // otherwise it only ever accumulates.
+                if (!r.check(erased || d >= seen.disturb[wl]))
+                    r.fail("media.wear.monotonic",
+                           "block " + std::to_string(key) +
+                               " wordline " + std::to_string(wl),
+                           "disturb charge shrank without an "
+                           "erase: " +
+                               std::to_string(d) + " after " +
+                               std::to_string(seen.disturb[wl]));
+                seen.disturb[wl] = d;
             }
         }
     }
@@ -290,43 +281,27 @@ SsdDevice::powerCycle(Tick at)
 void
 SsdDevice::installFaultHooks()
 {
-    for (std::size_t i = 0; i < chips_.size(); ++i) {
-        const auto channel =
-            static_cast<std::uint32_t>(i / cfg_.geometry.chipsPerChannel);
-        const auto chip =
-            static_cast<std::uint32_t>(i % cfg_.geometry.chipsPerChannel);
-        FaultInjector *inj = injector_.get();
-        auto to_phys = [channel, chip](const flash::ChipPageAddr &a) {
-            flash::PhysPageAddr p;
-            p.channel = channel;
-            p.chip = chip;
-            p.die = a.die;
-            p.plane = a.plane;
-            p.block = a.block;
-            p.wordline = a.wordline;
-            p.msb = a.msb;
-            return p;
-        };
-        flash::ChipFaultHooks hooks;
-        hooks.rberMultiplier = [inj, to_phys](const flash::ChipPageAddr &a) {
-            return inj->rberMultiplier(to_phys(a));
-        };
-        hooks.programFails = [inj, to_phys](const flash::ChipPageAddr &a) {
-            return inj->programShouldFail(to_phys(a));
-        };
-        hooks.eraseFails = [inj, to_phys](const flash::ChipPageAddr &a) {
-            return inj->eraseShouldFail(to_phys(a));
-        };
-        hooks.disturbMultiplier = [inj,
-                                   to_phys](const flash::ChipPageAddr &a) {
-            return inj->disturbMultiplier(to_phys(a));
-        };
-        hooks.retentionMultiplier = [inj,
-                                     to_phys](const flash::ChipPageAddr &a) {
-            return inj->retentionMultiplier(to_phys(a));
-        };
-        chips_[i].setFaultHooks(std::move(hooks));
-    }
+    // Chips hand their hooks the device-wide address of the operation,
+    // which is exactly what the injector's schedule matches against.
+    FaultInjector *inj = injector_.get();
+    flash::ChipFaultHooks hooks;
+    hooks.rberMultiplier = [inj](const flash::PhysPageAddr &a) {
+        return inj->rberMultiplier(a);
+    };
+    hooks.programFails = [inj](const flash::PhysPageAddr &a) {
+        return inj->programShouldFail(a);
+    };
+    hooks.eraseFails = [inj](const flash::PhysPageAddr &a) {
+        return inj->eraseShouldFail(a);
+    };
+    hooks.disturbMultiplier = [inj](const flash::PhysPageAddr &a) {
+        return inj->disturbMultiplier(a);
+    };
+    hooks.retentionMultiplier = [inj](const flash::PhysPageAddr &a) {
+        return inj->retentionMultiplier(a);
+    };
+    for (flash::Chip &chip : chips_)
+        chip.setFaultHooks(hooks);
 }
 
 void
@@ -336,8 +311,8 @@ SsdDevice::injectFault(const FaultSpec &spec)
     inj.addFault(spec);
     // Re-derive the plane-level state (dead flags, stuck sets) from the
     // injector so repeated injections stay idempotent.
-    for (PlaneIndex p = 0; p < cfg_.geometry.planesTotal(); ++p) {
-        const PlaneCoord c = planeCoord(cfg_.geometry, p);
+    for (flash::PlaneIndex p = 0; p < cfg_.geometry.planesTotal(); ++p) {
+        const flash::PlaneCoord c = planeCoord(cfg_.geometry, p);
         flash::Plane &pl = chipAt(c.channel, c.chip).plane(c.die, c.plane);
         pl.setDead(inj.planeDead(p));
         pl.setStuckBitlines(inj.stuckBitlines(p));
@@ -353,8 +328,8 @@ SsdDevice::clearTransientFaults()
     // Re-derive the plane-level state from the thinned schedule, the
     // same way injectFault() applies it: stuck-bitline sets shrink and
     // permanent dead flags re-assert.
-    for (PlaneIndex p = 0; p < cfg_.geometry.planesTotal(); ++p) {
-        const PlaneCoord c = planeCoord(cfg_.geometry, p);
+    for (flash::PlaneIndex p = 0; p < cfg_.geometry.planesTotal(); ++p) {
+        const flash::PlaneCoord c = planeCoord(cfg_.geometry, p);
         flash::Plane &pl = chipAt(c.channel, c.chip).plane(c.die, c.plane);
         pl.setDead(injector_->planeDead(p));
         pl.setStuckBitlines(injector_->stuckBitlines(p));
@@ -395,35 +370,24 @@ SsdDevice::toTransaction(const PhysOp &op, Tick ready_at) const
         tx.cls = sched::TxClass::kScrub;
         tx.arrayTicks = op.addr.msb ? t.msbReadTime() : t.lsbReadTime();
         break;
+      case PhysOp::Kind::kParaBitSense:
+        tx.cls = sched::TxClass::kParaBit;
+        if (op.xferInBytes > 0)
+            tx.xferInTicks = t.transferTime(op.xferInBytes);
+        tx.arrayTicks = t.senseTime(static_cast<int>(op.senseCount));
+        if (op.xferOutBytes > 0)
+            tx.xferOutTicks = t.transferTime(op.xferOutBytes);
+        break;
     }
     return tx;
 }
 
-sched::DeviceTransaction
-SsdDevice::toTransaction(const ArrayJob &job, Tick ready_at) const
-{
-    const flash::FlashTiming &t = cfg_.timing;
-    sched::DeviceTransaction tx;
-    tx.cls = sched::TxClass::kParaBit;
-    tx.addr = job.loc;
-    tx.readyAt = ready_at;
-    tx.cmdTicks = t.tCmdOverhead;
-    if (job.xferInBytes > 0)
-        tx.xferInTicks = t.transferTime(job.xferInBytes);
-    tx.arrayTicks = t.senseTime(job.sroCount);
-    if (job.xferOutBytes > 0)
-        tx.xferOutTicks = t.transferTime(job.xferOutBytes);
-    return tx;
-}
-
-template <typename Item>
 sched::TxGroup
-SsdDevice::submitEach(const std::vector<Item> &items, Tick ready_at)
+SsdDevice::submitOps(const std::vector<PhysOp> &ops, Tick ready_at)
 {
     sched::TxGroup g;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        const std::uint64_t id =
-            sched_.submit(toTransaction(items[i], ready_at));
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const std::uint64_t id = sched_.submit(toTransaction(ops[i], ready_at));
         if (i == 0)
             g.lo = id;
         g.hi = id + 1;
@@ -431,24 +395,10 @@ SsdDevice::submitEach(const std::vector<Item> &items, Tick ready_at)
     return g;
 }
 
-sched::TxGroup
-SsdDevice::submitOps(const std::vector<PhysOp> &ops, Tick ready_at)
-{
-    return submitEach(ops, ready_at);
-}
-
 Tick
 SsdDevice::scheduleOps(const std::vector<PhysOp> &ops, Tick ready_at)
 {
     const sched::TxGroup g = submitOps(ops, ready_at);
-    drainTransactions();
-    return sched_.groupCompletion(g, ready_at);
-}
-
-Tick
-SsdDevice::scheduleArrayJobs(const std::vector<ArrayJob> &jobs, Tick ready_at)
-{
-    const sched::TxGroup g = submitEach(jobs, ready_at);
     drainTransactions();
     return sched_.groupCompletion(g, ready_at);
 }

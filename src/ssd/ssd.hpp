@@ -3,7 +3,8 @@
  * SsdDevice: the simulated SSD — chips, FTL and the timing model.
  *
  * Functional behaviour lives in the chip array and the FTL; timing
- * lives in the TransactionScheduler: every PhysOp and ArrayJob is
+ * lives in the TransactionScheduler: every PhysOp — page reads,
+ * programs, erases, scrub scans and ParaBit sensing sequences — is
  * converted to a phase-decomposed DeviceTransaction and arbitrated per
  * channel and per plane (array operations — the device exploits
  * plane-level parallelism for reads, programs and ParaBit sensing, the
@@ -14,8 +15,8 @@
  * parallelism — deterministically; other policies reorder within the
  * bounds described in ssd/sched/policy.hpp.
  *
- * Synchronous callers book through scheduleOps/scheduleArrayJobs, which
- * submit one batch and drain it in one call.  submitOps +
+ * Synchronous callers book through scheduleOps, which submits one
+ * batch and drains it in one call.  submitOps +
  * drainTransactions exist for HostInterface's per-round batching: it
  * queues every plain I/O of one pump round before a single drain, so
  * non-FCFS policies have something to arbitrate between.
@@ -41,17 +42,6 @@
 #include "ssd/sched/scheduler.hpp"
 
 namespace parabit::ssd {
-
-/** An in-flash array job: a ParaBit sensing sequence with optional
- *  buffer load-in (chained operands re-loaded from the controller
- *  buffer, paper Section 4.2) and result transfer out. */
-struct ArrayJob
-{
-    flash::PhysPageAddr loc; ///< plane the latch circuit belongs to
-    int sroCount = 0;        ///< sensings to book on the plane
-    Bytes xferInBytes = 0;   ///< buffer reload bytes before sensing
-    Bytes xferOutBytes = 0;  ///< result bytes to move over the channel
-};
 
 /** The simulated SSD; see file comment. */
 class SsdDevice
@@ -87,14 +77,11 @@ class SsdDevice
     /// @}
 
     /**
-     * Book the physical ops of an FTL call on the timing model
-     * (submit + drain in one batch).
+     * Book physical ops — an FTL call's traffic or ParaBit sensing
+     * sequences — on the timing model (submit + drain in one batch).
      * @return the completion time of the last op.
      */
     Tick scheduleOps(const std::vector<PhysOp> &ops, Tick ready_at);
-
-    /** Book in-flash array jobs (ParaBit sequences). */
-    Tick scheduleArrayJobs(const std::vector<ArrayJob> &jobs, Tick ready_at);
 
     /** @name Per-round batching (HostInterface). */
     /// @{
@@ -171,9 +158,7 @@ class SsdDevice
 
     flash::Chip &chipAt(std::uint32_t channel, std::uint32_t chip)
     {
-        return chips_.at(static_cast<std::size_t>(channel) *
-                             cfg_.geometry.chipsPerChannel +
-                         chip);
+        return chips_.at(chipIndex(cfg_.geometry, {channel, chip}));
     }
 
     /** @name Fault injection (reliability layer). */
@@ -240,14 +225,7 @@ class SsdDevice
     /// @}
 
   private:
-    /** Queue one transaction per PhysOp or ArrayJob of @p items, in
-     *  order; @return their id range. */
-    template <typename Item>
-    sched::TxGroup submitEach(const std::vector<Item> &items, Tick ready_at);
-
     sched::DeviceTransaction toTransaction(const PhysOp &op,
-                                           Tick ready_at) const;
-    sched::DeviceTransaction toTransaction(const ArrayJob &job,
                                            Tick ready_at) const;
     void installFaultHooks();
 

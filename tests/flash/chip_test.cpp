@@ -37,7 +37,7 @@ TEST(Chip, ProgramReadRoundTrip)
     Chip chip(g, true);
     Rng rng(1);
     const BitVector d = randomPage(g, rng);
-    const ChipPageAddr a{0, 1, 2, 3, false};
+    const PhysPageAddr a{0, 0, 0, 1, 2, 3, false};
     chip.programPage(a, makePayload(d));
     EXPECT_EQ(chip.pageState(a), PageState::kValid);
     EXPECT_EQ(*chip.readPage(a), d);
@@ -47,7 +47,7 @@ TEST(Chip, UnwrittenPageReadsAllOnes)
 {
     const FlashGeometry g = tinyGeom();
     Chip chip(g, true);
-    const ChipPageAddr a{0, 0, 0, 0, true};
+    const PhysPageAddr a{0, 0, 0, 0, 0, 0, true};
     const BitVector v = *chip.readPage(a);
     EXPECT_EQ(v.popcount(), v.size()); // erased
 }
@@ -59,8 +59,8 @@ TEST(Chip, OpCoLocatedComputesOverWordline)
     Rng rng(2);
     const BitVector x = randomPage(g, rng);
     const BitVector y = randomPage(g, rng);
-    const ChipPageAddr lsb{0, 0, 1, 4, false};
-    const ChipPageAddr msb{0, 0, 1, 4, true};
+    const PhysPageAddr lsb{0, 0, 0, 0, 1, 4, false};
+    const PhysPageAddr msb{0, 0, 0, 0, 1, 4, true};
     chip.programPage(lsb, makePayload(x));
     chip.programPage(msb, makePayload(y));
 
@@ -78,8 +78,8 @@ TEST(Chip, OpLocationFreeAcrossWordlines)
     const BitVector m = randomPage(g, rng);
     const BitVector n = randomPage(g, rng);
     // M in the MSB page of WL 2, N in the LSB page of WL 5, same plane.
-    const ChipPageAddr ma{0, 1, 0, 2, true};
-    const ChipPageAddr na{0, 1, 3, 5, false};
+    const PhysPageAddr ma{0, 0, 0, 1, 0, 2, true};
+    const PhysPageAddr na{0, 0, 0, 1, 3, 5, false};
     chip.programPage(ma, makePayload(m));
     chip.programPage(na, makePayload(n));
     const BitVector out =
@@ -94,8 +94,8 @@ TEST(Chip, OpLocationFreeLsbLsbVariant)
     Rng rng(4);
     const BitVector m = randomPage(g, rng);
     const BitVector n = randomPage(g, rng);
-    const ChipPageAddr ma{0, 0, 2, 0, false};
-    const ChipPageAddr na{0, 0, 4, 1, false};
+    const PhysPageAddr ma{0, 0, 0, 0, 2, 0, false};
+    const PhysPageAddr na{0, 0, 0, 0, 4, 1, false};
     chip.programPage(ma, makePayload(m));
     chip.programPage(na, makePayload(n));
     const BitVector out = chip.opLocationFree(
@@ -107,8 +107,8 @@ TEST(Chip, LocationFreeAcrossPlanesDies)
 {
     const FlashGeometry g = tinyGeom();
     Chip chip(g, true);
-    const ChipPageAddr ma{0, 0, 0, 0, true};
-    const ChipPageAddr na{0, 1, 0, 0, false};
+    const PhysPageAddr ma{0, 0, 0, 0, 0, 0, true};
+    const PhysPageAddr na{0, 0, 0, 1, 0, 0, false};
     chip.programPage(ma, nullptr);
     chip.programPage(na, nullptr);
     EXPECT_DEATH(chip.opLocationFree(BitwiseOp::kAnd, ma, na),
@@ -119,11 +119,11 @@ TEST(Chip, EraseCountTracksPerBlock)
 {
     const FlashGeometry g = tinyGeom();
     Chip chip(g, true);
-    chip.programPage({0, 0, 3, 0, false}, nullptr);
-    chip.eraseBlock(0, 0, 3);
-    chip.eraseBlock(0, 0, 3);
-    EXPECT_EQ(chip.blockEraseCount(0, 0, 3), 2u);
-    EXPECT_EQ(chip.blockEraseCount(0, 0, 2), 0u);
+    chip.programPage({0, 0, 0, 0, 3, 0, false}, nullptr);
+    chip.eraseBlock({.block = 3});
+    chip.eraseBlock({.block = 3});
+    EXPECT_EQ(chip.blockEraseCount({.block = 3}), 2u);
+    EXPECT_EQ(chip.blockEraseCount({.block = 2}), 0u);
 }
 
 TEST(Chip, PlanesAreIsolated)
@@ -133,10 +133,10 @@ TEST(Chip, PlanesAreIsolated)
     Rng rng(5);
     const BitVector d0 = randomPage(g, rng);
     const BitVector d1 = randomPage(g, rng);
-    chip.programPage({0, 0, 0, 0, false}, makePayload(d0));
-    chip.programPage({0, 1, 0, 0, false}, makePayload(d1));
-    EXPECT_EQ(*chip.readPage({0, 0, 0, 0, false}), d0);
-    EXPECT_EQ(*chip.readPage({0, 1, 0, 0, false}), d1);
+    chip.programPage({0, 0, 0, 0, 0, 0, false}, makePayload(d0));
+    chip.programPage({0, 0, 0, 1, 0, 0, false}, makePayload(d1));
+    EXPECT_EQ(*chip.readPage({0, 0, 0, 0, 0, 0, false}), d0);
+    EXPECT_EQ(*chip.readPage({0, 0, 0, 1, 0, 0, false}), d1);
 }
 
 TEST(Chip, ErrorInjectionReportsBitErrors)
@@ -151,10 +151,10 @@ TEST(Chip, ErrorInjectionReportsBitErrors)
     Chip chip(g, true, ec, 99);
     const BitVector x(g.pageBits(), true);
     const BitVector y(g.pageBits(), true);
-    chip.programPage({0, 0, 0, 0, false}, makePayload(x));
-    chip.programPage({0, 0, 0, 0, true}, makePayload(y));
+    chip.programPage({0, 0, 0, 0, 0, 0, false}, makePayload(x));
+    chip.programPage({0, 0, 0, 0, 0, 0, true}, makePayload(y));
     int errors = 0;
-    chip.opCoLocated(BitwiseOp::kXor, {0, 0, 0, 0, false}, &errors);
+    chip.opCoLocated(BitwiseOp::kXor, {0, 0, 0, 0, 0, 0, false}, &errors);
     EXPECT_GT(errors, 0);
 }
 
@@ -228,7 +228,7 @@ TEST(Chip, SeededNoisyOpsMatchRecordedGolden)
     // that most of its sensings flip a few bitlines.
     Chip chip(g, true, ErrorModelConfig{}, 2024);
     ChipFaultHooks hooks;
-    hooks.rberMultiplier = [](const ChipPageAddr &a) {
+    hooks.rberMultiplier = [](const PhysPageAddr &a) {
         return a.block == 1 ? 300.0 : 1.0;
     };
     chip.setFaultHooks(std::move(hooks));
@@ -240,7 +240,7 @@ TEST(Chip, SeededNoisyOpsMatchRecordedGolden)
         for (std::uint32_t block : {0u, 1u}) {
             for (std::uint32_t wl = 0; wl < 4; ++wl) {
                 for (bool msb : {false, true}) {
-                    chip.programPage({0, plane, block, wl, msb},
+                    chip.programPage({0, 0, 0, plane, block, wl, msb},
                                      makePayload(randomPage(g, rng)));
                 }
             }
@@ -262,21 +262,23 @@ TEST(Chip, SeededNoisyOpsMatchRecordedGolden)
         const auto op = static_cast<BitwiseOp>(i);
         const std::uint32_t block = static_cast<std::uint32_t>(i) % 2;
         const std::uint32_t wl = static_cast<std::uint32_t>(i) % 4;
-        record(chip.opCoLocated(op, {0, 0, block, wl, false}, &e));
+        record(chip.opCoLocated(op, {0, 0, 0, 0, block, wl, false}, &e));
     }
     for (const BitwiseOp op : binary)
-        record(chip.opLocationFree(op, {0, 0, 0, 1, true}, {0, 0, 1, 2, false},
-                                   &e, LocFreeVariant::kMsbLsb));
+        record(chip.opLocationFree(op, {0, 0, 0, 0, 0, 1, true},
+                                   {0, 0, 0, 0, 1, 2, false}, &e,
+                                   LocFreeVariant::kMsbLsb));
     for (const BitwiseOp op : binary)
-        record(chip.opLocationFree(op, {0, 0, 1, 3, false},
-                                   {0, 0, 0, 2, false}, &e,
+        record(chip.opLocationFree(op, {0, 0, 0, 0, 1, 3, false},
+                                   {0, 0, 0, 0, 0, 2, false}, &e,
                                    LocFreeVariant::kLsbLsb));
     for (const BitwiseOp op : binary)
-        record(chip.opBufferedOperand(op, buffer, {0, 0, 1, 0, false}, &e));
+        record(chip.opBufferedOperand(op, buffer, {0, 0, 0, 0, 1, 0, false},
+                                      &e));
     // Plane 1 has no stuck bitlines: noise alone.
-    record(chip.opCoLocated(BitwiseOp::kXor, {0, 1, 1, 1, false}, &e));
-    record(chip.opLocationFree(BitwiseOp::kAnd, {0, 1, 0, 3, true},
-                               {0, 1, 1, 0, false}, &e));
+    record(chip.opCoLocated(BitwiseOp::kXor, {0, 0, 0, 1, 1, 1, false}, &e));
+    record(chip.opLocationFree(BitwiseOp::kAnd, {0, 0, 0, 1, 0, 3, true},
+                               {0, 0, 0, 1, 1, 0, false}, &e));
 
     ASSERT_EQ(got.size(), std::size(kNoisyGolden));
     for (std::size_t i = 0; i < got.size(); ++i) {

@@ -117,8 +117,8 @@ struct NoisyChipFixture
             x.set(i, rng.chance(0.5));
             y.set(i, rng.chance(0.5));
         }
-        chip->programPage({0, 0, 0, 0, false}, makePayload(x));
-        chip->programPage({0, 0, 0, 0, true}, makePayload(y));
+        chip->programPage({0, 0, 0, 0, 0, 0, false}, makePayload(x));
+        chip->programPage({0, 0, 0, 0, 0, 0, true}, makePayload(y));
     }
 
     std::unique_ptr<Chip> chip;
@@ -131,9 +131,9 @@ TEST(ReadRetry, VotingReducesErrorsCoLocated)
     std::int64_t single = 0, voted = 0;
     for (int t = 0; t < 60; ++t) {
         const VotedResult one = opCoLocatedVoted(
-            *f.chip, BitwiseOp::kXor, {0, 0, 0, 0, false}, 1);
+            *f.chip, BitwiseOp::kXor, {0, 0, 0, 0, 0, 0, false}, 1);
         const VotedResult three = opCoLocatedVoted(
-            *f.chip, BitwiseOp::kXor, {0, 0, 0, 0, false}, 3);
+            *f.chip, BitwiseOp::kXor, {0, 0, 0, 0, 0, 0, false}, 3);
         single += one.totalBitErrors;
         voted += three.totalBitErrors;
     }
@@ -146,7 +146,7 @@ TEST(ReadRetry, VotedResultMatchesGoldenWhenErrorsAreRare)
 {
     NoisyChipFixture f;
     const VotedResult v = opCoLocatedVoted(*f.chip, BitwiseOp::kAnd,
-                                           {0, 0, 0, 0, false}, 5);
+                                           {0, 0, 0, 0, 0, 0, false}, 5);
     EXPECT_EQ(v.votes, 5);
     // AND has a single sensing: with 5-way voting residual errors are
     // vanishingly rare at this page size.
@@ -170,17 +170,17 @@ TEST(ReadRetry, LocationFreeVotingWorks)
         m.set(i, rng.chance(0.5));
         n.set(i, rng.chance(0.5));
     }
-    chip.programPage({0, 0, 0, 0, true}, makePayload(m));
-    chip.programPage({0, 0, 1, 0, false}, makePayload(n));
+    chip.programPage({0, 0, 0, 0, 0, 0, true}, makePayload(m));
+    chip.programPage({0, 0, 0, 0, 1, 0, false}, makePayload(n));
     std::int64_t single = 0, voted = 0;
     for (int t = 0; t < 40; ++t) {
         single += opLocationFreeVoted(chip, BitwiseOp::kXor,
-                                      {0, 0, 0, 0, true},
-                                      {0, 0, 1, 0, false}, 1)
+                                      {0, 0, 0, 0, 0, 0, true},
+                                      {0, 0, 0, 0, 1, 0, false}, 1)
                       .totalBitErrors;
         voted += opLocationFreeVoted(chip, BitwiseOp::kXor,
-                                     {0, 0, 0, 0, true},
-                                     {0, 0, 1, 0, false}, 3)
+                                     {0, 0, 0, 0, 0, 0, true},
+                                     {0, 0, 0, 0, 1, 0, false}, 3)
                      .totalBitErrors;
     }
     EXPECT_GT(single, 0);

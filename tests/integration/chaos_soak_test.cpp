@@ -164,7 +164,7 @@ runChaosSeed(std::uint64_t seed)
         dev.ssd().injectFault(f);
     ssd::FaultSpec hot;
     hot.cls = ssd::FaultClass::kProgramFailure;
-    hot.plane = static_cast<ssd::PlaneIndex>(
+    hot.plane = static_cast<flash::PlaneIndex>(
         rng.below(cfg.geometry.planesTotal()));
     hot.failPeriod = 1;
     hot.onset = 0;

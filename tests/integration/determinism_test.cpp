@@ -63,8 +63,8 @@ TEST(Determinism, ErrorModelPatternRepeatsAcrossIdenticalChips)
         y.set(i, rng.chance(0.5));
     }
     for (flash::Chip *chip : {a.get(), b.get(), c.get()}) {
-        chip->programPage({0, 0, 0, 0, false}, flash::makePayload(x));
-        chip->programPage({0, 0, 0, 0, true}, flash::makePayload(y));
+        chip->programPage({0, 0, 0, 0, 0, 0, false}, flash::makePayload(x));
+        chip->programPage({0, 0, 0, 0, 0, 0, true}, flash::makePayload(y));
     }
 
     // The injected-error pattern is part of the deterministic contract:
@@ -72,11 +72,11 @@ TEST(Determinism, ErrorModelPatternRepeatsAcrossIdenticalChips)
     bool diverged_from_c = false;
     for (int t = 0; t < 20; ++t) {
         const BitVector ra =
-            a->opCoLocated(flash::BitwiseOp::kXor, {0, 0, 0, 0, false});
+            a->opCoLocated(flash::BitwiseOp::kXor, {0, 0, 0, 0, 0, 0, false});
         const BitVector rb =
-            b->opCoLocated(flash::BitwiseOp::kXor, {0, 0, 0, 0, false});
+            b->opCoLocated(flash::BitwiseOp::kXor, {0, 0, 0, 0, 0, 0, false});
         const BitVector rc =
-            c->opCoLocated(flash::BitwiseOp::kXor, {0, 0, 0, 0, false});
+            c->opCoLocated(flash::BitwiseOp::kXor, {0, 0, 0, 0, 0, 0, false});
         EXPECT_EQ(ra, rb) << "same-seed chips diverged at run " << t;
         diverged_from_c |= ra != rc;
     }

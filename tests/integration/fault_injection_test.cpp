@@ -114,7 +114,7 @@ TEST(FaultInjection, ElevatedRberIsDetectedAndCorrected)
     // single-execution rung misdelivers constantly — the regime the
     // parity/duplicate checks and vote escalation exist for.
     FaultRig rig(41, 1.0);
-    for (ssd::PlaneIndex p = 0; p < rig.dev.ssd().geometry().planesTotal();
+    for (flash::PlaneIndex p = 0; p < rig.dev.ssd().geometry().planesTotal();
          ++p) {
         ssd::FaultSpec s;
         s.cls = ssd::FaultClass::kElevatedRber;
@@ -138,7 +138,7 @@ TEST(FaultInjection, StuckBitlinesFailSelfTestAndFallBackToHost)
     // catch them.  All planes are poisoned; every op must still be
     // bit-exact via the host path.
     FaultRig rig(43, 0.0); // no random noise: isolate the stuck fault
-    for (ssd::PlaneIndex p = 0; p < rig.dev.ssd().geometry().planesTotal();
+    for (flash::PlaneIndex p = 0; p < rig.dev.ssd().geometry().planesTotal();
          ++p) {
         ssd::FaultSpec s;
         s.cls = ssd::FaultClass::kStuckBitline;
@@ -189,9 +189,7 @@ TEST(FaultInjection, DeadPlaneSurfacesDataLossNotGarbage)
     ASSERT_TRUE(yaddr.has_value());
     ssd::FaultSpec s;
     s.cls = ssd::FaultClass::kDeadPlane;
-    s.plane = ssd::planeIndex(
-        rig.dev.ssd().geometry(),
-        {yaddr->channel, yaddr->chip, yaddr->die, yaddr->plane});
+    s.plane = flash::planeIndex(rig.dev.ssd().geometry(), *yaddr);
     rig.dev.ssd().injectFault(s);
     rig.dev.controller().invalidatePlaneTrust();
 
@@ -209,9 +207,7 @@ TEST(FaultInjection, DeadChipSurfacesDataLossNotGarbage)
     ASSERT_TRUE(yaddr.has_value());
     ssd::FaultSpec s;
     s.cls = ssd::FaultClass::kDeadChip;
-    s.plane = ssd::planeIndex(
-        rig.dev.ssd().geometry(),
-        {yaddr->channel, yaddr->chip, yaddr->die, yaddr->plane});
+    s.plane = flash::planeIndex(rig.dev.ssd().geometry(), *yaddr);
     rig.dev.ssd().injectFault(s);
     rig.dev.controller().invalidatePlaneTrust();
 
@@ -285,7 +281,7 @@ TEST(FaultInjection, SeededRandomScheduleSweepHasZeroSilentCorruption)
 TEST(FaultInjection, NotIsExactUnderElevatedRber)
 {
     FaultRig rig(67);
-    for (ssd::PlaneIndex p = 0; p < rig.dev.ssd().geometry().planesTotal();
+    for (flash::PlaneIndex p = 0; p < rig.dev.ssd().geometry().planesTotal();
          ++p) {
         ssd::FaultSpec s;
         s.cls = ssd::FaultClass::kElevatedRber;
@@ -312,9 +308,7 @@ TEST(FaultInjection, DisabledPolicyStillRefusesDeadOperands)
     ASSERT_TRUE(yaddr.has_value());
     ssd::FaultSpec s;
     s.cls = ssd::FaultClass::kDeadPlane;
-    s.plane = ssd::planeIndex(
-        rig.dev.ssd().geometry(),
-        {yaddr->channel, yaddr->chip, yaddr->die, yaddr->plane});
+    s.plane = flash::planeIndex(rig.dev.ssd().geometry(), *yaddr);
     rig.dev.ssd().injectFault(s);
 
     ExecResult r = rig.dev.bitwise(flash::BitwiseOp::kXor, 0, 100, kPages,

@@ -131,6 +131,38 @@ TEST(Property, NvmeEncodeParseRoundTripRandomFormulas)
         }
         for (std::uint32_t k = 0; k + 1 < terms; ++k)
             EXPECT_EQ(batches[terms + k].intraOp, f.chainOps[k]);
+
+        // The in-process path builds the same batches, chain batches
+        // included, in every field the controller reads.
+        const auto direct = parser.buildBatches(f);
+        ASSERT_EQ(direct.size(), batches.size()) << "trial " << trial;
+        for (std::size_t b = 0; b < batches.size(); ++b) {
+            const nvme::Batch &want = batches[b];
+            const nvme::Batch &got = direct[b];
+            const std::string where =
+                "trial " + std::to_string(trial) + " batch " +
+                std::to_string(b);
+            EXPECT_EQ(got.id, want.id) << where;
+            EXPECT_EQ(got.intraOp, want.intraOp) << where;
+            EXPECT_EQ(got.extraOp, want.extraOp) << where;
+            EXPECT_EQ(got.order, want.order) << where;
+            for (const auto &[g, w] :
+                 {std::pair{got.firstOperand, want.firstOperand},
+                  std::pair{got.secondOperand, want.secondOperand}}) {
+                EXPECT_EQ(g.kind, w.kind) << where;
+                EXPECT_EQ(g.lpn, w.lpn) << where;
+                EXPECT_EQ(g.pages, w.pages) << where;
+                EXPECT_EQ(g.batchId, w.batchId) << where;
+            }
+            ASSERT_EQ(got.subOps.size(), want.subOps.size()) << where;
+            for (std::size_t p = 0; p < got.subOps.size(); ++p) {
+                EXPECT_EQ(got.subOps[p].first.lpn, want.subOps[p].first.lpn)
+                    << where;
+                EXPECT_EQ(got.subOps[p].second.lpn,
+                          want.subOps[p].second.lpn)
+                    << where;
+            }
+        }
     }
 }
 

@@ -142,9 +142,7 @@ runSeed(std::uint64_t seed)
         }
         ASSERT_TRUE(at.has_value()) << "acked LPN " << lpn << " lost";
         // The rebuilt mapping must never point into a torn wordline.
-        const flash::ChipPageAddr ca{at->die, at->plane, at->block,
-                                     at->wordline, at->msb};
-        EXPECT_FALSE(dev.chipAt(at->channel, at->chip).wordlineTorn(ca))
+        EXPECT_FALSE(dev.chipAt(at->channel, at->chip).wordlineTorn(*at))
             << "LPN " << lpn << " mapped to a torn wordline";
         std::vector<PhysOp> ops;
         EXPECT_EQ(*ftl.readPage(lpn, ops), *want)

@@ -205,7 +205,7 @@ TEST(Controller, ReAllocNotSensesInPlaceWhenTheCopyCannotBePlaced)
                                  randomPages(dev.ssd().config(), 1, rng), xs);
         else
             dev.writeDataLsbOnly(0, xs);
-        for (ssd::PlaneIndex p = 0; p < dev.ssd().geometry().planesTotal();
+        for (flash::PlaneIndex p = 0; p < dev.ssd().geometry().planesTotal();
              ++p) {
             ssd::FaultSpec s;
             s.cls = ssd::FaultClass::kProgramFailure;
@@ -253,7 +253,7 @@ placeOperands(ParaBitDevice &dev, Placement pl)
     };
     const std::vector<nvme::Lpn> operands = {kX, kY, kZ};
     for (std::size_t k = 0; k < operands.size(); ++k) {
-        const auto plane = static_cast<ssd::PlaneIndex>(k);
+        const auto plane = static_cast<flash::PlaneIndex>(k);
         for (std::uint32_t p = 0; p < kOperandPages; ++p) {
             const nvme::Lpn lpn = operands[k] + p;
             const nvme::Lpn filler = kFiller + 100 * k + p;
@@ -411,8 +411,8 @@ pagesSharing(ssd::SsdDevice &ssd, const BitVector *bits)
 {
     const flash::FlashGeometry &g = ssd.geometry();
     std::vector<flash::PhysPageAddr> out;
-    for (ssd::PlaneIndex p = 0; p < g.planesTotal(); ++p) {
-        flash::PhysPageAddr a = ssd::planeAddr(g, p);
+    for (flash::PlaneIndex p = 0; p < g.planesTotal(); ++p) {
+        flash::PhysPageAddr a = flash::planeAddr(g, p);
         const flash::Plane &pl =
             ssd.chipAt(a.channel, a.chip).plane(a.die, a.plane);
         for (a.block = 0; a.block < g.blocksPerPlane; ++a.block) {
@@ -473,14 +473,14 @@ TEST(Controller, ReAllocPairSharesTheOperandPayloads)
     ASSERT_TRUE(dev.writeData(0, randomPages(ssd.config(), 1, rng)));
     const std::uint32_t erases_before =
         ssd.chipAt(x_at.channel, x_at.chip)
-            .blockEraseCount(x_at.die, x_at.plane, x_at.block);
+            .blockEraseCount(x_at);
     const auto filler = randomPages(ssd.config(), 1, rng);
     bool erased = false;
     for (int round = 0; round < 400 && !erased; ++round) {
         for (nvme::Lpn l = 200; l < 216; ++l)
             ASSERT_TRUE(dev.writeData(l, filler));
         erased = ssd.chipAt(x_at.channel, x_at.chip)
-                     .blockEraseCount(x_at.die, x_at.plane, x_at.block) >
+                     .blockEraseCount(x_at) >
                  erases_before;
     }
     ASSERT_TRUE(erased) << "GC never erased the operand's old block";

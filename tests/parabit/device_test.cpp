@@ -83,10 +83,7 @@ TEST(ParaBitDevice, LsbOnlyInPlanePinsThePlane)
         const auto a = dev.ssd().ftl().lookup(static_cast<nvme::Lpn>(i));
         ASSERT_TRUE(a);
         EXPECT_FALSE(a->msb);
-        EXPECT_EQ(ssd::planeIndex(g, {a->channel, a->chip, a->die,
-                                      a->plane}),
-                  2u)
-            << "page " << i;
+        EXPECT_EQ(flash::planeIndex(g, *a), 2u) << "page " << i;
     }
 }
 
@@ -165,6 +162,27 @@ TEST(ParaBitDevice, ExecuteRunsParsedBatches)
                                Mode::kReAllocate);
     ASSERT_EQ(r.pages.size(), 1u);
     EXPECT_EQ(r.pages[0], ~(x[0] | y[0]));
+}
+
+TEST(ParaBitDevice, ChainOpFormulaReportsInvalidBatch)
+{
+    // (A AND B) XOR (C AND D) through the in-process path: the chain
+    // batch's second operand is a result, which cannot be sensed in
+    // flash.  The formula reports that instead of returning C AND D.
+    ParaBitDevice dev(ssd::SsdConfig::tiny());
+    dev.writeData(0, pages(dev.ssd().config(), 4, 11));
+    nvme::Formula f;
+    f.terms.push_back(nvme::Formula::Term{nvme::OperandRef::logical(0, 1),
+                                          nvme::OperandRef::logical(1, 1),
+                                          flash::BitwiseOp::kAnd});
+    f.terms.push_back(nvme::Formula::Term{nvme::OperandRef::logical(2, 1),
+                                          nvme::OperandRef::logical(3, 1),
+                                          flash::BitwiseOp::kAnd});
+    f.chainOps.push_back(flash::BitwiseOp::kXor);
+    nvme::CmdParser parser(dev.ssd().geometry().pageBytes);
+    const auto r = dev.execute(parser.buildBatches(f), Mode::kReAllocate);
+    EXPECT_EQ(r.status, ExecStatus::kInvalidBatch);
+    EXPECT_TRUE(r.pages.empty());
 }
 
 TEST(ParaBitDevice, TransferFlagControlsResultBytes)

@@ -73,6 +73,39 @@ TEST(HostInterface, ChainedFormulaThroughTheWire)
     EXPECT_EQ(c->pages[0], ops[0][0] & ops[1][0] & ops[2][0]);
 }
 
+TEST(HostInterface, ChainOpFormulaFailsInvalidFieldAndLaterReadSucceeds)
+{
+    // (A AND B) XOR (C AND D): its Fig 12 chain batch combines two
+    // results, which the device cannot sense in flash.  The formula must
+    // complete with an error, and the queue must keep serving.
+    ParaBitDevice dev(ssd::SsdConfig::tiny());
+    dev.writeData(0, pages(dev.ssd().config(), 5, 31));
+    HostInterface host(dev, 1, 32, Mode::kReAllocate);
+    nvme::Formula f;
+    f.terms.push_back(nvme::Formula::Term{nvme::OperandRef::logical(0, 1),
+                                          nvme::OperandRef::logical(1, 1),
+                                          flash::BitwiseOp::kAnd});
+    f.terms.push_back(nvme::Formula::Term{nvme::OperandRef::logical(2, 1),
+                                          nvme::OperandRef::logical(3, 1),
+                                          flash::BitwiseOp::kAnd});
+    f.chainOps.push_back(flash::BitwiseOp::kXor);
+    const auto formula_cid = host.submitFormula(0, f);
+    ASSERT_TRUE(formula_cid);
+    const auto read_cid = host.submitRead(0, 4);
+    ASSERT_TRUE(read_cid);
+    host.pump();
+
+    const auto c = host.reap(0);
+    ASSERT_TRUE(c);
+    EXPECT_EQ(c->cid, *formula_cid);
+    EXPECT_EQ(c->status, nvme::kInvalidField);
+    EXPECT_TRUE(c->pages.empty());
+    const auto r = host.reap(0);
+    ASSERT_TRUE(r);
+    EXPECT_EQ(r->cid, *read_cid);
+    EXPECT_TRUE(r->ok());
+}
+
 TEST(HostInterface, PlainIoCompletesWithDeviceLatency)
 {
     ParaBitDevice dev(ssd::SsdConfig::tiny());
@@ -213,16 +246,13 @@ TEST(HostInterface, ErrorCompletionsKeepOrderAndCarryStatus)
     // Kill the plane holding LPN 1; find a survivor LPN elsewhere.
     const auto victim = dev.ssd().ftl().lookup(1);
     ASSERT_TRUE(victim.has_value());
-    const ssd::PlaneIndex dead_plane = ssd::planeIndex(
-        dev.ssd().geometry(),
-        {victim->channel, victim->chip, victim->die, victim->plane});
+    const flash::PlaneIndex dead_plane =
+        flash::planeIndex(dev.ssd().geometry(), *victim);
     nvme::Lpn ok_lpn = 0;
     for (nvme::Lpn l = 0; l < 4; ++l) {
         const auto a = dev.ssd().ftl().lookup(l);
         ASSERT_TRUE(a.has_value());
-        if (ssd::planeIndex(dev.ssd().geometry(),
-                            {a->channel, a->chip, a->die, a->plane}) !=
-            dead_plane) {
+        if (flash::planeIndex(dev.ssd().geometry(), *a) != dead_plane) {
             ok_lpn = l;
             break;
         }

@@ -19,18 +19,6 @@ geom()
     return flash::FlashGeometry::tiny(); // 2 ch x 2 chips x 2 planes
 }
 
-TEST(PlaneCoord, RoundTripsThroughIndex)
-{
-    const auto g = geom();
-    for (PlaneIndex i = 0; i < g.planesTotal(); ++i) {
-        const PlaneCoord c = planeCoord(g, i);
-        EXPECT_EQ(planeIndex(g, c), i);
-        EXPECT_LT(c.channel, g.channels);
-        EXPECT_LT(c.chip, g.chipsPerChannel);
-        EXPECT_LT(c.plane, g.planesPerDie);
-    }
-}
-
 TEST(Allocator, NextPlaneVisitsChannelsRoundRobin)
 {
     const auto g = geom();
@@ -50,7 +38,7 @@ TEST(Allocator, NextPlaneEventuallyCoversAllPlanes)
 {
     const auto g = geom();
     Allocator a(g);
-    std::set<PlaneIndex> seen;
+    std::set<flash::PlaneIndex> seen;
     for (std::uint32_t i = 0; i < g.planesTotal(); ++i)
         seen.insert(a.nextPlane());
     EXPECT_EQ(seen.size(), g.planesTotal());

@@ -22,10 +22,10 @@ tinyGeom()
 }
 
 flash::PhysPageAddr
-addrInPlane(const flash::FlashGeometry &g, PlaneIndex p,
+addrInPlane(const flash::FlashGeometry &g, flash::PlaneIndex p,
             std::uint32_t block = 0, std::uint32_t wl = 0, bool msb = false)
 {
-    const PlaneCoord c = planeCoord(g, p);
+    const flash::PlaneCoord c = planeCoord(g, p);
     flash::PhysPageAddr a;
     a.channel = c.channel;
     a.chip = c.chip;
@@ -117,7 +117,7 @@ TEST(FaultInjector, DeadChipKillsAllItsPlanes)
     inj.addFault(s);
 
     const std::uint32_t per_chip = g.diesPerChip * g.planesPerDie;
-    for (PlaneIndex p = 0; p < g.planesTotal(); ++p)
+    for (flash::PlaneIndex p = 0; p < g.planesTotal(); ++p)
         EXPECT_EQ(inj.planeDead(p), p < per_chip) << "plane " << p;
 }
 
@@ -323,7 +323,7 @@ TEST(FaultInjector, ClearTransientKeepsPermanentDamage)
     EXPECT_EQ(inj.faults()[0].cls, FaultClass::kDeadPlane);
     EXPECT_TRUE(inj.planeDead(3)) << "permanent damage survives the storm";
     // Transient queries all read clean now.
-    for (PlaneIndex p = 0; p < g.planesTotal(); ++p) {
+    for (flash::PlaneIndex p = 0; p < g.planesTotal(); ++p) {
         EXPECT_TRUE(inj.stuckBitlines(p).empty());
         EXPECT_DOUBLE_EQ(inj.rberMultiplier(addrInPlane(g, p)), 1.0);
         if (p != 3)
@@ -345,7 +345,7 @@ TEST(SsdDeviceFaults, ClearTransientFaultsRestoresPlaneState)
     dead.plane = 1;
     dev.injectFault(dead);
 
-    const PlaneCoord c2 = planeCoord(dev.geometry(), 2);
+    const flash::PlaneCoord c2 = planeCoord(dev.geometry(), 2);
     ASSERT_EQ(dev.chipAt(c2.channel, c2.chip)
                   .plane(c2.die, c2.plane)
                   .stuckBitlines()
@@ -358,7 +358,7 @@ TEST(SsdDeviceFaults, ClearTransientFaultsRestoresPlaneState)
                     .stuckBitlines()
                     .empty())
         << "stuck bitlines lift with the storm";
-    const PlaneCoord c1 = planeCoord(dev.geometry(), 1);
+    const flash::PlaneCoord c1 = planeCoord(dev.geometry(), 1);
     EXPECT_FALSE(
         dev.chipAt(c1.channel, c1.chip).planeOperational(c1.die, c1.plane))
         << "a dead plane is permanent";
@@ -372,10 +372,10 @@ TEST(SsdDeviceFaults, InjectDeadPlaneMarksChipPlane)
     s.plane = 1;
     dev.injectFault(s);
 
-    const PlaneCoord c = planeCoord(dev.geometry(), 1);
+    const flash::PlaneCoord c = planeCoord(dev.geometry(), 1);
     EXPECT_FALSE(dev.chipAt(c.channel, c.chip).planeOperational(c.die,
                                                                 c.plane));
-    const PlaneCoord c0 = planeCoord(dev.geometry(), 0);
+    const flash::PlaneCoord c0 = planeCoord(dev.geometry(), 0);
     EXPECT_TRUE(dev.chipAt(c0.channel, c0.chip).planeOperational(c0.die,
                                                                  c0.plane));
 }
@@ -389,7 +389,7 @@ TEST(SsdDeviceFaults, InjectStuckBitlinesReachesPlane)
     s.stuckCount = 3;
     dev.injectFault(s);
 
-    const PlaneCoord c = planeCoord(dev.geometry(), 2);
+    const flash::PlaneCoord c = planeCoord(dev.geometry(), 2);
     const flash::Plane &pl =
         dev.chipAt(c.channel, c.chip).plane(c.die, c.plane);
     EXPECT_EQ(pl.stuckBitlines().size(), 3u);
@@ -414,8 +414,7 @@ TEST(SsdDeviceFaults, ProgramFailureRetiresBlockAndRemaps)
         EXPECT_TRUE(dev.ftl().writePage(l, &d, ops));
         const auto a = dev.ftl().lookup(l);
         ASSERT_TRUE(a.has_value());
-        const PlaneIndex p = planeIndex(
-            dev.geometry(), {a->channel, a->chip, a->die, a->plane});
+        const flash::PlaneIndex p = planeIndex(dev.geometry(), *a);
         EXPECT_NE(p, 0u) << "LPN " << l << " mapped into the failing plane";
     }
     EXPECT_GT(dev.ftl().programFailures(), 0u);

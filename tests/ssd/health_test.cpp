@@ -361,9 +361,7 @@ TEST(HostHealthPolicy, MediaErrorsChargeTheBudgetForEveryClass)
         ASSERT_TRUE(victim.has_value());
         ssd::FaultSpec dead;
         dead.cls = ssd::FaultClass::kDeadPlane;
-        dead.plane = ssd::planeIndex(
-            dev.ssd().geometry(),
-            {victim->channel, victim->chip, victim->die, victim->plane});
+        dead.plane = flash::planeIndex(dev.ssd().geometry(), *victim);
         dev.ssd().injectFault(dead);
         ssd::DeviceHealth *h = dev.ssd().health();
         ASSERT_NE(h, nullptr);
@@ -383,7 +381,7 @@ TEST(HostHealthPolicy, MediaErrorsChargeTheBudgetForEveryClass)
         const auto c = host.reap(0);
         ASSERT_TRUE(c);
         EXPECT_EQ(c->status, nvme::kUnrecoveredReadError);
-        EXPECT_EQ(h->pressure(), cfg.health.weightUncorrectable);
+        EXPECT_EQ(h->pressure(), ssd::DeviceHealth::kWeightUncorrectable);
     }
 }
 

@@ -133,7 +133,7 @@ template <typename F>
 void
 forEachProgrammedPage(Ftl &ftl, const flash::FlashGeometry &g, F &&f)
 {
-    for (PlaneIndex p = 0; p < g.planesTotal(); ++p) {
+    for (flash::PlaneIndex p = 0; p < g.planesTotal(); ++p) {
         const flash::PhysPageAddr base = planeAddr(g, p);
         const flash::Plane &pl = ftl.chipAt(base).plane(base.die, base.plane);
         for (std::uint32_t b = 0; b < g.blocksPerPlane; ++b) {
@@ -197,8 +197,7 @@ TEST(FtlMap, RemapKeepsTheScrambledFlag)
     // Relocation (a RAIN rebuild) re-places the stored, whitened bits.
     const auto old5 = ftl.lookup(5);
     ASSERT_TRUE(old5);
-    const flash::Payload stored = ftl.chipAt(*old5).readPage(
-        {old5->die, old5->plane, old5->block, old5->wordline, old5->msb});
+    const flash::Payload stored = ftl.chipAt(*old5).readPage(*old5);
     ASSERT_NE(*stored, host);
     ASSERT_TRUE(ftl.relocatePage(5, stored, ops));
     ASSERT_NE(ftl.lookup(5), old5);
@@ -320,8 +319,7 @@ TEST(FtlMap, MatchesAnOrderedReferenceUnderGcAndWearLevelling)
             std::advance(it, static_cast<long>(rng.below(ref.size())));
             const Lpn l = it->first;
             const auto at = *ftl.lookup(l);
-            const flash::Payload stored = ftl.chipAt(at).readPage(
-                {at.die, at.plane, at.block, at.wordline, at.msb});
+            const flash::Payload stored = ftl.chipAt(at).readPage(at);
             ASSERT_TRUE(ftl.relocatePage(l, stored, ops));
         }
 
@@ -332,8 +330,7 @@ TEST(FtlMap, MatchesAnOrderedReferenceUnderGcAndWearLevelling)
             ASSERT_TRUE(a) << "step " << step << " lpn " << lpn;
             if (lin(*a) == e.page)
                 continue;
-            const flash::PageOob *oob = ftl.chipAt(*a).pageOob(
-                {a->die, a->plane, a->block, a->wordline, a->msb});
+            const flash::PageOob *oob = ftl.chipAt(*a).pageOob(*a);
             e.page = lin(*a);
             if (lpn == kNoLpn) {
                 EXPECT_EQ(oob, nullptr);

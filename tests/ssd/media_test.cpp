@@ -152,22 +152,24 @@ TEST(MediaWear, ReadsChargeNeighborsAndGrowPrediction)
     ec.retentionPerHour = 0.5;
     flash::Chip chip(g, true, ec, 1);
     const BitVector d(g.pageBits(), false);
-    ASSERT_TRUE(chip.programPage({0, 0, 0, 0, false}, flash::makePayload(d)));
-    ASSERT_TRUE(chip.programPage({0, 0, 0, 1, false}, flash::makePayload(d)));
+    ASSERT_TRUE(
+        chip.programPage({0, 0, 0, 0, 0, 0, false}, flash::makePayload(d)));
+    ASSERT_TRUE(
+        chip.programPage({0, 0, 0, 0, 0, 1, false}, flash::makePayload(d)));
 
-    const double base = chip.predictedRber({0, 0, 0, 0, false});
+    const double base = chip.predictedRber({0, 0, 0, 0, 0, 0, false});
     ASSERT_GT(base, 0.0);
     for (int i = 0; i < 100; ++i)
-        (void)chip.readPage({0, 0, 0, 1, false}); // LSB read: 1 sense
-    EXPECT_EQ(chip.wordlineDisturb({0, 0, 0, 0, false}), 100u);
-    EXPECT_EQ(chip.wordlineDisturb({0, 0, 0, 1, false}), 0u)
+        (void)chip.readPage({0, 0, 0, 0, 0, 1, false}); // LSB read: 1 sense
+    EXPECT_EQ(chip.wordlineDisturb({0, 0, 0, 0, 0, 0, false}), 100u);
+    EXPECT_EQ(chip.wordlineDisturb({0, 0, 0, 0, 0, 1, false}), 0u)
         << "a read disturbs its neighbors, not itself";
-    const double disturbed = chip.predictedRber({0, 0, 0, 0, false});
+    const double disturbed = chip.predictedRber({0, 0, 0, 0, 0, 0, false});
     EXPECT_NEAR(disturbed / base, 2.0, 1e-9) << "1 + 0.01 * 100";
 
     // Retention compounds multiplicatively on top of disturb.
     chip.setNow(ticks::fromSec(2 * 3600.0));
-    const double aged = chip.predictedRber({0, 0, 0, 0, false});
+    const double aged = chip.predictedRber({0, 0, 0, 0, 0, 0, false});
     EXPECT_NEAR(aged / disturbed, 2.0, 1e-9) << "1 + 0.5/hr * 2 hr";
 }
 
@@ -176,11 +178,13 @@ TEST(MediaWear, MsbReadChargesTwoSenses)
     const flash::FlashGeometry g = flash::FlashGeometry::tiny();
     flash::Chip chip(g, true, flash::ErrorModelConfig::ideal(), 1);
     const BitVector d(g.pageBits(), false);
-    ASSERT_TRUE(chip.programPage({0, 0, 0, 1, false}, flash::makePayload(d)));
-    ASSERT_TRUE(chip.programPage({0, 0, 0, 1, true}, flash::makePayload(d)));
-    (void)chip.readPage({0, 0, 0, 1, true});
-    EXPECT_EQ(chip.wordlineDisturb({0, 0, 0, 0, false}), 2u);
-    EXPECT_EQ(chip.wordlineDisturb({0, 0, 0, 2, false}), 2u);
+    ASSERT_TRUE(
+        chip.programPage({0, 0, 0, 0, 0, 1, false}, flash::makePayload(d)));
+    ASSERT_TRUE(
+        chip.programPage({0, 0, 0, 0, 0, 1, true}, flash::makePayload(d)));
+    (void)chip.readPage({0, 0, 0, 0, 0, 1, true});
+    EXPECT_EQ(chip.wordlineDisturb({0, 0, 0, 0, 0, 0, false}), 2u);
+    EXPECT_EQ(chip.wordlineDisturb({0, 0, 0, 0, 0, 2, false}), 2u);
 }
 
 TEST(MediaWear, EraseResetsDisturb)
@@ -188,11 +192,12 @@ TEST(MediaWear, EraseResetsDisturb)
     const flash::FlashGeometry g = flash::FlashGeometry::tiny();
     flash::Chip chip(g, true, flash::ErrorModelConfig::ideal(), 1);
     const BitVector d(g.pageBits(), false);
-    ASSERT_TRUE(chip.programPage({0, 0, 0, 1, false}, flash::makePayload(d)));
-    (void)chip.readPage({0, 0, 0, 1, false});
-    ASSERT_GT(chip.wordlineDisturb({0, 0, 0, 0, false}), 0u);
-    ASSERT_TRUE(chip.eraseBlock(0, 0, 0));
-    EXPECT_EQ(chip.wordlineDisturb({0, 0, 0, 0, false}), 0u);
+    ASSERT_TRUE(
+        chip.programPage({0, 0, 0, 0, 0, 1, false}, flash::makePayload(d)));
+    (void)chip.readPage({0, 0, 0, 0, 0, 1, false});
+    ASSERT_GT(chip.wordlineDisturb({0, 0, 0, 0, 0, 0, false}), 0u);
+    ASSERT_TRUE(chip.eraseBlock({}));
+    EXPECT_EQ(chip.wordlineDisturb({0, 0, 0, 0, 0, 0, false}), 0u);
 }
 
 TEST(MediaScrub, PassRunsOnScheduleAndScansValidPages)
@@ -270,8 +275,7 @@ TEST(MediaFtl, RefreshWordlineMovesPagesAndResetsCounters)
     for (int i = 0; i < 50; ++i)
         (void)ftl.readPage(16, ops);
     flash::Chip &chip = dev.chipAt(lsb->channel, lsb->chip);
-    const flash::ChipPageAddr old_ca{lsb->die, lsb->plane, lsb->block,
-                                     lsb->wordline, false};
+    const flash::PhysPageAddr old_ca = *lsb;
     ASSERT_GE(chip.wordlineDisturb(old_ca), 50u);
 
     ops.clear();
@@ -284,9 +288,7 @@ TEST(MediaFtl, RefreshWordlineMovesPagesAndResetsCounters)
     ASSERT_TRUE(lsb2 && msb2);
     EXPECT_FALSE(lsb2->sameWordline(*lsb)) << "page must have moved";
     flash::Chip &chip2 = dev.chipAt(lsb2->channel, lsb2->chip);
-    EXPECT_EQ(chip2.wordlineDisturb({lsb2->die, lsb2->plane, lsb2->block,
-                                     lsb2->wordline, false}),
-              0u)
+    EXPECT_EQ(chip2.wordlineDisturb(*lsb2), 0u)
         << "fresh wordline starts with a clean disturb counter";
     EXPECT_EQ(chip.pageState(old_ca), flash::PageState::kInvalid);
 
@@ -381,9 +383,7 @@ TEST(RetryLadder, RefreshDropsTheRecommendation)
             continue;
         ++moved;
         const double rber =
-            dev.chipAt(a->channel, a->chip)
-                .predictedRber(
-                    {a->die, a->plane, a->block, a->wordline, a->msb});
+            dev.chipAt(a->channel, a->chip).predictedRber(*a);
         EXPECT_LT(rber, cfg.media.refreshRberThreshold);
         EXPECT_LE(flash::recommendedVotes(rber), 3);
     }

@@ -53,8 +53,7 @@ pattern(std::size_t bits, Lpn lpn, std::uint64_t version = 0)
 const flash::PageOob *
 oobAt(SsdDevice &dev, const flash::PhysPageAddr &a)
 {
-    const flash::ChipPageAddr ca{a.die, a.plane, a.block, a.wordline, a.msb};
-    return dev.chipAt(a.channel, a.chip).pageOob(ca);
+    return dev.chipAt(a.channel, a.chip).pageOob(a);
 }
 
 FaultSpec
@@ -384,9 +383,7 @@ TEST(Recovery, TornWordlineDropsOnlyItsOwnReferenceToASharedPayload)
     dev.injectFault(powerCut(/*onset=*/2, /*mid=*/true));
     EXPECT_FALSE(dev.ftl().writeIntoFreeMsb(
         41, *torn, flash::makePayload(pattern(bits, 41)), ops));
-    ASSERT_TRUE(dev.chipAt(torn->channel, torn->chip)
-                    .wordlineTorn({torn->die, torn->plane, torn->block,
-                                   torn->wordline, false}));
+    ASSERT_TRUE(dev.chipAt(torn->channel, torn->chip).wordlineTorn(*torn));
     EXPECT_EQ(stored(*torn), nullptr);
     ASSERT_EQ(stored(*other), shared_bits);
     EXPECT_EQ(*stored(*other), da);

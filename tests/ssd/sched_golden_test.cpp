@@ -4,10 +4,10 @@
  * reproduce the pre-refactor greedy Timeline booking tick-for-tick.
  *
  * The reference implementation below is a verbatim replica of the seed
- * `SsdDevice::scheduleOps` / `scheduleArrayJobs` algorithm (greedy
- * per-call booking on persistent per-channel / per-plane Timelines).  A
- * deterministic mixed trace — reads, programs, erases and ParaBit array
- * jobs in interleaved batches at varying ready times — is driven
+ * `SsdDevice::scheduleOps` algorithm (greedy per-call booking on
+ * persistent per-channel / per-plane Timelines).  A deterministic mixed
+ * trace — reads, programs, erases and ParaBit sensing sequences in
+ * interleaved batches at varying ready times — is driven
  * through both the reference and the real device, for every SsdConfig
  * preset geometry, and every returned completion time plus the final
  * per-resource busy-tick totals must match exactly.
@@ -78,33 +78,23 @@ class GreedyReference
                 end = a_start + array;
                 break;
               }
-            }
-            done = std::max(done, end);
-        }
-        return done;
-    }
-
-    Tick
-    scheduleArrayJobs(const std::vector<ArrayJob> &jobs, Tick ready_at)
-    {
-        const flash::FlashTiming &t = cfg_.timing;
-        Tick done = ready_at;
-        for (const auto &job : jobs) {
-            Timeline &die = planeTl(job.loc);
-            Tick ready = ready_at + t.tCmdOverhead;
-            if (job.xferInBytes > 0) {
-                Timeline &ch = channelTl(job.loc.channel);
-                const Tick x = t.transferTime(job.xferInBytes);
-                ready = ch.reserve(ready, x) + x;
-            }
-            const Tick array = t.senseTime(job.sroCount);
-            const Tick a_start = die.reserve(ready, array);
-            Tick end = a_start + array;
-            if (job.xferOutBytes > 0) {
-                Timeline &ch = channelTl(job.loc.channel);
-                const Tick x = t.transferTime(job.xferOutBytes);
-                const Tick x_start = ch.reserve(end, x);
-                end = x_start + x;
+              case PhysOp::Kind::kParaBitSense: {
+                Tick ready = ready_at + t.tCmdOverhead;
+                if (op.xferInBytes > 0) {
+                    const Tick x = t.transferTime(op.xferInBytes);
+                    ready = ch.reserve(ready, x) + x;
+                }
+                const Tick array =
+                    t.senseTime(static_cast<int>(op.senseCount));
+                const Tick a_start = die.reserve(ready, array);
+                end = a_start + array;
+                if (op.xferOutBytes > 0) {
+                    const Tick x = t.transferTime(op.xferOutBytes);
+                    const Tick x_start = ch.reserve(end, x);
+                    end = x_start + x;
+                }
+                break;
+              }
             }
             done = std::max(done, end);
         }
@@ -183,22 +173,19 @@ randomOps(Rng &rng, const flash::FlashGeometry &g, std::size_t n)
     return ops;
 }
 
-std::vector<ArrayJob>
-randomJobs(Rng &rng, const flash::FlashGeometry &g, std::size_t n)
+std::vector<PhysOp>
+randomSenses(Rng &rng, const flash::FlashGeometry &g, std::size_t n)
 {
-    std::vector<ArrayJob> jobs;
-    jobs.reserve(n);
+    std::vector<PhysOp> ops;
+    ops.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        ArrayJob j;
-        j.loc = randomAddr(rng, g);
-        j.sroCount = 1 + static_cast<int>(rng.below(7));
-        if (rng.chance(0.3))
-            j.xferInBytes = g.pageBytes;
-        if (rng.chance(0.5))
-            j.xferOutBytes = g.pageBytes;
-        jobs.push_back(j);
+        const flash::PhysPageAddr loc = randomAddr(rng, g);
+        const int senses = 1 + static_cast<int>(rng.below(7));
+        const Bytes in = rng.chance(0.3) ? g.pageBytes : 0;
+        const Bytes out = rng.chance(0.5) ? g.pageBytes : 0;
+        ops.push_back(PhysOp::paraBitSense(loc, senses, in, out));
     }
-    return jobs;
+    return ops;
 }
 
 void
@@ -223,10 +210,10 @@ runGoldenTrace(const SsdConfig &base)
         const Tick at_ref = now_ref / 2 + jitter;
         ASSERT_EQ(at_dev, at_ref);
         if (round % 3 == 2) {
-            const auto jobs =
-                randomJobs(rng, cfg.geometry, 1 + rng.below(24));
-            now_dev = dev.scheduleArrayJobs(jobs, at_dev);
-            now_ref = ref.scheduleArrayJobs(jobs, at_ref);
+            const auto senses =
+                randomSenses(rng, cfg.geometry, 1 + rng.below(24));
+            now_dev = dev.scheduleOps(senses, at_dev);
+            now_ref = ref.scheduleOps(senses, at_ref);
         } else {
             const auto ops = randomOps(rng, cfg.geometry, 1 + rng.below(32));
             now_dev = dev.scheduleOps(ops, at_dev);
@@ -305,9 +292,9 @@ TEST(SchedGolden, SmallBatchesAfterALargeOneStayTickIdentical)
             dev_done = dev.scheduleOps(ops, at);
             ref_done = ref.scheduleOps(ops, at);
         } else {
-            const auto jobs = randomJobs(rng, cfg.geometry, 1);
-            dev_done = dev.scheduleArrayJobs(jobs, at);
-            ref_done = ref.scheduleArrayJobs(jobs, at);
+            const auto senses = randomSenses(rng, cfg.geometry, 1);
+            dev_done = dev.scheduleOps(senses, at);
+            ref_done = ref.scheduleOps(senses, at);
         }
         ASSERT_EQ(dev_done, ref_done) << "one-op batch " << batch;
     }

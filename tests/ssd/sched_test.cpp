@@ -309,6 +309,48 @@ TEST(SchedTrace, PhaseOrderAndNonOverlapObservable)
     }
 }
 
+TEST(SchedResources, DieTracksAndResourcesFollowChannelMajorOrder)
+{
+    // Every coordinate takes two values, so swapping any two axes of
+    // the linearisation would reorder the tracks and the resources.
+    flash::FlashGeometry g = flash::FlashGeometry::tiny();
+    g.channels = 2;
+    g.chipsPerChannel = 2;
+    g.diesPerChip = 2;
+    g.planesPerDie = 2;
+    TransactionScheduler s(g, testTiming(), SchedConfig{});
+    obs::TraceSink sink;
+    s.setTraceSink(&sink);
+    std::uint32_t p = 0;
+    for (std::uint32_t ch = 0; ch < 2; ++ch)
+        for (std::uint32_t chip = 0; chip < 2; ++chip)
+            for (std::uint32_t die = 0; die < 2; ++die)
+                for (std::uint32_t plane = 0; plane < 2; ++plane, ++p) {
+                    // Tracks were created channels first, then one per
+                    // plane: looking a name up again returns its track.
+                    const std::string name =
+                        "ch" + std::to_string(ch) + " chip" +
+                        std::to_string(chip) + " die" + std::to_string(die) +
+                        " plane" + std::to_string(plane);
+                    EXPECT_EQ(sink.track("dies", name).tid,
+                              g.channels + 1 + p)
+                        << name;
+                    flash::PhysPageAddr a;
+                    a.channel = ch;
+                    a.chip = chip;
+                    a.die = die;
+                    a.plane = plane;
+                    s.submit(readTx(a, 0, 10 * (p + 1), 0));
+                }
+    EXPECT_EQ(sink.trackCount(), g.channels + g.planesTotal())
+        << "a looked-up name matched no scheduler track";
+    s.drain();
+    const SchedStats st = s.stats();
+    ASSERT_EQ(st.dieBusy.size(), g.planesTotal());
+    for (std::uint32_t i = 0; i < g.planesTotal(); ++i)
+        EXPECT_EQ(st.dieBusy[i], Tick{10} * (i + 1)) << "plane " << i;
+}
+
 DeviceTransaction
 scrubTx(const flash::PhysPageAddr &a, Tick ready, Tick array)
 {

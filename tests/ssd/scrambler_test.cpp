@@ -83,9 +83,7 @@ TEST(Scrambler, HostWritesAreStoredWhitened)
     const auto addr = dev.ssd().ftl().lookup(0);
     ASSERT_TRUE(addr);
     const BitVector raw =
-        *dev.ssd().chipAt(addr->channel, addr->chip)
-             .readPage({addr->die, addr->plane, addr->block, addr->wordline,
-                        addr->msb});
+        *dev.ssd().chipAt(addr->channel, addr->chip).readPage(*addr);
     EXPECT_NE(raw, d) << "stored bits must be whitened";
 }
 
@@ -155,9 +153,7 @@ TEST(Scrambler, ParaBitPlacementBypassesScrambling)
     const auto addr = dev.ssd().ftl().lookup(0);
     ASSERT_TRUE(addr);
     const BitVector raw =
-        *dev.ssd().chipAt(addr->channel, addr->chip)
-             .readPage({addr->die, addr->plane, addr->block, addr->wordline,
-                        false});
+        *dev.ssd().chipAt(addr->channel, addr->chip).readPage(*addr);
     EXPECT_EQ(raw, x) << "operands must be stored raw";
 
     const auto r = dev.bitwise(flash::BitwiseOp::kAnd, 0, 100, 1,

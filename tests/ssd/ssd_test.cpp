@@ -116,30 +116,30 @@ TEST(SsdDevice, CacheReadPipelinesSensingUnderTransfer)
     EXPECT_EQ(done, sense_total + cfg.timing.tCmdOverhead + xfer);
 }
 
-TEST(SsdDevice, ArrayJobsBookSenseTimePerDie)
+TEST(SsdDevice, ParaBitSenseBooksSenseTimePerDie)
 {
     SsdConfig cfg = tinyCfg();
     SsdDevice dev(cfg);
     flash::PhysPageAddr a{};
-    const Tick done =
-        dev.scheduleArrayJobs({ArrayJob{a, 4, 0}}, 0); // XOR: 4 SROs
+    const Tick done = dev.scheduleOps({PhysOp::paraBitSense(a, 4, 0, 0)},
+                                      0); // XOR: 4 SROs
     EXPECT_EQ(done, cfg.timing.tCmdOverhead + 4 * cfg.timing.tSense);
 }
 
-TEST(SsdDevice, ArrayJobsOnAllPlanesOverlap)
+TEST(SsdDevice, ParaBitSenseOnAllPlanesOverlaps)
 {
     SsdConfig cfg = tinyCfg();
     SsdDevice dev(cfg);
-    std::vector<ArrayJob> jobs;
+    std::vector<PhysOp> ops;
     for (std::uint32_t ch = 0; ch < cfg.geometry.channels; ++ch) {
         for (std::uint32_t c = 0; c < cfg.geometry.chipsPerChannel; ++c) {
             flash::PhysPageAddr a{};
             a.channel = ch;
             a.chip = c;
-            jobs.push_back(ArrayJob{a, 1, 0});
+            ops.push_back(PhysOp::paraBitSense(a, 1, 0, 0));
         }
     }
-    const Tick done = dev.scheduleArrayJobs(jobs, 0);
+    const Tick done = dev.scheduleOps(ops, 0);
     EXPECT_EQ(done, cfg.timing.tCmdOverhead + cfg.timing.tSense)
         << "independent dies must sense concurrently";
 }

@@ -33,18 +33,6 @@ addFinding(Report &r, const std::string &subject, const std::string &message,
     r.findings.push_back({"scheduler", subject, message, expected, actual});
 }
 
-/** Ordinal of @p a's plane, the scheduler's array-resource numbering. */
-std::size_t
-planeIndex(const flash::FlashGeometry &g, const flash::PhysPageAddr &a)
-{
-    return ((static_cast<std::size_t>(a.channel) * g.chipsPerChannel +
-             a.chip) *
-                g.diesPerChip +
-            a.die) *
-               g.planesPerDie +
-           a.plane;
-}
-
 /**
  * The legacy greedy immediate-booking algorithm, generalised over the
  * canonical phase chain (which reproduces the class-specific seed
@@ -63,7 +51,7 @@ class GreedyRef
     schedule(const DeviceTransaction &tx)
     {
         Timeline &ch = chTls_.at(tx.addr.channel);
-        Timeline &die = plTls_.at(planeIndex(geo_, tx.addr));
+        Timeline &die = plTls_.at(flash::planeIndex(geo_, tx.addr));
         Tick ready = tx.readyAt + tx.cmdTicks;
         if (tx.xferInTicks > 0)
             ready = ch.reserve(ready, tx.xferInTicks) + tx.xferInTicks;
@@ -212,7 +200,7 @@ checkCombo(const std::string &subject, const flash::FlashGeometry &geo,
             channelStaged[txs[i].addr.channel] +=
                 booked(st, PhaseKind::kXferIn) +
                 booked(st, PhaseKind::kXferOut);
-            planeStaged[planeIndex(geo, txs[i].addr)] +=
+            planeStaged[flash::planeIndex(geo, txs[i].addr)] +=
                 booked(st, PhaseKind::kArray) +
                 booked(st, PhaseKind::kSuspend) +
                 booked(st, PhaseKind::kResume);
