@@ -3,10 +3,13 @@
  * Simulator self-benchmark: how fast does the simulator itself run?
  *
  * Every other bench measures the *simulated device*; this one measures
- * the *simulator* — host events processed per wall second, retired NVMe
- * commands per wall second, peak RSS, and the self-profiler's
- * attribution of CPU time to subsystems (event engine, scheduler,
- * flash array, FTL, observability).  The workload is a fixed seeded
+ * the *simulator* — retired NVMe commands and scheduler transactions
+ * per wall second, event-engine events per wall second, peak RSS, and
+ * the self-profiler's attribution of CPU time to subsystems (event
+ * engine, scheduler, flash array, FTL, observability).  The mix runs
+ * the default fcfs policy, which books every transaction at submit
+ * without the event engine, so its events/sec reads 0; transactions
+ * per second is the scheduler's rate.  The workload is a fixed seeded
  * mix of reads, writes, XOR formulas and flushes through the full
  * HostInterface/controller/FTL/timing stack, so a regression anywhere
  * in the hot path shows up here.
@@ -25,16 +28,15 @@
  *
  * A placement-scaling sweep then times one timing-only
  * writeMetaOperandPair at paper geometry (SsdConfig::paperSsd()) with
- * 1K, 16K and 64K pages, each on a fresh device, and reports the best
- * of three in thread CPU ns per page, so preemption on a shared machine
- * does not count.  Each is one scheduler batch of two programs per
- * page, so a drain whose cost grows faster than its batch (an
+ * 1K, 16K, 64K and 256K pages, each on a fresh device, and reports the
+ * best of three in thread CPU ns per page, so preemption on a shared
+ * machine does not count.  Each is one scheduler batch of two programs
+ * per page, so a batch whose cost grows faster than its size (an
  * accidentally quadratic queue scan) shows as a rising per-page cost.
- * The run exits nonzero when the 64K cost per page exceeds
- * kMaxPlacementScaling x the 1K cost.  The 64K batch's transaction
- * records (tens of MB) outgrow the caches the 1K batch fits in, so the
- * ratio also reflects the cache hierarchy; on a 4-core Xeon a linear
- * drain measures 0.78-1.08 and a quadratic one 12-17.  The sweep runs
+ * The run exits nonzero when the 256K cost per page exceeds
+ * kMaxPlacementScaling x the 1K cost.  The 256K batch's transaction
+ * records (about 100 MB) outgrow the caches the 1K batch fits in, so
+ * the ratio also reflects the cache hierarchy.  The sweep runs
  * unprofiled, untraced and outside the metrics registry, after the
  * mix's artefacts are written.
  *
@@ -62,6 +64,9 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "bench/common/obs_args.hpp"
 #include "bench/common/report.hpp"
@@ -72,6 +77,7 @@
 #include "obs/trace.hpp"
 #include "parabit/host_interface.hpp"
 #include "ssd/event_engine.hpp"
+#include "ssd/ssd.hpp"
 
 namespace {
 
@@ -88,12 +94,12 @@ constexpr int kDefaultRounds = 768;
 constexpr std::uint64_t kPageSeed = 0x51335BEE;
 /** Pages per placement in the scaling sweep (first and last are the
  *  gate's pair). */
-constexpr std::array<std::uint32_t, 3> kPlacementPages = {1024, 16384,
-                                                          65536};
+constexpr std::array<std::uint32_t, 4> kPlacementPages = {1024, 16384,
+                                                          65536, 262144};
 /** Timings per sweep point; the fastest counts, so one slow run on a
  *  shared machine cannot trip the scaling gate. */
 constexpr int kPlacementRepeats = 3;
-/** Largest allowed 64K-over-1K cost per page of the sweep. */
+/** Largest allowed 256K-over-1K cost per page of the sweep. */
 constexpr double kMaxPlacementScaling = 1.5;
 
 std::vector<BitVector>
@@ -137,8 +143,9 @@ mixRound(HostInterface &host, int r)
 
 struct RunOut
 {
-    std::uint64_t events = 0;   ///< event-engine callbacks dispatched
-    std::uint64_t commands = 0; ///< NVMe commands retired
+    std::uint64_t events = 0;       ///< event-engine events dispatched
+    std::uint64_t transactions = 0; ///< scheduler transactions submitted
+    std::uint64_t commands = 0;     ///< NVMe commands retired
     double wallSec = 0;
     obs::Profiler::Totals prof;
 };
@@ -177,6 +184,7 @@ run(int rounds, bench::ObsOptions &obs)
     obs::Profiler &prof = obs::Profiler::enableGlobal();
     prof.reset();
     const std::uint64_t events0 = ssd::EventEngine::processExecuted();
+    const std::uint64_t tx0 = dev.ssd().scheduler().stats().submitted;
     const Clock::time_point t0 = Clock::now();
 
     RunOut out;
@@ -188,6 +196,7 @@ run(int rounds, bench::ObsOptions &obs)
 
     out.wallSec = std::chrono::duration<double>(Clock::now() - t0).count();
     out.events = ssd::EventEngine::processExecuted() - events0;
+    out.transactions = dev.ssd().scheduler().stats().submitted - tx0;
     out.prof = prof.totals();
     obs::Profiler::disableGlobal();
 
@@ -270,10 +279,16 @@ jsonNumber(const std::string &text, const std::string &key)
     return std::strtod(text.c_str() + at + needle.size(), nullptr);
 }
 
+/** Per wall second of @p r's timed rounds. */
+double
+perSec(const RunOut &r, std::uint64_t n)
+{
+    return r.wallSec > 0 ? static_cast<double>(n) / r.wallSec : 0.0;
+}
+
 void
 writeJson(const std::string &path, int rounds, const RunOut &r,
-          double events_per_sec, double cmds_per_sec, std::size_t rss,
-          const std::vector<PlacementPoint> &placement)
+          std::size_t rss, const std::vector<PlacementPoint> &placement)
 {
     std::ofstream os(path);
     if (!os) {
@@ -287,10 +302,13 @@ writeJson(const std::string &path, int rounds, const RunOut &r,
        << ", \"queues\": " << kQueues << ", \"depth\": " << kDepth
        << ", \"page_seed\": " << kPageSeed << "},\n"
        << "  \"events\": " << r.events << ",\n"
+       << "  \"transactions\": " << r.transactions << ",\n"
        << "  \"commands\": " << r.commands << ",\n"
        << "  \"wall_seconds\": " << r.wallSec << ",\n"
-       << "  \"events_per_sec\": " << events_per_sec << ",\n"
-       << "  \"sim_ops_per_sec\": " << cmds_per_sec << ",\n"
+       << "  \"events_per_sec\": " << perSec(r, r.events) << ",\n"
+       << "  \"transactions_per_sec\": " << perSec(r, r.transactions)
+       << ",\n"
+       << "  \"sim_ops_per_sec\": " << perSec(r, r.commands) << ",\n"
        << "  \"peak_rss_bytes\": " << rss << ",\n"
        << "  \"subsystems\": {";
     const double total = r.prof.totalSeconds();
@@ -348,13 +366,10 @@ main(int argc, char **argv)
     if (obs.traceWanted())
         obs::TraceSink::enableGlobal();
 
-    bench::banner("Simulator self-profile: events/sec, CPU attribution");
+    bench::banner("Simulator self-profile: commands/sec, CPU attribution");
 
     const RunOut r = run(rounds, obs);
-    const double events_per_sec =
-        r.wallSec > 0 ? static_cast<double>(r.events) / r.wallSec : 0.0;
-    const double cmds_per_sec =
-        r.wallSec > 0 ? static_cast<double>(r.commands) / r.wallSec : 0.0;
+    const double cmds_per_sec = perSec(r, r.commands);
     // Before the sweep, whose paper-geometry batches would dominate it.
     const std::size_t rss = peakRssBytes();
     // Write the mix's artefacts, then switch observability off: the
@@ -363,6 +378,15 @@ main(int argc, char **argv)
     const bool obs_ok = obs.finish();
     obs::TraceSink::disableGlobal();
     obs::MetricsRegistry::global().setEnabled(false);
+    // Every sweep point builds and drops a paperSsd device.  Keep the
+    // freed memory in the process, as perfbench does: otherwise a
+    // placement pays page faults for memory the previous device gave
+    // back, which is host noise rather than booking cost and lands on
+    // the 1K placement the gate divides by.
+#if defined(__GLIBC__)
+    mallopt(M_TRIM_THRESHOLD, INT32_MAX);
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+#endif
     std::vector<PlacementPoint> placement;
     for (const std::uint32_t pages : kPlacementPages)
         placement.push_back(timePlacement(pages));
@@ -371,11 +395,15 @@ main(int argc, char **argv)
     std::printf("  rounds                          %12d\n", rounds);
     std::printf("  engine events dispatched        %12llu\n",
                 static_cast<unsigned long long>(r.events));
+    std::printf("  scheduler transactions          %12llu\n",
+                static_cast<unsigned long long>(r.transactions));
     std::printf("  commands retired                %12llu\n",
                 static_cast<unsigned long long>(r.commands));
     std::printf("  wall seconds                    %12.3f\n", r.wallSec);
     std::printf("  events / sec                    %12.0f\n",
-                events_per_sec);
+                perSec(r, r.events));
+    std::printf("  transactions / sec              %12.0f\n",
+                perSec(r, r.transactions));
     std::printf("  simulated ops / sec             %12.0f\n", cmds_per_sec);
     std::printf("  peak RSS (MiB)                  %12.1f\n",
                 static_cast<double>(rss) / (1024.0 * 1024.0));
@@ -407,8 +435,7 @@ main(int argc, char **argv)
                 kMaxPlacementScaling);
 
     if (!json_path.empty())
-        writeJson(json_path, rounds, r, events_per_sec, cmds_per_sec, rss,
-                  placement);
+        writeJson(json_path, rounds, r, rss, placement);
 
     int rc = 0;
     for (const PlacementPoint &p : placement) {

@@ -435,13 +435,17 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
     // A dead plane takes its resident operands with it — unless the
     // device carries RAIN parity, which rebuilds the page on a live
     // plane; only when that fails too is the data genuinely gone.
-    if (!ftl.pageAccessible(y_lpn) && ssd_->repairPage(y_lpn, at))
-        y_addr = ftl.lookup(y_lpn);
-    if (x_lpn && !ftl.pageAccessible(*x_lpn) && ssd_->repairPage(*x_lpn, at))
-        x_addr = ftl.lookup(*x_lpn);
-    if (!ftl.pageAccessible(y_lpn) ||
-        (x_lpn && !ftl.pageAccessible(*x_lpn)))
-        return {std::nullopt, at, ExecStatus::kDataLoss};
+    if (!ssd_->planeAlive(*y_addr) ||
+        (x_addr && !ssd_->planeAlive(*x_addr))) {
+        if (!ftl.pageAccessible(y_lpn) && ssd_->repairPage(y_lpn, at))
+            y_addr = ftl.lookup(y_lpn);
+        if (x_lpn && !ftl.pageAccessible(*x_lpn) &&
+            ssd_->repairPage(*x_lpn, at))
+            x_addr = ftl.lookup(*x_lpn);
+        if (!ftl.pageAccessible(y_lpn) ||
+            (x_lpn && !ftl.pageAccessible(*x_lpn)))
+            return {std::nullopt, at, ExecStatus::kDataLoss};
+    }
 
     Tick ready = at;
     SenseRequest req;

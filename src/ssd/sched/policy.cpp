@@ -60,33 +60,6 @@ phaseKindName(PhaseKind k)
 namespace {
 
 /**
- * Strict per-resource submission order, wait-for-head: the resource
- * serves only its oldest queued entry, idling until that entry becomes
- * ready.  This is exactly the semantics of the legacy greedy
- * Timeline::reserve sequence (each resource's reservations happened in
- * submission order with start = max(earliest, nextFree)), which makes
- * this policy the tick-identical regression anchor.
- */
-class FcfsPolicy final : public SchedulerPolicy
-{
-  public:
-    const char *name() const override { return "fcfs"; }
-
-    std::size_t
-    pick(const std::deque<QueueEntry> &queue, Tick) const override
-    {
-        if (queue.empty())
-        {
-            return kNoPick;
-        }
-        // Queue order is submission order; the head is queue.front().
-        return queue.front().ready ? 0 : kNoPick;
-    }
-
-    bool preempts(TxClass, TxClass) const override { return false; }
-};
-
-/**
  * Work-conserving out-of-order: the oldest *ready* entry starts, so a
  * resource never idles behind a head-of-line entry that is still
  * waiting on another resource.  Order within a resource can change;
@@ -95,8 +68,6 @@ class FcfsPolicy final : public SchedulerPolicy
 class OooDieFirstPolicy final : public SchedulerPolicy
 {
   public:
-    const char *name() const override { return "ooo_die_first"; }
-
     std::size_t
     pick(const std::deque<QueueEntry> &queue, Tick) const override
     {
@@ -142,8 +113,6 @@ class ReadPriorityPolicy final : public SchedulerPolicy
         : scrubMaxDeferred_(scrub_max_deferred)
     {
     }
-
-    const char *name() const override { return "read_priority"; }
 
     std::size_t
     pick(const std::deque<QueueEntry> &queue, Tick now) const override
@@ -222,7 +191,7 @@ makePolicy(const SchedConfig &cfg)
     switch (cfg.policy)
     {
     case SchedPolicyKind::kFcfs:
-        return std::make_unique<FcfsPolicy>();
+        return nullptr;
     case SchedPolicyKind::kOutOfOrderDieFirst:
         return std::make_unique<OooDieFirstPolicy>();
     case SchedPolicyKind::kReadPriority:

@@ -1,11 +1,14 @@
 /**
  * @file
- * Pluggable arbitration policies for the transaction scheduler.
+ * Arbitration policies of the transaction scheduler's event path.
  *
  * A policy answers one question — given the pending phase entries of a
  * single resource (one plane-granular die queue or one channel queue),
  * which entry starts next? — plus whether an arriving entry preempts
- * the array operation currently running on that resource.
+ * the array operation currently running on that resource.  Only the
+ * policies that reorder or preempt have one: `fcfs` serves each
+ * resource in submission order, which the scheduler books in closed
+ * form at submit without queueing (scheduler.hpp).
  *
  * Determinism: a policy sees only the resource's queue and the current
  * tick, and ties always break toward the lowest submission sequence
@@ -65,13 +68,10 @@ class SchedulerPolicy
   public:
     virtual ~SchedulerPolicy() = default;
 
-    virtual const char *name() const = 0;
-
     /**
      * Choose the index of the entry to start on an idle resource, or
-     * kNoPick to leave the resource idle (e.g. FCFS waiting for a
-     * not-yet-ready head of line).  @p queue is the resource's queue in
-     * submission order, tombstones included.
+     * kNoPick to leave the resource idle (no entry is ready).  @p queue
+     * is the resource's queue in submission order, tombstones included.
      */
     virtual std::size_t pick(const std::deque<QueueEntry> &queue,
                              Tick now) const = 0;
@@ -84,6 +84,10 @@ class SchedulerPolicy
     virtual bool preempts(TxClass incoming, TxClass running) const = 0;
 };
 
+/**
+ * The arbiter of @p cfg's policy, or nullptr for kFcfs: FCFS neither
+ * reorders nor preempts, so it needs no arbiter.
+ */
 std::unique_ptr<SchedulerPolicy> makePolicy(const SchedConfig &cfg);
 
 } // namespace parabit::ssd::sched

@@ -2,12 +2,12 @@
  * @file
  * Configuration of the transaction-scheduler subsystem.
  *
- * The scheduler replaces the monolithic greedy Timeline booking with
- * per-die / per-channel queues arbitrated by a pluggable policy.  The
- * default configuration (FCFS) is tick-identical to the historical
- * greedy path, so existing latency results are the regression anchor;
- * every other knob is opt-in.  Command issue is always a die-side
- * delay (DeviceTransaction::cmdTicks).
+ * The default policy (FCFS) is the historical greedy Timeline booking,
+ * done in closed form at submit, so existing latency results are the
+ * regression anchor.  The other policies queue per die and per channel
+ * and arbitrate on the event engine; they and every other knob are
+ * opt-in.  Command issue is always a die-side delay
+ * (DeviceTransaction::cmdTicks).
  */
 
 #ifndef PARABIT_SSD_SCHED_SCHED_CONFIG_HPP_
@@ -23,8 +23,9 @@ namespace parabit::ssd::sched {
 /** Arbitration policy; see policy.hpp for semantics. */
 enum class SchedPolicyKind : std::uint8_t
 {
-    /** Strict submission order per resource — reproduces the legacy
-     *  greedy Timeline path tick-for-tick (the regression anchor). */
+    /** Strict submission order per resource: the legacy greedy
+     *  Timeline booking, done at submit with no queue and no event
+     *  (the regression anchor). */
     kFcfs = 0,
     /** Work-conserving: an independent die/channel proceeds past a
      *  blocked head-of-line transaction. */

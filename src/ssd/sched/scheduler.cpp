@@ -186,6 +186,7 @@ TransactionScheduler::submit(const DeviceTransaction &tx)
         // cmdStages_ survive (a formula command spans several drains).
         txs_.clear();
         batchOpen_ = true;
+        ++batch_;
     }
     const std::size_t txIdx = txs_.size();
     TxState &st = txs_.emplace_back();
@@ -194,14 +195,58 @@ TransactionScheduler::submit(const DeviceTransaction &tx)
     st.cmd = curCmd_;
     buildPhases(st);
     ++submitted_;
-
-    if (st.numPhases == 0)
+    for (std::uint8_t p = 0; p < st.numPhases; ++p)
     {
-        // Pure delay (all phase durations zero): completes without
-        // touching any resource.
-        finishTx(st, firstEarliest(st));
-        return st.id;
+        Resource &r = resources_[st.phases[p].resource];
+        if (r.depthBatch != batch_)
+        {
+            r.depthBatch = batch_;
+            r.depth = 0;
+        }
+        maxQueueDepth_.noteMax(static_cast<double>(++r.depth));
     }
+
+    // A pure delay (all phase durations zero) has nothing to arbitrate
+    // under any policy: it completes without touching a resource.
+    if (!policy_ || st.numPhases == 0)
+    {
+        book(st);
+    }
+    else
+    {
+        enqueue(txIdx);
+    }
+    return st.id;
+}
+
+void
+TransactionScheduler::book(TxState &st)
+{
+    // Submission order is the FCFS order of every resource, and each
+    // phase follows the previous one of its transaction, so booking
+    // phase after phase now gives each the start the head-of-line
+    // queue would: max(its earliest, the resource's nextFree).
+    Tick ready = firstEarliest(st);
+    for (std::uint8_t p = 0; p < st.numPhases; ++p)
+    {
+        const Phase &ph = st.phases[p];
+        const Tick ticks = phaseTicks(st.tx, ph.kind);
+        const Tick start = resources_[ph.resource].tl.reserve(ready, ticks);
+        st.stages.queueWait += start - ready;
+        ready = start + ticks;
+        noteSpan(ph.resource, st, ph.kind, start, ready);
+        if (ph.kind == PhaseKind::kArray)
+        {
+            st.arrayExecuted += ticks;
+        }
+    }
+    finishTx(st, ready);
+}
+
+void
+TransactionScheduler::enqueue(std::size_t txIdx)
+{
+    TxState &st = txs_[txIdx];
     for (std::uint8_t p = 0; p < st.numPhases; ++p)
     {
         Phase &ph = st.phases[p];
@@ -215,9 +260,7 @@ TransactionScheduler::submit(const DeviceTransaction &tx)
         e.txIdx = txIdx;
         e.phaseIdx = p;
         r.q.push_back(e);
-        maxQueueDepth_.noteMax(static_cast<double>(r.q.size()));
     }
-    return st.id;
 }
 
 Tick
@@ -541,9 +584,10 @@ Tick
 TransactionScheduler::completionOf(std::uint64_t id) const
 {
     // A batch's ids are contiguous, so the id indexes txs_ (an id below
-    // the batch wraps past its end).
+    // the batch wraps past its end).  An FCFS transaction is done at
+    // submit, but its batch is not drained yet.
     const std::uint64_t at = txs_.empty() ? 0 : id - txs_.front().id;
-    if (at >= txs_.size() || !txs_[at].done)
+    if (batchOpen_ || at >= txs_.size() || !txs_[at].done)
     {
         panic("TransactionScheduler::completionOf: unknown transaction "
               "(batch already discarded? drain before querying)");

@@ -1,20 +1,32 @@
 /**
  * @file
- * TransactionScheduler: per-die/per-channel arbitration of
- * DeviceTransactions, driven by the deterministic EventEngine.
+ * TransactionScheduler: per-die/per-channel booking of
+ * DeviceTransactions, one booking path per policy.
  *
  * Usage is submit-then-drain: callers submit any number of transactions
  * (each gets a monotonically increasing id, so one batch's ids are
- * contiguous) and then drain(), which runs the batch through the
- * scheduler's one event engine, reset for each drain.  A drain costs
- * O(transactions in the batch): completions are read by id - first id
- * of the batch, a queued phase keeps a handle to its queue slot, and
- * the end-of-drain check visits only the resources the batch queued on.
- * Resource Timelines persist across drains, so consecutive batches see
- * the device exactly as the legacy greedy path did; the engine only
- * orders events — every booking is computed from logical times
- * (max(phase-chain earliest, resource nextFree)), never from the
- * engine clock.
+ * contiguous) and then drain(); completions of a batch can be read once
+ * it is drained.  Resource Timelines persist across drains, so
+ * consecutive batches see the device exactly as the legacy greedy path
+ * did.
+ *
+ * FCFS (the default) books every phase of a transaction the moment it
+ * is submitted: in submission order, each phase starts at
+ * max(end of the previous phase, resource nextFree) — the legacy greedy
+ * arithmetic.  An FCFS transaction is finished when submit returns, so
+ * its drain queues nothing and runs no event.
+ *
+ * The policies that reorder or preempt (ooo_die_first, read_priority)
+ * queue each phase on its resource at submit and book at drain(), which
+ * runs the batch through the scheduler's one event engine, reset for
+ * each drain.  Their drain costs O(transactions in the batch) plus the
+ * policy's queue scans: a queued phase keeps a handle to its queue
+ * slot, and the end-of-drain check visits only the resources the batch
+ * queued on.  The engine only orders events — every booking is computed
+ * from logical times (max(phase-chain earliest, resource nextFree)),
+ * never from the engine clock.
+ *
+ * Either way completions are read by id - first id of the batch.
  *
  * Array resources are plane-granular (the device exploits plane-level
  * parallelism), matching the legacy per-plane Timelines; the stats
@@ -103,6 +115,7 @@ struct SchedStats
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
     std::uint64_t suspends = 0;
+    /** Most phase entries one resource received in one batch. */
     std::size_t maxQueueDepth = 0;
 };
 
@@ -115,24 +128,27 @@ class TransactionScheduler
                          const SchedConfig &cfg);
 
     const SchedConfig &config() const { return cfg_; }
-    const char *policyName() const { return policy_->name(); }
+    const char *policyName() const { return sched::policyName(cfg_.policy); }
 
     /**
-     * Queue @p tx for the next drain().  @return its id.  The first
-     * submit after a drain starts a new batch and discards the previous
+     * Add @p tx to the current batch: under FCFS book it now, otherwise
+     * queue it for the next drain().  @return its id.  The first submit
+     * after a drain starts a new batch and discards the previous
      * batch's completions and records.
      */
     std::uint64_t submit(const DeviceTransaction &tx);
 
     /**
-     * Run the event engine until every submitted transaction completes.
-     * @return the latest completion tick of the batch (0 if empty).
-     * Panics if arbitration stalls (a policy bug).
+     * Close the batch: run the event engine until every queued
+     * transaction completes (nothing to run under FCFS).  @return the
+     * latest completion tick of the batch (0 if empty).  Panics if
+     * arbitration stalls (a policy bug).
      */
     Tick drain();
 
     /** Completion tick of @p id from the last drained batch.  Panics
-     *  if @p id is not a finished transaction of that batch. */
+     *  if @p id is not a transaction of that batch, or if a batch is
+     *  open (submitted, not yet drained). */
     Tick completionOf(std::uint64_t id) const;
 
     /** Latest completion over @p g, or @p fallback when @p g is empty. */
@@ -177,14 +193,16 @@ class TransactionScheduler
      * violations to @p r:
      *
      *  - sched.queue.drained: no residual queue entries or running
-     *    bookings survive a drain;
+     *    bookings survive a drain (FCFS never queues);
      *  - sched.queue.accounting: lifetime submitted == completed;
      *  - sched.work.conservation: every transaction's executed array
      *    time equals its planned array time (suspend-resume conserves
      *    work) and it completed no earlier than it became ready.
      *
-     * Booking exclusivity needs no audit: every booking is checked as
-     * it lands on its resource Timeline (PARABIT_CHECK).
+     * Booking exclusivity needs no audit: an FCFS booking starts at the
+     * resource's nextFree or later by construction, and every event-path
+     * booking is checked as it lands on its resource Timeline
+     * (PARABIT_CHECK).
      */
     void auditInvariants(InvariantReport &r) const;
     /// @}
@@ -195,8 +213,8 @@ class TransactionScheduler
     struct Phase
     {
         std::uint32_t resource = 0; ///< index into resources_
-        /** Handle of the phase's queue entry: its position in the
-         *  resource queue counted from Resource::base. */
+        /** Event path: handle of the phase's queue entry, its position
+         *  in the resource queue counted from Resource::base. */
         std::uint32_t slot = 0;
         PhaseKind kind = PhaseKind::kArray;
     };
@@ -233,9 +251,12 @@ class TransactionScheduler
     struct Resource
     {
         Timeline tl;
-        /** Queued phase entries in arrival order.  A started entry stays
-         *  in place as a tombstone (policy.hpp) until it reaches the
-         *  front, so every entry behind it keeps its slot. */
+        /** Phase entries the batch numbered depthBatch sent here. */
+        std::uint32_t depth = 0;
+        std::uint64_t depthBatch = 0;
+        /** Event path: queued phase entries in arrival order.  A started
+         *  entry stays in place as a tombstone (policy.hpp) until it
+         *  reaches the front, so every entry behind it keeps its slot. */
         std::deque<QueueEntry> q;
         /** Slot of q.front(): entries popped since the queue was last
          *  empty. */
@@ -261,6 +282,12 @@ class TransactionScheduler
     void buildPhases(TxState &st) const;
     Tick firstEarliest(const TxState &st) const;
 
+    /** Book every phase of @p st in closed form and finish it: every
+     *  FCFS transaction, and a pure delay under any policy. */
+    void book(TxState &st);
+    /** Event path: queue every phase of txs_[txIdx]. */
+    void enqueue(std::size_t txIdx);
+
     void onEvent(const EventEngine::Event &ev);
     void markReady(std::size_t txIdx, std::size_t phaseIdx, Tick earliest);
     void dispatch(std::size_t res);
@@ -272,6 +299,7 @@ class TransactionScheduler
     flash::FlashGeometry geo_;
     flash::FlashTiming timing_;
     SchedConfig cfg_;
+    /** The event path's arbiter; null under FCFS (makePolicy). */
     std::unique_ptr<SchedulerPolicy> policy_;
 
     std::vector<Resource> resources_; ///< channels first, then planes
@@ -286,6 +314,7 @@ class TransactionScheduler
     EventEngine eng_; ///< reset at the start of every drain
     std::uint64_t nextId_ = 0;
     bool batchOpen_ = false;
+    std::uint64_t batch_ = 0; ///< batches opened so far
 
     std::optional<std::uint64_t> curCmd_; ///< open attribution bracket
     /** command token -> aggregated stages (until takeCommandStages). */

@@ -9,10 +9,9 @@
  *
  * Absent phases have zero duration.  The command/address overhead is a
  * die-side delay before the first phase; it books no resource.  The
- * scheduler queues each phase on its resource (one array queue per
+ * scheduler books each phase on its resource: one array resource per
  * plane — the granularity the device exploits for plane-level
- * parallelism — and one queue per channel) and a SchedulerPolicy
- * arbitrates.
+ * parallelism — and one per channel (scheduler.hpp).
  */
 
 #ifndef PARABIT_SSD_SCHED_TRANSACTION_HPP_

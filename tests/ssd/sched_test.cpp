@@ -2,7 +2,9 @@
  * @file
  * Transaction-scheduler behaviour: policy semantics (FCFS head-of-line
  * vs out-of-order independence vs read priority), suspend-resume
- * arithmetic and its bounds, and batch bookkeeping edges.
+ * arithmetic and its bounds, batch bookkeeping edges, and the two
+ * booking paths: FCFS books in closed form without the event engine,
+ * and the event path books the same ticks whenever nothing can overtake.
  *
  * Durations are hand-picked round numbers set directly on the
  * DeviceTransaction, so every expected tick below is derivable by eye.
@@ -12,7 +14,10 @@
 
 #include <vector>
 
+#include "common/rng.hpp"
 #include "obs/trace.hpp"
+#include "ssd/config.hpp"
+#include "ssd/event_engine.hpp"
 #include "ssd/sched/scheduler.hpp"
 #include "trace_check.hpp"
 
@@ -251,6 +256,127 @@ TEST(SchedBookkeeping, CompletionOfOutsideTheDrainedBatchDies)
     EXPECT_EQ(s.completionOf(cur), 20u);
     EXPECT_DEATH(s.completionOf(old), "unknown transaction");
     EXPECT_DEATH(s.completionOf(cur + 1), "unknown transaction");
+}
+
+TEST(SchedBookkeeping, FcfsDrainRunsNoEngineEvent)
+{
+    const flash::FlashTiming t;
+    // Every class and phase shape, two transactions sharing a plane and
+    // one with no phase at all.
+    std::vector<DeviceTransaction> batch = {
+        readTx(planeAddr(0, 0, 0), 0, t.msbReadTime(), t.transferTime(64)),
+        programTx(planeAddr(0, 0, 0), 5, t.tProgram),
+        readTx(planeAddr(0, 1, 1), 0, t.lsbReadTime(), t.transferTime(64)),
+    };
+    batch[1].xferInTicks = t.transferTime(64);
+    DeviceTransaction erase;
+    erase.cls = TxClass::kErase;
+    erase.addr = planeAddr(0, 1, 0);
+    erase.arrayTicks = t.tErase;
+    batch.push_back(erase);
+    DeviceTransaction sense;
+    sense.cls = TxClass::kParaBit;
+    sense.addr = planeAddr(0, 1, 0);
+    sense.cmdTicks = t.tCmdOverhead;
+    sense.xferInTicks = t.transferTime(64);
+    sense.arrayTicks = t.senseTime(3);
+    sense.xferOutTicks = t.transferTime(64);
+    batch.push_back(sense);
+    DeviceTransaction delay;
+    delay.cls = TxClass::kParaBit;
+    delay.readyAt = 7;
+    batch.push_back(delay);
+
+    const auto eventsFor = [&](SchedPolicyKind p) {
+        SchedConfig cfg;
+        cfg.policy = p;
+        TransactionScheduler s(flash::FlashGeometry::tiny(), t, cfg);
+        const std::uint64_t before = EventEngine::processExecuted();
+        for (const DeviceTransaction &tx : batch)
+            s.submit(tx);
+        EXPECT_GT(s.drain(), 0u);
+        EXPECT_EQ(s.stats().completed, batch.size());
+        return EventEngine::processExecuted() - before;
+    };
+    EXPECT_EQ(eventsFor(SchedPolicyKind::kFcfs), 0u);
+    // The counter does see the same batch on the event path.
+    EXPECT_GT(eventsFor(SchedPolicyKind::kOutOfOrderDieFirst), 0u);
+}
+
+TEST(SchedPolicy, EventPathBooksTheClosedFormWhenNothingCanOvertake)
+{
+    // Array-only transactions (erases and ParaBit senses) that share
+    // one ready tick per batch: on each plane every entry becomes ready
+    // at once, so ooo_die_first and read_priority serve the plane in
+    // submission order, and nothing they run is preempted (no reads).
+    // Both must then book exactly what FCFS books in closed form,
+    // across batches too (the Timelines persist).
+    for (const SsdConfig &preset : {SsdConfig::tiny(), SsdConfig::paperSsd()}) {
+        const flash::FlashGeometry &g = preset.geometry;
+        const flash::FlashTiming &t = preset.timing;
+        for (const SchedPolicyKind p : {SchedPolicyKind::kOutOfOrderDieFirst,
+                                        SchedPolicyKind::kReadPriority}) {
+            SchedConfig cfg;
+            cfg.policy = p;
+            TransactionScheduler fcfs(g, t, SchedConfig{});
+            TransactionScheduler evt(g, t, cfg);
+            Rng rng(0xC105EDF0);
+            std::uint64_t token = 0;
+            for (int batch = 0; batch < 4; ++batch) {
+                const Tick ready = ticks::fromMs(1) * batch;
+                std::vector<std::uint64_t> ids;
+                // More transactions than planes: tiny has 8, and
+                // paperSsd's first two channels and chips hold 32.
+                for (int i = 0; i < 40; ++i) {
+                    DeviceTransaction tx;
+                    tx.addr.channel = static_cast<std::uint32_t>(
+                        rng.below(std::min(g.channels, 2u)));
+                    tx.addr.chip = static_cast<std::uint32_t>(
+                        rng.below(std::min(g.chipsPerChannel, 2u)));
+                    tx.addr.die =
+                        static_cast<std::uint32_t>(rng.below(g.diesPerChip));
+                    tx.addr.plane = static_cast<std::uint32_t>(
+                        rng.below(g.planesPerDie));
+                    tx.readyAt = ready;
+                    tx.cmdTicks = t.tCmdOverhead;
+                    if (rng.below(2) == 0) {
+                        tx.cls = TxClass::kErase;
+                        tx.arrayTicks = t.tErase;
+                    } else {
+                        tx.cls = TxClass::kParaBit;
+                        tx.arrayTicks = t.senseTime(
+                            1 + static_cast<int>(rng.below(7)));
+                    }
+                    for (TransactionScheduler *s : {&fcfs, &evt}) {
+                        s->beginCommandAttribution(token);
+                        const std::uint64_t id = s->submit(tx);
+                        s->endCommandAttribution();
+                        if (s == &fcfs)
+                            ids.push_back(id);
+                    }
+                    ++token;
+                }
+                EXPECT_EQ(evt.drain(), fcfs.drain());
+                for (std::size_t i = 0; i < ids.size(); ++i)
+                    ASSERT_EQ(evt.completionOf(ids[i]),
+                              fcfs.completionOf(ids[i]))
+                        << policyName(p) << " batch " << batch << " tx "
+                        << i;
+                for (std::uint64_t k = token - ids.size(); k < token; ++k) {
+                    const StageTicks a = fcfs.takeCommandStages(k);
+                    const StageTicks b = evt.takeCommandStages(k);
+                    EXPECT_EQ(b.queueWait, a.queueWait) << "token " << k;
+                    EXPECT_EQ(b.phase, a.phase) << "token " << k;
+                }
+            }
+            const SchedStats a = fcfs.stats();
+            const SchedStats b = evt.stats();
+            EXPECT_EQ(b.dieBusy, a.dieBusy) << policyName(p);
+            EXPECT_EQ(b.channelBusy, a.channelBusy) << policyName(p);
+            EXPECT_EQ(b.maxQueueDepth, a.maxQueueDepth) << policyName(p);
+            EXPECT_EQ(b.suspends, 0u) << policyName(p);
+        }
+    }
 }
 
 TEST(SchedBookkeeping, LatencySamplingPerClass)

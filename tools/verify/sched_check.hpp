@@ -2,12 +2,13 @@
  * @file
  * parabit-verify --sched: model checks for the transaction scheduler.
  *
- * The scheduler refactor (src/ssd/sched) replays device transactions
- * through per-die/per-channel queues under a pluggable policy.  Its
- * correctness argument rests on a handful of structural invariants that
- * no single runtime test pins for every policy; this leg sweeps every
- * SchedulerPolicy x geometry over a deterministic mixed transaction
- * trace and mechanically checks:
+ * The scheduler (src/ssd/sched) books device transactions per die and
+ * per channel: in closed form at submit under fcfs, through
+ * per-resource queues and the event engine under the policies that
+ * reorder or preempt.  Its correctness argument rests on a handful of
+ * structural invariants that no single runtime test pins for every
+ * policy; this leg sweeps every policy x geometry over a deterministic
+ * mixed transaction trace and mechanically checks:
  *
  *  - mutual exclusion and canonical phase order: every booked phase is
  *    emitted as a span on a local obs::TraceSink, and parabit-trace's
