@@ -3,11 +3,11 @@
  * Google-benchmark microbenchmarks of the simulator's hot paths: ParaBit
  * page ops as the simulator runs them (Chip::opCoLocated and
  * opLocationFree on a functional chip with 8 KiB pages: the latch
- * kernel plus the result page, bytes per second of one page), one
- * ReAlloc page op end to end on 8 KiB pages, FTL write/GC throughput,
- * and the event-engine scheduling rate.  These
- * measure the *simulator's* host performance, complementing the figure
- * benches that report *simulated* device time.
+ * kernel plus the result page, bytes per second of one page, with ideal
+ * and with noisy sensing), one ReAlloc page op end to end on 8 KiB
+ * pages, FTL write/GC throughput, and the event-engine scheduling rate.
+ * These measure the *simulator's* host performance, complementing the
+ * figure benches that report *simulated* device time.
  */
 
 #include <benchmark/benchmark.h>
@@ -34,14 +34,16 @@ randomBits(std::size_t n, std::uint64_t seed)
     return v;
 }
 
-/** Functional chip with 8 KiB pages, ideal sensing, random data on the
- *  pages the latch benchmarks sense. */
+/** Functional chip with 8 KiB pages, ideal sensing unless @p errors
+ *  says otherwise, random data on the pages the latch benchmarks
+ *  sense. */
 flash::Chip
-latchChip()
+latchChip(const flash::ErrorModelConfig &errors =
+              flash::ErrorModelConfig::ideal())
 {
     flash::FlashGeometry g = flash::FlashGeometry::tiny();
     g.pageBytes = 8 * bytes::kKiB;
-    flash::Chip chip(g, true);
+    flash::Chip chip(g, true, errors);
     std::uint64_t seed = 1;
     for (const flash::PhysPageAddr &a :
          {flash::PhysPageAddr{0, 0, 0, 0, 0, 0, false},
@@ -93,6 +95,36 @@ BM_LatchArrayLocationFree(benchmark::State &state)
     setPageBytes(state, chip);
 }
 BENCHMARK(BM_LatchArrayLocationFree);
+
+/**
+ * Co-located XOR (three sensings) with every sensing flipping each
+ * bitline with probability 1e-4 at any P/E count, about 20 noisy
+ * bitlines per 8 KiB page op, and the bit errors counted as the
+ * controller's runSense asks for them.
+ */
+void
+BM_LatchArrayNoisy(benchmark::State &state)
+{
+    flash::ErrorModelConfig errors;
+    errors.decadesOverLife = 0.0; // the same rate at every P/E count
+    errors.observedErrorsAtRef = 1e-4 * errors.propagationSurvival *
+                                 errors.refSensings * errors.wordlineBits;
+    flash::Chip chip = latchChip(errors);
+    std::int64_t bit_errors = 0;
+    for (auto _ : state) {
+        int e = 0;
+        BitVector out =
+            chip.opCoLocated(flash::BitwiseOp::kXor, {0, 0, 0, 0, 0, 0, false},
+                             &e);
+        bit_errors += e;
+        benchmark::DoNotOptimize(out.words().data());
+        benchmark::ClobberMemory();
+    }
+    setPageBytes(state, chip);
+    state.counters["bit_errors_per_op"] = benchmark::Counter(
+        static_cast<double>(bit_errors), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_LatchArrayNoisy);
 
 void
 BM_FtlWritePath(benchmark::State &state)

@@ -1,5 +1,6 @@
 #include "common/bitvector.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -11,6 +12,30 @@ BitVector::BitVector(std::size_t n, bool value)
     : numBits_(n), words_(wordsFor(n), value ? ~std::uint64_t{0} : 0)
 {
     maskTail();
+}
+
+BitVector
+BitVector::forOverwrite(std::size_t n)
+{
+    BitVector v;
+    v.numBits_ = n;
+    v.words_.resize(wordsFor(n));
+    return v;
+}
+
+BitVector::BitVector(const BitVector &other)
+    : numBits_(other.numBits_), words_(other.words_.size())
+{
+    std::copy(other.words_.begin(), other.words_.end(), words_.begin());
+}
+
+BitVector &
+BitVector::operator=(const BitVector &other)
+{
+    numBits_ = other.numBits_;
+    words_.resize(other.words_.size());
+    std::copy(other.words_.begin(), other.words_.end(), words_.begin());
+    return *this;
 }
 
 BitVector

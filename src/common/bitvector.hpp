@@ -14,10 +14,49 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace parabit {
+
+/**
+ * std::allocator, except that an element constructed without a value is
+ * left uninitialised instead of zeroed.  BitVector stores its words
+ * with it so that a page a kernel overwrites in full
+ * (BitVector::forOverwrite) skips the zero-fill; every construction
+ * that names a value (fill, copy) still writes it.
+ */
+template <class T>
+struct UninitAllocator : std::allocator<T>
+{
+    static_assert(std::is_trivially_default_constructible_v<T>,
+                  "skipping construction is only sound for trivial types");
+
+    template <class U>
+    struct rebind
+    {
+        using other = UninitAllocator<U>;
+    };
+
+    UninitAllocator() = default;
+    template <class U>
+    UninitAllocator(const UninitAllocator<U> &) noexcept
+    {
+    }
+
+    template <class U>
+    void construct(U *) noexcept
+    {
+    }
+    template <class U, class... Args>
+    void construct(U *p, Args &&...args)
+    {
+        std::construct_at(p, std::forward<Args>(args)...);
+    }
+};
 
 /**
  * A densely packed, dynamically sized vector of bits.
@@ -33,6 +72,19 @@ class BitVector
 
     /** Construct @p n bits, all initialised to @p value. */
     explicit BitVector(std::size_t n, bool value = false);
+
+    /**
+     * @p n bits whose words are unspecified: for a result the caller
+     * writes in full, word by word, before calling maskTail().
+     */
+    static BitVector forOverwrite(std::size_t n);
+
+    /** A copy moves the words as one block; through the allocator they
+     *  would be copied one at a time. */
+    BitVector(const BitVector &other);
+    BitVector &operator=(const BitVector &other);
+    BitVector(BitVector &&) noexcept = default;
+    BitVector &operator=(BitVector &&) noexcept = default;
 
     /**
      * Construct from a 0/1 string, most-significant-looking char first is
@@ -88,9 +140,13 @@ class BitVector
     /** Render as a 0/1 string, bit 0 first. */
     std::string toString() const;
 
+    /** The word storage; resizing it without a value leaves words
+     *  unspecified. */
+    using Words = std::vector<std::uint64_t, UninitAllocator<std::uint64_t>>;
+
     /** Direct word access for fast packing (word i holds bits 64i..64i+63). */
-    const std::vector<std::uint64_t> &words() const { return words_; }
-    std::vector<std::uint64_t> &words() { return words_; }
+    const Words &words() const { return words_; }
+    Words &words() { return words_; }
 
     /** Re-establish the invariant after external word mutation. */
     void maskTail();
@@ -99,7 +155,7 @@ class BitVector
     static std::size_t wordsFor(std::size_t bits) { return (bits + 63) / 64; }
 
     std::size_t numBits_ = 0;
-    std::vector<std::uint64_t> words_;
+    Words words_;
 };
 
 } // namespace parabit

@@ -173,16 +173,11 @@ Chip::runOp(const MicroProgram &prog, const PhysPageAddr &sense_addr,
         }
     }
 
-    BitVector out(width);
-    executeProgram(prog, self, wl_m, wl_n, out, noise);
-    if (bit_errors) {
-        *bit_errors = 0;
-        if (!noise.empty()) {
-            BitVector clean(width);
-            executeProgram(prog, self, wl_m, wl_n, clean);
-            *bit_errors = static_cast<int>((clean ^= out).popcount());
-        }
-    }
+    BitVector out = BitVector::forOverwrite(width);
+    const std::size_t changed =
+        executeProgram(prog, self, wl_m, wl_n, out, noise);
+    if (bit_errors)
+        *bit_errors = static_cast<int>(changed);
     return out;
 }
 

@@ -12,22 +12,25 @@ namespace {
 
 using Word = std::uint64_t;
 
-/** Words of latch state the kernel keeps on the stack per block. */
-constexpr std::size_t kLatchBlockWords = 64;
+/**
+ * The stored bits a sensing can read, in truth-table index order: the
+ * self wordline's LSB and MSB, M's LSB and MSB, N's LSB and MSB.
+ */
+constexpr std::size_t kInputs = 6;
+constexpr std::size_t kTableEntries = std::size_t{1} << kInputs;
 
-/** What an absent (erased-looking) page reads as: all ones. */
-constexpr std::array<Word, kLatchBlockWords> kErasedBlock = [] {
-    std::array<Word, kLatchBlockWords> a{};
-    a.fill(~Word{0});
-    return a;
-}();
+/** One word per input; bit l of input j is lane l's bit j. */
+using Inputs = std::array<Word, kInputs>;
 
-/** The block of @p page starting at word @p first (all-ones if null). */
-const Word *
-blockOf(const BitVector *page, std::size_t first)
-{
-    return page ? page->words().data() + first : kErasedBlock.data();
-}
+/** Lane l reads input j as bit j of l: 64 lanes enumerate every
+ *  combination of the six inputs. */
+constexpr Inputs kEnumerated = {
+    0xAAAA'AAAA'AAAA'AAAA, 0xCCCC'CCCC'CCCC'CCCC, 0xF0F0'F0F0'F0F0'F0F0,
+    0xFF00'FF00'FF00'FF00, 0xFFFF'0000'FFFF'0000, 0xFFFF'FFFF'0000'0000,
+};
+
+/** The pages behind the inputs (nullptr reads as all-ones). */
+using InputPages = std::array<const BitVector *, kInputs>;
 
 void
 checkWidth(const WordlineData &wl, std::size_t width)
@@ -38,63 +41,275 @@ checkWidth(const WordlineData &wl, std::size_t width)
                       "result page");
 }
 
-/** SO words of one sensing over @p n words (M7 inversion included). */
-void
-senseBlock(const MicroStep &st, const WordlineData &wl, std::size_t first,
-           std::size_t n, Word *so)
+/** SO of sensing @p st over 64 lanes, M7 inversion included. */
+Word
+senseLanes(const MicroStep &st, const Inputs &in)
 {
-    const Word inv = st.soInverted ? ~Word{0} : Word{0};
-    const Word *lsb = blockOf(wl.lsb, first);
-    const Word *msb = blockOf(wl.msb, first);
+    const std::size_t base = st.wl == WordlineSel::kOperandM   ? 2
+                             : st.wl == WordlineSel::kOperandN ? 4
+                                                               : 0;
+    const Word lsb = in[base];
+    const Word msb = in[base + 1];
+    Word so = ~Word{0};
     // A kNone sensing is the VREAD0 L1 re-init: always "above".
     switch (st.wl == WordlineSel::kNone ? VRead::kVRead0 : st.vread) {
       case VRead::kVRead0:
-        std::fill_n(so, n, ~inv);
         break;
       case VRead::kVRead1:
-        for (std::size_t w = 0; w < n; ++w)
-            so[w] = ~(lsb[w] & msb[w]) ^ inv;
+        so = ~(lsb & msb);
         break;
       case VRead::kVRead2:
-        for (std::size_t w = 0; w < n; ++w)
-            so[w] = ~lsb[w] ^ inv;
+        so = ~lsb;
         break;
       case VRead::kVRead3:
-        for (std::size_t w = 0; w < n; ++w)
-            so[w] = (~lsb[w] & msb[w]) ^ inv;
+        so = ~lsb & msb;
         break;
+    }
+    return st.soInverted ? ~so : so;
+}
+
+/**
+ * Run @p prog over 64 lanes and return OUT.  Only C and B are kept:
+ * the latches regenerate A = ~C and OUT = ~B after every pulse.
+ * @p perturb(k, so) applies sensing k's noise to its SO word, after the
+ * M7 inversion and before the pulse.
+ */
+template <class Perturb>
+Word
+runLanes(const MicroProgram &prog, const Inputs &in, Perturb &&perturb)
+{
+    Word c = 0, b = ~Word{0};
+    std::size_t sense = 0;
+    for (const MicroStep &st : prog.steps) {
+        switch (st.kind) {
+          case MicroStep::Kind::kInitNormal:
+            // C = 0 (A = 1); SET grounds OUT, so B = 1.
+            c = 0;
+            b = ~Word{0};
+            break;
+          case MicroStep::Kind::kInitInverted:
+            // A = 0 (C = 1); L2 as in the normal case.
+            c = ~Word{0};
+            b = ~Word{0};
+            break;
+          case MicroStep::Kind::kSense: {
+            Word so = senseLanes(st, in);
+            perturb(sense++, so);
+            if (st.pulse == LatchPulse::kM1)
+                c &= ~so; // C <- C & ~SO
+            else if (st.pulse == LatchPulse::kM2)
+                c |= so; // A <- A & ~SO, i.e. C <- C | SO
+            else
+                panic("latch kernel: sense step cannot pulse M3");
+            break;
+          }
+          case MicroStep::Kind::kTransfer:
+            // B <- B & ~A, i.e. B & C.
+            b &= c;
+            break;
+        }
+    }
+    return ~b;
+}
+
+/**
+ * A bitline's result as a function of the inputs it depends on: the
+ * pages of those inputs, and entry m (a 0 or all-ones word) for the
+ * combination where input l reads bit l of m.
+ */
+struct Table
+{
+    std::array<const Word *, kInputs> in{};
+    std::size_t inputs = 0;
+    std::array<Word, kTableEntries> entry{};
+};
+
+/**
+ * Run @p prog once over the 64 input combinations (an absent page reads
+ * 1 in every lane) and keep the inputs the resulting truth table
+ * depends on.
+ */
+Table
+deriveTable(const MicroProgram &prog, const InputPages &pages)
+{
+    Inputs in = kEnumerated;
+    for (std::size_t j = 0; j < kInputs; ++j)
+        if (!pages[j])
+            in[j] = ~Word{0};
+    const Word truth = runLanes(prog, in, [](std::size_t, Word &) {});
+
+    Table t;
+    std::array<std::size_t, kInputs> which{};
+    for (std::size_t j = 0; j < kInputs; ++j) {
+        // Input j matters where a lane reading it as 0 differs from its
+        // twin reading 1.
+        const Word twins = truth ^ (truth >> (std::size_t{1} << j));
+        if ((twins & ~kEnumerated[j]) == 0)
+            continue;
+        which[t.inputs] = j;
+        t.in[t.inputs++] = pages[j]->words().data();
+    }
+    for (std::size_t m = 0; m < (std::size_t{1} << t.inputs); ++m) {
+        std::size_t lane = 0;
+        for (std::size_t l = 0; l < t.inputs; ++l)
+            lane |= ((m >> l) & 1) << which[l];
+        t.entry[m] = (truth >> lane) & 1 ? ~Word{0} : Word{0};
+    }
+    return t;
+}
+
+/**
+ * Page words the table pass folds into a local buffer at once.  The
+ * constant trip count and the buffer (which no page can alias) let GCC
+ * vectorize the fold at -O2 as well as at -O3.
+ */
+constexpr std::size_t kChunk = 32;
+
+/**
+ * The result of word @p i: entries [0, 2^K) of @p e folded by inputs
+ * x[K-1] down to x[0].  The lower half of the entries has input K-1 at
+ * 0 and the upper half at 1; lo ^ (x & (lo ^ hi)) picks hi where x
+ * reads 1.
+ */
+template <std::size_t K>
+Word
+fold(const Word *e, const Word *const *x, std::size_t i)
+{
+    if constexpr (K == 0) {
+        return e[0];
+    } else {
+        const Word lo = fold<K - 1>(e, x, i);
+        const Word hi = fold<K - 1>(e + (std::size_t{1} << (K - 1)), x, i);
+        return lo ^ (x[K - 1][i] & (lo ^ hi));
     }
 }
 
-/** Apply sensing @p sense's flips, then the stuck bitlines, to the SO
- *  words of the block whose first bitline is @p first_bit (a multiple
- *  of 64, so a bitline's bit within its word is bitline % 64). */
+/** One pass over the page: the table, over its K inputs, applied to
+ *  every word of @p out. */
+template <std::size_t K>
 void
-applyNoise(const SenseNoise &noise, std::size_t sense, std::size_t first_bit,
-           std::size_t n_bits, Word *so)
+applyTable(const Table &t, BitVector &out)
 {
-    const auto wordOf = [&](std::size_t bitline) -> Word * {
-        if (bitline < first_bit || bitline - first_bit >= n_bits)
-            return nullptr;
-        return &so[(bitline - first_bit) / 64];
+    // Local entries: stores into the page cannot alias them.
+    std::array<Word, (std::size_t{1} << K)> e;
+    std::copy_n(t.entry.begin(), e.size(), e.begin());
+    Word *dst = out.words().data();
+    const std::size_t words = out.words().size();
+    std::array<const Word *, kInputs> src{};
+    const auto inputsAt = [&](std::size_t first) {
+        for (std::size_t l = 0; l < K; ++l)
+            src[l] = t.in[l] + first;
     };
-    if (!noise.flipsEnd.empty()) {
-        const std::uint32_t begin = sense ? noise.flipsEnd[sense - 1] : 0;
-        for (std::uint32_t i = begin; i < noise.flipsEnd[sense]; ++i)
-            if (Word *w = wordOf(noise.flips[i]))
-                *w ^= Word{1} << (noise.flips[i] % 64);
+    std::size_t first = 0;
+    for (; first + kChunk <= words; first += kChunk) {
+        inputsAt(first);
+        std::array<Word, kChunk> r;
+        for (std::size_t i = 0; i < kChunk; ++i)
+            r[i] = fold<K>(e.data(), src.data(), i);
+        std::copy(r.begin(), r.end(), dst + first);
     }
-    for (const StuckBitline &s : noise.stuck) {
-        if (Word *w = wordOf(s.bitline)) {
-            const Word bit = Word{1} << (s.bitline % 64);
-            *w = s.value ? (*w | bit) : (*w & ~bit);
+    inputsAt(first);
+    for (std::size_t i = 0; first + i < words; ++i)
+        dst[first + i] = fold<K>(e.data(), src.data(), i);
+}
+
+void
+applyTable(const Table &t, BitVector &out)
+{
+    switch (t.inputs) {
+      case 0: return applyTable<0>(t, out);
+      case 1: return applyTable<1>(t, out);
+      case 2: return applyTable<2>(t, out);
+      case 3: return applyTable<3>(t, out);
+      case 4: return applyTable<4>(t, out);
+      case 5: return applyTable<5>(t, out);
+      default: return applyTable<6>(t, out);
+    }
+}
+
+/**
+ * Replay the bitlines @p noise names through the steps, 64 to a word,
+ * with each sensing's flips and the stuck pins applied, and overwrite
+ * their table results in @p out.  Returns how many results the noise
+ * changed.
+ */
+std::size_t
+replayNoisy(const MicroProgram &prog, const InputPages &pages,
+            const SenseNoise &noise, BitVector &out)
+{
+    const std::size_t width = out.size();
+    // The noisy bitlines, sorted: lane l of group g replays lines[64g+l].
+    std::vector<std::size_t> lines;
+    lines.reserve(noise.flips.size() + noise.stuck.size());
+    for (const std::uint32_t bl : noise.flips)
+        if (bl < width)
+            lines.push_back(bl);
+    for (const StuckBitline &s : noise.stuck)
+        if (s.bitline < width)
+            lines.push_back(s.bitline);
+    std::sort(lines.begin(), lines.end());
+    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+    const auto laneOf = [&](std::size_t bitline) {
+        return static_cast<std::size_t>(
+            std::lower_bound(lines.begin(), lines.end(), bitline) -
+            lines.begin());
+    };
+
+    // Per group: one word per sensing with its flips (a bitline listed
+    // twice flips back), then the pinned lanes and the value of each
+    // one's last stuck entry.
+    const std::size_t senses = noise.flipsEnd.size();
+    const std::size_t stride = senses + 2;
+    std::vector<Word> masks((lines.size() + 63) / 64 * stride, 0);
+    for (std::size_t k = 0; k < senses; ++k) {
+        for (std::uint32_t i = k ? noise.flipsEnd[k - 1] : 0;
+             i < noise.flipsEnd[k]; ++i) {
+            if (noise.flips[i] >= width)
+                continue;
+            const std::size_t lane = laneOf(noise.flips[i]);
+            masks[lane / 64 * stride + k] ^= Word{1} << (lane % 64);
         }
     }
+    for (const StuckBitline &s : noise.stuck) {
+        if (s.bitline >= width)
+            continue;
+        const std::size_t lane = laneOf(s.bitline);
+        Word *pin = &masks[lane / 64 * stride + senses];
+        const Word bit = Word{1} << (lane % 64);
+        pin[0] |= bit;
+        pin[1] = s.value ? (pin[1] | bit) : (pin[1] & ~bit);
+    }
+
+    std::size_t changed = 0;
+    for (std::size_t first = 0; first < lines.size(); first += 64) {
+        const std::size_t lanes =
+            std::min<std::size_t>(64, lines.size() - first);
+        const Word *m = &masks[first / 64 * stride];
+        Inputs in{};
+        for (std::size_t l = 0; l < lanes; ++l)
+            for (std::size_t j = 0; j < kInputs; ++j)
+                if (!pages[j] || pages[j]->get(lines[first + l]))
+                    in[j] |= Word{1} << l;
+        const Word res = runLanes(prog, in, [&](std::size_t k, Word &so) {
+            if (k < senses)
+                so ^= m[k];
+            so = (so & ~m[senses]) | (m[senses + 1] & m[senses]);
+        });
+        for (std::size_t l = 0; l < lanes; ++l) {
+            const std::size_t bitline = lines[first + l];
+            const bool bit = (res >> l) & 1;
+            if (out.get(bitline) != bit) {
+                out.set(bitline, bit);
+                ++changed;
+            }
+        }
+    }
+    return changed;
 }
 
 } // namespace
 
-void
+std::size_t
 executeProgram(const MicroProgram &prog, const WordlineData &self,
                const WordlineData &wl_m, const WordlineData &wl_n,
                BitVector &out, const SenseNoise &noise)
@@ -113,68 +328,19 @@ executeProgram(const MicroProgram &prog, const WordlineData &self,
                       noise.flipsEnd.size() ==
                           static_cast<std::size_t>(prog.senseCount()),
                   "latch kernel: noise must list every sensing's flips");
-    const bool noisy = !noise.empty();
 
-    Word *dst = out.words().data();
-    const std::size_t words = out.words().size();
-    // C and B per bitline; A = ~C and OUT = ~B are never stored.
-    std::array<Word, kLatchBlockWords> c{}, b{}, so{};
-    for (std::size_t first = 0; first < words; first += kLatchBlockWords) {
-        const std::size_t n = std::min(kLatchBlockWords, words - first);
-        std::size_t sense = 0;
-        for (const MicroStep &st : prog.steps) {
-            switch (st.kind) {
-              case MicroStep::Kind::kInitNormal:
-                // C = 0 (A = 1); SET grounds OUT, so B = 1.
-                std::fill_n(c.data(), n, Word{0});
-                std::fill_n(b.data(), n, ~Word{0});
-                break;
-              case MicroStep::Kind::kInitInverted:
-                // A = 0 (C = 1); L2 as in the normal case.
-                std::fill_n(c.data(), n, ~Word{0});
-                std::fill_n(b.data(), n, ~Word{0});
-                break;
-              case MicroStep::Kind::kSense: {
-                const WordlineData &wl = st.wl == WordlineSel::kOperandM
-                                             ? wl_m
-                                             : st.wl == WordlineSel::kOperandN
-                                                   ? wl_n
-                                                   : self;
-                senseBlock(st, wl, first, n, so.data());
-                if (noisy)
-                    applyNoise(noise, sense, first * 64, n * 64, so.data());
-                ++sense;
-                if (st.pulse == LatchPulse::kM1) {
-                    // C <- C & ~SO.
-                    for (std::size_t w = 0; w < n; ++w)
-                        c[w] &= ~so[w];
-                } else if (st.pulse == LatchPulse::kM2) {
-                    // A <- A & ~SO, i.e. C <- C | SO.
-                    for (std::size_t w = 0; w < n; ++w)
-                        c[w] |= so[w];
-                } else {
-                    panic("latch kernel: sense step cannot pulse M3");
-                }
-                break;
-              }
-              case MicroStep::Kind::kTransfer:
-                // B <- B & ~A, i.e. B & C.
-                for (std::size_t w = 0; w < n; ++w)
-                    b[w] &= c[w];
-                break;
-            }
-        }
-        for (std::size_t w = 0; w < n; ++w)
-            dst[first + w] = ~b[w];
-    }
+    const InputPages pages = {self.lsb, self.msb, wl_m.lsb,
+                              wl_m.msb, wl_n.lsb, wl_n.msb};
+    applyTable(deriveTable(prog, pages), out);
     out.maskTail();
+    return noise.empty() ? 0 : replayNoisy(prog, pages, noise, out);
 }
 
 BitVector
 executeCoLocated(BitwiseOp op, const BitVector &x, const BitVector &y,
                  const SenseNoise &noise)
 {
-    BitVector out(x.size());
+    BitVector out = BitVector::forOverwrite(x.size());
     executeProgram(coLocatedProgram(op), WordlineData{&x, &y}, {}, {}, out,
                    noise);
     return out;
@@ -192,7 +358,7 @@ executeLocationFree(BitwiseOp op, const BitVector &m, const BitVector &n,
     const WordlineData wl_m{m_in_msb ? m_companion : &m,
                             m_in_msb ? &m : m_companion};
     const WordlineData wl_n{&n, n_companion};
-    BitVector out(n.size());
+    BitVector out = BitVector::forOverwrite(n.size());
     executeProgram(locationFreeProgram(op, variant), {}, wl_m, wl_n, out,
                    noise);
     return out;

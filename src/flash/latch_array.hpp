@@ -8,22 +8,29 @@
  * MicroProgram over every bitline of a page pair at once.
  *
  * Only C and B carry state: the latches regenerate A = NOT C and
- * OUT = NOT B after every pulse (DESIGN §5.1).  The kernel therefore
- * walks the page in blocks of 64 words (4096 bitlines), keeps the
- * block's C and B words on the stack, runs the whole program over the
- * block, and writes NOT B into the result page.  Sensing reads the
- * stored page words directly, using the Gray code of Table 1:
+ * OUT = NOT B after every pulse (DESIGN §5.1).  Sensing reads the
+ * stored bits using the Gray code of Table 1:
  *
  *   VREAD0: above for every state            -> SO = 1
  *   VREAD1: above unless the cell is E       -> SO = ~(LSB & MSB)
  *   VREAD2: above iff state >= S2            -> SO = ~LSB
  *   VREAD3: above iff the cell is S3         -> SO = ~LSB & MSB
  *
+ * Bitlines share one control sequence and never interact, so a clean
+ * bitline's result is one fixed function of the six stored bits a
+ * sensing can read (the self, M and N wordlines, LSB and MSB each).
+ * The kernel derives that function's truth table by running the steps
+ * once over a word whose 64 lanes enumerate the six bits, then makes
+ * one pass over the page words the table depends on and writes the
+ * result page.
+ *
  * Sensing noise is data (SenseNoise): the bitlines each sensing flips,
  * drawn by the caller in sensing order, and the plane's stuck bitlines.
  * Both land on SO after the M7 inversion and before the pulse, which is
  * exactly where real sensing errors enter (and why the paper notes ECC
- * cannot run after ParaBit ops).
+ * cannot run after ParaBit ops).  The bitlines noise names are gathered
+ * 64 to a word and replayed through the same steps with their noise
+ * applied; their replayed results overwrite the table's.
  */
 
 #ifndef PARABIT_FLASH_LATCH_ARRAY_HPP_
@@ -73,17 +80,20 @@ struct SenseNoise
 
 /**
  * Run @p prog over every bitline of @p out and leave L2's OUT node in
- * it; @p out's size is the page width and every word of it is written.
+ * it; @p out's size is the page width and every word of it is written,
+ * so it may come from BitVector::forOverwrite.  Returns the number of
+ * bitlines whose result @p noise changed against the clean run (the
+ * injected bit errors).
  *
  * For co-located programs, @p self supplies both operand pages.
  * For location-free programs, @p wl_m holds operand M and @p wl_n
  * operand N; @p self is ignored.  Every page given must be exactly
- * @p out's width, and @p prog must begin with an initialisation (every
- * block starts from it); both are checked in every build.
+ * @p out's width, and @p prog must begin with an initialisation; both
+ * are checked in every build.
  */
-void executeProgram(const MicroProgram &prog, const WordlineData &self,
-                    const WordlineData &wl_m, const WordlineData &wl_n,
-                    BitVector &out, const SenseNoise &noise = {});
+std::size_t executeProgram(const MicroProgram &prog, const WordlineData &self,
+                           const WordlineData &wl_m, const WordlineData &wl_n,
+                           BitVector &out, const SenseNoise &noise = {});
 
 /**
  * Convenience: execute @p op functionally on two operand pages using the

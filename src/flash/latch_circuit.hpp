@@ -24,7 +24,10 @@
  * value the node takes for each of the four possible states of the MLC
  * cell being sensed.  It exists to verify the paper's control sequences
  * (Tables 2-5, Figs 5/6) literally.  The page-wide model used to move
- * real data is executeProgram() (latch_array.hpp).
+ * real data is executeProgram() (latch_array.hpp), which runs the same
+ * algebra once over the 64 combinations of a bitline's stored bits and
+ * applies the resulting truth table to the page, replaying only the
+ * bitlines sensing noise touches.
  */
 
 #ifndef PARABIT_FLASH_LATCH_CIRCUIT_HPP_

@@ -15,8 +15,9 @@
  *
  * The same program drives three consumers: the symbolic LatchCircuit (to
  * verify the paper's tables bit-for-bit), the page-wide latch kernel
- * executeProgram() (to move real page data through the circuit,
- * including sensing errors), and the timing/energy models (which only
+ * executeProgram() (which derives the program's per-bitline truth table
+ * to move real page data through the circuit, and replays the bitlines
+ * that sensing errors touch), and the timing/energy models (which only
  * need the step counts).
  */
 

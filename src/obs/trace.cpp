@@ -99,6 +99,7 @@ void
 TraceSink::span(TrackId t, const std::string &name, Tick start, Tick end,
                 std::vector<Arg> args)
 {
+    PROFILE_SCOPE(Subsystem::kObs);
     Event e;
     e.kind = Kind::kComplete;
     e.pid = t.pid;
@@ -115,6 +116,7 @@ TraceSink::asyncBegin(TrackId t, const std::string &cat,
                       const std::string &name, std::uint64_t id, Tick at,
                       std::vector<Arg> args)
 {
+    PROFILE_SCOPE(Subsystem::kObs);
     Event e;
     e.kind = Kind::kAsyncBegin;
     e.pid = t.pid;
@@ -131,6 +133,7 @@ void
 TraceSink::asyncEnd(TrackId t, const std::string &cat,
                     const std::string &name, std::uint64_t id, Tick at)
 {
+    PROFILE_SCOPE(Subsystem::kObs);
     Event e;
     e.kind = Kind::kAsyncEnd;
     e.pid = t.pid;
@@ -146,6 +149,7 @@ void
 TraceSink::flowEvent(Kind kind, TrackId t, const std::string &cat,
                      const std::string &name, std::uint64_t id, Tick at)
 {
+    PROFILE_SCOPE(Subsystem::kObs);
     Event e;
     e.kind = kind;
     e.pid = t.pid;

@@ -361,10 +361,10 @@ class Ftl
         OobTag tag = OobTag::kHostData;
         bool scrambled = false;
         Lpn lpn = kNoLpn;
-        flash::Payload data;
+        flash::Payload data{};
         /** kPair only: the page programmed into the wordline's MSB. */
         Lpn msbLpn = kNoLpn;
-        flash::Payload msbData;
+        flash::Payload msbData{};
         /** Run static wear levelling beside threshold GC. */
         bool levelWear = true;
         /** Charge programRetries_ for every failed attempt. */

@@ -119,6 +119,8 @@ TransactionScheduler::noteSpan(std::size_t res, TxState &st,
     st.stages.phase[static_cast<std::size_t>(kind)] += end - start;
     if (sink_ != nullptr)
     {
+        // Building the argument strings is trace emission too.
+        PROFILE_SCOPE(obs::Subsystem::kObs);
         sink_->span(resourceTracks_[res], phaseKindName(kind), start, end,
                     {{"tx", std::to_string(st.id), false},
                      {"class", txClassName(st.tx.cls), true}});

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the self-profiler: self-time attribution across
- * nested scopes, the disabled fast path, and the PROFILE_SCOPE macro.
+ * nested scopes, the disabled fast path, the PROFILE_SCOPE macro, and
+ * trace emission billed to obs.
  *
  * Wall-clock durations are nondeterministic, so assertions are about
  * *structure* — entry counts, which buckets received time, totals
@@ -12,7 +13,10 @@
 
 #include <cmath>
 
+#include "flash/timing.hpp"
 #include "obs/profiler.hpp"
+#include "obs/trace.hpp"
+#include "ssd/sched/scheduler.hpp"
 
 namespace parabit::obs {
 namespace {
@@ -57,7 +61,7 @@ TEST(Profiler, SelfTimeNeverNegativeAndSumsFinite)
             PROFILE_SCOPE(Subsystem::kFlashArray);
             volatile int sink = 0;
             for (int i = 0; i < 1000; ++i)
-                sink += i;
+                sink = sink + i;
         }
     }
     const Profiler::Totals t = Profiler::global()->totals();
@@ -82,6 +86,29 @@ TEST(Profiler, ResetClearsTotals)
         EXPECT_EQ(t.entries[s], 0u);
         EXPECT_EQ(t.seconds[s], 0.0);
     }
+}
+
+TEST(Profiler, TracedDrainChargesObs)
+{
+    // The span and flow-step events a traced drain emits, and the
+    // argument strings the scheduler builds for them, are obs time.
+    TraceSink::enableGlobal();
+    ProfilerScope scope;
+    ssd::sched::TransactionScheduler s(flash::FlashGeometry::tiny(),
+                                       flash::FlashTiming{},
+                                       ssd::sched::SchedConfig{});
+    s.setTraceSink(TraceSink::global());
+    ssd::sched::DeviceTransaction tx;
+    tx.arrayTicks = 50;
+    tx.xferOutTicks = 30;
+    s.submit(tx);
+    s.drain();
+    const Profiler::Totals t = Profiler::global()->totals();
+    TraceSink::disableGlobal();
+    const auto obs = static_cast<std::size_t>(Subsystem::kObs);
+    EXPECT_GT(t.entries[obs], 0u);
+    EXPECT_GT(t.seconds[obs], 0.0);
+    EXPECT_GT(t.entries[static_cast<std::size_t>(Subsystem::kSched)], 0u);
 }
 
 TEST(Profiler, SubsystemNamesAreStable)

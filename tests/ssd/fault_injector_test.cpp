@@ -152,8 +152,9 @@ TEST(FaultInjector, FingerprintTracksScheduleAndSeed)
     bool has_stuck = false;
     for (const auto &f : sched)
         has_stuck |= f.cls == FaultClass::kStuckBitline;
-    if (has_stuck)
+    if (has_stuck) {
         EXPECT_NE(a.scheduleFingerprint(), c.scheduleFingerprint());
+    }
 
     // Registering one more fault changes the fingerprint.
     const std::uint64_t before = a.scheduleFingerprint();
@@ -326,8 +327,9 @@ TEST(FaultInjector, ClearTransientKeepsPermanentDamage)
     for (flash::PlaneIndex p = 0; p < g.planesTotal(); ++p) {
         EXPECT_TRUE(inj.stuckBitlines(p).empty());
         EXPECT_DOUBLE_EQ(inj.rberMultiplier(addrInPlane(g, p)), 1.0);
-        if (p != 3)
+        if (p != 3) {
             EXPECT_FALSE(inj.programShouldFail(addrInPlane(g, p)));
+        }
     }
     EXPECT_EQ(inj.clearTransient(), 0u) << "idempotent once cleared";
 }

@@ -128,9 +128,11 @@ TEST(Scrambler, ReadsLeaveTheStoredPayloadWhitenedAcrossAGcMove)
     Lpn next = 1;
     for (; next < 200; ++next)
         ASSERT_TRUE(dev.writeData(next, filler));
-    for (Lpn l = 1; l < next; ++l)
-        if (in_first_block(l))
+    for (Lpn l = 1; l < next; ++l) {
+        if (in_first_block(l)) {
             ASSERT_TRUE(ftl.trim(l));
+        }
+    }
     while (*ftl.lookup(0) == before && next < ftl.logicalPages())
         ASSERT_TRUE(dev.writeData(next++, filler));
     ASSERT_FALSE(*ftl.lookup(0) == before) << "GC never moved LPN 0";
