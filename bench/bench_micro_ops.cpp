@@ -5,7 +5,8 @@
  * opLocationFree on a functional chip with 8 KiB pages: the latch
  * kernel plus the result page, bytes per second of one page, with ideal
  * and with noisy sensing), one ReAlloc page op end to end on 8 KiB
- * pages, FTL write/GC throughput, and the event-engine scheduling rate.
+ * pages, FTL write/GC throughput, an FTL checkpoint (one Flush), and
+ * the event-engine scheduling rate.
  * These measure the *simulator's* host performance, complementing the
  * figure benches that report *simulated* device time.
  */
@@ -13,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "flash/chip.hpp"
@@ -141,6 +143,49 @@ BM_FtlWritePath(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_FtlWritePath);
+
+/**
+ * One NVMe Flush's checkpoint on perfbench nvme_mix's device (8 planes
+ * x 64 blocks x 32 wordlines, 2 KiB pages, recovery on, 4 reserved
+ * blocks per plane) with range(0) LPNs mapped: each iteration
+ * overwrites four hot LPNs in two map chunks, then checkpoints (the
+ * image's log pages programmed, the other log half erased).
+ */
+void
+BM_FtlCheckpoint(benchmark::State &state)
+{
+    ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
+    cfg.geometry.blocksPerPlane = 64;
+    cfg.geometry.wordlinesPerBlock = 32;
+    cfg.geometry.pageBytes = 2048;
+    cfg.recovery.enabled = true;
+    cfg.recovery.reservedBlocksPerPlane = 4;
+    core::ParaBitDevice dev(cfg);
+    ssd::Ftl &ftl = dev.ssd().ftl();
+    std::vector<ssd::PhysOp> ops;
+    for (ssd::Lpn l = 0; l < static_cast<ssd::Lpn>(state.range(0)); ++l) {
+        ops.clear();
+        if (!ftl.writePage(l, nullptr, ops)) {
+            state.SkipWithError("mapping the LPNs failed");
+            return;
+        }
+    }
+    constexpr ssd::Lpn kChunk = ssd::LpnTable::kChunkEntries;
+    for (auto _ : state) {
+        ops.clear();
+        bool ok = true;
+        for (const ssd::Lpn l : {ssd::Lpn{1}, ssd::Lpn{2}, kChunk + 1,
+                                 kChunk + 2})
+            ok = ftl.writePage(l, nullptr, ops) && ok;
+        if (!ok || !ftl.checkpoint(ops)) {
+            state.SkipWithError("overwrite or checkpoint failed");
+            break;
+        }
+        benchmark::DoNotOptimize(ops.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FtlCheckpoint)->Arg(4640)->Arg(12672)->Arg(20640);
 
 /**
  * One ParaBit-ReAlloc AND of an 8 KiB page pair through the whole stack

@@ -8,7 +8,8 @@
 namespace parabit::flash {
 
 Block::Block(std::uint32_t wordlines, std::size_t page_bits, bool store_data)
-    : pageBits_(page_bits), storeData_(store_data), wls_(wordlines)
+    : pageBits_(page_bits), storeData_(store_data), wls_(wordlines),
+      freePages_(2 * wordlines)
 {
 }
 
@@ -48,6 +49,7 @@ Block::program(std::uint32_t i, bool msb, const Payload &data,
     }
     st = PageState::kValid;
     ++validPages_;
+    --freePages_;
     if (oob)
         (msb ? w.msbOob : w.lsbOob) = *oob;
 }
@@ -79,6 +81,7 @@ Block::erase()
         w.programmedAt = 0;
     }
     validPages_ = 0;
+    freePages_ = 2 * wordlines();
     ++eraseCount_;
 }
 
@@ -141,17 +144,6 @@ Block::wordlineData(std::uint32_t i) const
 {
     const auto &w = wl(i);
     return WordlineData{w.lsbData.get(), w.msbData.get()};
-}
-
-std::uint32_t
-Block::freePages() const
-{
-    std::uint32_t n = 0;
-    for (const auto &w : wls_) {
-        n += (w.lsbState == PageState::kFree) ? 1 : 0;
-        n += (w.msbState == PageState::kFree) ? 1 : 0;
-    }
-    return n;
 }
 
 } // namespace parabit::flash

@@ -144,7 +144,7 @@ class Block
 
     std::uint32_t eraseCount() const { return eraseCount_; }
     std::uint32_t validPages() const { return validPages_; }
-    std::uint32_t freePages() const;
+    std::uint32_t freePages() const { return freePages_; }
 
   private:
     struct Wordline
@@ -170,6 +170,9 @@ class Block
     std::vector<Wordline> wls_;
     std::uint32_t eraseCount_ = 0;
     std::uint32_t validPages_ = 0;
+    /** Pages in PageState::kFree: program() takes one, erase() frees
+     *  all. */
+    std::uint32_t freePages_;
 };
 
 } // namespace parabit::flash

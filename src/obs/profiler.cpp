@@ -56,22 +56,30 @@ Profiler::disableGlobal()
     g_profiler.reset();
 }
 
+Subsystem
+Profiler::top(std::size_t below) const
+{
+    return stack_.size() > below ? stack_[stack_.size() - 1 - below]
+                                 : Subsystem::kOther;
+}
+
 void
 Profiler::charge(double now)
 {
-    if (stamped_) {
-        const auto top = static_cast<std::size_t>(
-            stack_.empty() ? Subsystem::kOther : stack_.back());
-        totals_.seconds[top] += now - lastStamp_;
-    }
+    if (stamped_)
+        totals_.seconds[static_cast<std::size_t>(top())] += now - lastStamp_;
     lastStamp_ = now;
     stamped_ = true;
 }
 
+// A scope that leaves the top subsystem as it was moves no time between
+// buckets, so enter and leave read the clock only when the top changes.
+
 void
 Profiler::enter(Subsystem s)
 {
-    charge(nowSeconds());
+    if (!stamped_ || s != top())
+        charge(nowSeconds());
     ++totals_.entries[static_cast<std::size_t>(s)];
     stack_.push_back(s);
 }
@@ -79,7 +87,8 @@ Profiler::enter(Subsystem s)
 void
 Profiler::leave()
 {
-    charge(nowSeconds());
+    if (!stamped_ || top(1) != top())
+        charge(nowSeconds());
     if (!stack_.empty())
         stack_.pop_back();
 }

@@ -7,7 +7,9 @@
  * stack and charges *self time* — the time between stamps, credited to
  * whichever subsystem is on top — so nested scopes never double-count
  * (an event-engine callback that runs scheduler code charges the
- * scheduler, not the engine, for that stretch).
+ * scheduler, not the engine, for that stretch).  The clock is read only
+ * where the top changes: a scope nested in one of its own subsystem
+ * counts an entry and takes no stamp.
  *
  * Disabled by default (the global() handle is null), in which case a
  * PROFILE_SCOPE costs one load and branch and reads no clock at all —
@@ -87,6 +89,9 @@ class Profiler
     double lastStamp_ = 0.0;
     bool stamped_ = false;
 
+    /** The subsystem @p below entries under the top of the stack
+     *  (kOther past its bottom). */
+    Subsystem top(std::size_t below = 0) const;
     void charge(double now);
 };
 

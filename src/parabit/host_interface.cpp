@@ -371,18 +371,17 @@ HostInterface::pump()
     // per-resource booking order equals submission order); under the
     // reordering policies it is what gives the arbiter a window of
     // co-pending host transactions to work with.
-    std::vector<InFlight> batch;
     // Must run before anything that opens a new scheduler batch: the
     // batch's completions are discarded at the next submit.
     const auto drain = [&] {
-        if (batch.empty())
+        if (batch_.empty())
             return;
         dev_->ssd().drainTransactions();
-        for (const InFlight &f : batch)
+        for (const InFlight &f : batch_)
             retire(f, dev_->ssd().groupCompletion(f.group, f.started),
                    {&f.cmd, 1});
-        retired += batch.size();
-        batch.clear();
+        retired += batch_.size();
+        batch_.clear();
     };
 
     // Rounds run until every SQ is empty: a requeued attempt goes back
@@ -390,15 +389,16 @@ HostInterface::pump()
     do {
         // Round-robin fetch: one command per queue per turn until all
         // SQs drain, preserving NVMe's per-queue FIFO order.
-        std::vector<InFlight> fetched;
+        fetched_.clear();
         for (bool any = true; any;) {
             any = false;
             for (std::uint16_t q = 0; q < queues(); ++q) {
                 if (const auto c = qps_[q].fetch()) {
-                    fetched.push_back(InFlight{.qid = q,
-                                               .cid = c->cid,
-                                               .cmd = c->cmd,
-                                               .submittedAt = c->submittedAt});
+                    fetched_.push_back(
+                        InFlight{.qid = q,
+                                 .cid = c->cid,
+                                 .cmd = c->cmd,
+                                 .submittedAt = c->submittedAt});
                     any = true;
                 }
             }
@@ -409,10 +409,12 @@ HostInterface::pump()
         // runs as one command.  A backed-off requeue carries a
         // submission time past the device clock: never execute (or
         // complete) a command earlier than it was submitted.
-        std::vector<std::vector<nvme::NvmeCommand>> groups(queues());
-        for (InFlight &f : fetched) {
+        groups_.resize(queues());
+        for (auto &group : groups_)
+            group.clear();
+        for (InFlight &f : fetched_) {
             auto &ticketq = tickets_[f.qid];
-            auto &group = groups[f.qid];
+            auto &group = groups_[f.qid];
             if (!ticketq.empty() && (f.cmd.hasPartner() ||
                                      f.cmd.operandTag() || !group.empty())) {
                 group.push_back(f.cmd);
@@ -421,9 +423,7 @@ HostInterface::pump()
                 f.cls = OpClass::kFormula;
                 f.cid = ticketq.front().finalCid;
                 ticketq.pop_front();
-                const std::vector<nvme::NvmeCommand> cmds =
-                    std::exchange(group, {});
-                const auto batches = parser_.parse(cmds);
+                const auto batches = parser_.parse(group);
                 drain();
                 f.started = std::max(dev_->now(), f.submittedAt);
                 Tick done = f.started;
@@ -441,7 +441,8 @@ HostInterface::pump()
                         results_[f.qid].push_back(
                             {.cid = f.cid, .pages = std::move(r.pages)});
                 }
-                retire(f, done, cmds);
+                retire(f, done, group);
+                group.clear();
                 ++retired;
                 continue;
             }
@@ -460,7 +461,7 @@ HostInterface::pump()
                     f.status = nvme::kInternalError;
                 f.started = std::max(dev_->now(), f.started);
                 attributed(f, [] {}); // books nothing: total and SQ wait
-                batch.push_back(f);
+                batch_.push_back(f);
                 drain();
                 continue;
             }
@@ -471,20 +472,20 @@ HostInterface::pump()
                 !dev_->ssd().ftl().pageAccessible(lpn))
                 f.status = nvme::kUnrecoveredReadError;
             if (f.status == nvme::kSuccess) {
-                std::vector<ssd::PhysOp> ops;
+                ops_.clear();
                 if (f.cls == OpClass::kRead) {
-                    dev_->ssd().ftl().readPage(lpn, ops);
+                    dev_->ssd().ftl().readPage(lpn, ops_);
                 } else {
                     if (health)
                         health->noteAdmittedWrite();
-                    if (!dev_->ssd().ftl().writePage(lpn, nullptr, ops))
+                    if (!dev_->ssd().ftl().writePage(lpn, nullptr, ops_))
                         f.status = nvme::kInternalError;
                 }
                 attributed(f, [&] {
-                    f.group = dev_->ssd().submitOps(ops, f.started);
+                    f.group = dev_->ssd().submitOps(ops_, f.started);
                 });
             }
-            batch.push_back(f);
+            batch_.push_back(f);
         }
         drain();
     } while (std::any_of(qps_.begin(), qps_.end(),

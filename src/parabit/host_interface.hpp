@@ -325,6 +325,17 @@ class HostInterface
     /** obs.latency.<class>.<stage>, kNumCmdStages per class. */
     std::vector<obs::Hist> stageHist_;
     std::array<std::unique_ptr<obs::SloTracker>, kNumOpClasses> slo_;
+
+    /** @name pump()'s working buffers, cleared rather than freed so a
+     *  round allocates nothing once they have grown (pump() is never
+     *  re-entered). */
+    /// @{
+    std::vector<InFlight> fetched_; ///< this round, in arbitration order
+    std::vector<InFlight> batch_;   ///< plain commands awaiting a drain
+    /** Per queue: the formula group being re-assembled. */
+    std::vector<std::vector<nvme::NvmeCommand>> groups_;
+    std::vector<ssd::PhysOp> ops_; ///< one read's or write's FTL ops
+    /// @}
 };
 
 } // namespace parabit::core

@@ -26,6 +26,10 @@ Ftl::Ftl(const SsdConfig &cfg, std::vector<flash::Chip> &chips)
     : cfg_(cfg), chips_(&chips), alloc_(cfg.geometry),
       scrambler_(cfg.seed ^ 0x5C4A3B2E1D0FULL)
 {
+    if (!LpnTable::fits(cfg_.geometry))
+        fatal("Ftl: geometry exceeds the page map's entry fields (at most "
+              "65536 channels, chips per channel and wordlines per block, "
+              "256 dies per chip and planes per die)");
     double usable_blocks = cfg_.geometry.blocksPerPlane;
     if (cfg_.recovery.enabled) {
         const std::uint32_t r = cfg_.recovery.reservedBlocksPerPlane;
@@ -81,7 +85,7 @@ Ftl::ownerOf(const flash::PhysPageAddr &a) const
     const flash::PageOob *oob = blk->pageOob(a.wordline, a.msb);
     const Lpn lpn = oob ? oob->lpn : kNoLpn;
     const LpnTable::Entry *e = table_.find(lpn);
-    if (!e || !(e->addr == a))
+    if (!e || !(e->addr() == a))
         return std::nullopt;
     return lpn;
 }
@@ -165,7 +169,7 @@ Ftl::mapLpn(Lpn lpn, const flash::PhysPageAddr &a, bool scrambled)
 {
     const LpnTable::Entry old = table_.assign(lpn, a, scrambled);
     if (old.mapped)
-        invalidatePhys(old.addr);
+        invalidatePhys(old.addr());
 }
 
 void
@@ -461,8 +465,9 @@ Ftl::readPage(Lpn lpn, std::vector<PhysOp> &ops)
         fatal("Ftl::readPage: unmapped LPN");
     if (powerBoundary(false) != PowerCut::kNone) // power is down
         return flash::makePayload(BitVector(cfg_.geometry.pageBits(), false));
-    ops.push_back(PhysOp{PhysOp::Kind::kPageRead, e->addr});
-    flash::Payload page = chipAt(e->addr).readPage(e->addr);
+    const flash::PhysPageAddr a = e->addr();
+    ops.push_back(PhysOp{PhysOp::Kind::kPageRead, a});
+    flash::Payload page = chipAt(a).readPage(a);
     // Whitened bits stay in flash; the reader gets a descrambled copy.
     if (cfg_.scrambleHostData && e->scrambled && page)
         return flash::makePayload(scrambler_.scrambled(*page, lpn));
@@ -475,14 +480,17 @@ Ftl::lookup(Lpn lpn) const
     const LpnTable::Entry *e = table_.find(lpn);
     if (!e)
         return std::nullopt;
-    return e->addr;
+    return e->addr();
 }
 
 bool
 Ftl::pageAccessible(Lpn lpn)
 {
     const LpnTable::Entry *e = table_.find(lpn);
-    return e && chipAt(e->addr).planeOperational(e->addr.die, e->addr.plane);
+    if (!e)
+        return false;
+    const flash::PhysPageAddr a = e->addr();
+    return chipAt(a).planeOperational(a.die, a.plane);
 }
 
 bool
@@ -494,7 +502,7 @@ Ftl::trim(Lpn lpn, std::vector<PhysOp> *ops)
     const LpnTable::Entry *e = table_.find(lpn);
     if (!e)
         return true;
-    const flash::PhysPageAddr a = e->addr;
+    const flash::PhysPageAddr a = e->addr();
     // Write-ahead: the trim record must be durable before the mapping
     // is dropped, otherwise recovery would resurrect the page (its OOB
     // entry is still the newest mapping on flash).
@@ -779,11 +787,12 @@ Ftl::auditInvariants(InvariantReport &r) const
     // no page can then back two LPNs.
     table_.forEach([&](Lpn lpn, const LpnTable::Entry &e) {
         const std::string subj = "lpn " + std::to_string(lpn);
-        const std::optional<Lpn> owner = ownerOf(e.addr);
+        const flash::PhysPageAddr a = e.addr();
+        const std::optional<Lpn> owner = ownerOf(a);
         if (!r.check(owner == lpn)) {
             r.fail("ftl.map.bijection", subj,
                    "maps to linear page " +
-                       std::to_string(flash::linearPageIndex(g, e.addr)) +
+                       std::to_string(flash::linearPageIndex(g, a)) +
                        ", which reads back as " +
                        (owner ? "lpn " + std::to_string(*owner)
                               : std::string("no lpn")));
@@ -793,7 +802,7 @@ Ftl::auditInvariants(InvariantReport &r) const
         // ftl.map.oob: the mapped page's OOB metadata agrees with the
         // table.
         const flash::PageOob *oob =
-            blockAt(e.addr)->pageOob(e.addr.wordline, e.addr.msb);
+            blockAt(a)->pageOob(a.wordline, a.msb);
         if (!r.check(oob != nullptr)) {
             r.fail("ftl.map.oob", subj, "OOB metadata missing");
             return;
@@ -809,8 +818,8 @@ Ftl::auditInvariants(InvariantReport &r) const
                        " disagrees with the table");
     });
 
-    // One walk over every materialised block: valid-count accounting
-    // and the MLC program-order pairing invariant.
+    // One walk over every materialised block: valid- and free-count
+    // accounting and the MLC program-order pairing invariant.
     for (flash::PlaneIndex p = 0; p < g.planesTotal(); ++p) {
         const flash::PhysPageAddr at = planeAddr(g, p);
         const flash::Plane &pl =
@@ -821,12 +830,14 @@ Ftl::auditInvariants(InvariantReport &r) const
                 continue;
             const std::string subj = "plane " + std::to_string(p) +
                                      " block " + std::to_string(b);
-            std::uint32_t valid = 0;
+            std::uint32_t valid = 0, free = 0;
             for (std::uint32_t wl = 0; wl < blk->wordlines(); ++wl) {
                 const flash::PageState lsb = blk->pageState(wl, false);
                 const flash::PageState msb = blk->pageState(wl, true);
                 valid += (lsb == flash::PageState::kValid) +
                          (msb == flash::PageState::kValid);
+                free += (lsb == flash::PageState::kFree) +
+                        (msb == flash::PageState::kFree);
                 // ftl.pair.lsb_msb: an MSB page is only ever programmed
                 // over a non-free LSB (interleaved order, writePair,
                 // writeIntoFreeMsb all guarantee it).
@@ -843,6 +854,12 @@ Ftl::auditInvariants(InvariantReport &r) const
                            std::to_string(blk->validPages()) +
                            " valid pages, recount says " +
                            std::to_string(valid));
+            if (!r.check(free == blk->freePages()))
+                r.fail("ftl.blocks.free_count", subj,
+                       "block counter says " +
+                           std::to_string(blk->freePages()) +
+                           " free pages, recount says " +
+                           std::to_string(free));
         }
     }
 }
@@ -853,7 +870,7 @@ Ftl::debugCorruptMapping(Lpn lpn, std::optional<flash::PhysPageAddr> to)
     const LpnTable::Entry *e = table_.find(lpn);
     if (!e)
         return false;
-    flash::PhysPageAddr a = e->addr;
+    flash::PhysPageAddr a = e->addr();
     a.wordline = (a.wordline + 1) % cfg_.geometry.wordlinesPerBlock;
     // Flash is untouched: the page there does not read back as lpn (or
     // is not valid), so the bijection audit must fire.

@@ -280,6 +280,9 @@ class Ftl
         return parabitWrites_.value();
     }
     std::uint64_t blockErases() const { return erases_.value(); }
+    /** Page-map chunks copied on their first write after a checkpoint
+     *  (see lpn_table.hpp). */
+    std::uint64_t mapChunkCopies() const { return table_.chunkCopies(); }
     std::uint64_t gcRuns() const { return gcRuns_.value(); }
     std::uint64_t wearLevelMoves() const { return wearMoves_.value(); }
 
@@ -318,6 +321,7 @@ class Ftl
      *    agrees with the table;
      *  - ftl.blocks.valid_count: every block's incremental valid-page
      *    counter equals a recount of its page states;
+     *  - ftl.blocks.free_count: so does its free-page counter;
      *  - ftl.pair.lsb_msb: no wordline has a programmed MSB page over a
      *    free LSB page (MLC shared-wordline program order, which the
      *    ParaBit pairing/chaining placements rely on).

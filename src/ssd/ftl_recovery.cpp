@@ -214,12 +214,8 @@ Ftl::checkpoint(std::vector<PhysOp> &ops)
 
     CheckpointImage img;
     img.seq = seq_;
-    img.map.reserve(table_.size());
-    // The table walks in LPN order, so the image needs no sort.
-    table_.forEach([&](Lpn lpn, const LpnTable::Entry &e) {
-        img.map.push_back(CheckpointImage::Entry{
-            lpn, flash::linearPageIndex(cfg_.geometry, e.addr), e.scrambled});
-    });
+    // A snapshot: the table's chunk directory, sharing every chunk.
+    img.map = table_;
     for (flash::PlaneIndex p = 0; p < alloc_.planeCount(); ++p) {
         for (std::uint32_t b : alloc_.poolBlocks(p))
             img.scanBlocks.push_back(linearBlockId(p, b));
@@ -315,9 +311,12 @@ Ftl::recover(std::vector<PhysOp> &ops)
         const CheckpointImage &img = *durable_.checkpoint;
         max_seq = std::max(max_seq, img.seq);
         rep.checkpointPagesRead = img.pages + 1;
-        for (const CheckpointImage::Entry &e : img.map)
-            cands[e.lpn].push_back(
-                Cand{img.seq, false, e.phys, e.scrambled, false});
+        img.map.forEach([&](Lpn lpn, const LpnTable::Entry &e) {
+            cands[lpn].push_back(
+                Cand{img.seq, false,
+                     flash::linearPageIndex(cfg_.geometry, e.addr()),
+                     e.scrambled, false});
+        });
         scan_set.insert(img.scanBlocks.begin(), img.scanBlocks.end());
         scan_set.insert(img.retired.begin(), img.retired.end());
         for (const JournalRecord &r : durable_.records) {

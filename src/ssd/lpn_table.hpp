@@ -11,6 +11,17 @@
  * cursor hands out after wrapping past 0 (see ROADMAP) map like any
  * other and iterate last.
  *
+ * Each chunk is one shared allocation.  Copying a table copies only
+ * its directory, so the copy is a snapshot that shares every chunk
+ * with the original; assign() and erase() copy a chunk before writing
+ * it, but only while another table still shares it.  A checkpoint
+ * image is such a snapshot (CheckpointImage::map), so a Flush costs
+ * the directory plus the chunks written since the previous one.
+ *
+ * An entry is 16 bytes: the page's coordinates in the narrowest fields
+ * every supported geometry fits (fits(); the Ftl constructor rejects
+ * any other) and the mapped and scrambled flags.
+ *
  * forEach() visits mapped LPNs in ascending order, which is the order
  * a checkpoint image is written in: no hash walk and no sort.  The
  * table answers only LPN -> page; which LPN a page holds is read off
@@ -23,10 +34,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "flash/geometry.hpp"
-#include "ssd/recovery.hpp"
+#include "ssd/lpn.hpp"
 
 namespace parabit::ssd {
 
@@ -34,20 +46,43 @@ namespace parabit::ssd {
 class LpnTable
 {
   public:
-    /** One LPN's slot (32 bytes). */
+    /** One LPN's slot (16 bytes). */
     struct Entry
     {
-        flash::PhysPageAddr addr;
+        std::uint32_t block = 0;
+        std::uint16_t wordline = 0;
+        std::uint16_t channel = 0;
+        std::uint16_t chip = 0;
+        std::uint8_t die = 0;
+        std::uint8_t plane = 0;
+        bool msb = false;
         bool mapped = false;
         /** The stored bits are whitened (host write with scrambling). */
         bool scrambled = false;
+
+        flash::PhysPageAddr
+        addr() const
+        {
+            return {channel, chip, die, plane, block, wordline, msb};
+        }
     };
 
     static constexpr unsigned kChunkBits = 12;
     static constexpr std::size_t kChunkEntries = std::size_t{1}
                                                  << kChunkBits;
 
-    /** @p lpn's entry, or nullptr when @p lpn is unmapped. */
+    /** Whether every page address of @p g fits an Entry. */
+    static bool
+    fits(const flash::FlashGeometry &g)
+    {
+        constexpr std::uint32_t k16 = 1u << 16, k8 = 1u << 8; // counts
+        return g.channels <= k16 && g.chipsPerChannel <= k16 &&
+               g.wordlinesPerBlock <= k16 && g.diesPerChip <= k8 &&
+               g.planesPerDie <= k8;
+    }
+
+    /** @p lpn's entry, or nullptr when @p lpn is unmapped.  Valid until
+     *  the next assign(), erase() or clear(). */
     const Entry *
     find(Lpn lpn) const
     {
@@ -58,19 +93,28 @@ class LpnTable
         return e.mapped ? &e : nullptr;
     }
 
-    /** Map @p lpn to @p addr.  @return the entry it replaces (with
+    /** Map @p lpn to @p a.  @return the entry it replaces (with
      *  `mapped` false when @p lpn was unmapped). */
     Entry
-    assign(Lpn lpn, const flash::PhysPageAddr &addr, bool scrambled)
+    assign(Lpn lpn, const flash::PhysPageAddr &a, bool scrambled)
     {
         const std::uint64_t key = lpn >> kChunkBits;
         const std::size_t c = lowerBound(key);
         if (c == chunks_.size() || chunks_[c].key != key)
-            chunks_.insert(chunks_.begin() + static_cast<std::ptrdiff_t>(c),
-                           Chunk{key, std::vector<Entry>(kChunkEntries)});
-        Entry &e = chunks_[c].entries[lpn & kSlotMask];
+            chunks_.insert(
+                chunks_.begin() + static_cast<std::ptrdiff_t>(c),
+                Chunk{key, std::make_shared<Entry[]>(kChunkEntries)});
+        Entry &e = writable(c)[lpn & kSlotMask];
         const Entry old = e;
-        e = Entry{addr, true, scrambled};
+        e = Entry{a.block,
+                  static_cast<std::uint16_t>(a.wordline),
+                  static_cast<std::uint16_t>(a.channel),
+                  static_cast<std::uint16_t>(a.chip),
+                  static_cast<std::uint8_t>(a.die),
+                  static_cast<std::uint8_t>(a.plane),
+                  a.msb,
+                  true,
+                  scrambled};
         size_ += old.mapped ? 0 : 1;
         return old;
     }
@@ -82,7 +126,7 @@ class LpnTable
         const std::size_t c = chunkOf(lpn);
         if (c == chunks_.size() || !chunks_[c].entries[lpn & kSlotMask].mapped)
             return false;
-        chunks_[c].entries[lpn & kSlotMask] = Entry{};
+        writable(c)[lpn & kSlotMask] = Entry{};
         --size_;
         return true;
     }
@@ -96,6 +140,11 @@ class LpnTable
 
     /** Mapped LPNs. */
     std::size_t size() const { return size_; }
+
+    /** Chunks copied because a snapshot still shared them when they
+     *  were written (counted since construction, copied with the
+     *  table). */
+    std::uint64_t chunkCopies() const { return chunkCopies_; }
 
     /** Call @p f(lpn, entry) for every mapped LPN, in ascending order. */
     template <typename F>
@@ -114,10 +163,26 @@ class LpnTable
     struct Chunk
     {
         std::uint64_t key = 0; ///< lpn >> kChunkBits of every slot
-        std::vector<Entry> entries; ///< kChunkEntries slots
+        /** kChunkEntries slots, shared with every snapshot taken since
+         *  the chunk was last written. */
+        std::shared_ptr<Entry[]> entries;
     };
 
     static constexpr Lpn kSlotMask = kChunkEntries - 1;
+
+    /** Chunk @p c's slots, copied first if a snapshot shares them. */
+    Entry *
+    writable(std::size_t c)
+    {
+        std::shared_ptr<Entry[]> &entries = chunks_[c].entries;
+        if (entries.use_count() > 1) {
+            auto own = std::make_shared<Entry[]>(kChunkEntries);
+            std::copy_n(entries.get(), kChunkEntries, own.get());
+            entries = std::move(own);
+            ++chunkCopies_;
+        }
+        return entries.get();
+    }
 
     /** Index of the first chunk whose key is not below @p key. */
     std::size_t
@@ -140,9 +205,10 @@ class LpnTable
                    : chunks_.size();
     }
 
-    /** Sorted by key; a chunk is never freed before clear(). */
+    /** Sorted by key; a chunk is never dropped before clear(). */
     std::vector<Chunk> chunks_;
     std::size_t size_ = 0;
+    std::uint64_t chunkCopies_ = 0;
 };
 
 } // namespace parabit::ssd

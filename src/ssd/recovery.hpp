@@ -21,14 +21,10 @@
 
 #include "common/units.hpp"
 #include "flash/block.hpp"
+#include "ssd/lpn.hpp"
+#include "ssd/lpn_table.hpp"
 
 namespace parabit::ssd {
-
-/** Host-visible logical page number. */
-using Lpn = std::uint64_t;
-
-/** OOB lpn value for pages that carry no logical mapping. */
-inline constexpr Lpn kNoLpn = ~0ull;
 
 /**
  * Why a page was programmed; stored in flash::PageOob::tag.  Recovery
@@ -65,20 +61,21 @@ struct JournalRecord
     std::uint64_t value = 0; ///< kRemap: linear page; kErase/kRetire: block
 };
 
-/** Snapshot of mapping + allocator state taken by a checkpoint. */
+/**
+ * Snapshot of mapping + allocator state taken by a checkpoint.  The map
+ * is a copy of the FTL's page table: it shares every chunk with the
+ * live table until the table next writes that chunk (see
+ * lpn_table.hpp).  The image is still charged by its serialised size,
+ * one {lpn, linear page, scrambled} record per mapped LPN
+ * (Ftl::checkpoint).
+ */
 struct CheckpointImage
 {
-    struct Entry
-    {
-        Lpn lpn = 0;
-        std::uint64_t phys = 0; ///< linear page index
-        bool scrambled = false;
-    };
-
     /** Sequence horizon: every program with seq < this is covered by
      *  the image; journal/OOB entries at or above it supersede it. */
     std::uint64_t seq = 0;
-    std::vector<Entry> map;
+    /** The page table at checkpoint time. */
+    LpnTable map;
     /** Linear block ids that may receive programs after this
      *  checkpoint (free pool + active cursor blocks): the bounded
      *  recovery scan set. */

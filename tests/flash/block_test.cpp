@@ -1,7 +1,7 @@
 /**
  * @file
  * Block lifecycle tests: page states, program-before-erase protection,
- * payload storage, erase counting.
+ * payload storage, erase counting, the free-page counter.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,17 @@
 
 namespace parabit::flash {
 namespace {
+
+/** Free pages of @p b, counted from its page states. */
+std::uint32_t
+recountFree(const Block &b)
+{
+    std::uint32_t n = 0;
+    for (std::uint32_t wl = 0; wl < b.wordlines(); ++wl)
+        for (const bool msb : {false, true})
+            n += b.pageState(wl, msb) == PageState::kFree ? 1 : 0;
+    return n;
+}
 
 TEST(Block, StartsFree)
 {
@@ -136,6 +147,33 @@ TEST(Block, MarkTornDropsBothPayloadsOfTheWordline)
     b.erase();
     EXPECT_FALSE(b.torn(1));
     EXPECT_EQ(b.freePages(), 8u);
+}
+
+TEST(Block, FreePageCounterMatchesARecount)
+{
+    Block b(6, 8, true);
+    const BitVector d = BitVector::fromString("11001100");
+    const PageOob oob{7, 1, 1, false};
+    const auto expect_recount = [&](std::uint32_t want) {
+        EXPECT_EQ(b.freePages(), want);
+        EXPECT_EQ(b.freePages(), recountFree(b));
+    };
+    expect_recount(12);
+    for (int round = 0; round < 2; ++round) {
+        b.program(0, false, makePayload(d), &oob);
+        b.program(0, true, makePayload(d));
+        b.program(3, false, nullptr);
+        expect_recount(9);
+        b.invalidate(0, true); // invalid pages are not free
+        expect_recount(9);
+        b.program(3, true, makePayload(d), &oob);
+        b.markTorn(3); // a torn wordline keeps its page states
+        expect_recount(8);
+        b.program(5, false, makePayload(d));
+        expect_recount(7);
+        b.erase();
+        expect_recount(12);
+    }
 }
 
 TEST(Block, WordlineDataExposesBothPages)

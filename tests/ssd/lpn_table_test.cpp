@@ -1,9 +1,11 @@
 /**
  * @file
  * The FTL's LPN-ordered page table and the reverse lookup derived from
- * page OOB: table unit tests, LPNs past the logical capacity, the
- * scrambled flag across remaps, and a differential run of the FTL
- * against a plain ordered reference map under GC and wear levelling.
+ * page OOB: table unit tests, copy-on-write snapshots, LPNs past the
+ * logical capacity, the scrambled flag across remaps, a checkpoint
+ * image that later writes must not reach, and a differential run of
+ * the FTL against a plain ordered reference map under GC and wear
+ * levelling.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -36,15 +39,48 @@ iterated(const LpnTable &t)
     std::vector<Lpn> seen;
     t.forEach([&](Lpn lpn, const LpnTable::Entry &e) {
         EXPECT_TRUE(e.mapped);
-        EXPECT_EQ(e.addr, addrFor(lpn)) << "lpn " << lpn;
+        EXPECT_EQ(e.addr(), addrFor(lpn)) << "lpn " << lpn;
         seen.push_back(lpn);
     });
     return seen;
 }
 
-TEST(LpnTable, EntryIs32Bytes)
+TEST(LpnTable, EntryIs16Bytes)
 {
-    EXPECT_EQ(sizeof(LpnTable::Entry), 32u);
+    EXPECT_EQ(sizeof(LpnTable::Entry), 16u);
+}
+
+TEST(LpnTable, EntryRoundTripsTheLargestAddressOfAFittingGeometry)
+{
+    flash::FlashGeometry g;
+    g.channels = 1u << 16;
+    g.chipsPerChannel = 1u << 16;
+    g.diesPerChip = 256;
+    g.planesPerDie = 256;
+    g.blocksPerPlane = ~0u;
+    g.wordlinesPerBlock = 1u << 16;
+    ASSERT_TRUE(LpnTable::fits(g));
+    const flash::PhysPageAddr top{
+        g.channels - 1,     g.chipsPerChannel - 1, g.diesPerChip - 1,
+        g.planesPerDie - 1, g.blocksPerPlane - 1,  g.wordlinesPerBlock - 1,
+        true};
+    LpnTable t;
+    t.assign(3, top, true);
+    ASSERT_NE(t.find(3), nullptr);
+    EXPECT_EQ(t.find(3)->addr(), top);
+    EXPECT_TRUE(t.find(3)->scrambled);
+
+    // One more of any narrow coordinate no longer fits.
+    const auto fits_one_more = [&](std::uint32_t flash::FlashGeometry::*n) {
+        flash::FlashGeometry wide = g;
+        ++(wide.*n);
+        return LpnTable::fits(wide);
+    };
+    EXPECT_FALSE(fits_one_more(&flash::FlashGeometry::channels));
+    EXPECT_FALSE(fits_one_more(&flash::FlashGeometry::chipsPerChannel));
+    EXPECT_FALSE(fits_one_more(&flash::FlashGeometry::diesPerChip));
+    EXPECT_FALSE(fits_one_more(&flash::FlashGeometry::planesPerDie));
+    EXPECT_FALSE(fits_one_more(&flash::FlashGeometry::wordlinesPerBlock));
 }
 
 TEST(LpnTable, IteratesAscendingAcrossChunkBoundaries)
@@ -68,9 +104,9 @@ TEST(LpnTable, AssignReturnsTheReplacedEntry)
     const LpnTable::Entry second = t.assign(9, addrFor(10), false);
     EXPECT_TRUE(second.mapped);
     EXPECT_TRUE(second.scrambled);
-    EXPECT_EQ(second.addr, addrFor(9));
+    EXPECT_EQ(second.addr(), addrFor(9));
     ASSERT_NE(t.find(9), nullptr);
-    EXPECT_EQ(t.find(9)->addr, addrFor(10));
+    EXPECT_EQ(t.find(9)->addr(), addrFor(10));
     EXPECT_FALSE(t.find(9)->scrambled);
     EXPECT_EQ(t.size(), 1u);
 }
@@ -96,6 +132,98 @@ TEST(LpnTable, EraseUpdatesSize)
     EXPECT_EQ(t.find(1), nullptr);
 }
 
+TEST(LpnTable, ACopySharesItsChunks)
+{
+    const Lpn k = LpnTable::kChunkEntries;
+    const std::vector<Lpn> lpns = {3, k + 1, ~0ull - 1};
+    LpnTable t;
+    for (Lpn l : lpns)
+        t.assign(l, addrFor(l), false);
+    const LpnTable snap = t;
+    for (Lpn l : lpns) {
+        ASSERT_NE(t.find(l), nullptr);
+        EXPECT_EQ(snap.find(l), t.find(l)) << "lpn " << l; // same slot
+    }
+    EXPECT_EQ(snap.size(), 3u);
+    EXPECT_EQ(t.chunkCopies(), 0u);
+}
+
+/**
+ * After a copy, writes to the original (in a shared chunk, in a chunk
+ * the copy does not have, and at the wrapped top of the LPN space)
+ * copy the chunks they touch: the copy still reads every old entry,
+ * its size and its iteration order, and the original the new ones.
+ */
+TEST(LpnTable, ASnapshotKeepsItsEntriesWhenTheOriginalChanges)
+{
+    const Lpn k = LpnTable::kChunkEntries;
+    const Lpn wrapped = ~0ull - 1;
+    const std::vector<Lpn> lpns = {1, 2, 7, k + 1, k + 2, wrapped, ~0ull};
+    LpnTable t;
+    for (Lpn l : lpns)
+        t.assign(l, addrFor(l), l == 7);
+    const LpnTable snap = t;
+
+    const flash::PhysPageAddr moved = addrFor(40);
+    t.assign(2, moved, true);          // remap in a shared chunk
+    t.assign(5, moved, false);         // new LPN in a shared chunk
+    EXPECT_TRUE(t.erase(k + 2));       // unmap in another shared chunk
+    t.assign(9 * k + 4, moved, false); // a chunk the snapshot lacks
+    t.assign(wrapped, moved, false);
+    EXPECT_TRUE(t.erase(~0ull));
+    EXPECT_EQ(t.chunkCopies(), 3u); // chunks 0, 1 and the top one
+
+    EXPECT_EQ(snap.size(), lpns.size());
+    ASSERT_EQ(iterated(snap), lpns); // every old address, in order
+    EXPECT_FALSE(snap.find(2)->scrambled);
+    EXPECT_TRUE(snap.find(7)->scrambled);
+    EXPECT_EQ(snap.find(5), nullptr);
+    EXPECT_EQ(snap.find(9 * k + 4), nullptr);
+
+    EXPECT_EQ(t.size(), lpns.size());
+    for (Lpn l : {Lpn{2}, Lpn{5}, 9 * k + 4, wrapped}) {
+        ASSERT_NE(t.find(l), nullptr) << "lpn " << l;
+        EXPECT_EQ(t.find(l)->addr(), moved) << "lpn " << l;
+    }
+    EXPECT_TRUE(t.find(2)->scrambled);
+    EXPECT_EQ(t.find(k + 2), nullptr);
+    EXPECT_EQ(t.find(~0ull), nullptr);
+    std::vector<Lpn> now;
+    t.forEach([&](Lpn lpn, const LpnTable::Entry &) { now.push_back(lpn); });
+    EXPECT_EQ(now, (std::vector<Lpn>{1, 2, 5, 7, k + 1, 9 * k + 4, wrapped}));
+
+    // A chunk already copied is the original's own: no second copy.
+    t.assign(3, moved, false);
+    EXPECT_EQ(t.chunkCopies(), 3u);
+}
+
+/** One map record of a checkpoint image as it is serialised. */
+struct ImageRecord
+{
+    Lpn lpn = 0;
+    std::uint64_t phys = 0; ///< linear page index
+    bool scrambled = false;
+
+    bool operator==(const ImageRecord &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const ImageRecord &r)
+{
+    return os << "{lpn " << r.lpn << ", page " << r.phys
+              << (r.scrambled ? ", scrambled}" : "}");
+}
+
+std::vector<ImageRecord>
+records(const CheckpointImage &img, const flash::FlashGeometry &g)
+{
+    std::vector<ImageRecord> out;
+    img.map.forEach([&](Lpn lpn, const LpnTable::Entry &e) {
+        out.push_back({lpn, flash::linearPageIndex(g, e.addr()), e.scrambled});
+    });
+    return out;
+}
+
 /** A bare FTL on chips of @p cfg. */
 struct FtlRig
 {
@@ -115,12 +243,12 @@ struct FtlRig
         return v;
     }
 
-    const std::vector<CheckpointImage::Entry> &
+    std::vector<ImageRecord>
     freshImage()
     {
         std::vector<PhysOp> ops;
         EXPECT_TRUE(ftl->checkpoint(ops));
-        return ftl->durableLog().checkpoint->map;
+        return records(*ftl->durableLog().checkpoint, cfg.geometry);
     }
 
     SsdConfig cfg;
@@ -178,7 +306,7 @@ TEST(FtlMap, LpnsPastCapacityMapLookUpAndIterateLast)
     EXPECT_EQ(ftl.lpnAt(*at_wrapped), wrapped);
 
     std::vector<Lpn> order;
-    for (const CheckpointImage::Entry &e : r.freshImage())
+    for (const ImageRecord &e : r.freshImage())
         order.push_back(e.lpn);
     EXPECT_EQ(order, (std::vector<Lpn>{0, 1, 2, 3, past, wrapped}));
 }
@@ -213,6 +341,80 @@ TEST(FtlMap, RemapKeepsTheScrambledFlag)
     ASSERT_EQ(img.size(), 2u);
     EXPECT_TRUE(img[0].scrambled);
     EXPECT_FALSE(img[1].scrambled);
+}
+
+/**
+ * The durable checkpoint image is a snapshot of the page map: trims,
+ * relocations and overwrites of the LPNs it holds, in each of its
+ * chunks, and the GC and wear levelling they force leave it equal to
+ * what it held when it was taken, record for record.
+ */
+TEST(FtlMap, CheckpointImageIsUntouchedByLaterMapChanges)
+{
+    SsdConfig cfg = recoveryCfg();
+    cfg.wearLevelThreshold = 2;
+    // Eight data blocks per plane, so wear levelling finds cold ones,
+    // and a log with room for every journal record below, so the
+    // checkpoint under test is never rotated out.
+    cfg.geometry.blocksPerPlane = 12;
+    cfg.geometry.pageBytes = 512;
+    cfg.recovery.reservedBlocksPerPlane = 4;
+    FtlRig r(cfg);
+    Ftl &ftl = *r.ftl;
+    std::vector<PhysOp> ops;
+
+    // Host LPNs in chunk 0; ParaBit LPNs in chunk 1 and in the chunk
+    // at the top of the LPN space, where the scratch cursor wraps to.
+    std::vector<Lpn> host, parabit;
+    for (Lpn l = 0; l < 256; ++l)
+        host.push_back(l * 3);
+    for (Lpn i = 0; i < 6; ++i) {
+        parabit.push_back(LpnTable::kChunkEntries + i);
+        parabit.push_back(kNoLpn - 1 - i);
+    }
+    // Pages without bits: only the map is under test.
+    const auto overwrite_host = [&](Lpn l) {
+        ASSERT_TRUE(ftl.writePage(l, nullptr, ops));
+    };
+    const auto overwrite_parabit = [&](Lpn l) {
+        ASSERT_TRUE(ftl.writeLsbOnly(l, nullptr, ops));
+    };
+    for (Lpn l : host)
+        overwrite_host(l);
+    for (Lpn l : parabit)
+        overwrite_parabit(l);
+
+    const std::vector<ImageRecord> at_checkpoint = r.freshImage();
+    ASSERT_EQ(at_checkpoint.size(), host.size() + parabit.size());
+    const std::uint64_t checkpoints = ftl.checkpointsTaken();
+    const std::uint64_t gc_runs = ftl.gcRuns();
+    const std::uint64_t copies = ftl.mapChunkCopies();
+
+    for (Lpn l : {host[0], parabit[0], parabit[1]})
+        ASSERT_TRUE(ftl.trim(l, &ops));
+    for (Lpn l : {host[1], parabit[2], parabit[3]}) {
+        const auto at = *ftl.lookup(l);
+        ASSERT_TRUE(ftl.relocatePage(l, ftl.chipAt(at).readPage(at), ops));
+    }
+    // A small hot set over static data: GC reclaims the hot blocks and
+    // wear levelling migrates the cold ones, both remapping image LPNs.
+    for (int i = 0; i < 600; ++i) {
+        ops.clear();
+        if (i % 4 != 3)
+            overwrite_host(host[1 + i % 3]);
+        else
+            overwrite_parabit(parabit[2 + i % 2]);
+    }
+    ASSERT_GT(ftl.gcRuns(), gc_runs);
+    ASSERT_GT(ftl.wearLevelMoves(), 0u);
+    ASSERT_EQ(ftl.checkpointsTaken(), checkpoints);
+    EXPECT_FALSE(ftl.lookup(host[0]));
+
+    EXPECT_EQ(records(*ftl.durableLog().checkpoint, cfg.geometry),
+              at_checkpoint);
+    // Each chunk was copied once, at its first write after the
+    // checkpoint; later writes found it unshared.
+    EXPECT_EQ(ftl.mapChunkCopies(), copies + 3);
 }
 
 /**
@@ -360,7 +562,7 @@ TEST(FtlMap, MatchesAnOrderedReferenceUnderGcAndWearLevelling)
                 << "step " << step << " lpn " << lpn;
         }
 
-        const std::vector<CheckpointImage::Entry> &img = r.freshImage();
+        const std::vector<ImageRecord> img = r.freshImage();
         ASSERT_EQ(img.size(), ref.size()) << "step " << step;
         auto it = ref.begin();
         for (std::size_t i = 0; i < img.size(); ++i, ++it) {
