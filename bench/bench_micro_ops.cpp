@@ -5,8 +5,9 @@
  * opLocationFree on a functional chip with 8 KiB pages: the latch
  * kernel plus the result page, bytes per second of one page, with ideal
  * and with noisy sensing), one ReAlloc page op end to end on 8 KiB
- * pages, FTL write/GC throughput, an FTL checkpoint (one Flush), and
- * the event-engine scheduling rate.
+ * pages, FTL write/GC throughput, an FTL checkpoint (one Flush), the
+ * flash array's own per-page bookkeeping (program, read, erase on a
+ * timing-only chip), and the event-engine scheduling rate.
  * These measure the *simulator's* host performance, complementing the
  * figure benches that report *simulated* device time.
  */
@@ -186,6 +187,58 @@ BM_FtlCheckpoint(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_FtlCheckpoint)->Arg(4640)->Arg(12672)->Arg(20640);
+
+/**
+ * The flash array's bookkeeping per page op, with no payloads and no
+ * sensing model: on one timing-only paperSsd() chip, every iteration
+ * programs all pages of 32 blocks spread over the chip's 8 planes and
+ * over each plane's block range (OOB attached), reads each page once
+ * (its neighbors charged with read disturb) and erases the blocks.
+ * time_per_page_op is the time per program, read or erase (seconds in
+ * the JSON; the console scales it, e.g. "14ns").
+ */
+void
+BM_FlashPageCycle(benchmark::State &state)
+{
+    const flash::FlashGeometry g = flash::FlashGeometry::paperSsd();
+    flash::Chip chip(g, false);
+    constexpr std::uint32_t kBlocksPerPlane = 4;
+    std::vector<flash::PhysPageAddr> blocks;
+    for (std::uint32_t die = 0; die < g.diesPerChip; ++die)
+        for (std::uint32_t pl = 0; pl < g.planesPerDie; ++pl)
+            for (std::uint32_t k = 0; k < kBlocksPerPlane; ++k)
+                blocks.push_back(
+                    {0, 0, die, pl,
+                     k * (g.blocksPerPlane / kBlocksPerPlane) +
+                         die * g.planesPerDie + pl,
+                     0, false});
+    const flash::PageOob oob{7, 1, 1, false};
+    for (auto _ : state) {
+        for (flash::PhysPageAddr a : blocks) {
+            bool ok = true;
+            for (a.wordline = 0; a.wordline < g.wordlinesPerBlock; ++a.wordline)
+                for (const bool msb : {false, true}) {
+                    a.msb = msb;
+                    ok = chip.programPage(a, nullptr, &oob) && ok;
+                }
+            for (a.wordline = 0; a.wordline < g.wordlinesPerBlock; ++a.wordline)
+                for (const bool msb : {false, true}) {
+                    a.msb = msb;
+                    benchmark::DoNotOptimize(chip.readPage(a));
+                }
+            if (!ok || !chip.eraseBlock(a)) {
+                state.SkipWithError("program or erase failed");
+                return;
+            }
+        }
+    }
+    const double page_ops =
+        static_cast<double>(blocks.size()) * (4 * g.wordlinesPerBlock + 1);
+    state.counters["time_per_page_op"] = benchmark::Counter(
+        page_ops, benchmark::Counter::kIsIterationInvariantRate |
+                      benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FlashPageCycle);
 
 /**
  * One ParaBit-ReAlloc AND of an 8 KiB page pair through the whole stack

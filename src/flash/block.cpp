@@ -1,5 +1,6 @@
 #include "flash/block.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/invariant.hpp"
@@ -7,8 +8,16 @@
 
 namespace parabit::flash {
 
+namespace {
+
+/** What pageData() answers in a block that stores no payloads. */
+const Payload kNoPayload;
+
+} // namespace
+
 Block::Block(std::uint32_t wordlines, std::size_t page_bits, bool store_data)
     : pageBits_(page_bits), storeData_(store_data), wls_(wordlines),
+      data_(store_data ? 2 * std::size_t{wordlines} : 0),
       freePages_(2 * wordlines)
 {
 }
@@ -30,8 +39,7 @@ Block::wl(std::uint32_t i) const
 PageState
 Block::pageState(std::uint32_t i, bool msb) const
 {
-    const auto &w = wl(i);
-    return msb ? w.msbState : w.lsbState;
+    return wl(i).state[msb];
 }
 
 void
@@ -39,47 +47,43 @@ Block::program(std::uint32_t i, bool msb, const Payload &data,
                const PageOob *oob)
 {
     auto &w = wl(i);
-    PageState &st = msb ? w.msbState : w.lsbState;
-    if (st != PageState::kFree)
+    if (w.state[msb] != PageState::kFree)
         panic("Block::program: page not free (program-before-erase)");
     if (storeData_ && data) {
         PARABIT_CHECK(data->size() == pageBits_,
                       "Block::program: payload width differs from the page");
-        (msb ? w.msbData : w.lsbData) = data;
+        data_[slot(i, msb)] = data;
     }
-    st = PageState::kValid;
+    w.state[msb] = PageState::kValid;
     ++validPages_;
     --freePages_;
-    if (oob)
-        (msb ? w.msbOob : w.lsbOob) = *oob;
+    if (oob) {
+        w.lpn[msb] = oob->lpn;
+        w.seq[msb] = oob->seq;
+        w.tag[msb] = oob->tag;
+        w.flags |= static_cast<std::uint8_t>(kOob << msb);
+        if (oob->scrambled)
+            w.flags |= static_cast<std::uint8_t>(kScrambled << msb);
+    }
 }
 
 void
 Block::invalidate(std::uint32_t i, bool msb)
 {
     auto &w = wl(i);
-    PageState &st = msb ? w.msbState : w.lsbState;
-    if (st != PageState::kValid)
+    if (w.state[msb] != PageState::kValid)
         panic("Block::invalidate: page not valid");
-    st = PageState::kInvalid;
+    w.state[msb] = PageState::kInvalid;
     --validPages_;
-    (msb ? w.msbData : w.lsbData).reset();
+    if (storeData_)
+        data_[slot(i, msb)].reset();
 }
 
 void
 Block::erase()
 {
-    for (auto &w : wls_) {
-        w.lsbState = PageState::kFree;
-        w.msbState = PageState::kFree;
-        w.lsbData.reset();
-        w.msbData.reset();
-        w.lsbOob.reset();
-        w.msbOob.reset();
-        w.torn = false;
-        w.disturb = 0;
-        w.programmedAt = 0;
-    }
+    std::fill(wls_.begin(), wls_.end(), Wordline{});
+    std::fill(data_.begin(), data_.end(), nullptr);
     validPages_ = 0;
     freePages_ = 2 * wordlines();
     ++eraseCount_;
@@ -88,31 +92,34 @@ Block::erase()
 const Payload &
 Block::pageData(std::uint32_t i, bool msb) const
 {
-    const auto &w = wl(i);
-    return msb ? w.msbData : w.lsbData;
+    assert(i < wls_.size());
+    return storeData_ ? data_[slot(i, msb)] : kNoPayload;
 }
 
-const PageOob *
+std::optional<PageOob>
 Block::pageOob(std::uint32_t i, bool msb) const
 {
     const auto &w = wl(i);
-    const auto &o = msb ? w.msbOob : w.lsbOob;
-    return o ? &*o : nullptr;
+    if (!(w.flags & (kOob << msb)))
+        return std::nullopt;
+    return PageOob{w.lpn[msb], w.seq[msb], w.tag[msb],
+                   (w.flags & (kScrambled << msb)) != 0};
 }
 
 void
 Block::markTorn(std::uint32_t i)
 {
-    auto &w = wl(i);
-    w.torn = true;
-    w.lsbData.reset();
-    w.msbData.reset();
+    wl(i).flags |= kTorn;
+    if (storeData_) {
+        data_[slot(i, false)].reset();
+        data_[slot(i, true)].reset();
+    }
 }
 
 bool
 Block::torn(std::uint32_t i) const
 {
-    return wl(i).torn;
+    return (wl(i).flags & kTorn) != 0;
 }
 
 void
@@ -142,8 +149,11 @@ Block::programTick(std::uint32_t i) const
 WordlineData
 Block::wordlineData(std::uint32_t i) const
 {
-    const auto &w = wl(i);
-    return WordlineData{w.lsbData.get(), w.msbData.get()};
+    assert(i < wls_.size());
+    if (!storeData_)
+        return {};
+    return WordlineData{data_[slot(i, false)].get(),
+                        data_[slot(i, true)].get()};
 }
 
 } // namespace parabit::flash

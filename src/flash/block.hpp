@@ -9,6 +9,13 @@
  * store_data = false keeps full state/timing behaviour while holding no
  * bits, which is what the large-scale experiments use.
  *
+ * A wordline's record is 56 bytes of plain fields: both pages' OOB
+ * (lpn, seq, tag), their two states, the disturb count, the program
+ * tick, and one flags byte with each page's OOB-present and scrambled
+ * bits and the torn bit.  Payload references live apart, in a vector
+ * only a functional block allocates, so a timing-only block holds no
+ * pointers at all.
+ *
  * A stored page is a Payload: immutable bits shared by reference with
  * every copy of the page (reads, ReAlloc pairs, LocFree staging, GC and
  * refresh moves, pair backups, PLP entries).  Invalidate, erase and a
@@ -69,6 +76,22 @@ struct PageOob
 class Block
 {
   public:
+    /** One wordline's record (56 bytes, pinned by a test); arrays are
+     *  indexed by page (0 = LSB, 1 = MSB), and a page's OOB fields
+     *  mean something only under its kOob flag. */
+    struct Wordline
+    {
+        std::uint64_t lpn[2] = {};
+        std::uint64_t seq[2] = {};
+        /** Neighbor-sense disturb units absorbed since erase. */
+        std::uint64_t disturb = 0;
+        /** Device tick of the last program on this wordline. */
+        Tick programmedAt = 0;
+        std::uint8_t tag[2] = {};
+        PageState state[2] = {PageState::kFree, PageState::kFree};
+        std::uint8_t flags = 0;
+    };
+
     /**
      * @param wordlines number of wordlines
      * @param page_bits bits per logical page
@@ -101,8 +124,8 @@ class Block
     /** Stored payload, null if absent. */
     const Payload &pageData(std::uint32_t wl, bool msb) const;
 
-    /** Spare-area metadata attached at program time, or nullptr. */
-    const PageOob *pageOob(std::uint32_t wl, bool msb) const;
+    /** Spare-area metadata attached at program time, if any. */
+    std::optional<PageOob> pageOob(std::uint32_t wl, bool msb) const;
 
     /**
      * Record that a program on this wordline was interrupted by power
@@ -147,27 +170,27 @@ class Block
     std::uint32_t freePages() const { return freePages_; }
 
   private:
-    struct Wordline
-    {
-        Payload lsbData;
-        Payload msbData;
-        std::optional<PageOob> lsbOob;
-        std::optional<PageOob> msbOob;
-        PageState lsbState = PageState::kFree;
-        PageState msbState = PageState::kFree;
-        bool torn = false;
-        /** Neighbor-sense disturb units absorbed since erase. */
-        std::uint64_t disturb = 0;
-        /** Device tick of the last program on this wordline. */
-        Tick programmedAt = 0;
-    };
+    /** Wordline::flags bits; kOob and kScrambled are the LSB page's,
+     *  and the MSB page's is the next bit up (shifted by msb). */
+    static constexpr std::uint8_t kOob = 1;
+    static constexpr std::uint8_t kScrambled = 4;
+    static constexpr std::uint8_t kTorn = 16;
 
     Wordline &wl(std::uint32_t i);
     const Wordline &wl(std::uint32_t i) const;
 
+    /** Index of page (@p wl, @p msb) in data_. */
+    static std::size_t
+    slot(std::uint32_t wl, bool msb)
+    {
+        return 2 * std::size_t{wl} + msb;
+    }
+
     std::size_t pageBits_;
     bool storeData_;
     std::vector<Wordline> wls_;
+    /** Payloads by slot(); empty in a timing-only block. */
+    std::vector<Payload> data_;
     std::uint32_t eraseCount_ = 0;
     std::uint32_t validPages_ = 0;
     /** Pages in PageState::kFree: program() takes one, erase() frees

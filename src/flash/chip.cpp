@@ -63,7 +63,7 @@ Chip::readPage(const PhysPageAddr &a)
     // A normal page read senses the wordline once (LSB) or twice (MSB),
     // stressing the block neighbors like any other sensing.  The read
     // itself stays ECC-clean (paper Section 5.8).
-    chargeNeighborDisturb(a, a.msb ? 2 : 1);
+    chargeNeighborDisturb(blk, a, a.msb ? 2 : 1);
     if (const Payload &d = blk.pageData(a.wordline, a.msb))
         return d;
     // A timing-only array carries no payload at all; in a functional one
@@ -89,7 +89,7 @@ Chip::eraseBlock(const PhysPageAddr &a)
 }
 
 void
-Chip::chargeNeighborDisturb(const PhysPageAddr &a, int senses)
+Chip::chargeNeighborDisturb(Block &blk, const PhysPageAddr &a, int senses)
 {
     if (senses <= 0)
         return;
@@ -99,7 +99,6 @@ Chip::chargeNeighborDisturb(const PhysPageAddr &a, int senses)
     const auto charge = static_cast<std::uint64_t>(units);
     if (charge == 0)
         return;
-    Block &blk = blockAt(a);
     if (a.wordline > 0)
         blk.chargeDisturb(a.wordline - 1, charge);
     if (a.wordline + 1 < blk.wordlines())
@@ -107,13 +106,12 @@ Chip::chargeNeighborDisturb(const PhysPageAddr &a, int senses)
 }
 
 double
-Chip::wearMultiplierAt(const PhysPageAddr &a)
+Chip::wearMultiplierAt(const Block &blk, const PhysPageAddr &a) const
 {
     if (!errorModel_.wearTrackingEnabled())
         return 1.0;
-    Block &blk = blockAt(a);
     return errorModel_.wearMultiplier(blk.disturbCount(a.wordline),
-                                      wordlineAgeHours(a));
+                                      ageHours(blk, a));
 }
 
 std::uint64_t
@@ -125,7 +123,13 @@ Chip::wordlineDisturb(const PhysPageAddr &a)
 double
 Chip::wordlineAgeHours(const PhysPageAddr &a)
 {
-    const Tick pt = blockAt(a).programTick(a.wordline);
+    return ageHours(blockAt(a), a);
+}
+
+double
+Chip::ageHours(const Block &blk, const PhysPageAddr &a) const
+{
+    const Tick pt = blk.programTick(a.wordline);
     const Tick age = now_ > pt ? now_ - pt : 0;
     double hours = ticks::toSec(age) / 3600.0;
     if (faults_.retentionMultiplier)
@@ -136,10 +140,11 @@ Chip::wordlineAgeHours(const PhysPageAddr &a)
 double
 Chip::predictedRber(const PhysPageAddr &a)
 {
-    const double base = errorModel_.rberPerSense(blockAt(a).eraseCount());
+    const Block &blk = blockAt(a);
+    const double base = errorModel_.rberPerSense(blk.eraseCount());
     const double fault =
         faults_.rberMultiplier ? faults_.rberMultiplier(a) : 1.0;
-    return base * wearMultiplierAt(a) * fault;
+    return base * wearMultiplierAt(blk, a) * fault;
 }
 
 BitVector
@@ -189,9 +194,9 @@ Chip::opCoLocated(BitwiseOp op, const PhysPageAddr &a, int *bit_errors)
     const MicroProgram &prog = coLocatedProgram(op);
     // A multi-sensing chain stresses the operand wordline's neighbors
     // once per SRO — the per-sense charging of the disturb model.
-    chargeNeighborDisturb(a, prog.senseCount());
+    chargeNeighborDisturb(blk, a, prog.senseCount());
     return runOp(prog, a, wl, {}, {}, blk.eraseCount(), bit_errors,
-                 wearMultiplierAt(a));
+                 wearMultiplierAt(blk, a));
 }
 
 BitVector
@@ -209,10 +214,10 @@ Chip::opLocationFree(BitwiseOp op, const PhysPageAddr &m,
     const MicroProgram &prog = locationFreeProgram(op, variant);
     // Both operand wordlines are selected across the chain; charging the
     // full SRO count to each is the conservative split-free bound.
-    chargeNeighborDisturb(m, prog.senseCount());
-    chargeNeighborDisturb(n, prog.senseCount());
+    chargeNeighborDisturb(bm, m, prog.senseCount());
+    chargeNeighborDisturb(bn, n, prog.senseCount());
     const double wear =
-        std::max(wearMultiplierAt(m), wearMultiplierAt(n));
+        std::max(wearMultiplierAt(bm, m), wearMultiplierAt(bn, n));
     return runOp(prog, n, {}, wm, wn, pe, bit_errors, wear);
 }
 
@@ -229,9 +234,9 @@ Chip::opBufferedOperand(BitwiseOp op, const BitVector &m_buffer,
     const WordlineData wm{&m_buffer, nullptr};
     const MicroProgram &prog =
         locationFreeProgram(op, LocFreeVariant::kLsbLsb);
-    chargeNeighborDisturb(n, prog.senseCount());
+    chargeNeighborDisturb(bn, n, prog.senseCount());
     return runOp(prog, n, {}, wm, wn, bn.eraseCount(), bit_errors,
-                 wearMultiplierAt(n));
+                 wearMultiplierAt(bn, n));
 }
 
 PageState
@@ -240,7 +245,7 @@ Chip::pageState(const PhysPageAddr &a)
     return blockAt(a).pageState(a.wordline, a.msb);
 }
 
-const PageOob *
+std::optional<PageOob>
 Chip::pageOob(const PhysPageAddr &a)
 {
     return blockAt(a).pageOob(a.wordline, a.msb);

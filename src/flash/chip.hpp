@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -192,8 +193,8 @@ class Chip
     /** P/E count of the block holding @p a. */
     std::uint32_t blockEraseCount(const PhysPageAddr &a);
 
-    /** Spare-area metadata of the page at @p a, or nullptr. */
-    const PageOob *pageOob(const PhysPageAddr &a);
+    /** Spare-area metadata of the page at @p a, if any. */
+    std::optional<PageOob> pageOob(const PhysPageAddr &a);
 
     /** Mark the wordline of @p a torn by an interrupted program
      *  (sudden power loss mid-tPROG); see Block::markTorn. */
@@ -220,12 +221,17 @@ class Chip
                     int *bit_errors, double wear_mult = 1.0);
 
     /** Charge @p senses disturb units (scaled by any injected hot-spot
-     *  multiplier) to the block neighbors of @p a's wordline. */
-    void chargeNeighborDisturb(const PhysPageAddr &a, int senses);
+     *  multiplier) to the neighbors of @p a's wordline in @p blk, the
+     *  block holding @p a. */
+    void chargeNeighborDisturb(Block &blk, const PhysPageAddr &a,
+                               int senses);
 
-    /** Disturb/retention multiplier of @p a's wordline (1.0 while wear
-     *  tracking is disabled in the error model). */
-    double wearMultiplierAt(const PhysPageAddr &a);
+    /** Disturb/retention multiplier of @p a's wordline in @p blk (1.0
+     *  while wear tracking is disabled in the error model). */
+    double wearMultiplierAt(const Block &blk, const PhysPageAddr &a) const;
+
+    /** wordlineAgeHours() of @p a, whose block is @p blk. */
+    double ageHours(const Block &blk, const PhysPageAddr &a) const;
 
     FlashGeometry geom_;
     ErrorModel errorModel_;

@@ -1,37 +1,27 @@
 #include "flash/plane.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 
 namespace parabit::flash {
 
 Block &
-Plane::block(std::uint32_t b)
+Plane::materialise(std::uint32_t b)
 {
     if (b >= blocksPerPlane_)
         panic("Plane::block: index out of range");
-    auto it = blocks_.find(b);
-    if (it == blocks_.end()) {
-        it = blocks_
-                 .try_emplace(b, wordlinesPerBlock_, pageBits_, storeData_)
-                 .first;
+    if (b >= blocks_.size()) {
+        // Grow geometrically, but never past the plane.
+        if (b >= blocks_.capacity())
+            blocks_.reserve(std::min<std::size_t>(
+                blocksPerPlane_,
+                std::max<std::size_t>(b + 1, 2 * blocks_.capacity())));
+        blocks_.resize(std::size_t{b} + 1);
     }
-    return it->second;
-}
-
-const Block *
-Plane::blockIfExists(std::uint32_t b) const
-{
-    auto it = blocks_.find(b);
-    return it == blocks_.end() ? nullptr : &it->second;
-}
-
-std::uint64_t
-Plane::totalErases() const
-{
-    std::uint64_t n = 0;
-    for (const auto &[idx, blk] : blocks_)
-        n += blk.eraseCount();
-    return n;
+    blocks_[b] =
+        std::make_unique<Block>(wordlinesPerBlock_, pageBits_, storeData_);
+    return *blocks_[b];
 }
 
 } // namespace parabit::flash

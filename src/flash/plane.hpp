@@ -6,14 +6,19 @@
  *
  * Blocks are materialised lazily so that device-scale geometries (half a
  * million blocks) cost nothing until touched; untouched blocks behave as
- * fully erased.
+ * fully erased.  The plane finds them in a table indexed by block
+ * number (femu's nand_plane.blk[]), grown on demand to the highest
+ * block touched so far and never past blocksPerPlane, so an untouched
+ * block costs one null pointer and a lookup is a bounds check and a
+ * load.  Each block is its own allocation and never moves: a Block&
+ * stays valid while the table grows.
  */
 
 #ifndef PARABIT_FLASH_PLANE_HPP_
 #define PARABIT_FLASH_PLANE_HPP_
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "flash/block.hpp"
@@ -32,16 +37,20 @@ class Plane
     {}
 
     /** Access (and lazily create) block @p b. */
-    Block &block(std::uint32_t b);
+    Block &
+    block(std::uint32_t b)
+    {
+        if (b < blocks_.size() && blocks_[b])
+            return *blocks_[b];
+        return materialise(b);
+    }
 
     /** Block @p b if it has ever been touched, else nullptr. */
-    const Block *blockIfExists(std::uint32_t b) const;
-
-    /** Number of blocks materialised so far. */
-    std::size_t touchedBlocks() const { return blocks_.size(); }
-
-    /** Sum of erase counts over touched blocks. */
-    std::uint64_t totalErases() const;
+    const Block *
+    blockIfExists(std::uint32_t b) const
+    {
+        return b < blocks_.size() ? blocks_[b].get() : nullptr;
+    }
 
     bool storesData() const { return storeData_; }
 
@@ -75,6 +84,9 @@ class Plane
     /// @}
 
   private:
+    /** Create block @p b, growing the table to reach it. */
+    Block &materialise(std::uint32_t b);
+
     // Geometry fields are held by value so Plane (and its owning Chip)
     // stays safely movable inside containers.
     std::uint32_t blocksPerPlane_;
@@ -83,7 +95,8 @@ class Plane
     bool storeData_;
     bool dead_ = false;
     std::vector<StuckBitline> stuck_;
-    std::unordered_map<std::uint32_t, Block> blocks_;
+    /** Indexed by block number; null = never touched. */
+    std::vector<std::unique_ptr<Block>> blocks_;
 };
 
 } // namespace parabit::flash

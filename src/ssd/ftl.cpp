@@ -82,7 +82,7 @@ Ftl::ownerOf(const flash::PhysPageAddr &a) const
     const flash::Block *blk = blockAt(a);
     if (!blk || blk->pageState(a.wordline, a.msb) != flash::PageState::kValid)
         return std::nullopt;
-    const flash::PageOob *oob = blk->pageOob(a.wordline, a.msb);
+    const std::optional<flash::PageOob> oob = blk->pageOob(a.wordline, a.msb);
     const Lpn lpn = oob ? oob->lpn : kNoLpn;
     const LpnTable::Entry *e = table_.find(lpn);
     if (!e || !(e->addr() == a))
@@ -705,7 +705,7 @@ Ftl::refreshWordline(const flash::PhysPageAddr &wl, std::vector<PhysOp> &ops)
     const Lpn msb_lpn = msb_valid ? lpnAt(msb) : kNoLpn;
 
     auto tag_of = [&](const flash::PhysPageAddr &a) {
-        const flash::PageOob *oob = chip.pageOob(a);
+        const std::optional<flash::PageOob> oob = chip.pageOob(a);
         return oob ? static_cast<OobTag>(oob->tag) : OobTag::kNone;
     };
     auto is_parabit = [](OobTag t) {
@@ -801,9 +801,9 @@ Ftl::auditInvariants(InvariantReport &r) const
 
         // ftl.map.oob: the mapped page's OOB metadata agrees with the
         // table.
-        const flash::PageOob *oob =
+        const std::optional<flash::PageOob> oob =
             blockAt(a)->pageOob(a.wordline, a.msb);
-        if (!r.check(oob != nullptr)) {
+        if (!r.check(oob.has_value())) {
             r.fail("ftl.map.oob", subj, "OOB metadata missing");
             return;
         }

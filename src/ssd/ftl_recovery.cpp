@@ -390,7 +390,8 @@ Ftl::recover(std::vector<PhysOp> &ops)
                 ops.push_back(PhysOp{PhysOp::Kind::kPageRead, a});
                 if (torn || blk->pageState(wl, msb) != flash::PageState::kValid)
                     continue;
-                const flash::PageOob *oob = blk->pageOob(wl, msb);
+                const std::optional<flash::PageOob> oob =
+                    blk->pageOob(wl, msb);
                 if (!oob || oob->lpn == kNoLpn ||
                     oob->tag == static_cast<std::uint8_t>(OobTag::kLog))
                     continue;
@@ -435,7 +436,8 @@ Ftl::recover(std::vector<PhysOp> &ops)
             if (!blk || blk->torn(a.wordline) ||
                 blk->pageState(a.wordline, a.msb) != flash::PageState::kValid)
                 continue;
-            const flash::PageOob *oob = blk->pageOob(a.wordline, a.msb);
+            const std::optional<flash::PageOob> oob =
+                blk->pageOob(a.wordline, a.msb);
             if (!oob || oob->lpn != lpn)
                 continue;
             table_.assign(lpn, a, oob->scrambled);

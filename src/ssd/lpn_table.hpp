@@ -46,19 +46,21 @@ namespace parabit::ssd {
 class LpnTable
 {
   public:
-    /** One LPN's slot (16 bytes). */
+    /** One LPN's slot (16 bytes).  No default member initialisers, so
+     *  a chunk copy can skip zero-filling; an empty slot is written as
+     *  Entry{}. */
     struct Entry
     {
-        std::uint32_t block = 0;
-        std::uint16_t wordline = 0;
-        std::uint16_t channel = 0;
-        std::uint16_t chip = 0;
-        std::uint8_t die = 0;
-        std::uint8_t plane = 0;
-        bool msb = false;
-        bool mapped = false;
+        std::uint32_t block;
+        std::uint16_t wordline;
+        std::uint16_t channel;
+        std::uint16_t chip;
+        std::uint8_t die;
+        std::uint8_t plane;
+        bool msb;
+        bool mapped;
         /** The stored bits are whitened (host write with scrambling). */
-        bool scrambled = false;
+        bool scrambled;
 
         flash::PhysPageAddr
         addr() const
@@ -103,7 +105,7 @@ class LpnTable
         if (c == chunks_.size() || chunks_[c].key != key)
             chunks_.insert(
                 chunks_.begin() + static_cast<std::ptrdiff_t>(c),
-                Chunk{key, std::make_shared<Entry[]>(kChunkEntries)});
+                Chunk{key, std::make_shared<Entry[]>(kChunkEntries, Entry{})});
         Entry &e = writable(c)[lpn & kSlotMask];
         const Entry old = e;
         e = Entry{a.block,
@@ -176,7 +178,7 @@ class LpnTable
     {
         std::shared_ptr<Entry[]> &entries = chunks_[c].entries;
         if (entries.use_count() > 1) {
-            auto own = std::make_shared<Entry[]>(kChunkEntries);
+            auto own = std::make_shared_for_overwrite<Entry[]>(kChunkEntries);
             std::copy_n(entries.get(), kChunkEntries, own.get());
             entries = std::move(own);
             ++chunkCopies_;

@@ -82,8 +82,11 @@ INSTANTIATE_TEST_SUITE_P(
     AllOperands, Fig8Xor,
     ::testing::Combine(::testing::Bool(), ::testing::Bool()),
     [](const auto &info) {
-        return "M" + std::to_string(std::get<0>(info.param)) + "_N" +
-               std::to_string(std::get<1>(info.param));
+        std::string name = "M";
+        name += std::to_string(std::get<0>(info.param));
+        name += "_N";
+        name += std::to_string(std::get<1>(info.param));
+        return name;
     });
 
 TEST(Fig8, ProgramEncodesTheSameStructure)

@@ -462,8 +462,9 @@ TEST(Controller, ReAllocPairSharesTheOperandPayloads)
     ASSERT_FALSE(copy == x_at);
     EXPECT_FALSE(copy.msb);
     const flash::Block &pair_blk = blockOf(ssd, copy);
-    const flash::PageOob *oob = pair_blk.pageOob(copy.wordline, false);
-    ASSERT_NE(oob, nullptr);
+    const std::optional<flash::PageOob> oob =
+        pair_blk.pageOob(copy.wordline, false);
+    ASSERT_TRUE(oob.has_value());
     EXPECT_EQ(static_cast<ssd::OobTag>(oob->tag), ssd::OobTag::kParabitPair);
     EXPECT_EQ(pair_blk.pageData(copy.wordline, true).get(), y_bits);
     const ssd::Lpn copy_lpn = oob->lpn;

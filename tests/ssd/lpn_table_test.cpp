@@ -532,13 +532,14 @@ TEST(FtlMap, MatchesAnOrderedReferenceUnderGcAndWearLevelling)
             ASSERT_TRUE(a) << "step " << step << " lpn " << lpn;
             if (lin(*a) == e.page)
                 continue;
-            const flash::PageOob *oob = ftl.chipAt(*a).pageOob(*a);
+            const std::optional<flash::PageOob> oob =
+                ftl.chipAt(*a).pageOob(*a);
             e.page = lin(*a);
             if (lpn == kNoLpn) {
-                EXPECT_EQ(oob, nullptr);
+                EXPECT_FALSE(oob.has_value());
                 continue;
             }
-            ASSERT_NE(oob, nullptr);
+            ASSERT_TRUE(oob.has_value());
             EXPECT_EQ(oob->lpn, lpn);
             EXPECT_EQ(oob->tag, static_cast<std::uint8_t>(OobTag::kGcRelocated))
                 << "step " << step << " lpn " << lpn;

@@ -50,7 +50,7 @@ pattern(std::size_t bits, Lpn lpn, std::uint64_t version = 0)
     return v;
 }
 
-const flash::PageOob *
+std::optional<flash::PageOob>
 oobAt(SsdDevice &dev, const flash::PhysPageAddr &a)
 {
     return dev.chipAt(a.channel, a.chip).pageOob(a);
@@ -118,8 +118,8 @@ TEST(Recovery, HostWritesCarryOobMetadata)
         ASSERT_TRUE(dev.ftl().writePage(lpn, &d, ops));
         const auto a = dev.ftl().lookup(lpn);
         ASSERT_TRUE(a.has_value());
-        const flash::PageOob *oob = oobAt(dev, *a);
-        ASSERT_NE(oob, nullptr);
+        const std::optional<flash::PageOob> oob = oobAt(dev, *a);
+        ASSERT_TRUE(oob.has_value());
         EXPECT_EQ(oob->lpn, lpn);
         EXPECT_EQ(oob->tag, static_cast<std::uint8_t>(OobTag::kHostData));
         EXPECT_FALSE(oob->scrambled);
@@ -184,8 +184,9 @@ TEST(Recovery, MappingSurvivesPowerCutViaFullOobScan)
     std::vector<PhysOp> ops;
     const BitVector d = pattern(bits, 500);
     ASSERT_TRUE(dev.ftl().writePage(500, &d, ops));
-    const flash::PageOob *oob = oobAt(dev, *dev.ftl().lookup(500));
-    ASSERT_NE(oob, nullptr);
+    const std::optional<flash::PageOob> oob =
+        oobAt(dev, *dev.ftl().lookup(500));
+    ASSERT_TRUE(oob.has_value());
     EXPECT_GE(oob->seq, rep.nextSeq);
 }
 

@@ -98,8 +98,11 @@ std::string
 pathString(const std::vector<int> &path, std::size_t len)
 {
     std::string s;
-    for (std::size_t i = 0; i < len && i < path.size(); ++i)
-        s += (i ? "," : "") + std::to_string(path[i]);
+    for (std::size_t i = 0; i < len && i < path.size(); ++i) {
+        if (i)
+            s += ',';
+        s += std::to_string(path[i]);
+    }
     return s;
 }
 
