@@ -5,7 +5,8 @@
  * opLocationFree on a functional chip with 8 KiB pages: the latch
  * kernel plus the result page, bytes per second of one page, with ideal
  * and with noisy sensing), one ReAlloc page op end to end on 8 KiB
- * pages, FTL write/GC throughput, an FTL checkpoint (one Flush), the
+ * pages, the page op path of each mode on a timing-only paper-geometry
+ * device, FTL write/GC throughput, an FTL checkpoint (one Flush), the
  * flash array's own per-page bookkeeping (program, read, erase on a
  * timing-only chip), and the event-engine scheduling rate.
  * These measure the *simulator's* host performance, complementing the
@@ -239,6 +240,66 @@ BM_FlashPageCycle(benchmark::State &state)
                       benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_FlashPageCycle);
+
+/**
+ * One XOR over one stripe (1024 page ops) on a timing-only paperSsd()
+ * device, through the controller's page op path and the scheduler's
+ * bookings, for the mode named by the argument (0 ParaBit, 1 ReAlloc,
+ * 2 LocFree).  Each mode's operands sit in the layout it computes on:
+ * a co-located pair, two whole stripes, two LSB-only stripes.
+ * time_per_page_op is seconds per page op in the JSON.  ReAlloc leaves
+ * its copies mapped (ROADMAP item 1), so the device is rebuilt, untimed,
+ * every kOpsPerDevice ops to keep its flash state small.
+ */
+void
+BM_PageOpTimingOnly(benchmark::State &state)
+{
+    constexpr int kOpsPerDevice = 256;
+    const auto mode = static_cast<core::Mode>(state.range(0));
+    const ssd::SsdConfig cfg = ssd::SsdConfig::paperSsd();
+    const std::uint32_t pages = cfg.geometry.planesTotal();
+    std::unique_ptr<core::ParaBitDevice> dev;
+    int ops = kOpsPerDevice;
+    for (auto _ : state) {
+        if (ops == kOpsPerDevice) {
+            state.PauseTiming();
+            dev = std::make_unique<core::ParaBitDevice>(cfg);
+            bool placed = false;
+            switch (mode) {
+              case core::Mode::kPreAllocated:
+                placed = dev->writeMetaOperandPair(0, pages, pages);
+                break;
+              case core::Mode::kReAllocate:
+                placed =
+                    dev->writeMeta(0, pages) && dev->writeMeta(pages, pages);
+                break;
+              case core::Mode::kLocationFree:
+                placed = dev->writeMetaLsbOnly(0, pages) &&
+                         dev->writeMetaLsbOnly(pages, pages);
+                break;
+            }
+            ops = 0;
+            state.ResumeTiming();
+            if (!placed) {
+                state.SkipWithError("operand placement failed");
+                break;
+            }
+        }
+        ++ops;
+        const core::ExecResult r =
+            dev->bitwise(flash::BitwiseOp::kXor, 0, pages, pages, mode);
+        if (r.status != core::ExecStatus::kOk) {
+            state.SkipWithError("XOR did not complete OK");
+            break;
+        }
+        benchmark::DoNotOptimize(r.stats.end);
+    }
+    state.SetLabel(core::modeName(mode));
+    state.counters["time_per_page_op"] = benchmark::Counter(
+        pages, benchmark::Counter::kIsIterationInvariantRate |
+                   benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PageOpTimingOnly)->DenseRange(0, 2);
 
 /**
  * One ParaBit-ReAlloc AND of an 8 KiB page pair through the whole stack

@@ -35,8 +35,11 @@
  * accidentally quadratic queue scan) shows as a rising per-page cost.
  * The run exits nonzero when the 256K cost per page exceeds
  * kMaxPlacementScaling x the 1K cost.  The 256K batch's transaction
- * records (about 100 MB) outgrow the caches the 1K batch fits in, so
- * the ratio also reflects the cache hierarchy.  The sweep runs
+ * records (about 20 MB) outgrow the caches the 1K batch fits in, so
+ * the ratio also reflects the cache hierarchy.  Before the sweep, one
+ * more 256K placement, in a child process of its own, measures
+ * peak-RSS growth per transaction, device state included, and the run
+ * exits nonzero above kMaxPlacementBytesPerTx.  The sweep runs
  * unprofiled, untraced and outside the metrics registry, after the
  * mix's artefacts are written.
  *
@@ -63,6 +66,8 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 #endif
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -101,6 +106,18 @@ constexpr std::array<std::uint32_t, 4> kPlacementPages = {1024, 16384,
 constexpr int kPlacementRepeats = 3;
 /** Largest allowed 256K-over-1K cost per page of the sweep. */
 constexpr double kMaxPlacementScaling = 1.5;
+/**
+ * Largest allowed peak-RSS growth per transaction of one 256K-page
+ * placement (524,288 programs, one scheduler batch), device state
+ * included.  On a 4-core Xeon VM (Release and default builds alike) it
+ * reads 178-182 B with the scheduler's 40 B outcome record per
+ * transaction, and read 351-378 B when every FCFS transaction kept a
+ * 224 B record.  Most of the rest is the placement's own PhysOp list
+ * (44 B per transaction), map entries and wordline records.  260 B
+ * sits between: it leaves room for a record of up to about 120 B, and
+ * a record back near 224 B fails.
+ */
+constexpr double kMaxPlacementBytesPerTx = 260.0;
 
 std::vector<BitVector>
 pages(const ssd::SsdConfig &cfg, int n, std::uint64_t seed)
@@ -268,6 +285,52 @@ peakRssBytes()
     return 0;
 }
 
+/**
+ * Peak-RSS growth per transaction of one timing-only writeMetaOperandPair
+ * of @p pages pages at paper geometry, device construction included; 0
+ * where it cannot be measured.  It runs in a child process: Linux starts
+ * a child's high-water mark at its size at the fork, so neither the
+ * mix's peak (a traced mix peaks far above this placement) nor memory
+ * freed earlier can hide the placement's growth.
+ */
+double
+placementBytesPerTx(std::uint32_t pages)
+{
+    double per_tx = 0.0;
+#if defined(__linux__)
+#if defined(__GLIBC__)
+    malloc_trim(0); // fork small: hand freed memory back first
+#endif
+    int fds[2];
+    if (pipe(fds) != 0)
+        return 0.0;
+    const pid_t pid = fork();
+    if (pid == 0) {
+        close(fds[0]);
+        const std::size_t base = peakRssBytes();
+        {
+            ParaBitDevice dev(ssd::SsdConfig::paperSsd());
+            dev.writeMetaOperandPair(0, pages, pages);
+            const std::size_t peak = peakRssBytes();
+            if (peak > base)
+                per_tx = static_cast<double>(peak - base) / (2.0 * pages);
+        }
+        const bool sent = write(fds[1], &per_tx, sizeof per_tx) ==
+                          static_cast<ssize_t>(sizeof per_tx);
+        _exit(sent ? 0 : 1);
+    }
+    close(fds[1]);
+    if (pid < 0 ||
+        read(fds[0], &per_tx, sizeof per_tx) !=
+            static_cast<ssize_t>(sizeof per_tx))
+        per_tx = 0.0;
+    close(fds[0]);
+    if (pid > 0)
+        waitpid(pid, nullptr, 0);
+#endif
+    return per_tx;
+}
+
 /** Pull the number after "key": from a baseline JSON (flat schema). */
 double
 jsonNumber(const std::string &text, const std::string &key)
@@ -288,7 +351,8 @@ perSec(const RunOut &r, std::uint64_t n)
 
 void
 writeJson(const std::string &path, int rounds, const RunOut &r,
-          std::size_t rss, const std::vector<PlacementPoint> &placement)
+          std::size_t rss, const std::vector<PlacementPoint> &placement,
+          double bytes_per_tx)
 {
     std::ofstream os(path);
     if (!os) {
@@ -327,7 +391,7 @@ writeJson(const std::string &path, int rounds, const RunOut &r,
            << ", \"ns_per_page\": " << placement[i].nsPerPage << "}";
     }
     os << "], \"largest_over_smallest\": " << placementScaling(placement)
-       << "}\n}\n";
+       << ", \"bytes_per_tx\": " << bytes_per_tx << "}\n}\n";
 }
 
 } // namespace
@@ -378,6 +442,8 @@ main(int argc, char **argv)
     const bool obs_ok = obs.finish();
     obs::TraceSink::disableGlobal();
     obs::MetricsRegistry::global().setEnabled(false);
+    // Before the timed sweep, whose freed memory it would fork with.
+    const double bytes_per_tx = placementBytesPerTx(kPlacementPages.back());
     // Every sweep point builds and drops a paperSsd device.  Keep the
     // freed memory in the process, as perfbench does: otherwise a
     // placement pays page faults for memory the previous device gave
@@ -433,9 +499,18 @@ main(int argc, char **argv)
     std::printf("  %-32s%12.2f\n", ratio_label.c_str(), scaling);
     std::printf("  maximum allowed                 %12.2f\n",
                 kMaxPlacementScaling);
+    if (bytes_per_tx > 0) {
+        std::printf("  %6u pages: peak RSS growth   %12.1f B per transaction\n",
+                    kPlacementPages.back(), bytes_per_tx);
+        std::printf("  maximum allowed                 %12.1f B\n",
+                    kMaxPlacementBytesPerTx);
+    } else {
+        std::printf("  peak RSS growth per transaction: not measurable "
+                    "here\n");
+    }
 
     if (!json_path.empty())
-        writeJson(json_path, rounds, r, rss, placement);
+        writeJson(json_path, rounds, r, rss, placement, bytes_per_tx);
 
     int rc = 0;
     for (const PlacementPoint &p : placement) {
@@ -446,6 +521,10 @@ main(int argc, char **argv)
     }
     if (scaling > kMaxPlacementScaling) {
         std::printf("  REGRESSION: per-page cost grows with the batch\n");
+        rc = 1;
+    }
+    if (bytes_per_tx > kMaxPlacementBytesPerTx) {
+        std::printf("  REGRESSION: memory per transaction in flight\n");
         rc = 1;
     }
     if (!baseline_path.empty()) {

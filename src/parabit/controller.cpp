@@ -169,14 +169,14 @@ Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
     a.maskTail();
     b.maskTail();
 
-    std::vector<ssd::PhysOp> ops;
     const nvme::Lpn sx = claimScratch();
     const nvme::Lpn sy = claimScratch();
     const flash::Payload pa = flash::makePayload(std::move(a));
     const flash::Payload pb = flash::makePayload(std::move(b));
-    const auto pair = ftl.writePair(sx, sy, pa, pb, ops, p);
+    stageOps_.clear();
+    const auto pair = ftl.writePair(sx, sy, pa, pb, stageOps_, p);
     stats.pagePrograms += 2;
-    ready = ssd_->scheduleOps(ops, ready);
+    ready = ssd_->scheduleOps(stageOps_, ready);
     if (!pair) {
         // Cannot even place the test pattern there; don't compute there.
         planeTrust_[p] = false;
@@ -202,8 +202,9 @@ Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
     const BitVector vx = voted(flash::BitwiseOp::kXor);
     const BitVector vn = voted(flash::BitwiseOp::kXnor);
     stats.senseOps += static_cast<std::uint64_t>(sense_total);
-    ready = ssd_->scheduleOps(
-        {ssd::PhysOp::paraBitSense(pair->lsb, sense_total, 0, 0)}, ready);
+    const ssd::PhysOp sense =
+        ssd::PhysOp::paraBitSense(pair->lsb, sense_total, 0, 0);
+    ready = ssd_->scheduleOps({&sense, 1}, ready);
 
     const BitVector ex = *pa ^ *pb;
     const bool ok = vx == ex && vn == ~ex;
@@ -218,20 +219,41 @@ Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
     return ok;
 }
 
+BitVector
+Controller::senseOnce(const SenseRequest &req, int *errors)
+{
+    switch (req.kind) {
+      case SenseKind::kCoLocated:
+        return ssd_->chipAt(req.loc.channel, req.loc.chip)
+            .opCoLocated(req.op, req.loc, errors);
+      case SenseKind::kLocationFree:
+        return ssd_->chipAt(req.m.channel, req.m.chip)
+            .opLocationFree(req.op, req.m, req.loc, errors, req.variant);
+      case SenseKind::kBufferedOperand:
+        return ssd_->chipAt(req.loc.channel, req.loc.chip)
+            .opBufferedOperand(req.op, *req.xBuf, req.loc, errors);
+    }
+    return {};
+}
+
 Controller::SenseOutcome
 Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
 {
     SenseOutcome out;
     const bool functional = ssd_->config().storeData;
+    // A buffered operand senses only with its X in hand.
+    const bool can_sense =
+        functional &&
+        (req.kind != SenseKind::kBufferedOperand || req.xBuf != nullptr);
 
     auto book = [&](int executions, bool xfer_result) {
         stats.senseOps +=
             static_cast<std::uint64_t>(req.senseCount) * executions;
         const Bytes rx = xfer_result ? req.resultXfer : 0;
-        const Tick done = ssd_->scheduleOps(
-            {ssd::PhysOp::paraBitSense(req.loc, req.senseCount * executions,
-                                       req.xferIn * executions, rx)},
-            ready);
+        const ssd::PhysOp sense = ssd::PhysOp::paraBitSense(
+            req.loc, req.senseCount * executions, req.xferIn * executions,
+            rx);
+        const Tick done = ssd_->scheduleOps({&sense, 1}, ready);
         stats.resultBytes += rx;
         return done;
     };
@@ -242,16 +264,16 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
         // be timed without payloads.
         const int execs =
             policy_.enabled ? std::max(1, policy_.initialVotes) : 1;
-        if (functional && req.execute) {
+        if (can_sense) {
             int errors = 0;
-            out.data = req.execute(&errors);
+            out.data = senseOnce(req, &errors);
             stats.bitErrors += static_cast<std::uint64_t>(errors);
         }
         out.done = book(execs, true);
         return out;
     }
 
-    if (!req.execute) {
+    if (!can_sense) {
         // Nothing to verify (no payload producer); book and move on.
         out.done = book(std::max(1, policy_.initialVotes), true);
         return out;
@@ -261,11 +283,11 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
     // on the same wrong answer; the known-answer self-test screens them
     // out before any voting is trusted.
     if (!planeComputeTrusted(req.loc, ready, stats))
-        return fallBack(req.fallback, ready, stats, ExecStatus::kDataLoss);
+        return fallBack(req, ready, stats, ExecStatus::kDataLoss);
 
     auto run = [&] {
         int errors = 0;
-        BitVector r = req.execute(&errors);
+        BitVector r = senseOnce(req, &errors);
         stats.bitErrors += static_cast<std::uint64_t>(errors);
         return r;
     };
@@ -330,20 +352,20 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
 
     const Tick sensed = book(executions, accepted.has_value());
     if (!accepted) // ladder exhausted
-        return fallBack(req.fallback, sensed, stats, ExecStatus::kDataLoss);
+        return fallBack(req, sensed, stats, ExecStatus::kDataLoss);
     out.data = std::move(*accepted);
     out.done = sensed;
     return out;
 }
 
 Controller::SenseOutcome
-Controller::fallBack(const Fallback &fallback, Tick ready, ExecStats &stats,
+Controller::fallBack(const SenseRequest &req, Tick ready, ExecStats &stats,
                      ExecStatus if_unreachable)
 {
     SenseOutcome out;
-    if (!policy_.enabled || !fallback) {
+    if (!policy_.enabled) {
         out.status = ExecStatus::kUncorrectable;
-    } else if (auto fb = fallback(ready)) {
+    } else if (auto fb = runHostFallback(req, ready, stats)) {
         ++stats.hostFallbacks;
         out.data = std::move(*fb);
     } else {
@@ -351,6 +373,36 @@ Controller::fallBack(const Fallback &fallback, Tick ready, ExecStats &stats,
     }
     out.done = ready;
     return out;
+}
+
+std::optional<BitVector>
+Controller::runHostFallback(const SenseRequest &req, Tick &ready,
+                            ExecStats &stats)
+{
+    if (!ssd_->config().storeData)
+        return std::nullopt;
+    const bool unary = flash::isUnary(req.op);
+    // Both payloads in hand: a free exact recompute.
+    if (req.y && (unary || req.x))
+        return cpuBitwise(req.op, req.x.get(), *req.y);
+
+    ssd::Ftl &ftl = ssd_->ftl();
+    stageOps_.clear();
+    const BitVector *x = req.xBuf;
+    flash::Payload x_read;
+    if (!x && req.xLpn && ftl.pageAccessible(*req.xLpn)) {
+        x_read = ftl.readPage(*req.xLpn, stageOps_);
+        x = x_read.get();
+        ++stats.pageReads;
+    }
+    if (!x && !unary)
+        return std::nullopt;
+    if (!ftl.pageAccessible(req.yLpn))
+        return std::nullopt;
+    const flash::Payload y = ftl.readPage(req.yLpn, stageOps_);
+    ++stats.pageReads;
+    ready = ssd_->scheduleOps(stageOps_, ready);
+    return cpuBitwise(req.op, x, *y);
 }
 
 std::optional<flash::PhysPageAddr>
@@ -364,32 +416,32 @@ Controller::reallocate(bool unary, std::optional<nvme::Lpn> x_lpn,
     // Read the operands that live in flash as one scheduler batch:
     // co-plane reads arbitrate against each other (and against
     // co-pending traffic) rather than being booked one call at a time.
-    std::vector<ssd::PhysOp> ops;
+    stageOps_.clear();
     if (x_lpn) {
-        x = ftl.readPage(*x_lpn, ops);
+        x = ftl.readPage(*x_lpn, stageOps_);
         ++stats.pageReads;
     }
-    y = ftl.readPage(y_lpn, ops);
+    y = ftl.readPage(y_lpn, stageOps_);
     ++stats.pageReads;
-    ready = ssd_->scheduleOps(ops, ready);
+    ready = ssd_->scheduleOps(stageOps_, ready);
 
     // Program the copies once the reads complete, each under a scratch
     // LPN so the FTL tracks it.  A copy shares its operand's payload.
-    ops.clear();
+    stageOps_.clear();
     std::optional<flash::PhysPageAddr> sense_at;
     if (unary) {
-        sense_at = ftl.writeLsbOnly(claimScratch(), y, ops);
+        sense_at = ftl.writeLsbOnly(claimScratch(), y, stageOps_);
         ++stats.pagePrograms;
         stats.reallocBytes += page;
     } else {
         const nvme::Lpn sx = claimScratch();
         const nvme::Lpn sy = claimScratch();
-        if (const auto pair = ftl.writePair(sx, sy, x, y, ops))
+        if (const auto pair = ftl.writePair(sx, sy, x, y, stageOps_))
             sense_at = pair->lsb;
         stats.pagePrograms += 2;
         stats.reallocBytes += 2 * page;
     }
-    ready = ssd_->scheduleOps(ops, ready);
+    ready = ssd_->scheduleOps(stageOps_, ready);
     return sense_at;
 }
 
@@ -398,15 +450,15 @@ Controller::stageIntoPlane(nvme::Lpn x_lpn, const flash::PhysPageAddr &y,
                            Tick &ready, ExecStats &stats)
 {
     ssd::Ftl &ftl = ssd_->ftl();
-    std::vector<ssd::PhysOp> ops;
-    const flash::Payload staged = ftl.readPage(x_lpn, ops);
+    stageOps_.clear();
+    const flash::Payload staged = ftl.readPage(x_lpn, stageOps_);
     ++stats.pageReads;
     const flash::PlaneIndex target = flash::planeIndex(ssd_->geometry(), y);
     const auto copy =
-        ftl.writeLsbOnly(claimScratch(), staged, ops, target);
+        ftl.writeLsbOnly(claimScratch(), staged, stageOps_, target);
     ++stats.pagePrograms;
     stats.reallocBytes += ssd_->geometry().pageBytes;
-    ready = ssd_->scheduleOps(ops, ready);
+    ready = ssd_->scheduleOps(stageOps_, ready);
     return copy;
 }
 
@@ -449,30 +501,11 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
 
     Tick ready = at;
     SenseRequest req;
+    req.op = op;
     req.resultXfer = result_xfer;
-    // Host-side fallback: conventional ECC-protected reads of the
-    // operands plus CPU bitwise compute — bit-exact by construction.
-    req.fallback = [this, &ftl, &stats, x_lpn, x_buf, y_lpn, op, unary,
-                    functional](Tick &rdy) -> std::optional<BitVector> {
-        if (!functional)
-            return std::nullopt;
-        std::vector<ssd::PhysOp> ops;
-        const BitVector *x = x_buf;
-        flash::Payload x_read;
-        if (!x && x_lpn && ftl.pageAccessible(*x_lpn)) {
-            x_read = ftl.readPage(*x_lpn, ops);
-            x = x_read.get();
-            ++stats.pageReads;
-        }
-        if (!x && !unary)
-            return std::nullopt;
-        if (!ftl.pageAccessible(y_lpn))
-            return std::nullopt;
-        const flash::Payload y = ftl.readPage(y_lpn, ops);
-        ++stats.pageReads;
-        rdy = ssd_->scheduleOps(ops, rdy);
-        return cpuBitwise(op, x, *y);
-    };
+    req.xLpn = x_lpn;
+    req.xBuf = x_buf;
+    req.yLpn = y_lpn;
 
     // ----- Location-free: sense across wordlines, no reallocation. ----
     if (mode == Mode::kLocationFree && !unary) {
@@ -481,16 +514,12 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
             // the controller buffer through the data-load path while Y
             // is sensed from its cells (paper Section 4.2) — no flash
             // program, no staging.
+            req.kind = SenseKind::kBufferedOperand;
             req.loc = *y_addr;
             req.senseCount =
                 flash::locationFreeProgram(op, flash::LocFreeVariant::kLsbLsb)
                     .senseCount();
             req.xferIn = page;
-            if (functional && x_buf != nullptr)
-                req.execute = [this, op, x_buf, loc = *y_addr](int *e) {
-                    return ssd_->chipAt(loc.channel, loc.chip)
-                        .opBufferedOperand(op, *x_buf, loc, e);
-                };
             return runSense(req, ready, stats);
         }
         // Placement failure (here and below) leaves the operands intact,
@@ -500,7 +529,7 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
         if (!x_addr || !x_addr->sameBitlines(*y_addr)) {
             x_addr = stageIntoPlane(*x_lpn, *y_addr, ready, stats);
             if (!x_addr)
-                return fallBack(req.fallback, ready, stats,
+                return fallBack(req, ready, stats,
                                 ExecStatus::kUncorrectable);
         }
 
@@ -521,18 +550,16 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
             // item 2); the fix belongs in this branch.
             const auto staged = stageIntoPlane(*x_lpn, n, ready, stats);
             if (!staged)
-                return fallBack(req.fallback, ready, stats,
+                return fallBack(req, ready, stats,
                                 ExecStatus::kUncorrectable);
             m = *staged;
             variant = flash::LocFreeVariant::kLsbLsb;
         }
+        req.kind = SenseKind::kLocationFree;
         req.loc = n;
+        req.m = m;
+        req.variant = variant;
         req.senseCount = flash::locationFreeProgram(op, variant).senseCount();
-        if (functional)
-            req.execute = [this, op, m, n, variant](int *e) {
-                return ssd_->chipAt(m.channel, m.chip)
-                    .opLocationFree(op, m, n, e, variant);
-            };
         return runSense(req, ready, stats);
     }
 
@@ -564,21 +591,21 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
         if (mode == Mode::kPreAllocated && !y_addr->msb) {
             // Chain continuation: drop X (buffer or flash) into the free
             // MSB of Y's wordline — a single program.
-            std::vector<ssd::PhysOp> ops;
+            stageOps_.clear();
             if (pair_x) {
-                x_known = ftl.readPage(*pair_x, ops);
+                x_known = ftl.readPage(*pair_x, stageOps_);
                 ++stats.pageReads;
             }
-            dropped =
-                ftl.writeIntoFreeMsb(claimScratch(), *y_addr, x_known, ops);
+            dropped = ftl.writeIntoFreeMsb(claimScratch(), *y_addr, x_known,
+                                           stageOps_);
             if (dropped) {
                 ++stats.pagePrograms;
                 stats.reallocBytes += page;
             }
-            if (!ops.empty()) {
+            if (!stageOps_.empty()) {
                 // If the MSB was taken (or its block just got retired),
                 // the full reallocation below reuses the X read here.
-                ready = ssd_->scheduleOps(ops, ready);
+                ready = ssd_->scheduleOps(stageOps_, ready);
                 pair_x = std::nullopt;
             }
         }
@@ -589,18 +616,15 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
             const auto pair = reallocate(false, pair_x, y_lpn, ready, stats,
                                          x_known, y_known);
             if (!pair)
-                return fallBack(req.fallback, ready, stats,
+                return fallBack(req, ready, stats,
                                 ExecStatus::kUncorrectable);
             wl = *pair;
         }
     }
 
+    req.op = op;
     req.loc = wl;
     req.senseCount = flash::coLocatedProgram(op).senseCount();
-    if (functional)
-        req.execute = [this, op, wl](int *e) {
-            return ssd_->chipAt(wl.channel, wl.chip).opCoLocated(op, wl, e);
-        };
     if (functional && y_known && (unary || x_known)) {
         // Operand payloads are in hand: the fallback is a free exact
         // recompute, and the ladder (the only reader of the parity) can
@@ -608,10 +632,8 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
         if (policy_.enabled)
             req.expectedParity =
                 predictedParity(op, x_known.get(), *y_known);
-        req.fallback = [op, x = std::move(x_known), y = std::move(y_known)](
-                           Tick &) -> std::optional<BitVector> {
-            return cpuBitwise(op, x.get(), *y);
-        };
+        req.x = std::move(x_known);
+        req.y = std::move(y_known);
     }
     return runSense(req, ready, stats);
 }
@@ -663,6 +685,8 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
         }
 
         BatchOut &bo = outs[bi];
+        if (functional)
+            bo.pages.reserve(b.subOps.size());
         for (std::size_t p = 0; p < b.subOps.size(); ++p) {
             const nvme::SubOperation &sub = b.subOps[p];
             std::optional<nvme::Lpn> x_lpn;
@@ -687,14 +711,14 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
     if (!batches.empty() && res.status != ExecStatus::kInvalidBatch) {
         BatchOut &last = outs.back();
         if (result_lpn) {
-            std::vector<ssd::PhysOp> ops;
+            stageOps_.clear();
             for (std::size_t p = 0; p < last.pages.size() ||
                                     (!functional &&
                                      p < batches.back().subOps.size());
                  ++p) {
                 const BitVector *d =
                     functional ? &last.pages.at(p) : nullptr;
-                if (!ssd_->ftl().writePage(*result_lpn + p, d, ops)) {
+                if (!ssd_->ftl().writePage(*result_lpn + p, d, stageOps_)) {
                     logWarn("ParaBit: result write-back failed at LPN " +
                             std::to_string(*result_lpn + p));
                     res.status =
@@ -702,8 +726,8 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
                 }
             }
             // The whole result write-back is one scheduler batch.
-            res.stats.end = std::max(res.stats.end,
-                                     ssd_->scheduleOps(ops, res.stats.end));
+            res.stats.end = std::max(
+                res.stats.end, ssd_->scheduleOps(stageOps_, res.stats.end));
         }
         res.pages = std::move(last.pages);
     }

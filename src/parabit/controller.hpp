@@ -8,7 +8,10 @@
  * operands, reallocate or stage them, sense, and on failure fall back
  * to ECC-clean host reads.  NOT is its unary case: it has no first
  * operand and senses its operand's own wordline, with the NOT-LSB or
- * NOT-MSB sequence chosen from the page it reads.
+ * NOT-MSB sequence chosen from the page it reads.  A sensing site and
+ * its host fallback are data (SenseRequest), and every stage's physical
+ * ops go through one reused vector, so a page op books its traffic
+ * without touching the heap.
  *
  * Three execution modes mirror the paper's evaluated schemes:
  *
@@ -33,12 +36,13 @@
 #define PARABIT_PARABIT_CONTROLLER_HPP_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/bitvector.hpp"
+#include "flash/block.hpp"
+#include "flash/op_sequences.hpp"
 #include "flash/timing.hpp"
 #include "nvme/batch.hpp"
 #include "obs/metrics.hpp"
@@ -225,23 +229,43 @@ class Controller
     }
 
   private:
-    /** Host-side recompute; books its own timing; nullopt = the operands
-     *  are unreachable. */
-    using Fallback = std::function<std::optional<BitVector>(Tick &)>;
+    /** Which chip op one execution of a sensing site runs. */
+    enum class SenseKind : std::uint8_t
+    {
+        kCoLocated,       ///< both operands on wordline `loc`
+        kLocationFree,    ///< across wordlines: pages `m` and `loc`
+        kBufferedOperand, ///< X from `xBuf`, Y sensed at `loc`
+    };
 
-    /** One sensing site, wrapped for the reliability ladder. */
+    /**
+     * One sensing site, as data, for the reliability ladder: the op,
+     * which chip op runs it where, what one execution books, and what
+     * its host fallback needs.  The fallback is conventional
+     * ECC-protected reads of the operands plus CPU bitwise compute —
+     * bit-exact by construction — or, when the page op already holds
+     * both operand payloads, the compute alone.
+     */
     struct SenseRequest
     {
+        flash::BitwiseOp op = flash::BitwiseOp::kAnd;
+        SenseKind kind = SenseKind::kCoLocated;
         flash::PhysPageAddr loc; ///< plane whose latch column runs it
+        flash::PhysPageAddr m;   ///< kLocationFree: the other page
+        flash::LocFreeVariant variant = flash::LocFreeVariant::kMsbLsb;
         int senseCount = 0;      ///< SROs per execution
         Bytes xferIn = 0;        ///< buffer reload bytes per execution
         Bytes resultXfer = 0;    ///< result bytes out (once, on success)
-        /** One fresh execution; arg receives injected bit errors. */
-        std::function<BitVector(int *)> execute;
-        Fallback fallback;
         /** Predicted result parity when the operand payloads are known
          *  (XOR/XNOR/NOT). */
         std::optional<bool> expectedParity;
+        /** @name Operands, for kBufferedOperand and the fallback. */
+        /// @{
+        std::optional<nvme::Lpn> xLpn;   ///< X in flash (binary ops)
+        const BitVector *xBuf = nullptr; ///< X in the controller buffer
+        nvme::Lpn yLpn = 0;
+        /** Payloads in hand: Y, and X unless the op is unary. */
+        flash::Payload x, y;
+        /// @}
     };
 
     /** Result of one page op: its data (functional runs), completion
@@ -253,6 +277,10 @@ class Controller
         ExecStatus status = ExecStatus::kOk;
     };
 
+    /** One fresh execution of @p req on its chip; @p errors receives
+     *  the injected bit errors. */
+    BitVector senseOnce(const SenseRequest &req, int *errors);
+
     /** Run @p req through the escalation ladder (see ReliabilityPolicy);
      *  the legacy single execution when the policy is disabled. */
     SenseOutcome runSense(const SenseRequest &req, Tick ready,
@@ -260,12 +288,18 @@ class Controller
 
     /**
      * Degrade to the host path: with the policy's host fallback on, run
-     * @p fallback from @p ready; @p if_unreachable is the status when it
-     * finds no operands to read.  kUncorrectable when the fallback is
-     * off.
+     * @p req's fallback from @p ready; @p if_unreachable is the status
+     * when it finds no operands to read.  kUncorrectable when the
+     * fallback is off.
      */
-    SenseOutcome fallBack(const Fallback &fallback, Tick ready,
+    SenseOutcome fallBack(const SenseRequest &req, Tick ready,
                           ExecStats &stats, ExecStatus if_unreachable);
+
+    /** The host recompute of @p req's op, booking its reads from
+     *  @p ready (advanced to their completion); nullopt = timing-only,
+     *  or the operands are unreachable. */
+    std::optional<BitVector> runHostFallback(const SenseRequest &req,
+                                             Tick &ready, ExecStats &stats);
 
     /** Known-answer self-test verdict for @p loc's plane (cached). */
     bool planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
@@ -322,6 +356,11 @@ class Controller
 
     ssd::SsdDevice *ssd_;
     nvme::Lpn scratchLpn_; ///< internal LPNs for reallocated copies
+    /** The one stage's physical ops, refilled by each user (the
+     *  reallocation, staging, the free-MSB drop, the read-based host
+     *  fallback, the plane self-test, the result write-back) and booked
+     *  before the next stage fills it. */
+    std::vector<ssd::PhysOp> stageOps_;
     ReliabilityPolicy policy_;
     /** Per-plane self-test verdicts (flat plane index -> trusted). */
     std::unordered_map<flash::PlaneIndex, bool> planeTrust_;

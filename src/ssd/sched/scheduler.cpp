@@ -20,25 +20,6 @@ enum EventKind : std::uint8_t
     kBookingEnd,
 };
 
-/** Booked ticks of @p tx's phase of kind @p k. */
-Tick
-phaseTicks(const DeviceTransaction &tx, PhaseKind k)
-{
-    switch (k)
-    {
-    case PhaseKind::kXferIn:
-        return tx.xferInTicks;
-    case PhaseKind::kArray:
-        return tx.arrayTicks;
-    case PhaseKind::kXferOut:
-        return tx.xferOutTicks;
-    case PhaseKind::kSuspend:
-    case PhaseKind::kResume:
-        break;
-    }
-    panic("TransactionScheduler: not a transaction phase");
-}
-
 } // namespace
 
 TransactionScheduler::TransactionScheduler(
@@ -113,26 +94,36 @@ TransactionScheduler::setTraceSink(obs::TraceSink *sink)
 }
 
 void
-TransactionScheduler::noteSpan(std::size_t res, TxState &st,
-                               PhaseKind kind, Tick start, Tick end)
+TransactionScheduler::noteSpan(std::size_t res, std::size_t txIdx,
+                               const std::optional<std::uint64_t> &cmd,
+                               StageTicks &st, PhaseKind kind, Tick start,
+                               Tick end)
 {
-    st.stages.phase[static_cast<std::size_t>(kind)] += end - start;
+    st.phase[static_cast<std::size_t>(kind)] += end - start;
     if (sink_ != nullptr)
     {
         // Building the argument strings is trace emission too.
         PROFILE_SCOPE(obs::Subsystem::kObs);
         sink_->span(resourceTracks_[res], phaseKindName(kind), start, end,
-                    {{"tx", std::to_string(st.id), false},
-                     {"class", txClassName(st.tx.cls), true}});
-        if (st.cmd)
+                    {{"tx", std::to_string(firstId_ + txIdx), false},
+                     {"class", txClassName(outcomes_[txIdx].cls), true}});
+        if (cmd)
         {
             // The step lands exactly on the span's start ts, which is
             // what binds the command's flow to this span in Perfetto
             // (and what the flow-linkage check verifies).
             sink_->flowStep(resourceTracks_[res], obs::kNvmeFlowCat,
-                            obs::kNvmeFlowName, *st.cmd, start);
+                            obs::kNvmeFlowName, *cmd, start);
         }
     }
+}
+
+void
+TransactionScheduler::noteSpan(std::size_t res, std::size_t txIdx,
+                               PhaseKind kind, Tick start, Tick end)
+{
+    EventTx &et = eventTxs_[txIdx];
+    noteSpan(res, txIdx, et.cmd, et.stages, kind, start, end);
 }
 
 std::size_t
@@ -142,14 +133,14 @@ TransactionScheduler::arrayResource(const flash::PhysPageAddr &a) const
            flash::planeIndex(geo_, a);
 }
 
-void
-TransactionScheduler::buildPhases(TxState &st) const
+TransactionScheduler::Phases
+TransactionScheduler::buildPhases(const DeviceTransaction &tx) const
 {
-    const DeviceTransaction &tx = st.tx;
     const auto ch = static_cast<std::uint32_t>(channelResource(tx.addr.channel));
     const auto die = static_cast<std::uint32_t>(arrayResource(tx.addr));
-    const auto add = [&st](PhaseKind kind, std::uint32_t res) {
-        st.phases[st.numPhases++] = Phase{res, 0, kind};
+    Phases ph;
+    const auto add = [&ph](PhaseKind kind, std::uint32_t res, Tick ticks) {
+        ph.at[ph.n++] = Phase{res, 0, kind, ticks};
     };
     // Canonical phase order across every class: xfer-in, array,
     // xfer-out (zero-duration phases are elided).  Reads have no
@@ -157,23 +148,17 @@ TransactionScheduler::buildPhases(TxState &st) const
     // class-specific legacy reserve() sequences exactly.
     if (tx.xferInTicks > 0)
     {
-        add(PhaseKind::kXferIn, ch);
+        add(PhaseKind::kXferIn, ch, tx.xferInTicks);
     }
     if (tx.arrayTicks > 0)
     {
-        add(PhaseKind::kArray, die);
+        add(PhaseKind::kArray, die, tx.arrayTicks);
     }
     if (tx.xferOutTicks > 0)
     {
-        add(PhaseKind::kXferOut, ch);
+        add(PhaseKind::kXferOut, ch, tx.xferOutTicks);
     }
-}
-
-Tick
-TransactionScheduler::firstEarliest(const TxState &st) const
-{
-    // The command overhead is a die-side delay.
-    return st.tx.readyAt + st.tx.cmdTicks;
+    return ph;
 }
 
 std::uint64_t
@@ -186,20 +171,24 @@ TransactionScheduler::submit(const DeviceTransaction &tx)
         // records and completions (callers must have flushed any group
         // queries by now) so memory stays bounded.  Stage aggregates in
         // cmdStages_ survive (a formula command spans several drains).
-        txs_.clear();
+        outcomes_.clear();
+        eventTxs_.clear();
+        firstId_ = nextId_;
+        batchMax_ = 0;
         batchOpen_ = true;
         ++batch_;
     }
-    const std::size_t txIdx = txs_.size();
-    TxState &st = txs_.emplace_back();
-    st.tx = tx;
-    st.id = nextId_++;
-    st.cmd = curCmd_;
-    buildPhases(st);
+    const std::size_t txIdx = outcomes_.size();
+    ++nextId_;
+    Outcome &o = outcomes_.emplace_back();
+    o.readyAt = tx.readyAt;
+    o.arrayTicks = tx.arrayTicks;
+    o.cls = tx.cls;
+    const Phases ph = buildPhases(tx);
     ++submitted_;
-    for (std::uint8_t p = 0; p < st.numPhases; ++p)
+    for (std::uint8_t p = 0; p < ph.n; ++p)
     {
-        Resource &r = resources_[st.phases[p].resource];
+        Resource &r = resources_[ph.at[p].resource];
         if (r.depthBatch != batch_)
         {
             r.depthBatch = batch_;
@@ -208,57 +197,70 @@ TransactionScheduler::submit(const DeviceTransaction &tx)
         maxQueueDepth_.noteMax(static_cast<double>(++r.depth));
     }
 
+    // The command overhead is a die-side delay before the first phase.
+    const Tick earliest = tx.readyAt + tx.cmdTicks;
+    if (!policy_)
+    {
+        StageTicks st;
+        book(txIdx, ph, earliest, curCmd_, st);
+        return firstId_ + txIdx;
+    }
+    EventTx &et = eventTxs_.emplace_back();
+    et.phases = ph;
+    et.earliest = earliest;
+    et.cmd = curCmd_;
     // A pure delay (all phase durations zero) has nothing to arbitrate
     // under any policy: it completes without touching a resource.
-    if (!policy_ || st.numPhases == 0)
+    if (ph.n == 0)
     {
-        book(st);
+        book(txIdx, ph, earliest, et.cmd, et.stages);
     }
     else
     {
         enqueue(txIdx);
     }
-    return st.id;
+    return firstId_ + txIdx;
 }
 
 void
-TransactionScheduler::book(TxState &st)
+TransactionScheduler::book(std::size_t txIdx, const Phases &ph, Tick earliest,
+                           const std::optional<std::uint64_t> &cmd,
+                           StageTicks &st)
 {
     // Submission order is the FCFS order of every resource, and each
     // phase follows the previous one of its transaction, so booking
     // phase after phase now gives each the start the head-of-line
     // queue would: max(its earliest, the resource's nextFree).
-    Tick ready = firstEarliest(st);
-    for (std::uint8_t p = 0; p < st.numPhases; ++p)
+    Tick ready = earliest;
+    for (std::uint8_t p = 0; p < ph.n; ++p)
     {
-        const Phase &ph = st.phases[p];
-        const Tick ticks = phaseTicks(st.tx, ph.kind);
-        const Tick start = resources_[ph.resource].tl.reserve(ready, ticks);
-        st.stages.queueWait += start - ready;
-        ready = start + ticks;
-        noteSpan(ph.resource, st, ph.kind, start, ready);
-        if (ph.kind == PhaseKind::kArray)
+        const Phase &f = ph.at[p];
+        const Tick start = resources_[f.resource].tl.reserve(ready, f.ticks);
+        st.queueWait += start - ready;
+        ready = start + f.ticks;
+        noteSpan(f.resource, txIdx, cmd, st, f.kind, start, ready);
+        if (f.kind == PhaseKind::kArray)
         {
-            st.arrayExecuted += ticks;
+            outcomes_[txIdx].arrayExecuted += f.ticks;
         }
     }
-    finishTx(st, ready);
+    finishTx(txIdx, ready, cmd, st);
 }
 
 void
 TransactionScheduler::enqueue(std::size_t txIdx)
 {
-    TxState &st = txs_[txIdx];
-    for (std::uint8_t p = 0; p < st.numPhases; ++p)
+    Phases &ph = eventTxs_[txIdx].phases;
+    for (std::uint8_t p = 0; p < ph.n; ++p)
     {
-        Phase &ph = st.phases[p];
-        Resource &r = resources_[ph.resource];
+        Phase &f = ph.at[p];
+        Resource &r = resources_[f.resource];
         // Between drains a queue holds no tombstones, so its size is
         // its live depth.
-        ph.slot = r.base + static_cast<std::uint32_t>(r.q.size());
+        f.slot = r.base + static_cast<std::uint32_t>(r.q.size());
         QueueEntry e;
-        e.seq = st.id;
-        e.cls = st.tx.cls;
+        e.seq = firstId_ + txIdx;
+        e.cls = outcomes_[txIdx].cls;
         e.txIdx = txIdx;
         e.phaseIdx = p;
         r.q.push_back(e);
@@ -270,55 +272,42 @@ TransactionScheduler::drain()
 {
     PROFILE_SCOPE(obs::Subsystem::kSched);
     batchOpen_ = false;
-    bool anyPending = false;
-    Tick batchMax = 0;
-    for (const TxState &st : txs_)
+    if (eventTxs_.empty())
     {
-        if (st.done)
-        {
-            batchMax = std::max(batchMax, st.complete);
-        }
-        else
-        {
-            anyPending = true;
-        }
-    }
-    if (!anyPending)
-    {
-        return batchMax;
+        return batchMax_; // FCFS finished every transaction at submit
     }
 
     eng_.reset();
-    for (std::size_t i = 0; i < txs_.size(); ++i)
+    for (std::size_t i = 0; i < eventTxs_.size(); ++i)
     {
-        const TxState &st = txs_[i];
-        if (!st.done)
+        if (!outcomes_[i].done)
         {
-            eng_.schedule(firstEarliest(st), kFirstPhaseReady,
-                          st.phases[0].resource, i);
+            const EventTx &et = eventTxs_[i];
+            eng_.schedule(et.earliest, kFirstPhaseReady,
+                          et.phases.at[0].resource, i);
         }
     }
     eng_.run([this](const EventEngine::Event &ev) { onEvent(ev); });
 
-    for (const TxState &st : txs_)
+    for (std::size_t i = 0; i < eventTxs_.size(); ++i)
     {
-        if (!st.done)
+        if (!outcomes_[i].done)
         {
             panic("TransactionScheduler::drain: arbitration stalled "
                   "(policy left a transaction unserved)");
         }
-        batchMax = std::max(batchMax, st.complete);
         // Only the resources this batch queued on can hold residue.
-        for (std::uint8_t p = 0; p < st.numPhases; ++p)
+        const Phases &ph = eventTxs_[i].phases;
+        for (std::uint8_t p = 0; p < ph.n; ++p)
         {
-            const Resource &r = resources_[st.phases[p].resource];
+            const Resource &r = resources_[ph.at[p].resource];
             if (!r.q.empty() || r.busy)
             {
                 panic("TransactionScheduler::drain: residual queue state");
             }
         }
     }
-    return batchMax;
+    return batchMax_;
 }
 
 void
@@ -340,7 +329,7 @@ void
 TransactionScheduler::markReady(std::size_t txIdx, std::size_t phaseIdx,
                                 Tick earliest)
 {
-    const Phase &ph = txs_[txIdx].phases[phaseIdx];
+    const Phase &ph = eventTxs_[txIdx].phases.at[phaseIdx];
     Resource &r = resources_[ph.resource];
     // The slot handle indexes the queue; the entry must still be the
     // phase's own, unstarted one.
@@ -402,10 +391,9 @@ TransactionScheduler::startEntry(std::size_t res, std::size_t qIdx)
         r.base = 0; // no live handle points into an empty queue
     }
 
-    const TxState &st = txs_[e.txIdx];
+    EventTx &et = eventTxs_[e.txIdx];
     const Tick payload =
-        e.isResume ? e.resumeRemaining
-                   : phaseTicks(st.tx, st.phases[e.phaseIdx].kind);
+        e.isResume ? e.resumeRemaining : et.phases.at[e.phaseIdx].ticks;
     const Tick overhead = e.isResume ? timing_.tResume : 0;
 
     Running run;
@@ -420,7 +408,7 @@ TransactionScheduler::startEntry(std::size_t res, std::size_t qIdx)
     run.isResume = e.isResume;
     // Queue wait: how long the phase sat ready but unserved (resource
     // contention / arbitration), as opposed to booked work time.
-    txs_[e.txIdx].stages.queueWait += run.start - e.earliest;
+    et.stages.queueWait += run.start - e.earliest;
     r.busy = true;
     r.running = run;
 
@@ -439,8 +427,8 @@ TransactionScheduler::onComplete(std::size_t res, std::uint64_t gen)
     const Running run = r.running;
     r.busy = false;
 
-    TxState &st = txs_[run.txIdx];
-    const Phase &ph = st.phases[run.phaseIdx];
+    EventTx &et = eventTxs_[run.txIdx];
+    const Phase &ph = et.phases.at[run.phaseIdx];
     // run.start was computed from the resource's nextFree when it went
     // busy, so any other start means this booking overlaps another.
     const Tick booked = r.tl.reserve(run.start, run.plannedEnd - run.start);
@@ -450,22 +438,24 @@ TransactionScheduler::onComplete(std::size_t res, std::uint64_t gen)
 
     if (run.isResume)
     {
-        noteSpan(res, st, PhaseKind::kResume, run.start, run.payloadStart);
+        noteSpan(res, run.txIdx, PhaseKind::kResume, run.start,
+                 run.payloadStart);
     }
-    noteSpan(res, st, ph.kind, run.payloadStart, run.plannedEnd);
+    noteSpan(res, run.txIdx, ph.kind, run.payloadStart, run.plannedEnd);
     if (ph.kind == PhaseKind::kArray)
     {
-        st.arrayExecuted += run.plannedEnd - run.payloadStart;
+        outcomes_[run.txIdx].arrayExecuted +=
+            run.plannedEnd - run.payloadStart;
     }
 
     const std::size_t next = run.phaseIdx + 1;
-    if (next < st.numPhases)
+    if (next < et.phases.n)
     {
         markReady(run.txIdx, next, run.plannedEnd);
     }
     else
     {
-        finishTx(st, run.plannedEnd);
+        finishTx(run.txIdx, run.plannedEnd, et.cmd, et.stages);
     }
     dispatch(res);
 }
@@ -475,15 +465,16 @@ TransactionScheduler::maybeSuspend(std::size_t res)
 {
     Resource &r = resources_[res];
     const Running run = r.running;
-    TxState &st = txs_[run.txIdx];
-    const Phase &ph = st.phases[run.phaseIdx];
+    EventTx &et = eventTxs_[run.txIdx];
+    Outcome &o = outcomes_[run.txIdx];
+    const Phase &ph = et.phases.at[run.phaseIdx];
     const Tick now = eng_.now();
 
-    if (ph.kind != PhaseKind::kArray || !st.tx.suspendable())
+    if (ph.kind != PhaseKind::kArray || !suspendable(o.cls))
     {
         return;
     }
-    if (st.suspends >= cfg_.maxSuspendsPerOp)
+    if (static_cast<int>(o.suspends) >= cfg_.maxSuspendsPerOp)
     {
         return;
     }
@@ -497,7 +488,7 @@ TransactionScheduler::maybeSuspend(std::size_t res)
     bool wanted = false;
     for (const QueueEntry &e : r.q)
     {
-        if (e.ready && policy_->preempts(e.cls, st.tx.cls))
+        if (e.ready && policy_->preempts(e.cls, o.cls))
         {
             wanted = true;
             break;
@@ -517,34 +508,36 @@ TransactionScheduler::maybeSuspend(std::size_t res)
     PARABIT_CHECK(booked == run.start,
                   "TransactionScheduler: a suspended booking overlaps its "
                   "resource's previous booking");
-    st.arrayExecuted += executed;
-    if (st.suspends == 0)
+    o.arrayExecuted += executed;
+    if (o.suspends == 0)
     {
-        st.forceAt = now + cfg_.maxSuspendedTicks;
+        et.forceAt = now + cfg_.maxSuspendedTicks;
     }
-    ++st.suspends;
+    ++o.suspends;
     ++suspendCount_;
 
     if (run.isResume)
     {
-        noteSpan(res, st, PhaseKind::kResume, run.start, run.payloadStart);
+        noteSpan(res, run.txIdx, PhaseKind::kResume, run.start,
+                 run.payloadStart);
     }
     if (executed > 0)
     {
-        noteSpan(res, st, PhaseKind::kArray, run.payloadStart, now);
+        noteSpan(res, run.txIdx, PhaseKind::kArray, run.payloadStart, now);
     }
-    noteSpan(res, st, PhaseKind::kSuspend, now, now + timing_.tSuspend);
+    noteSpan(res, run.txIdx, PhaseKind::kSuspend, now,
+             now + timing_.tSuspend);
 
     QueueEntry e;
-    e.seq = st.id;
-    e.cls = st.tx.cls;
+    e.seq = firstId_ + run.txIdx;
+    e.cls = o.cls;
     e.txIdx = run.txIdx;
     e.phaseIdx = run.phaseIdx;
     e.ready = true;
     e.earliest = now + timing_.tSuspend;
     e.isResume = true;
     e.resumeRemaining = remaining;
-    e.forceAt = st.forceAt;
+    e.forceAt = et.forceAt;
     r.busy = false;
     r.q.push_back(e);
 
@@ -552,21 +545,24 @@ TransactionScheduler::maybeSuspend(std::size_t res)
 }
 
 void
-TransactionScheduler::finishTx(TxState &st, Tick end)
+TransactionScheduler::finishTx(std::size_t txIdx, Tick end,
+                               const std::optional<std::uint64_t> &cmd,
+                               const StageTicks &st)
 {
-    st.done = true;
-    st.complete = end;
+    Outcome &o = outcomes_[txIdx];
+    o.done = true;
+    o.complete = end;
+    batchMax_ = std::max(batchMax_, end);
     ++completedCount_;
-    if (st.cmd)
+    if (cmd)
     {
-        StageTicks &agg = cmdStages_[*st.cmd];
-        agg.add(st.stages);
+        StageTicks &agg = cmdStages_[*cmd];
+        agg.add(st);
         ++agg.txCount;
     }
-    const auto cls = static_cast<std::size_t>(st.tx.cls);
+    const auto cls = static_cast<std::size_t>(o.cls);
     // Tick is picoseconds; the registry histogram is bucketed in us.
-    latencyHist_[cls].sample(static_cast<double>(end - st.tx.readyAt) /
-                             1e6);
+    latencyHist_[cls].sample(static_cast<double>(end - o.readyAt) / 1e6);
 }
 
 StageTicks
@@ -585,16 +581,16 @@ TransactionScheduler::takeCommandStages(std::uint64_t token)
 Tick
 TransactionScheduler::completionOf(std::uint64_t id) const
 {
-    // A batch's ids are contiguous, so the id indexes txs_ (an id below
-    // the batch wraps past its end).  An FCFS transaction is done at
-    // submit, but its batch is not drained yet.
-    const std::uint64_t at = txs_.empty() ? 0 : id - txs_.front().id;
-    if (batchOpen_ || at >= txs_.size() || !txs_[at].done)
+    // A batch's ids are contiguous, so the id indexes outcomes_ (an id
+    // below the batch wraps past its end).  An FCFS transaction is done
+    // at submit, but its batch is not drained yet.
+    const std::uint64_t at = id - firstId_;
+    if (batchOpen_ || at >= outcomes_.size() || !outcomes_[at].done)
     {
         panic("TransactionScheduler::completionOf: unknown transaction "
               "(batch already discarded? drain before querying)");
     }
-    return txs_[at].complete;
+    return outcomes_[at].complete;
 }
 
 Tick
@@ -637,17 +633,18 @@ std::vector<TxRecord>
 TransactionScheduler::records() const
 {
     std::vector<TxRecord> out;
-    out.reserve(txs_.size());
-    for (const TxState &st : txs_)
+    out.reserve(outcomes_.size());
+    for (std::size_t i = 0; i < outcomes_.size(); ++i)
     {
+        const Outcome &o = outcomes_[i];
         TxRecord rec;
-        rec.id = st.id;
-        rec.cls = st.tx.cls;
-        rec.readyAt = st.tx.readyAt;
-        rec.complete = st.complete;
-        rec.arrayTicks = st.tx.arrayTicks;
-        rec.arrayExecuted = st.arrayExecuted;
-        rec.suspends = st.suspends;
+        rec.id = firstId_ + i;
+        rec.cls = o.cls;
+        rec.readyAt = o.readyAt;
+        rec.complete = o.complete;
+        rec.arrayTicks = o.arrayTicks;
+        rec.arrayExecuted = o.arrayExecuted;
+        rec.suspends = static_cast<int>(o.suspends);
         out.push_back(rec);
     }
     return out;
@@ -681,23 +678,22 @@ TransactionScheduler::auditInvariants(InvariantReport &r) const
 
     // sched.work.conservation: suspend-resume never loses or invents
     // array work, and nothing completes before it was ready.
-    for (const TxState &st : txs_) {
-        const std::string subj = "tx " + std::to_string(st.id);
-        if (!r.check(st.done))
-            r.fail("sched.work.conservation", subj,
+    for (std::size_t i = 0; i < outcomes_.size(); ++i) {
+        const Outcome &o = outcomes_[i];
+        const auto subj = [&] { return "tx " + std::to_string(firstId_ + i); };
+        if (!r.check(o.done))
+            r.fail("sched.work.conservation", subj(),
                    "transaction never finished");
-        if (!r.check(st.arrayExecuted == st.tx.arrayTicks))
-            r.fail("sched.work.conservation", subj,
-                   "planned " + std::to_string(st.tx.arrayTicks) +
+        if (!r.check(o.arrayExecuted == o.arrayTicks))
+            r.fail("sched.work.conservation", subj(),
+                   "planned " + std::to_string(o.arrayTicks) +
                        " array ticks, executed " +
-                       std::to_string(st.arrayExecuted) +
-                       " across " + std::to_string(st.suspends) +
-                       " suspends");
-        if (!r.check(st.complete >= st.tx.readyAt))
-            r.fail("sched.work.conservation", subj,
-                   "completed at " + std::to_string(st.complete) +
-                       " before ready time " +
-                       std::to_string(st.tx.readyAt));
+                       std::to_string(o.arrayExecuted) + " across " +
+                       std::to_string(o.suspends) + " suspends");
+        if (!r.check(o.complete >= o.readyAt))
+            r.fail("sched.work.conservation", subj(),
+                   "completed at " + std::to_string(o.complete) +
+                       " before ready time " + std::to_string(o.readyAt));
     }
 }
 

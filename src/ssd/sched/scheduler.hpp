@@ -14,7 +14,8 @@
  * is submitted: in submission order, each phase starts at
  * max(end of the previous phase, resource nextFree) — the legacy greedy
  * arithmetic.  An FCFS transaction is finished when submit returns, so
- * its drain queues nothing and runs no event.
+ * its drain queues nothing and runs no event.  Its phases and stage
+ * ticks live on submit's stack; all it stores is its Outcome.
  *
  * The policies that reorder or preempt (ooo_die_first, read_priority)
  * queue each phase on its resource at submit and book at drain(), which
@@ -24,9 +25,12 @@
  * slot, and the end-of-drain check visits only the resources the batch
  * queued on.  The engine only orders events — every booking is computed
  * from logical times (max(phase-chain earliest, resource nextFree)),
- * never from the engine clock.
+ * never from the engine clock.  What only this path needs (phases,
+ * queue slots, command token, forceAt, stage ticks) sits in a second
+ * vector beside the outcomes, indexed the same way.
  *
- * Either way completions are read by id - first id of the batch.
+ * Either way a transaction's id is its batch's first id plus its index,
+ * and completions, records() and the audit read the Outcomes alone.
  *
  * Array resources are plane-granular (the device exploits plane-level
  * parallelism), matching the legacy per-plane Timelines; the stats
@@ -164,6 +168,21 @@ class TransactionScheduler
      */
     void setTraceSink(obs::TraceSink *sink);
 
+    /** What one transaction of the current batch keeps under every
+     *  policy: its TxRecord without the id, which is the batch's first
+     *  id plus the outcome's index. */
+    struct Outcome
+    {
+        Tick readyAt = 0;
+        Tick complete = 0;
+        Tick arrayTicks = 0;
+        /** Array time actually spent (equals arrayTicks once done). */
+        Tick arrayExecuted = 0;
+        std::uint32_t suspends = 0;
+        TxClass cls = TxClass::kRead;
+        bool done = false;
+    };
+
     /** Per-transaction records of the last drained batch. */
     std::vector<TxRecord> records() const;
 
@@ -208,8 +227,7 @@ class TransactionScheduler
     /// @}
 
   private:
-    /** One phase booking request against a specific resource; its
-     *  duration is the transaction's ticks for that kind. */
+    /** One phase booking request against a specific resource. */
     struct Phase
     {
         std::uint32_t resource = 0; ///< index into resources_
@@ -217,23 +235,26 @@ class TransactionScheduler
          *  in the resource queue counted from Resource::base. */
         std::uint32_t slot = 0;
         PhaseKind kind = PhaseKind::kArray;
+        Tick ticks = 0; ///< booked duration
     };
 
-    struct TxState
+    /** A transaction's phases in canonical order (xfer-in, array,
+     *  xfer-out), zero-duration phases elided. */
+    struct Phases
     {
-        DeviceTransaction tx;
-        std::uint64_t id = 0;
+        std::array<Phase, 3> at{};
+        std::uint8_t n = 0;
+    };
+
+    /** Event path: what a queued transaction needs until it finishes,
+     *  beside its Outcome at the same index. */
+    struct EventTx
+    {
+        Phases phases;
+        Tick earliest = 0; ///< readyAt plus the command overhead
+        Tick forceAt = 0;  ///< set at first suspension
         /** Attribution token of the host command that submitted it. */
         std::optional<std::uint64_t> cmd;
-        /** In canonical order (xfer-in, array, xfer-out), zero-duration
-         *  phases elided: the first numPhases entries are used. */
-        std::array<Phase, 3> phases{};
-        std::uint8_t numPhases = 0;
-        bool done = false;
-        int suspends = 0;
-        Tick complete = 0;
-        Tick arrayExecuted = 0;
-        Tick forceAt = 0; ///< set at first suspension
         StageTicks stages; ///< where this transaction's ticks went
     };
 
@@ -272,20 +293,25 @@ class TransactionScheduler
     std::size_t arrayResource(const flash::PhysPageAddr &a) const;
     std::string dieTrackName(std::uint32_t plane_ordinal) const;
 
-    /** Accumulate one booked interval into @p st's stage breakdown and
-     *  emit it on the attached TraceSink track (if any), plus — when
-     *  @p st belongs to an attributed host command — a flow step
+    /** Accumulate one booked interval of transaction @p txIdx into
+     *  @p st and emit it on the attached TraceSink track (if any), plus
+     *  — when @p cmd names an attributed host command — a flow step
      *  binding the span to the command's NVMe flow. */
-    void noteSpan(std::size_t res, TxState &st, PhaseKind kind,
+    void noteSpan(std::size_t res, std::size_t txIdx,
+                  const std::optional<std::uint64_t> &cmd, StageTicks &st,
+                  PhaseKind kind, Tick start, Tick end);
+    /** noteSpan for a queued transaction, from its EventTx. */
+    void noteSpan(std::size_t res, std::size_t txIdx, PhaseKind kind,
                   Tick start, Tick end);
 
-    void buildPhases(TxState &st) const;
-    Tick firstEarliest(const TxState &st) const;
+    Phases buildPhases(const DeviceTransaction &tx) const;
 
-    /** Book every phase of @p st in closed form and finish it: every
-     *  FCFS transaction, and a pure delay under any policy. */
-    void book(TxState &st);
-    /** Event path: queue every phase of txs_[txIdx]. */
+    /** Book @p ph from @p earliest in closed form and finish
+     *  transaction @p txIdx: every FCFS transaction, and a pure delay
+     *  under any policy. */
+    void book(std::size_t txIdx, const Phases &ph, Tick earliest,
+              const std::optional<std::uint64_t> &cmd, StageTicks &st);
+    /** Event path: queue every phase of transaction @p txIdx. */
     void enqueue(std::size_t txIdx);
 
     void onEvent(const EventEngine::Event &ev);
@@ -294,7 +320,11 @@ class TransactionScheduler
     void startEntry(std::size_t res, std::size_t qIdx);
     void onComplete(std::size_t res, std::uint64_t gen);
     void maybeSuspend(std::size_t res);
-    void finishTx(TxState &st, Tick end);
+    /** Complete transaction @p txIdx at @p end; its stage ticks @p st
+     *  fold into @p cmd's aggregate when it has one. */
+    void finishTx(std::size_t txIdx, Tick end,
+                  const std::optional<std::uint64_t> &cmd,
+                  const StageTicks &st);
 
     flash::FlashGeometry geo_;
     flash::FlashTiming timing_;
@@ -303,9 +333,13 @@ class TransactionScheduler
     std::unique_ptr<SchedulerPolicy> policy_;
 
     std::vector<Resource> resources_; ///< channels first, then planes
-    /** Current batch in submission order; txs_[i].id is the batch's
-     *  first id + i. */
-    std::vector<TxState> txs_;
+    /** Current batch in submission order; outcomes_[i] is transaction
+     *  firstId_ + i. */
+    std::vector<Outcome> outcomes_;
+    /** Event path: parallel to outcomes_ (empty under FCFS). */
+    std::vector<EventTx> eventTxs_;
+    std::uint64_t firstId_ = 0;
+    Tick batchMax_ = 0; ///< latest completion of the batch so far
     std::vector<obs::Hist> latencyHist_; ///< one per TxClass (us)
 
     obs::TraceSink *sink_ = nullptr;

@@ -66,18 +66,18 @@ struct DeviceTransaction
     Tick xferInTicks = 0;
     Tick arrayTicks = 0;
     Tick xferOutTicks = 0;
-
-    /** Whether the array phase accepts suspend commands.  Scrub scans
-     *  are suspendable by construction: a patrol sensing holds no latch
-     *  state a host read cares about, so the controller may abandon and
-     *  re-issue it at any pulse boundary. */
-    bool
-    suspendable() const
-    {
-        return cls == TxClass::kProgram || cls == TxClass::kErase ||
-               cls == TxClass::kScrub;
-    }
 };
+
+/** Whether the array phase of a @p c transaction accepts suspend
+ *  commands.  Scrub scans are suspendable by construction: a patrol
+ *  sensing holds no latch state a host read cares about, so the
+ *  controller may abandon and re-issue it at any pulse boundary. */
+inline bool
+suspendable(TxClass c)
+{
+    return c == TxClass::kProgram || c == TxClass::kErase ||
+           c == TxClass::kScrub;
+}
 
 /** A contiguous range of transaction ids [lo, hi) submitted together
  *  (e.g. every PhysOp of one host command, GC traffic included). */

@@ -10,6 +10,7 @@ namespace parabit::ssd {
 
 SsdDevice::SsdDevice(const SsdConfig &cfg)
     : cfg_(cfg),
+      pageXferTicks_(cfg.timing.transferTime(cfg.geometry.pageBytes)),
       chips_([&] {
           std::vector<flash::Chip> v;
           const std::uint32_t n = cfg.geometry.chips();
@@ -341,7 +342,6 @@ sched::DeviceTransaction
 SsdDevice::toTransaction(const PhysOp &op, Tick ready_at) const
 {
     const flash::FlashTiming &t = cfg_.timing;
-    const Bytes page = cfg_.geometry.pageBytes;
     sched::DeviceTransaction tx;
     tx.addr = op.addr;
     tx.readyAt = ready_at;
@@ -352,11 +352,11 @@ SsdDevice::toTransaction(const PhysOp &op, Tick ready_at) const
         // read is a read, whoever issued it.
         tx.cls = sched::TxClass::kRead;
         tx.arrayTicks = op.addr.msb ? t.msbReadTime() : t.lsbReadTime();
-        tx.xferOutTicks = t.transferTime(page);
+        tx.xferOutTicks = pageXferTicks_;
         break;
       case PhysOp::Kind::kPageProgram:
         tx.cls = sched::TxClass::kProgram;
-        tx.xferInTicks = t.transferTime(page);
+        tx.xferInTicks = pageXferTicks_;
         tx.arrayTicks = t.tProgram;
         break;
       case PhysOp::Kind::kBlockErase:
@@ -383,7 +383,7 @@ SsdDevice::toTransaction(const PhysOp &op, Tick ready_at) const
 }
 
 sched::TxGroup
-SsdDevice::submitOps(const std::vector<PhysOp> &ops, Tick ready_at)
+SsdDevice::submitOps(std::span<const PhysOp> ops, Tick ready_at)
 {
     sched::TxGroup g;
     for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -396,7 +396,7 @@ SsdDevice::submitOps(const std::vector<PhysOp> &ops, Tick ready_at)
 }
 
 Tick
-SsdDevice::scheduleOps(const std::vector<PhysOp> &ops, Tick ready_at)
+SsdDevice::scheduleOps(std::span<const PhysOp> ops, Tick ready_at)
 {
     const sched::TxGroup g = submitOps(ops, ready_at);
     drainTransactions();

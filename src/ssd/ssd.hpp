@@ -19,7 +19,9 @@
  * batch and drains it in one call.  submitOps +
  * drainTransactions exist for HostInterface's per-round batching: it
  * queues every plain I/O of one pump round before a single drain, so
- * non-FCFS policies have something to arbitrate between.
+ * non-FCFS policies have something to arbitrate between.  Both take a
+ * span, so a caller books a vector it reuses, or one local PhysOp,
+ * without building a container.
  */
 
 #ifndef PARABIT_SSD_SSD_HPP_
@@ -27,6 +29,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -81,7 +84,7 @@ class SsdDevice
      * sequences — on the timing model (submit + drain in one batch).
      * @return the completion time of the last op.
      */
-    Tick scheduleOps(const std::vector<PhysOp> &ops, Tick ready_at);
+    Tick scheduleOps(std::span<const PhysOp> ops, Tick ready_at);
 
     /** @name Per-round batching (HostInterface). */
     /// @{
@@ -91,7 +94,7 @@ class SsdDevice
      * without draining.  @return the id range, for groupCompletion()
      * after drainTransactions().
      */
-    sched::TxGroup submitOps(const std::vector<PhysOp> &ops, Tick ready_at);
+    sched::TxGroup submitOps(std::span<const PhysOp> ops, Tick ready_at);
 
     /** Arbitrate and run every queued transaction to completion, then
      *  audit the registered invariant suites when the configured cadence
@@ -247,6 +250,8 @@ class SsdDevice
     void maybeAudit();
 
     SsdConfig cfg_;
+    /** Channel ticks of one page transfer, computed once. */
+    Tick pageXferTicks_;
     std::vector<flash::Chip> chips_;
     Ftl ftl_;
     sched::TransactionScheduler sched_;

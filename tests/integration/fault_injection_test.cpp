@@ -165,6 +165,45 @@ TEST(FaultInjection, StuckBitlinesFailSelfTestAndFallBackToHost)
     EXPECT_GE(r.stats.pageReads, 1u) << "the fallback reads the operand";
 }
 
+TEST(FaultInjection, UntrustedPlanesRecomputeFromThePayloadsInHand)
+{
+    // Every plane fails its self-test, so the host fallback computes
+    // every page.  A ReAlloc XOR has just read both operands to re-pair
+    // them, and its fallback recomputes from those payloads: 2 reads
+    // per page, where a read-based recompute would make 4.  A
+    // PreAllocated XOR senses its pair in place, so its fallback reads
+    // both operands itself: 2 reads per page as well.
+    FaultRig rig(43, 0.0);
+    for (flash::PlaneIndex p = 0; p < rig.dev.ssd().geometry().planesTotal();
+         ++p) {
+        ssd::FaultSpec s;
+        s.cls = ssd::FaultClass::kStuckBitline;
+        s.plane = p;
+        s.stuckCount = 4;
+        rig.dev.ssd().injectFault(s);
+    }
+    rig.dev.controller().invalidatePlaneTrust();
+    ASSERT_TRUE(rig.dev.writeOperandPair(200, 300, rig.x, rig.y));
+
+    struct Case
+    {
+        Mode mode;
+        nvme::Lpn x, y;
+    };
+    for (const Case &c : {Case{Mode::kReAllocate, 0, 100},
+                          Case{Mode::kPreAllocated, 200, 300}}) {
+        const ExecResult r = rig.dev.bitwise(flash::BitwiseOp::kXor, c.x,
+                                             c.y, kPages, c.mode);
+        ASSERT_EQ(r.status, ExecStatus::kOk) << modeName(c.mode);
+        ASSERT_EQ(r.pages.size(), kPages);
+        for (std::uint32_t p = 0; p < kPages; ++p)
+            EXPECT_EQ(r.pages[p], rig.x[p] ^ rig.y[p])
+                << modeName(c.mode) << " page " << p;
+        EXPECT_EQ(r.stats.hostFallbacks, kPages) << modeName(c.mode);
+        EXPECT_EQ(r.stats.pageReads, 2u * kPages) << modeName(c.mode);
+    }
+}
+
 TEST(FaultInjection, ProgramFailuresRetireBlocksWithoutCorruption)
 {
     FaultRig rig(47, 0.0);

@@ -258,6 +258,13 @@ TEST(SchedBookkeeping, CompletionOfOutsideTheDrainedBatchDies)
     EXPECT_DEATH(s.completionOf(cur + 1), "unknown transaction");
 }
 
+TEST(SchedBookkeeping, OutcomeRecordIsAtMost40Bytes)
+{
+    // Every policy keeps one per transaction of the batch, and one
+    // paper-geometry placement is a batch of 524,288 transactions.
+    EXPECT_LE(sizeof(TransactionScheduler::Outcome), 40u);
+}
+
 TEST(SchedBookkeeping, FcfsDrainRunsNoEngineEvent)
 {
     const flash::FlashTiming t;

@@ -121,8 +121,8 @@ TEST(SsdDevice, ParaBitSenseBooksSenseTimePerDie)
     SsdConfig cfg = tinyCfg();
     SsdDevice dev(cfg);
     flash::PhysPageAddr a{};
-    const Tick done = dev.scheduleOps({PhysOp::paraBitSense(a, 4, 0, 0)},
-                                      0); // XOR: 4 SROs
+    const PhysOp sense = PhysOp::paraBitSense(a, 4, 0, 0); // XOR: 4 SROs
+    const Tick done = dev.scheduleOps({&sense, 1}, 0);
     EXPECT_EQ(done, cfg.timing.tCmdOverhead + 4 * cfg.timing.tSense);
 }
 
