@@ -110,12 +110,13 @@ constexpr double kMaxPlacementScaling = 1.5;
  * Largest allowed peak-RSS growth per transaction of one 256K-page
  * placement (524,288 programs, one scheduler batch), device state
  * included.  On a 4-core Xeon VM (Release and default builds alike) it
- * reads 178-182 B with the scheduler's 40 B outcome record per
- * transaction, and read 351-378 B when every FCFS transaction kept a
- * 224 B record.  Most of the rest is the placement's own PhysOp list
- * (44 B per transaction), map entries and wordline records.  260 B
- * sits between: it leaves room for a record of up to about 120 B, and
- * a record back near 224 B fails.
+ * reads 138.6-138.9 B with the scheduler's 40 B outcome record per
+ * transaction and the placement's PhysOp list (44 B per transaction)
+ * reserved to its size; it read 178-182 B while that list grew by
+ * doubling, and 351-378 B when every FCFS transaction kept a 224 B
+ * record.  Most of the rest is map entries and wordline records.
+ * 260 B leaves room for a record of up to about 160 B, and a record
+ * back near 224 B fails.
  */
 constexpr double kMaxPlacementBytesPerTx = 260.0;
 

@@ -8,7 +8,6 @@
 #include "common/rng.hpp"
 #include "flash/latch_array.hpp"
 #include "flash/read_retry.hpp"
-#include "nvme/parser.hpp"
 
 namespace parabit::core {
 
@@ -734,29 +733,6 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
     res.stats.retiredBlocks += ssd_->ftl().retiredBlocks() - retired_before;
     noteExec(res.stats);
     return res;
-}
-
-ExecResult
-Controller::executeOp(flash::BitwiseOp op, nvme::Lpn x, nvme::Lpn y,
-                      std::uint32_t pages, Mode mode, Tick at,
-                      bool transfer_results)
-{
-    nvme::Formula f;
-    f.terms.push_back(nvme::Formula::Term{
-        nvme::OperandRef::logical(x, pages),
-        nvme::OperandRef::logical(y, pages), op});
-    nvme::CmdParser parser(ssd_->geometry().pageBytes);
-    return executeBatches(parser.buildBatches(f), mode, at, transfer_results);
-}
-
-ExecResult
-Controller::executeNot(nvme::Lpn x, std::uint32_t pages, Mode mode, Tick at,
-                       bool transfer_results)
-{
-    // The unary page op: either NOT names it, and each page senses with
-    // the flavour of the page it reads.
-    return executeOp(flash::BitwiseOp::kNotLsb, x, x, pages, mode, at,
-                     transfer_results);
 }
 
 } // namespace parabit::core

@@ -2,7 +2,9 @@
  * @file
  * The ParaBit SSD-controller modules (paper Fig 9, Section 4.3):
  * Operands ReAllocation and Parallel Read, operating on the batch lists
- * produced by CMD Parse.
+ * produced by CMD Parse.  executeBatches is the one entry point: the
+ * device facade (core::ParaBitDevice) and the NVMe host interface build
+ * the batch lists, a single op or NOT as a one-term formula.
  *
  * Every op runs one per-page pipeline (executePageOp): resolve the
  * operands, reallocate or stage them, sense, and on failure fall back
@@ -194,16 +196,6 @@ class Controller
                               Mode mode, Tick at, bool transfer_results = true,
                               std::optional<nvme::Lpn> result_lpn =
                                   std::nullopt);
-
-    /** Single two-operand bulk op over @p pages consecutive pages. */
-    ExecResult executeOp(flash::BitwiseOp op, nvme::Lpn x, nvme::Lpn y,
-                         std::uint32_t pages, Mode mode, Tick at,
-                         bool transfer_results = true);
-
-    /** Unary NOT over one operand range; each page senses with the NOT
-     *  sequence of the page it reads (LSB or MSB). */
-    ExecResult executeNot(nvme::Lpn x, std::uint32_t pages, Mode mode,
-                          Tick at, bool transfer_results = true);
 
     ssd::SsdDevice &ssd() { return *ssd_; }
 

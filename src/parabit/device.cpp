@@ -1,37 +1,41 @@
 #include "parabit/device.hpp"
 
 #include "common/logging.hpp"
-#include "nvme/parser.hpp"
 
 namespace parabit::core {
 
+using Shape = ssd::SsdDevice::PageShape;
+
 ParaBitDevice::ParaBitDevice(const ssd::SsdConfig &cfg)
-    : ssd_(std::make_unique<ssd::SsdDevice>(cfg)), controller_(*ssd_)
+    : ssd_(std::make_unique<ssd::SsdDevice>(cfg)), controller_(*ssd_),
+      parser_(cfg.geometry.pageBytes)
 {
 }
 
 bool
 ParaBitDevice::writeData(nvme::Lpn start, const std::vector<BitVector> &pages)
 {
-    std::vector<const BitVector *> ptrs;
-    ptrs.reserve(pages.size());
-    for (const auto &p : pages)
-        ptrs.push_back(&p);
-    return ssd_->writePages(start, ptrs, now_);
+    return ssd_->place({.start = start, .pages = pages.size(), .data = pages},
+                       now_);
 }
 
 bool
 ParaBitDevice::writeDataLsbOnly(nvme::Lpn start,
                                 const std::vector<BitVector> &pages)
 {
-    std::vector<ssd::PhysOp> ops;
-    bool ok = true;
-    for (std::size_t i = 0; i < pages.size(); ++i)
-        if (!ssd_->ftl().writeLsbOnly(start + i,
-                                      flash::makePayload(pages[i]), ops))
-            ok = false;
-    now_ = ssd_->scheduleOps(ops, now_);
-    return ok;
+    return ssd_->place({.shape = Shape::kLsbOnly, .start = start,
+                        .pages = pages.size(), .data = pages},
+                       now_);
+}
+
+bool
+ParaBitDevice::writeDataLsbOnlyInPlane(nvme::Lpn start,
+                                       const std::vector<BitVector> &pages,
+                                       std::uint32_t plane)
+{
+    return ssd_->place({.shape = Shape::kLsbOnly, .start = start,
+                        .pages = pages.size(), .data = pages, .plane = plane},
+                       now_);
 }
 
 bool
@@ -41,69 +45,32 @@ ParaBitDevice::writeOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
 {
     if (x_pages.size() != y_pages.size())
         fatal("writeOperandPair: operand sizes differ");
-    std::vector<ssd::PhysOp> ops;
-    bool ok = true;
-    for (std::size_t i = 0; i < x_pages.size(); ++i)
-        if (!ssd_->ftl().writePair(x_start + i, y_start + i,
-                                   flash::makePayload(x_pages[i]),
-                                   flash::makePayload(y_pages[i]), ops))
-            ok = false;
-    now_ = ssd_->scheduleOps(ops, now_);
-    return ok;
-}
-
-bool
-ParaBitDevice::writeDataLsbOnlyInPlane(nvme::Lpn start,
-                                       const std::vector<BitVector> &pages,
-                                       std::uint32_t plane)
-{
-    std::vector<ssd::PhysOp> ops;
-    bool ok = true;
-    for (std::size_t i = 0; i < pages.size(); ++i)
-        if (!ssd_->ftl().writeLsbOnly(start + i,
-                                      flash::makePayload(pages[i]), ops,
-                                      plane))
-            ok = false;
-    now_ = ssd_->scheduleOps(ops, now_);
-    return ok;
+    return ssd_->place({.shape = Shape::kPair, .start = x_start,
+                        .pairStart = y_start, .pages = x_pages.size(),
+                        .data = x_pages, .pairData = y_pages},
+                       now_);
 }
 
 bool
 ParaBitDevice::writeMeta(nvme::Lpn start, std::uint32_t pages)
 {
-    std::vector<ssd::PhysOp> ops;
-    bool ok = true;
-    for (std::uint32_t i = 0; i < pages; ++i)
-        if (!ssd_->ftl().writePage(start + i, nullptr, ops))
-            ok = false;
-    now_ = ssd_->scheduleOps(ops, now_);
-    return ok;
+    return ssd_->place({.start = start, .pages = pages}, now_);
 }
 
 bool
 ParaBitDevice::writeMetaLsbOnly(nvme::Lpn start, std::uint32_t pages)
 {
-    std::vector<ssd::PhysOp> ops;
-    bool ok = true;
-    for (std::uint32_t i = 0; i < pages; ++i)
-        if (!ssd_->ftl().writeLsbOnly(start + i, nullptr, ops))
-            ok = false;
-    now_ = ssd_->scheduleOps(ops, now_);
-    return ok;
+    return ssd_->place(
+        {.shape = Shape::kLsbOnly, .start = start, .pages = pages}, now_);
 }
 
 bool
 ParaBitDevice::writeMetaOperandPair(nvme::Lpn x_start, nvme::Lpn y_start,
                                     std::uint32_t pages)
 {
-    std::vector<ssd::PhysOp> ops;
-    bool ok = true;
-    for (std::uint32_t i = 0; i < pages; ++i)
-        if (!ssd_->ftl().writePair(x_start + i, y_start + i, nullptr,
-                                   nullptr, ops))
-            ok = false;
-    now_ = ssd_->scheduleOps(ops, now_);
-    return ok;
+    return ssd_->place({.shape = Shape::kPair, .start = x_start,
+                        .pairStart = y_start, .pages = pages},
+                       now_);
 }
 
 std::vector<BitVector>
@@ -115,23 +82,31 @@ ParaBitDevice::readData(nvme::Lpn start, std::uint32_t pages)
 }
 
 ExecResult
+ParaBitDevice::compute(const std::vector<nvme::Batch> &batches, Mode mode,
+                       bool transfer_results,
+                       std::optional<nvme::Lpn> result_lpn)
+{
+    ExecResult r = controller_.executeBatches(batches, mode, now_,
+                                              transfer_results, result_lpn);
+    now_ = r.stats.end;
+    return r;
+}
+
+ExecResult
 ParaBitDevice::bitwise(flash::BitwiseOp op, nvme::Lpn x, nvme::Lpn y,
                        std::uint32_t pages, Mode mode, bool transfer_results)
 {
-    ExecResult r = controller_.executeOp(op, x, y, pages, mode, now_,
-                                         transfer_results);
-    now_ = r.stats.end;
-    return r;
+    return bitwiseChain(op, {x, y}, pages, mode, transfer_results);
 }
 
 ExecResult
 ParaBitDevice::bitwiseNot(nvme::Lpn x, std::uint32_t pages, Mode mode,
                           bool transfer_results)
 {
-    ExecResult r =
-        controller_.executeNot(x, pages, mode, now_, transfer_results);
-    now_ = r.stats.end;
-    return r;
+    // The unary page op: either NOT names it, and each page senses with
+    // the flavour of the page it reads.
+    return bitwiseChain(flash::BitwiseOp::kNotLsb, {x, x}, pages, mode,
+                        transfer_results);
 }
 
 ExecResult
@@ -141,13 +116,9 @@ ParaBitDevice::bitwiseChain(flash::BitwiseOp op,
                             bool transfer_results,
                             std::optional<nvme::Lpn> result_lpn)
 {
-    const nvme::Formula f = nvme::Formula::chain(op, operands, pages);
-    nvme::CmdParser parser(ssd_->geometry().pageBytes);
-    ExecResult r = controller_.executeBatches(parser.buildBatches(f), mode,
-                                              now_, transfer_results,
-                                              result_lpn);
-    now_ = r.stats.end;
-    return r;
+    return compute(
+        parser_.buildBatches(nvme::Formula::chain(op, operands, pages)),
+        mode, transfer_results, result_lpn);
 }
 
 bool
@@ -180,10 +151,7 @@ ExecResult
 ParaBitDevice::execute(const std::vector<nvme::Batch> &batches, Mode mode,
                        bool transfer_results)
 {
-    ExecResult r = controller_.executeBatches(batches, mode, now_,
-                                              transfer_results);
-    now_ = r.stats.end;
-    return r;
+    return compute(batches, mode, transfer_results);
 }
 
 } // namespace parabit::core

@@ -12,8 +12,11 @@
  *                          core::Mode::kReAllocate);
  *
  * Placement helpers expose the paper's pre-allocation strategies
- * (operand pairs, LSB-only layout), and every call advances the device
- * clock so that a sequence of operations yields end-to-end latency.
+ * (operand pairs, LSB-only layout); each is one ssd::SsdDevice::place
+ * call naming its shape, its payloads (or none) and its plane.  The
+ * compute calls build batch lists for Controller::executeBatches.
+ * Every call advances the device clock so that a sequence of
+ * operations yields end-to-end latency.
  */
 
 #ifndef PARABIT_PARABIT_DEVICE_HPP_
@@ -23,6 +26,7 @@
 #include <optional>
 #include <vector>
 
+#include "nvme/parser.hpp"
 #include "parabit/controller.hpp"
 #include "ssd/config.hpp"
 #include "ssd/ssd.hpp"
@@ -140,8 +144,15 @@ class ParaBitDevice
     Controller &controller() { return controller_; }
 
   private:
+    /** Run @p batches from the device clock and advance it to their
+     *  completion. */
+    ExecResult compute(const std::vector<nvme::Batch> &batches, Mode mode,
+                       bool transfer_results,
+                       std::optional<nvme::Lpn> result_lpn = std::nullopt);
+
     std::unique_ptr<ssd::SsdDevice> ssd_;
     Controller controller_;
+    nvme::CmdParser parser_;
     Tick now_ = 0;
 };
 

@@ -306,18 +306,21 @@ SsdDevice::installFaultHooks()
 }
 
 void
-SsdDevice::injectFault(const FaultSpec &spec)
+SsdDevice::applyPlaneFaults()
 {
-    FaultInjector &inj = faultInjector();
-    inj.addFault(spec);
-    // Re-derive the plane-level state (dead flags, stuck sets) from the
-    // injector so repeated injections stay idempotent.
     for (flash::PlaneIndex p = 0; p < cfg_.geometry.planesTotal(); ++p) {
         const flash::PlaneCoord c = planeCoord(cfg_.geometry, p);
         flash::Plane &pl = chipAt(c.channel, c.chip).plane(c.die, c.plane);
-        pl.setDead(inj.planeDead(p));
-        pl.setStuckBitlines(inj.stuckBitlines(p));
+        pl.setDead(injector_->planeDead(p));
+        pl.setStuckBitlines(injector_->stuckBitlines(p));
     }
+}
+
+void
+SsdDevice::injectFault(const FaultSpec &spec)
+{
+    faultInjector().addFault(spec);
+    applyPlaneFaults();
 }
 
 std::size_t
@@ -326,15 +329,9 @@ SsdDevice::clearTransientFaults()
     if (!injector_)
         return 0;
     const std::size_t removed = injector_->clearTransient();
-    // Re-derive the plane-level state from the thinned schedule, the
-    // same way injectFault() applies it: stuck-bitline sets shrink and
-    // permanent dead flags re-assert.
-    for (flash::PlaneIndex p = 0; p < cfg_.geometry.planesTotal(); ++p) {
-        const flash::PlaneCoord c = planeCoord(cfg_.geometry, p);
-        flash::Plane &pl = chipAt(c.channel, c.chip).plane(c.die, c.plane);
-        pl.setDead(injector_->planeDead(p));
-        pl.setStuckBitlines(injector_->stuckBitlines(p));
-    }
+    // The thinned schedule shrinks stuck-bitline sets; permanent dead
+    // flags re-assert.
+    applyPlaneFaults();
     return removed;
 }
 
@@ -403,35 +400,73 @@ SsdDevice::scheduleOps(std::span<const PhysOp> ops, Tick ready_at)
     return sched_.groupCompletion(g, ready_at);
 }
 
+template <class PageFn>
+bool
+SsdDevice::timedBatch(std::size_t pages, std::size_t ops_per_page, Tick &now,
+                      PageFn &&page)
+{
+    advanceClock(now);
+    // Local, so a large placement's list is freed with the call.
+    std::vector<PhysOp> ops;
+    ops.reserve(pages * ops_per_page);
+    bool ok = true;
+    for (std::size_t i = 0; i < pages; ++i)
+        ok = page(i, ops) && ok;
+    now = scheduleOps(ops, now);
+    pumpMedia(now);
+    return ok;
+}
+
+bool
+SsdDevice::place(const Placement &p, Tick &now)
+{
+    if ((!p.data.empty() && p.data.size() != p.pages) ||
+        (!p.pairData.empty() && p.pairData.size() != p.pages))
+        fatal("SsdDevice::place: payload and page counts differ");
+    // writePage copies (or whitens) the host's page into a payload itself.
+    const auto payload = [](std::span<const BitVector> d, std::size_t i) {
+        return d.empty() ? flash::Payload() : flash::makePayload(d[i]);
+    };
+    const auto page = [&](std::size_t i, std::vector<PhysOp> &ops) {
+        switch (p.shape) {
+          case PageShape::kPage:
+            return ftl_.writePage(
+                p.start + i, p.data.empty() ? nullptr : &p.data[i], ops);
+          case PageShape::kLsbOnly:
+            return ftl_.writeLsbOnly(p.start + i, payload(p.data, i), ops,
+                                     p.plane).has_value();
+          case PageShape::kPair:
+            return ftl_.writePair(p.start + i, p.pairStart + i,
+                                  payload(p.data, i), payload(p.pairData, i),
+                                  ops, p.plane).has_value();
+        }
+        return false;
+    };
+    return timedBatch(p.pages, p.shape == PageShape::kPair ? 2 : 1, now, page);
+}
+
 bool
 SsdDevice::writePages(Lpn start, const std::vector<const BitVector *> &data,
                       Tick &now)
 {
-    advanceClock(now);
-    std::vector<PhysOp> ops;
-    bool ok = true;
-    for (std::size_t i = 0; i < data.size(); ++i)
-        if (!ftl_.writePage(start + i, data[i], ops))
-            ok = false;
-    now = scheduleOps(ops, now);
-    pumpMedia(now);
-    return ok;
+    return timedBatch(data.size(), 1, now,
+                      [&](std::size_t i, std::vector<PhysOp> &ops) {
+                          return ftl_.writePage(start + i, data[i], ops);
+                      });
 }
 
 Tick
 SsdDevice::readPages(Lpn start, std::size_t count, std::vector<BitVector> *out,
                      Tick at)
 {
-    advanceClock(at);
-    std::vector<PhysOp> ops;
-    for (std::size_t i = 0; i < count; ++i) {
+    Tick done = at;
+    timedBatch(count, 1, done, [&](std::size_t i, std::vector<PhysOp> &ops) {
         const flash::Payload page = ftl_.readPage(start + i, ops);
         // The host gets its own bytes; flash keeps the payload.
         if (out)
             out->push_back(page ? *page : BitVector());
-    }
-    const Tick done = scheduleOps(ops, at);
-    pumpMedia(done);
+        return true;
+    });
     return done;
 }
 

@@ -21,7 +21,12 @@
  * queues every plain I/O of one pump round before a single drain, so
  * non-FCFS policies have something to arbitrate between.  Both take a
  * span, so a caller books a vector it reuses, or one local PhysOp,
- * without building a container.
+ * without building a container.  place() (every placement helper of
+ * core::ParaBitDevice), writePages() and readPages() are one timed
+ * batch each, written once: every chip clock moves to its start (its
+ * programs are stamped with that tick), one FTL call per page fills one
+ * op list, one scheduleOps books it, and the patrol scrubber gets its
+ * turn at the completion.
  */
 
 #ifndef PARABIT_SSD_SSD_HPP_
@@ -29,6 +34,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -56,17 +62,39 @@ class SsdDevice
     Ftl &ftl() { return ftl_; }
     const flash::FlashGeometry &geometry() const { return cfg_.geometry; }
 
-    /** @name Timed host-level I/O. */
+    /** @name Timed host-level I/O: one timed batch each (file comment). */
     /// @{
 
+    /** How a placement lays out its pages (paper Sections 4.3, 5.5). */
+    enum class PageShape : std::uint8_t
+    {
+        kPage,    ///< host path (Ftl::writePage): striped, both halves
+        kLsbOnly, ///< LSB page, its MSB left free (Ftl::writeLsbOnly)
+        kPair,    ///< page i of each side on one wordline (Ftl::writePair)
+    };
+
+    /** @p pages consecutive logical pages of one shape; see place(). */
+    struct Placement
+    {
+        PageShape shape = PageShape::kPage;
+        Lpn start = 0;     ///< first page (a pair's LSB side)
+        Lpn pairStart = 0; ///< kPair: first page of the MSB side
+        std::size_t pages = 0;
+        std::span<const BitVector> data{}; ///< page bits; empty = metadata
+        std::span<const BitVector> pairData{}; ///< kPair: the MSB side's
+        /** kLsbOnly and kPair: the flat plane every page goes to. */
+        std::optional<flash::PlaneIndex> plane = std::nullopt;
+    };
+
     /**
-     * Write @p data.size() consecutive logical pages starting at
-     * @p start, submitted at @p now.  Null entries write metadata only.
-     * Every page is attempted and its traffic booked; @p now advances
-     * to the completion time.
-     * @return whether every page was written (false when the FTL ran
-     * out of space or program retries).
+     * Write every page of @p p, submitted at @p now, which advances to
+     * the completion.  @return whether all were written (false when the
+     * FTL ran out of space or program retries, or the plane is dead).
      */
+    bool place(const Placement &p, Tick &now);
+
+    /** As place() of PageShape::kPage from @p start, one @p data entry
+     *  per page; a null entry writes metadata only. */
     bool writePages(Lpn start, const std::vector<const BitVector *> &data,
                     Tick &now);
 
@@ -232,9 +260,21 @@ class SsdDevice
                                            Tick ready_at) const;
     void installFaultHooks();
 
+    /** Re-derive every plane's dead flag and stuck bitlines from the
+     *  injector's schedule, so repeated injections stay idempotent. */
+    void applyPlaneFaults();
+
     /** Advance every chip's simulated-time cursor (retention ages
      *  against it); monotonic, so out-of-order calls are safe. */
     void advanceClock(Tick now);
+
+    /** The file comment's timed batch: @p page(i, ops) makes page i's
+     *  FTL call into one op list reserved for @p ops_per_page ops a
+     *  page; @p now advances to the completion.  @return whether every
+     *  call returned true. */
+    template <class PageFn>
+    bool timedBatch(std::size_t pages, std::size_t ops_per_page, Tick &now,
+                    PageFn &&page);
 
     /** Wire the per-subsystem suites into invariants_ (ctor). */
     void registerInvariantSuites();

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "nvme/parser.hpp"
@@ -116,6 +118,94 @@ TEST(ParaBitDevice, WriteFailureReachesTheCaller)
     EXPECT_FALSE(placed);
     EXPECT_FALSE(wrote);
 }
+
+/** The seven placement helpers (PlacementTest). */
+enum class Helper : std::uint8_t
+{
+    kData,
+    kDataLsbOnly,
+    kDataLsbOnlyInPlane,
+    kOperandPair,
+    kMeta,
+    kMetaLsbOnly,
+    kMetaOperandPair,
+};
+
+const char *
+helperName(Helper h)
+{
+    switch (h) {
+      case Helper::kData: return "writeData";
+      case Helper::kDataLsbOnly: return "writeDataLsbOnly";
+      case Helper::kDataLsbOnlyInPlane: return "writeDataLsbOnlyInPlane";
+      case Helper::kOperandPair: return "writeOperandPair";
+      case Helper::kMeta: return "writeMeta";
+      case Helper::kMetaLsbOnly: return "writeMetaLsbOnly";
+      case Helper::kMetaOperandPair: return "writeMetaOperandPair";
+    }
+    return "?";
+}
+
+/** Place two pages from @p lpn with @p h (a pair's MSB side from
+ *  @p lpn + 100). */
+bool
+placeWith(ParaBitDevice &dev, Helper h, nvme::Lpn lpn)
+{
+    const auto d = pages(dev.ssd().config(), 2, lpn + 1);
+    switch (h) {
+      case Helper::kData: return dev.writeData(lpn, d);
+      case Helper::kDataLsbOnly: return dev.writeDataLsbOnly(lpn, d);
+      case Helper::kDataLsbOnlyInPlane:
+        return dev.writeDataLsbOnlyInPlane(lpn, d, 1);
+      case Helper::kOperandPair:
+        return dev.writeOperandPair(lpn, lpn + 100, d, d);
+      case Helper::kMeta: return dev.writeMeta(lpn, 2);
+      case Helper::kMetaLsbOnly: return dev.writeMetaLsbOnly(lpn, 2);
+      case Helper::kMetaOperandPair:
+        return dev.writeMetaOperandPair(lpn, lpn + 100, 2);
+    }
+    return false;
+}
+
+class PlacementTest : public ::testing::TestWithParam<Helper>
+{
+};
+
+// Every placement shape has a host write's side effects: the chip
+// clocks move to the call's start, so its wordlines age from then, and
+// the patrol scrubber gets its turn once the call's traffic completes.
+TEST_P(PlacementTest, StampsItsStartAndGivesTheScrubberItsTurn)
+{
+    ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
+    cfg.media.enabled = true;
+    cfg.media.scrubInterval = ticks::fromUs(100);
+    ParaBitDevice dev(cfg);
+    ASSERT_TRUE(placeWith(dev, GetParam(), 0));
+    const Tick start = dev.now();
+    ASSERT_GT(start, 0u);
+    const std::uint64_t passes = dev.ssd().media()->passes();
+
+    ASSERT_TRUE(placeWith(dev, GetParam(), 10));
+    ASSERT_GT(dev.now() - start, cfg.media.scrubInterval)
+        << "the second call must run past the next scrub deadline";
+    EXPECT_EQ(dev.ssd().media()->passes(), passes + 1);
+    const auto a = dev.ssd().ftl().lookup(10);
+    ASSERT_TRUE(a);
+    const flash::Block *blk = dev.ssd()
+                                  .chipAt(a->channel, a->chip)
+                                  .plane(a->die, a->plane)
+                                  .blockIfExists(a->block);
+    ASSERT_NE(blk, nullptr);
+    EXPECT_EQ(blk->programTick(a->wordline), start);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllHelpers, PlacementTest,
+    ::testing::Values(Helper::kData, Helper::kDataLsbOnly,
+                      Helper::kDataLsbOnlyInPlane, Helper::kOperandPair,
+                      Helper::kMeta, Helper::kMetaLsbOnly,
+                      Helper::kMetaOperandPair),
+    [](const auto &info) { return std::string(helperName(info.param)); });
 
 TEST(ParaBitDevice, MismatchedPairSizesDie)
 {
