@@ -6,9 +6,10 @@
  * kernel plus the result page, bytes per second of one page, with ideal
  * and with noisy sensing), one ReAlloc page op end to end on 8 KiB
  * pages, the page op path of each mode on a timing-only paper-geometry
- * device, FTL write/GC throughput, an FTL checkpoint (one Flush), the
- * flash array's own per-page bookkeeping (program, read, erase on a
- * timing-only chip), and the event-engine scheduling rate.
+ * device, the scheduler's booking of op lists on the same device, FTL
+ * write/GC throughput, an FTL checkpoint (one Flush), the flash array's
+ * own per-page bookkeeping (program, read, erase on a timing-only chip),
+ * and the event-engine scheduling rate.
  * These measure the *simulator's* host performance, complementing the
  * figure benches that report *simulated* device time.
  */
@@ -16,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -300,6 +302,69 @@ BM_PageOpTimingOnly(benchmark::State &state)
                    benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_PageOpTimingOnly)->DenseRange(0, 2);
+
+/**
+ * The scheduler's booking of an op list, SsdDevice::scheduleOps (the
+ * PhysOp translation, the FCFS booking, the drain and the group
+ * completion), on a timing-only paperSsd() device whose two one-stripe
+ * operands were placed with writeMeta.  The argument picks what one call
+ * books, walking the stripe's page positions from call to call:
+ * 0 one ParaBit XOR sense with its page result transfer, 1 the operand
+ * read pair of one page position, 2 the XOR senses of the whole stripe
+ * (1024 transactions).  time_per_tx is seconds per transaction in the
+ * JSON.
+ */
+void
+BM_ScheduleOps(benchmark::State &state)
+{
+    const int row = static_cast<int>(state.range(0));
+    const ssd::SsdConfig cfg = ssd::SsdConfig::paperSsd();
+    const std::uint32_t pages = cfg.geometry.planesTotal();
+    core::ParaBitDevice dev(cfg);
+    if (!dev.writeMeta(0, pages) || !dev.writeMeta(pages, pages)) {
+        state.SkipWithError("operand placement failed");
+        return;
+    }
+    ssd::SsdDevice &ssd = dev.ssd();
+    const int senses =
+        flash::coLocatedProgram(flash::BitwiseOp::kXor).senseCount();
+    std::vector<ssd::PhysOp> sense_ops;
+    std::vector<ssd::PhysOp> read_ops;
+    for (std::uint32_t p = 0; p < pages; ++p) {
+        const auto x = ssd.ftl().lookup(p);
+        const auto y = ssd.ftl().lookup(pages + p);
+        if (!x || !y) {
+            state.SkipWithError("operand page unmapped");
+            return;
+        }
+        sense_ops.push_back(ssd::PhysOp::paraBitSense(
+            *y, senses, 0, cfg.geometry.pageBytes));
+        read_ops.push_back({ssd::PhysOp::Kind::kPageRead, *x});
+        read_ops.push_back({ssd::PhysOp::Kind::kPageRead, *y});
+    }
+    const std::span<const ssd::PhysOp> all_senses(sense_ops);
+    const std::span<const ssd::PhysOp> all_reads(read_ops);
+    const std::size_t per_call = row == 0 ? 1 : row == 1 ? 2 : pages;
+    // Every call is ready at tick 0, as every page op of one controller
+    // batch shares its ready tick.
+    std::size_t at = 0;
+    for (auto _ : state) {
+        const std::span<const ssd::PhysOp> ops =
+            row == 0   ? all_senses.subspan(at, 1)
+            : row == 1 ? all_reads.subspan(2 * at, 2)
+                       : all_senses;
+        benchmark::DoNotOptimize(ssd.scheduleOps(ops, 0));
+        if (++at == pages)
+            at = 0;
+    }
+    static const char *const kRows[] = {"sense", "read pair", "stripe"};
+    state.SetLabel(kRows[row]);
+    state.counters["time_per_tx"] = benchmark::Counter(
+        static_cast<double>(per_call),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ScheduleOps)->DenseRange(0, 2);
 
 /**
  * One ParaBit-ReAlloc AND of an 8 KiB page pair through the whole stack

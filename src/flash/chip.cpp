@@ -165,22 +165,27 @@ Chip::runOp(const MicroProgram &prog, const PhysPageAddr &sense_addr,
     const std::size_t width = geom_.pageBits();
 
     // Draw every sensing's flips up front, in program order, so the RNG
-    // stream is the one the sensings consume one after another.
-    SenseNoise noise;
-    noise.stuck = pl.stuckBitlines();
+    // stream is the one the sensings consume one after another.  Every
+    // sensing of the op draws from one distribution.
+    noise_.flips.clear();
+    noise_.flipsEnd.clear();
+    noise_.stuck = pl.stuckBitlines();
     if (errorModel_.enabled() && mult > 0.0) {
+        const ErrorModel::FlipDraw draw =
+            errorModel_.flipDraw(width, pe_cycles, mult);
         for (const MicroStep &st : prog.steps) {
             if (st.kind != MicroStep::Kind::kSense)
                 continue;
-            errorModel_.drawFlips(width, pe_cycles, rng_, mult, noise.flips);
-            noise.flipsEnd.push_back(
-                static_cast<std::uint32_t>(noise.flips.size()));
+            ErrorModel::drawFlips(draw, rng_, noise_.flips);
+            noise_.flipsEnd.push_back(
+                static_cast<std::uint32_t>(noise_.flips.size()));
         }
     }
 
     BitVector out = BitVector::forOverwrite(width);
     const std::size_t changed =
-        executeProgram(prog, self, wl_m, wl_n, out, noise);
+        executeProgram(prog, self, wl_m, wl_n, out, noise_);
+    noise_.stuck = {}; // the plane's list may change before the next op
     if (bit_errors)
         *bit_errors = static_cast<int>(changed);
     return out;
@@ -194,7 +199,7 @@ Chip::opCoLocated(BitwiseOp op, const PhysPageAddr &a, int *bit_errors)
     const MicroProgram &prog = coLocatedProgram(op);
     // A multi-sensing chain stresses the operand wordline's neighbors
     // once per SRO — the per-sense charging of the disturb model.
-    chargeNeighborDisturb(blk, a, prog.senseCount());
+    chargeNeighborDisturb(blk, a, coLocatedSenseCount(op));
     return runOp(prog, a, wl, {}, {}, blk.eraseCount(), bit_errors,
                  wearMultiplierAt(blk, a));
 }
@@ -214,8 +219,9 @@ Chip::opLocationFree(BitwiseOp op, const PhysPageAddr &m,
     const MicroProgram &prog = locationFreeProgram(op, variant);
     // Both operand wordlines are selected across the chain; charging the
     // full SRO count to each is the conservative split-free bound.
-    chargeNeighborDisturb(bm, m, prog.senseCount());
-    chargeNeighborDisturb(bn, n, prog.senseCount());
+    const int senses = locationFreeSenseCount(op, variant);
+    chargeNeighborDisturb(bm, m, senses);
+    chargeNeighborDisturb(bn, n, senses);
     const double wear =
         std::max(wearMultiplierAt(bm, m), wearMultiplierAt(bn, n));
     return runOp(prog, n, {}, wm, wn, pe, bit_errors, wear);
@@ -234,7 +240,8 @@ Chip::opBufferedOperand(BitwiseOp op, const BitVector &m_buffer,
     const WordlineData wm{&m_buffer, nullptr};
     const MicroProgram &prog =
         locationFreeProgram(op, LocFreeVariant::kLsbLsb);
-    chargeNeighborDisturb(bn, n, prog.senseCount());
+    chargeNeighborDisturb(bn, n,
+                          locationFreeSenseCount(op, LocFreeVariant::kLsbLsb));
     return runOp(prog, n, {}, wm, wn, bn.eraseCount(), bit_errors,
                  wearMultiplierAt(bn, n));
 }

@@ -236,6 +236,9 @@ class Chip
     FlashGeometry geom_;
     ErrorModel errorModel_;
     Rng rng_;
+    /** runOp's sensing noise, refilled per op; its vectors keep their
+     *  capacity, so a noisy op allocates nothing for its flips. */
+    SenseNoise noise_;
     ChipFaultHooks faults_;
     std::vector<Plane> planes_; ///< dies x planes, row-major
     Tick now_ = 0; ///< simulated-time cursor (see setNow)

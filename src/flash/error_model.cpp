@@ -32,31 +32,39 @@ ErrorModel::wearMultiplier(std::uint64_t disturb, double age_hours) const
     return m;
 }
 
-int
-ErrorModel::drawFlips(std::size_t width, std::uint32_t pe_cycles, Rng &rng,
-                      double rate_multiplier,
-                      std::vector<std::uint32_t> &flips) const
+ErrorModel::FlipDraw
+ErrorModel::flipDraw(std::size_t width, std::uint32_t pe_cycles,
+                     double rate_multiplier) const
 {
     const double p = rberPerSense(pe_cycles) * rate_multiplier;
     if (p <= 0.0 || width == 0)
+        return FlipDraw{};
+    const double lambda = p * static_cast<double>(width);
+    return FlipDraw{width, lambda, std::exp(-lambda)};
+}
+
+int
+ErrorModel::drawFlips(const FlipDraw &d, Rng &rng,
+                      std::vector<std::uint32_t> &flips)
+{
+    if (d.width == 0)
         return 0;
 
-    // Draw the flip count from Poisson(n*p) by inversion; lambda is far
-    // below 1 for all configurations of interest so this loop is short.
-    const double lambda = p * static_cast<double>(width);
-    const double floor_p = std::exp(-lambda);
-    double acc = floor_p;
-    double term = floor_p;
+    // Draw the flip count from Poisson(lambda) by inversion; lambda is
+    // far below 1 for all configurations of interest so this loop is
+    // short.
+    double acc = d.noFlip;
+    double term = d.noFlip;
     const double u = rng.uniform();
     int count = 0;
     while (u > acc && count < 1000) {
         ++count;
-        term *= lambda / count;
+        term *= d.lambda / count;
         acc += term;
     }
 
     for (int i = 0; i < count; ++i)
-        flips.push_back(static_cast<std::uint32_t>(rng.below(width)));
+        flips.push_back(static_cast<std::uint32_t>(rng.below(d.width)));
     return count;
 }
 

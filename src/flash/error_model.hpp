@@ -116,21 +116,48 @@ class ErrorModel
         return cfg_.readDisturbFactor > 0.0 || cfg_.retentionPerHour > 0.0;
     }
 
+    /** One sensing's flip distribution over a page: its width, the
+     *  Poisson mean and exp(-mean), the probability of no flip. */
+    struct FlipDraw
+    {
+        std::size_t width = 0;
+        double lambda = 0.0;
+        double noFlip = 1.0;
+    };
+
     /**
-     * Draw the bitlines one sensing of a @p width-bit page flips at
-     * @p pe_cycles and append them to @p flips, in draw order.  The
-     * number of flips is drawn once (Poisson, one uniform) and each
-     * position is uniform (one below(width) per flip), which is
-     * statistically equivalent to independent per-bit draws at these
-     * tiny rates but runs in O(flips).  A position drawn twice flips
-     * its bitline back.  Nothing is drawn when the rate is 0.
+     * The flip distribution of one sensing of a @p width-bit page at
+     * @p pe_cycles; every sensing of one op shares it, so an op computes
+     * it once.
      * @param rate_multiplier scales the per-sensing rate (elevated-RBER
      *        fault regions, wear; 1.0 = nominal).
+     */
+    FlipDraw flipDraw(std::size_t width, std::uint32_t pe_cycles,
+                      double rate_multiplier) const;
+
+    /**
+     * Draw the bitlines one sensing flips under @p d and append them
+     * to @p flips, in draw order.  The number of flips is drawn once
+     * (Poisson, one uniform) and each position is uniform (one
+     * below(width) per flip), which is statistically equivalent to
+     * independent per-bit draws at these tiny rates but runs in
+     * O(flips).  A position drawn twice flips its bitline back.
+     * Nothing is drawn when the rate or the width is 0.
      * @return the number of flips drawn.
      */
-    int drawFlips(std::size_t width, std::uint32_t pe_cycles, Rng &rng,
-                  double rate_multiplier,
-                  std::vector<std::uint32_t> &flips) const;
+    static int drawFlips(const FlipDraw &d, Rng &rng,
+                         std::vector<std::uint32_t> &flips);
+
+    /** drawFlips of flipDraw(@p width, @p pe_cycles,
+     *  @p rate_multiplier): one sensing on its own. */
+    int
+    drawFlips(std::size_t width, std::uint32_t pe_cycles, Rng &rng,
+              double rate_multiplier,
+              std::vector<std::uint32_t> &flips) const
+    {
+        return drawFlips(flipDraw(width, pe_cycles, rate_multiplier), rng,
+                         flips);
+    }
 
     bool enabled() const { return cfg_.rberAtRef() > 0.0; }
     const ErrorModelConfig &config() const { return cfg_; }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <utility>
 
 #include "common/invariant.hpp"
 #include "common/logging.hpp"
@@ -227,6 +229,24 @@ applyTable(const Table &t, BitVector &out)
     }
 }
 
+/** replayNoisy's buffers, kept between calls so a replay allocates
+ *  nothing once they have grown to the noise it meets. */
+struct ReplayScratch
+{
+    /** Open-addressed bitline -> lane map: the bitline in the high
+     *  half of a slot, its lane + 1 in the low half; 0 is empty. */
+    std::vector<std::uint64_t> slots;
+    std::vector<std::uint32_t> lines;
+    std::vector<Word> masks;
+};
+
+/** Bit @p i of @p page; a null page reads 1. */
+bool
+bitAt(const BitVector *page, std::size_t i)
+{
+    return !page || ((page->words()[i / 64] >> (i % 64)) & 1) != 0;
+}
+
 /**
  * Replay the bitlines @p noise names through the steps, 64 to a word,
  * with each sensing's flips and the stuck pins applied, and overwrite
@@ -237,50 +257,64 @@ std::size_t
 replayNoisy(const MicroProgram &prog, const InputPages &pages,
             const SenseNoise &noise, BitVector &out)
 {
+    thread_local ReplayScratch scratch;
     const std::size_t width = out.size();
-    // The noisy bitlines, sorted: lane l of group g replays lines[64g+l].
-    std::vector<std::size_t> lines;
-    lines.reserve(noise.flips.size() + noise.stuck.size());
-    for (const std::uint32_t bl : noise.flips)
-        if (bl < width)
-            lines.push_back(bl);
-    for (const StuckBitline &s : noise.stuck)
-        if (s.bitline < width)
-            lines.push_back(s.bitline);
-    std::sort(lines.begin(), lines.end());
-    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-    const auto laneOf = [&](std::size_t bitline) {
-        return static_cast<std::size_t>(
-            std::lower_bound(lines.begin(), lines.end(), bitline) -
-            lines.begin());
-    };
-
-    // Per group: one word per sensing with its flips (a bitline listed
-    // twice flips back), then the pinned lanes and the value of each
-    // one's last stuck entry.
     const std::size_t senses = noise.flipsEnd.size();
+    const std::size_t entries =
+        (senses ? noise.flipsEnd.back() : 0) + noise.stuck.size();
+
+    // Lane l of group g replays lines[64g+l]: each noisy bitline gets
+    // the next lane when it first appears, and a hash table at most
+    // half full finds it again.  Per group: one word per sensing with
+    // its flips (a bitline listed twice flips back), then the pinned
+    // lanes and the value of each one's last stuck entry.
     const std::size_t stride = senses + 2;
-    std::vector<Word> masks((lines.size() + 63) / 64 * stride, 0);
+    std::vector<std::uint64_t> &slots = scratch.slots;
+    std::vector<std::uint32_t> &lines = scratch.lines;
+    std::vector<Word> &masks = scratch.masks;
+    const int slotBits =
+        std::max(6, static_cast<int>(std::bit_width(2 * entries)));
+    slots.assign(std::size_t{1} << slotBits, 0);
+    lines.clear();
+    masks.clear();
+    // Returns the group's masks of @p bitline's lane and its bit there.
+    const auto laneOf = [&](std::uint32_t bitline) {
+        const std::size_t mask = slots.size() - 1;
+        // Fibonacci hashing spreads runs of stuck bitlines too.
+        std::size_t h = static_cast<std::size_t>(
+            (bitline * 0x9E37'79B9'7F4A'7C15ull) >> (64 - slotBits));
+        while (slots[h] != 0 && slots[h] >> 32 != bitline)
+            h = (h + 1) & mask;
+        if (slots[h] == 0) {
+            if (lines.size() % 64 == 0)
+                masks.resize(masks.size() + stride, 0);
+            lines.push_back(bitline);
+            slots[h] = static_cast<std::uint64_t>(bitline) << 32 |
+                       lines.size();
+        }
+        const std::size_t lane = (slots[h] & 0xFFFF'FFFF) - 1;
+        return std::pair{&masks[lane / 64 * stride], Word{1} << (lane % 64)};
+    };
     for (std::size_t k = 0; k < senses; ++k) {
         for (std::uint32_t i = k ? noise.flipsEnd[k - 1] : 0;
              i < noise.flipsEnd[k]; ++i) {
             if (noise.flips[i] >= width)
                 continue;
-            const std::size_t lane = laneOf(noise.flips[i]);
-            masks[lane / 64 * stride + k] ^= Word{1} << (lane % 64);
+            const auto [m, bit] = laneOf(noise.flips[i]);
+            m[k] ^= bit;
         }
     }
-    for (const StuckBitline &s : noise.stuck) {
-        if (s.bitline >= width)
+    for (const StuckBitline &st : noise.stuck) {
+        if (st.bitline >= width)
             continue;
-        const std::size_t lane = laneOf(s.bitline);
-        Word *pin = &masks[lane / 64 * stride + senses];
-        const Word bit = Word{1} << (lane % 64);
-        pin[0] |= bit;
-        pin[1] = s.value ? (pin[1] | bit) : (pin[1] & ~bit);
+        const auto [m, bit] = laneOf(static_cast<std::uint32_t>(st.bitline));
+        m[senses] |= bit;
+        m[senses + 1] =
+            st.value ? (m[senses + 1] | bit) : (m[senses + 1] & ~bit);
     }
 
     std::size_t changed = 0;
+    Word *dst = out.words().data();
     for (std::size_t first = 0; first < lines.size(); first += 64) {
         const std::size_t lanes =
             std::min<std::size_t>(64, lines.size() - first);
@@ -288,18 +322,18 @@ replayNoisy(const MicroProgram &prog, const InputPages &pages,
         Inputs in{};
         for (std::size_t l = 0; l < lanes; ++l)
             for (std::size_t j = 0; j < kInputs; ++j)
-                if (!pages[j] || pages[j]->get(lines[first + l]))
-                    in[j] |= Word{1} << l;
+                in[j] |= Word{bitAt(pages[j], lines[first + l])} << l;
         const Word res = runLanes(prog, in, [&](std::size_t k, Word &so) {
             if (k < senses)
                 so ^= m[k];
             so = (so & ~m[senses]) | (m[senses + 1] & m[senses]);
         });
         for (std::size_t l = 0; l < lanes; ++l) {
-            const std::size_t bitline = lines[first + l];
-            const bool bit = (res >> l) & 1;
-            if (out.get(bitline) != bit) {
-                out.set(bitline, bit);
+            const std::uint32_t bitline = lines[first + l];
+            Word &w = dst[bitline / 64];
+            const Word bit = Word{1} << (bitline % 64);
+            if (((w & bit) != 0) != (((res >> l) & 1) != 0)) {
+                w ^= bit;
                 ++changed;
             }
         }

@@ -371,17 +371,35 @@ makeLocationFreeLsbLsb(BitwiseOp op)
     return prog;
 }
 
+/** One flavour's shipped programs and each one's senseCount(). */
+struct ProgramTable
+{
+    std::array<MicroProgram, kNumBitwiseOps> programs;
+    std::array<int, kNumBitwiseOps> senses{};
+};
+
 template <MicroProgram (*Maker)(BitwiseOp)>
-const std::array<MicroProgram, kNumBitwiseOps> &
+const ProgramTable &
 programTable()
 {
-    static const std::array<MicroProgram, kNumBitwiseOps> table = [] {
-        std::array<MicroProgram, kNumBitwiseOps> t;
-        for (int i = 0; i < kNumBitwiseOps; ++i)
-            t[static_cast<std::size_t>(i)] = Maker(static_cast<BitwiseOp>(i));
+    static const ProgramTable table = [] {
+        ProgramTable t;
+        for (int i = 0; i < kNumBitwiseOps; ++i) {
+            const auto at = static_cast<std::size_t>(i);
+            t.programs[at] = Maker(static_cast<BitwiseOp>(i));
+            t.senses[at] = t.programs[at].senseCount();
+        }
         return t;
     }();
     return table;
+}
+
+const ProgramTable &
+locationFreeTable(LocFreeVariant variant)
+{
+    return variant == LocFreeVariant::kLsbLsb
+               ? programTable<makeLocationFreeLsbLsb>()
+               : programTable<makeLocationFree>();
 }
 
 } // namespace
@@ -420,17 +438,25 @@ MicroProgram::describe() const
 const MicroProgram &
 coLocatedProgram(BitwiseOp op)
 {
-    return programTable<makeCoLocated>()[static_cast<std::size_t>(op)];
+    return programTable<makeCoLocated>().programs[static_cast<std::size_t>(op)];
+}
+
+int
+coLocatedSenseCount(BitwiseOp op)
+{
+    return programTable<makeCoLocated>().senses[static_cast<std::size_t>(op)];
 }
 
 const MicroProgram &
 locationFreeProgram(BitwiseOp op, LocFreeVariant variant)
 {
-    if (variant == LocFreeVariant::kLsbLsb) {
-        return programTable<makeLocationFreeLsbLsb>()[
-            static_cast<std::size_t>(op)];
-    }
-    return programTable<makeLocationFree>()[static_cast<std::size_t>(op)];
+    return locationFreeTable(variant).programs[static_cast<std::size_t>(op)];
+}
+
+int
+locationFreeSenseCount(BitwiseOp op, LocFreeVariant variant)
+{
+    return locationFreeTable(variant).senses[static_cast<std::size_t>(op)];
 }
 
 } // namespace parabit::flash

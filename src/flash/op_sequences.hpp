@@ -137,7 +137,9 @@ struct MicroProgram
     bool locationFree = false;
     std::vector<MicroStep> steps;
 
-    /** Number of Single Read Operations (the latency/energy driver). */
+    /** Number of Single Read Operations (latency and energy scale with
+     *  it), counted over the steps; a shipped program's count is also
+     *  in a table (coLocatedSenseCount, locationFreeSenseCount). */
     int senseCount() const;
     /** Number of L1->L2 transfers. */
     int transferCount() const;
@@ -153,6 +155,10 @@ struct MicroProgram
  * wordline).  Returned by reference to a static table.
  */
 const MicroProgram &coLocatedProgram(BitwiseOp op);
+
+/** coLocatedProgram(@p op).senseCount(), read from a table built once
+ *  with the programs (the per-page-op path asks for it). */
+int coLocatedSenseCount(BitwiseOp op);
 
 /**
  * Physical placement of the two location-free operands.
@@ -173,6 +179,11 @@ enum class LocFreeVariant : std::uint8_t { kMsbLsb = 0, kLsbLsb };
 const MicroProgram &locationFreeProgram(BitwiseOp op,
                                         LocFreeVariant variant =
                                             LocFreeVariant::kMsbLsb);
+
+/** locationFreeProgram(@p op, @p variant).senseCount(), read from a
+ *  table built once with the programs. */
+int locationFreeSenseCount(BitwiseOp op,
+                           LocFreeVariant variant = LocFreeVariant::kMsbLsb);
 
 } // namespace parabit::flash
 

@@ -13,6 +13,7 @@ statusName(std::uint16_t status)
       case kInternalError: return "internal-error";
       case kCommandAborted: return "command-aborted";
       case kWriteProtected: return "write-protected";
+      case kLbaOutOfRange: return "lba-out-of-range";
       case kUnrecoveredReadError: return "unrecovered-read-error";
       case kAdmissionShed: return "admission-shed";
     }

@@ -36,23 +36,21 @@ subsystemName(Subsystem s)
     return "?";
 }
 
-Profiler *
-Profiler::global()
-{
-    return g_profiler.get();
-}
+Profiler *Profiler::active_ = nullptr;
 
 Profiler &
 Profiler::enableGlobal()
 {
     if (!g_profiler)
         g_profiler = std::make_unique<Profiler>();
+    active_ = g_profiler.get();
     return *g_profiler;
 }
 
 void
 Profiler::disableGlobal()
 {
+    active_ = nullptr;
     g_profiler.reset();
 }
 

@@ -67,8 +67,9 @@ class Profiler
         }
     };
 
-    /** The process-wide profiler, or nullptr while profiling is off. */
-    static Profiler *global();
+    /** The process-wide profiler, or nullptr while profiling is off
+     *  (inline, so a disabled scope reads one pointer). */
+    static Profiler *global() { return active_; }
     static Profiler &enableGlobal();
     static void disableGlobal();
 
@@ -84,6 +85,9 @@ class Profiler
     void reset();
 
   private:
+    /** global()'s answer; profiler.cpp owns the instance. */
+    static Profiler *active_;
+
     Totals totals_;
     std::vector<Subsystem> stack_;
     double lastStamp_ = 0.0;

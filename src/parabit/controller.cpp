@@ -195,7 +195,7 @@ Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
             runs.push_back(chip.opCoLocated(op, pair->lsb, &e));
             stats.bitErrors += static_cast<std::uint64_t>(e);
         }
-        sense_total += 3 * flash::coLocatedProgram(op).senseCount();
+        sense_total += 3 * flash::coLocatedSenseCount(op);
         return flash::majorityVote(runs);
     };
     const BitVector vx = voted(flash::BitwiseOp::kXor);
@@ -515,9 +515,8 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
             // program, no staging.
             req.kind = SenseKind::kBufferedOperand;
             req.loc = *y_addr;
-            req.senseCount =
-                flash::locationFreeProgram(op, flash::LocFreeVariant::kLsbLsb)
-                    .senseCount();
+            req.senseCount = flash::locationFreeSenseCount(
+                op, flash::LocFreeVariant::kLsbLsb);
             req.xferIn = page;
             return runSense(req, ready, stats);
         }
@@ -558,7 +557,7 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
         req.loc = n;
         req.m = m;
         req.variant = variant;
-        req.senseCount = flash::locationFreeProgram(op, variant).senseCount();
+        req.senseCount = flash::locationFreeSenseCount(op, variant);
         return runSense(req, ready, stats);
     }
 
@@ -623,7 +622,7 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
 
     req.op = op;
     req.loc = wl;
-    req.senseCount = flash::coLocatedProgram(op).senseCount();
+    req.senseCount = flash::coLocatedSenseCount(op);
     if (functional && y_known && (unary || x_known)) {
         // Operand payloads are in hand: the fallback is a free exact
         // recompute, and the ladder (the only reader of the parity) can

@@ -58,6 +58,25 @@ opClassOf(nvme::Opcode op)
     return OpClass::kRead;
 }
 
+/** Whether every logical page @p batches computes on, as
+ *  Controller::executeBatches reads them, lies below @p pages. */
+bool
+operandsInRange(const std::vector<nvme::Batch> &batches, nvme::Lpn pages)
+{
+    using Kind = nvme::OperandRef::Kind;
+    for (const nvme::Batch &b : batches) {
+        const bool x_logical = !flash::isUnary(b.intraOp) &&
+                               b.firstOperand.kind == Kind::kLogicalPages;
+        const bool y_logical = b.secondOperand.kind == Kind::kLogicalPages;
+        for (const nvme::SubOperation &sub : b.subOps) {
+            if ((x_logical && sub.first.lpn >= pages) ||
+                (y_logical && sub.second.lpn >= pages))
+                return false;
+        }
+    }
+    return true;
+}
+
 /** A whole-page read or write of @p lpn. */
 nvme::NvmeCommand
 pageCommand(nvme::Opcode op, nvme::Lpn lpn, std::uint64_t sectors_per_page)
@@ -427,7 +446,13 @@ HostInterface::pump()
                 drain();
                 f.started = std::max(dev_->now(), f.submittedAt);
                 Tick done = f.started;
-                if (!refuse(f)) {
+                // An operand past the logical capacity is the host's
+                // error: it completes before anything reaches the FTL
+                // or the health gate.
+                if (!operandsInRange(batches,
+                                     dev_->ssd().ftl().logicalPages())) {
+                    f.status = nvme::kLbaOutOfRange;
+                } else if (!refuse(f)) {
                     ExecResult r;
                     attributed(f, [&] {
                         r = dev_->controller().executeBatches(batches, mode_,
@@ -466,10 +491,13 @@ HostInterface::pump()
                 continue;
             }
             const nvme::Lpn lpn = f.cmd.slba() / parser_.sectorsPerPage();
-            // A read gates on page accessibility: a dead plane surfaces
-            // as a media error, not silent data.
-            if (!refuse(f) && f.cls == OpClass::kRead &&
-                !dev_->ssd().ftl().pageAccessible(lpn))
+            // An LPN past the logical capacity completes as the formula
+            // operand above does.  A read gates on page accessibility:
+            // a dead plane surfaces as a media error, not silent data.
+            if (lpn >= dev_->ssd().ftl().logicalPages())
+                f.status = nvme::kLbaOutOfRange;
+            else if (!refuse(f) && f.cls == OpClass::kRead &&
+                     !dev_->ssd().ftl().pageAccessible(lpn))
                 f.status = nvme::kUnrecoveredReadError;
             if (f.status == nvme::kSuccess) {
                 ops_.clear();

@@ -37,25 +37,20 @@ TransactionScheduler::TransactionScheduler(
                 txClassName(static_cast<TxClass>(c)),
             0.0, 10000.0, 100);
     }
-    resources_.resize(static_cast<std::size_t>(geo_.channels) +
-                      geo_.planesTotal());
-    for (std::uint32_t c = 0; c < geo_.channels; ++c)
+    lanes_.resize(static_cast<std::size_t>(geo_.channels) +
+                  geo_.planesTotal());
+    if (policy_)
     {
-        resources_[c].onChannel = true;
-        resources_[c].index = c;
-    }
-    for (std::uint32_t p = 0; p < geo_.planesTotal(); ++p)
-    {
-        Resource &r = resources_[geo_.channels + p];
-        r.onChannel = false;
-        r.index = p;
+        queues_.resize(lanes_.size());
     }
 }
 
-std::size_t
-TransactionScheduler::channelResource(std::uint32_t channel) const
+std::string
+TransactionScheduler::resourceName(std::size_t res) const
 {
-    return channel;
+    return res < geo_.channels
+               ? "channel " + std::to_string(res)
+               : "die " + std::to_string(res - geo_.channels);
 }
 
 std::string
@@ -72,29 +67,26 @@ void
 TransactionScheduler::setTraceSink(obs::TraceSink *sink)
 {
     sink_ = sink;
+    observed_ = sink_ != nullptr || curCmd_.has_value();
     resourceTracks_.clear();
     if (!sink_)
     {
         return;
     }
-    resourceTracks_.reserve(resources_.size());
-    for (const Resource &r : resources_)
+    resourceTracks_.reserve(lanes_.size());
+    for (std::uint32_t c = 0; c < geo_.channels; ++c)
     {
-        if (r.onChannel)
-        {
-            resourceTracks_.push_back(sink_->track(
-                "channels", "channel " + std::to_string(r.index)));
-        }
-        else
-        {
-            resourceTracks_.push_back(
-                sink_->track("dies", dieTrackName(r.index)));
-        }
+        resourceTracks_.push_back(
+            sink_->track("channels", "channel " + std::to_string(c)));
+    }
+    for (std::uint32_t p = 0; p < geo_.planesTotal(); ++p)
+    {
+        resourceTracks_.push_back(sink_->track("dies", dieTrackName(p)));
     }
 }
 
 void
-TransactionScheduler::noteSpan(std::size_t res, std::size_t txIdx,
+TransactionScheduler::noteSpan(std::size_t res, std::uint64_t id, TxClass cls,
                                const std::optional<std::uint64_t> &cmd,
                                StageTicks &st, PhaseKind kind, Tick start,
                                Tick end)
@@ -105,8 +97,8 @@ TransactionScheduler::noteSpan(std::size_t res, std::size_t txIdx,
         // Building the argument strings is trace emission too.
         PROFILE_SCOPE(obs::Subsystem::kObs);
         sink_->span(resourceTracks_[res], phaseKindName(kind), start, end,
-                    {{"tx", std::to_string(firstId_ + txIdx), false},
-                     {"class", txClassName(outcomes_[txIdx].cls), true}});
+                    {{"tx", std::to_string(id), false},
+                     {"class", txClassName(cls), true}});
         if (cmd)
         {
             // The step lands exactly on the span's start ts, which is
@@ -123,20 +115,14 @@ TransactionScheduler::noteSpan(std::size_t res, std::size_t txIdx,
                                PhaseKind kind, Tick start, Tick end)
 {
     EventTx &et = eventTxs_[txIdx];
-    noteSpan(res, txIdx, et.cmd, et.stages, kind, start, end);
-}
-
-std::size_t
-TransactionScheduler::arrayResource(const flash::PhysPageAddr &a) const
-{
-    return static_cast<std::size_t>(geo_.channels) +
-           flash::planeIndex(geo_, a);
+    noteSpan(res, firstId_ + txIdx, outcomes_[txIdx].cls, et.cmd, et.stages,
+             kind, start, end);
 }
 
 TransactionScheduler::Phases
 TransactionScheduler::buildPhases(const DeviceTransaction &tx) const
 {
-    const auto ch = static_cast<std::uint32_t>(channelResource(tx.addr.channel));
+    const auto ch = tx.addr.channel;
     const auto die = static_cast<std::uint32_t>(arrayResource(tx.addr));
     Phases ph;
     const auto add = [&ph](PhaseKind kind, std::uint32_t res, Tick ticks) {
@@ -161,121 +147,85 @@ TransactionScheduler::buildPhases(const DeviceTransaction &tx) const
     return ph;
 }
 
-std::uint64_t
-TransactionScheduler::submit(const DeviceTransaction &tx)
+void
+TransactionScheduler::observe(std::size_t txIdx, TxClass cls, Tick earliest,
+                              const std::array<Booked, 3> &phases)
 {
-    PROFILE_SCOPE(obs::Subsystem::kSched);
-    if (!batchOpen_)
+    StageTicks st;
+    Tick ready = earliest;
+    for (const Booked &b : phases)
     {
-        // First submit after a drain: discard the previous batch's
-        // records and completions (callers must have flushed any group
-        // queries by now) so memory stays bounded.  Stage aggregates in
-        // cmdStages_ survive (a formula command spans several drains).
-        outcomes_.clear();
-        eventTxs_.clear();
-        firstId_ = nextId_;
-        batchMax_ = 0;
-        batchOpen_ = true;
-        ++batch_;
-    }
-    const std::size_t txIdx = outcomes_.size();
-    ++nextId_;
-    Outcome &o = outcomes_.emplace_back();
-    o.readyAt = tx.readyAt;
-    o.arrayTicks = tx.arrayTicks;
-    o.cls = tx.cls;
-    const Phases ph = buildPhases(tx);
-    ++submitted_;
-    for (std::uint8_t p = 0; p < ph.n; ++p)
-    {
-        Resource &r = resources_[ph.at[p].resource];
-        if (r.depthBatch != batch_)
+        if (b.ticks == 0)
         {
-            r.depthBatch = batch_;
-            r.depth = 0;
+            continue;
         }
-        maxQueueDepth_.noteMax(static_cast<double>(++r.depth));
+        st.queueWait += b.start - ready;
+        ready = b.start + b.ticks;
+        noteSpan(b.res, firstId_ + txIdx, cls, curCmd_, st, b.kind, b.start,
+                 ready);
     }
-
-    // The command overhead is a die-side delay before the first phase.
-    const Tick earliest = tx.readyAt + tx.cmdTicks;
-    if (!policy_)
+    if (curCmd_)
     {
-        StageTicks st;
-        book(txIdx, ph, earliest, curCmd_, st);
-        return firstId_ + txIdx;
+        foldStages(*curCmd_, st);
     }
+}
+
+void
+TransactionScheduler::foldStages(std::uint64_t cmd, const StageTicks &st)
+{
+    StageTicks &agg = cmdStages_[cmd];
+    agg.add(st);
+    ++agg.txCount;
+}
+
+void
+TransactionScheduler::enqueue(const DeviceTransaction &tx)
+{
+    const std::size_t txIdx = outcomes_.size();
+    outcomes_.push_back(
+        Outcome{tx.readyAt, 0, tx.arrayTicks, 0, 0, tx.cls, false});
     EventTx &et = eventTxs_.emplace_back();
-    et.phases = ph;
-    et.earliest = earliest;
+    et.phases = buildPhases(tx);
+    et.earliest = tx.readyAt + tx.cmdTicks;
     et.cmd = curCmd_;
     // A pure delay (all phase durations zero) has nothing to arbitrate
     // under any policy: it completes without touching a resource.
-    if (ph.n == 0)
+    if (et.phases.n == 0)
     {
-        book(txIdx, ph, earliest, et.cmd, et.stages);
+        complete(txIdx, book(txIdx, tx));
+        return;
     }
-    else
+    for (std::uint8_t p = 0; p < et.phases.n; ++p)
     {
-        enqueue(txIdx);
-    }
-    return firstId_ + txIdx;
-}
-
-void
-TransactionScheduler::book(std::size_t txIdx, const Phases &ph, Tick earliest,
-                           const std::optional<std::uint64_t> &cmd,
-                           StageTicks &st)
-{
-    // Submission order is the FCFS order of every resource, and each
-    // phase follows the previous one of its transaction, so booking
-    // phase after phase now gives each the start the head-of-line
-    // queue would: max(its earliest, the resource's nextFree).
-    Tick ready = earliest;
-    for (std::uint8_t p = 0; p < ph.n; ++p)
-    {
-        const Phase &f = ph.at[p];
-        const Tick start = resources_[f.resource].tl.reserve(ready, f.ticks);
-        st.queueWait += start - ready;
-        ready = start + f.ticks;
-        noteSpan(f.resource, txIdx, cmd, st, f.kind, start, ready);
-        if (f.kind == PhaseKind::kArray)
-        {
-            outcomes_[txIdx].arrayExecuted += f.ticks;
-        }
-    }
-    finishTx(txIdx, ready, cmd, st);
-}
-
-void
-TransactionScheduler::enqueue(std::size_t txIdx)
-{
-    Phases &ph = eventTxs_[txIdx].phases;
-    for (std::uint8_t p = 0; p < ph.n; ++p)
-    {
-        Phase &f = ph.at[p];
-        Resource &r = resources_[f.resource];
+        Phase &f = et.phases.at[p];
+        countEntry(lanes_[f.resource]);
+        Queue &r = queues_[f.resource];
         // Between drains a queue holds no tombstones, so its size is
         // its live depth.
         f.slot = r.base + static_cast<std::uint32_t>(r.q.size());
         QueueEntry e;
         e.seq = firstId_ + txIdx;
-        e.cls = outcomes_[txIdx].cls;
+        e.cls = tx.cls;
         e.txIdx = txIdx;
         e.phaseIdx = p;
         r.q.push_back(e);
     }
 }
 
+void
+TransactionScheduler::complete(std::size_t txIdx, Tick end)
+{
+    Outcome &o = outcomes_[txIdx];
+    o.done = true;
+    o.complete = end;
+    noteCompletion(o.cls, o.readyAt, end);
+    ++completedCount_;
+}
+
 Tick
-TransactionScheduler::drain()
+TransactionScheduler::runEvents()
 {
     PROFILE_SCOPE(obs::Subsystem::kSched);
-    batchOpen_ = false;
-    if (eventTxs_.empty())
-    {
-        return batchMax_; // FCFS finished every transaction at submit
-    }
 
     eng_.reset();
     for (std::size_t i = 0; i < eventTxs_.size(); ++i)
@@ -300,7 +250,7 @@ TransactionScheduler::drain()
         const Phases &ph = eventTxs_[i].phases;
         for (std::uint8_t p = 0; p < ph.n; ++p)
         {
-            const Resource &r = resources_[ph.at[p].resource];
+            const Queue &r = queues_[ph.at[p].resource];
             if (!r.q.empty() || r.busy)
             {
                 panic("TransactionScheduler::drain: residual queue state");
@@ -330,7 +280,7 @@ TransactionScheduler::markReady(std::size_t txIdx, std::size_t phaseIdx,
                                 Tick earliest)
 {
     const Phase &ph = eventTxs_[txIdx].phases.at[phaseIdx];
-    Resource &r = resources_[ph.resource];
+    Queue &r = queues_[ph.resource];
     // The slot handle indexes the queue; the entry must still be the
     // phase's own, unstarted one.
     const std::size_t at = ph.slot - r.base;
@@ -349,7 +299,7 @@ TransactionScheduler::markReady(std::size_t txIdx, std::size_t phaseIdx,
 void
 TransactionScheduler::dispatch(std::size_t res)
 {
-    Resource &r = resources_[res];
+    Queue &r = queues_[res];
     if (r.busy)
     {
         maybeSuspend(res);
@@ -375,7 +325,7 @@ TransactionScheduler::dispatch(std::size_t res)
 void
 TransactionScheduler::startEntry(std::size_t res, std::size_t qIdx)
 {
-    Resource &r = resources_[res];
+    Queue &r = queues_[res];
     const QueueEntry e = r.q[qIdx];
     // Leave a tombstone so the entries behind keep their slots; pop the
     // tombstones that reach the front.
@@ -402,7 +352,7 @@ TransactionScheduler::startEntry(std::size_t res, std::size_t qIdx)
     run.gen = ++r.gen;
     // Logical booking start: never the engine clock — resource free
     // times persist across drains while the engine restarts at zero.
-    run.start = std::max(e.earliest, r.tl.nextFree());
+    run.start = std::max(e.earliest, lanes_[res].tl.nextFree());
     run.payloadStart = run.start + overhead;
     run.plannedEnd = run.payloadStart + payload;
     run.isResume = e.isResume;
@@ -419,7 +369,7 @@ TransactionScheduler::startEntry(std::size_t res, std::size_t qIdx)
 void
 TransactionScheduler::onComplete(std::size_t res, std::uint64_t gen)
 {
-    Resource &r = resources_[res];
+    Queue &r = queues_[res];
     if (!r.busy || r.running.gen != gen)
     {
         return; // stale: the booking was suspended
@@ -431,7 +381,8 @@ TransactionScheduler::onComplete(std::size_t res, std::uint64_t gen)
     const Phase &ph = et.phases.at[run.phaseIdx];
     // run.start was computed from the resource's nextFree when it went
     // busy, so any other start means this booking overlaps another.
-    const Tick booked = r.tl.reserve(run.start, run.plannedEnd - run.start);
+    const Tick booked =
+        lanes_[res].tl.reserve(run.start, run.plannedEnd - run.start);
     PARABIT_CHECK(booked == run.start,
                   "TransactionScheduler: a completed booking overlaps its "
                   "resource's previous booking");
@@ -455,7 +406,11 @@ TransactionScheduler::onComplete(std::size_t res, std::uint64_t gen)
     }
     else
     {
-        finishTx(run.txIdx, run.plannedEnd, et.cmd, et.stages);
+        complete(run.txIdx, run.plannedEnd);
+        if (et.cmd)
+        {
+            foldStages(*et.cmd, et.stages);
+        }
     }
     dispatch(res);
 }
@@ -463,7 +418,7 @@ TransactionScheduler::onComplete(std::size_t res, std::uint64_t gen)
 void
 TransactionScheduler::maybeSuspend(std::size_t res)
 {
-    Resource &r = resources_[res];
+    Queue &r = queues_[res];
     const Running run = r.running;
     EventTx &et = eventTxs_[run.txIdx];
     Outcome &o = outcomes_[run.txIdx];
@@ -503,8 +458,8 @@ TransactionScheduler::maybeSuspend(std::size_t res)
     // park the remainder as a resume entry.
     const Tick executed = now - run.payloadStart;
     const Tick remaining = run.plannedEnd - now;
-    const Tick booked =
-        r.tl.reserve(run.start, (now - run.start) + timing_.tSuspend);
+    const Tick booked = lanes_[res].tl.reserve(
+        run.start, (now - run.start) + timing_.tSuspend);
     PARABIT_CHECK(booked == run.start,
                   "TransactionScheduler: a suspended booking overlaps its "
                   "resource's previous booking");
@@ -544,27 +499,6 @@ TransactionScheduler::maybeSuspend(std::size_t res)
     dispatch(res);
 }
 
-void
-TransactionScheduler::finishTx(std::size_t txIdx, Tick end,
-                               const std::optional<std::uint64_t> &cmd,
-                               const StageTicks &st)
-{
-    Outcome &o = outcomes_[txIdx];
-    o.done = true;
-    o.complete = end;
-    batchMax_ = std::max(batchMax_, end);
-    ++completedCount_;
-    if (cmd)
-    {
-        StageTicks &agg = cmdStages_[*cmd];
-        agg.add(st);
-        ++agg.txCount;
-    }
-    const auto cls = static_cast<std::size_t>(o.cls);
-    // Tick is picoseconds; the registry histogram is bucketed in us.
-    latencyHist_[cls].sample(static_cast<double>(end - o.readyAt) / 1e6);
-}
-
 StageTicks
 TransactionScheduler::takeCommandStages(std::uint64_t token)
 {
@@ -594,12 +528,8 @@ TransactionScheduler::completionOf(std::uint64_t id) const
 }
 
 Tick
-TransactionScheduler::groupCompletion(const TxGroup &g, Tick fallback) const
+TransactionScheduler::latestCompletion(TxGroup g) const
 {
-    if (g.empty())
-    {
-        return fallback;
-    }
     Tick done = 0;
     for (std::uint64_t id = g.lo; id < g.hi; ++id)
     {
@@ -615,17 +545,20 @@ TransactionScheduler::stats() const
     s.channelBusy.reserve(geo_.channels);
     for (std::uint32_t c = 0; c < geo_.channels; ++c)
     {
-        s.channelBusy.push_back(resources_[c].tl.bookedTicks());
+        s.channelBusy.push_back(lanes_[c].tl.bookedTicks());
     }
     s.dieBusy.reserve(geo_.planesTotal());
     for (std::uint32_t p = 0; p < geo_.planesTotal(); ++p)
     {
-        s.dieBusy.push_back(resources_[geo_.channels + p].tl.bookedTicks());
+        s.dieBusy.push_back(lanes_[geo_.channels + p].tl.bookedTicks());
     }
     s.submitted = submitted_.value();
     s.completed = completedCount_.value();
     s.suspends = suspendCount_.value();
-    s.maxQueueDepth = static_cast<std::size_t>(maxQueueDepth_.value());
+    // An open batch's depth reaches the gauge when it drains.
+    s.maxQueueDepth = std::max(
+        static_cast<std::size_t>(maxQueueDepth_.value()),
+        static_cast<std::size_t>(batchDepth_));
     return s;
 }
 
@@ -653,18 +586,16 @@ TransactionScheduler::records() const
 void
 TransactionScheduler::auditInvariants(InvariantReport &r) const
 {
-    // sched.queue.drained: a drain boundary leaves no residual work.
-    for (std::size_t i = 0; i < resources_.size(); ++i) {
-        const Resource &res = resources_[i];
-        const std::string subj =
-            std::string(res.onChannel ? "channel " : "die ") +
-            std::to_string(res.index);
-        if (!r.check(res.q.empty()))
-            r.fail("sched.queue.drained", subj,
-                   std::to_string(res.q.size()) +
+    // sched.queue.drained: a drain boundary leaves no residual work
+    // (FCFS has no queue to leave it in).
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        const std::size_t queued = queues_.empty() ? 0 : queues_[i].q.size();
+        if (!r.check(queued == 0))
+            r.fail("sched.queue.drained", resourceName(i),
+                   std::to_string(queued) +
                        " queue entries survived the drain");
-        if (!r.check(!res.busy))
-            r.fail("sched.queue.drained", subj,
+        if (!r.check(queues_.empty() || !queues_[i].busy))
+            r.fail("sched.queue.drained", resourceName(i),
                    "a booking is still marked running after the drain");
     }
 

@@ -8,14 +8,20 @@
  * contiguous) and then drain(); completions of a batch can be read once
  * it is drained.  Resource Timelines persist across drains, so
  * consecutive batches see the device exactly as the legacy greedy path
- * did.
+ * did.  submitEach() submits a whole op list under one profiler scope
+ * from a caller's translation function, which inlines into its loop.
  *
  * FCFS (the default) books every phase of a transaction the moment it
  * is submitted: in submission order, each phase starts at
  * max(end of the previous phase, resource nextFree) — the legacy greedy
- * arithmetic.  An FCFS transaction is finished when submit returns, so
- * its drain queues nothing and runs no event.  Its phases and stage
- * ticks live on submit's stack; all it stores is its Outcome.
+ * arithmetic.  That booking, book(), is the one closed-form routine: it
+ * reserves the transaction's (at most three) phases straight from its
+ * durations on the resources' Lanes (Timeline plus the batch's entry
+ * count, nothing else), and stores one Outcome.  Stage ticks, trace
+ * spans and flow steps sit behind one branch, taken only while a host
+ * command is attributed or a TraceSink is attached.  An FCFS
+ * transaction is finished when submit returns, so its drain queues
+ * nothing and runs no event.
  *
  * The policies that reorder or preempt (ooo_die_first, read_priority)
  * queue each phase on its resource at submit and book at drain(), which
@@ -25,9 +31,11 @@
  * slot, and the end-of-drain check visits only the resources the batch
  * queued on.  The engine only orders events — every booking is computed
  * from logical times (max(phase-chain earliest, resource nextFree)),
- * never from the engine clock.  What only this path needs (phases,
- * queue slots, command token, forceAt, stage ticks) sits in a second
- * vector beside the outcomes, indexed the same way.
+ * never from the engine clock.  What only this path needs sits beside
+ * the FCFS state, indexed the same way: per transaction an EventTx
+ * (phases, queue slots, command token, forceAt, stage ticks) beside its
+ * Outcome, and per resource a Queue (queue, running booking,
+ * generation) beside its Lane, allocated only under these policies.
  *
  * Either way a transaction's id is its batch's first id plus its index,
  * and completions, records() and the audit read the Outcomes alone.
@@ -46,18 +54,21 @@
 #ifndef PARABIT_SSD_SCHED_SCHEDULER_HPP_
 #define PARABIT_SSD_SCHED_SCHEDULER_HPP_
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/invariant.hpp"
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "flash/geometry.hpp"
 #include "flash/timing.hpp"
@@ -140,7 +151,23 @@ class TransactionScheduler
      * after a drain starts a new batch and discards the previous
      * batch's completions and records.
      */
-    std::uint64_t submit(const DeviceTransaction &tx);
+    std::uint64_t
+    submit(const DeviceTransaction &tx)
+    {
+        return submitEach(1, [&tx](std::size_t) -> const DeviceTransaction & {
+                   return tx;
+               }).lo;
+    }
+
+    /**
+     * Submit @p n transactions, @p tx_at(0) first, as n submit() calls
+     * would, under one profiler scope.  @p tx_at(i) returns the i-th
+     * DeviceTransaction (by value or reference); it is called once per
+     * transaction, in order, and inlines into the booking loop.
+     * @return the id range; empty, with no batch opened, when @p n is 0.
+     */
+    template <class TxAt>
+    TxGroup submitEach(std::size_t n, TxAt &&tx_at);
 
     /**
      * Close the batch: run the event engine until every queued
@@ -148,7 +175,14 @@ class TransactionScheduler
      * latest completion tick of the batch (0 if empty).  Panics if
      * arbitration stalls (a policy bug).
      */
-    Tick drain();
+    Tick
+    drain()
+    {
+        batchOpen_ = false;
+        maxQueueDepth_.noteMax(static_cast<double>(batchDepth_));
+        // FCFS finished every transaction at submit.
+        return eventTxs_.empty() ? batchMax_ : runEvents();
+    }
 
     /** Completion tick of @p id from the last drained batch.  Panics
      *  if @p id is not a transaction of that batch, or if a batch is
@@ -156,7 +190,21 @@ class TransactionScheduler
     Tick completionOf(std::uint64_t id) const;
 
     /** Latest completion over @p g, or @p fallback when @p g is empty. */
-    Tick groupCompletion(const TxGroup &g, Tick fallback) const;
+    Tick
+    groupCompletion(TxGroup g, Tick fallback) const
+    {
+        if (g.empty())
+        {
+            return fallback;
+        }
+        // The whole drained batch (a scheduleOps of its own): its
+        // latest completion was kept as its transactions finished.
+        if (!batchOpen_ && g.lo == firstId_ && g.size() == outcomes_.size())
+        {
+            return batchMax_;
+        }
+        return latestCompletion(g);
+    }
 
     SchedStats stats() const;
 
@@ -197,8 +245,18 @@ class TransactionScheduler
      * per command lifetime.
      */
     /// @{
-    void beginCommandAttribution(std::uint64_t token) { curCmd_ = token; }
-    void endCommandAttribution() { curCmd_.reset(); }
+    void
+    beginCommandAttribution(std::uint64_t token)
+    {
+        curCmd_ = token;
+        observed_ = true;
+    }
+    void
+    endCommandAttribution()
+    {
+        curCmd_.reset();
+        observed_ = sink_ != nullptr;
+    }
     /** Aggregated stages for @p token (default-initialized if unknown);
      *  erases the entry. */
     StageTicks takeCommandStages(std::uint64_t token);
@@ -227,19 +285,29 @@ class TransactionScheduler
     /// @}
 
   private:
-    /** One phase booking request against a specific resource. */
+    /** A resource's FCFS state, all a closed-form booking touches: its
+     *  Timeline and the phase entries the batch numbered depthBatch
+     *  sent it. */
+    struct Lane
+    {
+        Timeline tl;
+        std::uint64_t depthBatch = 0;
+        std::uint32_t depth = 0;
+    };
+
+    /** Event path: one phase booking request against a resource. */
     struct Phase
     {
-        std::uint32_t resource = 0; ///< index into resources_
-        /** Event path: handle of the phase's queue entry, its position
-         *  in the resource queue counted from Resource::base. */
+        std::uint32_t resource = 0; ///< index into lanes_ and queues_
+        /** Handle of the phase's queue entry, its position in the
+         *  resource queue counted from Queue::base. */
         std::uint32_t slot = 0;
         PhaseKind kind = PhaseKind::kArray;
         Tick ticks = 0; ///< booked duration
     };
 
-    /** A transaction's phases in canonical order (xfer-in, array,
-     *  xfer-out), zero-duration phases elided. */
+    /** Event path: a transaction's phases in canonical order (xfer-in,
+     *  array, xfer-out), zero-duration phases elided. */
     struct Phases
     {
         std::array<Phase, 3> at{};
@@ -269,15 +337,13 @@ class TransactionScheduler
         bool isResume = false;
     };
 
-    struct Resource
+    /** Event path: a resource's queue and running booking, beside its
+     *  Lane at the same index. */
+    struct Queue
     {
-        Timeline tl;
-        /** Phase entries the batch numbered depthBatch sent here. */
-        std::uint32_t depth = 0;
-        std::uint64_t depthBatch = 0;
-        /** Event path: queued phase entries in arrival order.  A started
-         *  entry stays in place as a tombstone (policy.hpp) until it
-         *  reaches the front, so every entry behind it keeps its slot. */
+        /** Queued phase entries in arrival order.  A started entry
+         *  stays in place as a tombstone (policy.hpp) until it reaches
+         *  the front, so every entry behind it keeps its slot. */
         std::deque<QueueEntry> q;
         /** Slot of q.front(): entries popped since the queue was last
          *  empty. */
@@ -285,46 +351,126 @@ class TransactionScheduler
         bool busy = false;
         Running running;
         std::uint64_t gen = 0;
-        bool onChannel = false;
-        std::uint32_t index = 0; ///< channel or array-resource ordinal
     };
 
-    std::size_t channelResource(std::uint32_t channel) const;
-    std::size_t arrayResource(const flash::PhysPageAddr &a) const;
+    std::size_t
+    arrayResource(const flash::PhysPageAddr &a) const
+    {
+        return static_cast<std::size_t>(geo_.channels) +
+               flash::planeIndex(geo_, a);
+    }
+    /** "channel c" or "die p", the subject of resource @p res. */
+    std::string resourceName(std::size_t res) const;
     std::string dieTrackName(std::uint32_t plane_ordinal) const;
 
-    /** Accumulate one booked interval of transaction @p txIdx into
-     *  @p st and emit it on the attached TraceSink track (if any), plus
-     *  — when @p cmd names an attributed host command — a flow step
-     *  binding the span to the command's NVMe flow. */
-    void noteSpan(std::size_t res, std::size_t txIdx,
+    /** First submit after a drain: discard the drained batch's records
+     *  and completions (callers must have flushed any group queries by
+     *  now) so memory stays bounded.  Stage aggregates in cmdStages_
+     *  survive (a formula command spans several drains). */
+    void
+    openBatch()
+    {
+        outcomes_.clear();
+        eventTxs_.clear();
+        firstId_ = nextId_;
+        batchMax_ = 0;
+        batchDepth_ = 0;
+        batchOpen_ = true;
+        ++batch_;
+    }
+
+    /** groupCompletion() over part of a batch: every id's completion. */
+    Tick latestCompletion(TxGroup g) const;
+
+    /** Count one phase entry of the open batch on @p l. */
+    void
+    countEntry(Lane &l)
+    {
+        if (l.depthBatch != batch_)
+        {
+            l.depthBatch = batch_;
+            l.depth = 0;
+        }
+        batchDepth_ = std::max(batchDepth_, ++l.depth);
+    }
+
+    /** Book @p ticks on @p l from @p ready; @return the start. */
+    Tick
+    reserve(Lane &l, Tick ready, Tick ticks)
+    {
+        countEntry(l);
+        return l.tl.reserve(ready, ticks);
+    }
+
+    /**
+     * The closed-form booking of transaction @p txIdx, which is @p tx:
+     * each phase at max(end of the previous one, its resource's
+     * nextFree).  Every FCFS transaction, and a pure delay under any
+     * policy.  @return its completion tick.
+     */
+    Tick book(std::size_t txIdx, const DeviceTransaction &tx);
+
+    /** One phase as book() booked it (zero ticks: none). */
+    struct Booked
+    {
+        PhaseKind kind;
+        std::size_t res;
+        Tick start;
+        Tick ticks;
+    };
+
+    /** book()'s observed half: stage ticks into the open command's
+     *  aggregate, spans and flow steps on the sink, for transaction
+     *  @p txIdx of class @p cls with its @p phases in canonical order.
+     *  The transaction itself never escapes book(), so the hot path
+     *  keeps it in registers. */
+    void observe(std::size_t txIdx, TxClass cls, Tick earliest,
+                 const std::array<Booked, 3> &phases);
+
+    /** A finished transaction's batch maximum and latency sample (the
+     *  caller counts it on completedCount_). */
+    void
+    noteCompletion(TxClass cls, Tick ready_at, Tick end)
+    {
+        batchMax_ = std::max(batchMax_, end);
+        obs::Hist &h = latencyHist_[static_cast<std::size_t>(cls)];
+        if (h.live())
+        {
+            // Tick is picoseconds; the registry histogram is in us.
+            h.sample(static_cast<double>(end - ready_at) / 1e6);
+        }
+    }
+
+    /** Fold one finished transaction's @p st into @p cmd's aggregate. */
+    void foldStages(std::uint64_t cmd, const StageTicks &st);
+
+    /** Accumulate one booked interval of transaction @p id (class
+     *  @p cls) into @p st and emit it on the attached TraceSink track
+     *  (if any), plus — when @p cmd names an attributed host command —
+     *  a flow step binding the span to the command's NVMe flow. */
+    void noteSpan(std::size_t res, std::uint64_t id, TxClass cls,
                   const std::optional<std::uint64_t> &cmd, StageTicks &st,
                   PhaseKind kind, Tick start, Tick end);
     /** noteSpan for a queued transaction, from its EventTx. */
     void noteSpan(std::size_t res, std::size_t txIdx, PhaseKind kind,
                   Tick start, Tick end);
 
+    /** @name Event path */
+    /// @{
+    /** drain() of a batch with queued transactions. */
+    Tick runEvents();
     Phases buildPhases(const DeviceTransaction &tx) const;
-
-    /** Book @p ph from @p earliest in closed form and finish
-     *  transaction @p txIdx: every FCFS transaction, and a pure delay
-     *  under any policy. */
-    void book(std::size_t txIdx, const Phases &ph, Tick earliest,
-              const std::optional<std::uint64_t> &cmd, StageTicks &st);
-    /** Event path: queue every phase of transaction @p txIdx. */
-    void enqueue(std::size_t txIdx);
-
+    /** Append @p tx to the batch and queue each of its phases. */
+    void enqueue(const DeviceTransaction &tx);
+    /** Transaction @p txIdx completes at @p end. */
+    void complete(std::size_t txIdx, Tick end);
     void onEvent(const EventEngine::Event &ev);
     void markReady(std::size_t txIdx, std::size_t phaseIdx, Tick earliest);
     void dispatch(std::size_t res);
     void startEntry(std::size_t res, std::size_t qIdx);
     void onComplete(std::size_t res, std::uint64_t gen);
     void maybeSuspend(std::size_t res);
-    /** Complete transaction @p txIdx at @p end; its stage ticks @p st
-     *  fold into @p cmd's aggregate when it has one. */
-    void finishTx(std::size_t txIdx, Tick end,
-                  const std::optional<std::uint64_t> &cmd,
-                  const StageTicks &st);
+    /// @}
 
     flash::FlashGeometry geo_;
     flash::FlashTiming timing_;
@@ -332,7 +478,9 @@ class TransactionScheduler
     /** The event path's arbiter; null under FCFS (makePolicy). */
     std::unique_ptr<SchedulerPolicy> policy_;
 
-    std::vector<Resource> resources_; ///< channels first, then planes
+    std::vector<Lane> lanes_; ///< channels first, then planes
+    /** Event path: parallel to lanes_ (empty under FCFS). */
+    std::vector<Queue> queues_;
     /** Current batch in submission order; outcomes_[i] is transaction
      *  firstId_ + i. */
     std::vector<Outcome> outcomes_;
@@ -340,10 +488,15 @@ class TransactionScheduler
     std::vector<EventTx> eventTxs_;
     std::uint64_t firstId_ = 0;
     Tick batchMax_ = 0; ///< latest completion of the batch so far
+    /** Most phase entries one resource received in the open batch;
+     *  noted on maxQueueDepth_ when the batch drains. */
+    std::uint32_t batchDepth_ = 0;
     std::vector<obs::Hist> latencyHist_; ///< one per TxClass (us)
 
     obs::TraceSink *sink_ = nullptr;
-    std::vector<obs::TrackId> resourceTracks_; ///< parallel to resources_
+    std::vector<obs::TrackId> resourceTracks_; ///< parallel to lanes_
+    /** A command is attributed or a sink attached: book() observes. */
+    bool observed_ = false;
 
     EventEngine eng_; ///< reset at the start of every drain
     std::uint64_t nextId_ = 0;
@@ -359,6 +512,80 @@ class TransactionScheduler
     obs::Counter suspendCount_;
     obs::Gauge maxQueueDepth_;
 };
+
+template <class TxAt>
+TxGroup
+TransactionScheduler::submitEach(std::size_t n, TxAt &&tx_at)
+{
+    if (n == 0)
+    {
+        return {};
+    }
+    PROFILE_SCOPE(obs::Subsystem::kSched);
+    if (!batchOpen_)
+    {
+        openBatch();
+    }
+    const TxGroup g{nextId_, nextId_ + n};
+    nextId_ += n;
+    submitted_ += n;
+    if (policy_) [[unlikely]]
+    {
+        for (std::size_t i = 0; i < n; ++i)
+        {
+            enqueue(tx_at(i));
+        }
+        return g;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+    {
+        const DeviceTransaction &tx = tx_at(i);
+        const Tick end = book(outcomes_.size(), tx);
+        outcomes_.push_back(Outcome{tx.readyAt, end, tx.arrayTicks,
+                                    tx.arrayTicks, 0, tx.cls, true});
+        noteCompletion(tx.cls, tx.readyAt, end);
+    }
+    completedCount_ += n;
+    return g;
+}
+
+inline Tick
+TransactionScheduler::book(std::size_t txIdx, const DeviceTransaction &tx)
+{
+    // Submission order is the FCFS order of every resource, and each
+    // phase follows the previous one of its transaction, so booking
+    // phase after phase now gives each the start the head-of-line
+    // queue would: max(its earliest, the resource's nextFree).  The
+    // command overhead is a die-side delay before the first phase.
+    const Tick earliest = tx.readyAt + tx.cmdTicks;
+    const std::size_t ch = tx.addr.channel;
+    const std::size_t die = arrayResource(tx.addr);
+    Tick in = 0, array = 0, out = 0; // phase starts
+    Tick t = earliest;
+    if (tx.xferInTicks > 0)
+    {
+        in = reserve(lanes_[ch], t, tx.xferInTicks);
+        t = in + tx.xferInTicks;
+    }
+    if (tx.arrayTicks > 0)
+    {
+        array = reserve(lanes_[die], t, tx.arrayTicks);
+        t = array + tx.arrayTicks;
+    }
+    if (tx.xferOutTicks > 0)
+    {
+        out = reserve(lanes_[ch], t, tx.xferOutTicks);
+        t = out + tx.xferOutTicks;
+    }
+    if (observed_) [[unlikely]]
+    {
+        observe(txIdx, tx.cls, earliest,
+                {{{PhaseKind::kXferIn, ch, in, tx.xferInTicks},
+                  {PhaseKind::kArray, die, array, tx.arrayTicks},
+                  {PhaseKind::kXferOut, ch, out, tx.xferOutTicks}}});
+    }
+    return t;
+}
 
 } // namespace parabit::ssd::sched
 

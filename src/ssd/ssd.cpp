@@ -142,10 +142,7 @@ SsdDevice::auditInvariants()
 void
 SsdDevice::maybeAudit()
 {
-    const std::uint32_t interval = cfg_.invariants.auditInterval;
-    if (interval == 0)
-        return;
-    if (++drainCount_ < interval)
+    if (++drainCount_ < cfg_.invariants.auditInterval)
         return;
     drainCount_ = 0;
     const InvariantReport r = auditInvariants();
@@ -166,7 +163,8 @@ SsdDevice::drainTransactions()
         health_->setPowerLost(ftl_.powerLost());
         health_->pump(done);
     }
-    maybeAudit();
+    if (cfg_.invariants.auditInterval != 0)
+        maybeAudit();
     return done;
 }
 
@@ -335,7 +333,19 @@ SsdDevice::clearTransientFaults()
     return removed;
 }
 
-sched::DeviceTransaction
+Tick
+SsdDevice::xferTicks(Bytes n) const
+{
+    // A page (a read's, a program's, most senses' result) is the
+    // common case; its ticks were computed once.
+    if (n == cfg_.geometry.pageBytes)
+        return pageXferTicks_;
+    return n > 0 ? cfg_.timing.transferTime(n) : 0;
+}
+
+// Inline: both of submitOps' booking loops inline it, so the closed
+// form reads each op's fields straight into the booking.
+inline sched::DeviceTransaction
 SsdDevice::toTransaction(const PhysOp &op, Tick ready_at) const
 {
     const flash::FlashTiming &t = cfg_.timing;
@@ -369,11 +379,9 @@ SsdDevice::toTransaction(const PhysOp &op, Tick ready_at) const
         break;
       case PhysOp::Kind::kParaBitSense:
         tx.cls = sched::TxClass::kParaBit;
-        if (op.xferInBytes > 0)
-            tx.xferInTicks = t.transferTime(op.xferInBytes);
+        tx.xferInTicks = xferTicks(op.xferInBytes);
         tx.arrayTicks = t.senseTime(static_cast<int>(op.senseCount));
-        if (op.xferOutBytes > 0)
-            tx.xferOutTicks = t.transferTime(op.xferOutBytes);
+        tx.xferOutTicks = xferTicks(op.xferOutBytes);
         break;
     }
     return tx;
@@ -382,14 +390,9 @@ SsdDevice::toTransaction(const PhysOp &op, Tick ready_at) const
 sched::TxGroup
 SsdDevice::submitOps(std::span<const PhysOp> ops, Tick ready_at)
 {
-    sched::TxGroup g;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const std::uint64_t id = sched_.submit(toTransaction(ops[i], ready_at));
-        if (i == 0)
-            g.lo = id;
-        g.hi = id + 1;
-    }
-    return g;
+    return sched_.submitEach(ops.size(), [&](std::size_t i) {
+        return toTransaction(ops[i], ready_at);
+    });
 }
 
 Tick

@@ -133,7 +133,7 @@ class SsdDevice
     /** Latest completion over @p g (query before the next submit);
      *  @p fallback when @p g is empty. */
     Tick
-    groupCompletion(const sched::TxGroup &g, Tick fallback) const
+    groupCompletion(sched::TxGroup g, Tick fallback) const
     {
         return sched_.groupCompletion(g, fallback);
     }
@@ -258,6 +258,8 @@ class SsdDevice
   private:
     sched::DeviceTransaction toTransaction(const PhysOp &op,
                                            Tick ready_at) const;
+    /** Channel ticks of an @p n byte transfer (0 for none). */
+    Tick xferTicks(Bytes n) const;
     void installFaultHooks();
 
     /** Re-derive every plane's dead flag and stuck bitlines from the
@@ -285,8 +287,9 @@ class SsdDevice
      *  between audits) and the scrubber's media.cursor.range. */
     void auditMedia(InvariantReport &r);
 
-    /** Run a cadenced audit after a drain; panics (fatalOnViolation)
-     *  or logs when a suite reports violations. */
+    /** Run a cadenced audit after a drain, with a nonzero cadence;
+     *  panics (fatalOnViolation) or logs when a suite reports
+     *  violations. */
     void maybeAudit();
 
     SsdConfig cfg_;

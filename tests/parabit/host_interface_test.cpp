@@ -1,7 +1,8 @@
 /**
  * @file
  * Host-interface tests: formulas through the full queue path, mixed
- * I/O interference, round-robin arbitration, and back-pressure.
+ * I/O interference, round-robin arbitration, back-pressure, and the
+ * LBA range check at the boundary.
  */
 
 #include <gtest/gtest.h>
@@ -104,6 +105,68 @@ TEST(HostInterface, ChainOpFormulaFailsInvalidFieldAndLaterReadSucceeds)
     ASSERT_TRUE(r);
     EXPECT_EQ(r->cid, *read_cid);
     EXPECT_TRUE(r->ok());
+}
+
+/**
+ * On a health-tracked tiny() device, @p submit sends one command that
+ * names logicalPages() + 5, and a read of a written page queues behind
+ * it.  The command must complete once with LBA Out of Range before
+ * anything reaches the FTL, charge the health machine nothing, and
+ * leave the read to complete OK.
+ */
+template <class Submit>
+void
+expectLbaOutOfRange(Submit &&submit)
+{
+    ssd::SsdConfig cfg = ssd::SsdConfig::tiny();
+    cfg.health.enabled = true;
+    ParaBitDevice dev(cfg);
+    dev.writeData(3, pages(cfg, 1, 9));
+    HostInterface host(dev, 1, 16, Mode::kReAllocate);
+    const nvme::Lpn beyond = dev.ssd().ftl().logicalPages() + 5;
+    const auto bad = submit(host, beyond);
+    ASSERT_TRUE(bad);
+    const auto read = host.submitRead(0, 3);
+    ASSERT_TRUE(read);
+    host.pump();
+
+    const auto c = host.reap(0);
+    ASSERT_TRUE(c);
+    EXPECT_EQ(c->cid, *bad);
+    EXPECT_EQ(c->status, nvme::kLbaOutOfRange);
+    EXPECT_TRUE(c->pages.empty());
+    const auto r = host.reap(0);
+    ASSERT_TRUE(r);
+    EXPECT_EQ(r->cid, *read);
+    EXPECT_TRUE(r->ok());
+    EXPECT_FALSE(host.reap(0)) << "one completion per command";
+    EXPECT_EQ(dev.ssd().health()->pressure(), 0.0);
+    EXPECT_EQ(dev.ssd().health()->state(), ssd::HealthState::kHealthy);
+}
+
+TEST(HostInterface, WriteBeyondCapacityIsLbaOutOfRange)
+{
+    expectLbaOutOfRange([](HostInterface &host, nvme::Lpn lpn) {
+        return host.submitWrite(0, lpn);
+    });
+}
+
+TEST(HostInterface, ReadBeyondCapacityIsLbaOutOfRange)
+{
+    expectLbaOutOfRange([](HostInterface &host, nvme::Lpn lpn) {
+        return host.submitRead(0, lpn);
+    });
+}
+
+TEST(HostInterface, FormulaOperandBeyondCapacityIsLbaOutOfRange)
+{
+    expectLbaOutOfRange([](HostInterface &host, nvme::Lpn lpn) {
+        nvme::Formula f;
+        f.terms.push_back(nvme::Formula::Term{nvme::OperandRef::logical(3, 1),
+                                              nvme::OperandRef::logical(lpn, 1),
+                                              flash::BitwiseOp::kAnd});
+        return host.submitFormula(0, f);
+    });
 }
 
 TEST(HostInterface, PlainIoCompletesWithDeviceLatency)

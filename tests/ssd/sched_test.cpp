@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "ssd/config.hpp"
 #include "ssd/event_engine.hpp"
@@ -308,6 +309,135 @@ TEST(SchedBookkeeping, FcfsDrainRunsNoEngineEvent)
     EXPECT_EQ(eventsFor(SchedPolicyKind::kFcfs), 0u);
     // The counter does see the same batch on the event path.
     EXPECT_GT(eventsFor(SchedPolicyKind::kOutOfOrderDieFirst), 0u);
+}
+
+TEST(SchedBookkeeping, ObservationChangesNoFcfsBooking)
+{
+    // One mixed FCFS batch booked twice: with neither attribution nor a
+    // trace sink, and with both.  Observation must change no booking,
+    // record, busy tick, queue depth or latency sample; only the
+    // observed run carries spans and stage aggregates.
+    const flash::FlashTiming t;
+    std::vector<DeviceTransaction> batch = {
+        readTx(planeAddr(0, 0, 0), 0, t.msbReadTime(), t.transferTime(64)),
+        programTx(planeAddr(0, 0, 0), 5, t.tProgram),
+    };
+    batch[1].xferInTicks = t.transferTime(64);
+    DeviceTransaction erase;
+    erase.cls = TxClass::kErase;
+    erase.addr = planeAddr(0, 1, 0);
+    erase.arrayTicks = t.tErase;
+    batch.push_back(erase);
+    DeviceTransaction sense;
+    sense.cls = TxClass::kParaBit;
+    sense.addr = planeAddr(0, 1, 0);
+    sense.cmdTicks = t.tCmdOverhead;
+    sense.xferInTicks = t.transferTime(64);
+    sense.arrayTicks = t.senseTime(3);
+    sense.xferOutTicks = t.transferTime(64);
+    batch.push_back(sense);
+    sense.addr = planeAddr(0, 0, 1);
+    sense.xferInTicks = 0;
+    sense.xferOutTicks = 0;
+    batch.push_back(sense);
+    DeviceTransaction delay;
+    delay.cls = TxClass::kParaBit;
+    delay.readyAt = 7;
+    delay.cmdTicks = t.tCmdOverhead;
+    batch.push_back(delay);
+
+    struct Run
+    {
+        std::vector<Tick> completions;
+        std::vector<TxRecord> records;
+        SchedStats stats;
+        std::vector<std::uint64_t> latencySamples; ///< per TxClass
+        std::size_t spans = 0;
+        StageTicks stages;
+    };
+    // The registry makes the latency histograms live; it is wiped
+    // however the test ends.
+    struct RegistryOn
+    {
+        RegistryOn() { obs::MetricsRegistry::global().setEnabled(true); }
+        ~RegistryOn()
+        {
+            obs::MetricsRegistry::global().setEnabled(false);
+            obs::MetricsRegistry::global().clear();
+        }
+    } registry_on;
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    const auto run = [&](bool observed) {
+        reg.zero();
+        constexpr std::uint64_t kToken = 7;
+        TransactionScheduler s(flash::FlashGeometry::tiny(), t,
+                               SchedConfig{});
+        obs::TraceSink sink;
+        if (observed) {
+            s.setTraceSink(&sink);
+            s.beginCommandAttribution(kToken);
+        }
+        std::vector<std::uint64_t> ids;
+        for (const DeviceTransaction &tx : batch)
+            ids.push_back(s.submit(tx));
+        s.endCommandAttribution();
+        s.drain();
+        Run r;
+        for (const std::uint64_t id : ids)
+            r.completions.push_back(s.completionOf(id));
+        r.records = s.records();
+        r.stats = s.stats();
+        for (int c = 0; c < kNumTxClasses; ++c)
+            r.latencySamples.push_back(
+                reg.histograms()
+                    .at(std::string("sched.latency_us.") +
+                        txClassName(static_cast<TxClass>(c)))
+                    .total());
+        r.spans = tracecheck::checkTrace(sink.toJson()).stats.spans;
+        r.stages = s.takeCommandStages(kToken);
+        return r;
+    };
+    const Run plain = run(false);
+    const Run traced = run(true);
+
+    EXPECT_EQ(traced.completions, plain.completions);
+    ASSERT_EQ(traced.records.size(), plain.records.size());
+    for (std::size_t i = 0; i < plain.records.size(); ++i) {
+        const TxRecord &a = plain.records[i];
+        const TxRecord &b = traced.records[i];
+        EXPECT_EQ(b.id, a.id) << "tx " << i;
+        EXPECT_EQ(b.cls, a.cls) << "tx " << i;
+        EXPECT_EQ(b.readyAt, a.readyAt) << "tx " << i;
+        EXPECT_EQ(b.complete, a.complete) << "tx " << i;
+        EXPECT_EQ(b.arrayTicks, a.arrayTicks) << "tx " << i;
+        EXPECT_EQ(b.arrayExecuted, a.arrayExecuted) << "tx " << i;
+        EXPECT_EQ(b.suspends, a.suspends) << "tx " << i;
+    }
+    EXPECT_EQ(traced.stats.channelBusy, plain.stats.channelBusy);
+    EXPECT_EQ(traced.stats.dieBusy, plain.stats.dieBusy);
+    EXPECT_EQ(traced.stats.maxQueueDepth, plain.stats.maxQueueDepth);
+    // Channel 0 carries the read's, the program's and the first
+    // sense's transfers: four entries.
+    EXPECT_EQ(plain.stats.maxQueueDepth, 4u);
+    EXPECT_EQ(traced.latencySamples, plain.latencySamples);
+    EXPECT_EQ(plain.latencySamples,
+              (std::vector<std::uint64_t>{1, 1, 1, 3, 0}));
+
+    // Nine nonzero phases, each one span; the delay books none.
+    EXPECT_EQ(plain.spans, 0u);
+    EXPECT_EQ(traced.spans, 9u);
+    EXPECT_EQ(plain.stages.txCount, 0u);
+    EXPECT_EQ(traced.stages.txCount, batch.size());
+    Tick busy = 0;
+    for (const Tick b : traced.stats.channelBusy)
+        busy += b;
+    for (const Tick b : traced.stats.dieBusy)
+        busy += b;
+    Tick staged = 0;
+    for (const Tick p : traced.stages.phase)
+        staged += p;
+    EXPECT_EQ(staged, busy);
+    EXPECT_GT(traced.stages.queueWait, 0u);
 }
 
 TEST(SchedPolicy, EventPathBooksTheClosedFormWhenNothingCanOvertake)
