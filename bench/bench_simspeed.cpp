@@ -39,9 +39,17 @@
  * the ratio also reflects the cache hierarchy.  Before the sweep, one
  * more 256K placement, in a child process of its own, measures
  * peak-RSS growth per transaction, device state included, and the run
- * exits nonzero above kMaxPlacementBytesPerTx.  The sweep runs
- * unprofiled, untraced and outside the metrics registry, after the
- * mix's artefacts are written.
+ * exits nonzero above kMaxPlacementBytesPerTx.  A formula-scaling pair
+ * follows: one timing-only ParaBit XOR at paper geometry over 1 and 64
+ * stripes of co-located operands (placed untimed, each on a device of
+ * its own), the best of kFormulaRepeats alternating timings in thread
+ * CPU ns per page op.  The controller books a formula's in-place senses
+ * a stripe per scheduler submission and finds its operands through the
+ * page map's chunk hints, so a page op should cost the same in a long
+ * formula as in a short one; the run exits nonzero when the 64-stripe
+ * cost per page exceeds kMaxFormulaScaling x the 1-stripe cost.  The
+ * sweeps run unprofiled, untraced and outside the metrics registry,
+ * after the mix's artefacts are written.
  *
  * Observability: --metrics-out/--trace-out/--snapshots-out (see
  * bench/common/obs_args.hpp).  The trace produced here carries the
@@ -60,6 +68,7 @@
 #include <ctime>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -106,6 +115,12 @@ constexpr std::array<std::uint32_t, 4> kPlacementPages = {1024, 16384,
 constexpr int kPlacementRepeats = 3;
 /** Largest allowed 256K-over-1K cost per page of the sweep. */
 constexpr double kMaxPlacementScaling = 1.5;
+/** Stripes per formula of the formula-scaling pair (the gate's pair). */
+constexpr std::array<std::uint32_t, 2> kFormulaStripes = {1, 64};
+/** Timings per formula point; the fastest counts. */
+constexpr int kFormulaRepeats = 9;
+/** Largest allowed 64-over-1-stripe cost per page op of the pair. */
+constexpr double kMaxFormulaScaling = 1.5;
 /**
  * Largest allowed peak-RSS growth per transaction of one 256K-page
  * placement (524,288 programs, one scheduler batch), device state
@@ -261,7 +276,44 @@ timePlacement(std::uint32_t pages)
     return p;
 }
 
-/** Cost per page of the largest placement over the smallest. */
+/** The formula-scaling pair: the best of kFormulaRepeats timings of
+ *  one timing-only ParaBit XOR over each kFormulaStripes count at paper
+ *  geometry, each on a device of its own whose co-located operands were
+ *  placed untimed.  The repetitions alternate between the points, so a
+ *  slow stretch of host time cannot land on one point alone.  An op
+ *  that is not OK marks its point failed. */
+std::vector<PlacementPoint>
+timeFormulas()
+{
+    const ssd::SsdConfig cfg = ssd::SsdConfig::paperSsd();
+    std::vector<PlacementPoint> pts(kFormulaStripes.size());
+    std::vector<std::unique_ptr<ParaBitDevice>> devs;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        pts[i].pages = kFormulaStripes[i] * cfg.geometry.planesTotal();
+        devs.push_back(std::make_unique<ParaBitDevice>(cfg));
+        pts[i].ok = devs[i]->writeMetaOperandPair(0, pts[i].pages,
+                                                  pts[i].pages);
+    }
+    for (int rep = 0; rep < kFormulaRepeats; ++rep) {
+        for (std::size_t i = 0; i < pts.size(); ++i) {
+            PlacementPoint &p = pts[i];
+            const double t0 = threadCpuSec();
+            const core::ExecResult r = devs[i]->bitwise(
+                flash::BitwiseOp::kXor, 0, p.pages, p.pages,
+                Mode::kPreAllocated);
+            const double s = threadCpuSec() - t0;
+            p.ok = r.status == core::ExecStatus::kOk && p.ok;
+            if (rep == 0 || s < p.cpuSec)
+                p.cpuSec = s;
+        }
+    }
+    for (PlacementPoint &p : pts)
+        p.nsPerPage = 1e9 * p.cpuSec / p.pages;
+    return pts;
+}
+
+/** Cost per page of the largest placement (or formula) over the
+ *  smallest. */
 double
 placementScaling(const std::vector<PlacementPoint> &pts)
 {
@@ -353,7 +405,7 @@ perSec(const RunOut &r, std::uint64_t n)
 void
 writeJson(const std::string &path, int rounds, const RunOut &r,
           std::size_t rss, const std::vector<PlacementPoint> &placement,
-          double bytes_per_tx)
+          double bytes_per_tx, const std::vector<PlacementPoint> &formula)
 {
     std::ofstream os(path);
     if (!os) {
@@ -392,7 +444,17 @@ writeJson(const std::string &path, int rounds, const RunOut &r,
            << ", \"ns_per_page\": " << placement[i].nsPerPage << "}";
     }
     os << "], \"largest_over_smallest\": " << placementScaling(placement)
-       << ", \"bytes_per_tx\": " << bytes_per_tx << "}\n}\n";
+       << ", \"bytes_per_tx\": " << bytes_per_tx << "},\n"
+       << "  \"formula_scaling\": {\"call\": \"bitwise XOR\", "
+          "\"mode\": \"ParaBit\", \"config\": \"paperSsd\", \"points\": [";
+    for (std::size_t i = 0; i < formula.size(); ++i) {
+        os << (i ? ", " : "") << "{\"stripes\": " << kFormulaStripes[i]
+           << ", \"pages\": " << formula[i].pages
+           << ", \"cpu_seconds\": " << formula[i].cpuSec
+           << ", \"ns_per_page\": " << formula[i].nsPerPage << "}";
+    }
+    os << "], \"largest_over_smallest\": " << placementScaling(formula)
+       << "}\n}\n";
 }
 
 } // namespace
@@ -457,6 +519,7 @@ main(int argc, char **argv)
     std::vector<PlacementPoint> placement;
     for (const std::uint32_t pages : kPlacementPages)
         placement.push_back(timePlacement(pages));
+    const std::vector<PlacementPoint> formula = timeFormulas();
 
     bench::section("throughput");
     std::printf("  rounds                          %12d\n", rounds);
@@ -510,8 +573,24 @@ main(int argc, char **argv)
                     "here\n");
     }
 
+    bench::section("formula scaling (paperSsd, ParaBit XOR)");
+    for (std::size_t i = 0; i < formula.size(); ++i) {
+        std::printf("  %3u stripes  %10.4f s cpu  %8.1f ns/page op%s\n",
+                    kFormulaStripes[i], formula[i].cpuSec,
+                    formula[i].nsPerPage,
+                    formula[i].ok ? "" : "  (formula failed)");
+    }
+    const double formula_scaling = placementScaling(formula);
+    const std::string formula_label =
+        std::to_string(kFormulaStripes.back()) + " / " +
+        std::to_string(kFormulaStripes.front()) + " stripes per-page cost";
+    std::printf("  %-32s%12.2f\n", formula_label.c_str(), formula_scaling);
+    std::printf("  maximum allowed                 %12.2f\n",
+                kMaxFormulaScaling);
+
     if (!json_path.empty())
-        writeJson(json_path, rounds, r, rss, placement, bytes_per_tx);
+        writeJson(json_path, rounds, r, rss, placement, bytes_per_tx,
+                  formula);
 
     int rc = 0;
     for (const PlacementPoint &p : placement) {
@@ -522,6 +601,17 @@ main(int argc, char **argv)
     }
     if (scaling > kMaxPlacementScaling) {
         std::printf("  REGRESSION: per-page cost grows with the batch\n");
+        rc = 1;
+    }
+    for (std::size_t i = 0; i < formula.size(); ++i) {
+        if (!formula[i].ok) {
+            std::printf("  FAILED: ParaBit XOR over %u stripes\n",
+                        kFormulaStripes[i]);
+            rc = 1;
+        }
+    }
+    if (formula_scaling > kMaxFormulaScaling) {
+        std::printf("  REGRESSION: per-page cost grows with the formula\n");
         rc = 1;
     }
     if (bytes_per_tx > kMaxPlacementBytesPerTx) {

@@ -17,21 +17,6 @@ Chip::Chip(const FlashGeometry &geom, bool store_data,
         planes_.emplace_back(geom_, store_data);
 }
 
-Plane &
-Chip::plane(std::uint32_t die, std::uint32_t plane_idx)
-{
-    if (die >= geom_.diesPerChip || plane_idx >= geom_.planesPerDie)
-        panic("Chip::plane: address out of range");
-    return planes_[static_cast<std::size_t>(die) * geom_.planesPerDie +
-                   plane_idx];
-}
-
-const Plane &
-Chip::plane(std::uint32_t die, std::uint32_t plane_idx) const
-{
-    return const_cast<Chip *>(this)->plane(die, plane_idx);
-}
-
 Block &
 Chip::blockAt(const PhysPageAddr &a)
 {

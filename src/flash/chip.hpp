@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/bitvector.hpp"
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "flash/error_model.hpp"
 #include "flash/geometry.hpp"
@@ -71,8 +72,16 @@ class Chip
 
     const FlashGeometry &geometry() const { return geom_; }
 
-    Plane &plane(std::uint32_t die, std::uint32_t plane_idx);
-    const Plane &plane(std::uint32_t die, std::uint32_t plane_idx) const;
+    Plane &
+    plane(std::uint32_t die, std::uint32_t plane_idx)
+    {
+        return planes_[planeSlot(die, plane_idx)];
+    }
+    const Plane &
+    plane(std::uint32_t die, std::uint32_t plane_idx) const
+    {
+        return planes_[planeSlot(die, plane_idx)];
+    }
 
     /** Install reliability fault hooks (see ChipFaultHooks). */
     void setFaultHooks(ChipFaultHooks hooks) { faults_ = std::move(hooks); }
@@ -206,6 +215,17 @@ class Chip
     const ErrorModel &errorModel() const { return errorModel_; }
 
   private:
+    /** Index into planes_ of @p die / @p plane_idx; panics when either
+     *  is out of range. */
+    std::size_t
+    planeSlot(std::uint32_t die, std::uint32_t plane_idx) const
+    {
+        if (die >= geom_.diesPerChip || plane_idx >= geom_.planesPerDie)
+            panic("Chip::plane: address out of range");
+        return static_cast<std::size_t>(die) * geom_.planesPerDie +
+               plane_idx;
+    }
+
     Block &blockAt(const PhysPageAddr &a);
 
     /**

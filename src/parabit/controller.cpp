@@ -35,8 +35,10 @@ execStatusName(ExecStatus s)
 }
 
 Controller::Controller(ssd::SsdDevice &ssd)
-    : ssd_(&ssd), scratchLpn_(ssd.ftl().logicalPages() - 1)
+    : ssd_(&ssd), scratchLpn_(ssd.ftl().logicalPages() - 1),
+      window_(ssd.bookingsMerge() ? ssd.geometry().planesTotal() : 1)
 {
+    pending_.reserve(window_);
     // One registered counter per (mode, op) pair, e.g.
     // "parabit.ops.ParaBit-ReAlloc.XOR".
     opCounters_.reserve(static_cast<std::size_t>(kNumModes) *
@@ -52,12 +54,12 @@ Controller::Controller(ssd::SsdDevice &ssd)
 }
 
 void
-Controller::noteOp(Mode mode, flash::BitwiseOp op)
+Controller::noteOps(Mode mode, flash::BitwiseOp op, std::uint64_t n)
 {
     const std::size_t idx =
         static_cast<std::size_t>(mode) * flash::kNumBitwiseOps +
         static_cast<std::size_t>(op);
-    ++opCounters_[idx];
+    opCounters_[idx] += n;
 }
 
 void
@@ -113,6 +115,16 @@ cpuBitwise(flash::BitwiseOp op, const BitVector *x, const BitVector &y)
       case flash::BitwiseOp::kNotMsb: return ~y;
     }
     return {};
+}
+
+/** @p lpn's map entry; fatal (@p what) when it is unmapped. */
+ssd::LpnTable::Entry
+operandEntry(const ssd::Ftl &ftl, nvme::Lpn lpn, const char *what)
+{
+    const ssd::LpnTable::Entry *e = ftl.mapping(lpn);
+    if (!e)
+        fatal(what);
+    return *e;
 }
 
 bool
@@ -219,18 +231,18 @@ Controller::planeComputeTrusted(const flash::PhysPageAddr &loc, Tick &ready,
 }
 
 BitVector
-Controller::senseOnce(const SenseRequest &req, int *errors)
+Controller::senseOnce(const SenseSite &site, int *errors)
 {
-    switch (req.kind) {
+    switch (site.kind) {
       case SenseKind::kCoLocated:
-        return ssd_->chipAt(req.loc.channel, req.loc.chip)
-            .opCoLocated(req.op, req.loc, errors);
+        return ssd_->chipAt(site.loc.channel, site.loc.chip)
+            .opCoLocated(site.op, site.loc, errors);
       case SenseKind::kLocationFree:
-        return ssd_->chipAt(req.m.channel, req.m.chip)
-            .opLocationFree(req.op, req.m, req.loc, errors, req.variant);
+        return ssd_->chipAt(site.m.channel, site.m.chip)
+            .opLocationFree(site.op, site.m, site.loc, errors, site.variant);
       case SenseKind::kBufferedOperand:
-        return ssd_->chipAt(req.loc.channel, req.loc.chip)
-            .opBufferedOperand(req.op, *req.xBuf, req.loc, errors);
+        return ssd_->chipAt(site.loc.channel, site.loc.chip)
+            .opBufferedOperand(site.op, *site.xBuf, site.loc, errors);
     }
     return {};
 }
@@ -406,8 +418,8 @@ Controller::runHostFallback(const SenseRequest &req, Tick &ready,
 
 std::optional<flash::PhysPageAddr>
 Controller::reallocate(bool unary, std::optional<nvme::Lpn> x_lpn,
-                       nvme::Lpn y_lpn, Tick &ready, ExecStats &stats,
-                       flash::Payload &x, flash::Payload &y)
+                       nvme::Lpn y_lpn, const Operands *resolved, Tick &ready,
+                       ExecStats &stats, flash::Payload &x, flash::Payload &y)
 {
     ssd::Ftl &ftl = ssd_->ftl();
     const Bytes page = ssd_->geometry().pageBytes;
@@ -417,10 +429,10 @@ Controller::reallocate(bool unary, std::optional<nvme::Lpn> x_lpn,
     // co-pending traffic) rather than being booked one call at a time.
     stageOps_.clear();
     if (x_lpn) {
-        x = ftl.readPage(*x_lpn, stageOps_);
+        x = ftl.readPage(*x_lpn, stageOps_, resolved ? &resolved->x : nullptr);
         ++stats.pageReads;
     }
-    y = ftl.readPage(y_lpn, stageOps_);
+    y = ftl.readPage(y_lpn, stageOps_, resolved ? &resolved->y : nullptr);
     ++stats.pageReads;
     ready = ssd_->scheduleOps(stageOps_, ready);
 
@@ -445,12 +457,13 @@ Controller::reallocate(bool unary, std::optional<nvme::Lpn> x_lpn,
 }
 
 std::optional<flash::PhysPageAddr>
-Controller::stageIntoPlane(nvme::Lpn x_lpn, const flash::PhysPageAddr &y,
-                           Tick &ready, ExecStats &stats)
+Controller::stageIntoPlane(nvme::Lpn x_lpn, const ssd::LpnTable::Entry &x_at,
+                           const flash::PhysPageAddr &y, Tick &ready,
+                           ExecStats &stats)
 {
     ssd::Ftl &ftl = ssd_->ftl();
     stageOps_.clear();
-    const flash::Payload staged = ftl.readPage(x_lpn, stageOps_);
+    const flash::Payload staged = ftl.readPage(x_lpn, stageOps_, &x_at);
     ++stats.pageReads;
     const flash::PlaneIndex target = flash::planeIndex(ssd_->geometry(), y);
     const auto copy =
@@ -461,141 +474,186 @@ Controller::stageIntoPlane(nvme::Lpn x_lpn, const flash::PhysPageAddr &y,
     return copy;
 }
 
+bool
+Controller::locFreeSite(flash::BitwiseOp op, const flash::PhysPageAddr &a,
+                        const flash::PhysPageAddr &b, SenseSite &s)
+{
+    if (a.msb && b.msb)
+        return false;
+    // The program reads page m and senses page loc: MSB-LSB takes the
+    // MSB page as m, and two LSB pages take LSB-LSB.
+    s.op = op;
+    s.kind = SenseKind::kLocationFree;
+    s.m = b.msb ? b : a;
+    s.loc = b.msb ? a : b;
+    s.variant = a.msb || b.msb ? flash::LocFreeVariant::kMsbLsb
+                               : flash::LocFreeVariant::kLsbLsb;
+    s.senseCount = flash::locationFreeSenseCount(op, s.variant);
+    s.xferIn = 0;
+    return true;
+}
+
+bool
+Controller::inPlaceSite(flash::BitwiseOp op, Mode mode, const Operands &o,
+                        SenseSite &s) const
+{
+    const flash::PhysPageAddr y = o.y.addr();
+    if (flash::isUnary(op)) {
+        // NOT senses its operand's own wordline, with the flavour of the
+        // page it reads; ReAlloc still moves the operand to a fresh
+        // LSB-only page first (the paper charges NOT the reallocation).
+        if (mode == Mode::kReAllocate)
+            return false;
+        op = y.msb ? flash::BitwiseOp::kNotMsb : flash::BitwiseOp::kNotLsb;
+    } else if (mode == Mode::kLocationFree) {
+        if (o.xLpn) {
+            // Operands in different planes are staged into one first.
+            const flash::PhysPageAddr x = o.x.addr();
+            return x.sameBitlines(y) && locFreeSite(op, x, y, s);
+        }
+        // Chain continuation: the running result is re-loaded from the
+        // controller buffer through the data-load path while Y is
+        // sensed from its cells (paper Section 4.2) — no flash program,
+        // no staging.
+        s.op = op;
+        s.kind = SenseKind::kBufferedOperand;
+        s.loc = y;
+        s.xBuf = o.xBuf;
+        s.senseCount = flash::locationFreeSenseCount(
+            op, flash::LocFreeVariant::kLsbLsb);
+        s.xferIn = ssd_->geometry().pageBytes;
+        return true;
+    } else if (mode != Mode::kPreAllocated || !o.xLpn ||
+               !o.x.addr().sameWordline(y)) {
+        // Only pre-allocation puts both operands on one wordline.
+        return false;
+    }
+    s.op = op;
+    s.kind = SenseKind::kCoLocated;
+    s.loc = y;
+    s.senseCount = flash::coLocatedSenseCount(op);
+    s.xferIn = 0;
+    return true;
+}
+
+Tick
+Controller::flushPending(ExecStats &stats)
+{
+    if (pending_.empty())
+        return 0;
+    for (const ssd::PhysOp &op : pending_) {
+        stats.senseOps += op.senseCount;
+        stats.resultBytes += op.xferOutBytes;
+    }
+    const Tick done = ssd_->scheduleOps(pending_, pendingReady_);
+    pending_.clear();
+    return done;
+}
+
 Controller::SenseOutcome
-Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
-                          const BitVector *x_buf, nvme::Lpn y_lpn, Mode mode,
-                          Tick at, Bytes result_xfer, ExecStats &stats)
+Controller::executePageOp(flash::BitwiseOp op, Operands o, Mode mode, Tick at,
+                          Bytes result_xfer, ExecStats &stats)
 {
     ssd::Ftl &ftl = ssd_->ftl();
     const Bytes page = ssd_->geometry().pageBytes;
     const bool functional = ssd_->config().storeData;
-    // A unary op (NOT) has no X: it senses its operand's own wordline and
-    // counts once its flavour is known, below.
     const bool unary = flash::isUnary(op);
-    if (!unary)
-        noteOp(mode, op);
-
-    auto y_addr = ftl.lookup(y_lpn);
-    if (!y_addr)
-        fatal("ParaBit: second operand LPN is unmapped");
-    std::optional<flash::PhysPageAddr> x_addr =
-        x_lpn ? ftl.lookup(*x_lpn) : std::nullopt;
-    if (x_lpn && !x_addr)
-        fatal("ParaBit: first operand LPN is unmapped");
 
     // A dead plane takes its resident operands with it — unless the
     // device carries RAIN parity, which rebuilds the page on a live
     // plane; only when that fails too is the data genuinely gone.
-    if (!ssd_->planeAlive(*y_addr) ||
-        (x_addr && !ssd_->planeAlive(*x_addr))) {
-        if (!ftl.pageAccessible(y_lpn) && ssd_->repairPage(y_lpn, at))
-            y_addr = ftl.lookup(y_lpn);
-        if (x_lpn && !ftl.pageAccessible(*x_lpn) &&
-            ssd_->repairPage(*x_lpn, at))
-            x_addr = ftl.lookup(*x_lpn);
-        if (!ftl.pageAccessible(y_lpn) ||
-            (x_lpn && !ftl.pageAccessible(*x_lpn)))
+    if (!planesAlive(o)) {
+        if (!ftl.pageAccessible(o.yLpn))
+            ssd_->repairPage(o.yLpn, at);
+        if (o.xLpn && !ftl.pageAccessible(*o.xLpn))
+            ssd_->repairPage(*o.xLpn, at);
+        if (!ftl.pageAccessible(o.yLpn) ||
+            (o.xLpn && !ftl.pageAccessible(*o.xLpn)))
             return {std::nullopt, at, ExecStatus::kDataLoss};
+        // A repair writes, so both entries are found again.
+        o.y = *ftl.mapping(o.yLpn);
+        if (o.xLpn)
+            o.x = *ftl.mapping(*o.xLpn);
     }
 
     Tick ready = at;
     SenseRequest req;
     req.op = op;
+    req.xBuf = o.xBuf;
     req.resultXfer = result_xfer;
-    req.xLpn = x_lpn;
-    req.xBuf = x_buf;
-    req.yLpn = y_lpn;
+    req.xLpn = o.xLpn;
+    req.yLpn = o.yLpn;
 
-    // ----- Location-free: sense across wordlines, no reallocation. ----
+    if (inPlaceSite(op, mode, o, req)) {
+        if (unary)
+            noteOps(mode, req.op);
+        return runSense(req, ready, stats);
+    }
+    const flash::PhysPageAddr y = o.y.addr();
+
+    // ----- Location-free: stage X into Y's plane. ----------------------
+    // Placement failure (here and below) leaves the operands intact, so
+    // it degrades to the host path or reports kUncorrectable.
     if (mode == Mode::kLocationFree && !unary) {
-        if (!x_lpn) {
-            // Chain continuation: the running result is re-loaded from
-            // the controller buffer through the data-load path while Y
-            // is sensed from its cells (paper Section 4.2) — no flash
-            // program, no staging.
-            req.kind = SenseKind::kBufferedOperand;
-            req.loc = *y_addr;
-            req.senseCount = flash::locationFreeSenseCount(
-                op, flash::LocFreeVariant::kLsbLsb);
-            req.xferIn = page;
-            return runSense(req, ready, stats);
-        }
-        // Placement failure (here and below) leaves the operands intact,
-        // so it degrades to the host path or reports kUncorrectable.
-        // Stage a cross-plane operand into the plane of Y first; rare
-        // under a sane layout.
-        if (!x_addr || !x_addr->sameBitlines(*y_addr)) {
-            x_addr = stageIntoPlane(*x_lpn, *y_addr, ready, stats);
-            if (!x_addr)
+        flash::PhysPageAddr x = o.x.addr();
+        if (!x.sameBitlines(y)) {
+            // Rare under a sane layout.
+            const auto staged = stageIntoPlane(*o.xLpn, o.x, y, ready, stats);
+            if (!staged)
                 return fallBack(req, ready, stats,
                                 ExecStatus::kUncorrectable);
+            x = *staged;
         }
-
-        // Pick the program variant from the physical placement; the
-        // operations are commutative, so roles can swap.
-        flash::PhysPageAddr m = *x_addr, n = *y_addr;
-        flash::LocFreeVariant variant = flash::LocFreeVariant::kMsbLsb;
-        if (m.msb && !n.msb) {
-            // canonical
-        } else if (!m.msb && n.msb) {
-            std::swap(m, n);
-        } else if (!m.msb && !n.msb) {
-            variant = flash::LocFreeVariant::kLsbLsb;
-        } else {
+        if (!locFreeSite(op, x, y, req)) {
             // Both MSB: no variant reads two MSB pages, so stage X into
             // an LSB page.  The staged copy is still sensed as LSB-LSB
             // against Y's MSB page, which returns wrong pages (ROADMAP
             // item 2); the fix belongs in this branch.
-            const auto staged = stageIntoPlane(*x_lpn, n, ready, stats);
+            const auto staged = stageIntoPlane(*o.xLpn, o.x, y, ready, stats);
             if (!staged)
                 return fallBack(req, ready, stats,
                                 ExecStatus::kUncorrectable);
-            m = *staged;
-            variant = flash::LocFreeVariant::kLsbLsb;
+            req.kind = SenseKind::kLocationFree;
+            req.variant = flash::LocFreeVariant::kLsbLsb;
+            req.loc = y;
+            req.m = *staged;
+            req.senseCount = flash::locationFreeSenseCount(op, req.variant);
         }
-        req.kind = SenseKind::kLocationFree;
-        req.loc = n;
-        req.m = m;
-        req.variant = variant;
-        req.senseCount = flash::locationFreeSenseCount(op, variant);
         return runSense(req, ready, stats);
     }
 
-    // ----- Co-located sensing of one wordline. -------------------------
-    flash::PhysPageAddr wl = *y_addr;
+    // ----- Co-located sensing of one fresh wordline. -------------------
+    flash::PhysPageAddr wl = y;
     flash::Payload x_known, y_known; ///< operand payloads met on the way
     if (unary) {
-        // ReAlloc still moves the operand to a fresh LSB-only page (the
-        // paper charges NOT the reallocation).
-        if (mode == Mode::kReAllocate) {
-            const auto copy = reallocate(true, std::nullopt, y_lpn, ready,
-                                         stats, x_known, y_known);
-            // NOT never needed the move for correctness: a copy that
-            // cannot be placed leaves it sensing the original in place.
-            if (copy)
-                wl = *copy;
-        }
+        // ReAlloc moves the operand to a fresh LSB-only page.
+        const auto copy = reallocate(true, std::nullopt, o.yLpn, &o, ready,
+                                     stats, x_known, y_known);
+        // NOT never needed the move for correctness: a copy that
+        // cannot be placed leaves it sensing the original in place.
+        if (copy)
+            wl = *copy;
         op = wl.msb ? flash::BitwiseOp::kNotMsb : flash::BitwiseOp::kNotLsb;
-        noteOp(mode, op);
-    } else if (mode != Mode::kPreAllocated || !x_addr ||
-               !x_addr->sameWordline(*y_addr)) {
-        // Unless pre-allocation already put the operands on one
-        // wordline, pair them: X is read from pair_x when set, else
+        noteOps(mode, op);
+    } else {
+        // Pair the operands: X is read from pair_x when set, else
         // x_known holds it.  A buffered X becomes a payload once, here.
-        std::optional<nvme::Lpn> pair_x = x_lpn;
-        if (x_buf)
-            x_known = flash::makePayload(*x_buf);
+        std::optional<nvme::Lpn> pair_x = o.xLpn;
+        const Operands *resolved = &o;
+        if (o.xBuf)
+            x_known = flash::makePayload(*o.xBuf);
         bool dropped = false;
-        if (mode == Mode::kPreAllocated && !y_addr->msb) {
+        if (mode == Mode::kPreAllocated && !y.msb) {
             // Chain continuation: drop X (buffer or flash) into the free
             // MSB of Y's wordline — a single program.
             stageOps_.clear();
             if (pair_x) {
-                x_known = ftl.readPage(*pair_x, stageOps_);
+                x_known = ftl.readPage(*pair_x, stageOps_, &o.x);
                 ++stats.pageReads;
             }
-            dropped = ftl.writeIntoFreeMsb(claimScratch(), *y_addr, x_known,
-                                           stageOps_);
+            dropped =
+                ftl.writeIntoFreeMsb(claimScratch(), y, x_known, stageOps_);
+            resolved = nullptr; // the drop may have written
             if (dropped) {
                 ++stats.pagePrograms;
                 stats.reallocBytes += page;
@@ -611,8 +669,8 @@ Controller::executePageOp(flash::BitwiseOp op, std::optional<nvme::Lpn> x_lpn,
             // ParaBit-ReAlloc (and the PreAllocated fallback): re-pair
             // the operands on a fresh wordline.  A binary op has no
             // in-place sensing to fall back on.
-            const auto pair = reallocate(false, pair_x, y_lpn, ready, stats,
-                                         x_known, y_known);
+            const auto pair = reallocate(false, pair_x, o.yLpn, resolved,
+                                         ready, stats, x_known, y_known);
             if (!pair)
                 return fallBack(req, ready, stats,
                                 ExecStatus::kUncorrectable);
@@ -644,9 +702,17 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
     ExecResult res;
     res.stats.start = at;
     res.stats.end = at;
+    ssd::Ftl &ftl = ssd_->ftl();
     const Bytes page = ssd_->geometry().pageBytes;
     const bool functional = ssd_->config().storeData;
-    const std::uint64_t retired_before = ssd_->ftl().retiredBlocks();
+    const std::uint64_t retired_before = ftl.retiredBlocks();
+    // The ladder checks each sense with its payloads and starts its
+    // fallback from the sense's completion, so it books each at once.
+    const bool ladder = policy_.enabled && functional;
+    // Timing-only runs with the policy on book initialVotes executions,
+    // so redundancy ladders can be timed without payloads.
+    const int execs = policy_.enabled ? std::max(1, policy_.initialVotes) : 1;
+    std::uint64_t bit_errors = 0; ///< in-place senses'
 
     // Per-batch results: the data pages (functional mode) and, for
     // chain continuations, the logical scratch homes if programmed.
@@ -685,26 +751,66 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
         BatchOut &bo = outs[bi];
         if (functional)
             bo.pages.reserve(b.subOps.size());
+        // A NOT counts under the flavour of each page it senses.
+        if (!unary)
+            noteOps(mode, b.intraOp, b.subOps.size());
+        std::uint64_t msb_nots = 0, lsb_nots = 0; ///< in-place NOTs
+        SenseSite site;
         for (std::size_t p = 0; p < b.subOps.size(); ++p) {
             const nvme::SubOperation &sub = b.subOps[p];
-            std::optional<nvme::Lpn> x_lpn;
-            const BitVector *x_buf = nullptr;
+            Operands o;
+            o.yLpn = sub.second.lpn;
+            o.y = operandEntry(ftl, o.yLpn,
+                               "ParaBit: second operand LPN is unmapped");
             if (x_from_result) {
                 if (functional)
-                    x_buf = &x_pages->at(p);
+                    o.xBuf = &x_pages->at(p);
             } else if (!unary) {
-                x_lpn = sub.first.lpn;
+                o.xLpn = sub.first.lpn;
+                o.x = operandEntry(ftl, *o.xLpn,
+                                   "ParaBit: first operand LPN is unmapped");
             }
-            SenseOutcome o = executePageOp(b.intraOp, x_lpn, x_buf,
-                                           sub.second.lpn, mode, ready, xfer,
-                                           res.stats);
-            bo.done = std::max(bo.done, o.done);
-            res.status = std::max(res.status, o.status);
-            if (functional)
-                bo.pages.push_back(o.data ? std::move(*o.data) : BitVector());
+
+            if (ladder || !planesAlive(o) ||
+                !inPlaceSite(b.intraOp, mode, o, site)) {
+                bo.done = std::max(bo.done, flushPending(res.stats));
+                SenseOutcome out =
+                    executePageOp(b.intraOp, o, mode, ready, xfer, res.stats);
+                bo.done = std::max(bo.done, out.done);
+                res.status = std::max(res.status, out.status);
+                if (functional)
+                    bo.pages.push_back(out.data ? std::move(*out.data)
+                                                : BitVector());
+                continue;
+            }
+
+            // In place: sense (a functional run holds any buffered X),
+            // and add the sense to the pending list.
+            if (functional) {
+                int errors = 0;
+                bo.pages.push_back(senseOnce(site, &errors));
+                bit_errors += static_cast<std::uint64_t>(errors);
+            }
+            if (unary)
+                ++(site.op == flash::BitwiseOp::kNotMsb ? msb_nots
+                                                         : lsb_nots);
+            if (!pending_.empty() && pendingReady_ != ready)
+                bo.done = std::max(bo.done, flushPending(res.stats));
+            pendingReady_ = ready;
+            pending_.push_back(ssd::PhysOp::paraBitSense(
+                site.loc, site.senseCount * execs, site.xferIn * execs,
+                xfer));
+            if (pending_.size() == window_)
+                bo.done = std::max(bo.done, flushPending(res.stats));
+        }
+        bo.done = std::max(bo.done, flushPending(res.stats));
+        if (unary) {
+            noteOps(mode, flash::BitwiseOp::kNotLsb, lsb_nots);
+            noteOps(mode, flash::BitwiseOp::kNotMsb, msb_nots);
         }
         res.stats.end = std::max(res.stats.end, bo.done);
     }
+    res.stats.bitErrors += bit_errors;
 
     if (!batches.empty() && res.status != ExecStatus::kInvalidBatch) {
         BatchOut &last = outs.back();
@@ -716,7 +822,7 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
                  ++p) {
                 const BitVector *d =
                     functional ? &last.pages.at(p) : nullptr;
-                if (!ssd_->ftl().writePage(*result_lpn + p, d, stageOps_)) {
+                if (!ftl.writePage(*result_lpn + p, d, stageOps_)) {
                     logWarn("ParaBit: result write-back failed at LPN " +
                             std::to_string(*result_lpn + p));
                     res.status =
@@ -729,7 +835,7 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
         }
         res.pages = std::move(last.pages);
     }
-    res.stats.retiredBlocks += ssd_->ftl().retiredBlocks() - retired_before;
+    res.stats.retiredBlocks += ftl.retiredBlocks() - retired_before;
     noteExec(res.stats);
     return res;
 }

@@ -6,14 +6,38 @@
  * device facade (core::ParaBitDevice) and the NVMe host interface build
  * the batch lists, a single op or NOT as a one-term formula.
  *
- * Every op runs one per-page pipeline (executePageOp): resolve the
- * operands, reallocate or stage them, sense, and on failure fall back
- * to ECC-clean host reads.  NOT is its unary case: it has no first
- * operand and senses its operand's own wordline, with the NOT-LSB or
- * NOT-MSB sequence chosen from the page it reads.  A sensing site and
- * its host fallback are data (SenseRequest), and every stage's physical
- * ops go through one reused vector, so a page op books its traffic
- * without touching the heap.
+ * executeBatches walks each batch's pages.  A page finds its operands
+ * in the map (once: their entries go on to any reads) and checks their
+ * planes; when its sense needs no data moved first (inPlaceSite: a
+ * co-located pair in ParaBit, a same-plane pair in LocFree, a buffered
+ * chain continuation, NOT in place) and no reliability ladder runs,
+ * that is all it does besides the sense itself on a functional device:
+ * its PhysOp joins the pending list.  Every other page runs the one
+ * per-page routine (executePageOp): repair, reallocate or stage the
+ * operands, sense through the ladder, and on failure fall back to
+ * ECC-clean host reads.  NOT is its unary case: it has no first operand
+ * and senses its operand's own wordline, with the NOT-LSB or NOT-MSB
+ * sequence chosen from the page it reads.  A sensing site (SenseSite)
+ * and a ladder's host fallback (SenseRequest) are data, every stage's
+ * physical ops go through one reused vector and the senses through the
+ * pending list, so a page op books its traffic without touching the
+ * heap.
+ *
+ * The pending list is one reused vector, reserved to a stripe (one page
+ * op per plane), that goes to the scheduler as one submission when it
+ * holds a stripe, when the next in-place sense is ready at another
+ * tick, before anything else books during the formula (executePageOp's
+ * reallocation reads and programs, LocFree staging, the free-MSB drop,
+ * the plane self-test, host-fallback reads, repairPage; and the result
+ * write-back), and when the batch ends; the batch is done at its latest
+ * completion.  Submission order and ready ticks stay those of one
+ * submission per sense, and fcfs books each transaction in closed form
+ * at submit, so every tick stays too.  The ladder (policy on, functional
+ * run) books each sense at once, since its fallback starts from the
+ * sense's completion.  Where a batch boundary would change a booking
+ * (the event-path policies arbitrate within a batch; health tracking
+ * must pump each completion in order) the device says so
+ * (SsdDevice::bookingsMerge) and the list holds one sense.
  *
  * Three execution modes mirror the paper's evaluated schemes:
  *
@@ -229,35 +253,50 @@ class Controller
         kBufferedOperand, ///< X from `xBuf`, Y sensed at `loc`
     };
 
-    /**
-     * One sensing site, as data, for the reliability ladder: the op,
-     * which chip op runs it where, what one execution books, and what
-     * its host fallback needs.  The fallback is conventional
-     * ECC-protected reads of the operands plus CPU bitwise compute —
-     * bit-exact by construction — or, when the page op already holds
-     * both operand payloads, the compute alone.
-     */
-    struct SenseRequest
+    /** Where one execution of a sense runs and what it books. */
+    struct SenseSite
     {
         flash::BitwiseOp op = flash::BitwiseOp::kAnd;
         SenseKind kind = SenseKind::kCoLocated;
+        flash::LocFreeVariant variant = flash::LocFreeVariant::kMsbLsb;
         flash::PhysPageAddr loc; ///< plane whose latch column runs it
         flash::PhysPageAddr m;   ///< kLocationFree: the other page
-        flash::LocFreeVariant variant = flash::LocFreeVariant::kMsbLsb;
         int senseCount = 0;      ///< SROs per execution
         Bytes xferIn = 0;        ///< buffer reload bytes per execution
-        Bytes resultXfer = 0;    ///< result bytes out (once, on success)
+        const BitVector *xBuf = nullptr; ///< X in the controller buffer
+    };
+
+    /**
+     * One sensing site, as data, for the reliability ladder: the site,
+     * and what its result transfer and host fallback need.  The
+     * fallback is conventional ECC-protected reads of the operands plus
+     * CPU bitwise compute — bit-exact by construction — or, when the
+     * page op already holds both operand payloads, the compute alone.
+     */
+    struct SenseRequest : SenseSite
+    {
+        Bytes resultXfer = 0; ///< result bytes out (once, on success)
         /** Predicted result parity when the operand payloads are known
          *  (XOR/XNOR/NOT). */
         std::optional<bool> expectedParity;
-        /** @name Operands, for kBufferedOperand and the fallback. */
+        /** @name Operands, for the fallback (X may be xBuf). */
         /// @{
-        std::optional<nvme::Lpn> xLpn;   ///< X in flash (binary ops)
-        const BitVector *xBuf = nullptr; ///< X in the controller buffer
+        std::optional<nvme::Lpn> xLpn; ///< X in flash (binary ops)
         nvme::Lpn yLpn = 0;
         /** Payloads in hand: Y, and X unless the op is unary. */
         flash::Payload x, y;
         /// @}
+    };
+
+    /** A page op's operands as the map held them when resolved. */
+    struct Operands
+    {
+        std::optional<nvme::Lpn> xLpn;   ///< X in flash (binary ops)
+        const BitVector *xBuf = nullptr; ///< X in the controller buffer
+        nvme::Lpn yLpn = 0;
+        /** The entries of xLpn (when set) and yLpn: valid until the page
+         *  op's first FTL write. */
+        ssd::LpnTable::Entry x{}, y{};
     };
 
     /** Result of one page op: its data (functional runs), completion
@@ -269,9 +308,31 @@ class Controller
         ExecStatus status = ExecStatus::kOk;
     };
 
-    /** One fresh execution of @p req on its chip; @p errors receives
+    /** Whether the planes of @p o's operands accept operations. */
+    bool
+    planesAlive(const Operands &o)
+    {
+        return ssd_->planeAlive(o.y.addr()) &&
+               (!o.xLpn || ssd_->planeAlive(o.x.addr()));
+    }
+
+    /** Whether a page op of @p op in @p mode on @p o senses with no
+     *  data moved first (file comment), and if so, where: into @p s,
+     *  which is left as it was otherwise (the operands must then be
+     *  reallocated, staged or dropped into a free MSB first). */
+    bool inPlaceSite(flash::BitwiseOp op, Mode mode, const Operands &o,
+                     SenseSite &s) const;
+
+    /** The location-free sense of @p op on pages @p a and @p b (same
+     *  bitlines) into @p s, roles and variant picked from their halves
+     *  (the ops commute); false, leaving @p s, when both are MSB pages,
+     *  which no variant reads. */
+    static bool locFreeSite(flash::BitwiseOp op, const flash::PhysPageAddr &a,
+                            const flash::PhysPageAddr &b, SenseSite &s);
+
+    /** One fresh execution of @p site on its chip; @p errors receives
      *  the injected bit errors. */
-    BitVector senseOnce(const SenseRequest &req, int *errors);
+    BitVector senseOnce(const SenseSite &site, int *errors);
 
     /** Run @p req through the escalation ladder (see ReliabilityPolicy);
      *  the legacy single execution when the policy is disabled. */
@@ -298,17 +359,15 @@ class Controller
                              ExecStats &stats);
 
     /**
-     * Execute one page op of @p op, every op and mode: resolve the
-     * operands, reallocate or stage them, sense, fall back.  X comes
-     * from @p x_lpn, or from @p x_buf (the previous chain step's
-     * in-buffer result, functional runs only); a unary op has neither.
-     * Counts the op on the per-mode/per-op instruments.
+     * Execute one page op of @p op on @p o, every op and mode, for the
+     * pages that do more than an in-place sense: repair dead operand
+     * planes, reallocate or stage the operands, sense through the
+     * ladder, fall back.  Counts a NOT on the per-mode/per-op
+     * instruments once its flavour is known.  The caller has flushed
+     * the pending list.
      */
-    SenseOutcome executePageOp(flash::BitwiseOp op,
-                               std::optional<nvme::Lpn> x_lpn,
-                               const BitVector *x_buf, nvme::Lpn y_lpn,
-                               Mode mode, Tick at, Bytes result_xfer,
-                               ExecStats &stats);
+    SenseOutcome executePageOp(flash::BitwiseOp op, Operands o, Mode mode,
+                               Tick at, Bytes result_xfer, ExecStats &stats);
 
     /**
      * Operands ReAllocation: read the operands that live in flash (one
@@ -316,31 +375,39 @@ class Controller
      * fresh wordline (a second drain): X and Y as an LSB/MSB pair, or a
      * unary op's Y alone on an LSB-only page.  X is read into @p x
      * from @p x_lpn when set, else @p x already holds it; @p y receives
-     * Y.  The copies share these payloads, which the caller keeps for
-     * parity prediction and a free host fallback.  @return where to
-     * sense; nullopt when the copies could not be placed (program
-     * retries exhausted).
+     * Y.  @p resolved, when no FTL write came since it was resolved,
+     * supplies both entries; null looks them up.  The copies share
+     * these payloads, which the caller keeps for parity prediction and
+     * a free host fallback.  @return where to sense; nullopt when the
+     * copies could not be placed (program retries exhausted).
      */
     std::optional<flash::PhysPageAddr>
     reallocate(bool unary, std::optional<nvme::Lpn> x_lpn, nvme::Lpn y_lpn,
-               Tick &ready, ExecStats &stats, flash::Payload &x,
-               flash::Payload &y);
+               const Operands *resolved, Tick &ready, ExecStats &stats,
+               flash::Payload &x, flash::Payload &y);
 
     /**
-     * LocFree staging: read @p x_lpn from flash and program it onto an
-     * LSB-only page in the plane of @p y, in one drain.  @return the
-     * staged page; nullopt when it could not be placed.
+     * LocFree staging: read @p x_lpn (map entry @p x_at) from flash and
+     * program it onto an LSB-only page in the plane of @p y, in one
+     * drain.  @return the staged page; nullopt when it could not be
+     * placed.
      */
     std::optional<flash::PhysPageAddr>
-    stageIntoPlane(nvme::Lpn x_lpn, const flash::PhysPageAddr &y,
-                   Tick &ready, ExecStats &stats);
+    stageIntoPlane(nvme::Lpn x_lpn, const ssd::LpnTable::Entry &x_at,
+                   const flash::PhysPageAddr &y, Tick &ready,
+                   ExecStats &stats);
+
+    /** Book the pending list (file comment) as one submission, counting
+     *  its sensings and result bytes into @p stats.  @return its latest
+     *  completion; 0 when it is empty. */
+    Tick flushPending(ExecStats &stats);
 
     /** Next internal LPN for a controller-made copy. */
     nvme::Lpn claimScratch() { return scratchLpn_--; }
 
-    /** Count one page op of (@p mode, @p op) on the registered
+    /** Count @p n page ops of (@p mode, @p op) on the registered
      *  per-mode/per-op instruments. */
-    void noteOp(Mode mode, flash::BitwiseOp op);
+    void noteOps(Mode mode, flash::BitwiseOp op, std::uint64_t n = 1);
 
     /** Fold one finished execution into the registered ladder/traffic
      *  counters and emit its formula span on the global TraceSink. */
@@ -353,6 +420,13 @@ class Controller
      *  fallback, the plane self-test, the result write-back) and booked
      *  before the next stage fills it. */
     std::vector<ssd::PhysOp> stageOps_;
+    /** In-place senses not yet booked (file comment), all ready at
+     *  pendingReady_; at most window_ of them. */
+    std::vector<ssd::PhysOp> pending_;
+    Tick pendingReady_ = 0;
+    /** A stripe, or one sense where a batch boundary changes bookings
+     *  (SsdDevice::bookingsMerge). */
+    std::size_t window_;
     ReliabilityPolicy policy_;
     /** Per-plane self-test verdicts (flat plane index -> trusted). */
     std::unordered_map<flash::PlaneIndex, bool> planeTrust_;

@@ -457,10 +457,11 @@ Ftl::writePage(Lpn lpn, const BitVector *data, std::vector<PhysOp> &ops)
 }
 
 flash::Payload
-Ftl::readPage(Lpn lpn, std::vector<PhysOp> &ops)
+Ftl::readPage(Lpn lpn, std::vector<PhysOp> &ops,
+              const LpnTable::Entry *mapped)
 {
     PROFILE_SCOPE(obs::Subsystem::kFtl);
-    const LpnTable::Entry *e = table_.find(lpn);
+    const LpnTable::Entry *e = mapped ? mapped : table_.find(lpn);
     if (!e)
         fatal("Ftl::readPage: unmapped LPN");
     if (powerBoundary(false) != PowerCut::kNone) // power is down

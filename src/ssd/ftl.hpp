@@ -120,8 +120,15 @@ class Ftl
 
     /** Read a mapped logical page (ECC-clean): the stored payload,
      *  shared, or a descrambled copy when the LPN is scrambled; null in
-     *  timing-only mode. */
-    flash::Payload readPage(Lpn lpn, std::vector<PhysOp> &ops);
+     *  timing-only mode.  @p mapped, when given, is @p lpn's entry as
+     *  the caller found it (mapping()) with no write since, so the map
+     *  is not searched again. */
+    flash::Payload readPage(Lpn lpn, std::vector<PhysOp> &ops,
+                            const LpnTable::Entry *mapped = nullptr);
+
+    /** @p lpn's map entry, or nullptr when it is unmapped.  Valid until
+     *  the next write, trim or GC. */
+    const LpnTable::Entry *mapping(Lpn lpn) const { return table_.find(lpn); }
 
     /** Current physical location of @p lpn, if mapped. */
     std::optional<flash::PhysPageAddr> lookup(Lpn lpn) const;

@@ -11,6 +11,15 @@
  * cursor hands out after wrapping past 0 (see ROADMAP) map like any
  * other and iterate last.
  *
+ * A few chunk hints spare a recently used chunk the binary search: hint
+ * slot key % kHints holds the directory index where the chunk with that
+ * key was last found.  A hint is used only after the chunk at its index
+ * is checked to carry the key, so a chunk inserted before it (which
+ * moves every later index) or a copied directory cannot make it point
+ * at the wrong chunk; at worst it misses and the search runs.  find()
+ * refreshes hints through a const table, so one table must not be read
+ * from two threads at once.
+ *
  * Each chunk is one shared allocation.  Copying a table copies only
  * its directory, so the copy is a snapshot that shares every chunk
  * with the original; assign() and erase() copy a chunk before writing
@@ -32,6 +41,7 @@
 #define PARABIT_SSD_LPN_TABLE_HPP_
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -101,11 +111,13 @@ class LpnTable
     assign(Lpn lpn, const flash::PhysPageAddr &a, bool scrambled)
     {
         const std::uint64_t key = lpn >> kChunkBits;
-        const std::size_t c = lowerBound(key);
-        if (c == chunks_.size() || chunks_[c].key != key)
+        const std::size_t c = locate(key);
+        if (c == chunks_.size() || chunks_[c].key != key) {
             chunks_.insert(
                 chunks_.begin() + static_cast<std::ptrdiff_t>(c),
                 Chunk{key, std::make_shared<Entry[]>(kChunkEntries, Entry{})});
+            hint(key) = static_cast<std::uint32_t>(c);
+        }
         Entry &e = writable(c)[lpn & kSlotMask];
         const Entry old = e;
         e = Entry{a.block,
@@ -171,6 +183,8 @@ class LpnTable
     };
 
     static constexpr Lpn kSlotMask = kChunkEntries - 1;
+    /** Chunk hints kept (file comment). */
+    static constexpr std::size_t kHints = 4;
 
     /** Chunk @p c's slots, copied first if a snapshot shares them. */
     Entry *
@@ -197,18 +211,38 @@ class LpnTable
             chunks_.begin());
     }
 
+    /** The hint slot of chunk key @p key. */
+    std::uint32_t &hint(std::uint64_t key) const { return hints_[key % kHints]; }
+
+    /** lowerBound(@p key), from the key's hint when the chunk at the
+     *  hinted index carries @p key; a search that finds the chunk
+     *  refreshes the hint. */
+    std::size_t
+    locate(std::uint64_t key) const
+    {
+        std::uint32_t &h = hint(key);
+        if (h < chunks_.size() && chunks_[h].key == key)
+            return h;
+        const std::size_t c = lowerBound(key);
+        if (c < chunks_.size() && chunks_[c].key == key)
+            h = static_cast<std::uint32_t>(c);
+        return c;
+    }
+
     /** Index of the chunk holding @p lpn, or chunks_.size() if none. */
     std::size_t
     chunkOf(Lpn lpn) const
     {
-        const std::size_t c = lowerBound(lpn >> kChunkBits);
-        return c < chunks_.size() && chunks_[c].key == lpn >> kChunkBits
-                   ? c
-                   : chunks_.size();
+        const std::uint64_t key = lpn >> kChunkBits;
+        const std::size_t c = locate(key);
+        return c < chunks_.size() && chunks_[c].key == key ? c
+                                                           : chunks_.size();
     }
 
     /** Sorted by key; a chunk is never dropped before clear(). */
     std::vector<Chunk> chunks_;
+    /** Directory indices by key % kHints, checked before use. */
+    mutable std::array<std::uint32_t, kHints> hints_{};
     std::size_t size_ = 0;
     std::uint64_t chunkCopies_ = 0;
 };

@@ -145,6 +145,13 @@ class TransactionScheduler
     const SchedConfig &config() const { return cfg_; }
     const char *policyName() const { return sched::policyName(cfg_.policy); }
 
+    /** Whether every transaction is booked when it is submitted (FCFS):
+     *  its ticks then follow from submission order and ready ticks
+     *  alone, wherever the batches end.  The event-path policies
+     *  arbitrate among a batch's transactions, so there a batch
+     *  boundary can change a booking. */
+    bool booksAtSubmit() const { return policy_ == nullptr; }
+
     /**
      * Add @p tx to the current batch: under FCFS book it now, otherwise
      * queue it for the next drain().  @return its id.  The first submit

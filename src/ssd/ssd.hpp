@@ -114,6 +114,21 @@ class SsdDevice
      */
     Tick scheduleOps(std::span<const PhysOp> ops, Tick ready_at);
 
+    /**
+     * Whether consecutive scheduleOps calls with one ready tick may be
+     * merged into one call over their ops and still book the same
+     * ticks, busy time and transaction count: true under fcfs
+     * (TransactionScheduler::booksAtSubmit) unless health tracking is
+     * on, whose pump must see each call's completion in order.  A
+     * merged call drains once, so only per-drain readings move: the
+     * audit cadence and sched.queue.max_depth.
+     */
+    bool
+    bookingsMerge() const
+    {
+        return sched_.booksAtSubmit() && !health_;
+    }
+
     /** @name Per-round batching (HostInterface). */
     /// @{
 

@@ -197,6 +197,168 @@ TEST(LpnTable, ASnapshotKeepsItsEntriesWhenTheOriginalChanges)
     EXPECT_EQ(t.chunkCopies(), 3u);
 }
 
+/**
+ * Chunk hints: every find() and assign() below goes through a chunk that
+ * was found (and hinted) just before the table or its copy changed.
+ * Chunks 1, 5 and 9 share a hint slot under any slot count that divides
+ * four, and so do chunks 0, 4 and 8.
+ */
+TEST(LpnTable, HintedLookupsFollowAChunkMovedByAnInsert)
+{
+    const Lpn k = LpnTable::kChunkEntries;
+    LpnTable t;
+    t.assign(5 * k + 1, addrFor(5 * k + 1), false);
+    ASSERT_NE(t.find(5 * k + 1), nullptr); // hints chunk 5 at index 0
+    // Chunks inserted before it move chunk 5 to index 2.
+    t.assign(1 * k + 2, addrFor(1 * k + 2), false);
+    t.assign(4 * k + 3, addrFor(4 * k + 3), false);
+    ASSERT_NE(t.find(5 * k + 1), nullptr);
+    EXPECT_EQ(t.find(5 * k + 1)->addr(), addrFor(5 * k + 1));
+    EXPECT_EQ(t.find(1 * k + 1), nullptr); // chunk 1 has no slot 1
+    EXPECT_EQ(t.find(5 * k + 2), nullptr); // chunk 5 has no slot 2
+    // An assign through the hint writes chunk 5, not what took its index.
+    EXPECT_FALSE(t.assign(5 * k + 2, addrFor(5 * k + 2), false).mapped);
+    EXPECT_EQ(t.find(1 * k + 3), nullptr);
+    t.assign(9 * k, addrFor(9 * k), false);
+    t.assign(0, addrFor(0), false); // moves every chunk up once more
+    for (Lpn l : {5 * k + 1, 5 * k + 2, 1 * k + 2, 4 * k + 3, 9 * k, Lpn{0}}) {
+        ASSERT_NE(t.find(l), nullptr) << "lpn " << l;
+        EXPECT_EQ(t.find(l)->addr(), addrFor(l)) << "lpn " << l;
+    }
+    EXPECT_EQ(iterated(t), (std::vector<Lpn>{0, k + 2, 4 * k + 3, 5 * k + 1,
+                                             5 * k + 2, 9 * k}));
+}
+
+TEST(LpnTable, HintedLookupsSeeAnErase)
+{
+    const Lpn k = LpnTable::kChunkEntries;
+    LpnTable t;
+    t.assign(k + 7, addrFor(k + 7), true);
+    ASSERT_NE(t.find(k + 7), nullptr);
+    EXPECT_TRUE(t.erase(k + 7));
+    EXPECT_EQ(t.find(k + 7), nullptr);
+    EXPECT_FALSE(t.erase(k + 7));
+    const LpnTable::Entry old = t.assign(k + 7, addrFor(k + 8), false);
+    EXPECT_FALSE(old.mapped);
+    ASSERT_NE(t.find(k + 7), nullptr);
+    EXPECT_EQ(t.find(k + 7)->addr(), addrFor(k + 8));
+    EXPECT_FALSE(t.find(k + 7)->scrambled);
+    EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(LpnTable, HintedLookupsOnASnapshotWhileTheOriginalInsertsChunks)
+{
+    const Lpn k = LpnTable::kChunkEntries;
+    LpnTable t;
+    for (Lpn l : {4 * k + 1, 8 * k + 1})
+        t.assign(l, addrFor(l), false);
+    ASSERT_NE(t.find(4 * k + 1), nullptr); // hints at indices 0 and 1
+    ASSERT_NE(t.find(8 * k + 1), nullptr);
+    LpnTable snap = t; // copies the hints along with the directory
+
+    // The original inserts chunks in front of both and remaps in them.
+    const flash::PhysPageAddr moved = addrFor(40);
+    for (Lpn l : {Lpn{1}, 2 * k + 1, 6 * k + 1})
+        t.assign(l, addrFor(l), false);
+    t.assign(4 * k + 1, moved, false);
+    t.assign(8 * k + 1, moved, false);
+    EXPECT_EQ(t.find(4 * k + 1)->addr(), moved);
+    EXPECT_EQ(t.find(8 * k + 1)->addr(), moved);
+
+    // The snapshot still reads its own chunks, at its own indices.
+    ASSERT_NE(snap.find(4 * k + 1), nullptr);
+    EXPECT_EQ(snap.find(4 * k + 1)->addr(), addrFor(4 * k + 1));
+    ASSERT_NE(snap.find(8 * k + 1), nullptr);
+    EXPECT_EQ(snap.find(8 * k + 1)->addr(), addrFor(8 * k + 1));
+    for (Lpn l : {Lpn{1}, 2 * k + 1, 6 * k + 1})
+        EXPECT_EQ(snap.find(l), nullptr) << "lpn " << l;
+
+    // Writes to the snapshot go to its chunks, not the original's.
+    snap.assign(0, addrFor(0), false);
+    snap.assign(8 * k + 2, addrFor(8 * k + 2), false);
+    EXPECT_EQ(t.find(0), nullptr);
+    EXPECT_EQ(t.find(8 * k + 2), nullptr);
+    EXPECT_EQ(iterated(snap),
+              (std::vector<Lpn>{0, 4 * k + 1, 8 * k + 1, 8 * k + 2}));
+    EXPECT_EQ(t.size(), 5u);
+}
+
+TEST(LpnTable, HintedLookupsAtTheWrappedTop)
+{
+    const Lpn k = LpnTable::kChunkEntries;
+    const Lpn wrapped = ~0ull - 1; // the scratch cursor after wrapping
+    LpnTable t;
+    t.assign(wrapped, addrFor(wrapped), false);
+    ASSERT_NE(t.find(wrapped), nullptr); // hints the top chunk
+    EXPECT_EQ(t.find(~0ull), nullptr);   // its neighbour, unmapped
+    t.assign(3, addrFor(3), false);      // moves the top chunk to index 1
+    t.assign(~0ull, addrFor(~0ull), false);
+    for (Lpn l : {wrapped, Lpn{~0ull}, Lpn{3}}) {
+        ASSERT_NE(t.find(l), nullptr) << "lpn " << l;
+        EXPECT_EQ(t.find(l)->addr(), addrFor(l)) << "lpn " << l;
+    }
+    EXPECT_EQ(t.find(wrapped - k), nullptr); // the chunk below the top
+    EXPECT_TRUE(t.erase(wrapped));
+    EXPECT_EQ(t.find(wrapped), nullptr);
+    EXPECT_EQ(iterated(t), (std::vector<Lpn>{3, ~0ull}));
+}
+
+/**
+ * Hinted lookups against an ordered reference over a few colliding
+ * chunks at both ends of the LPN range: random assigns, erases, finds
+ * and snapshot copies, each copy then written and read on its own.
+ */
+TEST(LpnTable, HintedLookupsMatchAnOrderedReference)
+{
+    const Lpn k = LpnTable::kChunkEntries;
+    const std::vector<Lpn> chunks = {0, 1, 4, 5, 8, 9, 13, (~0ull >> 12),
+                                     (~0ull >> 12) - 4};
+    Rng rng(0x41A7);
+    struct Copy
+    {
+        LpnTable table;
+        std::map<Lpn, flash::PhysPageAddr> ref;
+    };
+    std::vector<Copy> copies(1);
+    copies.reserve(4);
+    for (int step = 0; step < 20000; ++step) {
+        Copy &c = copies[rng.below(copies.size())];
+        const Lpn lpn =
+            chunks[rng.below(chunks.size())] * k + rng.below(8);
+        switch (rng.below(8)) {
+          case 0:
+            if (copies.size() < 4)
+                copies.push_back(c);
+            break;
+          case 1:
+            EXPECT_EQ(c.table.erase(lpn), c.ref.erase(lpn) == 1);
+            break;
+          case 2:
+          case 3: {
+            const flash::PhysPageAddr a = addrFor(lpn + step);
+            const LpnTable::Entry old = c.table.assign(lpn, a, false);
+            const auto it = c.ref.find(lpn);
+            ASSERT_EQ(old.mapped, it != c.ref.end()) << "lpn " << lpn;
+            if (old.mapped) {
+                EXPECT_EQ(old.addr(), it->second) << "lpn " << lpn;
+            }
+            c.ref[lpn] = a;
+            break;
+          }
+          default: {
+            const LpnTable::Entry *e = c.table.find(lpn);
+            const auto it = c.ref.find(lpn);
+            ASSERT_EQ(e != nullptr, it != c.ref.end()) << "lpn " << lpn;
+            if (e) {
+                EXPECT_EQ(e->addr(), it->second) << "lpn " << lpn;
+            }
+          }
+        }
+    }
+    for (const Copy &c : copies)
+        EXPECT_EQ(c.table.size(), c.ref.size());
+}
+
 /** One map record of a checkpoint image as it is serialised. */
 struct ImageRecord
 {
