@@ -44,10 +44,12 @@
  * stripes of co-located operands (placed untimed, each on a device of
  * its own), the best of kFormulaRepeats alternating timings in thread
  * CPU ns per page op.  The controller books a formula's in-place senses
- * a stripe per scheduler submission and finds its operands through the
- * page map's chunk hints, so a page op should cost the same in a long
- * formula as in a short one; the run exits nonzero when the 64-stripe
- * cost per page exceeds kMaxFormulaScaling x the 1-stripe cost.  The
+ * a stripe per scheduler submission, so a page op should cost the same
+ * in a long formula as in a short one; the run exits nonzero when the
+ * 64-stripe cost per page exceeds kMaxFormulaScaling x the 1-stripe
+ * cost.  The page map's chunk hints serve both points: the 1-stripe
+ * operands share one chunk, and the 64-stripe ones span 32 chunks
+ * whose hints miss only when an operand enters a new chunk.  The
  * sweeps run unprofiled, untraced and outside the metrics registry,
  * after the mix's artefacts are written.
  *

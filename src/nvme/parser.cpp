@@ -58,27 +58,6 @@ appendChainBatches(std::vector<Batch> &batches,
     }
 }
 
-/**
- * Sub-operations of the command group that starts at @p cmds[i], made of
- * @p stride commands each (2 for a pair group, 1 for a fold group): the
- * group ends with the first sub-operation whose last command has no
- * partner.  A capacity hint only; parse() checks the group as it reads
- * it.
- */
-std::size_t
-groupSubOps(const std::vector<NvmeCommand> &cmds, std::size_t i,
-            std::size_t stride)
-{
-    std::size_t n = 0;
-    for (std::size_t last = i + stride - 1; last < cmds.size();
-         last += stride) {
-        ++n;
-        if (!cmds[last].hasPartner())
-            break;
-    }
-    return n;
-}
-
 } // namespace
 
 CmdParser::CmdParser(Bytes page_bytes)
@@ -179,7 +158,6 @@ CmdParser::parse(const std::vector<NvmeCommand> &cmds) const
             b.firstOperand = OperandRef::resultOf(b.id - 1, 0);
             b.secondOperand =
                 OperandRef::logical(cmds[i].slba() / sectorsPerPage_, 0);
-            b.subOps.reserve(groupSubOps(cmds, i, 1));
             while (i < cmds.size()) {
                 const NvmeCommand &c1 = cmds[i];
                 if (!c1.operandTag())
@@ -202,7 +180,6 @@ CmdParser::parse(const std::vector<NvmeCommand> &cmds) const
 
         if (i + 1 >= cmds.size())
             fatal("CmdParser::parse: dangling operand command");
-        b.subOps.reserve(groupSubOps(cmds, i, 2));
         bool first_sub = true;
         while (i + 1 < cmds.size()) {
             const NvmeCommand &c0 = cmds[i];

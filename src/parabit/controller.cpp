@@ -251,42 +251,11 @@ Controller::SenseOutcome
 Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
 {
     SenseOutcome out;
-    const bool functional = ssd_->config().storeData;
-    // A buffered operand senses only with its X in hand.
-    const bool can_sense =
-        functional &&
-        (req.kind != SenseKind::kBufferedOperand || req.xBuf != nullptr);
-
-    auto book = [&](int executions, bool xfer_result) {
-        stats.senseOps +=
-            static_cast<std::uint64_t>(req.senseCount) * executions;
-        const Bytes rx = xfer_result ? req.resultXfer : 0;
-        const ssd::PhysOp sense = ssd::PhysOp::paraBitSense(
-            req.loc, req.senseCount * executions, req.xferIn * executions,
-            rx);
-        const Tick done = ssd_->scheduleOps({&sense, 1}, ready);
-        stats.resultBytes += rx;
-        return done;
-    };
-
-    if (!policy_.enabled || !functional) {
-        // Legacy single execution.  Timing-only runs with the policy on
-        // still book initialVotes executions, so redundancy ladders can
-        // be timed without payloads.
-        const int execs =
-            policy_.enabled ? std::max(1, policy_.initialVotes) : 1;
-        if (can_sense) {
-            int errors = 0;
-            out.data = senseOnce(req, &errors);
-            stats.bitErrors += static_cast<std::uint64_t>(errors);
-        }
-        out.done = book(execs, true);
-        return out;
-    }
-
-    if (!can_sense) {
-        // Nothing to verify (no payload producer); book and move on.
-        out.done = book(std::max(1, policy_.initialVotes), true);
+    if (!policy_.enabled || !canSense(req)) {
+        // One execution: the policy is off, or there is nothing to
+        // verify (a timing-only run, or no payload producer).
+        out.data = senseSingle(req, req.resultXfer, stats);
+        out.done = flushPending(ready, stats);
         return out;
     }
 
@@ -361,7 +330,9 @@ Controller::runSense(const SenseRequest &req, Tick ready, ExecStats &stats)
         break;
     }
 
-    const Tick sensed = book(executions, accepted.has_value());
+    pending_.push_back(
+        senseOp(req, executions, accepted ? req.resultXfer : 0));
+    const Tick sensed = flushPending(ready, stats);
     if (!accepted) // ladder exhausted
         return fallBack(req, sensed, stats, ExecStatus::kDataLoss);
     out.data = std::move(*accepted);
@@ -536,8 +507,25 @@ Controller::inPlaceSite(flash::BitwiseOp op, Mode mode, const Operands &o,
     return true;
 }
 
+std::optional<BitVector>
+Controller::senseSingle(const SenseSite &site, Bytes result_xfer,
+                        ExecStats &stats)
+{
+    std::optional<BitVector> data;
+    if (canSense(site)) {
+        int errors = 0;
+        data = senseOnce(site, &errors);
+        stats.bitErrors += static_cast<std::uint64_t>(errors);
+    }
+    // With the policy on, a timing-only run still books initialVotes
+    // executions, so redundancy ladders can be timed without payloads.
+    const int execs = policy_.enabled ? std::max(1, policy_.initialVotes) : 1;
+    pending_.push_back(senseOp(site, execs, result_xfer));
+    return data;
+}
+
 Tick
-Controller::flushPending(ExecStats &stats)
+Controller::flushPending(Tick ready, ExecStats &stats)
 {
     if (pending_.empty())
         return 0;
@@ -545,7 +533,7 @@ Controller::flushPending(ExecStats &stats)
         stats.senseOps += op.senseCount;
         stats.resultBytes += op.xferOutBytes;
     }
-    const Tick done = ssd_->scheduleOps(pending_, pendingReady_);
+    const Tick done = ssd_->scheduleOps(pending_, ready);
     pending_.clear();
     return done;
 }
@@ -709,10 +697,6 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
     // The ladder checks each sense with its payloads and starts its
     // fallback from the sense's completion, so it books each at once.
     const bool ladder = policy_.enabled && functional;
-    // Timing-only runs with the policy on book initialVotes executions,
-    // so redundancy ladders can be timed without payloads.
-    const int execs = policy_.enabled ? std::max(1, policy_.initialVotes) : 1;
-    std::uint64_t bit_errors = 0; ///< in-place senses'
 
     // Per-batch results: the data pages (functional mode) and, for
     // chain continuations, the logical scratch homes if programmed.
@@ -773,7 +757,7 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
 
             if (ladder || !planesAlive(o) ||
                 !inPlaceSite(b.intraOp, mode, o, site)) {
-                bo.done = std::max(bo.done, flushPending(res.stats));
+                bo.done = std::max(bo.done, flushPending(ready, res.stats));
                 SenseOutcome out =
                     executePageOp(b.intraOp, o, mode, ready, xfer, res.stats);
                 bo.done = std::max(bo.done, out.done);
@@ -784,33 +768,23 @@ Controller::executeBatches(const std::vector<nvme::Batch> &batches, Mode mode,
                 continue;
             }
 
-            // In place: sense (a functional run holds any buffered X),
-            // and add the sense to the pending list.
-            if (functional) {
-                int errors = 0;
-                bo.pages.push_back(senseOnce(site, &errors));
-                bit_errors += static_cast<std::uint64_t>(errors);
-            }
+            // In place: sense, and add the sense to the pending list.
+            std::optional<BitVector> data = senseSingle(site, xfer, res.stats);
+            if (functional)
+                bo.pages.push_back(data ? std::move(*data) : BitVector());
             if (unary)
                 ++(site.op == flash::BitwiseOp::kNotMsb ? msb_nots
                                                          : lsb_nots);
-            if (!pending_.empty() && pendingReady_ != ready)
-                bo.done = std::max(bo.done, flushPending(res.stats));
-            pendingReady_ = ready;
-            pending_.push_back(ssd::PhysOp::paraBitSense(
-                site.loc, site.senseCount * execs, site.xferIn * execs,
-                xfer));
             if (pending_.size() == window_)
-                bo.done = std::max(bo.done, flushPending(res.stats));
+                bo.done = std::max(bo.done, flushPending(ready, res.stats));
         }
-        bo.done = std::max(bo.done, flushPending(res.stats));
+        bo.done = std::max(bo.done, flushPending(ready, res.stats));
         if (unary) {
             noteOps(mode, flash::BitwiseOp::kNotLsb, lsb_nots);
             noteOps(mode, flash::BitwiseOp::kNotMsb, msb_nots);
         }
         res.stats.end = std::max(res.stats.end, bo.done);
     }
-    res.stats.bitErrors += bit_errors;
 
     if (!batches.empty() && res.status != ExecStatus::kInvalidBatch) {
         BatchOut &last = outs.back();

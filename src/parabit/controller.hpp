@@ -24,20 +24,23 @@
  * heap.
  *
  * The pending list is one reused vector, reserved to a stripe (one page
- * op per plane), that goes to the scheduler as one submission when it
- * holds a stripe, when the next in-place sense is ready at another
- * tick, before anything else books during the formula (executePageOp's
- * reallocation reads and programs, LocFree staging, the free-MSB drop,
- * the plane self-test, host-fallback reads, repairPage; and the result
- * write-back), and when the batch ends; the batch is done at its latest
- * completion.  Submission order and ready ticks stay those of one
- * submission per sense, and fcfs books each transaction in closed form
- * at submit, so every tick stays too.  The ladder (policy on, functional
- * run) books each sense at once, since its fallback starts from the
- * sense's completion.  Where a batch boundary would change a booking
- * (the event-path policies arbitrate within a batch; health tracking
- * must pump each completion in order) the device says so
- * (SsdDevice::bookingsMerge) and the list holds one sense.
+ * op per plane), that goes to the scheduler as one submission, at the
+ * batch's ready tick, when it holds a stripe, before anything else
+ * books during the formula (executePageOp's reallocation reads and
+ * programs, LocFree staging, the free-MSB drop, the plane self-test,
+ * host-fallback reads, repairPage; and the result write-back), and
+ * when the batch ends; the batch is done at its latest completion.
+ * Submission order and ready ticks stay those of one submission per
+ * sense, and fcfs books each transaction in closed form at submit, so
+ * every tick stays too.  A sense outside the ladder (senseSingle) is
+ * one rule wherever it runs: in place, or in executePageOp after a
+ * move, where runSense books it through the list at once.  The ladder
+ * (policy on, functional run) books each sense at once too, since its
+ * fallback starts from the sense's completion.  Where a batch boundary
+ * would change a booking (the event-path policies arbitrate within a
+ * batch; health tracking must pump each completion in order) the
+ * device says so (SsdDevice::bookingsMerge) and the list holds one
+ * sense.
  *
  * Three execution modes mirror the paper's evaluated schemes:
  *
@@ -334,8 +337,39 @@ class Controller
      *  the injected bit errors. */
     BitVector senseOnce(const SenseSite &site, int *errors);
 
+    /** Whether @p site can be sensed here: the device stores data and
+     *  a buffered operand has its X in hand. */
+    bool
+    canSense(const SenseSite &site) const
+    {
+        return ssd_->config().storeData &&
+               (site.kind != SenseKind::kBufferedOperand || site.xBuf);
+    }
+
+    /** The PhysOp of @p executions runs of @p site with @p result_xfer
+     *  result bytes out. */
+    static ssd::PhysOp
+    senseOp(const SenseSite &site, int executions, Bytes result_xfer)
+    {
+        return ssd::PhysOp::paraBitSense(site.loc,
+                                         site.senseCount * executions,
+                                         site.xferIn * executions,
+                                         result_xfer);
+    }
+
+    /**
+     * A sense outside the ladder: run @p site once when it canSense,
+     * counting its bit errors into @p stats, and append its PhysOp
+     * (one run, or initialVotes with the policy on; @p result_xfer
+     * bytes out) to the pending list.  @return the sensed page; nullopt
+     * when nothing was sensed.
+     */
+    std::optional<BitVector> senseSingle(const SenseSite &site,
+                                         Bytes result_xfer, ExecStats &stats);
+
     /** Run @p req through the escalation ladder (see ReliabilityPolicy);
-     *  the legacy single execution when the policy is disabled. */
+     *  one senseSingle when the policy is disabled or @p req cannot be
+     *  sensed.  Books through the pending list, which must be empty. */
     SenseOutcome runSense(const SenseRequest &req, Tick ready,
                           ExecStats &stats);
 
@@ -397,10 +431,10 @@ class Controller
                    const flash::PhysPageAddr &y, Tick &ready,
                    ExecStats &stats);
 
-    /** Book the pending list (file comment) as one submission, counting
-     *  its sensings and result bytes into @p stats.  @return its latest
-     *  completion; 0 when it is empty. */
-    Tick flushPending(ExecStats &stats);
+    /** Book the pending list (file comment) as one submission ready at
+     *  @p ready, counting its sensings and result bytes into @p stats.
+     *  @return its latest completion; 0 when it is empty. */
+    Tick flushPending(Tick ready, ExecStats &stats);
 
     /** Next internal LPN for a controller-made copy. */
     nvme::Lpn claimScratch() { return scratchLpn_--; }
@@ -420,10 +454,8 @@ class Controller
      *  fallback, the plane self-test, the result write-back) and booked
      *  before the next stage fills it. */
     std::vector<ssd::PhysOp> stageOps_;
-    /** In-place senses not yet booked (file comment), all ready at
-     *  pendingReady_; at most window_ of them. */
+    /** Senses not yet booked (file comment); at most window_ of them. */
     std::vector<ssd::PhysOp> pending_;
-    Tick pendingReady_ = 0;
     /** A stripe, or one sense where a batch boundary changes bookings
      *  (SsdDevice::bookingsMerge). */
     std::size_t window_;

@@ -11,14 +11,17 @@
  * cursor hands out after wrapping past 0 (see ROADMAP) map like any
  * other and iterate last.
  *
- * A few chunk hints spare a recently used chunk the binary search: hint
- * slot key % kHints holds the directory index where the chunk with that
- * key was last found.  A hint is used only after the chunk at its index
- * is checked to carry the key, so a chunk inserted before it (which
- * moves every later index) or a copied directory cannot make it point
- * at the wrong chunk; at worst it misses and the search runs.  find()
- * refreshes hints through a const table, so one table must not be read
- * from two threads at once.
+ * A few chunk hints spare a recently used chunk the binary search: each
+ * of kHints slots holds a chunk key and the directory index where that
+ * chunk was last found.  A lookup compares its key with every slot, so
+ * chunks whose keys differ by a multiple of kHints (two operands 16K
+ * pages apart) do not evict each other; a search that finds a chunk no
+ * slot holds takes the slots in turn.  A hint is used only after the
+ * chunk at its index is checked to carry the key, so a chunk inserted
+ * before it (which moves every later index), a copied directory or
+ * clear() cannot make it point at the wrong chunk; at worst it misses
+ * and the search runs.  find() refreshes hints through a const table,
+ * so one table must not be read from two threads at once.
  *
  * Each chunk is one shared allocation.  Copying a table copies only
  * its directory, so the copy is a snapshot that shares every chunk
@@ -116,7 +119,7 @@ class LpnTable
             chunks_.insert(
                 chunks_.begin() + static_cast<std::ptrdiff_t>(c),
                 Chunk{key, std::make_shared<Entry[]>(kChunkEntries, Entry{})});
-            hint(key) = static_cast<std::uint32_t>(c);
+            remember(nextHint_, key, c);
         }
         Entry &e = writable(c)[lpn & kSlotMask];
         const Entry old = e;
@@ -149,6 +152,7 @@ class LpnTable
     clear()
     {
         chunks_.clear();
+        hints_.fill(Hint{});
         size_ = 0;
     }
 
@@ -182,6 +186,13 @@ class LpnTable
         std::shared_ptr<Entry[]> entries;
     };
 
+    /** Where the chunk with `key` was last found (file comment). */
+    struct Hint
+    {
+        std::uint64_t key = ~std::uint64_t{0}; ///< no chunk's (keys < 2^52)
+        std::uint32_t index = 0;
+    };
+
     static constexpr Lpn kSlotMask = kChunkEntries - 1;
     /** Chunk hints kept (file comment). */
     static constexpr std::size_t kHints = 4;
@@ -211,21 +222,35 @@ class LpnTable
             chunks_.begin());
     }
 
-    /** The hint slot of chunk key @p key. */
-    std::uint32_t &hint(std::uint64_t key) const { return hints_[key % kHints]; }
+    /** Hint slot @p slot now holds chunk @p key at index @p c; the
+     *  next slot in turn moves on when it was @p slot. */
+    void
+    remember(std::size_t slot, std::uint64_t key, std::size_t c) const
+    {
+        hints_[slot] = Hint{key, static_cast<std::uint32_t>(c)};
+        if (slot == nextHint_)
+            nextHint_ = (nextHint_ + 1) % kHints;
+    }
 
-    /** lowerBound(@p key), from the key's hint when the chunk at the
-     *  hinted index carries @p key; a search that finds the chunk
-     *  refreshes the hint. */
+    /** lowerBound(@p key), from a hint of @p key when the chunk at its
+     *  index carries @p key.  A search that finds the chunk refreshes
+     *  the key's slot when an insert moved the chunk, else takes the
+     *  next slot in turn. */
     std::size_t
     locate(std::uint64_t key) const
     {
-        std::uint32_t &h = hint(key);
-        if (h < chunks_.size() && chunks_[h].key == key)
-            return h;
+        std::size_t slot = nextHint_;
+        for (std::size_t i = 0; i < kHints; ++i) {
+            if (hints_[i].key != key)
+                continue;
+            const std::uint32_t h = hints_[i].index;
+            if (h < chunks_.size() && chunks_[h].key == key)
+                return h;
+            slot = i;
+        }
         const std::size_t c = lowerBound(key);
         if (c < chunks_.size() && chunks_[c].key == key)
-            h = static_cast<std::uint32_t>(c);
+            remember(slot, key, c);
         return c;
     }
 
@@ -241,8 +266,9 @@ class LpnTable
 
     /** Sorted by key; a chunk is never dropped before clear(). */
     std::vector<Chunk> chunks_;
-    /** Directory indices by key % kHints, checked before use. */
-    mutable std::array<std::uint32_t, kHints> hints_{};
+    /** Checked before use; see file comment. */
+    mutable std::array<Hint, kHints> hints_{};
+    mutable std::size_t nextHint_ = 0; ///< the slot a new chunk key takes
     std::size_t size_ = 0;
     std::uint64_t chunkCopies_ = 0;
 };

@@ -200,8 +200,8 @@ TEST(LpnTable, ASnapshotKeepsItsEntriesWhenTheOriginalChanges)
 /**
  * Chunk hints: every find() and assign() below goes through a chunk that
  * was found (and hinted) just before the table or its copy changed.
- * Chunks 1, 5 and 9 share a hint slot under any slot count that divides
- * four, and so do chunks 0, 4 and 8.
+ * Chunks 1, 5 and 9 are 4 apart, and so are chunks 0, 4 and 8, as a
+ * table indexing its hints by key modulo the slot count would collide.
  */
 TEST(LpnTable, HintedLookupsFollowAChunkMovedByAnInsert)
 {
@@ -303,10 +303,36 @@ TEST(LpnTable, HintedLookupsAtTheWrappedTop)
     EXPECT_EQ(iterated(t), (std::vector<Lpn>{3, ~0ull}));
 }
 
+TEST(LpnTable, HintedLookupsAfterClear)
+{
+    const Lpn k = LpnTable::kChunkEntries;
+    LpnTable t;
+    for (Lpn l : {2 * k + 1, 6 * k + 1, 10 * k + 1}) {
+        t.assign(l, addrFor(l), false);
+        ASSERT_NE(t.find(l), nullptr); // hints indices 0, 1 and 2
+    }
+    t.clear();
+    for (Lpn l : {2 * k + 1, 6 * k + 1, 10 * k + 1})
+        EXPECT_EQ(t.find(l), nullptr) << "lpn " << l;
+    // Rebuilt, chunk 6 ends at index 0 and chunk 10 at index 1, where
+    // the hints from before put chunks 2 and 6; chunk 2 is not mapped.
+    const flash::PhysPageAddr moved = addrFor(77);
+    t.assign(10 * k + 1, moved, false);
+    t.assign(6 * k + 2, addrFor(6 * k + 2), false);
+    EXPECT_EQ(t.find(2 * k + 1), nullptr);
+    EXPECT_EQ(t.find(6 * k + 1), nullptr);
+    ASSERT_NE(t.find(10 * k + 1), nullptr);
+    EXPECT_EQ(t.find(10 * k + 1)->addr(), moved);
+    ASSERT_NE(t.find(6 * k + 2), nullptr);
+    EXPECT_EQ(t.find(6 * k + 2)->addr(), addrFor(6 * k + 2));
+    EXPECT_EQ(t.size(), 2u);
+}
+
 /**
- * Hinted lookups against an ordered reference over a few colliding
- * chunks at both ends of the LPN range: random assigns, erases, finds
- * and snapshot copies, each copy then written and read on its own.
+ * Hinted lookups against an ordered reference over more chunks than
+ * there are hints, at both ends of the LPN range, several of them 4
+ * apart: random assigns, erases, finds and snapshot copies, each copy
+ * then written and read on its own.
  */
 TEST(LpnTable, HintedLookupsMatchAnOrderedReference)
 {
